@@ -538,7 +538,6 @@ let counters_json (s : Stats.snapshot) =
       ("splits", num s.Stats.splits);
       ("steals", num s.Stats.steals);
       ("failed_steals", num s.Stats.failed_steals);
-      ("tasks_spawned", num s.Stats.tasks_spawned);
       ("retries", num s.Stats.retries);
       ("recovery_ns", num s.Stats.recovery_ns);
     ]

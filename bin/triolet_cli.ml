@@ -428,7 +428,7 @@ let demo_cmd =
         Obs.disable ();
         Obs.write_trace path;
         Format.printf "%a" Obs.pp_aggregates (Obs.aggregates ());
-        (* The cluster phases partition Cluster.run end to end, so
+        (* The cluster phases partition a cluster run end to end, so
            their totals should account for nearly all of the wall time
            of a distributed run. *)
         let cluster_phases =
@@ -595,8 +595,8 @@ let analyze_cmd =
       @
       if protocol then
         [
-          Triolet_sim.Protocol_models.Heartbeat_model.check ();
-          Triolet_sim.Protocol_models.Segment_model.check ();
+          Triolet_sim.Dispatch_model.check_supervision ();
+          Triolet_sim.Dispatch_model.check_residency ();
         ]
       else []
     in
@@ -644,7 +644,7 @@ let analyze_cmd =
           ~doc:
             "Audit the reified wire-protocol spec (completeness, drift \
              against sent frame kinds) and exhaustively model-check the \
-             supervisor heartbeat protocol.")
+             real dispatch engine and node handler.")
   in
   let dot_file =
     Arg.(

@@ -33,8 +33,6 @@ type t = {
       (** per-request compute budget in seconds for the long-lived
           service; [None] means no deadline *)
   queue_bound : int;  (** service admission-queue high-water mark *)
-  poll_interval : float;
-      (** process-backend drain / service event-loop poll, seconds *)
 }
 
 (* The backend can be selected from outside via TRIOLET_BACKEND
@@ -66,7 +64,6 @@ let default () =
     chunk_multiplier = 4;
     deadline = None;
     queue_bound = 64;
-    poll_interval = 0.01;
   }
 
 (* Created lazily so the environment is read at first use, after a CLI
@@ -103,13 +100,10 @@ let with_context c f =
 let resolve = function Some c -> c | None -> current ()
 
 let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier
-    ?deadline ?queue_bound ?poll_interval () =
+    ?deadline ?queue_bound () =
   let base = current () in
   (match queue_bound with
   | Some b when b < 1 -> invalid_arg "Exec.make: queue_bound < 1"
-  | _ -> ());
-  (match poll_interval with
-  | Some p when p <= 0.0 -> invalid_arg "Exec.make: poll_interval <= 0"
   | _ -> ());
   {
     nodes = Option.value nodes ~default:base.nodes;
@@ -121,7 +115,6 @@ let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier
       Option.value chunk_multiplier ~default:base.chunk_multiplier;
     deadline = (match deadline with Some d -> d | None -> base.deadline);
     queue_bound = Option.value queue_bound ~default:base.queue_bound;
-    poll_interval = Option.value poll_interval ~default:base.poll_interval;
   }
 
 let topology c =

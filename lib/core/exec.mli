@@ -24,14 +24,11 @@ type t = {
   queue_bound : int;
       (** service admission-queue high-water mark; requests beyond it
           are rejected [Overloaded] instead of queueing unboundedly *)
-  poll_interval : float;
-      (** process-backend drain / service event-loop poll in seconds
-          (clamped to the fault spec's base timeout where one applies) *)
 }
 
 val default : unit -> t
 (** 4 nodes x 2 cores, no faults, automatic grain, multiplier 4, no
-    deadline, queue bound 64, 10 ms poll.  The backend honours the
+    deadline, queue bound 64.  The backend honours the
     [TRIOLET_BACKEND] environment variable (["inprocess"] | ["flat"] |
     ["process"]); any other non-empty value raises [Invalid_argument]
     naming the valid choices. *)
@@ -45,12 +42,10 @@ val make :
   ?chunk_multiplier:int ->
   ?deadline:float option ->
   ?queue_bound:int ->
-  ?poll_interval:float ->
   unit ->
   t
 (** A context derived from {!current}, overriding the given fields.
-    Raises [Invalid_argument] on [queue_bound < 1] or a non-positive
-    [poll_interval]. *)
+    Raises [Invalid_argument] on [queue_bound < 1]. *)
 
 val current : unit -> t
 (** The ambient context (created from {!default} on first use). *)

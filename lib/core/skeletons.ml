@@ -101,8 +101,7 @@ let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
       let blocks = Partition.blocks ~parts:workers len in
       let nblocks = Array.length blocks in
       let result, _report =
-        Cluster.run_topology ?pool:(node_pool topo) ?faults:ctx.Exec.faults
-          ~poll_interval:ctx.Exec.poll_interval topo
+        Cluster.run_topology ?pool:(node_pool topo) ?faults:ctx.Exec.faults topo
           ~scatter:(fun node ->
             if node < nblocks then
               let off, n = blocks.(node) in
@@ -145,8 +144,7 @@ let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
       in
       let results = ref [] in
       let (), _report =
-        Cluster.run_topology ?pool ?faults:ctx.Exec.faults
-          ~poll_interval:ctx.Exec.poll_interval topo
+        Cluster.run_topology ?pool ?faults:ctx.Exec.faults topo
           ~scatter:(fun node -> payload_of blocks.(node))
           ~work:(fun ~node ~pool payload -> (node, node_work ~pool payload))
           ~result_codec:(Codec.pair Codec.int result_codec)
@@ -165,12 +163,10 @@ let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
     [Process] backend this forks the per-node children, so call it
     before any domain is spawned (in particular before [Pool.default]
     is first touched). *)
-let resident_session ?ctx ?hb_interval ?miss_threshold ~work () =
+let resident_session ?ctx ~work () =
   let ctx = Exec.resolve ctx in
   Obs.span ~name:"skel.resident_session" (fun () ->
-      Darray.create_session
-        ~topology:(Exec.topology ctx)
-        ?hb_interval ?miss_threshold ~work ())
+      Darray.create_session ~topology:(Exec.topology ctx) ~work ())
 
 (** Block boundaries {!resident_segments} uses: one block per resident
     node (a Darray session holds one segment table per topology node,

@@ -81,8 +81,6 @@ val distributed_map_blocks :
 
 val resident_session :
   ?ctx:Exec.t ->
-  ?hb_interval:float ->
-  ?miss_threshold:int ->
   work:Triolet_runtime.Darray.work ->
   unit ->
   Triolet_runtime.Darray.session

@@ -1,66 +1,27 @@
-(** Two-level distributed runtime.
+(** Two-level distributed runtime: one-shot scatter/gather sessions.
 
     The paper's runtime distributes large units of work to cluster nodes
     over MPI, then subdivides each unit across cores with work-stealing
-    threads (section 3.4).  The sealed container has no MPI, so nodes
-    here are in-process entities whose *only* data channel is a mailbox
-    of serialized bytes: payloads are encoded, shipped, and decoded into
-    structurally fresh buffers, so a task can never touch the sender's
-    memory.  Work inside each node runs on the shared work-stealing
-    {!Pool}.  Byte and message counts follow the same paths a real MPI
-    deployment would, which is what the simulator consumes.
+    threads (section 3.4).  Nodes here exchange *only* serialized
+    bytes: payloads are encoded, shipped, and decoded into structurally
+    fresh buffers, so a task can never touch the sender's memory.  Task
+    *code* travels as an OCaml closure (serializing code is what the
+    Triolet compiler adds); task *data* always travels as bytes.
 
-    Task *code* travels as an OCaml closure (we cannot serialize code
-    without compiler support, which is precisely what the Triolet
-    compiler adds); task *data* always travels as bytes.
+    A run is one job on a {!Dispatch} session that lives exactly as
+    long as the call: in-process nodes executed inline, or one forked
+    process per node.  The engine owns retries, deduplication and
+    recovery, so the fault-free and fault-injected paths are the same
+    code; a fault plan only adds checksums, link faults and timers. *)
 
-    {2 Fault tolerance}
-
-    The paper's MPI runtime assumes every rank answers; [run] does not
-    have to.  With a {!Fault.spec} (deterministic, seeded injection of
-    drops / duplicates / corruption / delays / crashes / stragglers),
-    every message travels in a CRC-checksummed envelope tagged with the
-    logical worker id and an attempt sequence number.  Recovery:
-
-    - receives use {!Mailbox.recv_timeout} with capped exponential
-      backoff instead of blocking forever;
-    - a missing or corrupt reply re-issues the worker's task — to the
-      same node, or re-scattered to a surviving node if the owner
-      crashed;
-    - replies are merged at most once per worker (late or duplicated
-      replies are counted as redeliveries and discarded), so retries
-      never double-count;
-    - corrupted messages fail the checksum and are dropped loudly,
-      triggering the retry path instead of decoding garbage.
-
-    [work] may therefore execute more than once for the same slice and
-    must be re-executable (pure in its payload), which every skeleton
-    body is.  Without [?faults] the wire format, byte accounting and
-    behaviour are exactly the fault-free originals. *)
-
-let log_src = Logs.Src.create "triolet.cluster" ~doc:"Cluster runtime"
-
-module Log = (val Logs.src_log log_src)
 module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
 
-(* Span taxonomy (DESIGN.md, Observability): every wall-clock phase of
-   a distributed [run] is wrapped so a trace accounts for ~all of the
-   call's time.  [cluster.serialize] covers payload construction and
-   encoding on both sides; [cluster.send]/[cluster.recv] the mailbox
-   transfers (the recv side includes decode and, under faults, the
-   timeout wait); [cluster.compute] the node work; [cluster.merge] the
-   final fold.  [cluster.retry]/[cluster.recovery] only appear on the
-   fault path and overlap the others, so they are excluded from
-   phase-sum coverage checks. *)
-let node_attr node = [ ("node", string_of_int node) ]
-
-(* Execution backends.  [Flat] folds what used to be a separate [flat]
-   boolean into the backend variant: it is the in-process transport with
-   Eden's flat process view (one logical worker per core, no intra-node
-   pool).  [Process] is the real multi-process transport: one forked OS
-   process per node, socketpair channels, a private pool per child. *)
+(* Execution backends.  [Flat] is the in-process transport with Eden's
+   flat process view (one logical worker per core, no intra-node pool).
+   [Process] is the real multi-process transport: one forked OS process
+   per node, socketpair channels, a private pool per child. *)
 type backend =
   | Inprocess  (** in-process nodes over mailbox channels *)
   | Flat  (** Eden-style: one in-process worker per core, no node pool *)
@@ -86,58 +47,19 @@ let topology_workers (t : topology) =
   | Flat -> t.nodes * t.cores_per_node
   | Inprocess | Process -> t.nodes
 
-type config = {
-  nodes : int;
-  cores_per_node : int;
-  flat : bool;
-      (** [true] models Eden's flat process view: one single-threaded
-          process per core and no shared memory within a node. *)
-}
-
-let default_config = { nodes = 4; cores_per_node = 2; flat = false }
-
-let topology_of_config (c : config) =
-  {
-    nodes = c.nodes;
-    cores_per_node = c.cores_per_node;
-    backend = (if c.flat then Flat else Inprocess);
-  }
-
-let config_of_topology (t : topology) =
-  {
-    nodes = t.nodes;
-    cores_per_node = t.cores_per_node;
-    flat = (t.backend = Flat);
-  }
-
-type report = {
-  scatter_bytes : int;  (** bytes shipped main -> nodes (retries included) *)
-  gather_bytes : int;  (** bytes shipped nodes -> main (retries included) *)
+type report = Dispatch.report = {
+  scatter_bytes : int;
+  gather_bytes : int;
   scatter_messages : int;
   gather_messages : int;
-  max_message_bytes : int;  (** largest single message *)
-  retries : int;  (** task re-issues after a timeout *)
-  redeliveries : int;  (** duplicate/late replies discarded by dedup *)
-  corrupt_drops : int;  (** messages rejected by checksum/decode *)
-  crashed_nodes : int;  (** injected node crashes survived *)
-  faults_injected : int;  (** total faults the injector fired *)
-  recovery_ns : int;  (** wall time spent in timeout/retry recovery *)
+  max_message_bytes : int;
+  retries : int;
+  redeliveries : int;
+  corrupt_drops : int;
+  crashed_nodes : int;
+  faults_injected : int;
+  recovery_ns : int;
 }
-
-let clean_report =
-  {
-    scatter_bytes = 0;
-    gather_bytes = 0;
-    scatter_messages = 0;
-    gather_messages = 0;
-    max_message_bytes = 0;
-    retries = 0;
-    redeliveries = 0;
-    corrupt_drops = 0;
-    crashed_nodes = 0;
-    faults_injected = 0;
-    recovery_ns = 0;
-  }
 
 let pp_report fmt r =
   Format.fprintf fmt
@@ -155,98 +77,6 @@ let pp_report fmt r =
       r.crashed_nodes
       (float_of_int r.recovery_ns /. 1e6)
 
-(* ------------------------------------------------------------------ *)
-(* Fault-free path: byte-for-byte the original protocol.  Replies are
-   accumulated per worker and folded in worker order; arrival order
-   coincides with worker order here (the node loop is sequential and
-   mailboxes are FIFO), so results and reports are unchanged — but the
-   merge-order contract no longer depends on that coincidence. *)
-
-let run_clean pool ~workers ~scatter ~work ~result_codec ~merge ~init =
-  let mailboxes = Array.init workers (fun _ -> Mailbox.create ()) in
-  let return_box = Mailbox.create () in
-  let scatter_bytes = ref 0 and scatter_msgs = ref 0 in
-  let gather_bytes = ref 0 and gather_msgs = ref 0 in
-  let max_msg = ref 0 in
-  (* Scatter: main serializes each node's slice and posts it. *)
-  for node = 0 to workers - 1 do
-    let bytes =
-      Obs.span ~name:"cluster.serialize" ~attrs:(node_attr node) (fun () ->
-          let payload = scatter node in
-          Codec.to_bytes Payload.codec payload)
-    in
-    max_msg := max !max_msg (Bytes.length bytes);
-    scatter_bytes := !scatter_bytes + Bytes.length bytes;
-    incr scatter_msgs;
-    Log.debug (fun m -> m "scatter: %d bytes to node %d" (Bytes.length bytes) node);
-    Obs.span ~name:"cluster.send" ~attrs:(node_attr node) (fun () ->
-        Mailbox.send mailboxes.(node) bytes)
-  done;
-  Stats.ensure_workers (Pool.size pool);
-  let before_work = Stats.snapshot () in
-  (* Node side: decode, compute, reply.  Nodes run in sequence in this
-     process; the pool provides the intra-node parallelism. *)
-  for node = 0 to workers - 1 do
-    let payload =
-      Obs.span ~name:"cluster.recv" ~attrs:(node_attr node) (fun () ->
-          Codec.of_bytes Payload.codec (Mailbox.recv mailboxes.(node)))
-    in
-    let r =
-      Obs.span ~name:"cluster.compute" ~attrs:(node_attr node) (fun () ->
-          work ~node ~pool payload)
-    in
-    let reply =
-      Obs.span ~name:"cluster.serialize" ~attrs:(node_attr node) (fun () ->
-          Codec.to_bytes result_codec r)
-    in
-    Log.debug (fun m -> m "gather: %d bytes from node %d" (Bytes.length reply) node);
-    max_msg := max !max_msg (Bytes.length reply);
-    gather_bytes := !gather_bytes + Bytes.length reply;
-    incr gather_msgs;
-    Obs.span ~name:"cluster.send" ~attrs:(node_attr node) (fun () ->
-        Mailbox.send return_box reply)
-  done;
-  (* Intra-node scheduling visibility: how evenly the pool's workers
-     shared the nodes' work, and how much adaptive splitting/stealing
-     the lazy scheduler needed to get there. *)
-  Log.debug (fun m ->
-      let after = Stats.snapshot () in
-      let delta =
-        after.Stats.chunks_run - before_work.Stats.chunks_run
-      and splits = after.Stats.splits - before_work.Stats.splits
-      and steals = after.Stats.steals - before_work.Stats.steals in
-      m "intra-node: %d chunks, %d splits, %d steals, imbalance %.2f" delta
-        splits steals (Stats.imbalance after));
-  (* Gather: the i-th reply through the FIFO return box is worker i's
-     (single sender, in-order sends), so indexing by receive position
-     is the worker tag. *)
-  let results = Array.make workers None in
-  for w = 0 to workers - 1 do
-    results.(w) <-
-      Some
-        (Obs.span ~name:"cluster.recv" ~attrs:(node_attr w) (fun () ->
-             Codec.of_bytes result_codec (Mailbox.recv return_box)))
-  done;
-  let acc = ref init in
-  Obs.span ~name:"cluster.merge" (fun () ->
-      for w = 0 to workers - 1 do
-        match results.(w) with
-        | Some r -> acc := merge !acc r
-        | None -> assert false
-      done);
-  ( !acc,
-    {
-      clean_report with
-      scatter_bytes = !scatter_bytes;
-      gather_bytes = !gather_bytes;
-      scatter_messages = !scatter_msgs;
-      gather_messages = !gather_msgs;
-      max_message_bytes = !max_msg;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injected path. *)
-
 exception Recovery_exhausted of { worker : int; attempts : int }
 
 let () =
@@ -259,282 +89,7 @@ let () =
              worker attempts)
     | _ -> None)
 
-let run_faulty pool ~workers spec ~scatter ~work ~result_codec ~merge ~init =
-  let fault = Fault.make spec in
-  let mailboxes = Array.init workers (fun _ -> Mailbox.create ()) in
-  let return_box = Mailbox.create () in
-  let scatter_bytes = ref 0 and scatter_msgs = ref 0 in
-  let gather_bytes = ref 0 and gather_msgs = ref 0 in
-  let max_msg = ref 0 in
-  let retries = ref 0 and redeliveries = ref 0 and corrupt_drops = ref 0 in
-  (* Envelopes: every message carries the logical worker id and the
-     attempt sequence number under a CRC over the payload bytes. *)
-  let scatter_codec =
-    Codec.checksummed Codec.(triple int int Payload.codec)
-  in
-  let reply_codec = Codec.checksummed Codec.(triple int int result_codec) in
-  (* Payloads are kept so a lost or crashed worker's slice can be
-     re-scattered; [seq] numbers each (re-)issue of a worker's task. *)
-  let payloads = Array.init workers scatter in
-  let seq = Array.make workers 0 in
-  let results = Array.make workers None in
-  let attempts = Array.make workers 0 in
-  let failed_exn = Array.make workers None in
-  let corrupt_reject () =
-    incr corrupt_drops;
-    Stats.record_corrupt_drop ()
-  in
-  (* Each (worker, slice) is encoded exactly once; retries reuse the
-     cached bytes (dedup keys on the worker id, not the seq), so
-     scatter accounting reflects wire traffic, not re-encoding. *)
-  let encoded = Array.make workers None in
-  let encoded_slice wk =
-    match encoded.(wk) with
-    | Some bytes -> bytes
-    | None ->
-        seq.(wk) <- seq.(wk) + 1;
-        let bytes =
-          Obs.span ~name:"cluster.serialize" ~attrs:(node_attr wk) (fun () ->
-              Stats.record_encode ();
-              Codec.to_bytes scatter_codec (wk, seq.(wk), payloads.(wk)))
-        in
-        encoded.(wk) <- Some bytes;
-        bytes
-  in
-  let send_scatter ~target wk =
-    let bytes = encoded_slice wk in
-    max_msg := max !max_msg (Bytes.length bytes);
-    scatter_bytes := !scatter_bytes + Bytes.length bytes;
-    incr scatter_msgs;
-    attempts.(wk) <- attempts.(wk) + 1;
-    Log.debug (fun m ->
-        m "scatter: %d bytes for worker %d -> node %d (attempt %d)"
-          (Bytes.length bytes) wk target attempts.(wk));
-    Obs.span ~name:"cluster.send" ~attrs:(node_attr target) (fun () ->
-        Fault.send fault ~link:(Fault.To_node target) mailboxes.(target) bytes)
-  in
-  (* Drive one node execution attempt: node [target] tries to pick up a
-     task from its mailbox, compute, and reply.  Any failure (lost or
-     corrupt input, crash, exception in [work]) simply produces no
-     reply; the gather loop's timeout owns recovery. *)
-  let run_attempt target =
-    if not (Fault.is_crashed fault target) then
-      match
-        Obs.span ~name:"cluster.recv" ~attrs:(node_attr target) (fun () ->
-            Mailbox.recv_timeout mailboxes.(target) spec.Fault.base_timeout)
-      with
-      | `Timeout | `Closed -> ()
-      | `Msg bytes -> (
-          match Codec.of_bytes scatter_codec bytes with
-          | exception e ->
-              Log.debug (fun m ->
-                  m "node %d: corrupt task message (%s)" target
-                    (Printexc.to_string e));
-              corrupt_reject ()
-          | wk, sq, payload ->
-              if Fault.crash_now fault ~node:target ~phase:Fault.Before_work
-              then Mailbox.close mailboxes.(target)
-              else begin
-                (* [work] sees the logical worker id whose slice this
-                   is — stable across re-execution on another node. *)
-                match
-                  Obs.span ~name:"cluster.compute" ~attrs:(node_attr wk)
-                    (fun () -> work ~node:wk ~pool payload)
-                with
-                | exception e ->
-                    (* An exception inside [work] is a node failure for
-                       this attempt; it is re-raised only once recovery
-                       gives up on the worker. *)
-                    Log.debug (fun m ->
-                        m "node %d: work raised %s" target
-                          (Printexc.to_string e));
-                    failed_exn.(wk) <- Some e
-                | r ->
-                    if
-                      Fault.crash_now fault ~node:target
-                        ~phase:Fault.During_work
-                    then Mailbox.close mailboxes.(target)
-                    else begin
-                      let crashed_after =
-                        Fault.crash_now fault ~node:target
-                          ~phase:Fault.After_work
-                      in
-                      if crashed_after then Mailbox.close mailboxes.(target)
-                      else begin
-                        let reply =
-                          Obs.span ~name:"cluster.serialize"
-                            ~attrs:(node_attr wk) (fun () ->
-                              Codec.to_bytes reply_codec (wk, sq, r))
-                        in
-                        max_msg := max !max_msg (Bytes.length reply);
-                        gather_bytes := !gather_bytes + Bytes.length reply;
-                        incr gather_msgs;
-                        Obs.span ~name:"cluster.send" ~attrs:(node_attr target)
-                          (fun () ->
-                            Fault.send fault ~link:(Fault.From_node target)
-                              return_box reply)
-                      end
-                    end
-              end)
-  in
-  let surviving_node ~for_worker =
-    let rec find i =
-      if i >= workers then None
-      else if not (Fault.is_crashed fault i) then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | Some n ->
-        Log.debug (fun m ->
-            m "worker %d: re-executing on surviving node %d" for_worker n);
-        n
-    | None -> raise (Recovery_exhausted { worker = for_worker; attempts = 0 })
-  in
-  (* Initial round: scatter everything, let every node attempt once. *)
-  for w = 0 to workers - 1 do
-    send_scatter ~target:w w
-  done;
-  Stats.ensure_workers (Pool.size pool);
-  for node = 0 to workers - 1 do
-    run_attempt node
-  done;
-  (* Gather with timeout-driven recovery: collect worker-tagged replies
-     at most once each; a timeout re-issues every unresolved worker's
-     task with capped exponential backoff. *)
-  let outstanding = ref workers in
-  let round = ref 0 in
-  (* Monotonic timestamp: recovery time must be a duration, so it is
-     measured on the monotonic clock — a wall-clock (gettimeofday)
-     difference can come out negative or wildly large when NTP steps
-     the clock mid-recovery, which is precisely when a real deployment
-     is under stress. *)
-  let recovery_started = ref None in
-  while !outstanding > 0 do
-    match
-      Obs.span ~name:"cluster.recv" (fun () ->
-          Mailbox.recv_timeout return_box
-            (Fault.timeout_for spec ~attempt:!round))
-    with
-    | `Closed -> assert false (* the main side never closes its own box *)
-    | `Msg bytes -> (
-        match Codec.of_bytes reply_codec bytes with
-        | exception e ->
-            Log.debug (fun m ->
-                m "gather: corrupt reply (%s)" (Printexc.to_string e));
-            corrupt_reject ()
-        | wk, sq, r ->
-            if wk < 0 || wk >= workers then corrupt_reject ()
-            else if results.(wk) <> None then begin
-              (* At-most-once merge: a duplicate or a late reply from a
-                 superseded attempt. *)
-              Log.debug (fun m -> m "gather: redelivery for worker %d" wk);
-              incr redeliveries;
-              Stats.record_redelivery ()
-            end
-            else begin
-              Log.debug (fun m ->
-                  m "gather: accepted worker %d (seq %d)" wk sq);
-              results.(wk) <- Some r;
-              decr outstanding
-            end)
-    | `Timeout ->
-        if !recovery_started = None then
-          recovery_started := Some (Clock.monotonic_ns ());
-        incr round;
-        Obs.span ~name:"cluster.retry"
-          ~attrs:[ ("round", string_of_int !round) ]
-          (fun () ->
-            for wk = 0 to workers - 1 do
-              if results.(wk) = None then begin
-                if attempts.(wk) >= spec.Fault.max_attempts then begin
-                  match failed_exn.(wk) with
-                  | Some e -> raise e
-                  | None ->
-                      raise
-                        (Recovery_exhausted
-                           { worker = wk; attempts = attempts.(wk) })
-                end;
-                incr retries;
-                Stats.record_retry ();
-                Obs.instant ~name:"cluster.retry.reissue"
-                  ~attrs:(node_attr wk) ();
-                let target =
-                  if Fault.is_crashed fault wk then
-                    surviving_node ~for_worker:wk
-                  else wk
-                in
-                send_scatter ~target wk;
-                run_attempt target
-              end
-            done)
-  done;
-  (* Drain replies that arrived after the last worker resolved — the
-     duplicates and superseded-attempt replies the retry machinery
-     produced — so redelivery accounting covers them. *)
-  let rec drain () =
-    match Mailbox.try_recv return_box with
-    | None -> ()
-    | Some bytes ->
-        (match Codec.of_bytes reply_codec bytes with
-        | exception _ -> corrupt_reject ()
-        | wk, _, _ ->
-            if wk >= 0 && wk < workers then begin
-              incr redeliveries;
-              Stats.record_redelivery ()
-            end
-            else corrupt_reject ());
-        drain ()
-  in
-  drain ();
-  let recovery_ns =
-    match !recovery_started with
-    | None -> 0
-    | Some t0 ->
-        (* Monotonic difference: non-negative by construction. *)
-        let ns = Clock.monotonic_ns () - t0 in
-        Stats.record_recovery_ns ns;
-        ns
-  in
-  let acc = ref init in
-  Obs.span ~name:"cluster.merge" (fun () ->
-      for w = 0 to workers - 1 do
-        match results.(w) with
-        | Some r -> acc := merge !acc r
-        | None -> assert false
-      done);
-  let c = Fault.counters fault in
-  ( !acc,
-    {
-      scatter_bytes = !scatter_bytes;
-      gather_bytes = !gather_bytes;
-      scatter_messages = !scatter_msgs;
-      gather_messages = !gather_msgs;
-      max_message_bytes = !max_msg;
-      retries = !retries;
-      redeliveries = !redeliveries;
-      corrupt_drops = !corrupt_drops;
-      crashed_nodes = c.Fault.crashes;
-      faults_injected =
-        c.Fault.drops + c.Fault.duplicates + c.Fault.corruptions
-        + c.Fault.delays + c.Fault.crashes;
-      recovery_ns;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Multi-process backend: nodes are forked OS processes, channels are
-   socketpairs, and the address-space isolation the in-process backends
-   only assert by convention is enforced by the kernel.  Task code
-   crosses the [fork] (the child inherits the closure); task data only
-   ever crosses the socket as the same codec bytes the mailbox engines
-   ship.  The frame header (length + kind) is transport framing and is
-   excluded from byte accounting, so a clean run reports identical
-   traffic under either backend. *)
-
-(* In the children: the logical node id, for task code that needs to
-   know where it physically runs (e.g. a test killing one node). *)
-let current_node : int option ref = ref None
-let on_node () = !current_node
-let note_current_node id = current_node := Some id
+let on_node = Dispatch.on_node
 
 let ensure_forkable () =
   if Pool.domains_ever_spawned () then
@@ -544,499 +99,111 @@ let ensure_forkable () =
        backend before creating any multi-domain pool (e.g. run with \
        TRIOLET_BACKEND=process so the default pool stays single-domain)."
 
-(* Remote failure report: the worker id whose task raised, plus the
-   exception rendered as text (exceptions, like all code, never cross a
-   socket). *)
-let err_codec = Codec.(pair int string)
+let ns s = int_of_float (s *. 1e9)
+let node_attr n = [ ("node", string_of_int n) ]
 
-let run_proc_clean (topo : topology) ~workers ~scatter ~work ~result_codec ~merge ~init =
-  ensure_forkable ();
-  (* Child serve loop, inherited across the fork: read task frames until
-     EOF, compute on a lazily created node-local pool, reply.  Runs in
-     its own process — nothing it does (pool domains, Stats, GC) is
-     visible to the parent except the reply bytes. *)
-  let serve ~id chan =
-    current_node := Some id;
-    let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
-    let pool = lazy (Pool.create ~workers:topo.cores_per_node ()) in
-    let rec loop () =
-      match Transport.Socket.recv chan with
-      | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-      | (kind, _) as frame ->
-          Protocol.step trk (Protocol.Recv kind);
-          handle frame
-    and handle = function
-      | Transport.Ping, payload ->
-          (* Heartbeat: echo the payload straight back.  A child that
-             can run this loop is alive by definition. *)
-          Transport.Socket.send chan ~kind:Transport.Pong payload;
-          loop ()
-      | (Transport.Err | Transport.Nack | Transport.Pong), _ -> loop ()
-      | (Transport.Seg_put | Transport.Seg_reuse | Transport.Seg_free), _ ->
-          (* Segment residency belongs to Darray sessions, not one-shot
-             runs; ignore like other non-task traffic. *)
-          loop ()
-      | Transport.Data, bytes ->
-          (match
-             let payload = Codec.of_bytes Payload.codec bytes in
-             work ~node:id ~pool:(Lazy.force pool) payload
-           with
-          | r -> Transport.Socket.send chan (Codec.to_bytes result_codec r)
-          | exception e ->
-              Transport.Socket.send chan ~kind:Transport.Err
-                (Codec.to_bytes err_codec (id, Printexc.to_string e)));
-          loop ()
-    in
-    loop ()
-  in
-  let fabric = Transport.Proc.fork ~n:workers ~child:serve in
-  Fun.protect
-    ~finally:(fun () -> Transport.Proc.shutdown fabric)
-    (fun () ->
-      let scatter_bytes = ref 0 and scatter_msgs = ref 0 in
-      let gather_bytes = ref 0 and gather_msgs = ref 0 in
-      let max_msg = ref 0 in
-      for node = 0 to workers - 1 do
-        let bytes =
-          Obs.span ~name:"cluster.serialize" ~attrs:(node_attr node)
-            (fun () -> Codec.to_bytes Payload.codec (scatter node))
-        in
-        max_msg := max !max_msg (Bytes.length bytes);
-        scatter_bytes := !scatter_bytes + Bytes.length bytes;
-        incr scatter_msgs;
-        Stats.record_message ~bytes:(Bytes.length bytes);
-        Log.debug (fun m ->
-            m "scatter: %d bytes to process node %d" (Bytes.length bytes) node);
-        Obs.span ~name:"cluster.send" ~attrs:(node_attr node) (fun () ->
-            Transport.Socket.send (Transport.Proc.node fabric node).chan bytes)
-      done;
-      (* Gather: one blocking read per child, in worker order — the
-         reply's provenance is its socket, so no tags are needed and
-         the merge order contract is explicit. *)
-      let results = Array.make workers None in
-      for w = 0 to workers - 1 do
-        let chan = (Transport.Proc.node fabric w).chan in
-        match
-          Obs.span ~name:"cluster.recv" ~attrs:(node_attr w) (fun () ->
-              Transport.Socket.recv chan)
-        with
-        | exception Transport.Closed ->
-            failwith
-              (Printf.sprintf
-                 "Cluster: process node %d died during a fault-free run \
-                  (use ?faults for recovery)"
-                 w)
-        | Transport.Err, bytes ->
-            let _, msg = Codec.of_bytes err_codec bytes in
-            failwith (Printf.sprintf "Cluster: node %d raised: %s" w msg)
-        | Transport.Nack, _ ->
-            failwith (Printf.sprintf "Cluster: node %d rejected its task" w)
-        | ( ( Transport.Ping | Transport.Pong | Transport.Seg_put
-            | Transport.Seg_reuse | Transport.Seg_free ),
-            _ ) ->
-            (* Heartbeats belong to the service fabric and segment
-               frames to Darray sessions, not a one-shot run; a stray
-               one here is a protocol violation. *)
-            failwith
-              (Printf.sprintf "Cluster: unexpected control frame from node %d" w)
-        | Transport.Data, reply ->
-            max_msg := max !max_msg (Bytes.length reply);
-            gather_bytes := !gather_bytes + Bytes.length reply;
-            incr gather_msgs;
-            Stats.record_message ~bytes:(Bytes.length reply);
-            results.(w) <- Some (Codec.of_bytes result_codec reply)
-      done;
-      let acc = ref init in
-      Obs.span ~name:"cluster.merge" (fun () ->
-          for w = 0 to workers - 1 do
-            match results.(w) with
-            | Some r -> acc := merge !acc r
-            | None -> assert false
-          done);
-      ( !acc,
-        {
-          clean_report with
-          scatter_bytes = !scatter_bytes;
-          gather_bytes = !gather_bytes;
-          scatter_messages = !scatter_msgs;
-          gather_messages = !gather_msgs;
-          max_message_bytes = !max_msg;
-        } ))
-
-let run_proc_faulty (topo : topology) ~workers ~poll_interval spec ~scatter ~work
-    ~result_codec ~merge ~init =
-  ensure_forkable ();
-  if poll_interval <= 0.0 then invalid_arg "Cluster: poll interval must be positive";
-  (* The drain poll must never outwait the fault spec's base timeout —
-     otherwise a retry round could fire while late traffic that would
-     have satisfied it sits unread in a socket buffer. *)
-  let drain_poll = Float.min poll_interval spec.Fault.base_timeout in
-  assert (drain_poll <= spec.Fault.base_timeout);
-  let fault = Fault.make spec in
-  let scatter_codec = Codec.checksummed Codec.(triple int int Payload.codec) in
-  let reply_codec = Codec.checksummed Codec.(triple int int result_codec) in
-  (* Child serve loop under faults.  Link faults are injected on the
-     parent side of the sockets (one seeded stream, one schedule); the
-     child's share of the fault model is dying: a planned crash is a
-     real [_exit], indistinguishable on the wire from a [kill]ed child,
-     and both surface to the parent as EOF. *)
-  let serve ~id chan =
-    current_node := Some id;
-    let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
-    let pool = lazy (Pool.create ~workers:topo.cores_per_node ()) in
-    let crash_here phase =
-      match spec.Fault.crash with
-      | Some (n, p) -> n = id && p = phase
-      | None -> false
-    in
-    let rec loop () =
-      match Transport.Socket.recv chan with
-      | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-      | (kind, _) as frame ->
-          Protocol.step trk (Protocol.Recv kind);
-          handle frame
-    and handle = function
-      | Transport.Ping, payload ->
-          Transport.Socket.send chan ~kind:Transport.Pong payload;
-          loop ()
-      | ( ( Transport.Err | Transport.Nack | Transport.Pong
-          | Transport.Seg_put | Transport.Seg_reuse | Transport.Seg_free ),
-          _ ) ->
-          loop ()
-      | Transport.Data, bytes ->
-          (match Codec.of_bytes scatter_codec bytes with
-          | exception _ ->
-              (* Corrupt task envelope: reject loudly; the parent counts
-                 the drop and the retry machinery re-issues. *)
-              Transport.Socket.send chan ~kind:Transport.Nack Bytes.empty
-          | wk, _sq, payload -> (
-              if crash_here Fault.Before_work then Unix._exit 0;
-              match work ~node:wk ~pool:(Lazy.force pool) payload with
-              | exception e ->
-                  Transport.Socket.send chan ~kind:Transport.Err
-                    (Codec.to_bytes err_codec (wk, Printexc.to_string e))
-              | r ->
-                  if crash_here Fault.During_work then Unix._exit 0;
-                  if crash_here Fault.After_work then Unix._exit 0;
-                  Transport.Socket.send chan
-                    (Codec.to_bytes reply_codec (wk, _sq, r))));
-          loop ()
-    in
-    loop ()
-  in
-  (* Keep every worker's payload so a crashed node's slice can be
-     re-scattered; computed before the fork only for the parent's use
-     (tasks reach children as bytes, never by inheritance). *)
-  let payloads = Array.init workers scatter in
-  let fabric = Transport.Proc.fork ~n:workers ~child:serve in
-  Fun.protect
-    ~finally:(fun () -> Transport.Proc.shutdown fabric)
-    (fun () ->
-      let scatter_bytes = ref 0 and scatter_msgs = ref 0 in
-      let gather_bytes = ref 0 and gather_msgs = ref 0 in
-      let max_msg = ref 0 in
-      let retries = ref 0 and redeliveries = ref 0 and corrupt_drops = ref 0 in
-      let seq = Array.make workers 0 in
-      let results = Array.make workers None in
-      let attempts = Array.make workers 0 in
-      let failed_exn = Array.make workers None in
-      let corrupt_reject () =
-        incr corrupt_drops;
-        Stats.record_corrupt_drop ()
-      in
-      (* Parent-side analogue of [Mailbox.send_delayed]: a delayed frame
-         is parked here and only hits the wire (scatter) or the protocol
-         (gather) once the gather loop times out. *)
-      let delayed_out : (int * Bytes.t) Queue.t = Queue.create () in
-      let delayed_in : Bytes.t Queue.t = Queue.create () in
-      let pending_in : Bytes.t Queue.t = Queue.create () in
-      let node_alive target =
-        Transport.Proc.is_alive fabric target
-        && not (Fault.is_crashed fault target)
-      in
-      let write_frame target bytes =
-        if Transport.Proc.is_alive fabric target then begin
-          Stats.record_message ~bytes:(Bytes.length bytes);
-          try
-            Transport.Socket.send (Transport.Proc.node fabric target).chan
-              bytes
-          with Transport.Closed ->
-            (* The child died under our feet; its EOF will surface via
-               the gather select and mark it crashed. *)
-            ()
-        end
-      in
-      (* Each (worker, slice) is encoded exactly once; retries reuse the
-         cached bytes, so scatter accounting reflects wire traffic and
-         recovery never pays serialization again.  The envelope's seq
-         field is therefore the first attempt's — dedup keys on the
-         worker id alone, so replayed frames stay distinguishable
-         without re-encoding. *)
-      let encoded = Array.make workers None in
-      let encoded_slice wk =
-        match encoded.(wk) with
-        | Some bytes -> bytes
-        | None ->
-            seq.(wk) <- seq.(wk) + 1;
-            let bytes =
-              Obs.span ~name:"cluster.serialize" ~attrs:(node_attr wk)
-                (fun () ->
-                  Stats.record_encode ();
-                  Codec.to_bytes scatter_codec (wk, seq.(wk), payloads.(wk)))
-            in
-            encoded.(wk) <- Some bytes;
-            bytes
-      in
-      let send_scatter ~target wk =
-        let bytes = encoded_slice wk in
-        max_msg := max !max_msg (Bytes.length bytes);
-        scatter_bytes := !scatter_bytes + Bytes.length bytes;
-        incr scatter_msgs;
-        attempts.(wk) <- attempts.(wk) + 1;
-        Log.debug (fun m ->
-            m "scatter: %d bytes for worker %d -> process node %d (attempt %d)"
-              (Bytes.length bytes) wk target attempts.(wk));
-        Obs.span ~name:"cluster.send" ~attrs:(node_attr target) (fun () ->
-            match Fault.decide fault ~link:(Fault.To_node target) bytes with
-            | `Drop -> ()
-            | `Deliver (bytes, delayed, dup) ->
-                if delayed then Queue.push (target, bytes) delayed_out
-                else write_frame target bytes;
-                if dup then write_frame target (Bytes.copy bytes))
-      in
-      let surviving_node ~for_worker =
-        let rec find i =
-          if i >= workers then None
-          else if node_alive i then Some i
-          else find (i + 1)
-        in
-        match find 0 with
-        | Some n ->
-            Log.debug (fun m ->
-                m "worker %d: re-executing on surviving node %d" for_worker n);
-            n
-        | None ->
-            raise (Recovery_exhausted { worker = for_worker; attempts = 0 })
-      in
-      let outstanding = ref workers in
-      let process_reply bytes =
-        match Codec.of_bytes reply_codec bytes with
-        | exception e ->
-            Log.debug (fun m ->
-                m "gather: corrupt reply (%s)" (Printexc.to_string e));
-            corrupt_reject ()
-        | wk, sq, r ->
-            if wk < 0 || wk >= workers then corrupt_reject ()
-            else if results.(wk) <> None then begin
-              Log.debug (fun m -> m "gather: redelivery for worker %d" wk);
-              incr redeliveries;
-              Stats.record_redelivery ()
-            end
-            else begin
-              Log.debug (fun m ->
-                  m "gather: accepted worker %d (seq %d)" wk sq);
-              results.(wk) <- Some r;
-              decr outstanding
-            end
-      in
-      (* Initial round: scatter everything. *)
-      for w = 0 to workers - 1 do
-        send_scatter ~target:w w
-      done;
-      let round = ref 0 in
-      let recovery_started = ref None in
-      while !outstanding > 0 do
-        if not (Queue.is_empty pending_in) then
-          process_reply (Queue.pop pending_in)
-        else
-          match
-            Obs.span ~name:"cluster.recv" (fun () ->
-                Transport.Proc.recv_any fabric
-                  ~timeout:(Fault.timeout_for spec ~attempt:!round))
-          with
-          | `Msg (node, Transport.Data, bytes) -> (
-              (* Counted on arrival at the parent's edge of the link,
-                 before the gather-side fault roll — mirroring the
-                 mailbox engine, which counts a reply when the node
-                 serializes it, before [Fault.send] may drop it. *)
-              max_msg := max !max_msg (Bytes.length bytes);
-              gather_bytes := !gather_bytes + Bytes.length bytes;
-              incr gather_msgs;
-              Stats.record_message ~bytes:(Bytes.length bytes);
-              match Fault.decide fault ~link:(Fault.From_node node) bytes with
-              | `Drop -> ()
-              | `Deliver (bytes, delayed, dup) ->
-                  (* A duplicate is always delivered immediately even
-                     when the original is delayed, exactly like the
-                     mailbox path ([send_delayed] then [send]). *)
-                  if dup then Queue.push (Bytes.copy bytes) pending_in;
-                  if delayed then Queue.push bytes delayed_in
-                  else process_reply bytes)
-          | `Msg (_, Transport.Err, bytes) -> (
-              match Codec.of_bytes err_codec bytes with
-              | exception _ -> corrupt_reject ()
-              | wk, msg ->
-                  (* An exception inside [work] is a node failure for
-                     this attempt; re-raised only once recovery gives up
-                     on the worker (as text: exceptions do not cross
-                     process boundaries). *)
-                  Log.debug (fun m -> m "worker %d: work raised %s" wk msg);
-                  if wk >= 0 && wk < workers then
-                    failed_exn.(wk) <-
-                      Some (Failure (Printf.sprintf "node work raised: %s" msg)))
-          | `Msg
-              ( _,
-                ( Transport.Ping | Transport.Pong | Transport.Seg_put
-                | Transport.Seg_reuse | Transport.Seg_free ),
-                _ ) ->
-              (* One-shot runs exchange no heartbeats or segment
-                 frames; ignore strays. *)
-              ()
-          | `Wake ->
-              (* No wake descriptor is registered on this path. *)
-              ()
-          | `Msg (_, Transport.Nack, _) -> corrupt_reject ()
-          | `Eof node ->
-              if Fault.mark_crashed fault node then
-                Log.debug (fun m -> m "node %d: process died (EOF)" node)
-          | `Timeout | `No_nodes ->
-              (* The mailbox engine's timed-out [recv_timeout] promotes
-                 parked delayed messages; do the same before retrying. *)
-              Queue.transfer delayed_in pending_in;
-              Queue.iter (fun (target, bytes) -> write_frame target bytes)
-                delayed_out;
-              Queue.clear delayed_out;
-              if !recovery_started = None then
-                recovery_started := Some (Clock.monotonic_ns ());
-              incr round;
-              Obs.span ~name:"cluster.retry"
-                ~attrs:[ ("round", string_of_int !round) ]
-                (fun () ->
-                  for wk = 0 to workers - 1 do
-                    if results.(wk) = None then begin
-                      if attempts.(wk) >= spec.Fault.max_attempts then begin
-                        match failed_exn.(wk) with
-                        | Some e -> raise e
-                        | None ->
-                            raise
-                              (Recovery_exhausted
-                                 { worker = wk; attempts = attempts.(wk) })
-                      end;
-                      incr retries;
-                      Stats.record_retry ();
-                      Obs.instant ~name:"cluster.retry.reissue"
-                        ~attrs:(node_attr wk) ();
-                      let target =
-                        if node_alive wk then wk
-                        else surviving_node ~for_worker:wk
-                      in
-                      send_scatter ~target wk
-                    end
-                  done)
-      done;
-      (* Drain late traffic so redelivery accounting covers the replies
-         the retry machinery made superfluous, and so an injected
-         crash's EOF is observed even when every reply beat it in. *)
-      let drain_frame bytes =
-        match Codec.of_bytes reply_codec bytes with
-        | exception _ -> corrupt_reject ()
-        | wk, _, _ ->
-            if wk >= 0 && wk < workers then begin
-              incr redeliveries;
-              Stats.record_redelivery ()
-            end
-            else corrupt_reject ()
-      in
-      Queue.iter drain_frame pending_in;
-      Queue.clear pending_in;
-      Queue.iter drain_frame delayed_in;
-      Queue.clear delayed_in;
-      Queue.clear delayed_out;
-      let rec drain () =
-        match Transport.Proc.recv_any fabric ~timeout:drain_poll with
-        | `Msg (_, Transport.Data, bytes) ->
-            max_msg := max !max_msg (Bytes.length bytes);
-            gather_bytes := !gather_bytes + Bytes.length bytes;
-            incr gather_msgs;
-            Stats.record_message ~bytes:(Bytes.length bytes);
-            drain_frame bytes;
-            drain ()
-        | `Msg
-            ( _,
-              ( Transport.Err | Transport.Nack | Transport.Ping
-              | Transport.Pong | Transport.Seg_put | Transport.Seg_reuse
-              | Transport.Seg_free ),
-              _ ) ->
-            drain ()
-        | `Wake -> drain ()
-        | `Eof node ->
-            ignore (Fault.mark_crashed fault node);
-            drain ()
-        | `Timeout | `No_nodes -> ()
-      in
-      drain ();
-      let recovery_ns =
-        match !recovery_started with
-        | None -> 0
-        | Some t0 ->
-            let ns = Clock.monotonic_ns () - t0 in
-            Stats.record_recovery_ns ns;
-            ns
-      in
-      let acc = ref init in
-      Obs.span ~name:"cluster.merge" (fun () ->
-          for w = 0 to workers - 1 do
-            match results.(w) with
-            | Some r -> acc := merge !acc r
-            | None -> assert false
-          done);
-      let c = Fault.counters fault in
-      ( !acc,
-        {
-          scatter_bytes = !scatter_bytes;
-          gather_bytes = !gather_bytes;
-          scatter_messages = !scatter_msgs;
-          gather_messages = !gather_msgs;
-          max_message_bytes = !max_msg;
-          retries = !retries;
-          redeliveries = !redeliveries;
-          corrupt_drops = !corrupt_drops;
-          crashed_nodes = c.Fault.crashes;
-          faults_injected =
-            c.Fault.drops + c.Fault.duplicates + c.Fault.corruptions
-            + c.Fault.delays + c.Fault.crashes;
-          recovery_ns;
-        } ))
-
-(* ------------------------------------------------------------------ *)
-
-let run_topology ?pool ?faults ?(poll_interval = 0.01) (topo : topology) ~scatter ~work
-    ~result_codec ~merge ~init =
+let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
+    ~merge ~init =
   if topo.nodes <= 0 || topo.cores_per_node <= 0 then
     invalid_arg "Cluster.run: bad config";
   let workers = topology_workers topo in
-  match topo.backend with
-  | Inprocess | Flat -> (
-      (* Nodes share the default pool, capped at the configured core
-         count; a fresh per-call pool would cost a domain spawn per
-         operation. *)
-      let pool = match pool with Some p -> p | None -> Pool.default () in
-      match faults with
-      | None -> run_clean pool ~workers ~scatter ~work ~result_codec ~merge ~init
-      | Some spec ->
-          run_faulty pool ~workers spec ~scatter ~work ~result_codec ~merge
-            ~init)
-  | Process -> (
-      (* The parent does no task work under this backend: each child
-         builds its own pool after the fork, so a caller-supplied pool
-         is irrelevant (and would break forkability if multi-domain). *)
-      ignore pool;
-      match faults with
-      | None -> run_proc_clean topo ~workers ~scatter ~work ~result_codec ~merge ~init
-      | Some spec ->
-          run_proc_faulty topo ~workers ~poll_interval spec ~scatter ~work
-            ~result_codec ~merge ~init)
-
-let run ?pool ?faults cfg ~scatter ~work ~result_codec ~merge ~init =
-  run_topology ?pool ?faults (topology_of_config cfg) ~scatter ~work
-    ~result_codec ~merge ~init
+  (* Checksums and timers only under a fault plan: a clean run pays for
+     neither. *)
+  let crc = faults <> None in
+  let policy =
+    match faults with
+    | None -> { Dispatch.max_attempts = max_int; timeout = None }
+    | Some s ->
+        {
+          max_attempts = s.Fault.max_attempts;
+          timeout = Some (ns s.base_timeout, ns s.max_timeout);
+        }
+  in
+  let cfg = { Dispatch.nodes = workers; crc; policy; supervision = None } in
+  let fault = Option.map Fault.make faults in
+  (* [work] sees the logical worker id whose slice it computes, stable
+     across re-execution on another node. *)
+  let node_work pool ~slice ~resident:_ arg = work ~node:slice ~pool arg in
+  let raised = Array.make workers None in
+  let session =
+    match topo.backend with
+    | Inprocess | Flat ->
+        (* Nodes share the default pool, capped at the configured core
+           count; a fresh per-call pool would cost a domain spawn per
+           operation. *)
+        let pool = match pool with Some p -> p | None -> Pool.default () in
+        Stats.ensure_workers (Pool.size pool);
+        let phases =
+          { Dispatch.Child.phase = (fun name f -> Obs.span ~name:("cluster." ^ name) f) }
+        in
+        (* Inline nodes keep the exception itself, re-raised as is. *)
+        let work ~slice ~resident arg =
+          try node_work pool ~slice ~resident arg
+          with e ->
+            raised.(slice) <- Some e;
+            raise e
+        in
+        Dispatch.inline ?faults:fault ~span:"cluster" cfg
+          (Array.init workers (fun _ ->
+               Dispatch.server ~crc ~phases ~result:result_codec ~work ()))
+    | Process ->
+        (* The parent does no task work: each child builds its own pool
+           after the fork, so a caller-supplied pool is irrelevant. *)
+        ensure_forkable ();
+        let crash id =
+          match faults with
+          | Some { Fault.crash = Some (n, phase); _ } when n = id -> Some phase
+          | _ -> None
+        in
+        Dispatch.fork ?faults:fault ~span:"cluster" cfg ~child:(fun ~id chan ->
+            let pool = lazy (Pool.create ~workers:topo.cores_per_node ()) in
+            let work ~slice ~resident arg = node_work (Lazy.force pool) ~slice ~resident arg in
+            Dispatch.child_loop ?crash:(crash id) ~id
+              (Dispatch.server ~crc ~result:result_codec ~work ())
+              chan)
+  in
+  Fun.protect
+    ~finally:(fun () -> Dispatch.close session)
+    (fun () ->
+      (* Each slice is encoded exactly once; retries resend the cached
+         bytes (replies are accepted from any attempt of the job). *)
+      let encoded = Array.make workers None in
+      let task ~slice ~seq =
+        match encoded.(slice) with
+        | Some b -> b
+        | None ->
+            let b =
+              Obs.span ~name:"cluster.serialize" ~attrs:(node_attr slice) (fun () ->
+                  Stats.record_encode ();
+                  Dispatch.Envelope.(encode ~crc task ~slice ~seq ([], 0, scatter slice)))
+            in
+            encoded.(slice) <- Some b;
+            b
+      in
+      let results = Array.make workers None in
+      let on_done i bytes =
+        (* A finished slice is never re-issued: drop its bytes now. *)
+        encoded.(i) <- None;
+        results.(i) <-
+          Some
+            (Obs.span ~name:"cluster.recv" ~attrs:(node_attr i) (fun () ->
+                 Dispatch.Envelope.body ~crc result_codec bytes))
+      in
+      let report, failed =
+        Dispatch.run_job session ~plans:(List.init workers (fun _ -> [])) ~task ~on_done ()
+      in
+      (match failed with
+      | None -> ()
+      | Some (Dispatch.Exhausted { slice; attempts }) ->
+          raise (Recovery_exhausted { worker = slice; attempts })
+      | Some (Dispatch.Raised { slice; msg }) -> (
+          match raised.(slice) with
+          | Some e -> raise e
+          | None -> failwith (Printf.sprintf "Cluster: node %d raised: %s" slice msg))
+      | Some Dispatch.Expired -> assert false (* no deadline on one-shot runs *));
+      (* Merge strictly in worker order, never arrival order. *)
+      let acc =
+        Obs.span ~name:"cluster.merge" (fun () ->
+            Array.fold_left (fun acc r -> merge acc (Option.get r)) init results)
+      in
+      (acc, report))

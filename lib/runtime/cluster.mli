@@ -14,10 +14,9 @@
     socketpairs ({!Process}), where the no-shared-memory guarantee is
     enforced by the kernel rather than asserted by convention.
 
-    Unlike the paper's MPI runtime, a run can survive injected node and
-    link failures: see {!Fault} and the [?faults] argument below.  Under
-    the process backend a child killed from outside is recovered through
-    the same retry path as an injected crash. *)
+    Unlike the paper's MPI runtime, a run survives node deaths and, with
+    a {!Fault} plan, injected link failures: every backend runs the one
+    {!Dispatch} engine. *)
 
 (** Where and how nodes execute and exchange bytes. *)
 type backend =
@@ -49,27 +48,7 @@ val topology_workers : topology -> int
 (** Logical workers a run fans out to: [nodes * cores_per_node] under
     {!Flat}, [nodes] otherwise. *)
 
-type config = {
-  nodes : int;
-  cores_per_node : int;
-  flat : bool;
-      (** [true] models Eden's flat process view: one single-threaded
-          process per core and no shared memory within a node *)
-}
-(** Legacy shape, kept for existing callers; the [flat] boolean is
-    subsumed by {!backend}. *)
-
-val default_config : config
-
-val topology_of_config : config -> topology
-(** [flat = true] maps to {!Flat}, otherwise {!Inprocess} — never
-    {!Process}, so legacy entry points stay deterministic regardless of
-    environment. *)
-
-val config_of_topology : topology -> config
-(** Forgets the transport: [flat] is [backend = Flat]. *)
-
-type report = {
+type report = Dispatch.report = {
   scatter_bytes : int;
   gather_bytes : int;
   scatter_messages : int;
@@ -82,8 +61,7 @@ type report = {
   faults_injected : int;  (** total faults the injector fired *)
   recovery_ns : int;  (** wall time spent in timeout/retry recovery *)
 }
-(** Fault-free runs leave the last six fields zero, and the first five
-    are computed exactly as before. *)
+(** Fault-free runs leave the recovery fields zero. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Prints the byte/message accounting; fault statistics are appended
@@ -96,7 +74,6 @@ exception Recovery_exhausted of { worker : int; attempts : int }
 val run_topology :
   ?pool:Pool.t ->
   ?faults:Fault.spec ->
-  ?poll_interval:float ->
   topology ->
   scatter:(int -> Triolet_base.Payload.t) ->
   work:(node:int -> pool:Pool.t -> Triolet_base.Payload.t -> 'r) ->
@@ -104,77 +81,38 @@ val run_topology :
   merge:('a -> 'r -> 'a) ->
   init:'a ->
   'a * report
-(** Like {!run}, but the transport comes from the topology instead of
-    being hard-coded.  Semantics per backend:
+(** [run_topology topo ~scatter ~work ~result_codec ~merge ~init] runs
+    one job on a {!Dispatch} session that lives for the call:
 
-    - {!Inprocess} / {!Flat}: exactly the historical behaviour —
-      in-process nodes over mailboxes, [?pool] (default {!Pool.default})
-      providing intra-node parallelism.
-    - {!Process}: forks one OS process per node before doing anything
-      else, ships each [scatter w] as bytes over a socketpair, and
-      gathers replies per-child in worker order.  The task closure
-      crosses the [fork] by address-space inheritance; data crosses only
-      the socket.  [?pool] is ignored — each child lazily builds its own
-      [cores_per_node]-wide pool.  Fails fast (with an explanatory
-      [Failure]) if a domain was ever spawned in this process, since
-      OCaml then forbids [fork].  On the fault path the envelope /
-      retry / recovery protocol is the mailbox one, with link faults
-      injected parent-side from the same seeded stream and crashes
-      realized as real child exits; a child killed externally (EOF on
-      its channel) is recovered exactly like an injected crash.  On the
-      clean path, byte and message accounting (payload bytes; frame
-      headers excluded) matches the in-process backend exactly.
+    - [scatter w] builds worker [w]'s input payload, serialized and
+      shipped once (retries resend the same bytes);
+    - [work ~node ~pool payload] runs against the decoded payload;
+      [node] is always the logical worker id whose slice it computes,
+      even when recovery runs that slice on another node;
+    - replies are decoded with [result_codec] and folded with [merge]
+      strictly in worker order, never arrival order, at most once each.
 
-    [?poll_interval] (default [0.01] s, must be positive) is the
-    process backend's late-traffic drain poll; it is clamped to the
-    fault spec's [base_timeout] so the drain can never outwait a retry
-    round.  Sourced from {!Exec.t}[.poll_interval] by the skeleton
-    layer. *)
+    Backends: {!Inprocess}/{!Flat} execute nodes inline in this process
+    ([?pool], default {!Pool.default}, gives intra-node parallelism; a
+    flat topology has [nodes * cores_per_node] single-core workers).
+    {!Process} forks one OS process per node, each with a private
+    [cores_per_node]-wide pool; [?pool] is ignored, and it fails fast
+    with a [Failure] if a domain was ever spawned in this process
+    (OCaml then forbids [fork]).  Byte and message accounting (frame
+    headers excluded) is identical across backends.
+
+    A node that dies (EOF on its channel, e.g. a SIGKILL from outside)
+    has its slice re-issued to a survivor, with or without a fault
+    plan.  With [?faults] (a deterministic, seeded plan) every frame is
+    CRC-checksummed, link faults are injected parent-side, crashes are
+    real child exits (or inline node deaths), and a slice whose reply
+    does not arrive within a capped exponential timeout is re-issued,
+    up to the plan's [max_attempts].  [work] must then be re-executable.
+    Raises {!Recovery_exhausted} when a slice runs out of attempts or
+    of live nodes, and re-raises [work]'s exception (as a [Failure]
+    carrying its text under {!Process}) if [work] raised. *)
 
 val on_node : unit -> int option
 (** Inside a process-backend child: the id of the node this process
     is.  [None] in the parent and under in-process backends (where
     task code can instead trust [work]'s [~node] argument). *)
-
-val note_current_node : int -> unit
-(** Record this process's node id for {!on_node} — called by child
-    serve loops ({!Service} forks its own, outside this module). *)
-
-val run :
-  ?pool:Pool.t ->
-  ?faults:Fault.spec ->
-  config ->
-  scatter:(int -> Triolet_base.Payload.t) ->
-  work:(node:int -> pool:Pool.t -> Triolet_base.Payload.t -> 'r) ->
-  result_codec:'r Triolet_base.Codec.t ->
-  merge:('a -> 'r -> 'a) ->
-  init:'a ->
-  'a * report
-(** [run cfg ~scatter ~work ~result_codec ~merge ~init]:
-
-    - [scatter w] builds worker [w]'s input payload; it is serialized
-      and delivered through the worker's mailbox;
-    - [work ~node ~pool payload] runs against the decoded payload,
-      using [pool] for intra-node parallelism (a 1-wide pool in flat
-      mode);
-    - each worker's result is serialized with [result_codec], shipped
-      back and decoded; replies are stored per worker id and folded
-      with [merge] strictly in worker order (worker 0 first), never in
-      arrival order, so [merge] need not be commutative.
-
-    In flat mode there are [nodes * cores_per_node] single-threaded
-    workers; otherwise one worker per node.
-
-    With [?faults] (a deterministic, seeded fault plan) every message
-    travels in a CRC-checksummed envelope tagged with the worker id and
-    an attempt sequence number; lost, corrupt or late replies are
-    recovered by capped-exponential-backoff retry, re-executing a
-    crashed node's slice on a surviving node, and merging at most once
-    per worker.  [work] must then be re-executable (pure in its
-    payload); its [~node] argument is always the logical worker id
-    whose slice it computes, even when recovery runs that slice on a
-    different surviving node.  Raises {!Recovery_exhausted} if a worker stays
-    unresolved after [max_attempts] tries, and re-raises the [work]
-    exception if that is what kept failing.  Without [?faults],
-    results, wire bytes and the report are identical to the fault-free
-    runtime. *)

@@ -1,6 +1,6 @@
 (** Persistent distributed arrays: segments resident across calls.
 
-    {!Cluster.run} re-ships every slice on every call, so an iterative
+    {!Cluster.run_topology} re-ships every slice on every call, so an iterative
     kernel (multi-round tpacf, repeated sgemm) pays full scatter
     traffic each round even when most of its input never changes.  A
     [Darray] separates data distribution from work distribution (paper,
@@ -23,17 +23,21 @@
     Residency needs somewhere to reside.  A {!session} pins the compute
     closure and the topology at creation time:
 
-    - [Inprocess]/[Flat] backends: per-node segment tables held in the
-      parent process.  Put frames are still encoded and size-accounted
-      (and the stored copy is the {e decoded} image of those bytes, so
-      a node can never alias the parent's buffers), making byte
+    - [Inprocess]/[Flat] backends: nodes executed inline in the parent
+      process.  Put frames are still encoded and size-accounted (and
+      the stored copy is the {e decoded} image of those bytes, so a
+      node can never alias the parent's buffers), making byte
       accounting identical to the process mode.
     - [Process] backend: one forked child per node over
       {!Transport.Proc} socket channels, each holding its segment table
-      in its own address space, supervised by a {!Supervisor}
+      in its own address space, supervised by the {!Dispatch} engine
       (heartbeats, SIGKILL verdicts, backoff respawn).  Like every fork
       in the runtime, the session must be created before any domain is
       spawned.
+
+    Either way the session is a {!Dispatch} session: the engine owns
+    the per-node residency beliefs and ships puts and reuses, and every
+    node runs the one {!Dispatch.Child} handler.
 
     {2 Versioning and refusal}
 
@@ -70,34 +74,10 @@
 module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
+module Envelope = Dispatch.Envelope
 
-let log_src = Logs.Src.create "triolet.darray" ~doc:"Distributed arrays"
-
-module Log = (val Logs.src_log log_src)
-
-(* ------------------------------------------------------------------ *)
-(* Wire codecs.  Every frame that crosses a channel travels in a
-   checksummed envelope, like the cluster fault path: corruption is
-   refused by CRC before any decoder runs.                             *)
-
-(* (darray id, wire segment index, version) *)
-let key_codec = Codec.(triple int int int)
-let put_codec = Codec.checksummed Codec.(pair key_codec Payload.codec)
-let reuse_codec = Codec.checksummed key_codec
-let free_codec = Codec.checksummed Codec.int
-
-(* (seq, expected resident keys in concatenation order, argument) *)
-let task_codec =
-  Codec.checksummed Codec.(triple int (list key_codec) Payload.codec)
-
-(* (seq, result) *)
-let reply_codec = Codec.checksummed Codec.(pair int Payload.codec)
-let err_codec = Codec.checksummed Codec.(pair int string)
-
-(* A Nack names the refused key; task-level rejects use this sentinel. *)
-let nack_codec = Codec.checksummed key_codec
-let nack_task = (-1, -1, -1)
-
+(* Every frame a darray session ships is checksummed. *)
+let crc = true
 let max_attempts = 8
 
 (* ------------------------------------------------------------------ *)
@@ -105,152 +85,65 @@ let max_attempts = 8
 
 type work = node:int -> resident:Payload.t -> arg:Payload.t -> Payload.t
 
-type proc_state = { fabric : Transport.Proc.t; sup : Supervisor.t }
-
-type mode =
-  | Local of (int * int, int * Payload.t) Hashtbl.t array
-      (* per-node segment tables, (did, wire seg) -> (version, payload) *)
-  | Proc of proc_state
-
 type session = {
   nodes : int;
-  work : work;
-  mode : mode;
-  believed : (int * int, int) Hashtbl.t array;
-      (* per node: (did, wire seg) -> version the parent believes
-         resident there; cleared wholesale on that node's death *)
+  dispatch : Dispatch.session;
   mutable next_did : int;
-  mutable seq : int;  (* task sequence, shared across the session *)
   mutable closed : bool;
 }
 
-(* Child serve loop (process mode).  Inherited across the fork; the
-   segment table lives here, in the child's own address space.  A
-   respawned incarnation starts with an empty table — exactly the state
-   the parent's cleared beliefs assume. *)
-let serve ~work ~id chan =
-  Cluster.note_current_node id;
-  let trk =
-    Protocol.make_tracker Protocol.Child ~id:("darray-" ^ string_of_int id)
-  in
-  let table : (int * int, int * Payload.t) Hashtbl.t = Hashtbl.create 16 in
-  let nack key =
-    Transport.Socket.send chan ~kind:Transport.Nack
-      (Codec.to_bytes nack_codec key)
-  in
-  let rec loop () =
-    match Transport.Socket.recv chan with
-    | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-    | (kind, _) as frame ->
-        Protocol.step trk (Protocol.Recv kind);
-        handle frame
-  and handle = function
-    | Transport.Ping, payload ->
-        Transport.Socket.send chan ~kind:Transport.Pong payload;
-        loop ()
-    | (Transport.Err | Transport.Nack | Transport.Pong), _ -> loop ()
-    | Transport.Seg_put, bytes ->
-        (match Codec.of_bytes put_codec bytes with
-        | exception _ -> nack nack_task
-        | (did, seg, ver), payload -> Hashtbl.replace table (did, seg) (ver, payload));
-        loop ()
-    | Transport.Seg_reuse, bytes ->
-        (match Codec.of_bytes reuse_codec bytes with
-        | exception _ -> nack nack_task
-        | (did, seg, ver) as key -> (
-            match Hashtbl.find_opt table (did, seg) with
-            | Some (v, _) when v = ver -> ()
-            | _ ->
-                (* Not resident, or resident at another version: refuse
-                   loudly so the parent replays the put. *)
-                nack key));
-        loop ()
-    | Transport.Seg_free, bytes ->
-        (match Codec.of_bytes free_codec bytes with
-        | exception _ -> ()
-        | did ->
-            Hashtbl.filter_map_inplace
-              (fun (d, _) v -> if d = did then None else Some v)
-              table);
-        loop ()
-    | Transport.Data, bytes ->
-        (match Codec.of_bytes task_codec bytes with
-        | exception _ -> nack nack_task
-        | seq, keys, arg -> (
-            (* Re-check every expected key before computing: a task that
-               names a version this table does not hold must be refused,
-               never computed against stale bytes. *)
-            let rec collect acc = function
-              | [] -> Ok (List.concat (List.rev acc))
-              | (did, seg, ver) :: rest -> (
-                  match Hashtbl.find_opt table (did, seg) with
-                  | Some (v, payload) when v = ver -> collect (payload :: acc) rest
-                  | _ -> Error (did, seg, ver))
-            in
-            match collect [] keys with
-            | Error key -> nack key
-            | Ok resident -> (
-                match work ~node:id ~resident ~arg with
-                | r ->
-                    Transport.Socket.send chan
-                      (Codec.to_bytes reply_codec (seq, r))
-                | exception e ->
-                    Transport.Socket.send chan ~kind:Transport.Err
-                      (Codec.to_bytes err_codec (seq, Printexc.to_string e)))));
-        loop ()
-  in
-  loop ()
+(* Looser than the service's defaults: a node computing a long slice
+   cannot answer pings meanwhile. *)
+let supervision =
+  {
+    Dispatch.hb_interval = 500_000_000;
+    miss_threshold = 4;
+    backoff_base = 10_000_000;
+    backoff_max = 1_000_000_000;
+  }
 
-let create_session ?(topology = Cluster.default_topology) ?hb_interval
-    ?miss_threshold ?backoff_base ?backoff_max ~work () =
+let create_session ?(topology = Cluster.default_topology) ~work () =
   let nodes = topology.Cluster.nodes in
   if nodes < 1 then invalid_arg "Darray: topology needs at least one node";
-  let mode =
+  let cfg supervision =
+    { Dispatch.nodes; crc; policy = { max_attempts; timeout = None }; supervision }
+  in
+  let server ?phases () =
+    Dispatch.server ~crc ?phases ~result:Payload.codec
+      ~work:(fun ~slice ~resident arg -> work ~node:slice ~resident ~arg)
+      ()
+  in
+  let dispatch =
     match topology.Cluster.backend with
     | Cluster.Inprocess | Cluster.Flat ->
-        Local (Array.init nodes (fun _ -> Hashtbl.create 16))
+        let phases =
+          { Dispatch.Child.phase = (fun name f -> Obs.span ~name:("darray." ^ name) f) }
+        in
+        Dispatch.inline ~span:"darray" (cfg None) (Array.init nodes (fun _ -> server ~phases ()))
     | Cluster.Process ->
         if Pool.domains_ever_spawned () then
           failwith
             "Darray: a process-mode session forks one child per node, and \
              OCaml cannot fork once any domain has been spawned.  Create \
              the session before any multi-domain pool.";
-        let fabric = Transport.Proc.fork ~n:nodes ~child:(serve ~work) in
-        let sup =
-          Supervisor.create ~fabric ~serve:(serve ~work)
-            ?hb_interval:(Some (Option.value hb_interval ~default:0.5))
-            ?miss_threshold:(Some (Option.value miss_threshold ~default:4))
-            ?backoff_base ?backoff_max ()
-        in
-        Proc { fabric; sup }
+        Dispatch.fork ~span:"darray" (cfg (Some supervision)) ~child:(fun ~id chan ->
+            Dispatch.child_loop ~id (server ()) chan)
   in
-  {
-    nodes;
-    work;
-    mode;
-    believed = Array.init nodes (fun _ -> Hashtbl.create 16);
-    next_did = 0;
-    seq = 0;
-    closed = false;
-  }
+  { nodes; dispatch; next_did = 0; closed = false }
 
 let session_nodes s = s.nodes
 
 let proc_pids s =
-  match s.mode with
-  | Local _ -> []
-  | Proc { fabric; _ } ->
-      List.map (Transport.Proc.pid fabric) (Transport.Proc.alive_ids fabric)
+  match Dispatch.fabric s.dispatch with
+  | None -> []
+  | Some f -> List.map (Transport.Proc.pid f) (Transport.Proc.alive_ids f)
 
-let session_respawns s =
-  match s.mode with Local _ -> 0 | Proc { sup; _ } -> Supervisor.respawns sup
+let session_respawns s = Dispatch.respawns s.dispatch
 
 let close_session s =
   if not s.closed then begin
     s.closed <- true;
-    match s.mode with
-    | Local tables -> Array.iter Hashtbl.reset tables
-    | Proc { fabric; _ } -> Transport.Proc.shutdown fabric
+    Dispatch.close s.dispatch
   end
 
 (* ------------------------------------------------------------------ *)
@@ -364,7 +257,7 @@ let zip v d =
 let zip2 a b = zip (view a) b
 
 (* ------------------------------------------------------------------ *)
-(* Residency bookkeeping (shared by both modes).                       *)
+(* Running a view.                                                     *)
 
 (* The segments node [n] must hold to compute its slice of [v]:
    per array in view order, each primary segment owned by [n] (index
@@ -400,272 +293,41 @@ let encoded_put (d, w, seg) =
           ~attrs:[ ("darray", string_of_int d.did); ("seg", string_of_int w) ]
           (fun () ->
             Stats.record_encode ();
-            Codec.to_bytes put_codec ((d.did, w, seg.version), seg.payload))
+            Envelope.encode ~crc Envelope.put ~slice:0 ~seq:0
+              ((d.did, w, seg.version), seg.payload))
       in
       seg.encoded <- Some b;
       b
 
-(* Ship residency for node [n]: a put for every segment whose believed
-   version disagrees with truth, a key-only reuse for the rest.
-   [put]/[reuse] perform the mode-specific delivery; returns the bytes
-   shipped.  This one decision rule covers cold start, dirty updates
-   and crash replay identically — a dead node's beliefs were cleared,
-   so everything it owned ships as a put again. *)
-let ensure_residency s n plan ~put ~reuse =
-  let shipped = ref 0 in
-  List.iter
-    (fun ((d, w, seg) as item) ->
-      let key = (d.did, w) in
-      match Hashtbl.find_opt s.believed.(n) key with
-      | Some v when v = seg.version ->
-          let bytes = Codec.to_bytes reuse_codec (key_of item) in
-          reuse item bytes;
-          shipped := !shipped + Bytes.length bytes;
-          Stats.record_message ~bytes:(Bytes.length bytes)
-      | _ ->
-          let bytes = encoded_put item in
-          put item bytes;
-          Hashtbl.replace s.believed.(n) key seg.version;
-          shipped := !shipped + Bytes.length bytes;
-          Stats.record_message ~bytes:(Bytes.length bytes))
-    plan;
-  !shipped
-
-let empty_report =
-  {
-    Cluster.scatter_bytes = 0;
-    gather_bytes = 0;
-    scatter_messages = 0;
-    gather_messages = 0;
-    max_message_bytes = 0;
-    retries = 0;
-    redeliveries = 0;
-    corrupt_drops = 0;
-    crashed_nodes = 0;
-    faults_injected = 0;
-    recovery_ns = 0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Running a view: local mode.                                         *)
-
-let run_local s tables v ~arg ~merge ~init =
-  let scatter_bytes = ref 0 and scatter_msgs = ref 0 in
-  let gather_bytes = ref 0 and gather_msgs = ref 0 in
-  let max_msg = ref 0 in
-  let acc = ref init in
-  for n = 0 to s.nodes - 1 do
-    let plan = plan_for_node v n in
-    let count bytes =
-      max_msg := max !max_msg (Bytes.length bytes);
-      incr scatter_msgs
-    in
-    (* Residency: a put installs the *decoded* image of the encoded
-       bytes, so node tables never alias parent buffers — the same
-       fresh-copy guarantee the socket gives the process mode. *)
-    let put (d, w, _) bytes =
-      count bytes;
-      let (_, _, ver), payload = Codec.of_bytes put_codec bytes in
-      Hashtbl.replace tables.(n) (d.did, w) (ver, payload)
-    in
-    let reuse _ bytes = count bytes in
-    scatter_bytes := !scatter_bytes + ensure_residency s n plan ~put ~reuse;
-    (* Task: the argument crosses a simulated wire (encode + decode),
-       exactly like a cluster scatter. *)
-    s.seq <- s.seq + 1;
-    let keys = List.map key_of plan in
-    let task = Codec.to_bytes task_codec (s.seq, keys, arg n) in
-    max_msg := max !max_msg (Bytes.length task);
-    scatter_bytes := !scatter_bytes + Bytes.length task;
-    incr scatter_msgs;
-    Stats.record_message ~bytes:(Bytes.length task);
-    let _, _, arg_fresh = Codec.of_bytes task_codec task in
-    let resident =
-      List.concat_map
-        (fun (d, w, _) ->
-          match Hashtbl.find_opt tables.(n) (d.did, w) with
-          | Some (_, payload) -> payload
-          | None -> assert false)
-        plan
-    in
-    let r =
-      Obs.span ~name:"darray.compute" ~attrs:[ ("node", string_of_int n) ]
-        (fun () -> s.work ~node:n ~resident ~arg:arg_fresh)
-    in
-    let reply = Codec.to_bytes reply_codec (s.seq, r) in
-    max_msg := max !max_msg (Bytes.length reply);
-    gather_bytes := !gather_bytes + Bytes.length reply;
-    incr gather_msgs;
-    Stats.record_message ~bytes:(Bytes.length reply);
-    let _, r_fresh = Codec.of_bytes reply_codec reply in
-    acc := merge !acc r_fresh
-  done;
-  ( !acc,
-    {
-      empty_report with
-      Cluster.scatter_bytes = !scatter_bytes;
-      gather_bytes = !gather_bytes;
-      scatter_messages = !scatter_msgs;
-      gather_messages = !gather_msgs;
-      max_message_bytes = !max_msg;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Running a view: process mode.                                       *)
-
-let run_proc s { fabric; sup } v ~arg ~merge ~init =
-  let scatter_bytes = ref 0 and scatter_msgs = ref 0 in
-  let gather_bytes = ref 0 and gather_msgs = ref 0 in
-  let max_msg = ref 0 in
-  let retries = ref 0 and redeliveries = ref 0 and corrupt_drops = ref 0 in
-  let crashed = ref 0 in
-  let recovery_started = ref None in
-  let results = Array.make s.nodes None in
-  let expected_seq = Array.make s.nodes 0 in
-  let attempts = Array.make s.nodes 0 in
-  let pending = Array.make s.nodes false in
-  let outstanding = ref s.nodes in
-  let send_frame n ~kind bytes =
-    max_msg := max !max_msg (Bytes.length bytes);
-    try Transport.Socket.send (Transport.Proc.node fabric n).chan ~kind bytes
-    with Transport.Closed ->
-      (* Died under our feet; the EOF surfaces via recv_any. *)
-      ()
-  in
-  let issue n =
-    if attempts.(n) >= max_attempts then
-      raise (Cluster.Recovery_exhausted { worker = n; attempts = attempts.(n) });
-    attempts.(n) <- attempts.(n) + 1;
-    if attempts.(n) > 1 then begin
-      incr retries;
-      Stats.record_retry ()
-    end;
-    let plan = plan_for_node v n in
-    let put _ bytes = send_frame n ~kind:Transport.Seg_put bytes in
-    let reuse _ bytes = send_frame n ~kind:Transport.Seg_reuse bytes in
-    scatter_bytes := !scatter_bytes + ensure_residency s n plan ~put ~reuse;
-    scatter_msgs := !scatter_msgs + List.length plan;
-    s.seq <- s.seq + 1;
-    expected_seq.(n) <- s.seq;
-    let task = Codec.to_bytes task_codec (s.seq, List.map key_of plan, arg n) in
-    scatter_bytes := !scatter_bytes + Bytes.length task;
-    incr scatter_msgs;
-    Stats.record_message ~bytes:(Bytes.length task);
-    Obs.span ~name:"darray.send" ~attrs:[ ("node", string_of_int n) ]
-      (fun () -> send_frame n ~kind:Transport.Data task);
-    pending.(n) <- false
-  in
-  for n = 0 to s.nodes - 1 do
-    issue n
-  done;
-  while !outstanding > 0 do
-    let now = Clock.monotonic_ns () in
-    Supervisor.tick sup ~now;
-    (* A node whose child died re-issues as soon as the supervisor has
-       respawned it; its beliefs were cleared, so the issue replays the
-       owning segments from the retained encoded bytes first. *)
-    for n = 0 to s.nodes - 1 do
-      if pending.(n) && Transport.Proc.is_alive fabric n then issue n
-    done;
-    let timeout = Float.min 0.05 (Supervisor.next_event_in sup ~now) in
-    match Transport.Proc.recv_any fabric ~timeout with
-    | `Timeout -> ()
-    | `Wake -> ()
-    | `No_nodes -> Unix.sleepf 0.002
-    | `Eof node ->
-        Stats.record_crash ();
-        incr crashed;
-        if !recovery_started = None then
-          recovery_started := Some (Clock.monotonic_ns ());
-        Supervisor.note_eof sup node ~now:(Clock.monotonic_ns ());
-        (* Everything believed resident there died with the child. *)
-        Hashtbl.reset s.believed.(node);
-        if results.(node) = None then pending.(node) <- true
-    | `Msg (node, Transport.Pong, _) ->
-        ignore (Supervisor.note_pong sup node ~now:(Clock.monotonic_ns ()))
-    | `Msg
-        ( node,
-          ( ( Transport.Ping | Transport.Seg_put | Transport.Seg_reuse
-            | Transport.Seg_free ) as k ),
-          _ ) ->
-        Supervisor.note_frame sup node k
-    | `Msg (node, Transport.Nack, bytes) ->
-        Supervisor.note_frame sup node Transport.Nack;
-        (match Codec.of_bytes nack_codec bytes with
-        | exception _ -> incr corrupt_drops
-        | did, seg, ver ->
-            Log.debug (fun m ->
-                m "node %d refused (did %d, seg %d, version %d)" node did seg
-                  ver));
-        (* Whatever the child refused, our beliefs about it were wrong:
-           drop them all and replay. *)
-        Hashtbl.reset s.believed.(node);
-        if results.(node) = None then issue node
-    | `Msg (node, Transport.Err, bytes) -> (
-        Supervisor.note_frame sup node Transport.Err;
-        match Codec.of_bytes err_codec bytes with
-        | exception _ ->
-            incr corrupt_drops;
-            Stats.record_corrupt_drop ()
-        | _seq, msg ->
-            failwith (Printf.sprintf "Darray: node %d raised: %s" node msg))
-    | `Msg (node, Transport.Data, bytes) -> (
-        Supervisor.note_frame sup node Transport.Data;
-        max_msg := max !max_msg (Bytes.length bytes);
-        gather_bytes := !gather_bytes + Bytes.length bytes;
-        incr gather_msgs;
-        Stats.record_message ~bytes:(Bytes.length bytes);
-        match Codec.of_bytes reply_codec bytes with
-        | exception _ ->
-            incr corrupt_drops;
-            Stats.record_corrupt_drop ()
-        | seq, r ->
-            if seq <> expected_seq.(node) || results.(node) <> None then begin
-              incr redeliveries;
-              Stats.record_redelivery ()
-            end
-            else begin
-              results.(node) <- Some r;
-              decr outstanding
-            end)
-  done;
-  let recovery_ns =
-    match !recovery_started with
-    | None -> 0
-    | Some t0 -> Clock.monotonic_ns () - t0
-  in
-  if recovery_ns > 0 then Stats.record_recovery_ns recovery_ns;
-  let acc = ref init in
-  for n = 0 to s.nodes - 1 do
-    match results.(n) with
-    | Some r -> acc := merge !acc r
-    | None -> assert false
-  done;
-  ( !acc,
-    {
-      Cluster.scatter_bytes = !scatter_bytes;
-      gather_bytes = !gather_bytes;
-      scatter_messages = !scatter_msgs;
-      gather_messages = !gather_msgs;
-      max_message_bytes = !max_msg;
-      retries = !retries;
-      redeliveries = !redeliveries;
-      corrupt_drops = !corrupt_drops;
-      crashed_nodes = !crashed;
-      faults_injected = 0;
-      recovery_ns;
-    } )
-
 let run v ~arg ~merge ~init =
   match v.arrays with
   | [] -> invalid_arg "Darray.run: empty view"
-  | first :: _ -> (
+  | first :: _ ->
       let s = first.session in
       if s.closed then invalid_arg "Darray.run: session closed";
       Obs.span ~name:"darray.run" (fun () ->
-          match s.mode with
-          | Local tables -> run_local s tables v ~arg ~merge ~init
-          | Proc st -> run_proc s st v ~arg ~merge ~init))
+          let plans = List.init s.nodes (plan_for_node v) in
+          let items = Hashtbl.create 16 in
+          List.iter (List.iter (fun item -> Hashtbl.replace items (key_of item) item)) plans;
+          let keys = List.map (List.map key_of) plans in
+          let task ~slice ~seq =
+            Envelope.encode ~crc Envelope.task ~slice ~seq (List.nth keys slice, 0, arg slice)
+          in
+          let results = Array.make s.nodes None in
+          let on_done i b = results.(i) <- Some (Envelope.body ~crc Payload.codec b) in
+          let report, failed =
+            Dispatch.run_job s.dispatch ~pinned:true ~plans:keys
+              ~put:(fun key -> encoded_put (Hashtbl.find items key))
+              ~task ~on_done ()
+          in
+          (match failed with
+          | None -> ()
+          | Some (Dispatch.Exhausted { slice; attempts }) ->
+              raise (Cluster.Recovery_exhausted { worker = slice; attempts })
+          | Some (Dispatch.Raised { slice; msg }) ->
+              failwith (Printf.sprintf "Darray: node %d raised: %s" slice msg)
+          | Some Dispatch.Expired -> assert false (* rounds carry no deadline *));
+          (Array.fold_left (fun acc r -> merge acc (Option.get r)) init results, report))
 
 let run1 d = run (view d)
 
@@ -675,25 +337,5 @@ let run1 d = run (view d)
 let free d =
   if not d.freed then begin
     d.freed <- true;
-    let s = d.session in
-    if not s.closed then begin
-      let bytes = Codec.to_bytes free_codec d.did in
-      for n = 0 to s.nodes - 1 do
-        (match s.mode with
-        | Local tables ->
-            Hashtbl.filter_map_inplace
-              (fun (did, _) v -> if did = d.did then None else Some v)
-              tables.(n)
-        | Proc { fabric; _ } -> (
-            if Transport.Proc.is_alive fabric n then
-              try
-                Transport.Socket.send
-                  (Transport.Proc.node fabric n).chan
-                  ~kind:Transport.Seg_free bytes
-              with Transport.Closed -> ()));
-        Hashtbl.filter_map_inplace
-          (fun (did, _) v -> if did = d.did then None else Some v)
-          s.believed.(n)
-      done
-    end
+    if not d.session.closed then Dispatch.release d.session.dispatch d.did
   end

@@ -1,6 +1,6 @@
 (** Persistent distributed arrays: segments resident across calls.
 
-    Where {!Cluster.run} re-ships every slice on every call, a
+    Where {!Cluster.run_topology} re-ships every slice on every call, a
     [Darray]'s segments are installed once in warm per-node children
     (real forked processes under the [Process] backend, parent-held
     tables otherwise) and stay resident; later runs ship only key-sized
@@ -31,20 +31,12 @@ type session
     happens at creation, so create process-mode sessions before any
     domain is spawned. *)
 
-val create_session :
-  ?topology:Cluster.topology ->
-  ?hb_interval:float ->
-  ?miss_threshold:int ->
-  ?backoff_base:float ->
-  ?backoff_max:float ->
-  work:work ->
-  unit ->
-  session
+val create_session : ?topology:Cluster.topology -> work:work -> unit -> session
 (** [create_session ~work ()] builds the resident fabric for
-    [topology] (default {!Cluster.default_topology}).  The supervisor
-    tunables apply to process mode only; defaults are looser than
-    {!Service}'s ([hb_interval] 0.5 s, [miss_threshold] 4) because a
-    node computing a long slice cannot answer pings meanwhile. *)
+    [topology] (default {!Cluster.default_topology}).  Process mode is
+    supervised more loosely than {!Service} (pings every 0.5 s, death
+    after 4 unanswered) because a node computing a long slice cannot
+    answer pings meanwhile. *)
 
 val session_nodes : session -> int
 
@@ -131,17 +123,3 @@ val run1 :
   init:'a ->
   'a * Cluster.report
 (** [run1 d] is [run (view d)]. *)
-
-(** {1 Wire codecs}
-
-    Exposed for tests (qcheck roundtrip/fuzz through
-    {!Protocol.Decoder}) and the simulator's segment-protocol model. *)
-
-val key_codec : (int * int * int) Codec.t
-(** [(darray id, wire segment index, version)]. *)
-
-val put_codec : ((int * int * int) * Payload.t) Codec.t
-val reuse_codec : (int * int * int) Codec.t
-val free_codec : int Codec.t
-val task_codec : (int * (int * int * int) list * Payload.t) Codec.t
-val reply_codec : (int * Payload.t) Codec.t

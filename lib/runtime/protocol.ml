@@ -3,7 +3,7 @@
     Everything the fabric puts on a socket — frame kinds, the
     length-prefixed framing, and the supervisor/child heartbeat and
     request lifecycle — used to live implicitly in {!Transport},
-    {!Service} and {!Supervisor} as pattern matches that could silently
+    {!Service} and the supervisor as pattern matches that could silently
     drift apart.  This module is the single source all of them (and the
     analyzer, and the model checker) consume:
 
@@ -23,10 +23,9 @@
       {!violations} (and raises {!Violation} when {!set_debug}[ true],
       as the test suite runs), so the shipped code cannot quietly
       diverge from the checked machine.
-    - {b model generation}: {!action_for} is the lookup
-      {!Protocol_models.Heartbeat_model} builds its transition relation
-      from, so the exhaustively checked model and the running code read
-      the same table. *)
+    - {b one reader}: {!action_for} is the lookup the dispatch engine
+      ({!Dispatch.step}) advances its per-node state with, so the
+      model-checked engine and the running code read the same table. *)
 
 (* ------------------------------------------------------------------ *)
 (* Frame kinds.                                                        *)
@@ -207,13 +206,14 @@ let initial spec = function
   | Parent -> spec.parent_initial
   | Child -> spec.child_initial
 
-let action_for spec ~role ~state event =
+let lookup spec ~role ~state event =
   List.find_map
     (fun r ->
       if r.role = role && r.state = state && r.event = event then
         Some r.action
       else None)
     spec.rules
+
 
 (** The fabric's actual protocol.
 
@@ -289,6 +289,17 @@ let spec =
         (Child, "serving", [ Pong; Data; Err; Nack ]);
       ];
   }
+
+(* The engine consults the live spec on every frame: index it once. *)
+let index =
+  lazy
+    (let tbl = Hashtbl.create 64 in
+     List.iter (fun r -> Hashtbl.replace tbl (r.role, r.state, r.event) r.action) spec.rules;
+     tbl)
+
+let action_for s ~role ~state event =
+  if s == spec then Hashtbl.find_opt (Lazy.force index) (role, state, event)
+  else lookup s ~role ~state event
 
 (* ------------------------------------------------------------------ *)
 (* Spec audit.                                                         *)
@@ -428,6 +439,11 @@ let debug_flag =
 let set_debug b = debug_flag := b
 let debug () = !debug_flag
 
+(** Record one off-spec event: counted always, raised under {!debug}. *)
+let violation msg =
+  Atomic.incr violation_count;
+  if !debug_flag then raise (Violation msg)
+
 (** One endpoint's live position in the state machine.  The runtime
     owns one per real connection end (the supervisor: one [Parent]
     tracker per child slot; a forked worker: one [Child] tracker). *)
@@ -451,9 +467,6 @@ let step t event =
   | Some (Goto st) -> t.t_state <- st
   | Some (Stay | Drop) -> ()
   | None ->
-      Atomic.incr violation_count;
-      if !debug_flag then
-        raise
-          (Violation
-             (Printf.sprintf "%s[%s] in state %s: no rule for %s"
-                (role_name t.t_role) t.t_id t.t_state (event_name event)))
+      violation
+        (Printf.sprintf "%s[%s] in state %s: no rule for %s" (role_name t.t_role)
+           t.t_id t.t_state (event_name event))

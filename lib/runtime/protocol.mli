@@ -2,11 +2,10 @@
 
     One source of truth for the frame kinds, the length-prefixed
     framing, and the supervisor/child state machine.  {!Transport}
-    encodes and decodes through it; {!Supervisor}, {!Service} and the
-    cluster child loops replay their real events through {!tracker}s;
-    [Protocol_models.Heartbeat_model] generates its transition relation
-    from {!action_for}; and [triolet analyze --protocol] gates on
-    {!check} returning no holes. *)
+    encodes and decodes through it; the dispatch engine advances its
+    per-node state with {!action_for}; child serve loops replay their
+    events through {!tracker}s; and [triolet analyze --protocol] gates
+    on {!check} returning no holes. *)
 
 (** {1 Frame kinds and framing} *)
 
@@ -138,6 +137,10 @@ val violations : unit -> int
 (** Process-wide count of events stepped with no matching rule. *)
 
 val reset_violations : unit -> unit
+
+val violation : string -> unit
+(** Record one off-spec event: counted in {!violations}, raised as
+    {!Violation} under {!debug}. *)
 
 val set_debug : bool -> unit
 (** In debug mode a missing rule raises {!Violation} instead of only

@@ -7,12 +7,12 @@
     children.  A service forks its workers once, keeps them warm across
     requests, and wires four robustness mechanisms end to end:
 
-    - {b supervision} ({!Supervisor}): periodic [Ping]/[Pong]
-      heartbeats, missed-heartbeat death verdicts, and respawn of dead
-      children with capped exponential backoff;
+    - {b supervision}: periodic [Ping]/[Pong] heartbeats,
+      missed-heartbeat death verdicts, and respawn of dead children
+      with capped exponential backoff;
     - {b retry}: in-flight slices of a dead child are re-issued to
-      survivors under the same checksummed-envelope protocol as
-      [Cluster.run] — a SIGKILL mid-request costs latency, never
+      survivors under the same checksummed envelope as every other
+      {!Dispatch} session — a SIGKILL mid-request costs latency, never
       correctness;
     - {b deadlines}: a request may carry a compute budget, propagated
       to workers as an absolute [CLOCK_MONOTONIC] timestamp (valid
@@ -26,16 +26,17 @@
       into refusing all new work ([Draining]) while admitted requests
       finish.
 
-    Concurrency model: any number of client threads may call {!submit};
-    a single dispatcher thread owns the fabric and runs the whole
-    protocol (select loop, retries, heartbeats, respawns), so every
-    seeded fault decision happens on one stream in one order.  Clients
+    Supervision, retry and the wire protocol all live in the long-lived
+    {!Dispatch} session; this module keeps only admission, the queue,
+    deadlines and client wake-ups.  Concurrency model: any number of
+    client threads may call {!submit}; a single dispatcher thread owns
+    the session, so every seeded fault decision happens on one stream
+    in one order.  Clients
     block on a condition variable until their request completes.  The
     parent process must never spawn a domain — respawning forks — so
     intra-request parallelism lives in the children's pools, and client
     concurrency uses systhreads. *)
 
-module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
 
@@ -61,7 +62,6 @@ type config = {
   respawn_backoff_max : float;  (** backoff cap for flapping children *)
   request_timeout : float;  (** base per-slice retry timeout, seconds *)
   max_attempts : int;  (** per-slice cap on (re-)execution attempts *)
-  poll_interval : float;  (** dispatcher select poll cap, seconds *)
   faults : Fault.spec option;  (** seeded chaos plan, if any *)
 }
 
@@ -76,39 +76,22 @@ let default_config =
     respawn_backoff_max = 1.0;
     request_timeout = 0.05;
     max_attempts = 8;
-    poll_interval = 0.01;
     faults = None;
   }
 
-(* Wire format.  One request is split into one slice per payload;
-   slices are tagged (request, slice, seq) so late or duplicated
-   replies from a previous attempt — or a previous request — are
-   recognizably stale.  The deadline crosses as absolute monotonic
-   nanoseconds (0 = none).  A [None] reply payload is the worker saying
-   "already past deadline, not computed". *)
-let task_codec =
-  Codec.checksummed
-    Codec.(pair (triple int int int) (pair int Payload.codec))
-
-let reply_codec =
-  Codec.checksummed
-    Codec.(pair (triple int int int) (option Payload.codec))
-
-let err_codec = Codec.checksummed Codec.(pair (pair int int) string)
-
 (* One admitted request, owned by the dispatcher; the submitting client
-   blocks on [cond] until [done_] flips. *)
+   blocks on [cond] until [outcome] is set.  The deadline crosses to the
+   workers as absolute monotonic nanoseconds (0 = none). *)
 type request = {
   req_id : int;
   payloads : Payload.t array;
-  deadline_ns : int;  (* absolute monotonic ns; 0 = none *)
+  deadline_ns : int;
   mutable outcome : (Payload.t array, error) result option;
 }
 
 type t = {
   cfg : config;
-  fabric : Transport.Proc.t;
-  sup : Supervisor.t;
+  session : Dispatch.session;
   fault : Fault.t option;
   (* Client-facing state, under [lock]. *)
   lock : Mutex.t;
@@ -125,10 +108,11 @@ type t = {
   mutable dispatcher : Thread.t option;
 }
 
-let live_nodes t = Transport.Proc.alive_ids t.fabric
-let node_pids t = Array.init t.cfg.nodes (Transport.Proc.pid t.fabric)
-let respawns t = Supervisor.respawns t.sup
-let heartbeat_misses t = Supervisor.heartbeat_misses t.sup
+let fabric t = Option.get (Dispatch.fabric t.session)
+let live_nodes t = Transport.Proc.alive_ids (fabric t)
+let node_pids t = Array.init t.cfg.nodes (Transport.Proc.pid (fabric t))
+let respawns t = Dispatch.respawns t.session
+let heartbeat_misses t = Dispatch.heartbeat_misses t.session
 
 let poke t =
   (* Wake the dispatcher out of its select; a full pipe already wakes. *)
@@ -146,297 +130,63 @@ let drain_wake t =
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Child side.                                                         *)
-
-let serve_loop ~cores_per_node ~work ~id chan =
-  Cluster.note_current_node id;
-  let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
-  let pool = lazy (Pool.create ~workers:cores_per_node ()) in
-  let rec loop () =
-    match Transport.Socket.recv chan with
-    | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-    | kind, _ as frame ->
-        Protocol.step trk (Protocol.Recv kind);
-        handle frame
-  and handle = function
-    | Transport.Ping, payload ->
-        Transport.Socket.send chan ~kind:Transport.Pong payload;
-        loop ()
-    | (Transport.Err | Transport.Nack | Transport.Pong), _ -> loop ()
-    | (Transport.Seg_put | Transport.Seg_reuse | Transport.Seg_free), _ ->
-        (* Segment residency lives in Darray sessions; a request/reply
-           service child holds no segment table, so reject loudly
-           rather than silently accept a put. *)
-        Transport.Socket.send chan ~kind:Transport.Nack Bytes.empty;
-        loop ()
-    | Transport.Data, bytes ->
-        (match Codec.of_bytes task_codec bytes with
-        | exception _ ->
-            Transport.Socket.send chan ~kind:Transport.Nack Bytes.empty
-        | (req, slice, seq), (deadline_ns, payload) -> (
-            if deadline_ns > 0 && Clock.monotonic_ns () > deadline_ns then
-              (* Past deadline: cancelled, not computed. *)
-              Transport.Socket.send chan
-                (Codec.to_bytes reply_codec ((req, slice, seq), None))
-            else
-              match work ~node:id ~pool:(Lazy.force pool) payload with
-              | r ->
-                  Transport.Socket.send chan
-                    (Codec.to_bytes reply_codec ((req, slice, seq), Some r))
-              | exception e ->
-                  Transport.Socket.send chan ~kind:Transport.Err
-                    (Codec.to_bytes err_codec
-                       ((req, slice), Printexc.to_string e))));
-        loop ()
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
 (* Dispatcher side.                                                    *)
 
-(* Per-slice in-flight bookkeeping for the request being executed. *)
-type slice_state = {
-  mutable target : int;  (* node currently owning this slice *)
-  mutable attempts : int;
-  mutable sent_at : int;  (* monotonic ns of the newest send *)
-  mutable result : Payload.t option;
-  mutable expired : bool;  (* worker reported past-deadline *)
-}
-
-exception Request_failed of error
-
-let ns_of_timeout s = int_of_float (s *. 1e9)
-
-let send_slice t req slices i =
-  let st = slices.(i) in
-  st.attempts <- st.attempts + 1;
-  st.sent_at <- Clock.monotonic_ns ();
-  let bytes =
-    Codec.to_bytes task_codec
-      ((req.req_id, i, st.attempts), (req.deadline_ns, req.payloads.(i)))
-  in
-  Stats.record_message ~bytes:(Bytes.length bytes);
-  try
-    Transport.Socket.send
-      (Transport.Proc.node t.fabric st.target).Transport.Proc.chan bytes
-  with Transport.Closed ->
-    (* Child died under our feet; the EOF surfaces in the select loop
-       and re-targets this slice. *)
-    ()
-
-(* Pick a live target, preferring an even spread by slice index. *)
-let pick_target t i =
-  match live_nodes t with
-  | [] -> None
-  | live -> Some (List.nth live (i mod List.length live))
-
-let slice_timeout t ~attempt =
-  let base = t.cfg.request_timeout in
-  let a = max 0 (min (attempt - 1) 30) in
-  Float.min 2.0 (base *. Float.of_int (1 lsl a))
-
-(* Run one admitted request to completion.  The select loop interleaves
-   reply handling with supervision (heartbeats, death verdicts,
-   respawns), so a request outlives any individual child. *)
+(* Run one admitted request as one job: slice [i] is [payloads.(i)]. *)
 let execute t req =
   Obs.span ~name:"service.request"
     ~attrs:[ ("req", string_of_int req.req_id) ]
     (fun () ->
       let n = Array.length req.payloads in
-      let slices =
-        Array.init n (fun _ ->
-            { target = -1; attempts = 0; sent_at = 0; result = None; expired = false })
+      let results = Array.make n None in
+      let task ~slice ~seq =
+        Dispatch.Envelope.(encode ~crc:true task ~slice ~seq ([], req.deadline_ns, req.payloads.(slice)))
       in
-      let outstanding = ref n in
-      let finished () = !outstanding = 0 in
-      let issue i =
-        match pick_target t i with
-        | None ->
-            (* Nobody alive right now: leave the slice pending; the
-               next respawn makes a target available and the timeout
-               path re-issues. *)
-            ()
-        | Some target ->
-            slices.(i).target <- target;
-            if slices.(i).attempts >= t.cfg.max_attempts then
-              raise
-                (Request_failed
-                   (Failed
-                      (Printf.sprintf "slice %d exhausted %d attempts" i
-                         slices.(i).attempts)));
-            send_slice t req slices i
-      in
-      let check_deadline () =
-        if req.deadline_ns > 0 && Clock.monotonic_ns () > req.deadline_ns then begin
+      let on_done i b = results.(i) <- Some (Dispatch.Envelope.body ~crc:true Payload.codec b) in
+      match
+        Dispatch.run_job t.session ~deadline:req.deadline_ns
+          ~plans:(List.init n (fun _ -> [])) ~task ~on_done ()
+      with
+      | _, None -> Ok (Array.map Option.get results)
+      | _, Some Dispatch.Expired ->
           Stats.record_deadline_expired ();
           Obs.instant ~name:"service.deadline.expired"
             ~attrs:[ ("req", string_of_int req.req_id) ]
             ();
-          raise (Request_failed Deadline_expired)
-        end
-      in
-      check_deadline ();
-      for i = 0 to n - 1 do
-        issue i
-      done;
-      while not (finished ()) do
-        check_deadline ();
-        let now = Clock.monotonic_ns () in
-        Supervisor.tick t.sup ~now;
-        let timeout =
-          Float.min t.cfg.poll_interval (Supervisor.next_event_in t.sup ~now)
-        in
-        (match Transport.Proc.recv_any t.fabric ~wake:t.wake_r ~timeout with
-        | `Wake -> drain_wake t
-        | `No_nodes ->
-            (* All children dead at once; wait for respawns. *)
-            Unix.sleepf (Float.min timeout 0.005)
-        | `Timeout ->
-            (* Re-issue slices whose attempt timed out (capped
-               exponential backoff per slice). *)
-            let now = Clock.monotonic_ns () in
-            Array.iteri
-              (fun i st ->
-                if st.result = None && (not st.expired) && st.attempts > 0 then begin
-                  let budget = ns_of_timeout (slice_timeout t ~attempt:st.attempts) in
-                  if now - st.sent_at > budget then begin
-                    Stats.record_retry ();
-                    Obs.instant ~name:"service.retry"
-                      ~attrs:
-                        [ ("req", string_of_int req.req_id);
-                          ("slice", string_of_int i) ]
-                      ();
-                    issue i
-                  end
-                end
-                else if st.result = None && st.attempts = 0 then issue i)
-              slices
-        | `Eof node ->
-            (match t.fault with
-            | Some f -> ignore (Fault.mark_crashed f node)
-            | None -> Stats.record_crash ());
-            Supervisor.note_eof t.sup node ~now:(Clock.monotonic_ns ());
-            (* Re-issue the dead child's in-flight slices to survivors
-               immediately; no need to wait out their timeouts. *)
-            Array.iteri
-              (fun i st ->
-                if st.result = None && st.target = node then issue i)
-              slices
-        | `Msg (node, Transport.Pong, _) ->
-            ignore (Supervisor.note_pong t.sup node ~now:(Clock.monotonic_ns ()))
-        | `Msg
-            ( node,
-              ( ( Transport.Ping | Transport.Seg_put | Transport.Seg_reuse
-                | Transport.Seg_free ) as k ),
-              _ ) ->
-            (* Parent-only kinds echoed back are noise; track and drop. *)
-            Supervisor.note_frame t.sup node k
-        | `Msg (node, Transport.Nack, _) ->
-            Supervisor.note_frame t.sup node Transport.Nack;
-            Stats.record_corrupt_drop ()
-            (* The owning slice re-issues via its timeout. *)
-        | `Msg (node, Transport.Err, bytes) -> (
-            Supervisor.note_frame t.sup node Transport.Err;
-            match Codec.of_bytes err_codec bytes with
-            | exception _ -> Stats.record_corrupt_drop ()
-            | (req', slice), msg ->
-                if req' = req.req_id && slice >= 0 && slice < n then
-                  raise
-                    (Request_failed
-                       (Failed (Printf.sprintf "slice %d raised: %s" slice msg))))
-        | `Msg (node, Transport.Data, bytes) -> (
-            Supervisor.note_frame t.sup node Transport.Data;
-            Stats.record_message ~bytes:(Bytes.length bytes);
-            match Codec.of_bytes reply_codec bytes with
-            | exception _ -> Stats.record_corrupt_drop ()
-            | (req', slice, _seq), reply ->
-                if req' <> req.req_id || slice < 0 || slice >= n then
-                  Stats.record_redelivery ()
-                else
-                  let st = slices.(slice) in
-                  if st.result <> None || st.expired then Stats.record_redelivery ()
-                  else (
-                    match reply with
-                    | Some r ->
-                        st.result <- Some r;
-                        decr outstanding
-                    | None ->
-                        (* Worker refused: past deadline. *)
-                        st.expired <- true;
-                        Stats.record_deadline_expired ();
-                        raise (Request_failed Deadline_expired))))
-      done;
-      Ok (Array.map
-            (fun st ->
-              match st.result with Some r -> r | None -> assert false)
-            slices))
+          Error Deadline_expired
+      | _, Some (Dispatch.Exhausted { slice; attempts }) ->
+          Error (Failed (Printf.sprintf "slice %d exhausted %d attempts" slice attempts))
+      | _, Some (Dispatch.Raised { slice; msg }) ->
+          Error (Failed (Printf.sprintf "slice %d raised: %s" slice msg)))
 
 let dispatcher_loop t =
   let rec next_request () =
     Mutex.lock t.lock;
-    let rec await () =
-      if t.stopped && Queue.is_empty t.queue then begin
-        Mutex.unlock t.lock;
-        None
-      end
-      else
-        match Queue.take_opt t.queue with
-        | Some req ->
-            t.queued <- t.queued - 1;
-            t.inflight <- true;
-            Mutex.unlock t.lock;
-            Some req
-        | None ->
-            Mutex.unlock t.lock;
-            (* Idle edge: keep heartbeats and respawns flowing while
-               the queue is empty. *)
-            let now = Clock.monotonic_ns () in
-            Supervisor.tick t.sup ~now;
-            let timeout =
-              Float.min t.cfg.poll_interval
-                (Supervisor.next_event_in t.sup ~now)
-            in
-            (match Transport.Proc.recv_any t.fabric ~wake:t.wake_r ~timeout with
-            | `Wake -> drain_wake t
-            | `Msg (node, Transport.Pong, _) ->
-                ignore
-                  (Supervisor.note_pong t.sup node ~now:(Clock.monotonic_ns ()))
-            | `Eof node ->
-                (match t.fault with
-                | Some f -> ignore (Fault.mark_crashed f node)
-                | None -> Stats.record_crash ());
-                Supervisor.note_eof t.sup node ~now:(Clock.monotonic_ns ())
-            | `Msg (node, ((Transport.Data | Transport.Err | Transport.Nack) as k), _)
-              ->
-                (* Stale traffic from a finished request. *)
-                Supervisor.note_frame t.sup node k;
-                Stats.record_redelivery ()
-            | `Msg
-                ( node,
-                  ( ( Transport.Ping | Transport.Seg_put
-                    | Transport.Seg_reuse | Transport.Seg_free ) as k ),
-                  _ ) ->
-                Supervisor.note_frame t.sup node k
-            | `Timeout -> ()
-            | `No_nodes -> Unix.sleepf 0.001);
-            Mutex.lock t.lock;
-            await ()
-    in
-    match await () with
-    | None -> ()
-    | Some req ->
-        let outcome =
-          match execute t req with
-          | ok -> ok
-          | exception Request_failed e -> Error e
-          | exception e -> Error (Failed (Printexc.to_string e))
-        in
-        Mutex.lock t.lock;
-        req.outcome <- Some outcome;
-        t.inflight <- false;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.lock;
-        next_request ()
+    if t.stopped && Queue.is_empty t.queue then Mutex.unlock t.lock
+    else
+      match Queue.take_opt t.queue with
+      | Some req ->
+          t.queued <- t.queued - 1;
+          t.inflight <- true;
+          Mutex.unlock t.lock;
+          let outcome =
+            match execute t req with
+            | o -> o
+            | exception e -> Error (Failed (Printexc.to_string e))
+          in
+          Mutex.lock t.lock;
+          req.outcome <- Some outcome;
+          t.inflight <- false;
+          Condition.broadcast t.cond;
+          Mutex.unlock t.lock;
+          next_request ()
+      | None ->
+          Mutex.unlock t.lock;
+          (* Idle edge: heartbeats and respawns keep flowing until a
+             client pokes the wake pipe. *)
+          Dispatch.idle t.session ~wake:t.wake_r;
+          drain_wake t;
+          next_request ()
   in
   next_request ()
 
@@ -457,22 +207,41 @@ let create ?(cfg = default_config) ~work () =
       "Service: the service fabric forks (and re-forks, on respawn) one \
        process per node, and OCaml cannot fork once any domain has been \
        spawned.  Create the service before any multi-domain pool.";
-  let serve = serve_loop ~cores_per_node:cfg.cores_per_node ~work in
-  let fabric = Transport.Proc.fork ~n:cfg.nodes ~child:serve in
-  let fault = Option.map Fault.make cfg.faults in
-  let sup =
-    Supervisor.create ~fabric ~serve ~hb_interval:cfg.heartbeat_interval
-      ~miss_threshold:cfg.miss_threshold ~backoff_base:cfg.respawn_backoff
-      ~backoff_max:cfg.respawn_backoff_max ?faults:fault ()
+  if cfg.heartbeat_interval <= 0.0 then invalid_arg "Service: heartbeat_interval <= 0";
+  if cfg.miss_threshold < 1 then invalid_arg "Service: miss_threshold < 1";
+  if cfg.respawn_backoff <= 0.0 || cfg.respawn_backoff_max < cfg.respawn_backoff then
+    invalid_arg "Service: bad respawn backoff";
+  let ns s = int_of_float (s *. 1e9) in
+  let dcfg =
+    {
+      Dispatch.nodes = cfg.nodes;
+      crc = true;
+      policy =
+        { max_attempts = cfg.max_attempts; timeout = Some (ns cfg.request_timeout, ns 2.0) };
+      supervision =
+        Some
+          {
+            hb_interval = ns cfg.heartbeat_interval;
+            miss_threshold = cfg.miss_threshold;
+            backoff_base = ns cfg.respawn_backoff;
+            backoff_max = ns cfg.respawn_backoff_max;
+          };
+    }
   in
+  let child ~id chan =
+    let pool = lazy (Pool.create ~workers:cfg.cores_per_node ()) in
+    let work ~slice:_ ~resident:_ p = work ~node:id ~pool:(Lazy.force pool) p in
+    Dispatch.child_loop ~id (Dispatch.server ~crc:true ~result:Payload.codec ~work ()) chan
+  in
+  let fault = Option.map Fault.make cfg.faults in
+  let session = Dispatch.fork ?faults:fault ~span:"service" dcfg ~child in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   let t =
     {
       cfg;
-      fabric;
-      sup;
+      session;
       fault;
       lock = Mutex.create ();
       cond = Condition.create ();
@@ -567,7 +336,7 @@ let shutdown ?grace t =
   if first then begin
     (match t.dispatcher with Some th -> Thread.join th | None -> ());
     t.dispatcher <- None;
-    Transport.Proc.shutdown ?grace t.fabric;
+    Transport.Proc.shutdown ?grace (fabric t);
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     try Unix.close t.wake_w with Unix.Unix_error _ -> ()
   end

@@ -2,9 +2,10 @@
     fork-per-node fabric.
 
     A service forks its workers once, keeps them warm across requests,
-    and wires supervision (heartbeats + respawn via {!Supervisor}),
-    retry of a dead child's in-flight slices, absolute-deadline
-    propagation, and bounded-queue admission control end to end.
+    and runs every request as one job on a long-lived {!Dispatch}
+    session (heartbeats, respawn with backoff, retry of a dead child's
+    in-flight slices); this module adds absolute-deadline propagation
+    and bounded-queue admission control.
 
     Concurrency model: any number of client threads may call {!submit};
     a single dispatcher thread owns the fabric and runs the whole
@@ -30,7 +31,6 @@ type config = {
   respawn_backoff_max : float;  (** backoff cap for flapping children *)
   request_timeout : float;  (** base per-slice retry timeout, seconds *)
   max_attempts : int;  (** per-slice cap on (re-)execution attempts *)
-  poll_interval : float;  (** dispatcher select poll cap, seconds *)
   faults : Fault.spec option;  (** seeded chaos plan, if any *)
 }
 

@@ -28,7 +28,6 @@ type snapshot = {
   steals : int;
   splits : int;
   failed_steals : int;
-  tasks_spawned : int;
   faults_injected : int;  (** messages dropped/duplicated/corrupted/delayed *)
   retries : int;  (** gather timeouts that re-issued a node's task *)
   redeliveries : int;  (** duplicate or late replies discarded by dedup *)
@@ -48,7 +47,6 @@ let chunks_run = Atomic.make 0
 let steals = Atomic.make 0
 let splits = Atomic.make 0
 let failed_steals = Atomic.make 0
-let tasks_spawned = Atomic.make 0
 let faults_injected = Atomic.make 0
 let retries = Atomic.make 0
 let redeliveries = Atomic.make 0
@@ -134,7 +132,6 @@ let record_busy ~worker ns =
   | Some slot -> add slot.c_busy_ns ns
   | None -> ()
 
-let record_task () = add tasks_spawned 1
 
 (* Payload serializations performed by the scatter paths.  A standalone
    counter (not part of {!snapshot}): tests assert encode-count ==
@@ -153,7 +150,7 @@ let record_corrupt_drop () = add corrupt_drops 1
 let record_crash () = add crashed_nodes 1
 let record_recovery_ns ns = add recovery_ns ns
 
-(* Service-fabric counters (bumped by {!Supervisor} and {!Service}). *)
+(* Supervision counters (bumped by the {!Dispatch} shells). *)
 let record_respawn () = add respawns 1
 let record_heartbeat_miss () = add heartbeat_misses 1
 let record_shed () = add shed 1
@@ -184,7 +181,6 @@ let raw_snapshot () =
     steals = Atomic.get steals;
     splits = Atomic.get splits;
     failed_steals = Atomic.get failed_steals;
-    tasks_spawned = Atomic.get tasks_spawned;
     faults_injected = Atomic.get faults_injected;
     retries = Atomic.get retries;
     redeliveries = Atomic.get redeliveries;
@@ -231,7 +227,6 @@ let diff a b =
     steals = a.steals - b.steals;
     splits = a.splits - b.splits;
     failed_steals = a.failed_steals - b.failed_steals;
-    tasks_spawned = a.tasks_spawned - b.tasks_spawned;
     faults_injected = a.faults_injected - b.faults_injected;
     retries = a.retries - b.retries;
     redeliveries = a.redeliveries - b.redeliveries;
@@ -261,7 +256,6 @@ let zero =
     steals = 0;
     splits = 0;
     failed_steals = 0;
-    tasks_spawned = 0;
     faults_injected = 0;
     retries = 0;
     redeliveries = 0;
@@ -308,10 +302,8 @@ let pp_worker fmt (i, w) =
 
 let pp_snapshot fmt s =
   Format.fprintf fmt
-    "messages=%d bytes=%d chunks=%d steals=%d splits=%d failed-steals=%d \
-     tasks=%d"
-    s.messages s.bytes_sent s.chunks_run s.steals s.splits s.failed_steals
-    s.tasks_spawned;
+    "messages=%d bytes=%d chunks=%d steals=%d splits=%d failed-steals=%d"
+    s.messages s.bytes_sent s.chunks_run s.steals s.splits s.failed_steals;
   if
     s.faults_injected > 0 || s.retries > 0 || s.redeliveries > 0
     || s.corrupt_drops > 0 || s.crashed_nodes > 0

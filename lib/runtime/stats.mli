@@ -21,7 +21,6 @@ type snapshot = {
   steals : int;
   splits : int;
   failed_steals : int;
-  tasks_spawned : int;
   faults_injected : int;  (** messages dropped/duplicated/corrupted/delayed *)
   retries : int;  (** gather timeouts that re-issued a node's task *)
   redeliveries : int;  (** duplicate or late replies discarded by dedup *)
@@ -48,12 +47,10 @@ val record_failed_steal : ?worker:int -> unit -> unit
 val record_busy : worker:int -> int -> unit
 (** [record_busy ~worker ns] adds [ns] nanoseconds of busy time. *)
 
-val record_task : unit -> unit
-
 (** {1 Fault-tolerance counters}
 
     Bumped by the {!Fault} injector and the recovery paths in
-    {!Cluster.run}; zero in fault-free runs. *)
+    {!Dispatch} engine; zero in fault-free runs. *)
 
 (** {2 Encode accounting}
 

@@ -275,7 +275,7 @@ module Proc = struct
      the caller's [~finally].  Frame I/O itself stays lock-free: the
      fabric has a single protocol owner (the run loop or the service
      dispatcher), and signals ([kill]) are async-safe anyway. *)
-  type t = { nodes : node array; lock : Mutex.t; mutable shut : bool }
+  type t = { nodes : node array; lock : Mutex.t }
 
   let node t i = t.nodes.(i)
   let pid t i = t.nodes.(i).pid
@@ -322,7 +322,7 @@ module Proc = struct
     in
     (* Parent: the child ends belong to the children now. *)
     Array.iter (fun (_, child_end) -> Socket.close child_end) pairs;
-    { nodes; lock = Mutex.create (); shut = false }
+    { nodes; lock = Mutex.create () }
 
   (** Multiplexed receive: the next frame from any live child, that
       child's EOF, a timeout, or — when [wake] is given — [`Wake] once
@@ -437,11 +437,6 @@ module Proc = struct
       a no-op for already-reaped children and never raises, so it is
       safe inside a [~finally]. *)
   let shutdown ?grace t =
-    Mutex.lock t.lock;
-    let first = not t.shut in
-    t.shut <- true;
-    Mutex.unlock t.lock;
-    ignore first;
     Array.iter
       (fun n ->
         n.alive <- false;

@@ -56,6 +56,14 @@ type report = {
 exception Found of violation
 
 let explore (type s) (module M : MODEL with type state = s) : report =
+  (* States are deep values (whole engine states, queues of frames):
+     hash far enough into them that distinct states rarely collide. *)
+  let module Hashtbl = Hashtbl.Make (struct
+    type t = s
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 200 1000
+  end) in
   let states = ref 0 and interleavings = ref 0 in
   let violation = ref None in
   (try
@@ -64,10 +72,8 @@ let explore (type s) (module M : MODEL with type state = s) : report =
          (* BFS with parent pointers: the first edge to discover a
             state is on a shortest path to it, so reconstructing
             through [parent] yields a minimal witness trace. *)
-         let visited : (s, unit) Hashtbl.t = Hashtbl.create 256 in
-         let parent : (s, (s * string) option) Hashtbl.t =
-           Hashtbl.create 256
-         in
+         let visited : unit Hashtbl.t = Hashtbl.create 256 in
+         let parent : (s * string) option Hashtbl.t = Hashtbl.create 256 in
          let trace_to st =
            let rec go st acc =
              match Hashtbl.find parent st with
@@ -104,7 +110,7 @@ let explore (type s) (module M : MODEL with type state = s) : report =
          (* Exact interleaving count: path-count DP over the DAG of
             states (memoized on canonical states, so shared suffixes
             are counted once but multiplied by their multiplicity). *)
-         let paths : (s, int) Hashtbl.t = Hashtbl.create 256 in
+         let paths : int Hashtbl.t = Hashtbl.create 256 in
          let rec count st =
            match Hashtbl.find_opt paths st with
            | Some n -> n

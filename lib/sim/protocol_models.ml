@@ -1,5 +1,6 @@
 (** Operational models of the runtime's concurrency primitives, checked
-    with {!Modelcheck}.
+    with {!Modelcheck}.  (The dispatch protocol needs no model: see
+    {!Dispatch_model}, which checks the engine itself.)
 
     These are small-state semantics of the *protocols* — who may take
     which task, when a receiver may block — not of the lock-free
@@ -350,625 +351,4 @@ module Mailbox_model = struct
 
   let check ?bug ?(max_sends = 2) ?(max_recvs = 3) () =
     Modelcheck.explore (make_model ?bug ~max_sends ~max_recvs ())
-end
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor heartbeat / request lifecycle, generated from the reified
-   wire-protocol spec.  Unlike the hand-maintained models above, every
-   protocol decision here — what a Data frame does in each parent
-   state, what EOF does, what the miss verdict and the respawn timer do
-   — is looked up in [Protocol.spec] via [Protocol.action_for], so the
-   model checked below and the running dispatcher read the same rule
-   table and cannot silently drift.  Safety: no slice is lost (every
-   admitted slice completes) and none double-completes, under child
-   kills, lost pongs with miss-verdict SIGKILLs, spurious timeout
-   re-issues, and respawn — within the budgets.                        *)
-
-module Heartbeat_model = struct
-  module Protocol = Triolet_runtime.Protocol
-
-  type bug =
-    | Forget_inflight
-        (** EOF does not re-issue the dead child's in-flight slices *)
-    | No_stale_filter
-        (** a reply for an already-completed slice is applied again
-            instead of being counted as a redelivery *)
-
-  type slice =
-    | Pending of int  (** not assigned; attempts consumed so far *)
-    | Inflight of int * int  (** (node, attempt) of the newest send *)
-    | Done of int  (** completions recorded — must stay 1 *)
-
-  type child = {
-    alive : bool;  (** the OS process exists *)
-    cstate : string;  (** parent-side [Protocol.spec] state *)
-    misses : int;  (** heartbeat misses charged so far *)
-    tasks : (int * int) list;  (** received (slice, attempt), uncomputed *)
-    outbox : (int * int) list;  (** computed replies buffered in the socket *)
-  }
-
-  type state = {
-    slices : slice list;
-    children : child list;
-    kills : int;  (** remaining direct SIGKILL budget *)
-    losses : int;  (** remaining lost-pong budget *)
-    spurious : int;  (** remaining spurious timeout re-issue budget *)
-    bad : string option;  (** a spec lookup came back unexpected *)
-  }
-
-  let miss_threshold = 2
-  let max_attempts = 4
-
-  (* [Protocol.spec] lookups.  The model never hard-codes a protocol
-     decision: a missing or unexpected rule poisons the state ([bad])
-     and fails the invariant, so spec and model cannot drift apart. *)
-  let parent_action st cstate ev =
-    match Protocol.(action_for spec ~role:Parent ~state:cstate ev) with
-    | Some a -> Ok a
-    | None ->
-        Error
-          { st with bad = Some ("no parent rule for " ^ Protocol.event_name ev) }
-
-  let expect_goto st cstate ev =
-    match parent_action st cstate ev with
-    | Error s -> Error s
-    | Ok (Protocol.Goto s) -> Ok s
-    | Ok _ ->
-        Error
-          { st with bad = Some (Protocol.event_name ev ^ ": expected Goto") }
-
-  let nth_set l i v = List.mapi (fun j x -> if j = i then v else x) l
-  let child_ok c = c.alive && c.cstate = "live"
-
-  (* The dispatcher's target pick, varied by attempt so a re-issue can
-     move to another node. *)
-  let pick_target st i a =
-    let live =
-      List.filteri (fun _ c -> child_ok c) st.children
-      |> fun _ ->
-      List.mapi (fun j c -> (j, c)) st.children
-      |> List.filter_map (fun (j, c) -> if child_ok c then Some j else None)
-    in
-    match live with
-    | [] -> None
-    | _ -> Some (List.nth live ((i + a) mod List.length live))
-
-  let make_model ?bug ~kills ~losses ~spurious ~n_slices () =
-    (module struct
-      type nonrec state = state
-
-      let name = "heartbeat"
-
-      let scenarios =
-        [
-          {
-            slices = List.init n_slices (fun _ -> Pending 0);
-            children =
-              List.init 2 (fun _ ->
-                  {
-                    alive = true;
-                    cstate = Protocol.(initial spec Parent);
-                    misses = 0;
-                    tasks = [];
-                    outbox = [];
-                  });
-            kills;
-            losses;
-            spurious;
-            bad = None;
-          };
-        ]
-
-      let transitions st =
-        if st.bad <> None then []
-        else
-          let send_to st i a j =
-            let c = List.nth st.children j in
-            {
-              st with
-              slices = nth_set st.slices i (Inflight (j, a));
-              children =
-                nth_set st.children j { c with tasks = c.tasks @ [ (i, a) ] };
-            }
-          in
-          (* Assign / re-issue a pending slice to a live child. *)
-          let assigns =
-            List.concat
-              (List.mapi
-                 (fun i s ->
-                   match s with
-                   | Pending a when a < max_attempts -> (
-                       match pick_target st i a with
-                       | None -> []
-                       | Some j ->
-                           [
-                             ( Printf.sprintf "assign s%d att%d @n%d" i
-                                 (a + 1) j,
-                               send_to st i (a + 1) j );
-                           ])
-                   | _ -> [])
-                 st.slices)
-          in
-          (* Spurious timeout: the dispatcher re-issues a slice whose
-             reply is merely late; the old target still owes one. *)
-          let timeouts =
-            if st.spurious = 0 then []
-            else
-              List.concat
-                (List.mapi
-                   (fun i s ->
-                     match s with
-                     | Inflight (_, a) when a < max_attempts -> (
-                         match pick_target st i a with
-                         | None -> []
-                         | Some j ->
-                             [
-                               ( Printf.sprintf
-                                   "timeout s%d reissue att%d @n%d" i (a + 1)
-                                   j,
-                                 send_to
-                                   { st with spurious = st.spurious - 1 }
-                                   i (a + 1) j );
-                             ])
-                     | _ -> [])
-                   st.slices)
-          in
-          let per_child =
-            List.concat
-              (List.mapi
-                 (fun j c ->
-                   let set c' = nth_set st.children j c' in
-                   (* Child computes its next received task. *)
-                   let compute =
-                     match c.tasks with
-                     | t :: rest when c.alive ->
-                         [
-                           ( Printf.sprintf "n%d compute s%d" j (fst t),
-                             {
-                               st with
-                               children =
-                                 set
-                                   {
-                                     c with
-                                     tasks = rest;
-                                     outbox = c.outbox @ [ t ];
-                                   };
-                             } );
-                         ]
-                     | _ -> []
-                   in
-                   (* Parent reads the next buffered reply.  Socket
-                      buffers outlive a SIGKILL, so delivery is legal
-                      from a dead-but-not-yet-EOF child. *)
-                   let deliver =
-                     match c.outbox with
-                     | (i, a) :: rest ->
-                         let st' =
-                           { st with children = set { c with outbox = rest } }
-                         in
-                         let next =
-                           match
-                             parent_action st' c.cstate
-                               Protocol.(Recv Data)
-                           with
-                           | Error s -> s
-                           | Ok Protocol.Drop -> st'
-                           | Ok (Protocol.Stay | Protocol.Goto _) -> (
-                               match List.nth st'.slices i with
-                               | Done n ->
-                                   if bug = Some No_stale_filter then
-                                     {
-                                       st' with
-                                       slices =
-                                         nth_set st'.slices i (Done (n + 1));
-                                     }
-                                   else st' (* redelivery: dropped *)
-                               | Pending _ | Inflight _ ->
-                                   {
-                                     st' with
-                                     slices = nth_set st'.slices i (Done 1);
-                                   })
-                         in
-                         [ (Printf.sprintf "deliver s%d att%d from n%d" i a j, next) ]
-                     | [] -> []
-                   in
-                   (* Direct kill (chaos): process gone, unread socket
-                      data survives, unreceived tasks do not. *)
-                   let kill =
-                     if st.kills > 0 && c.alive then
-                       [
-                         ( Printf.sprintf "kill n%d" j,
-                           {
-                             st with
-                             kills = st.kills - 1;
-                             children = set { c with alive = false; tasks = [] };
-                           } );
-                       ]
-                     else []
-                   in
-                   (* A pong is lost in flight: one miss charged. *)
-                   let lose_pong =
-                     if st.losses > 0 && child_ok c then
-                       [
-                         ( Printf.sprintf "n%d pong lost" j,
-                           {
-                             st with
-                             losses = st.losses - 1;
-                             children = set { c with misses = c.misses + 1 };
-                           } );
-                       ]
-                     else []
-                   in
-                   (* A pong gets through: the miss counter resets. *)
-                   let pong =
-                     if c.alive && c.misses > 0 then
-                       match parent_action st c.cstate Protocol.(Recv Pong) with
-                       | Error s -> [ (Printf.sprintf "n%d pong (bad)" j, s) ]
-                       | Ok _ ->
-                           [
-                             ( Printf.sprintf "n%d pong" j,
-                               { st with children = set { c with misses = 0 } }
-                             );
-                           ]
-                     else []
-                   in
-                   (* Miss verdict: SIGKILL, death funnels to EOF. *)
-                   let miss_kill =
-                     if c.alive && c.misses >= miss_threshold then
-                       match parent_action st c.cstate Protocol.Miss_limit with
-                       | Error s -> [ (Printf.sprintf "n%d verdict (bad)" j, s) ]
-                       | Ok _ ->
-                           [
-                             ( Printf.sprintf "n%d miss verdict" j,
-                               {
-                                 st with
-                                 children =
-                                   set
-                                     {
-                                       c with
-                                       alive = false;
-                                       tasks = [];
-                                       misses = 0;
-                                     };
-                               } );
-                           ]
-                     else []
-                   in
-                   (* EOF: strictly after buffered replies (socket
-                      FIFO).  The spec moves the parent to backoff; the
-                      dispatcher re-issues the dead child's in-flight
-                      slices — unless the seeded bug forgets them. *)
-                   let eof =
-                     if (not c.alive) && c.cstate = "live" && c.outbox = []
-                     then
-                       match expect_goto st c.cstate Protocol.Eof with
-                       | Error s -> [ (Printf.sprintf "n%d eof (bad)" j, s) ]
-                       | Ok target ->
-                           let slices =
-                             if bug = Some Forget_inflight then st.slices
-                             else
-                               List.map
-                                 (fun s ->
-                                   match s with
-                                   | Inflight (n, a) when n = j -> Pending a
-                                   | s -> s)
-                                 st.slices
-                           in
-                           [
-                             ( Printf.sprintf "n%d eof" j,
-                               {
-                                 st with
-                                 slices;
-                                 children = set { c with cstate = target };
-                               } );
-                           ]
-                     else []
-                   in
-                   (* Respawn after backoff: fresh incarnation. *)
-                   let respawn =
-                     if c.cstate = "backoff" then
-                       match expect_goto st c.cstate Protocol.Backoff_elapsed with
-                       | Error s -> [ (Printf.sprintf "n%d respawn (bad)" j, s) ]
-                       | Ok target ->
-                           [
-                             ( Printf.sprintf "n%d respawn" j,
-                               {
-                                 st with
-                                 children =
-                                   set
-                                     {
-                                       alive = true;
-                                       cstate = target;
-                                       misses = 0;
-                                       tasks = [];
-                                       outbox = [];
-                                     };
-                               } );
-                           ]
-                     else []
-                   in
-                   compute @ deliver @ kill @ lose_pong @ pong @ miss_kill
-                   @ eof @ respawn)
-                 st.children)
-          in
-          assigns @ timeouts @ per_child
-
-      (* Safety at every state: the spec always had a rule, and no
-         slice ever completes twice. *)
-      let invariant st =
-        match st.bad with
-        | Some msg -> Some msg
-        | None ->
-            List.find_map
-              (fun s ->
-                match s with
-                | Done n when n > 1 ->
-                    Some (Printf.sprintf "slice double-completed (%d)" n)
-                | _ -> None)
-              st.slices
-
-      (* At the bound: every slice completed exactly once and every
-         child came back live (no heartbeat/respawn livelock). *)
-      let terminal_ok st =
-        let lost =
-          List.find_map
-            (fun s ->
-              match s with
-              | Done 1 -> None
-              | Done n -> Some (Printf.sprintf "slice completed %d times" n)
-              | Pending _ | Inflight _ -> Some "slice lost: never completed")
-            st.slices
-        in
-        match lost with
-        | Some _ -> lost
-        | None ->
-            if List.for_all child_ok st.children then None
-            else Some "child never returned to live (respawn livelock)"
-    end : Modelcheck.MODEL
-      with type state = state)
-
-  let check ?bug ?(kills = 1) ?(losses = 2) ?(spurious = 1) ?(n_slices = 2) ()
-      =
-    Modelcheck.explore (make_model ?bug ~kills ~losses ~spurious ~n_slices ())
-end
-
-(* ------------------------------------------------------------------ *)
-(* Darray segment-version protocol: one parent, one resident child,
-   versioned segments shipped as Seg_put and revalidated as key-only
-   Seg_reuse.  Safety: a task only ever computes against exactly the
-   segment versions the parent believes current — a stale resident copy
-   must be refused (child-side version check) or re-shipped
-   (parent-side delta tracking), never silently used.                  *)
-
-module Segment_model = struct
-  type bug =
-    | Stale_reuse
-        (** the parent treats "child holds {e some} version" as "child
-            holds the {e current} version" and sends a key-only reuse
-            naming the stale version after an update — the child's
-            check passes (it does hold that version) and the compute
-            runs on stale data *)
-    | Skip_version_check
-        (** the child accepts any [Seg_reuse]/task key without
-            checking its table — a parent that forgot a crash wiped
-            the child then computes against a lost or stale segment *)
-
-  type frame =
-    | Put of int * int  (** segment, version *)
-    | Reuse of int * int
-    | Task of (int * int) list  (** keys the round claims to run on *)
-
-  type state = {
-    truth : int list;  (** parent-side current version per segment *)
-    believed : int option list;  (** what the parent thinks the child holds *)
-    child : int option list;  (** the child's resident table *)
-    wire : frame list;  (** in-flight frames, FIFO *)
-    inflight : bool;  (** a round is issued and not yet computed *)
-    rounds : int;  (** rounds still to complete *)
-    updates : int;  (** remaining update budget *)
-    crashes : int;  (** remaining crash budget *)
-    done_rounds : int;
-    bad : string option;  (** a compute saw a wrong version *)
-  }
-
-  let nth_set l i v = List.mapi (fun j x -> if j = i then v else x) l
-
-  let make_model ?bug ~n_segs ~rounds ~updates ~crashes () =
-    (module struct
-      type nonrec state = state
-
-      let name = "segment"
-
-      let scenarios =
-        [
-          {
-            truth = List.init n_segs (fun _ -> 1);
-            believed = List.init n_segs (fun _ -> None);
-            child = List.init n_segs (fun _ -> None);
-            wire = [];
-            inflight = false;
-            rounds;
-            updates;
-            crashes;
-            done_rounds = 0;
-            bad = None;
-          };
-        ]
-
-      let transitions st =
-        if st.bad <> None then []
-        else
-          (* Parent updates a segment between rounds: version bump;
-             the believed map is untouched (that is the point — the
-             next issue must notice the divergence). *)
-          let update =
-            if st.updates = 0 || st.inflight then []
-            else
-              List.init (List.length st.truth) (fun i ->
-                  ( Printf.sprintf "update seg%d -> v%d" i
-                      (List.nth st.truth i + 1),
-                    {
-                      st with
-                      updates = st.updates - 1;
-                      truth = nth_set st.truth i (List.nth st.truth i + 1);
-                    } ))
-          in
-          (* Issue a round: per segment, a put if the believed version
-             disagrees with truth, a key-only reuse otherwise.  The
-             Stale_reuse bug reuses whenever the child holds anything. *)
-          let issue =
-            if st.inflight || st.rounds = 0 then []
-            else
-              let frames, believed, keys =
-                List.fold_left
-                  (fun (fs, bel, ks) i ->
-                    let v = List.nth st.truth i in
-                    let b = List.nth st.believed i in
-                    let matches =
-                      match (bug, b) with
-                      | Some Stale_reuse, Some bv -> Some bv
-                      | _, Some bv when bv = v -> Some bv
-                      | _ -> None
-                    in
-                    match matches with
-                    | Some bv ->
-                        (fs @ [ Reuse (i, bv) ], bel, ks @ [ (i, bv) ])
-                    | None ->
-                        ( fs @ [ Put (i, v) ],
-                          nth_set bel i (Some v),
-                          ks @ [ (i, v) ] ))
-                  ([], st.believed, [])
-                  (List.init (List.length st.truth) Fun.id)
-              in
-              [
-                ( "issue round",
-                  {
-                    st with
-                    wire = st.wire @ frames @ [ Task keys ];
-                    believed;
-                    inflight = true;
-                  } );
-              ]
-          in
-          (* Child processes the next frame.  A version check failure
-             is a Nack: the wire drains and the parent forgets its
-             belief in the offending segment, so the next issue ships
-             a put — the protocol self-heals instead of computing. *)
-          let child_step =
-            match st.wire with
-            | [] -> []
-            | f :: wire -> (
-                let nack i =
-                  ( Printf.sprintf "nack seg%d" i,
-                    {
-                      st with
-                      wire = [];
-                      inflight = false;
-                      believed = nth_set st.believed i None;
-                    } )
-                in
-                match f with
-                | Put (i, v) ->
-                    [
-                      ( Printf.sprintf "put seg%d v%d" i v,
-                        { st with wire; child = nth_set st.child i (Some v) }
-                      );
-                    ]
-                | Reuse (i, v) ->
-                    if
-                      bug = Some Skip_version_check
-                      || List.nth st.child i = Some v
-                    then
-                      [ (Printf.sprintf "reuse seg%d v%d" i v, { st with wire }) ]
-                    else [ nack i ]
-                | Task keys -> (
-                    let mismatch =
-                      if bug = Some Skip_version_check then None
-                      else
-                        List.find_opt
-                          (fun (i, v) -> List.nth st.child i <> Some v)
-                          keys
-                    in
-                    match mismatch with
-                    | Some (i, _) -> [ nack i ]
-                    | None ->
-                        (* Compute.  Safety: the versions the child
-                           actually holds are the parent's current
-                           truth for every key of the round. *)
-                        let stale =
-                          List.find_opt
-                            (fun (i, _) ->
-                              List.nth st.child i
-                              <> Some (List.nth st.truth i))
-                            keys
-                        in
-                        let st' =
-                          {
-                            st with
-                            wire;
-                            inflight = false;
-                            rounds = st.rounds - 1;
-                            done_rounds = st.done_rounds + 1;
-                          }
-                        in
-                        [
-                          ( "compute",
-                            match stale with
-                            | Some (i, _) ->
-                                {
-                                  st' with
-                                  bad =
-                                    Some
-                                      (Printf.sprintf
-                                         "computed with stale seg%d: child \
-                                          holds %s, truth v%d"
-                                         i
-                                         (match List.nth st.child i with
-                                         | Some v -> Printf.sprintf "v%d" v
-                                         | None -> "nothing")
-                                         (List.nth st.truth i));
-                                }
-                            | None -> st' );
-                        ]))
-          in
-          (* Crash: the child's table is gone; EOF makes the parent
-             drop the round and its residency beliefs (the real
-             implementation resets the believed map on EOF).  The
-             Skip_version_check bug pairs the disabled child check
-             with a parent that forgets the reset — the exact failure
-             the check is the defense-in-depth against. *)
-          let crash =
-            if st.crashes = 0 then []
-            else
-              [
-                ( "crash+respawn",
-                  {
-                    st with
-                    crashes = st.crashes - 1;
-                    child = List.map (fun _ -> None) st.child;
-                    wire = [];
-                    inflight = false;
-                    believed =
-                      (if bug = Some Skip_version_check then st.believed
-                       else List.map (fun _ -> None) st.believed);
-                  } );
-              ]
-          in
-          update @ issue @ child_step @ crash
-
-      let invariant st = st.bad
-
-      (* At the bound every requested round computed. *)
-      let terminal_ok st =
-        if st.rounds > 0 then
-          Some
-            (Printf.sprintf "%d round(s) never computed (residency livelock)"
-               st.rounds)
-        else None
-    end : Modelcheck.MODEL
-      with type state = state)
-
-  let check ?bug ?(n_segs = 2) ?(rounds = 2) ?(updates = 2) ?(crashes = 1) ()
-      =
-    Modelcheck.explore (make_model ?bug ~n_segs ~rounds ~updates ~crashes ())
 end

@@ -1,7 +1,6 @@
 (** Operational models of the runtime's concurrency protocols — the
-    work-stealing deque's owner/thief discipline, the mailbox's
-    send/recv/close discipline, and the service fabric's supervisor
-    heartbeat / request lifecycle — exhaustively checked with
+    work-stealing deque's owner/thief discipline and the mailbox's
+    send/recv/close discipline — exhaustively checked with
     {!Modelcheck}.  The [bug] parameters inject classic races so the
     test suite can prove the checker catches them. *)
 
@@ -60,105 +59,4 @@ module Mailbox_model : sig
       recv/recv_timeout operations, under every interleaving.
       Invariants: no accepted message lost or duplicated; a terminal
       state with receiver operations pending is a wakeup failure. *)
-end
-
-module Heartbeat_model : sig
-  type bug =
-    | Forget_inflight
-        (** EOF does not re-issue the dead child's in-flight slices →
-            a slice is lost *)
-    | No_stale_filter
-        (** a reply for an already-completed slice is applied again →
-            a slice double-completes *)
-
-  type slice =
-    | Pending of int  (** not assigned; attempts consumed so far *)
-    | Inflight of int * int  (** (node, attempt) of the newest send *)
-    | Done of int  (** completions recorded — must stay 1 *)
-
-  type child = {
-    alive : bool;
-    cstate : string;  (** parent-side [Protocol.spec] state *)
-    misses : int;
-    tasks : (int * int) list;
-    outbox : (int * int) list;
-  }
-
-  type state = {
-    slices : slice list;
-    children : child list;
-    kills : int;
-    losses : int;
-    spurious : int;
-    bad : string option;
-  }
-
-  val check :
-    ?bug:bug ->
-    ?kills:int ->
-    ?losses:int ->
-    ?spurious:int ->
-    ?n_slices:int ->
-    unit ->
-    Modelcheck.report
-  (** Exhaustively explore [n_slices] slices (default 2) over two
-      supervised children under a budget of [kills] direct SIGKILLs
-      (default 1), [losses] lost pongs (default 2, with miss threshold
-      2 — enough for one miss-verdict kill), and [spurious] timeout
-      re-issues (default 1).  Every protocol decision — frame
-      handling per parent state, EOF, miss verdict, respawn — is
-      looked up in [Protocol.spec] via [Protocol.action_for], so the
-      model cannot drift from the running dispatcher's rule table.
-      Invariants: no slice double-completes; at the bound every slice
-      completed exactly once and every child is back live. *)
-end
-
-module Segment_model : sig
-  type bug =
-    | Stale_reuse
-        (** the parent sends a key-only reuse naming the version the
-            child holds instead of the current one after an update —
-            the child's check passes and the compute runs on stale
-            data *)
-    | Skip_version_check
-        (** the child accepts reuses and task keys without checking
-            its table — computes against lost or stale segments after
-            a crash the parent forgot *)
-
-  type frame =
-    | Put of int * int  (** segment, version *)
-    | Reuse of int * int
-    | Task of (int * int) list
-
-  type state = {
-    truth : int list;
-    believed : int option list;
-    child : int option list;
-    wire : frame list;
-    inflight : bool;
-    rounds : int;
-    updates : int;
-    crashes : int;
-    done_rounds : int;
-    bad : string option;
-  }
-
-  val check :
-    ?bug:bug ->
-    ?n_segs:int ->
-    ?rounds:int ->
-    ?updates:int ->
-    ?crashes:int ->
-    unit ->
-    Modelcheck.report
-  (** The Darray residency protocol over [n_segs] versioned segments
-      (default 2): [rounds] compute rounds (default 2) under a budget
-      of [updates] parent-side version bumps (default 2) and [crashes]
-      child wipes (default 1).  A correct parent ships a [Seg_put] for
-      every segment whose believed version disagrees with truth and a
-      key-only [Seg_reuse] otherwise; a correct child refuses a reuse
-      or task key naming a version it does not hold (Nack → the
-      parent forgets its belief and re-ships).  Invariant: every
-      compute runs against exactly the parent's current versions;
-      terminal states must have completed all rounds. *)
 end

@@ -341,6 +341,11 @@ let prop_vec_matches_list =
       List.iter (Vec.push v) l;
       Vec.to_list v = l)
 
+(* The standard CRC-32 (IEEE 802.3) check value. *)
+let test_crc32_known_answer () =
+  let b = Bytes.of_string "123456789" in
+  Alcotest.(check int32) "crc32 \"123456789\"" 0xCBF43926l (Rw.crc32 b 0 9)
+
 let () =
   Alcotest.run "base"
     [
@@ -356,6 +361,7 @@ let () =
           Alcotest.test_case "zero-copy reader bounded" `Quick
             test_rw_reader_of_writer_bounded;
           Alcotest.test_case "detach" `Quick test_rw_detach;
+          Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
         ] );
       ( "codec",
         [

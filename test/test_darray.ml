@@ -1,5 +1,6 @@
-(* Persistent distributed arrays: wire codecs (qcheck roundtrip and
-   fuzz through the frame decoder), the segment-version protocol model,
+(* Persistent distributed arrays: the shared envelope codec (qcheck
+   roundtrip and fuzz through the frame decoder), the model check of
+   the real engine's residency protocol,
    residency byte collapse, geometry-checked zip, halo versioning, the
    resident kernel variants' exact parity with their non-resident
    paths, and crash replay over the process transport.
@@ -13,7 +14,8 @@ open Triolet_runtime
 module Codec = Triolet_base.Codec
 module Rw = Triolet_base.Rw
 module Payload = Triolet_base.Payload
-module PM = Triolet_sim.Protocol_models
+module DM = Triolet_sim.Dispatch_model
+module Envelope = Dispatch.Envelope
 module Modelcheck = Triolet_sim.Modelcheck
 module Exec = Triolet.Exec
 module Matrix = Triolet.Matrix
@@ -184,36 +186,47 @@ let payload_gen : Payload.t QCheck2.Gen.t =
 
 let key_gen = QCheck2.Gen.(triple (int_bound 1000) (int_bound 1000) (int_bound 1000))
 
+(* Every darray frame rides the shared checksummed envelope. *)
+let env c = Envelope.codec ~crc:true c
+
 let roundtrips c v =
+  let c = env c and v = (3, 7, v) in
   Codec.of_bytes c (Codec.to_bytes c v) = v
   && c.Codec.size v = Bytes.length (Codec.to_bytes c v)
 
+let frame c v = Codec.to_bytes (env c) (0, 0, v)
+
 let prop_key_roundtrip =
-  qtest "key codec roundtrips" key_gen (roundtrips Darray.key_codec)
+  qtest "key codec roundtrips" key_gen (roundtrips Envelope.key)
 
 let prop_put_roundtrip =
   qtest "put codec roundtrips"
     QCheck2.Gen.(pair key_gen payload_gen)
-    (roundtrips Darray.put_codec)
+    (roundtrips Envelope.put)
 
 let prop_reuse_roundtrip =
-  qtest "reuse codec roundtrips" key_gen (roundtrips Darray.reuse_codec)
+  qtest "reuse codec roundtrips" key_gen (fun k ->
+      roundtrips Envelope.key k
+      && Envelope.tag ~crc:true (Codec.to_bytes (env Envelope.key) (3, 7, k)) = Some (3, 7))
 
 let prop_free_roundtrip =
   qtest "free codec roundtrips"
     QCheck2.Gen.(int_bound 10_000)
-    (roundtrips Darray.free_codec)
+    (roundtrips Codec.int)
 
 let prop_task_roundtrip =
   qtest "task codec roundtrips"
     QCheck2.Gen.(
-      triple (int_bound 10_000) (list_size (int_bound 6) key_gen) payload_gen)
-    (roundtrips Darray.task_codec)
+      triple (list_size (int_bound 6) key_gen) (int_bound 10_000) payload_gen)
+    (roundtrips Envelope.task)
 
 let prop_reply_roundtrip =
   qtest "reply codec roundtrips"
     QCheck2.Gen.(pair (int_bound 10_000) payload_gen)
-    (roundtrips Darray.reply_codec)
+    (fun (slice, p) ->
+      let b = Codec.to_bytes (env Payload.codec) (slice, 1, p) in
+      Envelope.tag ~crc:true b = Some (slice, 1)
+      && Envelope.body ~crc:true Payload.codec b = p)
 
 (* Every Seg_* frame kind carries its codec's bytes through the
    incremental frame decoder, cut at arbitrary chunk boundaries:
@@ -224,13 +237,13 @@ let seg_frame_gen =
       (oneof
          [
            map
-             (fun (k, p) -> (Protocol.Seg_put, Codec.to_bytes Darray.put_codec (k, p)))
+             (fun (k, p) -> (Protocol.Seg_put, frame Envelope.put (k, p)))
              (pair key_gen payload_gen);
            map
-             (fun k -> (Protocol.Seg_reuse, Codec.to_bytes Darray.reuse_codec k))
+             (fun k -> (Protocol.Seg_reuse, frame Envelope.key k))
              key_gen;
            map
-             (fun did -> (Protocol.Seg_free, Codec.to_bytes Darray.free_codec did))
+             (fun did -> (Protocol.Seg_free, frame Codec.int did))
              (int_bound 1000);
          ]))
 
@@ -272,19 +285,21 @@ let prop_seg_frames_chunked =
       List.rev !out = List.map (fun (k, p) -> (k, Bytes.to_string p)) frames
       && Protocol.Decoder.consumed d = String.length stream)
 
-(* The checksummed envelopes refuse corruption: any single-byte flip in
+(* The checksummed envelope refuses corruption: any single-byte flip in
    a put frame raises a typed error instead of decoding garbage into a
-   child's segment table. *)
+   child's segment table, and the engine's tag check refuses it too. *)
 let prop_corrupt_put_refused =
   qtest "corrupted put frame always refused"
     QCheck2.Gen.(
       triple (pair key_gen payload_gen) (int_bound 100_000) (int_range 1 255))
     (fun (v, posseed, mask) ->
-      let bytes = Codec.to_bytes Darray.put_codec v in
+      let bytes = frame Envelope.put v in
       let b = Bytes.copy bytes in
       let pos = posseed mod Bytes.length b in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
-      match Codec.of_bytes Darray.put_codec b with
+      Envelope.tag ~crc:true b = None
+      &&
+      match Codec.of_bytes (env Envelope.put) b with
       | _ -> false
       | exception
           ( Codec.Checksum_mismatch _ | Codec.Trailing_bytes _ | Rw.Underflow
@@ -292,21 +307,21 @@ let prop_corrupt_put_refused =
           true)
 
 (* ------------------------------------------------------------------ *)
-(* The segment-version protocol model.                                 *)
+(* The residency protocol: the real engine and node handler, checked. *)
 
 let test_segment_model_clean () =
-  let r = PM.Segment_model.check () in
+  let r = DM.check_residency () in
   check_bool "no violation" true (r.Modelcheck.violation = None);
   check_bool "explored seriously" true (r.Modelcheck.states > 100)
 
 let test_segment_model_catches_stale_reuse () =
-  let r = PM.Segment_model.check ~bug:PM.Segment_model.Stale_reuse () in
+  let r = DM.check_residency ~bug:DM.Stale_reuse () in
   match r.Modelcheck.violation with
   | None -> Alcotest.fail "stale-reuse bug not caught"
   | Some v -> check_bool "message" true (String.length v.Modelcheck.message > 0)
 
 let test_segment_model_catches_skipped_check () =
-  let r = PM.Segment_model.check ~bug:PM.Segment_model.Skip_version_check () in
+  let r = DM.check_residency ~bug:DM.Skip_version_check () in
   match r.Modelcheck.violation with
   | None -> Alcotest.fail "skipped version check not caught"
   | Some v -> check_bool "message" true (String.length v.Modelcheck.message > 0)

@@ -263,7 +263,7 @@ let test_timeout_backoff () =
 (* ------------------------------------------------------------------ *)
 (* Cluster under faults                                                *)
 
-let cfg nodes = { Cluster.nodes; cores_per_node = 1; flat = false }
+let cfg nodes = { Cluster.nodes; cores_per_node = 1; backend = Cluster.Inprocess }
 let ctx nodes = Triolet.Exec.make ~nodes ~cores_per_node:1 ()
 
 (* A distributed sum whose merge is order-sensitive enough to catch
@@ -272,7 +272,7 @@ let ctx nodes = Triolet.Exec.make ~nodes ~cores_per_node:1 ()
 let sum_run ?faults pool nodes =
   let data = Float.Array.init 120 float_of_int in
   let blocks = Partition.blocks ~parts:nodes 120 in
-  Cluster.run ~pool ?faults (cfg nodes)
+  Cluster.run_topology ~pool ?faults (cfg nodes)
     ~scatter:(fun node ->
       let off, len = blocks.(node) in
       [ Payload.Floats (Float.Array.sub data off len) ])
@@ -370,7 +370,7 @@ let test_work_exception_reraised () =
       let faults = fast ~seed:6 ~max_attempts:2 () in
       check_bool "work exception re-raised" true
         (match
-           Cluster.run ~pool ~faults (cfg 3)
+           Cluster.run_topology ~pool ~faults (cfg 3)
              ~scatter:(fun _ -> Payload.empty)
              ~work:(fun ~node ~pool:_ _ ->
                if node = 1 then failwith "boom" else node)
@@ -385,7 +385,7 @@ let test_merge_worker_order_under_faults () =
          first even though worker 1 crashed and resolved last *)
       let faults = fast ~seed:7 ~crash:(1, Fault.During_work) () in
       let order, _ =
-        Cluster.run ~pool ~faults (cfg 4)
+        Cluster.run_topology ~pool ~faults (cfg 4)
           ~scatter:(fun node -> [ Payload.Ints [| node |] ])
           ~work:(fun ~node:_ ~pool:_ payload ->
             match payload with

@@ -17,12 +17,14 @@ let qtest name gen prop =
 let gen_cluster =
   QCheck2.Gen.(
     map3
-      (fun nodes cores flat -> { Cluster.nodes; cores_per_node = cores; flat })
+      (fun nodes cores flat ->
+        { Cluster.nodes; cores_per_node = cores;
+          backend = (if flat then Cluster.Flat else Cluster.Inprocess) })
       (int_range 1 6) (int_range 1 4) bool)
 
-let ctx_of { Cluster.nodes; cores_per_node; flat } =
+let ctx_of { Cluster.nodes; cores_per_node; backend } =
   Exec.make ~nodes ~cores_per_node
-    ~backend:(if flat then Cluster.Flat else (Exec.default ()).Exec.backend)
+    ~backend:(if backend = Cluster.Flat then backend else (Exec.default ()).Exec.backend)
     ()
 
 let on cluster f = Exec.with_context (ctx_of cluster) f
@@ -124,9 +126,9 @@ let test_messages_scale_with_workers () =
         d.Stats.messages)
   in
   Alcotest.(check int) "two-level: 2 per node" 8
-    (msgs { Cluster.nodes = 4; cores_per_node = 4; flat = false });
+    (msgs { Cluster.nodes = 4; cores_per_node = 4; backend = Cluster.Inprocess });
   Alcotest.(check int) "flat: 2 per core" 32
-    (msgs { Cluster.nodes = 4; cores_per_node = 4; flat = true })
+    (msgs { Cluster.nodes = 4; cores_per_node = 4; backend = Cluster.Flat })
 
 (* ------------------------------------------------------------------ *)
 (* A full "user session": several consumers over one dataset           *)

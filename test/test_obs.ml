@@ -237,7 +237,7 @@ let test_json_rejects_malformed () =
 let nonneg (s : Stats.snapshot) =
   s.Stats.messages >= 0 && s.Stats.bytes_sent >= 0 && s.Stats.chunks_run >= 0
   && s.Stats.steals >= 0 && s.Stats.splits >= 0 && s.Stats.failed_steals >= 0
-  && s.Stats.tasks_spawned >= 0 && s.Stats.recovery_ns >= 0
+  && s.Stats.recovery_ns >= 0
   && Array.for_all
        (fun w ->
          w.Stats.w_chunks >= 0 && w.Stats.w_splits >= 0

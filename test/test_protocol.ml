@@ -1,9 +1,9 @@
 (* Wire-protocol spec, framing codec (fuzzed), conformance trackers,
-   and the spec-driven supervisor heartbeat model. *)
+   and the model check of the real dispatch engine's supervision. *)
 
 module Protocol = Triolet_runtime.Protocol
 module Transport = Triolet_runtime.Transport
-module PM = Triolet_sim.Protocol_models
+module DM = Triolet_sim.Dispatch_model
 module Modelcheck = Triolet_sim.Modelcheck
 
 let check_int = Alcotest.(check int)
@@ -210,15 +210,15 @@ let test_tracker_counts_violations () =
   Protocol.set_debug was_debug;
   Protocol.reset_violations ()
 
-(* --- the heartbeat model ------------------------------------------ *)
+(* --- the dispatch engine, model-checked ---------------------------- *)
 
 let test_heartbeat_clean () =
-  let r = PM.Heartbeat_model.check () in
+  let r = DM.check_supervision () in
   check_bool "no violation" true (r.Modelcheck.violation = None);
   check_bool "explored seriously" true (r.Modelcheck.states > 1000)
 
 let test_heartbeat_catches_forget_inflight () =
-  let r = PM.Heartbeat_model.check ~bug:PM.Heartbeat_model.Forget_inflight () in
+  let r = DM.check_supervision ~bug:DM.Forget_inflight () in
   match r.Modelcheck.violation with
   | None -> Alcotest.fail "lost-slice bug not caught"
   | Some v ->
@@ -227,14 +227,14 @@ let test_heartbeat_catches_forget_inflight () =
         && v.Modelcheck.trace <> [])
 
 let test_heartbeat_catches_stale_reply () =
-  let r = PM.Heartbeat_model.check ~bug:PM.Heartbeat_model.No_stale_filter () in
+  let r = DM.check_supervision ~bug:DM.No_stale_filter () in
   match r.Modelcheck.violation with
   | None -> Alcotest.fail "double-complete bug not caught"
   | Some v ->
       (* BFS reports a minimal witness; the shortest double-complete
-         needs only: assign, compute, deliver, spurious reassign to the
-         other child, compute, deliver — pin a tight bound so witness
-         quality cannot silently regress. *)
+         needs only: submit, handle, early timeout re-issue, handle,
+         deliver, deliver — pin a tight bound so witness quality cannot
+         silently regress. *)
       check_bool "minimal witness" true (List.length v.Modelcheck.trace <= 8)
 
 let () =

@@ -238,83 +238,81 @@ let test_crash_on_respawn_backoff () =
       | Some c -> check_bool "respawn crashes counted" true (c.Fault.respawn_crashes >= 2)
       | None -> Alcotest.fail "no fault counters")
 
+(* The supervision rules live in the pure dispatch engine: drive it
+   directly, one node, with time passed in by hand. *)
+let ns s = int_of_float (s *. 1e9)
+
+let engine ~base ~max_s =
+  Dispatch.create ~now:0
+    {
+      Dispatch.nodes = 1;
+      crc = true;
+      policy = { max_attempts = 8; timeout = None };
+      supervision =
+        Some
+          {
+            hb_interval = ns 1.0;
+            miss_threshold = 3;
+            backoff_base = ns base;
+            backoff_max = ns max_s;
+          };
+    }
+
+let node0 (t : Dispatch.t) = List.hd t.Dispatch.nodes
+let backoff_s ~max_s t = float_of_int (min (ns max_s) (node0 t).Dispatch.backoff) /. 1e9
+
+(* Kill/EOF/respawn [n] times; the delays the engine scheduled. *)
+let death_cycles ~base ~max_s n =
+  let rec go t k acc =
+    if k = 0 then (t, List.rev acc)
+    else
+      let now = t.Dispatch.now in
+      let t, _ = Dispatch.step t (Dispatch.Eof 0) in
+      match (node0 t).Dispatch.respawn_at with
+      | None -> Alcotest.fail "no respawn scheduled"
+      | Some at ->
+          (* Fast-forward past the deadline instead of sleeping. *)
+          let t, acts = Dispatch.step t (Dispatch.Tick (at + 1)) in
+          check_bool "respawned" true (List.mem (Dispatch.Respawn 0) acts);
+          go t (k - 1) (float_of_int (at - now) /. 1e9 :: acc)
+  in
+  go (engine ~base ~max_s) n []
+
+let backoff_sequence ~base ~max n = snd (death_cycles ~base ~max_s:max n)
+
 let test_backoff_sequence () =
-  (* The pure sequence a flapping node sleeps: base, doubling, clamped
-     at max before each sleep, then pinned at max. *)
-  Alcotest.(check (list (float 1e-12)))
+  (* The sequence a flapping node sleeps: base, doubling, clamped at max
+     before each sleep, then pinned at max. *)
+  Alcotest.(check (list (float 1e-9)))
     "base, 2x, 4x, max, max"
     [ 0.01; 0.02; 0.04; 0.05; 0.05 ]
-    (Supervisor.backoff_sequence ~base:0.01 ~max:0.05 5);
+    (backoff_sequence ~base:0.01 ~max:0.05 5);
   (* Clamp-before-sleep: even the first delay never exceeds max. *)
-  Alcotest.(check (list (float 1e-12)))
+  Alcotest.(check (list (float 1e-9)))
     "first sleep already clamped"
     [ 0.04; 0.04; 0.04 ]
-    (Supervisor.backoff_sequence ~base:0.05 ~max:0.04 3);
-  Alcotest.(check (list (float 1e-12)))
+    (backoff_sequence ~base:0.05 ~max:0.04 3);
+  Alcotest.(check (list (float 1e-9)))
     "empty prefix" []
-    (Supervisor.backoff_sequence ~base:0.01 ~max:1.0 0)
+    (backoff_sequence ~base:0.01 ~max:1.0 0)
 
 let test_backoff_resets_on_fresh_pong () =
-  (* Drive the supervisor's escalation directly: three kill/EOF cycles
-     must sleep exactly the pinned sequence, and the first pong from a
-     fresh replacement must reset the delay to base. *)
-  let echo_child ~id:_ chan =
-    let rec loop () =
-      match Transport.Socket.recv chan with
-      | kind, payload ->
-          Transport.Socket.send chan ~kind payload;
-          loop ()
-      | exception Transport.Closed -> ()
-    in
-    loop ()
-  in
-  let fabric = Transport.Proc.fork ~n:1 ~child:echo_child in
-  Fun.protect
-    ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
-    (fun () ->
-      let base = 0.01 and max_s = 0.04 in
-      let sup =
-        Supervisor.create ~fabric ~serve:echo_child ~backoff_base:base
-          ~backoff_max:max_s ()
-      in
-      Alcotest.(check (float 1e-12)) "starts at base" base
-        (Supervisor.backoff_s sup 0);
-      let slept = ref [] in
-      for _cycle = 1 to 3 do
-        Transport.Proc.kill fabric 0;
-        (* The kill marks nothing: the parent learns of the death from
-           the EOF, exactly like an external crash. *)
-        let rec await_eof attempts =
-          if attempts = 0 then Alcotest.fail "EOF never surfaced"
-          else
-            match Transport.Proc.recv_any fabric ~timeout:1.0 with
-            | `Eof 0 -> ()
-            | _ -> await_eof (attempts - 1)
-        in
-        await_eof 100;
-        let now = Clock.monotonic_ns () in
-        Supervisor.note_eof sup 0 ~now;
-        (match Supervisor.respawn_due_at sup 0 with
-        | None -> Alcotest.fail "no respawn scheduled"
-        | Some at ->
-            slept := (float_of_int (at - now) /. 1e9) :: !slept;
-            (* Fast-forward past the deadline instead of sleeping. *)
-            Supervisor.tick sup ~now:(at + 1));
-        check_bool "respawned" true (Supervisor.alive sup 0)
-      done;
-      Alcotest.(check (list (float 1e-9)))
-        "note_eof slept exactly the pinned sequence"
-        (Supervisor.backoff_sequence ~base ~max:max_s 3)
-        (List.rev !slept);
-      check_int "three respawns" 3 (Supervisor.respawns sup);
-      (* Escalated and clamped... *)
-      Alcotest.(check (float 1e-12)) "escalated to max" max_s
-        (Supervisor.backoff_s sup 0);
-      (* ...until the replacement proves itself with one pong. *)
-      check_bool "pong accepted" true
-        (Supervisor.note_pong sup 0 ~now:(Clock.monotonic_ns ()));
-      Alcotest.(check (float 1e-12)) "first fresh pong resets to base" base
-        (Supervisor.backoff_s sup 0))
+  (* Three kill/EOF cycles sleep exactly the pinned sequence, and the
+     first pong from a fresh replacement resets the delay to base. *)
+  let base = 0.01 and max_s = 0.04 in
+  Alcotest.(check (float 1e-12)) "starts at base" base
+    (backoff_s ~max_s (engine ~base ~max_s));
+  let t, slept = death_cycles ~base ~max_s 3 in
+  Alcotest.(check (list (float 1e-9)))
+    "deaths slept exactly the pinned sequence"
+    [ 0.01; 0.02; 0.04 ] slept;
+  (* Escalated and clamped... *)
+  Alcotest.(check (float 1e-12)) "escalated to max" max_s (backoff_s ~max_s t);
+  (* ...until the replacement proves itself with one pong. *)
+  let t, acts = Dispatch.step t (Dispatch.Frame (0, Protocol.Pong, Bytes.empty)) in
+  check_bool "pong accepted" true (acts = []);
+  Alcotest.(check (float 1e-12)) "first fresh pong resets to base" base
+    (backoff_s ~max_s t)
 
 (* ------------------------------------------------------------------ *)
 (* The chaos soak: concurrent clients, a killer SIGKILLing a random

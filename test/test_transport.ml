@@ -278,6 +278,26 @@ let test_external_kill_recovered () =
   check_int "one crash survived" 1 report.Cluster.crashed_nodes;
   check_bool "at least one retry" true (report.Cluster.retries >= 1)
 
+(* Without any fault plan, a SIGKILLed child is still recovered: its EOF
+   is the engine's one death rule, which re-issues the slice on a
+   survivor. *)
+let test_clean_kill_recovered () =
+  let topo = { Cluster.nodes = 3; cores_per_node = 1;
+               backend = Cluster.Process } in
+  let result, report =
+    Cluster.run_topology topo
+      ~scatter:(fun node -> [ Payload.Ints [| node + 1 |] ])
+      ~work:(fun ~node ~pool:_ payload ->
+        if node = 1 && Cluster.on_node () = Some 1 then
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+        match payload with [ Payload.Ints a ] -> a.(0) * 10 | _ -> -1)
+      ~result_codec:Codec.int
+      ~merge:( + ) ~init:0
+  in
+  check_int "all three slices" 60 result;
+  check_int "one death survived" 1 report.Cluster.crashed_nodes;
+  check_int "one re-issue" 1 report.Cluster.retries
+
 (* Link noise (drops, duplicates, corruption, delays) injected over the
    socket transport: corrupt frames are rejected by the checksummed
    envelope, everything is recovered, and the merged result is exact. *)
@@ -300,7 +320,7 @@ let test_noisy_faults_recovered () =
   check_bool "faults fired" true (report.Cluster.faults_injected > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Backend naming and legacy-config immunity.                           *)
+(* Backend naming.                                                      *)
 
 let test_backend_strings () =
   List.iter
@@ -312,25 +332,6 @@ let test_backend_strings () =
     [ Cluster.Inprocess; Cluster.Flat; Cluster.Process ];
   check_bool "unknown rejected" true
     (Cluster.backend_of_string "carrier-pigeon" = None)
-
-(* Legacy [Cluster.run]/[config] entry points must stay deterministic:
-   they never select the process backend, whatever the environment
-   says. *)
-let test_legacy_config_never_process () =
-  Unix.putenv "TRIOLET_BACKEND" "process";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TRIOLET_BACKEND" "")
-    (fun () ->
-      let topo =
-        Cluster.topology_of_config
-          { Cluster.nodes = 2; cores_per_node = 2; flat = false }
-      in
-      check_bool "inprocess" true (topo.Cluster.backend = Cluster.Inprocess);
-      let topo_flat =
-        Cluster.topology_of_config
-          { Cluster.nodes = 2; cores_per_node = 2; flat = true }
-      in
-      check_bool "flat" true (topo_flat.Cluster.backend = Cluster.Flat))
 
 (* ------------------------------------------------------------------ *)
 (* Conformance: both transports behind the same module interface.
@@ -503,14 +504,14 @@ let () =
         [
           Alcotest.test_case "external kill recovered" `Quick
             test_external_kill_recovered;
+          Alcotest.test_case "kill without a fault plan recovered" `Quick
+            test_clean_kill_recovered;
           Alcotest.test_case "noisy links recovered" `Quick
             test_noisy_faults_recovered;
         ] );
       ( "backend-api",
         [
           Alcotest.test_case "backend strings" `Quick test_backend_strings;
-          Alcotest.test_case "legacy config never process" `Quick
-            test_legacy_config_never_process;
         ] );
       ("conformance-mailbox", Mailbox_conf.tests);
       ("conformance-socket", Socket_conf.tests);
