@@ -597,6 +597,7 @@ let analyze_cmd =
         [
           Triolet_sim.Dispatch_model.check_supervision ();
           Triolet_sim.Dispatch_model.check_residency ();
+          Triolet_sim.Dispatch_model.check_failure ();
         ]
       else []
     in

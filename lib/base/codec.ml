@@ -169,6 +169,10 @@ exception Checksum_mismatch of { expected : int32; got : int32 }
 (** Raised when a {!checksummed} envelope's CRC disagrees with its
     payload — the bytes were damaged in transit. *)
 
+(* The header {!checksummed} writes before the payload: the payload
+   length (8 bytes), then its CRC-32 (4 bytes). *)
+let checksum_header = 12
+
 (** Wrap a codec in an integrity envelope: an 8-byte payload length and
     a CRC-32 over the encoded payload precede the value.  The decoder
     verifies the checksum *before* handing bytes to the inner decoder
@@ -201,8 +205,16 @@ let checksummed inner =
         let used = Rw.reader_pos r - start in
         if used <> len then raise (Trailing_bytes (len - used));
         v);
-    size = (fun v -> 12 + inner.size v);
+    size = (fun v -> checksum_header + inner.size v);
   }
+
+let checksummed_intact b =
+  Bytes.length b >= checksum_header
+  &&
+  let r = Rw.reader_of_bytes b in
+  let len = Rw.read_int r in
+  let expected = Rw.read_u32 r in
+  len = Rw.remaining r && Rw.crc32_next r len = expected
 
 let versioned ~version inner =
   if version < 0 || version > 0xFF then invalid_arg "Codec.versioned";

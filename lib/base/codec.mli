@@ -74,6 +74,15 @@ val checksummed : 'a t -> 'a t
     [Rw.Underflow] for damaged framing) instead of decoding garbage;
     the fault-tolerant cluster path wraps every message in this. *)
 
+val checksum_header : int
+(** Bytes a {!checksummed} encoding carries before its payload. *)
+
+val checksummed_intact : Bytes.t -> bool
+(** Whether a whole buffer is a {!checksummed} encoding whose length
+    field and CRC-32 agree with its payload (which starts at
+    {!checksum_header}).  Lets a caller check a frame once and then read
+    its payload directly, without a second CRC pass. *)
+
 exception Version_mismatch of { expected : int; got : int }
 
 val versioned : version:int -> 'a t -> 'a t

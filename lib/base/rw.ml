@@ -119,7 +119,9 @@ let contents w = Bytes.sub w.buf 0 w.len
    common case hands the backing buffer over without the final copy. *)
 let detach w = if w.len = Bytes.length w.buf then w.buf else contents w
 
-let reader_of_bytes b = { data = b; pos = 0; limit = Bytes.length b }
+let reader_of_bytes ?(pos = 0) b =
+  if pos < 0 || pos > Bytes.length b then invalid_arg "Rw.reader_of_bytes";
+  { data = b; pos; limit = Bytes.length b }
 
 (* Zero copy: the reader aliases the writer's backing buffer, bounded by
    the bytes written so far.  Writes to [w] after this call may be

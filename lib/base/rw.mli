@@ -53,7 +53,8 @@ val detach : writer -> Bytes.t
     e.g. those preallocated from [Codec.size]).  The writer must not be
     written to afterwards. *)
 
-val reader_of_bytes : Bytes.t -> reader
+val reader_of_bytes : ?pos:int -> Bytes.t -> reader
+(** A reader over [b], starting at [pos] (default 0). *)
 
 val reader_of_writer : writer -> reader
 (** Zero-copy reader over the writer's backing buffer, bounded by the

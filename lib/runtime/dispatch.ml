@@ -36,28 +36,25 @@ module Envelope = struct
   let encode ~crc c ~slice ~seq v = Codec.to_bytes (codec ~crc c) (slice, seq, v)
   let decode ~crc c b = Codec.of_bytes (codec ~crc c) b
 
-  (* Offset of the tag: past the checksum header when there is one. *)
-  let offset ~crc = if crc then 12 else 0
+  (* A reader at the tag: past the checksum header when there is one. *)
+  let at_tag ~crc b = Rw.reader_of_bytes ~pos:(if crc then Codec.checksum_header else 0) b
 
   let tag ~crc b =
-    let off = offset ~crc and n = Bytes.length b in
-    let intact () =
-      Int64.to_int (Bytes.get_int64_le b 0) = n - 12
-      && Bytes.get_int32_le b 8 = Rw.crc32 b 12 (n - 12)
-    in
-    if n < off + 16 || (crc && not (intact ())) then None
+    if crc && not (Codec.checksummed_intact b) then None
     else
-      Some
-        ( Int64.to_int (Bytes.get_int64_le b off),
-          Int64.to_int (Bytes.get_int64_le b (off + 8)) )
+      let r = at_tag ~crc b in
+      if Rw.remaining r < 16 then None
+      else
+        let slice = Rw.read_int r in
+        let seq = Rw.read_int r in
+        Some (slice, seq)
 
   (* The body of a frame whose tag (and checksum) {!tag} already
      accepted: decoded without checking the checksum a second time. *)
   let body ~crc c b =
-    let r = Rw.reader_of_bytes b in
-    for _ = 1 to (offset ~crc / 4) + 4 do
-      ignore (Rw.read_u32 r)
-    done;
+    let r = at_tag ~crc b in
+    ignore (Rw.read_int r);
+    ignore (Rw.read_int r);
     let v = c.Codec.decode r in
     (match Rw.remaining r with 0 -> () | n -> raise (Codec.Trailing_bytes n));
     v
@@ -244,7 +241,10 @@ let active t = t.job <> None
 let live n = n.proto = "live"
 let set l i v = List.mapi (fun j x -> if j = i then v else x) l
 
-exception Fail of failure
+(* A job failure, carrying the state reached so far: whatever the step
+   did before failing (deaths, respawns, seqs spent) stands, because the
+   actions it emitted are performed. *)
+exception Fail of t * failure
 
 (* One step's accumulating action list (local to [step]). *)
 type out = { mutable acts : action list }
@@ -288,10 +288,10 @@ let with_slice job s v = { job with slices = set job.slices s v }
    it needs (a put where belief and truth disagree, a key-only reuse
    otherwise), then the task. *)
 let issue o t job s attempts =
-  if attempts >= t.cfg.policy.max_attempts then raise (Fail (Exhausted { slice = s; attempts }));
+  if attempts >= t.cfg.policy.max_attempts then raise (Fail (t, Exhausted { slice = s; attempts }));
   match target t job s with
   | None ->
-      if not (hopeful t job s) then raise (Fail (Exhausted { slice = s; attempts }));
+      if not (hopeful t job s) then raise (Fail (t, Exhausted { slice = s; attempts }));
       (t, with_slice job s (Waiting attempts))
   | Some i ->
       let seq = t.next_seq in
@@ -362,8 +362,8 @@ let on_frame o t i kind bytes =
           | None -> emit o (Note Corrupt); t
           | Some ((s, _) as tag) -> (
               match (current tag, Envelope.body ~crc Envelope.err bytes) with
-              | Some (_, (Waiting _ | Sent _)), None -> raise (Fail Expired)
-              | Some (_, (Waiting _ | Sent _)), Some msg -> raise (Fail (Raised { slice = s; msg }))
+              | Some (_, (Waiting _ | Sent _)), None -> raise (Fail (t, Expired))
+              | Some (_, (Waiting _ | Sent _)), Some msg -> raise (Fail (t, Raised { slice = s; msg }))
               | (Some (_, Done) | None), _ -> t
               | exception _ -> emit o (Note Corrupt); t))
       | Nack -> (
@@ -442,7 +442,7 @@ let on_tick o t now =
   match t.job with
   | None -> t
   | Some job ->
-      if job.deadline > 0 && t.now > job.deadline then raise (Fail Expired);
+      if job.deadline > 0 && t.now > job.deadline then raise (Fail (t, Expired));
       let t, job =
         reissue o t job (function
           | Waiting a -> Some a
@@ -458,7 +458,7 @@ let step t ev =
       match ev with
       | Submit { plans; deadline; pinned } ->
           if t.job <> None then invalid_arg "Dispatch.step: a job is already running";
-          if deadline > 0 && t.now > deadline then raise (Fail Expired);
+          if deadline > 0 && t.now > deadline then raise (Fail (t, Expired));
           let job =
             { base = t.next_seq; deadline; pinned; plans; slices = List.map (fun _ -> Waiting 0) plans }
           in
@@ -476,7 +476,7 @@ let step t ev =
               t.nodes
           in
           { t with nodes }
-    with Fail f ->
+    with Fail (t, f) ->
       emit o (Job_failed f);
       { t with job = None }
   in

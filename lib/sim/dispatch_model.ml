@@ -4,8 +4,10 @@
     state and the real {!Dispatch.Child} segment tables; every parent
     decision is a call to {!Dispatch.step} and every node decision a
     call to {!Dispatch.Child.handle}.  The harness adds only the world
-    around them: FIFO channels per node, process kills, lost pongs or
-    segment puts, and a clock that jumps to the engine's timers.
+    around them: FIFO channels per node, process kills (each one EOF),
+    lost pongs or segment puts, and a clock that jumps to the engine's
+    timers.  Every task seq the engine ever sends must be fresh, so a
+    late reply can only ever match the attempt it answers.
 
     Seeded bugs are harness wrappers around [step] or the handler, so
     the engine itself carries no test flags. *)
@@ -24,6 +26,9 @@ type bug =
   | Skip_version_check
       (** the node accepts any key a task or reuse names, whatever
           version its table holds *)
+  | Forget_failed_step
+      (** a step that fails the job keeps only the state from before
+          it, though the actions it emitted were performed *)
 
 type frame = Protocol.kind * Bytes.t
 
@@ -31,9 +36,12 @@ type state = {
   engine : D.t;
   tables : D.Child.table list;
   alive : bool list;  (** the node's process exists *)
+  eofs : bool list;  (** a dead process whose one EOF is still to come *)
   down : frame list list;  (** parent -> node, FIFO per node *)
   up : frame list list;  (** node -> parent; survives a kill *)
   completions : int list;  (** per slice of the current job *)
+  failed : bool;  (** the current job failed (only where failure may happen) *)
+  last_seq : int;  (** the highest task seq sent so far *)
   truth : int list;  (** current version of each segment *)
   rounds : int;  (** jobs still to submit *)
   updates : int;
@@ -73,6 +81,11 @@ let step bug (t : D.t) ev =
       | Some (s, _), Some job when s >= 0 && s < List.length job.slices ->
           D.step { t with job = Some { job with slices = set job.slices s (D.Waiting 0) } } ev
       | _ -> D.step t ev)
+  | Some Forget_failed_step, _ -> (
+      let t', acts = D.step t ev in
+      match List.exists (function D.Job_failed _ -> true | _ -> false) acts with
+      | true -> ({ t with job = None }, acts)
+      | false -> (t', acts))
   | Some Stale_reuse, D.Submit ({ plans; _ } as sub) ->
       let stale n (d, seg, v) =
         match List.find_opt (fun (d', s', _) -> d' = d && s' = seg) n.D.believed with
@@ -121,17 +134,30 @@ let encode st = function
 
 let fail st msg = { st with bad = (match st.bad with None -> Some msg | b -> b) }
 
-let apply st act =
+(* A process dies once: it stops, its queue is gone, one EOF follows. *)
+let kill st n =
+  if List.nth st.alive n then
+    { st with alive = set st.alive n false; eofs = set st.eofs n true; down = set st.down n [] }
+  else st
+
+let apply ~may_fail st act =
   match act with
   | D.Send (n, m) ->
+      let st =
+        match m with
+        | D.Task { seq; _ } when seq <= st.last_seq -> fail st (Printf.sprintf "task seq %d reused" seq)
+        | D.Task { seq; _ } -> { st with last_seq = seq }
+        | _ -> st
+      in
       if List.nth st.alive n then
         { st with down = set st.down n (List.nth st.down n @ [ (D.kind_of_msg m, encode st m) ]) }
       else st
-  | D.Kill n -> { st with alive = set st.alive n false; down = set st.down n [] }
+  | D.Kill n -> kill st n
   | D.Respawn n ->
       {
         st with
         alive = set st.alive n true;
+        eofs = set st.eofs n false;
         tables = set st.tables n D.Child.empty;
         down = set st.down n [];
         up = set st.up n [];
@@ -142,17 +168,18 @@ let apply st act =
       if st.truth <> [] && Envelope.body ~crc Payload.codec bytes <> expect then
         fail st (Printf.sprintf "slice %d computed against stale segments" s)
       else st
-  | D.Job_failed _ -> fail st "job failed"
+  | D.Job_failed _ -> if may_fail then { st with failed = true } else fail st "job failed"
   | D.Note (D.Off_spec msg) -> fail st ("off-spec: " ^ msg)
   | D.Note _ -> st
 
-let feed bug st ev =
+let feed ~may_fail bug st ev =
   let engine, acts = step bug st.engine ev in
-  List.fold_left apply { st with engine } acts
+  List.fold_left (apply ~may_fail) { st with engine } acts
 
 (* --- the model --------------------------------------------------------- *)
 
-let transitions bug st =
+let transitions ~may_fail bug st =
+  let feed = feed ~may_fail in
   if st.bad <> None then []
   else
     let nodes = List.length st.alive in
@@ -163,7 +190,7 @@ let transitions bug st =
         [
           ( "submit",
             feed bug
-              { st with rounds = st.rounds - 1; completions = List.map (fun _ -> 0) plans }
+              { st with rounds = st.rounds - 1; completions = List.map (fun _ -> 0) plans; failed = false }
               (D.Submit { plans; deadline = 0; pinned = st.truth <> [] }) );
         ]
       else []
@@ -209,13 +236,13 @@ let transitions bug st =
       in
       let kill =
         if alive && st.kills > 0 then
-          [ (Printf.sprintf "kill n%d" n, { st with kills = st.kills - 1; alive = set st.alive n false; down = set st.down n [] }) ]
+          [ (Printf.sprintf "kill n%d" n, kill { st with kills = st.kills - 1 } n) ]
         else []
       in
       (* EOF strictly after the replies the socket still buffers. *)
       let eof =
-        if (not alive) && up = [] && (List.nth st.engine.nodes n).proto = "live" then
-          [ (Printf.sprintf "n%d eof" n, feed bug st (D.Eof n)) ]
+        if List.nth st.eofs n && up = [] then
+          [ (Printf.sprintf "n%d eof" n, feed bug { st with eofs = set st.eofs n false } (D.Eof n)) ]
         else []
       in
       handle_ @ lose_put @ deliver @ lose_pong @ kill @ eof
@@ -251,7 +278,7 @@ let invariant st =
       if List.exists (fun c -> c > 1) st.completions then Some "slice completed twice" else None
 
 let terminal_ok st =
-  if st.engine.job <> None || List.exists (fun c -> c <> 1) st.completions then
+  if st.engine.job <> None || ((not st.failed) && List.exists (fun c -> c <> 1) st.completions) then
     Some "slice lost: never completed"
   else if st.rounds > 0 then Some "rounds never submitted"
   else if
@@ -259,16 +286,20 @@ let terminal_ok st =
   then Some "node never returned to live"
   else None
 
-let check ~name ?bug ~(engine : D.config) ~slices ~truth ~rounds ~updates ~kills ~losses ~put_losses ~ticks () =
+let check ~name ?bug ?(may_fail = false) ~(engine : D.config) ~slices ~truth ~rounds ~updates ~kills ~losses
+    ~put_losses ~ticks () =
   let nodes = engine.D.nodes in
   let init =
     {
       engine = D.create engine ~now:0;
       tables = List.init nodes (fun _ -> D.Child.empty);
       alive = List.init nodes (fun _ -> true);
+      eofs = List.init nodes (fun _ -> false);
       down = List.init nodes (fun _ -> []);
       up = List.init nodes (fun _ -> []);
       completions = List.init slices (fun _ -> 1);
+      failed = false;
+      last_seq = -1;
       truth;
       rounds;
       updates;
@@ -285,7 +316,7 @@ let check ~name ?bug ~(engine : D.config) ~slices ~truth ~rounds ~updates ~kills
 
       let name = name
       let scenarios = [ init ]
-      let transitions = transitions bug
+      let transitions = transitions ~may_fail bug
       let invariant = invariant
       let terminal_ok = terminal_ok
     end : Modelcheck.MODEL
@@ -319,3 +350,18 @@ let check_residency ?bug () =
           Some { hb_interval = 1_000_000; miss_threshold = 4; backoff_base = 5; backoff_max = 20 };
       }
     ~slices:1 ~truth:[ 1; 1 ] ~rounds:2 ~updates:2 ~kills:1 ~losses:0 ~put_losses:1 ~ticks:0 ()
+
+(** Failure: as {!check_supervision} but with two attempts per slice and
+    two rounds, so a kill, a missed ping or an early timeout can fail
+    the first job.  A failed job must still leave every dead node respawned
+    and every seq it spent unused by the next job. *)
+let check_failure ?bug () =
+  check ~name:"failure" ?bug ~may_fail:true
+    ~engine:
+      {
+        D.nodes = 2;
+        crc;
+        policy = { max_attempts = 2; timeout = Some (40, 80) };
+        supervision = Some { hb_interval = 10; miss_threshold = 1; backoff_base = 5; backoff_max = 20 };
+      }
+    ~slices:2 ~truth:[] ~rounds:2 ~updates:0 ~kills:1 ~losses:0 ~put_losses:0 ~ticks:2 ()

@@ -210,6 +210,67 @@ let test_tracker_counts_violations () =
   Protocol.set_debug was_debug;
   Protocol.reset_violations ()
 
+(* --- the dispatch engine: a failed job keeps what its step did ----- *)
+
+module D = Triolet_runtime.Dispatch
+
+let engine ?timeout ?(supervised = true) ~nodes ~max_attempts () =
+  D.create ~now:0
+    {
+      D.nodes;
+      crc = true;
+      policy = { max_attempts; timeout };
+      supervision =
+        (if supervised then
+           Some { hb_interval = 1_000_000; miss_threshold = 4; backoff_base = 5; backoff_max = 20 }
+         else None);
+    }
+
+let submit t n = D.step t (D.Submit { plans = List.init n (fun _ -> []); deadline = 0; pinned = false })
+let failed acts = List.exists (function D.Job_failed _ -> true | _ -> false) acts
+let task_seqs acts = List.filter_map (function D.Send (_, D.Task { seq; _ }) -> Some seq | _ -> None) acts
+
+(* The EOF that exhausts a slice is still a death: the node backs off
+   and is respawned, rather than staying "live" with no EOF to come. *)
+let test_failed_eof_keeps_death () =
+  let t, _ = submit (engine ~nodes:1 ~max_attempts:1 ()) 1 in
+  let t, acts = D.step t (D.Eof 0) in
+  check_bool "job failed" true (failed acts && t.D.job = None);
+  let n = List.hd t.D.nodes in
+  Alcotest.(check string) "node backs off" "backoff" n.D.proto;
+  match n.D.respawn_at with
+  | None -> Alcotest.fail "no respawn scheduled"
+  | Some at ->
+      let _, acts = D.step t (D.Tick at) in
+      check_bool "respawned" true (List.mem (D.Respawn 0) acts)
+
+(* Slice 0 is re-issued and slice 1 exhausts in the same tick: the seq
+   spent on slice 0 stays spent, so a late reply to it can never pass
+   for a slice of the next job. *)
+let test_failed_tick_keeps_seqs () =
+  let t, sent = submit (engine ~supervised:false ~timeout:(10, 10) ~nodes:2 ~max_attempts:2 ()) 2 in
+  let nack = D.Envelope.(encode ~crc:true key ~slice:1 ~seq:1 (0, 0, 0)) in
+  let t, renack = D.step t (D.Frame (1, Protocol.Nack, nack)) in
+  let t, acts = D.step t (D.Tick 10) in
+  check_bool "job failed" true (failed acts);
+  check_bool "slice 0 re-issued first" true (task_seqs acts <> []);
+  List.iter
+    (fun seq -> check_bool (Printf.sprintf "seq %d spent" seq) true (seq < t.D.next_seq))
+    (task_seqs (sent @ renack @ acts));
+  let _, acts = submit t 2 in
+  check_bool "next job's seqs are fresh" true (List.for_all (fun s -> s >= 4) (task_seqs acts))
+
+(* A respawn performed in the tick that fails the job is not repeated. *)
+let test_failed_tick_keeps_respawn () =
+  let t, _ = submit (engine ~timeout:(10, 10) ~nodes:2 ~max_attempts:1 ()) 1 in
+  let t, _ = D.step t (D.Eof 1) in
+  let t, acts = D.step t (D.Tick 10) in
+  check_bool "respawned and failed" true (List.mem (D.Respawn 1) acts && failed acts);
+  let n = List.nth t.D.nodes 1 in
+  check_bool "respawn consumed" true (n.D.respawn_at = None && n.D.proto = "live");
+  let _, acts = D.step t (D.Tick 20) in
+  check_bool "no second respawn" false (List.mem (D.Respawn 1) acts)
+
 (* --- the dispatch engine, model-checked ---------------------------- *)
 
 let test_heartbeat_clean () =
@@ -237,6 +298,19 @@ let test_heartbeat_catches_stale_reply () =
          silently regress. *)
       check_bool "minimal witness" true (List.length v.Modelcheck.trace <= 8)
 
+(* Failure is explored, not forbidden: the clean engine passes, and a
+   step that drops its own state changes when it fails the job is caught
+   reusing a seq within five steps (submit, kill, EOF, timeout, submit). *)
+let test_failure_clean () =
+  let r = DM.check_failure () in
+  check_bool "no violation" true (r.Modelcheck.violation = None);
+  check_bool "explored seriously" true (r.Modelcheck.states > 1000)
+
+let test_failure_catches_forgotten_step () =
+  match (DM.check_failure ~bug:DM.Forget_failed_step ()).Modelcheck.violation with
+  | None -> Alcotest.fail "forgotten failed step not caught"
+  | Some v -> check_bool "minimal witness" true (List.length v.Modelcheck.trace <= 5)
+
 let () =
   Alcotest.run "protocol"
     [
@@ -262,6 +336,14 @@ let () =
             test_tracker_follows_spec;
           Alcotest.test_case "tracker counts violations" `Quick
             test_tracker_counts_violations;
+        ] );
+      ( "engine failure",
+        [
+          Alcotest.test_case "exhausting EOF still a death" `Quick test_failed_eof_keeps_death;
+          Alcotest.test_case "failed tick keeps spent seqs" `Quick test_failed_tick_keeps_seqs;
+          Alcotest.test_case "failed tick keeps its respawn" `Quick test_failed_tick_keeps_respawn;
+          Alcotest.test_case "failure model passes" `Slow test_failure_clean;
+          Alcotest.test_case "forgotten failed step caught" `Quick test_failure_catches_forgotten_step;
         ] );
       ( "heartbeat model",
         [
