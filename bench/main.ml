@@ -183,7 +183,7 @@ let bench_cutcp_direction =
              Kern.Cutcp.run_triolet ~hint:Iter.sequential box));
       Test.make ~name:"gather-3d"
         (Staged.stage (fun () ->
-             Kern.Cutcp.run_gather ~hint:Iter3.sequential box));
+             Kern.Cutcp.run_gather ~hint:Iter.sequential box));
       Test.make ~name:"scatter-c" (Staged.stage (fun () -> Kern.Cutcp.run_c box));
     ]
 

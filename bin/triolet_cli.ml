@@ -541,10 +541,7 @@ let analyze_cmd =
         (fun (module K : Kern.S) ->
           let inst = K.instance ~size:"tiny" () in
           List.map
-            (fun (pname, pipe) ->
-              match pipe with
-              | Kern.Pipe_1d it -> Plan.of_iter ~name:pname it
-              | Kern.Pipe_2d it -> Plan.of_iter2 ~name:pname it)
+            (fun (pname, Kern.Pipe it) -> Plan.of_iter ~name:pname it)
             (inst.Kern.pipelines ()))
         (Kern.all ())
     in

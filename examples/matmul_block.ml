@@ -25,9 +25,9 @@ let () =
   Stats.reset ();
   let ab, delta =
     Stats.measure (fun () ->
-        let zipped_ab = Iter2.outer_product (Iter2.rows a) (Iter2.rows bt) in
-        Iter2.build
-          (Iter2.par (Iter2.map (fun (u, v) -> Matrix.view_dot u v) zipped_ab)))
+        let zipped_ab = Iter.outer_product (Iter.rows a) (Iter.rows bt) in
+        Iter.to_matrix
+          (Iter.par (Iter.map (fun (u, v) -> Matrix.view_dot u v) zipped_ab)))
   in
 
   (* Verify against the straightforward triple loop. *)

@@ -39,12 +39,13 @@ let coverage (p : Plan.t) : finding list =
     }
   in
   match (p.Plan.partition, p.Plan.space) with
-  | Plan.Static_blocks blocks, Plan.Space_1d n ->
+  | ( Plan.Static_blocks blocks,
+      (Plan.Space_1d n | Plan.Space_3d { depth = n; _ }) ) ->
       List.map mk (Coverage.check_blocks ~n blocks)
   | Plan.Static_grid { blocks; _ }, Plan.Space_2d { rows; cols } ->
       List.map mk (Coverage.check_grid ~rows ~cols blocks)
   | Plan.Static_blocks _, Plan.Space_2d _
-  | Plan.Static_grid _, Plan.Space_1d _ ->
+  | Plan.Static_grid _, (Plan.Space_1d _ | Plan.Space_3d _) ->
       [
         {
           pass = "coverage";
@@ -83,13 +84,17 @@ let fusion (p : Plan.t) : finding list =
       | Triolet.Seq_iter.Shape_step_flat | Triolet.Seq_iter.Shape_step_nest _
         ->
           []
-      | Triolet.Seq_iter.Shape_idx_nest _ ->
+      (* a multi-dimensional domain nests one level per axis by design *)
+      | Triolet.Seq_iter.Shape_idx_nest _
+        when (match p.Plan.space with Plan.Space_1d _ -> true | _ -> false) ->
           mk Info
             (Printf.sprintf
                "nested shape %s: inner irregularity isolated, outer loop \
                 stays partitionable"
                rendered)
-      | Triolet.Seq_iter.Shape_idx_flat _ -> [])
+      | Triolet.Seq_iter.Shape_idx_nest _ | Triolet.Seq_iter.Shape_idx_flat _
+        ->
+          [])
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: distributed tasks must be able to extract their

@@ -1,6 +1,6 @@
 (** Reified execution plans.
 
-    [of_iter]/[of_iter2] interrogate an iterator pipeline *without
+    [of_iter] interrogates an iterator pipeline *without
     running a consumer* and produce a [t]: the loop-nest shape the tasks
     will execute, the partition strategy the skeleton dispatch would
     choose under the ambient {!Triolet.Exec} cluster geometry, the
@@ -10,7 +10,10 @@
 
 open Triolet
 
-type space = Space_1d of int | Space_2d of { rows : int; cols : int }
+type space =
+  | Space_1d of int
+  | Space_2d of { rows : int; cols : int }
+  | Space_3d of { depth : int; height : int; width : int }
 
 type slice =
   | Slice_1d of { off : int; len : int }
@@ -45,7 +48,8 @@ type partition =
           ambient context's [grain] rather than
           {!Triolet_runtime.Partition.grain} *)
   | Static_blocks of (int * int) array
-      (** pre-cut 1-D (offset, length) node blocks *)
+      (** pre-cut 1-D (offset, length) node blocks, or the plane ranges
+          of a 3-D space's z-slabs *)
   | Static_grid of {
       row_parts : int;
       col_parts : int;
@@ -57,8 +61,8 @@ type t = {
   hint : Iter.hint;
   space : space;
   shape : Seq_iter.shape option;
-      (** loop-nest shape of a probe slice; [None] for 2-D pipelines
-          (always [IdxFlat] over a [Dim2] domain) or an empty space *)
+      (** loop-nest shape of a probe band of the outer axis; [None] for
+          an empty space *)
   partition : partition;
   workers : int;  (** worker count the partition targets *)
   tasks : task list;
@@ -72,6 +76,7 @@ let hint_to_string = function
 let space_size = function
   | Space_1d n -> n
   | Space_2d { rows; cols } -> rows * cols
+  | Space_3d { depth; height; width } -> depth * height * width
 
 let buf_summary_of = function
   | Triolet_base.Payload.Floats a -> Floats_buf (Float.Array.length a)
@@ -113,99 +118,77 @@ let effective_grain ~workers n =
   | Some g -> (g, true)
   | None -> (Triolet_runtime.Partition.grain ~workers n, false)
 
-(** Reify a 1-D pipeline.  Mirrors the dispatch in [Iter]'s consumers:
-    sequential → one in-place task; local → lazy-splitting dynamic
-    ranges; distributed → [Partition.blocks] over the skeleton's worker
-    count, one payload per block. *)
-let of_iter ~name (it : 'a Iter.t) : t =
-  let len = Iter.length it in
+let space_of : type i. i Shape.t -> space = function
+  | Shape.Seq n -> Space_1d n
+  | Shape.Dim2 (rows, cols) -> Space_2d { rows; cols }
+  | Shape.Dim3 (d, h, w) -> Space_3d { depth = d; height = h; width = w }
+
+(* Z-slabs of a [Dim3] are 1-D ranges of planes. *)
+let slice_of : type i. i Shape.block -> slice =
+ fun (o, ext) ->
+  match (ext, o) with
+  | Shape.Seq len, off -> Slice_1d { off; len }
+  | Shape.Dim2 (nr, nc), (r0, c0) -> Slice_2d { r0; nr; c0; nc }
+  | Shape.Dim3 (len, _, _), (off, _, _) -> Slice_1d { off; len }
+
+let partition_of : type i. i Shape.t -> i Shape.block array -> partition =
+ fun shape blocks ->
+  match shape with
+  | Shape.Seq _ ->
+      Static_blocks (Array.map (fun (off, Shape.Seq n) -> (off, n)) blocks)
+  | Shape.Dim2 _ ->
+      let row_parts, col_parts = Shape.grid_parts blocks in
+      Static_grid
+        {
+          row_parts;
+          col_parts;
+          blocks =
+            Array.map
+              (fun ((r0, c0), Shape.Dim2 (nr, nc)) -> (r0, nr, c0, nc))
+              blocks;
+        }
+  | Shape.Dim3 _ ->
+      Static_blocks
+        (Array.map (fun ((z0, _, _), Shape.Dim3 (n, _, _)) -> (z0, n)) blocks)
+
+(** Reify a pipeline over any domain.  Mirrors the dispatch in [Iter]'s
+    consumers: sequential → one in-place task; local → lazy-splitting
+    dynamic ranges over the outer axis; distributed → {!Shape.blocks}
+    over the skeleton's worker count, one probed payload per block. *)
+let of_iter ~name (it : ('i, 'a) Iter.iter) : t =
+  let domain = Iter.shape it in
+  let outer = Shape.outer domain in
   let shape =
-    if len = 0 then None
-    else Some (Seq_iter.shape_of (it.Iter.local 0 (min len 4)))
+    if Iter.length it = 0 then None
+    else
+      let probe = Shape.band domain 0 (min outer 4) in
+      Some (Seq_iter.shape_of (it.Iter.local probe))
   in
   let hint = Iter.hint it in
-  let partition, workers, tasks =
-    match hint with
-    | Iter.Sequential ->
-        ( Whole,
-          1,
-          [
-            { slice = Slice_1d { off = 0; len }; payload = None;
-              aliased = false };
-          ] )
-    | Iter.Local ->
-        let workers = local_workers () in
-        let grain, overridden = effective_grain ~workers len in
-        ( Dynamic_ranges { grain; overridden },
-          workers,
-          [
-            { slice = Slice_1d { off = 0; len }; payload = None;
-              aliased = false };
-          ] )
-    | Iter.Distributed ->
-        let workers = distributed_workers () in
-        let blocks = Triolet_runtime.Partition.blocks ~parts:workers len in
-        let tasks =
-          Array.to_list blocks
-          |> List.map (fun (off, n) ->
-                 let payload, aliased =
-                   probe_payload (fun () -> it.Iter.payload_of off n)
-                 in
-                 { slice = Slice_1d { off; len = n }; payload; aliased })
-        in
-        (Static_blocks blocks, workers, tasks)
-  in
-  { name; hint; space = Space_1d len; shape; partition; workers; tasks }
-
-(** Reify a 2-D pipeline.  Mirrors [Iter2.build]/[Iter2.sum]:
-    sequential → whole; local → dynamic row bands; distributed → a
-    near-square [Partition.grid] of node blocks sliced with
-    [Iter2.payload_slice]. *)
-let of_iter2 ~name (it : 'a Iter2.t) : t =
-  let rows = Iter2.row_count it and cols = Iter2.col_count it in
-  let hint = Iter2.hint it in
   let whole =
-    {
-      slice = Slice_2d { r0 = 0; nr = rows; c0 = 0; nc = cols };
-      payload = None;
-      aliased = false;
-    }
+    { slice = slice_of (Shape.whole domain); payload = None; aliased = false }
   in
   let partition, workers, tasks =
     match hint with
     | Iter.Sequential -> (Whole, 1, [ whole ])
     | Iter.Local ->
         let workers = local_workers () in
-        let grain, overridden = effective_grain ~workers rows in
+        let grain, overridden = effective_grain ~workers outer in
         (Dynamic_ranges { grain; overridden }, workers, [ whole ])
     | Iter.Distributed ->
         let workers = distributed_workers () in
-        let nodes = (Exec.current ()).Exec.nodes in
-        let rp, cp = Triolet_runtime.Partition.square_factors nodes in
-        let blocks =
-          Triolet_runtime.Partition.grid ~row_parts:rp ~col_parts:cp ~rows
-            ~cols
-        in
+        let blocks = Shape.blocks ~parts:workers domain in
         let tasks =
           Array.to_list blocks
-          |> List.map (fun (r0, nr, c0, nc) ->
+          |> List.map (fun blk ->
                  let payload, aliased =
-                   probe_payload (fun () ->
-                       Iter2.payload_slice it ~r0 ~nr ~c0 ~nc)
+                   probe_payload (fun () -> it.Iter.payload_of blk)
                  in
-                 { slice = Slice_2d { r0; nr; c0; nc }; payload; aliased })
+                 { slice = slice_of blk; payload; aliased })
         in
-        (Static_grid { row_parts = rp; col_parts = cp; blocks }, workers, tasks)
+        (partition_of domain blocks, workers, tasks)
   in
-  {
-    name;
-    hint;
-    space = Space_2d { rows; cols };
-    shape = None;
-    partition;
-    workers;
-    tasks;
-  }
+  { name; hint; space = space_of domain; shape; partition; workers; tasks }
 
 let payload_bytes t =
   List.fold_left
@@ -229,6 +212,8 @@ let to_string t =
     match t.space with
     | Space_1d n -> Printf.sprintf "[0, %d)" n
     | Space_2d { rows; cols } -> Printf.sprintf "%d x %d" rows cols
+    | Space_3d { depth; height; width } ->
+        Printf.sprintf "%d x %d x %d" depth height width
   in
   Buffer.add_string b
     (Printf.sprintf "plan %-10s %-11s space %-12s" t.name

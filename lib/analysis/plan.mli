@@ -8,7 +8,10 @@
 
 open Triolet
 
-type space = Space_1d of int | Space_2d of { rows : int; cols : int }
+type space =
+  | Space_1d of int
+  | Space_2d of { rows : int; cols : int }
+  | Space_3d of { depth : int; height : int; width : int }
 
 type slice =
   | Slice_1d of { off : int; len : int }
@@ -45,22 +48,18 @@ type t = {
   hint : Iter.hint;
   space : space;
   shape : Seq_iter.shape option;
-      (** [None] for 2-D pipelines and empty spaces *)
+      (** probe of an outer-axis band; [None] for empty spaces *)
   partition : partition;
   workers : int;
   tasks : task list;
 }
 
-val of_iter : name:string -> 'a Iter.t -> t
-(** Reify a 1-D pipeline, mirroring the consumer dispatch: sequential →
-    one in-place task; local → lazy-splitting dynamic ranges;
-    distributed → [Partition.blocks] static blocks with one probed
-    payload per block. *)
-
-val of_iter2 : name:string -> 'a Iter2.t -> t
-(** Reify a 2-D pipeline, mirroring [Iter2.build]/[Iter2.sum]:
-    distributed → near-square [Partition.grid] of node blocks sliced
-    with [Iter2.payload_slice]. *)
+val of_iter : name:string -> ('i, 'a) Iter.iter -> t
+(** Reify a pipeline over any domain, mirroring the consumer dispatch:
+    sequential → one in-place task; local → lazy-splitting dynamic
+    ranges over the outer axis; distributed → {!Shape.blocks} over the
+    skeleton's worker count (1-D static blocks, a 2-D block grid, or
+    the plane ranges of 3-D z-slabs), one probed payload per block. *)
 
 val space_size : space -> int
 val hint_to_string : Iter.hint -> string

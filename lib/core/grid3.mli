@@ -1,6 +1,7 @@
-(** Dense 3-D float grids over unboxed float arrays, stored x-fastest.
-    Z-slabs are contiguous, so the slab decomposition used by {!Iter3}
-    moves data with block copies. *)
+(** Dense 3-D float grids over unboxed float arrays, stored x-fastest —
+    the row-major order of a [Dim3 (nz, ny, nx)] domain indexed
+    (z, y, x).  Z-slabs are contiguous, so the z-slab node blocks of
+    {!Iter.to_grid} move data with block copies. *)
 
 type t
 

@@ -1,48 +1,72 @@
-(** User-facing Triolet iterators.
+(** User-facing Triolet iterators over any index domain.
 
-    An ['a t] represents a lazily evaluated parallel loop: a count of
-    outer tasks, a way to build the loop nest for any outer sub-range
-    *in place* (zero copy, used for sequential and shared-memory
+    An [('i, 'a) iter] represents a lazily evaluated parallel loop over a
+    {!Shape.t} domain: a way to build the loop nest for any block of the
+    domain *in place* (zero copy, used for sequential and shared-memory
     execution), and a way to *extract and rebuild* the data slice any
-    sub-range needs (used for distributed execution — paper, section
-    3.5).  Transformations compose both paths, so arbitrary pipelines
-    of [map]/[filter]/[concat_map]/[zip] stay fused and partitionable.
+    block needs (used for distributed execution — paper, section 3.5).
+    Transformations compose both paths, so arbitrary pipelines of
+    [map]/[filter]/[concat_map]/[zip] stay fused and partitionable.
 
-    Consumers ([sum], [reduce], [histogram], [scatter_add],
-    [collect_floats], ...) inspect the iterator's parallelism hint, set
-    by [par] and [localpar], and dispatch to sequential loops, the
-    work-stealing pool, or the two-level cluster runtime. *)
+    Consumers ([sum], [reduce], [histogram], [collect_floats],
+    [to_matrix], ...) inspect the iterator's parallelism hint, set by
+    [par] and [localpar], and dispatch to sequential loops, the
+    work-stealing pool over outer-axis bands, or the two-level cluster
+    runtime over node blocks — both cut by {!Shape.band} and
+    {!Shape.blocks}. *)
 
 module Payload = Triolet_base.Payload
 module Codec = Triolet_base.Codec
+module Pool = Triolet_runtime.Pool
 
 type hint = Sequential | Local | Distributed
 
-type 'a t = {
+type ('i, 'a) iter = {
   hint : hint;
-  len : int;  (** number of outer tasks *)
-  local : int -> int -> 'a Seq_iter.t;
-      (** [local off n] : in-place loop nest for outer range [off, off+n) *)
+  shape : 'i Shape.t;  (** the index domain *)
+  local : 'i Shape.block -> 'a Seq_iter.t;
+      (** [local blk] : in-place row-major loop nest over a block *)
   width : int;  (** number of payload buffers this iterator contributes *)
-  payload_of : int -> int -> Payload.t;
-      (** [payload_of off n] : extracted data slice for that range *)
-  rebuild : Payload.t -> 'a t;
-      (** rebuild an iterator over a shipped slice (always [Local]) *)
+  payload_of : 'i Shape.block -> Payload.t;
+      (** [payload_of blk] : extracted data slice for that block *)
+  rebuild : Payload.t -> ('i, 'a) iter;
+      (** rebuild an iterator over a shipped block, whose domain is the
+          block's extent (always [Local]) *)
 }
 
+type 'a t = (int, 'a) iter
+
 let hint t = t.hint
-let length t = t.len
+let shape t = t.shape
+let length t = Shape.size t.shape
 
-(** Escape hatch for substrate libraries ([Matrix.rows], [Iter2]) that
-    define their own sliceable sources. *)
-let make ~len ~local ~width ~payload_of ~rebuild =
-  { hint = Sequential; len; local; width; payload_of; rebuild }
-
-let no_payload name _ _ =
+let no_payload name _ =
   invalid_arg
     (Printf.sprintf
        "Iter: %s has no serializable source; distributed execution needs one"
        name)
+
+let join a b =
+  match (a, b) with
+  | Distributed, _ | _, Distributed -> Distributed
+  | Local, _ | _, Local -> Local
+  | Sequential, Sequential -> Sequential
+
+(* One random-access loop level of [n] iterations, flat or nested. *)
+let flat n g = Seq_iter.of_indexer (Indexer.init (Shape.Seq n) g)
+let nested n g = Seq_iter.Idx_nest (Indexer.init (Shape.Seq n) g)
+
+(* The row-major loop nest over a block, one random-access level per
+   axis, for an element function of absolute indices. *)
+let nest : type i. i Shape.block -> (i -> 'a) -> 'a Seq_iter.t =
+ fun (o, ext) f ->
+  match (ext, o) with
+  | Shape.Seq n, o -> flat n (fun i -> f (o + i))
+  | Shape.Dim2 (h, w), (y, x) ->
+      nested h (fun i -> flat w (fun j -> f (y + i, x + j)))
+  | Shape.Dim3 (d, h, w), (z, y, x) ->
+      nested d (fun k ->
+          nested h (fun i -> flat w (fun j -> f (z + k, y + i, x + j))))
 
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
@@ -50,12 +74,13 @@ let no_payload name _ _ =
 let rec of_floatarray (a : floatarray) =
   {
     hint = Sequential;
-    len = Float.Array.length a;
+    shape = Shape.Seq (Float.Array.length a);
     local =
-      (fun off n ->
+      (fun (off, Shape.Seq n) ->
         Seq_iter.of_indexer (Indexer.slice (Indexer.of_floatarray a) off n));
     width = 1;
-    payload_of = (fun off n -> [ Payload.Floats (Float.Array.sub a off n) ]);
+    payload_of =
+      (fun (off, Shape.Seq n) -> [ Payload.Floats (Float.Array.sub a off n) ]);
     rebuild =
       (fun p ->
         match p with
@@ -66,12 +91,13 @@ let rec of_floatarray (a : floatarray) =
 let rec of_int_array (a : int array) =
   {
     hint = Sequential;
-    len = Array.length a;
+    shape = Shape.Seq (Array.length a);
     local =
-      (fun off n ->
+      (fun (off, Shape.Seq n) ->
         Seq_iter.of_indexer (Indexer.slice (Indexer.of_array a) off n));
     width = 1;
-    payload_of = (fun off n -> [ Payload.Ints (Array.sub a off n) ]);
+    payload_of =
+      (fun (off, Shape.Seq n) -> [ Payload.Ints (Array.sub a off n) ]);
     rebuild =
       (fun p ->
         match p with
@@ -85,15 +111,15 @@ let of_array ?codec (a : 'a array) =
   let rec build (a : 'a array) =
     {
       hint = Sequential;
-      len = Array.length a;
+      shape = Shape.Seq (Array.length a);
       local =
-        (fun off n ->
+        (fun (off, Shape.Seq n) ->
           Seq_iter.of_indexer (Indexer.slice (Indexer.of_array a) off n));
       width = 1;
       payload_of =
-        (fun off n ->
+        (fun ((off, Shape.Seq n) as blk) ->
           match codec with
-          | None -> no_payload "of_array (no codec)" off n
+          | None -> no_payload "of_array (no codec)" blk
           | Some c ->
               [
                 Payload.Raw
@@ -118,56 +144,104 @@ let of_array ?codec (a : 'a array) =
     random access), then behaves like {!of_array}. *)
 let of_list ?codec l = of_array ?codec (Array.of_list l)
 
+(** From an element function over a domain (the paper's [arrayRange]
+    comprehension).  A block's payload carries only its bounds; the
+    function itself travels as a closure, as all task code does. *)
+let init shape f =
+  let rec build base shape =
+    {
+      hint = Sequential;
+      shape;
+      local = (fun (o, ext) -> nest (Shape.add shape base o, ext) f);
+      width = 1;
+      payload_of =
+        (fun (o, ext) ->
+          [ Payload.Ints (Shape.block_to_ints (Shape.add shape base o, ext)) ]);
+      rebuild =
+        (fun p ->
+          match p with
+          | [ b ] ->
+              let base, ext = Shape.block_of_ints shape (Payload.ints_exn b) in
+              { (build base ext) with hint = Local }
+          | _ -> invalid_arg "Iter.init: bad payload");
+    }
+  in
+  build (Shape.origin shape) shape
+
 (** Iterator over the integers [lo, hi). *)
-let rec range lo hi =
+let range lo hi =
   if hi < lo then invalid_arg "Iter.range";
-  {
-    hint = Sequential;
-    len = hi - lo;
-    local = (fun off n -> Seq_iter.range (lo + off) (lo + off + n));
-    width = 1;
-    payload_of = (fun off n -> [ Payload.Ints [| lo + off; lo + off + n |] ]);
-    rebuild =
-      (fun p ->
-        match p with
-        | [ b ] ->
-            let bounds = Payload.ints_exn b in
-            { (range bounds.(0) bounds.(1)) with hint = Local }
-        | _ -> invalid_arg "Iter.range: bad payload");
-  }
+  init (Shape.Seq (hi - lo)) (fun i -> lo + i)
 
 (** [indices it] are the outer indices of [it]: the paper's
     [indices(domain(rand))]. *)
-let indices t = range 0 t.len
+let indices t = range 0 (length t)
 
-(* ------------------------------------------------------------------ *)
-(* Transformations (fused: nothing is materialized)                    *)
+let of_matrix m =
+  init (Shape.dim2 (Matrix.rows m) (Matrix.cols m)) (fun (i, j) ->
+      Matrix.unsafe_get m i j)
 
-let rec map f t =
+(** Transposition as an iterator:
+    [[A[x,y] for (y,x) in arrayRange((0,0),(h,w))]] from the paper. *)
+let transpose m =
+  init (Shape.dim2 (Matrix.cols m) (Matrix.rows m)) (fun (y, x) ->
+      Matrix.unsafe_get m x y)
+
+(** A grid's elements over [Dim3 (nz, ny, nx)].  Node blocks of a [Dim3]
+    are z-slabs, contiguous in the x-fastest layout, so a slab's payload
+    is one block copy. *)
+let rec of_grid (g : Grid3.t) =
+  let nx, ny, nz = Grid3.dims g in
   {
-    t with
-    local = (fun off n -> Seq_iter.map f (t.local off n));
-    rebuild = (fun p -> map f (t.rebuild p));
+    hint = Sequential;
+    shape = Shape.Dim3 (nz, ny, nx);
+    local = (fun blk -> nest blk (fun (z, y, x) -> Grid3.unsafe_get g x y z));
+    width = 2;
+    payload_of =
+      (fun ((z0, _, _), Shape.Dim3 (n, _, _)) ->
+        [
+          Payload.Ints [| nx; ny; n |];
+          Payload.Floats (Grid3.data (Grid3.copy_slab g z0 n));
+        ]);
+    rebuild =
+      (fun p ->
+        match p with
+        | [ hdr; fl ] ->
+            let hdr = Payload.ints_exn hdr in
+            let sub =
+              Grid3.of_floatarray ~nx:hdr.(0) ~ny:hdr.(1) ~nz:hdr.(2)
+                (Payload.floats_exn fl)
+            in
+            { (of_grid sub) with hint = Local }
+        | _ -> invalid_arg "Iter.of_grid: bad payload");
   }
 
-let rec filter p t =
-  {
-    t with
-    local = (fun off n -> Seq_iter.filter p (t.local off n));
-    rebuild = (fun pl -> filter p (t.rebuild pl));
-  }
+(** The one row-block payload: a [rows; cols] header, then the data. *)
+let matrix_payload m =
+  [
+    Payload.Ints [| Matrix.rows m; Matrix.cols m |];
+    Payload.Floats (Matrix.data m);
+  ]
 
-(** Nested traversal: [f] produces the inner loop for each element as a
-    {!Seq_iter.t}; the result is irregular but the outer loop stays
-    partitionable. *)
-let rec concat_map f t =
+let matrix_of_payload (p : Payload.t) =
+  match p with
+  | [ hdr; fl ] ->
+      let hdr = Payload.ints_exn hdr in
+      Matrix.of_floatarray ~rows:hdr.(0) ~cols:hdr.(1) (Payload.floats_exn fl)
+  | _ -> invalid_arg "Iter.matrix_of_payload: bad payload"
+
+(** The paper's [rows]: a matrix as a 1-D iterator over its rows.  Rows
+    of a row-major matrix are contiguous, so the payload of a slice of
+    rows is a single block copy. *)
+let rec rows (m : Matrix.t) : Matrix.view t =
   {
-    hint = t.hint;
-    len = t.len;
-    local = (fun off n -> Seq_iter.concat_map f (t.local off n));
-    width = t.width;
-    payload_of = t.payload_of;
-    rebuild = (fun p -> concat_map f (t.rebuild p));
+    hint = Sequential;
+    shape = Shape.Seq (Matrix.rows m);
+    local = (fun blk -> nest blk (Matrix.row m));
+    width = 2;
+    payload_of =
+      (fun (off, Shape.Seq n) -> matrix_payload (Matrix.copy_rows m off n));
+    rebuild = (fun p -> { (rows (matrix_of_payload p)) with hint = Local });
   }
 
 let split_payload w p =
@@ -182,47 +256,86 @@ let split_payload w p =
   in
   take w p
 
-let rec zip a b =
-  let len = min a.len b.len in
+(** The paper's [outerproduct]: pair every element of [a] with every
+    element of [b].  Block (r0, nr, c0, nc) needs elements [r0, r0+nr)
+    of [a] and [c0, c0+nc) of [b] — exactly the slices its payload
+    carries. *)
+let rec outer_product (a : 'a t) (b : 'b t) =
   {
-    hint =
-      (match (a.hint, b.hint) with
-      | Distributed, _ | _, Distributed -> Distributed
-      | Local, _ | _, Local -> Local
-      | Sequential, Sequential -> Sequential);
-    len;
-    local = (fun off n -> Seq_iter.zip (a.local off n) (b.local off n));
+    hint = join a.hint b.hint;
+    shape = Shape.Dim2 (length a, length b);
+    local =
+      (fun ((r0, c0), Shape.Dim2 (nr, nc)) ->
+        (* Outer elements are cheap views; materializing the block's
+           row and column headers once avoids re-running the outer
+           loops per element. *)
+        let header t blk = Array.of_list (Seq_iter.to_list (t.local blk)) in
+        let av = header a (r0, Shape.Seq nr) in
+        let bv = header b (c0, Shape.Seq nc) in
+        nested nr (fun i ->
+            let u = av.(i) in
+            flat nc (fun j -> (u, bv.(j)))));
     width = a.width + b.width;
-    payload_of = (fun off n -> a.payload_of off n @ b.payload_of off n);
+    payload_of =
+      (fun ((r0, c0), Shape.Dim2 (nr, nc)) ->
+        a.payload_of (r0, Shape.Seq nr) @ b.payload_of (c0, Shape.Seq nc));
     rebuild =
       (fun p ->
         let pa, pb = split_payload a.width p in
-        zip (a.rebuild pa) (b.rebuild pb));
+        outer_product (a.rebuild pa) (b.rebuild pb));
   }
 
-(** Like [zip] but applies [f] directly to the paired elements, so no
+(* ------------------------------------------------------------------ *)
+(* Transformations (fused: nothing is materialized)                    *)
+
+(* Apply a loop-nest rewrite to both the in-place and rebuilt paths. *)
+let rec lift g t =
+  {
+    t with
+    local = (fun blk -> g (t.local blk));
+    rebuild = (fun p -> lift g (t.rebuild p));
+  }
+
+let map f t = lift (Seq_iter.map f) t
+let filter p t = lift (Seq_iter.filter p) t
+
+(** Nested traversal: [f] produces the inner loop for each element as a
+    {!Seq_iter.t}; the result is irregular but the outer loop stays
+    partitionable. *)
+let concat_map f t = lift (Seq_iter.concat_map f) t
+
+let filter_map f t = lift (Seq_iter.filter_map f) t
+
+(** Pointwise combination over the intersection of the domains; no
     intermediate tuple is allocated per element on the hot path. *)
 let rec zip_with f a b =
-  let len = min a.len b.len in
   {
-    hint =
-      (match (a.hint, b.hint) with
-      | Distributed, _ | _, Distributed -> Distributed
-      | Local, _ | _, Local -> Local
-      | Sequential, Sequential -> Sequential);
-    len;
-    local = (fun off n -> Seq_iter.zip_with f (a.local off n) (b.local off n));
+    hint = join a.hint b.hint;
+    shape = Shape.intersect a.shape b.shape;
+    local = (fun blk -> Seq_iter.zip_with f (a.local blk) (b.local blk));
     width = a.width + b.width;
-    payload_of = (fun off n -> a.payload_of off n @ b.payload_of off n);
+    payload_of = (fun blk -> a.payload_of blk @ b.payload_of blk);
     rebuild =
       (fun p ->
         let pa, pb = split_payload a.width p in
         zip_with f (a.rebuild pa) (b.rebuild pb));
   }
 
+let zip a b = zip_with (fun x y -> (x, y)) a b
 let zip3 a b c = zip_with (fun x (y, z) -> (x, y, z)) a (zip b c)
-
 let enumerate t = zip (indices t) t
+
+(** [sub ~off ~len t]: the outer sub-range [off, off+len) of [t] as an
+    iterator in its own right — data slicing composes, so a sub-range
+    of a sliceable iterator is still sliceable. *)
+let sub ~off ~len t =
+  if off < 0 || len < 0 || off + len > length t then invalid_arg "Iter.sub";
+  {
+    t with
+    shape = Shape.Seq len;
+    local = (fun (o, s) -> t.local (off + o, s));
+    payload_of = (fun (o, s) -> t.payload_of (off + o, s));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Parallelism hints                                                   *)
@@ -239,32 +352,35 @@ let sequential t = { t with hint = Sequential }
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                           *)
 
-(* Generic reduction skeleton: dispatch on the hint.  The execution
-   context is resolved once here and passed explicitly below; the
-   [node_work] closure captures it by value, so it crosses a [fork]
-   intact under the process backend. *)
+(* Generic reduction skeleton: dispatch on the hint.  The pool reduces
+   outer-axis bands; the cluster reduces one node block per worker.
+   The execution context is resolved once here and passed explicitly
+   below; the [node_work] closure captures it by value, so it crosses a
+   [fork] intact under the process backend. *)
 let run_reduce ?ctx ~result_codec ~of_chunk ~merge ~init t =
   let ctx = Exec.resolve ctx in
+  let on_pool pool t =
+    Skeletons.local_reduce_with ~ctx pool ~len:(Shape.outer t.shape)
+      ~chunk:(fun off n -> of_chunk (t.local (Shape.band t.shape off n)))
+      ~merge ~init
+  in
   match t.hint with
-  | Sequential -> if t.len = 0 then init else merge init (of_chunk (t.local 0 t.len))
-  | Local ->
-      Skeletons.local_reduce ~ctx ~len:t.len
-        ~chunk:(fun off n -> of_chunk (t.local off n))
-        ~merge ~init ()
+  | Sequential ->
+      if length t = 0 then init
+      else merge init (of_chunk (t.local (Shape.whole t.shape)))
+  | Local -> on_pool (Pool.default ()) t
   | Distributed ->
-      Skeletons.distributed_reduce ~ctx ~len:t.len ~payload_of:t.payload_of
-        ~node_work:(fun ~pool payload ->
-          let sub = t.rebuild payload in
-          Skeletons.local_reduce_with ~ctx pool ~len:sub.len
-            ~chunk:(fun off n -> of_chunk (sub.local off n))
-            ~merge ~init)
+      Skeletons.distributed_reduce ~ctx
+        ~blocks:(Shape.blocks ~parts:(Exec.worker_count ctx) t.shape)
+        ~payload_of:t.payload_of
+        ~node_work:(fun ~pool payload -> on_pool pool (t.rebuild payload))
         ~result_codec ~merge ~init ()
 
-let sum ?ctx (t : float t) =
+let sum ?ctx t =
   run_reduce ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.sum_float
     ~merge:( +. ) ~init:0.0 t
 
-let sum_int ?ctx (t : int t) =
+let sum_int ?ctx t =
   run_reduce ?ctx ~result_codec:Codec.int ~of_chunk:Seq_iter.sum_int
     ~merge:( + ) ~init:0 t
 
@@ -291,14 +407,14 @@ let floatarray_add a b =
 (** Counting histogram of bin indices: each task builds a private
     histogram; histograms are added within each node and once more
     across nodes — the paper's distributed histogram strategy. *)
-let histogram ?ctx ~bins (t : int t) =
+let histogram ?ctx ~bins t =
   run_reduce ?ctx ~result_codec:Codec.int_array
     ~of_chunk:(fun si -> Collector.histogram ~bins (Seq_iter.collect si))
     ~merge:array_add ~init:(Array.make bins 0) t
 
 (** Floating-point scatter-add over (index, weight) pairs: cutcp's
     "floating-point histogram". *)
-let scatter_add ?ctx ~size (t : (int * float) t) =
+let scatter_add ?ctx ~size t =
   run_reduce ?ctx ~result_codec:Codec.floatarray
     ~of_chunk:(fun si ->
       Collector.weighted_histogram ~bins:size (Seq_iter.collect si))
@@ -316,37 +432,36 @@ let floatarray_concat parts =
     parts;
   out
 
+(* Order-preserving packing: per-chunk results concatenated in chunk
+   order, on the pool or on one node block per cluster node. *)
+let collect ?ctx ~result_codec ~of_chunk ~concat (t : 'a t) =
+  let ctx = Exec.resolve ctx in
+  let on_pool pool t =
+    concat
+      (Skeletons.local_map_chunks_with ~ctx pool ~len:(length t)
+         ~chunk:(fun off n -> of_chunk (t.local (off, Shape.Seq n))))
+  in
+  match t.hint with
+  | Sequential -> of_chunk (t.local (Shape.whole t.shape))
+  | Local -> on_pool (Pool.default ()) t
+  | Distributed ->
+      concat
+        (Skeletons.distributed_map_blocks ~ctx
+           ~blocks:(Shape.blocks ~parts:ctx.Exec.nodes t.shape)
+           ~payload_of:t.payload_of
+           ~node_work:(fun ~pool payload -> on_pool pool (t.rebuild payload))
+           ~result_codec ())
+
 (** Pack the (possibly variable-length) float results into a contiguous
     array, preserving iteration order. *)
-let collect_floats ?ctx (t : float t) =
-  let ctx = Exec.resolve ctx in
-  match t.hint with
-  | Sequential -> Seq_iter.to_floatarray (t.local 0 t.len)
-  | Local ->
-      floatarray_concat
-        (Skeletons.local_map_chunks ~ctx ~len:t.len
-           ~chunk:(fun off n -> Seq_iter.to_floatarray (t.local off n))
-           ())
-  | Distributed ->
-      let parts =
-        Skeletons.distributed_map_blocks ~ctx
-          ~blocks:
-            (Triolet_runtime.Partition.blocks ~parts:ctx.Exec.nodes t.len)
-          ~payload_of:(fun (off, n) -> t.payload_of off n)
-          ~node_work:(fun ~pool payload ->
-            let sub = t.rebuild payload in
-            floatarray_concat
-              (Skeletons.local_map_chunks_with ~ctx pool ~len:sub.len
-                 ~chunk:(fun off n -> Seq_iter.to_floatarray (sub.local off n))))
-          ~result_codec:Codec.floatarray ()
-      in
-      floatarray_concat parts
+let collect_floats ?ctx t =
+  collect ?ctx ~result_codec:Codec.floatarray ~of_chunk:Seq_iter.to_floatarray
+    ~concat:floatarray_concat t
 
 (** Like {!collect_floats} for (float, float) element pairs, packing the
     two components into separate arrays (e.g. the real and imaginary
     sums of mri-q). *)
-let collect_float_pairs ?ctx (t : (float * float) t) =
-  let ctx = Exec.resolve ctx in
+let collect_float_pairs ?ctx t =
   let chunk_to_pair si =
     let a = Triolet_base.Vec.create 0.0 and b = Triolet_base.Vec.create 0.0 in
     Seq_iter.iter
@@ -359,35 +474,81 @@ let collect_float_pairs ?ctx (t : (float * float) t) =
     in
     (pack a, pack b)
   in
-  let concat_pairs parts =
-    ( floatarray_concat (Array.map fst parts),
-      floatarray_concat (Array.map snd parts) )
+  collect ?ctx
+    ~result_codec:(Codec.pair Codec.floatarray Codec.floatarray)
+    ~of_chunk:chunk_to_pair
+    ~concat:(fun parts ->
+      ( floatarray_concat (Array.map fst parts),
+        floatarray_concat (Array.map snd parts) ))
+    t
+
+(* Write a block's elements, in row-major order, into [out] laid out
+   as [shape], one innermost-axis run at a time. *)
+let fill shape blk out si =
+  let run = Shape.inner (snd blk) and starts = Shape.runs shape blk in
+  let r = ref 0 and c = ref 0 in
+  Seq_iter.iter
+    (fun v ->
+      Float.Array.set out (starts.(!r) + !c) v;
+      if !c + 1 = run then begin
+        c := 0;
+        incr r
+      end
+      else incr c)
+    si;
+  if !r <> Array.length starts || !c <> 0 then
+    invalid_arg "Iter: to_matrix/to_grid need exactly one element per index"
+
+(* Materialize a float iterator row-major over its domain: one fill,
+   outer-axis bands on the pool, or node blocks each shipped only its
+   input slice, filled with band parallelism, and copied back into
+   place run by run. *)
+let materialize ?ctx t =
+  let ctx = Exec.resolve ctx in
+  let on_pool pool t out =
+    Pool.parallel_range pool ?grain:ctx.Exec.grain ~lo:0
+      ~hi:(Shape.outer t.shape)
+      ~f:(fun off n ->
+        let blk = Shape.band t.shape off n in
+        fill t.shape blk out (t.local blk))
+      ~merge:(fun () () -> ())
+      ~init:() ()
   in
-  match t.hint with
-  | Sequential -> chunk_to_pair (t.local 0 t.len)
-  | Local ->
-      concat_pairs
-        (Skeletons.local_map_chunks ~ctx ~len:t.len
-           ~chunk:(fun off n -> chunk_to_pair (t.local off n))
-           ())
+  let out = Float.Array.make (length t) 0.0 in
+  (match t.hint with
+  | Sequential ->
+      let blk = Shape.whole t.shape in
+      fill t.shape blk out (t.local blk)
+  | Local -> on_pool (Pool.default ()) t out
   | Distributed ->
-      let parts =
-        Skeletons.distributed_map_blocks ~ctx
-          ~blocks:
-            (Triolet_runtime.Partition.blocks ~parts:ctx.Exec.nodes t.len)
-          ~payload_of:(fun (off, n) -> t.payload_of off n)
-          ~node_work:(fun ~pool payload ->
-            let sub = t.rebuild payload in
-            concat_pairs
-              (Skeletons.local_map_chunks_with ~ctx pool ~len:sub.len
-                 ~chunk:(fun off n -> chunk_to_pair (sub.local off n))))
-          ~result_codec:(Codec.pair Codec.floatarray Codec.floatarray) ()
-      in
-      concat_pairs parts
+      let blocks = Shape.blocks ~parts:ctx.Exec.nodes t.shape in
+      Skeletons.distributed_map_blocks ~ctx ~blocks ~payload_of:t.payload_of
+        ~node_work:(fun ~pool payload ->
+          let sub = t.rebuild payload in
+          let part = Float.Array.make (length sub) 0.0 in
+          on_pool pool sub part;
+          part)
+        ~result_codec:Codec.floatarray ()
+      |> Array.iteri (fun k part ->
+             let run = Shape.inner (snd blocks.(k)) in
+             Array.iteri
+               (fun r start -> Float.Array.blit part (r * run) out start run)
+               (Shape.runs t.shape blocks.(k))));
+  out
+
+let to_matrix ?ctx t =
+  match t.shape with
+  | Shape.Dim2 (rows, cols) ->
+      Matrix.of_floatarray ~rows ~cols (materialize ?ctx t)
+
+let to_grid ?ctx t =
+  match t.shape with
+  | Shape.Dim3 (nz, ny, nx) ->
+      Grid3.of_floatarray ~nx ~ny ~nz (materialize ?ctx t)
 
 (* Sequential-only conveniences. *)
 
-let to_seq_iter t = t.local 0 t.len
+let to_seq_iter t = t.local (Shape.whole t.shape)
 
 let to_list t = Seq_iter.to_list (to_seq_iter t)
 
@@ -396,29 +557,7 @@ let iter f t = Seq_iter.iter f (to_seq_iter t)
 let fold f init t = Seq_iter.fold f init (to_seq_iter t)
 
 (* ------------------------------------------------------------------ *)
-(* Extended transformations and consumers                              *)
-
-(** [sub ~off ~len t]: the outer sub-range [off, off+len) of [t] as an
-    iterator in its own right — data slicing composes, so a sub-range
-    of a sliceable iterator is still sliceable. *)
-let sub ~off ~len t =
-  if off < 0 || len < 0 || off + len > t.len then invalid_arg "Iter.sub";
-  {
-    t with
-    len;
-    local = (fun o n -> t.local (off + o) n);
-    payload_of = (fun o n -> t.payload_of (off + o) n);
-  }
-
-let rec filter_map f t =
-  {
-    hint = t.hint;
-    len = t.len;
-    local = (fun off n -> Seq_iter.filter_map f (t.local off n));
-    width = t.width;
-    payload_of = t.payload_of;
-    rebuild = (fun p -> filter_map f (t.rebuild p));
-  }
+(* Extended consumers                                                  *)
 
 let min_float ?ctx t =
   run_reduce ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.min_float

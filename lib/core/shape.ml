@@ -133,6 +133,95 @@ let equal : type i. i t -> i t -> bool =
   | Dim2 (h, w), Dim2 (h', w') -> h = h' && w = w'
   | Dim3 (d, h, w), Dim3 (d', h', w') -> d = d' && h = h' && w = w'
 
+(* ------------------------------------------------------------------ *)
+(* Blocks: the one decomposition of a domain into pieces of work       *)
+
+type 'i block = 'i * 'i t
+
+let origin : type i. i t -> i = function
+  | Seq _ -> 0
+  | Dim2 _ -> (0, 0)
+  | Dim3 _ -> (0, 0, 0)
+
+let whole s = (origin s, s)
+
+let outer : type i. i t -> int = function
+  | Seq n -> n
+  | Dim2 (h, _) -> h
+  | Dim3 (d, _, _) -> d
+
+let inner : type i. i t -> int = function
+  | Seq n -> n
+  | Dim2 (_, w) -> w
+  | Dim3 (_, _, w) -> w
+
+(** Pointwise index addition: a block's origin plus a relative index. *)
+let add : type i. i t -> i -> i -> i =
+ fun shape a b ->
+  match (shape, a, b) with
+  | Seq _, a, b -> a + b
+  | Dim2 _, (y, x), (y', x') -> (y + y', x + x')
+  | Dim3 _, (z, y, x), (z', y', x') -> (z + z', y + y', x + x')
+
+(** The outer-axis band [\[off, off+n)] with every other axis whole:
+    rows of a [Dim2], planes of a [Dim3] — the pool's unit of work. *)
+let band : type i. i t -> int -> int -> i block =
+ fun shape off n ->
+  match shape with
+  | Seq _ -> (off, Seq n)
+  | Dim2 (_, w) -> ((off, 0), Dim2 (n, w))
+  | Dim3 (_, h, w) -> ((off, 0, 0), Dim3 (n, h, w))
+
+(** At most [parts] node blocks tiling the domain: contiguous blocks of a
+    [Seq], the near-square block grid of a [Dim2] (row-major block
+    order), z-slabs of a [Dim3].  Empty domains have no blocks. *)
+let blocks : type i. parts:int -> i t -> i block array =
+ fun ~parts shape ->
+  let module P = Triolet_runtime.Partition in
+  match shape with
+  | Dim2 (h, w) ->
+      let row_parts, col_parts = P.square_factors parts in
+      Array.map
+        (fun (r0, nr, c0, nc) -> ((r0, c0), Dim2 (nr, nc)))
+        (P.grid ~row_parts ~col_parts ~rows:h ~cols:w)
+  | _ ->
+      Array.map
+        (fun (off, n) -> band shape off n)
+        (P.blocks ~parts (outer shape))
+
+(** Rows and columns of a [Dim2] block grid: its distinct origins per
+    axis. *)
+let grid_parts (blocks : (int * int) block array) =
+  let distinct f =
+    List.length (List.sort_uniq compare (Array.to_list (Array.map f blocks)))
+  in
+  (distinct (fun ((r0, _), _) -> r0), distinct (fun ((_, c0), _) -> c0))
+
+(** Linear offsets in [shape] of a block's innermost-axis runs, in
+    row-major order; each run is [inner] of the block's extent long. *)
+let runs shape (o, ext) =
+  let run = inner ext in
+  let base = linear shape o in
+  Array.init
+    (if run = 0 then 0 else size ext / run)
+    (fun k -> base + linear shape (of_linear ext (k * run)))
+
+(** A block as its origin then its extent, and back: the bounds-only
+    payload of index-function sources. *)
+let block_to_ints : type i. i block -> int array =
+ fun (o, ext) ->
+  match (ext, o) with
+  | Seq n, o -> [| o; n |]
+  | Dim2 (h, w), (y, x) -> [| y; x; h; w |]
+  | Dim3 (d, h, w), (z, y, x) -> [| z; y; x; d; h; w |]
+
+let block_of_ints : type i. i t -> int array -> i block =
+ fun shape a ->
+  match shape with
+  | Seq _ -> (a.(0), Seq a.(1))
+  | Dim2 _ -> ((a.(0), a.(1)), Dim2 (a.(2), a.(3)))
+  | Dim3 _ -> ((a.(0), a.(1), a.(2)), Dim3 (a.(3), a.(4), a.(5)))
+
 let to_string : type i. i t -> string = function
   | Seq n -> Printf.sprintf "Seq %d" n
   | Dim2 (h, w) -> Printf.sprintf "Dim2 %dx%d" h w

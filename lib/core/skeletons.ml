@@ -5,8 +5,9 @@
     cores within a node, and/or sequential loop iterations in a task").
 
     These functions know nothing about iterators; they distribute
-    abstract chunk ranges and payloads.  The [Iter]/[Iter2] consumers
-    instantiate them with chunk bodies built from the iterator.
+    abstract chunk ranges, blocks and payloads.  The [Iter] consumers
+    instantiate them with blocks cut by {!Shape.blocks} and chunk bodies
+    built from the iterator.
 
     Every skeleton takes an optional execution context [?ctx]
     ({!Exec.t}): geometry, transport backend, fault plan and grain
@@ -86,27 +87,24 @@ let local_map_chunks_with ?ctx pool ~len ~chunk =
 let local_map_chunks ?ctx ~len ~chunk () =
   local_map_chunks_with ?ctx (Pool.default ()) ~len ~chunk
 
-(** Distributed reduction: partition [len] outer iterations across the
-    context's cluster, ship each node its payload (serialized), run
-    [node_work] against the decoded payload with intra-node parallelism,
-    and merge the nodes' serialized replies.  In flat mode the work
-    units are single-core processes; under the process backend each
-    node is a forked OS process with a private pool. *)
-let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
-    ~init () =
+(** Distributed reduction: ship each of the context's cluster workers
+    the payload of one block (serialized; workers beyond the last block
+    idle), run [node_work] against the decoded payload with intra-node
+    parallelism, and merge the nodes' serialized replies.  In flat mode
+    the work units are single-core processes; under the process backend
+    each node is a forked OS process with a private pool. *)
+let distributed_reduce ?ctx ~blocks ~payload_of ~node_work ~result_codec
+    ~merge ~init () =
   let ctx = Exec.resolve ctx in
   Obs.span ~name:"skel.distributed_reduce" (fun () ->
       let topo = Exec.topology ctx in
-      let workers = Cluster.topology_workers topo in
-      let blocks = Partition.blocks ~parts:workers len in
       let nblocks = Array.length blocks in
+      if nblocks > Cluster.topology_workers topo then
+        invalid_arg "Skeletons.distributed_reduce: more blocks than workers";
       let result, _report =
         Cluster.run_topology ?pool:(node_pool topo) ?faults:ctx.Exec.faults topo
           ~scatter:(fun node ->
-            if node < nblocks then
-              let off, n = blocks.(node) in
-              payload_of off n
-            else Payload.empty)
+            if node < nblocks then payload_of blocks.(node) else Payload.empty)
           ~work:(fun ~node ~pool payload ->
             if node < nblocks then Some (node_work ~pool payload) else None)
           ~result_codec:(Codec.option result_codec)
@@ -120,9 +118,12 @@ let distributed_reduce ?ctx ~len ~payload_of ~node_work ~result_codec ~merge
 let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
     =
   let ctx = Exec.resolve ctx in
-  Obs.span ~name:"skel.distributed_map_blocks" (fun () ->
+  let nblocks = Array.length blocks in
+  (* No blocks (an empty domain) means no nodes: nothing to dispatch. *)
+  if nblocks = 0 then [||]
+  else
+    Obs.span ~name:"skel.distributed_map_blocks" @@ fun () ->
       let base = Exec.topology ctx in
-      let nblocks = Array.length blocks in
       (* One node per block.  Flat mode degrades to in-process
          single-core nodes here (the historical [flat = false] override
          with a sequential pool); the other backends keep their
@@ -153,7 +154,7 @@ let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
       in
       let out = Array.make nblocks None in
       List.iter (fun (node, r) -> out.(node) <- Some r) !results;
-      Array.map Option.get out)
+      Array.map Option.get out
 
 (* ------------------------------------------------------------------ *)
 (* Resident (persistent) distributed state                             *)

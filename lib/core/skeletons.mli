@@ -1,7 +1,8 @@
 (** Low-level skeletons: the glue between iterator consumers and the
     runtime (paper, section 3.4).  These know nothing about iterators;
-    they distribute abstract chunk ranges and payloads.  [Iter] and
-    [Iter2] instantiate them with chunk bodies built from iterators.
+    they distribute abstract chunk ranges, blocks and payloads.  [Iter]
+    instantiates them with blocks cut by {!Shape.blocks} and chunk
+    bodies built from iterators.
 
     All take an optional {!Exec.t} execution context; omitted, the
     ambient context applies. *)
@@ -46,20 +47,20 @@ val local_map_chunks :
 
 val distributed_reduce :
   ?ctx:Exec.t ->
-  len:int ->
-  payload_of:(int -> int -> Triolet_base.Payload.t) ->
+  blocks:'blk array ->
+  payload_of:('blk -> Triolet_base.Payload.t) ->
   node_work:(pool:Triolet_runtime.Pool.t -> Triolet_base.Payload.t -> 'r) ->
   result_codec:'r Triolet_base.Codec.t ->
   merge:('r -> 'r -> 'r) ->
   init:'r ->
   unit ->
   'r
-(** Partition [len] outer iterations across the context's cluster, ship
-    each worker its serialized payload slice, run [node_work] against
-    the decoded payload with intra-node parallelism, merge the
-    serialized replies.  The context's backend chooses the transport;
-    under [Process], [node_work] executes in a forked child on the
-    child's own pool. *)
+(** One block per cluster worker (at most as many blocks as workers;
+    spare workers idle): ship each worker its block's serialized
+    payload, run [node_work] against the decoded payload with
+    intra-node parallelism, merge the serialized replies.  The
+    context's backend chooses the transport; under [Process],
+    [node_work] executes in a forked child on the child's own pool. *)
 
 val distributed_map_blocks :
   ?ctx:Exec.t ->
@@ -69,7 +70,8 @@ val distributed_map_blocks :
   result_codec:'r Triolet_base.Codec.t ->
   unit ->
   'r array
-(** One worker per block; results returned in block order. *)
+(** One worker per block; results returned in block order.  No blocks
+    dispatch nothing and return [[||]]. *)
 
 (** {1 Resident (persistent) distributed state}
 

@@ -53,7 +53,7 @@ let run_fig3 ?(scale = 1.0) () =
     let a, b = Dataset.sgemm_matrices ~seed:102 ~m:n ~k:n ~n in
     let rc, c_time = time (fun () -> Sgemm.run_c a b) in
     let rt, triolet_time =
-      time (fun () -> Sgemm.run_triolet ~hint:Triolet.Iter2.sequential a b)
+      time (fun () -> Sgemm.run_triolet ~hint:Triolet.Iter.sequential a b)
     in
     let re, eden_time = time (fun () -> Sgemm.run_eden a b) in
     checkf "sgemm/triolet" (Sgemm.agrees ~eps:1e-6 rc rt);

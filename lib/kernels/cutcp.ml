@@ -386,12 +386,13 @@ end
    contributions of every atom within the cutoff.  This is the
    inverse-direction variant GPU implementations of cutcp use (the
    scatter version above matches the paper's CPU code); it exercises
-   the Dim3 domain of section 3.3 with z-slab distribution.  O(points x
-   atoms) without a spatial index, so it suits small boxes. *)
-let run_gather ?(hint = Triolet.Iter3.par) (c : D.cutcp) : floatarray =
+   the Dim3 domain of section 3.3, indexed (z, y, x), with z-slab
+   distribution.  O(points x atoms) without a spatial index, so it
+   suits small boxes. *)
+let run_gather ?(hint = Triolet.Iter.par) (c : D.cutcp) : floatarray =
   let atoms = Float.Array.length c.D.ax in
   let cut2 = c.D.cutoff *. c.D.cutoff in
-  let potential x y z =
+  let potential (z, y, x) =
     let gx = float_of_int x *. c.D.spacing in
     let gy = float_of_int y *. c.D.spacing in
     let gz = float_of_int z *. c.D.spacing in
@@ -410,6 +411,6 @@ let run_gather ?(hint = Triolet.Iter3.par) (c : D.cutcp) : floatarray =
     !acc
   in
   let it =
-    Triolet.Iter3.init ~nx:c.D.nx ~ny:c.D.ny ~nz:c.D.nz potential
+    Triolet.Iter.init (Triolet.Shape.dim3 c.D.nz c.D.ny c.D.nx) potential
   in
-  Triolet.Grid3.data (Triolet.Iter3.build (hint it))
+  Triolet.Grid3.data (Triolet.Iter.to_grid (hint it))

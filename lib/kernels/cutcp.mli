@@ -34,12 +34,14 @@ val run_eden : Dataset.cutcp -> floatarray
 val agrees : ?eps:float -> floatarray -> floatarray -> bool
 
 val run_gather :
-  ?hint:(float Triolet.Iter3.t -> float Triolet.Iter3.t) ->
+  ?hint:
+    ((int * int * int, float) Triolet.Iter.iter ->
+    (int * int * int, float) Triolet.Iter.iter) ->
   Dataset.cutcp ->
   floatarray
-(** Gather formulation over a 3-D iterator (one sum per grid point, the
-    GPU-style variant), distributed in z-slabs.  Agrees with {!run_c}
-    up to floating-point rounding. *)
+(** Gather formulation over a 3-D iterator indexed (z, y, x) (one sum
+    per grid point, the GPU-style variant), distributed in z-slabs.
+    Agrees with {!run_c} up to floating-point rounding. *)
 
 (** {1 Resident z-slabs with halo exchange}
 

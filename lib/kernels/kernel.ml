@@ -7,9 +7,7 @@
 
 open Triolet
 
-type pipeline =
-  | Pipe_1d : 'a Iter.t -> pipeline
-  | Pipe_2d : 'a Iter2.t -> pipeline
+type pipeline = Pipe : ('i, 'a) Iter.iter -> pipeline
 
 type instance = {
   kernel : string;
@@ -80,7 +78,7 @@ module Mriq_k = struct
           ignore (Mriq.run_triolet ~hint:Iter.sequential (Lazy.force d)));
       check = checker ~agree:(Mriq.agrees ~eps:1e-9) run;
       pipelines =
-        (fun () -> [ (name, Pipe_1d (Mriq.pipeline (Lazy.force d))) ]);
+        (fun () -> [ (name, Pipe (Mriq.pipeline (Lazy.force d))) ]);
       model =
         (fun ?rates () -> Models.mriq_model_sized ?rates ~voxels ~samples ());
     }
@@ -120,12 +118,12 @@ module Sgemm_k = struct
       run_seq =
         (fun () ->
           let a, b = Lazy.force ab in
-          ignore (Sgemm.run_triolet ~hint:Iter2.sequential a b));
+          ignore (Sgemm.run_triolet ~hint:Iter.sequential a b));
       check = checker ~agree:(Sgemm.agrees ~eps:1e-9) run;
       pipelines =
         (fun () ->
           let a, b = Lazy.force ab in
-          [ (name, Pipe_2d (Sgemm.pipeline a b)) ]);
+          [ (name, Pipe (Sgemm.pipeline a b)) ]);
       model = (fun ?rates () -> Models.sgemm_model_sized ?rates ~m ~k ~n ());
     }
 end
@@ -163,8 +161,8 @@ module Tpacf_k = struct
       pipelines =
         (fun () ->
           [
-            (name ^ "-dd", Pipe_1d (Tpacf.dd_pipeline ~bins (Lazy.force d)));
-            (name ^ "-rr", Pipe_1d (Tpacf.rr_pipeline ~bins (Lazy.force d)));
+            (name ^ "-dd", Pipe (Tpacf.dd_pipeline ~bins (Lazy.force d)));
+            (name ^ "-rr", Pipe (Tpacf.rr_pipeline ~bins (Lazy.force d)));
           ]);
       model =
         (fun ?rates () -> Models.tpacf_model_sized ?rates ~points ~sets ~bins ());
@@ -201,7 +199,7 @@ module Cutcp_k = struct
           ignore (Cutcp.run_triolet ~hint:Iter.sequential (Lazy.force d)));
       check = checker ~agree:(Cutcp.agrees ~eps:1e-9) run;
       pipelines =
-        (fun () -> [ (name, Pipe_1d (Cutcp.pipeline (Lazy.force d))) ]);
+        (fun () -> [ (name, Pipe (Cutcp.pipeline (Lazy.force d))) ]);
       model =
         (fun ?rates () ->
           Models.cutcp_model_sized ?rates ~atoms ~nx:g ~ny:g ~nz:g ~spacing

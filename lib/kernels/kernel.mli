@@ -10,12 +10,10 @@
     new kernel registers once and appears everywhere. *)
 
 (** An analyzer hook: the fused pipeline a kernel's consumer executes,
-    existentially packed so the registry needs no dependency on the
-    analysis library (which reifies these with [Plan.of_iter] /
-    [Plan.of_iter2]). *)
-type pipeline =
-  | Pipe_1d : 'a Triolet.Iter.t -> pipeline
-  | Pipe_2d : 'a Triolet.Iter2.t -> pipeline
+    over any domain, existentially packed so the registry needs no
+    dependency on the analysis library (which reifies these with
+    [Plan.of_iter]). *)
+type pipeline = Pipe : ('i, 'a) Triolet.Iter.iter -> pipeline
 
 type instance = {
   kernel : string;  (** registry name *)

@@ -100,7 +100,10 @@ let sgemm_model_sized ?(rates = default_rates) ~m ~k ~n () =
   App.make ~name:"sgemm" ~tasks
     ~task_cost:(fun _ -> float_of_int (k * n) *. rates.sgemm_mac_s)
     ~node_extra_in_bytes:(fun nodes ->
-      let rp, cp = Triolet_runtime.Partition.square_factors nodes in
+      (* the block grid Iter.to_matrix cuts the m x n output into *)
+      let rp, cp =
+        Triolet.Shape.(grid_parts (blocks ~parts:nodes (dim2 m n)))
+      in
       (a_bytes / rp) + (b_bytes / cp))
     ~whole_in_bytes:(a_bytes + b_bytes)
     ~task_out_bytes:(fun _ -> 8 * n)

@@ -39,15 +39,16 @@ let run_c ?(alpha = 1.0) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
      AB = [dot(u, v) for (u, v) in par(zipped_AB)]
    Transposition itself is parallelized over shared memory only
    (localpar), being too cheap to distribute (section 4.3). *)
+type matrix_iter = (int * int, float) Iter.iter
+
 (* The 2-D dot-product iterator the build consumes — including B's
    transposition — exposed as a plan-reification hook for
    [triolet analyze]. *)
-let pipeline ?(alpha = 1.0) ?(hint = Iter2.par) (a : Matrix.t) (b : Matrix.t)
-    =
+let pipeline ?(alpha = 1.0) ?(hint = Iter.par) (a : Matrix.t) (b : Matrix.t) =
   if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_triolet";
   let bt = Matrix.transpose_par (Triolet_runtime.Pool.default ()) b in
-  let zipped_ab = Iter2.outer_product (Iter2.rows a) (Iter2.rows bt) in
-  hint (Iter2.map (fun (u, v) -> alpha *. Matrix.view_dot u v) zipped_ab)
+  let zipped_ab = Iter.outer_product (Iter.rows a) (Iter.rows bt) in
+  hint (Iter.map (fun (u, v) -> alpha *. Matrix.view_dot u v) zipped_ab)
 
 (* Size taxonomy shared with the auto-mapper: one multiply-accumulate
    is the work unit. *)
@@ -57,7 +58,7 @@ let size_class (a : Matrix.t) (b : Matrix.t) =
 let run_triolet ?ctx ?alpha ?hint (a : Matrix.t) (b : Matrix.t) : Matrix.t =
   let ctx = Exec.for_kernel ?ctx ~kernel:"sgemm" ~size:(size_class a b) () in
   Triolet_obs.Obs.span ~name:"kernel.sgemm" (fun () ->
-      Iter2.build ~ctx (pipeline ?alpha ?hint a b))
+      Iter.to_matrix ~ctx (pipeline ?alpha ?hint a b))
 
 (* Eden-style, following the paper's Eden code: arrays are kept "in
    chunked form" — boxed lists of unboxed row vectors — so tasks can be
@@ -127,11 +128,11 @@ module Resident = struct
   }
 
   (* Child-side compute: resident = this node's A row block, arg = all
-     of B already transposed; reply = the C row block, in the same
-     header-plus-data shape as the segments. *)
+     of B already transposed; reply = the C row block.  All three are
+     {!Iter.matrix_payload}s, the payload {!Iter.rows} ships. *)
   let work ~alpha ~node:_ ~resident ~arg =
-    let ablk = Iter2.matrix_of_segment resident in
-    let bt = Iter2.matrix_of_segment arg in
+    let ablk = Iter.matrix_of_payload resident in
+    let bt = Iter.matrix_of_payload arg in
     let mb = Matrix.rows ablk and n = Matrix.rows bt and k = Matrix.cols ablk in
     if Matrix.cols bt <> k then
       invalid_arg "Sgemm.Resident: A/B dimension mismatch";
@@ -151,13 +152,10 @@ module Resident = struct
         Float.Array.unsafe_set out ((i * n) + j) (alpha *. !acc)
       done
     done;
-    [ Payload.Ints [| mb; n |]; Payload.Floats out ]
+    Iter.matrix_payload (Matrix.of_floatarray ~rows:mb ~cols:n out)
 
   let segment_of (a : Matrix.t) (off, n) =
-    [
-      Payload.Ints [| n; Matrix.cols a |];
-      Payload.Floats (Matrix.data (Matrix.copy_rows a off n));
-    ]
+    Iter.matrix_payload (Matrix.copy_rows a off n)
 
   let create ?ctx ?(alpha = 1.0) (a : Matrix.t) =
     let session = Skeletons.resident_session ?ctx ~work:(work ~alpha) () in
@@ -169,12 +167,7 @@ module Resident = struct
   let multiply t (b : Matrix.t) =
     if Matrix.rows b <> t.k then invalid_arg "Sgemm.Resident.multiply";
     let bt = Matrix.transpose b in
-    let argp =
-      [
-        Payload.Ints [| Matrix.rows bt; Matrix.cols bt |];
-        Payload.Floats (Matrix.data bt);
-      ]
-    in
+    let argp = Iter.matrix_payload bt in
     let c = Matrix.create t.m (Matrix.cols b) in
     let row0 = ref 0 in
     let (), report =
@@ -182,7 +175,7 @@ module Resident = struct
         ~arg:(fun _ -> argp)
         ~merge:(fun () reply ->
           (* Replies merge in node order = row-block order. *)
-          let blk = Iter2.matrix_of_segment reply in
+          let blk = Iter.matrix_of_payload reply in
           Matrix.blit_block ~src:blk ~dst:c ~r0:!row0 ~c0:0;
           row0 := !row0 + Matrix.rows blk)
         ~init:()

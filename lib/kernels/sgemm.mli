@@ -5,22 +5,25 @@
 val run_c : ?alpha:float -> Triolet.Matrix.t -> Triolet.Matrix.t -> Triolet.Matrix.t
 (** Imperative loop nest over unboxed arrays. *)
 
+type matrix_iter = (int * int, float) Triolet.Iter.iter
+(** A 2-D float iterator: what {!run_triolet}'s [to_matrix] consumes. *)
+
 val run_triolet :
   ?ctx:Triolet.Exec.t ->
   ?alpha:float ->
-  ?hint:(float Triolet.Iter2.t -> float Triolet.Iter2.t) ->
+  ?hint:(matrix_iter -> matrix_iter) ->
   Triolet.Matrix.t ->
   Triolet.Matrix.t ->
   Triolet.Matrix.t
 (** The paper's two-line rows/outerproduct version; transposition runs
-    [localpar] over shared memory.  [hint] defaults to [Iter2.par]. *)
+    [localpar] over shared memory.  [hint] defaults to [Iter.par]. *)
 
 val pipeline :
   ?alpha:float ->
-  ?hint:(float Triolet.Iter2.t -> float Triolet.Iter2.t) ->
+  ?hint:(matrix_iter -> matrix_iter) ->
   Triolet.Matrix.t ->
   Triolet.Matrix.t ->
-  float Triolet.Iter2.t
+  matrix_iter
 (** Plan-reification hook: the 2-D dot-product iterator
     {!run_triolet}'s build consumes (B already transposed). *)
 

@@ -175,7 +175,7 @@ let kernel_plans () =
     Plan.of_iter ~name:"mri-q"
       (Triolet_kernels.Mriq.pipeline (D.mriq ~seed:11 ~samples:16 ~voxels:40));
     (let a, b = D.sgemm_matrices ~seed:21 ~m:9 ~k:6 ~n:7 in
-     Plan.of_iter2 ~name:"sgemm" (Triolet_kernels.Sgemm.pipeline a b));
+     Plan.of_iter ~name:"sgemm" (Triolet_kernels.Sgemm.pipeline a b));
     (let d = D.tpacf ~seed:31 ~points:16 ~random_sets:3 in
      Plan.of_iter ~name:"tpacf-dd" (Triolet_kernels.Tpacf.dd_pipeline ~bins:8 d));
     (let d = D.tpacf ~seed:31 ~points:16 ~random_sets:3 in
@@ -233,6 +233,68 @@ let test_plan_partitions () =
       | Plan.Dynamic_ranges { overridden = false; _ } -> ()
       | _ -> Alcotest.fail "tpacf-dd: expected auto dynamic ranges")
 
+(* The exact plan text of every kernel plan at the 4x2 geometry and at
+   3 nodes (the degenerate 1x3 grid), as the per-module iterators
+   rendered it — apart from sgemm's nest column — so a drift in blocks
+   or payload bytes fails here, not just a drift in the block count.
+   Only the local plan's worker count follows the host's pool. *)
+let test_plan_text_pinned () =
+  let local =
+    Printf.sprintf
+      "plan tpacf-dd   local       space [0, 16)      nest \
+       IdxNest[4](IdxFlat[15])\n\
+      \  dynamic ranges over %d workers, grain 1 (auto)"
+      (Triolet_runtime.Pool.size (Triolet_runtime.Pool.default ()))
+  in
+  let expected nodes grid sgemm_bytes =
+    [
+      Printf.sprintf
+        "plan mri-q      distributed space [0, 40)      nest IdxFlat[4]\n\
+        \  %d static blocks over %d workers, 960 payload bytes"
+        nodes nodes;
+      Printf.sprintf
+        "plan sgemm      distributed space 9 x 7        nest \
+         IdxNest[4](IdxFlat[7])\n\
+        \  %s block grid (%d blocks) over %d workers, %d payload bytes"
+        grid nodes nodes sgemm_bytes;
+      local;
+      Printf.sprintf
+        "plan tpacf-rr   distributed space [0, 3)       nest IdxFlat[3]\n\
+        \  3 static blocks over %d workers, 1248 payload bytes"
+        nodes;
+      Printf.sprintf
+        "plan cutcp      distributed space [0, 16)      nest \
+         IdxNest[4](IdxNest[5](IdxNest[6](IdxNest[4](StepFlat))))\n\
+        \  %d static blocks over %d workers, 512 payload bytes"
+        nodes nodes;
+    ]
+  in
+  List.iter
+    (fun (nodes, want) ->
+      Triolet.Exec.with_context
+        (Triolet.Exec.make ~nodes ~cores_per_node:2 ())
+        (fun () ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d nodes" nodes)
+            want
+            (List.map Plan.to_string (kernel_plans ()))))
+    [ (4, expected 4 "2x2" 1664); (3, expected 3 "1x3" 1728) ]
+
+(* A 3-D domain reifies as z-slab plane ranges that tile its depth. *)
+let test_plan_3d () =
+  with_cluster (fun () ->
+      let g = Triolet.Grid3.init 3 2 5 (fun x y z -> float_of_int (x + y + z)) in
+      let p =
+        Plan.of_iter ~name:"grid" (Triolet.Iter.par (Triolet.Iter.of_grid g))
+      in
+      check_bool "passes clean" false (Passes.has_errors (Passes.run_plan p));
+      Alcotest.(check string)
+        "plan text"
+        "plan grid       distributed space 5 x 2 x 3    nest \
+         IdxNest[4](IdxNest[2](IdxFlat[3]))\n\
+        \  4 static blocks over 4 workers, 336 payload bytes"
+        (Plan.to_string p))
+
 (* ------------------------------------------------------------------ *)
 (* Individual passes on synthetic plans                                *)
 
@@ -288,7 +350,7 @@ let test_coverage_pass_catches_bad_partition () =
   with_cluster (fun () ->
       let a, b = D.sgemm_matrices ~seed:21 ~m:9 ~k:6 ~n:7 in
       let p =
-        Plan.of_iter2 ~name:"sgemm-mutant" (Triolet_kernels.Sgemm.pipeline a b)
+        Plan.of_iter ~name:"sgemm-mutant" (Triolet_kernels.Sgemm.pipeline a b)
       in
       let p =
         {
@@ -447,6 +509,8 @@ let () =
             test_kernel_plans_clean;
           Alcotest.test_case "shapes" `Quick test_plan_shapes;
           Alcotest.test_case "partitions" `Quick test_plan_partitions;
+          Alcotest.test_case "plan text pinned" `Quick test_plan_text_pinned;
+          Alcotest.test_case "3-D plan" `Quick test_plan_3d;
         ] );
       ( "passes",
         [

@@ -310,6 +310,67 @@ let prop_pipeline_matches_list =
       Iter.to_list it = ll
       && Iter.sum_int (Iter.localpar it) = List.fold_left ( + ) 0 ll)
 
+(* One domain-generic property: on every domain (including empty
+   extents), hint and geometry (including more nodes than rows or
+   planes), every consumer agrees with a sequential [Shape.fold] of the
+   element function.  Elements are small integers, so sums are exact
+   whatever order the blocks merge in. *)
+let consumers_match_fold : type i.
+    Exec.t -> i Shape.t -> (i -> float) -> (i, float) Iter.iter -> bool =
+ fun ctx shape f it ->
+  let expected = List.rev (Shape.fold shape (fun acc i -> f i :: acc) []) in
+  let same fa = Float.Array.to_list fa = expected in
+  Iter.sum ~ctx it = List.fold_left ( +. ) 0.0 expected
+  &&
+  match shape with
+  | Shape.Seq _ ->
+      same (Iter.collect_floats ~ctx it)
+      && fst (Iter.collect_float_pairs ~ctx (Iter.map (fun x -> (x, x)) it))
+         |> same
+  | Shape.Dim2 _ -> same (Matrix.data (Iter.to_matrix ~ctx it))
+  | Shape.Dim3 _ -> same (Grid3.data (Iter.to_grid ~ctx it))
+
+let prop_consumers_match_fold =
+  qtest "consumers match Shape.fold"
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 0 2) (int_range 0 5) (int_range 0 5) (int_range 0 5))
+        (quad (int_range 0 2) (int_range 1 5) (int_range 1 2) bool))
+    (fun ((dims, d, h, w), (hint, nodes, cores_per_node, flat)) ->
+      let ctx =
+        Exec.make ~nodes ~cores_per_node
+          ~backend:(if flat then Cluster.Flat else (Exec.default ()).Exec.backend)
+          ()
+      in
+      let hint = List.nth [ Iter.Sequential; Iter.Local; Iter.Distributed ] hint in
+      let check shape f its =
+        List.for_all
+          (fun it -> consumers_match_fold ctx shape f (with_hint hint it))
+          its
+      in
+      let fl = float_of_int in
+      match dims with
+      | 0 ->
+          let f i = fl ((i * 7) mod 11) in
+          let xs = Float.Array.init d f in
+          check (Shape.seq d) f [ Iter.init (Shape.seq d) f; Iter.of_floatarray xs ]
+      | 1 ->
+          let f (i, j) = fl ((i * 10) + j) in
+          let col n = Iter.of_floatarray (Float.Array.init n fl) in
+          check (Shape.dim2 d h) f
+            [
+              Iter.init (Shape.dim2 d h) f;
+              Iter.map (fun (a, b) -> (a *. 10.0) +. b)
+                (Iter.outer_product (col d) (col h));
+            ]
+      | _ ->
+          let f (z, y, x) = fl ((z * 100) + (y * 10) + x) in
+          check (Shape.dim3 d h w) f
+            [
+              Iter.init (Shape.dim3 d h w) f;
+              Iter.of_grid (Grid3.init w h d (fun x y z -> f (z, y, x)));
+            ])
+
 let () =
   Alcotest.run "iter"
     [
@@ -358,6 +419,7 @@ let () =
           Alcotest.test_case "boxed array with codec" `Quick
             test_of_array_distributed_with_codec;
         ] );
+      ("domains", [ prop_consumers_match_fold ]);
       ( "properties",
         [
           prop_sum_hint_invariance;

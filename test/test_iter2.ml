@@ -1,6 +1,6 @@
 (* Tests for matrices and 2-D iterators: rows/outer_product block
-   decomposition (the paper's two-line sgemm), build on all execution
-   paths, and transposition. *)
+   decomposition (the paper's two-line sgemm), to_matrix on all
+   execution paths, and transposition. *)
 
 open Triolet
 module Cluster = Triolet_runtime.Cluster
@@ -83,13 +83,13 @@ let test_matrix_mul_ref () =
   check_float "c11" 50.0 (Matrix.get c 1 1)
 
 (* ------------------------------------------------------------------ *)
-(* Iter2                                                               *)
+(* 2-D iterators                                                       *)
 
 let with_hint2 h it =
   match h with
-  | Iter.Sequential -> Iter2.sequential it
-  | Iter.Local -> Iter2.localpar it
-  | Iter.Distributed -> Iter2.par it
+  | Iter.Sequential -> Iter.sequential it
+  | Iter.Local -> Iter.localpar it
+  | Iter.Distributed -> Iter.par it
 
 let each_hint2 f =
   List.iter
@@ -99,27 +99,22 @@ let each_hint2 f =
 
 let test_build_of_matrix_identity () =
   let m = mk 5 7 (fun i j -> float_of_int ((i * 7) + j)) in
-  List.iter
-    (fun (name, h) ->
-      match name with
-      | "par" -> () (* of_matrix has no serializable source *)
-      | _ ->
-          let rebuilt = Iter2.build (h (Iter2.of_matrix m)) in
-          Alcotest.(check bool) (name ^ " identity") true
-            (Matrix.equal_eps ~eps:0.0 m rebuilt))
-    [ ("seq", Iter2.sequential); ("localpar", Iter2.localpar); ("par", Iter2.par) ]
+  each_hint2 (fun name h ->
+      let rebuilt = Iter.to_matrix (with_hint2 h (Iter.of_matrix m)) in
+      Alcotest.(check bool) (name ^ " identity") true
+        (Matrix.equal_eps ~eps:0.0 m rebuilt))
 
 let test_transpose_iter () =
   let m = mk 3 4 (fun i j -> float_of_int ((10 * i) + j)) in
-  let t = Iter2.build (Iter2.localpar (Iter2.transpose_iter m)) in
+  let t = Iter.to_matrix (Iter.localpar (Iter.transpose m)) in
   Alcotest.(check bool) "matches Matrix.transpose" true
     (Matrix.equal_eps ~eps:0.0 (Matrix.transpose m) t)
 
 (* The paper's two-line sgemm. *)
 let sgemm_triolet ?(alpha = 1.0) hint a b =
   let bt = Matrix.transpose b in
-  let zipped = Iter2.outer_product (Iter2.rows a) (Iter2.rows bt) in
-  Iter2.build (hint (Iter2.map (fun (u, v) -> alpha *. Matrix.view_dot u v) zipped))
+  let zipped = Iter.outer_product (Iter.rows a) (Iter.rows bt) in
+  Iter.to_matrix (hint (Iter.map (fun (u, v) -> alpha *. Matrix.view_dot u v) zipped))
 
 let test_sgemm_two_lines_all_hints () =
   let rng = Triolet_base.Rng.create 42 in
@@ -135,8 +130,8 @@ let test_sgemm_alpha () =
   let rng = Triolet_base.Rng.create 1 in
   let a = Matrix.random rng 4 4 0.0 1.0 in
   let b = Matrix.random rng 4 4 0.0 1.0 in
-  let c1 = sgemm_triolet ~alpha:1.0 Iter2.sequential a b in
-  let c2 = sgemm_triolet ~alpha:2.5 Iter2.par a b in
+  let c1 = sgemm_triolet ~alpha:1.0 Iter.sequential a b in
+  let c2 = sgemm_triolet ~alpha:2.5 Iter.par a b in
   let scaled = Matrix.init 4 4 (fun i j -> 2.5 *. Matrix.get c1 i j) in
   Alcotest.(check bool) "alpha scales" true (Matrix.equal_eps ~eps:1e-9 scaled c2)
 
@@ -146,7 +141,7 @@ let test_sgemm_nonsquare_distributed () =
   let a = Matrix.random rng 7 5 (-2.0) 2.0 in
   let b = Matrix.random rng 5 3 (-2.0) 2.0 in
   let reference = Matrix.mul_ref ~alpha:1.0 a (Matrix.transpose b) in
-  let c = sgemm_triolet Iter2.par a b in
+  let c = sgemm_triolet Iter.par a b in
   Alcotest.(check bool) "distributed nonsquare" true
     (Matrix.equal_eps ~eps:1e-9 reference c)
 
@@ -163,7 +158,7 @@ let test_outer_product_block_payload_is_rows_only () =
   let a = Matrix.random rng n n 0.0 1.0 in
   let b = Matrix.random rng n n 0.0 1.0 in
   Stats.reset ();
-  let _, delta = Stats.measure (fun () -> sgemm_triolet Iter2.par a b) in
+  let _, delta = Stats.measure (fun () -> sgemm_triolet Iter.par a b) in
   let matrix_bytes = 8 * n * n in
   Alcotest.(check bool) "sliced traffic" true
     (delta.Stats.bytes_sent < (6 * matrix_bytes) + 2048);
@@ -172,7 +167,7 @@ let test_outer_product_block_payload_is_rows_only () =
 
 let test_rows_iterator () =
   let m = mk 4 3 (fun i j -> float_of_int ((i * 3) + j)) in
-  let rws = Iter2.rows m in
+  let rws = Iter.rows m in
   check_int "len" 4 (Iter.length rws);
   let sums = Iter.to_list (Iter.map (fun v ->
       let s = ref 0.0 in
@@ -198,34 +193,31 @@ let test_rows_distributed_sum () =
              s := !s +. Matrix.view_get v k
            done;
            !s)
-         (Iter.par (Iter2.rows m)))
+         (Iter.par (Iter.rows m)))
   in
   Alcotest.(check (float 1e-6)) "distributed row sum" !expected s
 
 let test_iter2_map_composition () =
   let m = mk 3 3 (fun i j -> float_of_int (i * j)) in
   let doubled =
-    Iter2.build (Iter2.map (fun x -> 2.0 *. x) (Iter2.of_matrix m))
+    Iter.to_matrix (Iter.map (fun x -> 2.0 *. x) (Iter.of_matrix m))
   in
   check_float "composed" (2.0 *. Matrix.get m 2 2) (Matrix.get doubled 2 2)
 
 let test_iter2_sum_all_hints () =
   let m = mk 9 7 (fun i j -> float_of_int ((i * 7) + j)) in
   let expected = float_of_int (63 * 62 / 2) in
-  (* of_matrix has no serializable source, so par is exercised through
-     outer_product in the next test. *)
-  Alcotest.(check (float 1e-9)) "sum seq" expected
-    (Iter2.sum (Iter2.sequential (Iter2.of_matrix m)));
-  Alcotest.(check (float 1e-9)) "sum localpar" expected
-    (Iter2.sum (Iter2.localpar (Iter2.of_matrix m)))
+  each_hint2 (fun name h ->
+      Alcotest.(check (float 1e-9)) ("sum " ^ name) expected
+        (Iter.sum (with_hint2 h (Iter.of_matrix m))))
 
 let test_iter2_sum_distributed_outer_product () =
   (* Frobenius-like sum over outer_product: sum of all pairwise row
      dots = sum_i sum_j <r_i, r_j> = |sum_i r_i|^2 elementwise. *)
   let m = mk 6 4 (fun i j -> float_of_int (i + j)) in
-  let zipped = Iter2.outer_product (Iter2.rows m) (Iter2.rows m) in
+  let zipped = Iter.outer_product (Iter.rows m) (Iter.rows m) in
   let total =
-    Iter2.sum (Iter2.par (Iter2.map (fun (u, v) -> Matrix.view_dot u v) zipped))
+    Iter.sum (Iter.par (Iter.map (fun (u, v) -> Matrix.view_dot u v) zipped))
   in
   let colsum = Array.init 4 (fun j ->
       let s = ref 0.0 in
@@ -238,13 +230,16 @@ let test_iter2_sum_distributed_outer_product () =
 let test_iter2_map2 () =
   let a = mk 3 3 (fun i j -> float_of_int (i + j)) in
   let b = mk 3 3 (fun i j -> float_of_int (i * j)) in
-  let s = Iter2.build (Iter2.map2 ( +. ) (Iter2.of_matrix a) (Iter2.of_matrix b)) in
+  let s =
+    Iter.to_matrix (Iter.zip_with ( +. ) (Iter.of_matrix a) (Iter.of_matrix b))
+  in
   check_float "combined" (Matrix.get a 2 1 +. Matrix.get b 2 1) (Matrix.get s 2 1);
   (* intersection of extents *)
   let small = mk 2 5 (fun _ _ -> 1.0) in
-  let c = Iter2.map2 ( +. ) (Iter2.of_matrix a) (Iter2.of_matrix small) in
-  check_int "rows" 2 (Iter2.row_count c);
-  check_int "cols" 3 (Iter2.col_count c)
+  let c = Iter.zip_with ( +. ) (Iter.of_matrix a) (Iter.of_matrix small) in
+  let (Shape.Dim2 (rows, cols)) = Iter.shape c in
+  check_int "rows" 2 rows;
+  check_int "cols" 3 cols
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -256,9 +251,9 @@ let prop_sgemm_hint_invariance =
       let rng = Triolet_base.Rng.create (m + (100 * k) + (10000 * n)) in
       let a = Matrix.random rng m k (-1.0) 1.0 in
       let b = Matrix.random rng k n (-1.0) 1.0 in
-      let s = sgemm_triolet Iter2.sequential a b in
-      let l = sgemm_triolet Iter2.localpar a b in
-      let d = sgemm_triolet Iter2.par a b in
+      let s = sgemm_triolet Iter.sequential a b in
+      let l = sgemm_triolet Iter.localpar a b in
+      let d = sgemm_triolet Iter.par a b in
       Matrix.equal_eps ~eps:1e-9 s l && Matrix.equal_eps ~eps:1e-9 s d)
 
 let prop_transpose_involution =
@@ -277,11 +272,11 @@ let prop_rows_ship_roundtrip =
       let m = Matrix.random rng r c 0.0 1.0 in
       let s1 =
         Iter.sum
-          (Iter.map (fun v -> Matrix.view_dot v v) (Iter.par (Iter2.rows m)))
+          (Iter.map (fun v -> Matrix.view_dot v v) (Iter.par (Iter.rows m)))
       in
       let s2 =
         Iter.sum
-          (Iter.map (fun v -> Matrix.view_dot v v) (Iter2.rows m))
+          (Iter.map (fun v -> Matrix.view_dot v v) (Iter.rows m))
       in
       Float.abs (s1 -. s2) <= 1e-9 *. (1.0 +. Float.abs s2))
 

@@ -52,9 +52,9 @@ let test_sgemm_triolet_matches_c () =
   let a, b = Dataset.sgemm_matrices ~seed:21 ~m:17 ~k:13 ~n:19 in
   let c = Sgemm.run_c a b in
   Alcotest.(check bool) "par" true
-    (Sgemm.agrees c (Sgemm.run_triolet ~hint:Iter2.par a b));
+    (Sgemm.agrees c (Sgemm.run_triolet ~hint:Iter.par a b));
   Alcotest.(check bool) "localpar" true
-    (Sgemm.agrees c (Sgemm.run_triolet ~hint:Iter2.localpar a b))
+    (Sgemm.agrees c (Sgemm.run_triolet ~hint:Iter.localpar a b))
 
 let test_sgemm_eden_matches_c () =
   let a, b = Dataset.sgemm_matrices ~seed:22 ~m:8 ~k:6 ~n:7 in
