@@ -14,8 +14,8 @@ module Obs = Triolet_obs.Obs
 
 let backend_arg =
   let doc =
-    "Cluster transport backend: $(b,inprocess) runs nodes as mailbox \
-     channels inside this process; $(b,process) forks one OS process per \
+    "Cluster transport backend: $(b,inprocess) runs nodes over in-memory \
+     queues inside this process; $(b,process) forks one OS process per \
      node and moves every frame over a socketpair.  Forking must happen \
      before any worker domain is spawned, so $(b,process) runs the \
      parent single-threaded."
@@ -266,8 +266,8 @@ let faults_cmd =
     let module Kern = Triolet_kernels.Kernel in
     let module Table = Triolet_harness.Table in
     let crash_node = min 1 (nodes - 1) in
-    (* Retry timeouts sized for the transport: the in-process mailbox
-       turns messages around in microseconds, a forked node takes real
+    (* Retry timeouts sized for the transport: the in-process queues
+       turn messages around in microseconds, a forked node takes real
        scheduling and pipe latency, so the process backend gets a much
        larger base timeout to keep delayed frames from triggering retry
        storms. *)
@@ -587,7 +587,6 @@ let analyze_cmd =
     let reports =
       [
         Triolet_sim.Protocol_models.Wsdeque_model.check ();
-        Triolet_sim.Protocol_models.Mailbox_model.check ();
       ]
       @
       if protocol then

@@ -1,9 +1,8 @@
 (** Concurrency lint over the runtime's Mutex discipline.
 
     The runtime's safety argument leans on hand-rolled locking — the
-    pool's condition-variable protocol, the mailbox's poison-on-close,
-    the process fabric's teardown serialization, the service
-    dispatcher's client queue.  [Unsafe_scan] is grep-shaped and cannot
+    pool's condition-variable protocol, the process fabric's teardown
+    serialization, the service dispatcher's client queue.  [Unsafe_scan] is grep-shaped and cannot
     see any of it.  This pass parses the runtime sources with
     [compiler-libs] (no new dependency: the parser ships with the
     compiler) and runs a small flow-sensitive walker over every
@@ -17,9 +16,9 @@
       in opposite orders can deadlock — and is an [Error].  The graph
       is exportable as DOT for the CI artifact.
     - {b blocking under a lock}: a call to a blocking primitive
-      ([Unix.read]/[select]/[sleepf]…, [Mailbox.recv], [Thread.join],
-      [Domain.join], the transport receive family) while any lock is
-      held stalls every thread that wants that lock — [Error].
+      ([Unix.read]/[select]/[sleepf]…, [Thread.join], [Domain.join],
+      the transport receive family) while any lock is held stalls
+      every thread that wants that lock — [Error].
     - {b condition-wait shape}: [Condition.wait] must name a mutex the
       walker knows is held, must sit inside a loop (a [while]/[for]
       body or a recursive binding — the wait-loop idiom that absorbs
@@ -59,7 +58,6 @@ let whitelist =
   [
     ("lib/core/skeletons.ml", 1);
     ("lib/runtime/fault.ml", 1);
-    ("lib/runtime/mailbox.ml", 1);
     ("lib/runtime/pool.ml", 7);
     ("lib/runtime/protocol.ml", 1);
     ("lib/runtime/service.ml", 1);
@@ -90,10 +88,7 @@ let blocking_calls =
     "Thread.join";
     "Thread.delay";
     "Domain.join";
-    "Mailbox.recv";
-    "Mailbox.recv_timeout";
     "Transport.Socket.recv";
-    "Transport.Socket.recv_timeout";
     "Transport.Proc.recv_any";
   ]
 

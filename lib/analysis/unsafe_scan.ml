@@ -50,7 +50,7 @@ let scan_dirs = [ "lib"; "bin"; "bench"; "examples" ]
 (* Wall-clock ratchet: durations and deadlines must be computed on the
    monotonic clock ({!Triolet_runtime.Clock.monotonic_ns}) — the wall
    clock steps under NTP adjustment, which once produced spurious
-   mailbox timeouts and skewed recovery timing.  Any qualified call in
+   receive timeouts and skewed recovery timing.  Any qualified call in
    a timing-sensitive tree is an error with no allowance.  (Needle
    assembled by concatenation so this file passes its own scan.) *)
 let wallclock_needle = "Unix." ^ "gettimeofday"

@@ -130,8 +130,8 @@ let map ~inj ~proj a =
   }
 
 (* The writer is preallocated at the exact wire size, so [Rw.detach]
-   hands its buffer over without the final copy — the cluster mailbox
-   hot path serializes every scatter/gather message through here. *)
+   hands its buffer over without the final copy — the cluster's hot
+   path serializes every scatter/gather message through here. *)
 let to_bytes c v =
   let w = Rw.create_writer ~capacity:(max 1 (c.size v)) () in
   c.encode w v;

@@ -23,7 +23,7 @@ module Obs = Triolet_obs.Obs
    [Process] is the real multi-process transport: one forked OS process
    per node, socketpair channels, a private pool per child. *)
 type backend =
-  | Inprocess  (** in-process nodes over mailbox channels *)
+  | Inprocess  (** in-process nodes over the engine's inline queues *)
   | Flat  (** Eden-style: one in-process worker per core, no node pool *)
   | Process  (** one forked OS process per node, socket channels *)
 

@@ -8,9 +8,10 @@
     is counted.
 
     Which transport carries the bytes is the {!backend} of the
-    {!topology}: in-process mailbox channels (the simulation the paper's
-    MPI ranks reduce to in one address space), Eden-style flat workers
-    over the same channels, or genuinely separate OS processes over
+    {!topology}: in-process nodes fed through the dispatch engine's
+    inline queues (the simulation the paper's MPI ranks reduce to in one
+    address space), Eden-style flat workers over the same queues, or
+    genuinely separate OS processes over
     socketpairs ({!Process}), where the no-shared-memory guarantee is
     enforced by the kernel rather than asserted by convention.
 
@@ -20,9 +21,9 @@
 
 (** Where and how nodes execute and exchange bytes. *)
 type backend =
-  | Inprocess  (** in-process nodes over mailbox channels *)
+  | Inprocess  (** in-process nodes over the engine's inline queues *)
   | Flat
-      (** Eden's flat process view over mailbox channels: one
+      (** Eden's flat process view over the same queues: one
           single-threaded worker per core, no shared memory within a
           node *)
   | Process

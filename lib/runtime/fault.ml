@@ -9,16 +9,17 @@
     exact same fault schedule — and therefore the same retries,
     redeliveries and recovery path — on every run.
 
-    Faults are applied at the mailbox boundary, per *link* (main to a
-    node, or a node back to main):
+    Faults are applied where the dispatch engine hands a frame to a
+    link ([Dispatch.through]), per *link* (main to a node, or a node
+    back to main):
 
-    - {b drop}: the message is never enqueued;
+    - {b drop}: the frame is never delivered;
     - {b corrupt}: one byte is XORed with a nonzero mask before
       delivery, which the checksummed envelope must catch;
-    - {b duplicate}: the message is enqueued twice, which at-most-once
+    - {b duplicate}: the frame is delivered twice, which at-most-once
       reply dedup must absorb;
-    - {b delay}: the message is parked ({!Mailbox.send_delayed}) and
-      becomes visible only after the receiver times out — a straggler
+    - {b delay}: the frame is parked on the engine's [late] queue and
+      delivered only once the engine's next timeout fires — a straggler
       whose reply crosses the retry on the wire.
 
     Node-level faults: one node may crash permanently (before, during
@@ -132,11 +133,6 @@ let counters t =
   Mutex.unlock t.lock;
   c
 
-(* Exponential backoff, capped: 1x, 2x, 4x ... the base timeout. *)
-let timeout_for s ~attempt =
-  let a = max 0 (min attempt 30) in
-  Float.min s.max_timeout (s.base_timeout *. Float.of_int (1 lsl a))
-
 let ensure_node t node =
   if node >= Array.length t.crashed then begin
     let n = Array.make (node + 1) false in
@@ -144,16 +140,9 @@ let ensure_node t node =
     t.crashed <- n
   end
 
-let is_crashed t node =
-  Mutex.lock t.lock;
-  let v = node < Array.length t.crashed && t.crashed.(node) in
-  Mutex.unlock t.lock;
-  v
-
 (** [crash_now t ~node ~phase] fires the planned crash the first time
     execution of [node] reaches [phase]; once fired the node stays dead
-    ({!is_crashed}) and work for its slice must be re-executed on a
-    surviving node. *)
+    and work for its slice must be re-executed on a surviving node. *)
 let crash_now t ~node ~phase =
   match t.s.crash with
   | Some (n, p) when n = node && p = phase ->
@@ -206,10 +195,10 @@ let straggle_now t link =
     stream without touching any channel: [`Drop], or
     [`Deliver (bytes', delayed, duplicated)] where [bytes'] may have one
     byte flipped.  The draw order (drop, corrupt, delay, duplicate) is
-    the wire contract every transport shares — both the mailbox and the
-    socket backends route their traffic through this single function, so
-    a fault plan means the same thing on either.  Counted in
-    {!counters} and {!Stats}. *)
+    the wire contract: [Dispatch.through] routes every frame of both
+    backends through this single function — a delayed frame waits on
+    the engine's [late] queue — so a fault plan means the same thing in
+    process and over sockets.  Counted in {!counters} and {!Stats}. *)
 let decide t ~link bytes =
   Mutex.lock t.lock;
   let lf = t.s.faults_of link in
@@ -238,22 +227,11 @@ let decide t ~link bytes =
   Mutex.unlock t.lock;
   decision
 
-(** [send t ~link mb bytes] delivers [bytes] through [mb], applying the
-    link's faults: possibly dropping, corrupting, delaying or
-    duplicating the message.  Counted in {!counters} and {!Stats}. *)
-let send t ~link mb bytes =
-  match decide t ~link bytes with
-  | `Drop -> ()
-  | `Deliver (bytes, delayed, dup) ->
-      if delayed then Mailbox.send_delayed mb bytes else Mailbox.send mb bytes;
-      if dup then Mailbox.send mb (Bytes.copy bytes)
-
 (** [mark_crashed t node] records that [node] died for a reason outside
     the plan's crash schedule — the multi-process backend calls this
     when it reads EOF from a child's channel (the child [_exit]ed on an
     injected crash, or something external [kill]ed it).  Returns whether
-    the death was fresh; the node stays dead for {!is_crashed} routing
-    either way. *)
+    the death was fresh, so each death is counted once. *)
 let mark_crashed t node =
   Mutex.lock t.lock;
   ensure_node t node;

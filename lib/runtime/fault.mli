@@ -82,10 +82,6 @@ val zero_counters : counters
 val counters : t -> counters
 val pp_counters : Format.formatter -> counters -> unit
 
-val timeout_for : spec -> attempt:int -> float
-(** Capped exponential backoff: the receive timeout to use on the given
-    retry round (0-based). *)
-
 val decide :
   t ->
   link:link ->
@@ -93,14 +89,10 @@ val decide :
   [ `Drop | `Deliver of Bytes.t * bool * bool ]
 (** Draw one message's fate from the seeded stream without touching any
     channel: [`Drop], or [`Deliver (bytes, delayed, duplicated)] where
-    [bytes] may have one byte flipped.  Every transport backend routes
-    its traffic through this single decision point, so a fault plan has
-    the same meaning over mailboxes and over sockets. *)
-
-val send : t -> link:link -> Mailbox.t -> Bytes.t -> unit
-(** Deliver a message through a mailbox, applying the link's faults
-    (drop / corrupt one byte / park as delayed / duplicate).
-    Equivalent to acting on {!decide}. *)
+    [bytes] may have one byte flipped.  [Dispatch.through] routes every
+    frame of both backends through this single decision point, parking
+    delayed frames on the engine's [late] queue until its next timeout,
+    so a fault plan has the same meaning in process and over sockets. *)
 
 val crash_now : t -> node:int -> phase:crash_phase -> bool
 (** True exactly once, when execution of the planned crash node first
@@ -111,8 +103,6 @@ val mark_crashed : t -> int -> bool
     multi-process backend calls this on reading EOF from a child's
     channel, whether the child [_exit]ed on an injected crash or was
     killed externally.  True if the death was fresh. *)
-
-val is_crashed : t -> int -> bool
 
 type service_fault =
   | Heartbeat_loss

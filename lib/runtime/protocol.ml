@@ -10,8 +10,8 @@
     - {b frame kinds and framing}: {!kind}, the byte tags, and the
       5-byte header codec {!Transport.Socket} writes and reads.  A
       malformed header is the typed {!Bad_frame}, never a crash or a
-      mis-split — the incremental {!Decoder} exists so the property can
-      be fuzzed without a socket.
+      mis-split; the tests fuzz that property through the socket
+      reader itself.
     - {b the state machine} ({!spec}): per-role states and the rule
       table saying, for every state and every event (frame arrival,
       EOF, heartbeat-miss verdict, respawn-backoff expiry), what the
@@ -111,51 +111,6 @@ let decode_header buf off =
     raise (Bad_frame (Printf.sprintf "bad payload length %d" len));
   let kind = kind_of_byte (Bytes.get buf (off + 4)) in
   (len, kind)
-
-(** Incremental frame decoder over an arbitrary byte stream: feed
-    chunks cut at any boundary, pop whole frames.  Pure — no fd, no
-    blocking — so the framing contract (decode exactly the frames that
-    were encoded, or raise {!Bad_frame}; never crash, over-read, or
-    mis-split) is directly fuzzable. *)
-module Decoder = struct
-  type t = {
-    mutable buf : Bytes.t;  (* pending undecoded bytes *)
-    mutable len : int;  (* live prefix of [buf] *)
-    mutable consumed : int;  (* bytes already popped as whole frames *)
-  }
-
-  let create () = { buf = Bytes.create 64; len = 0; consumed = 0 }
-  let buffered t = t.len
-  let consumed t = t.consumed
-
-  let feed t chunk =
-    let n = Bytes.length chunk in
-    if t.len + n > Bytes.length t.buf then begin
-      let cap = max (t.len + n) (2 * Bytes.length t.buf) in
-      let b = Bytes.create cap in
-      Bytes.blit t.buf 0 b 0 t.len;
-      t.buf <- b
-    end;
-    Bytes.blit chunk 0 t.buf t.len n;
-    t.len <- t.len + n
-
-  (** Next whole frame, if the buffer holds one.  Raises {!Bad_frame}
-      as soon as a complete header is malformed — before waiting for
-      any payload bytes that "length" would imply. *)
-  let pop t =
-    if t.len < header_len then None
-    else
-      let len, kind = decode_header t.buf 0 in
-      let total = header_len + len in
-      if t.len < total then None
-      else begin
-        let payload = Bytes.sub t.buf header_len len in
-        Bytes.blit t.buf total t.buf 0 (t.len - total);
-        t.len <- t.len - total;
-        t.consumed <- t.consumed + total;
-        Some (kind, payload)
-      end
-end
 
 (* ------------------------------------------------------------------ *)
 (* The supervision/request state machine, as data.                     *)

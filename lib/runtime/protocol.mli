@@ -47,27 +47,6 @@ val decode_header : Bytes.t -> int -> int * kind
     and [Invalid_argument] if [buf] does not hold {!header_len} bytes
     at [off]. *)
 
-(** Pure incremental frame decoder: feed byte chunks cut at arbitrary
-    boundaries, pop whole frames.  Exists so the framing contract can
-    be fuzzed without sockets. *)
-module Decoder : sig
-  type t
-
-  val create : unit -> t
-
-  val feed : t -> Bytes.t -> unit
-
-  val pop : t -> (kind * Bytes.t) option
-  (** Next complete frame, or [None] if more bytes are needed.  Raises
-      {!Bad_frame} as soon as a buffered header is malformed. *)
-
-  val buffered : t -> int
-  (** Bytes fed but not yet popped as part of a whole frame. *)
-
-  val consumed : t -> int
-  (** Total bytes returned as whole frames so far. *)
-end
-
 (** {1 The state machine, as data} *)
 
 type role = Parent | Child

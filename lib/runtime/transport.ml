@@ -1,26 +1,17 @@
-(** Pluggable cluster transports.
+(** The cluster's one wire: length-prefixed byte frames over OS sockets.
 
-    The cluster runtime moves every payload as serialized bytes; this
-    module abstracts *how* those bytes move.  A transport is a
-    module-level interface ({!S}) over length-prefixed byte frames:
-    [connect] yields a linked pair of endpoints, [send] ships one frame,
-    [recv]/[recv_timeout] deliver whole frames in order, [close] tears
-    an endpoint down and wakes any peer blocked on it.
-
-    Two implementations:
-
-    - {!Mailbox_chan}: the in-process backend.  Frames ride the existing
-      {!Mailbox} FIFO queues (one per direction), so wire behaviour —
-      FIFO order, poison-on-close, byte accounting per message — is
-      exactly the mailbox runtime's.
-    - {!Socket}: a real OS channel.  Frames are written to a
-      [socketpair] as a 4-byte big-endian payload length, a 1-byte frame
-      kind, and the payload; the endpoints may live in different
-      processes, which is what the multi-process cluster backend uses.
+    The cluster runtime moves every payload as serialized bytes.
+    In-process nodes exchange them through the dispatch engine's inline
+    queues; process nodes exchange them here.  {!Socket} writes each
+    frame to a [socketpair] as a 4-byte big-endian payload length, a
+    1-byte frame kind, and the payload — the header codec and the kinds
+    ({!Protocol.kind}) live in {!Protocol}.  A malformed header (unknown
+    kind byte, absurd length field) raises [Protocol.Bad_frame].
 
     Frame *headers* (length + kind) are transport framing, not payload:
     byte accounting everywhere in the runtime counts payload bytes only,
-    so the two backends report identical traffic for identical work.
+    so the in-process and process backends report identical traffic for
+    identical work.
 
     {!Proc} is the process fabric the multi-process backend builds on:
     it forks one child per node with a socket channel back to the
@@ -33,114 +24,7 @@
 
 exception Closed
 (** The endpoint (or its peer) is closed: no further frames will ever
-    arrive.  Mirrors [Mailbox.Closed] and a socket EOF. *)
-
-(** Frame kinds.  [Data] carries protocol payload; [Err] carries a
-    remote failure report (an exception escaping task code); [Nack]
-    signals that the receiver rejected a frame (e.g. a corrupt task
-    envelope) without producing a result.  [Ping]/[Pong] are the
-    heartbeat frames of the long-lived service fabric: a supervisor
-    pings its children, a live child echoes the payload back as a pong,
-    and a silence longer than the miss threshold is a death verdict
-    even when the socket never delivers an EOF (a hung child keeps its
-    end open forever).
-
-    The type, its byte tags, and the frame header codec all live in
-    {!Protocol} — the reified spec the analyzer and model checker also
-    consume; this is a re-export so transport users keep a single
-    constructor namespace.  A malformed header (unknown kind byte,
-    absurd length field) raises [Protocol.Bad_frame], not
-    [Invalid_argument]. *)
-type kind = Protocol.kind =
-  | Data
-  | Err
-  | Nack
-  | Ping
-  | Pong
-  | Seg_put
-  | Seg_reuse
-  | Seg_free
-
-let kind_to_byte = Protocol.kind_to_byte
-let kind_of_byte = Protocol.kind_of_byte
-
-(** The transport interface: length-prefixed byte frames over a
-    connected pair of endpoints. *)
-module type S = sig
-  val name : string
-
-  type t
-  (** One endpoint of a connected channel. *)
-
-  val connect : unit -> t * t
-  (** A linked endpoint pair: frames sent on one arrive on the other,
-      whole and in order. *)
-
-  val send : t -> ?kind:kind -> Bytes.t -> unit
-  (** Ship one frame ([kind] defaults to [Data]).  Raises {!Closed} if
-      the channel is down. *)
-
-  val recv : t -> kind * Bytes.t
-  (** Blocking receive of the next whole frame.  Raises {!Closed} once
-      the channel is closed and drained. *)
-
-  val recv_timeout : t -> float -> [ `Msg of kind * Bytes.t | `Timeout | `Closed ]
-  (** Receive with a timeout in seconds. *)
-
-  val close : t -> unit
-  (** Tear the endpoint down.  Peers blocked in [recv] wake with
-      {!Closed}; pending frames already delivered may still be read by
-      the peer where the underlying channel buffers them. *)
-end
-
-(* ------------------------------------------------------------------ *)
-(* In-process backend: frames over a pair of mailboxes.                 *)
-
-module Mailbox_chan : S = struct
-  let name = "mailbox"
-
-  (* One mailbox per direction; the kind byte is prepended to the
-     payload so a mailbox message is exactly one frame.  (Mailbox
-     messages preserve boundaries, so no length prefix is needed.) *)
-  type t = { rx : Mailbox.t; tx : Mailbox.t }
-
-  let connect () =
-    let a = Mailbox.create () and b = Mailbox.create () in
-    ({ rx = a; tx = b }, { rx = b; tx = a })
-
-  let frame kind payload =
-    let len = Bytes.length payload in
-    let b = Bytes.create (len + 1) in
-    Bytes.set b 0 (kind_to_byte kind);
-    Bytes.blit payload 0 b 1 len;
-    b
-
-  let unframe b =
-    if Bytes.length b = 0 then invalid_arg "Transport.Mailbox_chan: empty frame";
-    (kind_of_byte (Bytes.get b 0), Bytes.sub b 1 (Bytes.length b - 1))
-
-  let send t ?(kind = Data) payload =
-    match Mailbox.send t.tx (frame kind payload) with
-    | () -> ()
-    | exception Mailbox.Closed -> raise Closed
-
-  let recv t =
-    match Mailbox.recv t.rx with
-    | b -> unframe b
-    | exception Mailbox.Closed -> raise Closed
-
-  let recv_timeout t timeout =
-    match Mailbox.recv_timeout t.rx timeout with
-    | `Msg b -> `Msg (unframe b)
-    | `Timeout -> `Timeout
-    | `Closed -> `Closed
-
-  (* Closing either side poisons both directions, like shutting down a
-     socket: the peer's blocked [recv] wakes with [Closed]. *)
-  let close t =
-    Mailbox.close t.rx;
-    Mailbox.close t.tx
-end
+    arrive.  A socket EOF. *)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-process backend: frames over a socketpair.                     *)
@@ -158,13 +42,13 @@ let ignore_sigpipe () =
   end
 
 module Socket = struct
-  let name = "socket"
-
   type t = { fd : Unix.file_descr; mutable closed : bool }
 
   let of_fd fd = { fd; closed = false }
   let fd t = t.fd
 
+  (** A linked endpoint pair: frames sent on one arrive on the other,
+      whole and in order. *)
   let connect () =
     ignore_sigpipe ();
     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -209,7 +93,9 @@ module Socket = struct
     done;
     if !eof then None else Some buf
 
-  let send t ?(kind = Data) payload =
+  (** Ship one frame ([kind] defaults to [Data]).  Raises {!Closed} if
+      the channel is down. *)
+  let send t ?(kind = Protocol.Data) payload =
     if t.closed then raise Closed;
     write_all t (Protocol.encode_frame ~kind payload)
 
@@ -227,30 +113,21 @@ module Socket = struct
         in
         Some (kind, payload)
 
+  (** Blocking receive of the next whole frame.  Raises {!Closed} once
+      the channel is closed or the peer is gone, and [Protocol.Bad_frame]
+      on a malformed header. *)
   let recv t =
     if t.closed then raise Closed;
     match try_recv_header t with Some f -> f | None -> raise Closed
 
-  let recv_timeout t timeout =
-    if t.closed then `Closed
-    else
-      match Unix.select [ t.fd ] [] [] timeout with
-      | [], _, _ -> `Timeout
-      | _ -> (
-          match try_recv_header t with
-          | Some f -> `Msg f
-          | None -> `Closed
-          | exception Closed -> `Closed)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Timeout
-
+  (** Tear the endpoint down; the peer reads EOF once it has drained
+      the frames already buffered. *)
   let close t =
     if not t.closed then begin
       t.closed <- true;
       try Unix.close t.fd with Unix.Unix_error _ -> ()
     end
 end
-
-module Socket_s : S = Socket
 
 (* ------------------------------------------------------------------ *)
 (* Process fabric: one forked child per node, socket channels back to
@@ -263,7 +140,7 @@ module Proc = struct
     mutable chan : Socket.t;  (** parent-side endpoint *)
     mutable alive : bool;
         (** flipped to false when the parent sees EOF (child exited,
-            crashed, or was killed) *)
+            crashed, or was killed) or a malformed frame *)
     mutable reaped : bool;
         (** the current [pid] has been waited for; nothing left to
             collect until a respawn replaces it *)
@@ -328,7 +205,9 @@ module Proc = struct
       child's EOF, a timeout, or — when [wake] is given — [`Wake] once
       that descriptor becomes readable (a self-pipe poked by another
       thread; the caller drains it).  EOF marks the node dead and closes
-      its channel. *)
+      its channel; so does a malformed frame header, because the stream
+      can no longer be resynchronised — the caller sees [`Eof] and
+      recovers the node as it would a crash. *)
   let recv_any ?wake t ~timeout =
     let live = Array.to_list t.nodes |> List.filter (fun n -> n.alive) in
     if live = [] && wake = None then `No_nodes
@@ -345,7 +224,7 @@ module Proc = struct
               let n = List.find (fun n -> Socket.fd n.chan = fd) live in
               match Socket.try_recv_header n.chan with
               | Some (kind, payload) -> `Msg (n.id, kind, payload)
-              | None | (exception Closed) ->
+              | None | (exception (Closed | Protocol.Bad_frame _)) ->
                   n.alive <- false;
                   Socket.close n.chan;
                   `Eof n.id))

@@ -439,7 +439,6 @@ let test_unsafe_scan_empty_tree_clean () =
 (* Protocol model checker                                              *)
 
 module W = Triolet_sim.Protocol_models.Wsdeque_model
-module M = Triolet_sim.Protocol_models.Mailbox_model
 
 let test_wsdeque_clean () =
   let r = W.check () in
@@ -458,25 +457,6 @@ let test_wsdeque_bugs_caught () =
   match lost.Triolet_sim.Modelcheck.violation with
   | Some _ -> ()
   | None -> Alcotest.fail "Lose_pop_race not caught"
-
-let test_mailbox_clean () =
-  let r = M.check () in
-  (match r.Triolet_sim.Modelcheck.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "unexpected: %s" v.Triolet_sim.Modelcheck.message);
-  check_bool "scenarios explored" true (r.Triolet_sim.Modelcheck.scenarios > 100);
-  check_bool "interleavings counted" true
-    (r.Triolet_sim.Modelcheck.interleavings > 100)
-
-let test_mailbox_bugs_caught () =
-  (match (M.check ~bug:M.No_close_wakeup ()).Triolet_sim.Modelcheck.violation with
-  | Some v ->
-      check_bool "wakeup failure is terminal" true
-        (v.Triolet_sim.Modelcheck.message <> "")
-  | None -> Alcotest.fail "No_close_wakeup not caught");
-  match (M.check ~bug:M.Drop_delayed ()).Triolet_sim.Modelcheck.violation with
-  | Some _ -> ()
-  | None -> Alcotest.fail "Drop_delayed not caught"
 
 (* ------------------------------------------------------------------ *)
 
@@ -538,8 +518,5 @@ let () =
           Alcotest.test_case "wsdeque clean" `Quick test_wsdeque_clean;
           Alcotest.test_case "wsdeque bugs caught" `Quick
             test_wsdeque_bugs_caught;
-          Alcotest.test_case "mailbox clean" `Quick test_mailbox_clean;
-          Alcotest.test_case "mailbox bugs caught" `Quick
-            test_mailbox_bugs_caught;
         ] );
     ]

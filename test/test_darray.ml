@@ -1,5 +1,5 @@
 (* Persistent distributed arrays: the shared envelope codec (qcheck
-   roundtrip and fuzz through the frame decoder), the model check of
+   roundtrip and fuzz through the fabric's socket reader), the model check of
    the real engine's residency protocol,
    residency byte collapse, geometry-checked zip, halo versioning, the
    resident kernel variants' exact parity with their non-resident
@@ -170,7 +170,7 @@ let test_proc_sgemm_first_round_parity () =
         (rep2.Cluster.scatter_bytes < rep1.Cluster.scatter_bytes))
 
 (* ------------------------------------------------------------------ *)
-(* Wire codecs: qcheck roundtrip, frame decoder, corruption.           *)
+(* Wire codecs: qcheck roundtrip, socket frame reader, corruption.     *)
 
 let payload_gen : Payload.t QCheck2.Gen.t =
   QCheck2.Gen.(
@@ -228,9 +228,9 @@ let prop_reply_roundtrip =
       Envelope.tag ~crc:true b = Some (slice, 1)
       && Envelope.body ~crc:true Payload.codec b = p)
 
-(* Every Seg_* frame kind carries its codec's bytes through the
-   incremental frame decoder, cut at arbitrary chunk boundaries:
-   kinds and decoded values must both survive. *)
+(* Every Seg_* frame kind carries its codec's bytes through a real
+   socket and the fabric's frame reader, written in chunks cut at
+   arbitrary boundaries: kinds and decoded values must both survive. *)
 let seg_frame_gen =
   QCheck2.Gen.(
     list_size (1 -- 6)
@@ -258,32 +258,8 @@ let prop_seg_frames_chunked =
                Bytes.to_string (Protocol.encode_frame ~kind payload))
              frames)
       in
-      let d = Protocol.Decoder.create () in
-      let pos = ref 0 in
-      let cuts = if cuts = [] then [ 5 ] else cuts in
-      let rec feed i =
-        if !pos < String.length stream then begin
-          let n =
-            min (List.nth cuts (i mod List.length cuts))
-              (String.length stream - !pos)
-          in
-          Protocol.Decoder.feed d (Bytes.of_string (String.sub stream !pos n));
-          pos := !pos + n;
-          feed (i + 1)
-        end
-      in
-      feed 0;
-      let out = ref [] in
-      let rec drain () =
-        match Protocol.Decoder.pop d with
-        | Some (k, p) ->
-            out := (k, Bytes.to_string p) :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !out = List.map (fun (k, p) -> (k, Bytes.to_string p)) frames
-      && Protocol.Decoder.consumed d = String.length stream)
+      Socket_stream.replay (Socket_stream.chunks ~cuts stream) Socket_stream.frames
+      = List.map (fun (k, p) -> (k, Bytes.to_string p)) frames)
 
 (* The checksummed envelope refuses corruption: any single-byte flip in
    a put frame raises a typed error instead of decoding garbage into a

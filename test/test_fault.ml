@@ -1,5 +1,5 @@
-(* Fault-tolerance tests: the checksummed codec envelope, mailbox
-   timeouts/poison, the deterministic fault injector, and recovery in
+(* Fault-tolerance tests: the checksummed codec envelope, the
+   deterministic fault injector, and recovery in
    the cluster runtime — including the four kernels computing correct
    results under injected crashes, corruption, drops, duplicates and
    stragglers. *)
@@ -105,98 +105,17 @@ let prop_plain_codec_roundtrip_still_exact =
       Codec.of_bytes c (Codec.to_bytes c p) = p)
 
 (* ------------------------------------------------------------------ *)
-(* Mailbox: timeouts, poison, delayed messages                         *)
-
-let test_recv_timeout_empty () =
-  let mb = Mailbox.create () in
-  (* Measure on the same monotonic clock the deadline arithmetic uses:
-     the wall clock could step mid-wait and fail this spuriously. *)
-  let t0 = Clock.monotonic_ns () in
-  (match Mailbox.recv_timeout mb 0.01 with
-  | `Timeout -> ()
-  | `Msg _ | `Closed -> Alcotest.fail "expected timeout");
-  let waited = float_of_int (Clock.monotonic_ns () - t0) /. 1e9 in
-  check_bool "waited at least the timeout" true (waited >= 0.009)
-
-let test_recv_timeout_message () =
-  let mb = Mailbox.create () in
-  Mailbox.send mb (Bytes.of_string "hi");
-  match Mailbox.recv_timeout mb 0.01 with
-  | `Msg b -> Alcotest.(check string) "msg" "hi" (Bytes.to_string b)
-  | `Timeout | `Closed -> Alcotest.fail "expected message"
-
-let test_recv_timeout_cross_domain () =
-  (* The empty-mailbox blocking path: a receiver blocked in
-     recv_timeout is woken by a send from another domain. *)
-  let mb = Mailbox.create () in
-  let sender =
-    Domain.spawn (fun () ->
-        Unix.sleepf 0.005;
-        Mailbox.send mb (Bytes.of_string "late"))
-  in
-  (match Mailbox.recv_timeout mb 1.0 with
-  | `Msg b -> Alcotest.(check string) "woken by send" "late" (Bytes.to_string b)
-  | `Timeout | `Closed -> Alcotest.fail "expected message");
-  Domain.join sender
-
-let test_close_wakes_blocked_recv () =
-  (* recv blocks on an empty mailbox until close poisons it. *)
-  let mb = Mailbox.create () in
-  let receiver =
-    Domain.spawn (fun () ->
-        match Mailbox.recv mb with
-        | _ -> false
-        | exception Mailbox.Closed -> true)
-  in
-  Unix.sleepf 0.005;
-  Mailbox.close mb;
-  check_bool "blocked recv woken with Closed" true (Domain.join receiver)
-
-let test_close_semantics () =
-  let mb = Mailbox.create () in
-  Mailbox.send mb (Bytes.of_string "pending");
-  Mailbox.close mb;
-  (* pending drains, then Closed *)
-  Alcotest.(check string) "drains pending" "pending"
-    (Bytes.to_string (Mailbox.recv mb));
-  check_bool "recv raises after drain" true
-    (match Mailbox.recv mb with
-    | _ -> false
-    | exception Mailbox.Closed -> true);
-  check_bool "send raises" true
-    (match Mailbox.send mb (Bytes.of_string "x") with
-    | () -> false
-    | exception Mailbox.Closed -> true);
-  match Mailbox.recv_timeout mb 0.01 with
-  | `Closed -> ()
-  | `Msg _ | `Timeout -> Alcotest.fail "expected `Closed"
-
-let test_delayed_promoted_by_timeout () =
-  let mb = Mailbox.create () in
-  Mailbox.send_delayed mb (Bytes.of_string "slow");
-  check_int "parked" 1 (Mailbox.delayed_pending mb);
-  check_int "invisible" 0 (Mailbox.pending mb);
-  Alcotest.(check bool) "try_recv misses it" true (Mailbox.try_recv mb = None);
-  (* a timed-out receive promotes it... *)
-  (match Mailbox.recv_timeout mb 0.005 with
-  | `Timeout -> ()
-  | `Msg _ | `Closed -> Alcotest.fail "expected timeout");
-  check_int "promoted" 0 (Mailbox.delayed_pending mb);
-  (* ...and the next receive observes it *)
-  match Mailbox.recv_timeout mb 0.005 with
-  | `Msg b -> Alcotest.(check string) "late arrival" "slow" (Bytes.to_string b)
-  | `Timeout | `Closed -> Alcotest.fail "expected late message"
-
-(* ------------------------------------------------------------------ *)
 (* Fault injector determinism                                          *)
 
+(* The fate of each of 50 frames, as drawn by [Fault.decide] — the one
+   decision point [Dispatch.through] routes every frame through. *)
 let run_schedule seed =
   let f = Fault.make (fast ~drop:0.3 ~duplicate:0.3 ~corrupt:0.3 ~delay:0.3 ~seed ()) in
-  let mb = Mailbox.create () in
-  for i = 0 to 49 do
-    Fault.send f ~link:(Fault.To_node (i mod 4)) mb (Bytes.make 16 'a')
-  done;
-  (Fault.counters f, Mailbox.totals mb)
+  let fates =
+    List.init 50 (fun i ->
+        Fault.decide f ~link:(Fault.To_node (i mod 4)) (Bytes.make 16 'a'))
+  in
+  (Fault.counters f, fates)
 
 let test_injector_deterministic () =
   let a = run_schedule 7 and b = run_schedule 7 and c = run_schedule 8 in
@@ -235,30 +154,20 @@ let test_inject_deterministic () =
 let test_inject_zero_rate_inert () =
   let schedule ~interrogate seed =
     let f = Fault.make (fast ~drop:0.3 ~duplicate:0.3 ~corrupt:0.3 ~delay:0.3 ~seed ()) in
-    let mb = Mailbox.create () in
-    for i = 0 to 49 do
-      if interrogate then begin
-        check_bool "zero heartbeat_loss" false
-          (Fault.inject f Fault.Heartbeat_loss ~node:(i mod 4));
-        check_bool "zero crash_on_respawn" false
-          (Fault.inject f Fault.Crash_on_respawn ~node:(i mod 4))
-      end;
-      Fault.send f ~link:(Fault.To_node (i mod 4)) mb (Bytes.make 16 'a')
-    done;
-    (Fault.counters f, Mailbox.totals mb)
+    let fates =
+      List.init 50 (fun i ->
+          if interrogate then begin
+            check_bool "zero heartbeat_loss" false
+              (Fault.inject f Fault.Heartbeat_loss ~node:(i mod 4));
+            check_bool "zero crash_on_respawn" false
+              (Fault.inject f Fault.Crash_on_respawn ~node:(i mod 4))
+          end;
+          Fault.decide f ~link:(Fault.To_node (i mod 4)) (Bytes.make 16 'a'))
+    in
+    (Fault.counters f, fates)
   in
   check_bool "schedule unmoved by zero-rate probes" true
     (schedule ~interrogate:false 7 = schedule ~interrogate:true 7)
-
-let test_timeout_backoff () =
-  let s = fast ~seed:0 () in
-  let t0 = Fault.timeout_for s ~attempt:0 in
-  let t1 = Fault.timeout_for s ~attempt:1 in
-  let t9 = Fault.timeout_for s ~attempt:9 in
-  check_bool "doubles" true (t1 = 2.0 *. t0);
-  check_bool "capped" true (t9 = s.Fault.max_timeout);
-  check_bool "huge attempt stays capped" true
-    (Fault.timeout_for s ~attempt:1000 = s.Fault.max_timeout)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster under faults                                                *)
@@ -557,19 +466,6 @@ let () =
           prop_checksummed_never_decodes_corruption;
           prop_plain_codec_roundtrip_still_exact;
         ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "recv_timeout empty" `Quick test_recv_timeout_empty;
-          Alcotest.test_case "recv_timeout message" `Quick
-            test_recv_timeout_message;
-          Alcotest.test_case "recv_timeout cross-domain" `Quick
-            test_recv_timeout_cross_domain;
-          Alcotest.test_case "close wakes blocked recv" `Quick
-            test_close_wakes_blocked_recv;
-          Alcotest.test_case "close semantics" `Quick test_close_semantics;
-          Alcotest.test_case "delayed promoted by timeout" `Quick
-            test_delayed_promoted_by_timeout;
-        ] );
       ( "injector",
         [
           Alcotest.test_case "deterministic schedule" `Quick
@@ -578,7 +474,6 @@ let () =
             test_inject_deterministic;
           Alcotest.test_case "zero-rate service faults inert" `Quick
             test_inject_zero_rate_inert;
-          Alcotest.test_case "timeout backoff" `Quick test_timeout_backoff;
         ] );
       ( "cluster-recovery",
         [

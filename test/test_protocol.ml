@@ -1,8 +1,9 @@
-(* Wire-protocol spec, framing codec (fuzzed), conformance trackers,
-   and the model check of the real dispatch engine's supervision. *)
+(* Wire-protocol spec, framing codec (fuzzed through the fabric's
+   socket reader), conformance trackers, the dispatch engine's retry
+   timer, and the model check of the real engine's supervision. *)
 
 module Protocol = Triolet_runtime.Protocol
-module Transport = Triolet_runtime.Transport
+module Socket = Triolet_runtime.Transport.Socket
 module DM = Triolet_sim.Dispatch_model
 module Modelcheck = Triolet_sim.Modelcheck
 
@@ -39,25 +40,32 @@ let test_bad_frames () =
      ignore (Protocol.decode_header hdr 0);
      Alcotest.fail "decode_header accepted absurd length"
    with Protocol.Bad_frame _ -> ());
-  (* The transport's kind parser raises the typed exception too. *)
-  try
-    ignore (Transport.kind_of_byte '\x7f');
-    Alcotest.fail "Transport.kind_of_byte accepted 0x7f"
-  with Protocol.Bad_frame _ -> ()
+  (* The fabric's socket reader raises the typed exception too. *)
+  check_bool "socket reader rejects kind 0x7f" true
+    (Socket_stream.replay [ "\000\000\000\004\x7fabcd" ] (fun b ->
+         match Socket.recv b with
+         | _ -> false
+         | exception Protocol.Bad_frame _ -> true))
 
-(* Transport's kind constructors are the protocol's (a type equation,
-   but pin the byte codec to the shared table as well). *)
+(* The socket transport puts exactly the protocol's frame bytes on the
+   wire: header codec and kind bytes come from the shared table. *)
 let test_transport_shares_codec () =
-  List.iter
-    (fun k ->
-      check_bool "byte" true
-        (Transport.kind_to_byte k = Protocol.kind_to_byte k))
-    [ Transport.Data; Transport.Err; Transport.Nack; Transport.Ping;
-      Transport.Pong ]
+  let a, b = Socket.connect () in
+  Fun.protect
+    ~finally:(fun () -> Socket.close a; Socket.close b)
+    (fun () ->
+      List.iter
+        (fun kind ->
+          let payload = Bytes.of_string (Protocol.kind_name kind) in
+          let expected = Protocol.encode_frame ~kind payload in
+          Socket.send a ~kind payload;
+          check_bool (Protocol.kind_name kind) true
+            (Socket.read_exactly b (Bytes.length expected) = Some expected))
+        Protocol.all_kinds)
 
-(* Feed a stream of well-formed frames cut at arbitrary chunk
-   boundaries; the decoder must reproduce exactly the input frame
-   sequence. *)
+(* Write a stream of well-formed frames into a socket cut at arbitrary
+   chunk boundaries; the fabric's reader must reproduce exactly the
+   input frame sequence, then a clean EOF. *)
 let gen_frames =
   QCheck2.Gen.(
     list_size (1 -- 8)
@@ -65,7 +73,7 @@ let gen_frames =
 
 let kind_of_int i = List.nth Protocol.all_kinds i
 
-let test_decoder_roundtrip =
+let prop_chunked_roundtrip =
   qtest "decoder roundtrip under arbitrary chunking"
     QCheck2.Gen.(pair gen_frames (list_size (0 -- 20) (int_range 1 13)))
     (fun (frames, cuts) ->
@@ -78,60 +86,20 @@ let test_decoder_roundtrip =
                     (Bytes.of_string payload)))
              frames)
       in
-      let d = Protocol.Decoder.create () in
-      (* Cut the stream using the cut list as successive chunk sizes,
-         cycling; then feed the remainder. *)
-      let pos = ref 0 in
-      let cuts = if cuts = [] then [ 7 ] else cuts in
-      let rec feed_chunks i =
-        if !pos < String.length stream then begin
-          let n =
-            min (List.nth cuts (i mod List.length cuts))
-              (String.length stream - !pos)
-          in
-          Protocol.Decoder.feed d (Bytes.of_string (String.sub stream !pos n));
-          pos := !pos + n;
-          feed_chunks (i + 1)
-        end
-      in
-      feed_chunks 0;
-      let out = ref [] in
-      let rec drain () =
-        match Protocol.Decoder.pop d with
-        | Some (k, p) ->
-            out := (k, Bytes.to_string p) :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !out
-      = List.map (fun (ki, p) -> (kind_of_int ki, p)) frames
-      && Protocol.Decoder.consumed d = String.length stream)
+      Socket_stream.replay (Socket_stream.chunks ~cuts stream) Socket_stream.frames
+      = List.map (fun (ki, p) -> (kind_of_int ki, p)) frames)
 
-(* Adversarial fuzz: a decoder fed arbitrary garbage must either
-   produce frames, ask for more bytes, or raise the typed Bad_frame —
-   never any other exception, never loop. *)
-let test_decoder_fuzz =
+(* Adversarial fuzz: the fabric's reader fed arbitrary garbage must
+   either produce frames, reach EOF, or raise the typed Bad_frame —
+   never any other exception, never hang. *)
+let prop_garbage_fuzz =
   qtest "decoder never crashes on garbage"
     QCheck2.Gen.(list_size (0 -- 12) (string_size (0 -- 40)))
     (fun chunks ->
-      let d = Protocol.Decoder.create () in
-      let ok = ref true in
-      (try
-         List.iter
-           (fun c ->
-             Protocol.Decoder.feed d (Bytes.of_string c);
-             let rec drain () =
-               match Protocol.Decoder.pop d with
-               | Some _ -> drain ()
-               | None -> ()
-             in
-             drain ())
-           chunks
-       with
-      | Protocol.Bad_frame _ -> ()
-      | _ -> ok := false);
-      !ok)
+      match Socket_stream.replay chunks Socket_stream.frames with
+      | _ -> true
+      | exception (Protocol.Bad_frame _ | Triolet_runtime.Transport.Closed) -> true
+      | exception _ -> false)
 
 (* --- the spec ----------------------------------------------------- *)
 
@@ -271,6 +239,28 @@ let test_failed_tick_keeps_respawn () =
   let _, acts = D.step t (D.Tick 20) in
   check_bool "no second respawn" false (List.mem (D.Respawn 1) acts)
 
+(* --- the dispatch engine's retry timer ------------------------------ *)
+
+(* One slice whose node never answers is re-issued at base, 2·base,
+   4·base… after each send, growing until the cap and then staying
+   there: the timer is the engine's own, driven step by step. *)
+let test_retry_backoff () =
+  let base = 10 and cap = 50 in
+  let t, acts = submit (engine ~supervised:false ~timeout:(base, cap) ~nodes:1 ~max_attempts:8 ()) 1 in
+  check_int "first send" 1 (List.length (task_seqs acts));
+  ignore
+    (List.fold_left
+      (fun (t, now) gap ->
+        let due = now + gap in
+        Alcotest.(check (option int)) "next deadline" (Some due) (D.next_deadline t);
+        let t, early = D.step t (D.Tick (due - 1)) in
+        check_int (Printf.sprintf "no re-issue before %d" due) 0 (List.length (task_seqs early));
+        let t, acts = D.step t (D.Tick due) in
+        check_int (Printf.sprintf "re-issued at %d" due) 1 (List.length (task_seqs acts));
+        (t, due))
+      (t, 0)
+      [ base; 2 * base; 4 * base; cap; cap; cap ])
+
 (* --- the dispatch engine, model-checked ---------------------------- *)
 
 let test_heartbeat_clean () =
@@ -320,8 +310,8 @@ let () =
           Alcotest.test_case "bad frames are typed" `Quick test_bad_frames;
           Alcotest.test_case "transport shares codec" `Quick
             test_transport_shares_codec;
-          test_decoder_roundtrip;
-          test_decoder_fuzz;
+          prop_chunked_roundtrip;
+          prop_garbage_fuzz;
         ] );
       ( "spec",
         [
@@ -345,6 +335,8 @@ let () =
           Alcotest.test_case "failure model passes" `Slow test_failure_clean;
           Alcotest.test_case "forgotten failed step caught" `Quick test_failure_catches_forgotten_step;
         ] );
+      ( "engine retry",
+        [ Alcotest.test_case "timeout backoff doubles to cap" `Quick test_retry_backoff ] );
       ( "heartbeat model",
         [
           Alcotest.test_case "clean protocol passes" `Slow test_heartbeat_clean;

@@ -1,5 +1,5 @@
 (* Tests for the runtime substrate: partitioning, the Chase–Lev deque,
-   the work-stealing pool, mailboxes, and the two-level cluster runtime. *)
+   the work-stealing pool, and the two-level cluster runtime. *)
 
 open Triolet_runtime
 
@@ -449,50 +449,6 @@ let test_pool_nonuniform_merge_type () =
       check_int "total" 50 (List.fold_left (fun a (_, l) -> a + l) 0 l))
 
 (* ------------------------------------------------------------------ *)
-(* Mailbox                                                             *)
-
-let test_mailbox_fifo () =
-  let mb = Mailbox.create () in
-  Mailbox.send mb (Bytes.of_string "one");
-  Mailbox.send mb (Bytes.of_string "two");
-  Alcotest.(check string) "fifo 1" "one" (Bytes.to_string (Mailbox.recv mb));
-  Alcotest.(check string) "fifo 2" "two" (Bytes.to_string (Mailbox.recv mb))
-
-let test_mailbox_counters () =
-  let mb = Mailbox.create () in
-  Mailbox.send mb (Bytes.create 10);
-  Mailbox.send mb (Bytes.create 20);
-  let msgs, bytes = Mailbox.totals mb in
-  check_int "messages" 2 msgs;
-  check_int "bytes" 30 bytes;
-  check_int "pending" 2 (Mailbox.pending mb)
-
-let test_mailbox_try_recv () =
-  let mb = Mailbox.create () in
-  Alcotest.(check bool) "empty" true (Mailbox.try_recv mb = None);
-  Mailbox.send mb (Bytes.of_string "x");
-  Alcotest.(check bool) "nonempty" true (Mailbox.try_recv mb <> None)
-
-let test_mailbox_cross_domain () =
-  let mb = Mailbox.create () in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to 99 do
-          let b = Bytes.create 8 in
-          Bytes.set_int64_le b 0 (Int64.of_int i);
-          Mailbox.send mb b
-        done)
-  in
-  let received = ref [] in
-  for _ = 0 to 99 do
-    let b = Mailbox.recv mb in
-    received := Int64.to_int (Bytes.get_int64_le b 0) :: !received
-  done;
-  Domain.join producer;
-  Alcotest.(check (list int)) "ordered delivery" (List.init 100 Fun.id)
-    (List.rev !received)
-
-(* ------------------------------------------------------------------ *)
 (* Cluster                                                             *)
 
 module Payload = Triolet_base.Payload
@@ -646,13 +602,6 @@ let () =
           Alcotest.test_case "per-worker stats" `Quick
             test_pool_per_worker_stats;
           Alcotest.test_case "grain policy" `Quick test_pool_grain_policy;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "counters" `Quick test_mailbox_counters;
-          Alcotest.test_case "try_recv" `Quick test_mailbox_try_recv;
-          Alcotest.test_case "cross-domain" `Quick test_mailbox_cross_domain;
         ] );
       ( "cluster",
         [

@@ -1,9 +1,9 @@
-(* Transport layer tests: the process fabric and both frame transports.
+(* Transport layer tests: the process fabric and the socket frame
+   transport.
 
    ORDER MATTERS.  The process backend forks, and OCaml forbids [fork]
-   once any domain has ever been spawned, so every fork-dependent test
-   runs in the first suites — before the conformance tests, which spawn
-   receiver domains.  The final suite checks the fail-fast guard the
+   once any domain has ever been spawned.  Every suite before the last
+   uses threads at most; the final suite checks the fail-fast guard the
    other way around: once domains exist, the process backend must raise
    a clear [Failure] instead of a cryptic fork error. *)
 
@@ -46,7 +46,7 @@ let test_fabric_echo () =
           let chan = (Transport.Proc.node fabric i).Transport.Proc.chan in
           Transport.Socket.send chan (Bytes.of_string payload);
           let kind, reply = Transport.Socket.recv chan in
-          check_bool "data kind" true (kind = Transport.Data);
+          check_bool "data kind" true (kind = Protocol.Data);
           Alcotest.(check string)
             "reversed"
             (Bytes.to_string (reverse_bytes (Bytes.of_string payload)))
@@ -54,9 +54,9 @@ let test_fabric_echo () =
         [| "hello node zero"; "frames stay whole" |];
       (* Err frames keep their kind across the wire. *)
       let chan = (Transport.Proc.node fabric 0).Transport.Proc.chan in
-      Transport.Socket.send chan ~kind:Transport.Err (Bytes.of_string "boom");
+      Transport.Socket.send chan ~kind:Protocol.Err (Bytes.of_string "boom");
       let kind, reply = Transport.Socket.recv chan in
-      check_bool "err kind" true (kind = Transport.Err);
+      check_bool "err kind" true (kind = Protocol.Err);
       Alcotest.(check string) "err payload" "moob" (Bytes.to_string reply))
 
 (* An echo serve loop shared by the teardown/respawn regressions. *)
@@ -125,6 +125,29 @@ let test_kill_respawn_echo () =
       let _, r1 = Transport.Socket.recv chan1 in
       Alcotest.(check string) "sibling still serves" "zyx" (Bytes.to_string r1))
 
+(* A frame header claiming a 4-byte payload of kind 255, which no kind
+   has, followed by the 4 bytes. *)
+let garbage_frame = Bytes.of_string "\000\000\000\004\255abcd"
+
+(* A child that writes a malformed header is a dead node, not an
+   exception out of the parent's select loop: its stream can never be
+   resynchronised. *)
+let test_bad_frame_is_eof () =
+  let fabric =
+    Transport.Proc.fork ~n:1 ~child:(fun ~id:_ chan ->
+        Transport.Socket.write_all chan garbage_frame;
+        (* Hold the channel open: the EOF must be the parent's verdict. *)
+        try ignore (Transport.Socket.recv chan) with _ -> ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
+    (fun () ->
+      (match Transport.Proc.recv_any fabric ~timeout:5.0 with
+      | `Eof 0 -> ()
+      | `Eof _ | `Msg _ | `Wake | `Timeout | `No_nodes ->
+          Alcotest.fail "malformed frame not reported as the node's EOF");
+      check_bool "node 0 dead" false (Transport.Proc.is_alive fabric 0))
+
 (* Ping/Pong kinds cross the wire like any frame. *)
 let test_ping_pong_frames () =
   let fabric = Transport.Proc.fork ~n:1 ~child:echo_child in
@@ -132,9 +155,9 @@ let test_ping_pong_frames () =
     ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
     (fun () ->
       let chan = (Transport.Proc.node fabric 0).Transport.Proc.chan in
-      Transport.Socket.send chan ~kind:Transport.Ping (Bytes.of_string "hb");
+      Transport.Socket.send chan ~kind:Protocol.Ping (Bytes.of_string "hb");
       let kind, payload = Transport.Socket.recv chan in
-      check_bool "ping kind preserved" true (kind = Transport.Ping);
+      check_bool "ping kind preserved" true (kind = Protocol.Ping);
       Alcotest.(check string) "payload" "bh" (Bytes.to_string payload))
 
 (* ------------------------------------------------------------------ *)
@@ -319,6 +342,39 @@ let test_noisy_faults_recovered () =
   check_int "exact result under noise" 303 result;
   check_bool "faults fired" true (report.Cluster.faults_injected > 0)
 
+(* The forked node's channel back to the parent: the one socket the
+   fabric leaves open in a child. *)
+let own_channel () =
+  List.init 1021 (fun i -> (Obj.magic (i + 3) : Unix.file_descr))
+  |> List.filter (fun fd ->
+         match Unix.fstat fd with
+         | { Unix.st_kind = Unix.S_SOCK; _ } -> true
+         | _ -> false
+         | exception Unix.Unix_error _ -> false)
+  |> function
+  | [ fd ] -> Transport.Socket.of_fd fd
+  | fds -> failwith (Printf.sprintf "expected one socket in the child, found %d" (List.length fds))
+
+(* A node whose first reply is garbage on the wire is recovered like a
+   crash: the parent closes the desynchronised channel, marks the node
+   dead, and re-issues its slice on a survivor. *)
+let test_garbage_reply_recovered () =
+  let topo = { Cluster.nodes = 3; cores_per_node = 1;
+               backend = Cluster.Process } in
+  let result, report =
+    Cluster.run_topology topo
+      ~scatter:(fun node -> [ Payload.Ints [| node + 1 |] ])
+      ~work:(fun ~node ~pool:_ payload ->
+        if node = 1 && Cluster.on_node () = Some 1 then
+          Transport.Socket.write_all (own_channel ()) garbage_frame;
+        match payload with [ Payload.Ints a ] -> a.(0) * 10 | _ -> -1)
+      ~result_codec:Codec.int
+      ~merge:( + ) ~init:0
+  in
+  check_int "all three slices" 60 result;
+  check_int "one death survived" 1 report.Cluster.crashed_nodes;
+  check_int "one re-issue" 1 report.Cluster.retries
+
 (* ------------------------------------------------------------------ *)
 (* Backend naming.                                                      *)
 
@@ -334,127 +390,127 @@ let test_backend_strings () =
     (Cluster.backend_of_string "carrier-pigeon" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Conformance: both transports behind the same module interface.
-   These spawn receiver domains, so they run after every fork test.     *)
+(* Socket transport conformance.  Blocking peers run in threads, not
+   domains, so the fork-dependent timeout case can sit among them.      *)
 
-module Conformance (T : Transport.S) = struct
-  let test_echo () =
-    let a, b = T.connect () in
-    T.send a (Bytes.of_string "ping");
-    let kind, payload = T.recv b in
-    check_bool "data kind" true (kind = Transport.Data);
-    Alcotest.(check string) "payload" "ping" (Bytes.to_string payload);
-    T.send b (Bytes.of_string "pong");
-    let _, reply = T.recv a in
-    Alcotest.(check string) "reply" "pong" (Bytes.to_string reply);
-    (* Empty frames are legal and keep their boundary. *)
-    T.send a Bytes.empty;
-    let kind, payload = T.recv b in
-    check_bool "empty frame kind" true (kind = Transport.Data);
-    check_int "empty frame" 0 (Bytes.length payload);
-    T.close a;
-    T.close b
+module Socket = Transport.Socket
 
-  let test_order_and_kinds () =
-    let a, b = T.connect () in
-    T.send a ~kind:Transport.Data (Bytes.of_string "1");
-    T.send a ~kind:Transport.Err (Bytes.of_string "2");
-    T.send a ~kind:Transport.Nack (Bytes.of_string "3");
-    let frames = List.init 3 (fun _ -> T.recv b) in
-    Alcotest.(check (list string))
-      "fifo order" [ "1"; "2"; "3" ]
-      (List.map (fun (_, p) -> Bytes.to_string p) frames);
-    check_bool "kinds preserved" true
-      (List.map fst frames
-      = [ Transport.Data; Transport.Err; Transport.Nack ]);
-    T.close a;
-    T.close b
+let test_echo () =
+  let a, b = Socket.connect () in
+  Socket.send a (Bytes.of_string "ping");
+  let kind, payload = Socket.recv b in
+  check_bool "data kind" true (kind = Protocol.Data);
+  Alcotest.(check string) "payload" "ping" (Bytes.to_string payload);
+  Socket.send b (Bytes.of_string "pong");
+  let _, reply = Socket.recv a in
+  Alcotest.(check string) "reply" "pong" (Bytes.to_string reply);
+  (* Empty frames are legal and keep their boundary. *)
+  Socket.send a Bytes.empty;
+  let kind, payload = Socket.recv b in
+  check_bool "empty frame kind" true (kind = Protocol.Data);
+  check_int "empty frame" 0 (Bytes.length payload);
+  Socket.close a;
+  Socket.close b
 
-  (* A 1 MiB frame arrives whole and intact — larger than any socket
-     buffer, so framing must reassemble partial reads.  The receiver
-     runs in its own domain so a blocking transport cannot deadlock
-     against the sender. *)
-  let test_large_payload () =
-    let n = 1 lsl 20 in
-    let payload = Bytes.init n (fun i -> Char.chr (i * 131 land 0xff)) in
-    let a, b = T.connect () in
-    let receiver = Domain.spawn (fun () -> T.recv b) in
-    T.send a payload;
-    let kind, got = Domain.join receiver in
-    check_bool "data kind" true (kind = Transport.Data);
-    check_int "length" n (Bytes.length got);
-    check_bool "intact" true (Bytes.equal payload got);
-    T.close a;
-    T.close b
+let test_order_and_kinds () =
+  let a, b = Socket.connect () in
+  Socket.send a ~kind:Protocol.Data (Bytes.of_string "1");
+  Socket.send a ~kind:Protocol.Err (Bytes.of_string "2");
+  Socket.send a ~kind:Protocol.Nack (Bytes.of_string "3");
+  let frames = List.init 3 (fun _ -> Socket.recv b) in
+  Alcotest.(check (list string))
+    "fifo order" [ "1"; "2"; "3" ]
+    (List.map (fun (_, p) -> Bytes.to_string p) frames);
+  check_bool "kinds preserved" true
+    (List.map fst frames = [ Protocol.Data; Protocol.Err; Protocol.Nack ]);
+  Socket.close a;
+  Socket.close b
 
-  let test_timeout () =
-    let a, b = T.connect () in
-    (match T.recv_timeout b 0.02 with
-    | `Timeout -> ()
-    | `Msg _ -> Alcotest.fail "phantom frame"
-    | `Closed -> Alcotest.fail "phantom close");
-    T.close a;
-    T.close b
+(* A 1 MiB frame arrives whole and intact — larger than any socket
+   buffer, so framing must reassemble partial reads.  The receiver runs
+   in its own thread so the blocking sender cannot deadlock against it. *)
+let test_large_payload () =
+  let n = 1 lsl 20 in
+  let payload = Bytes.init n (fun i -> Char.chr (i * 131 land 0xff)) in
+  let a, b = Socket.connect () in
+  let got = ref None in
+  let receiver = Thread.create (fun () -> got := Some (Socket.recv b)) () in
+  Socket.send a payload;
+  Thread.join receiver;
+  match !got with
+  | None -> Alcotest.fail "no frame"
+  | Some (kind, got) ->
+      check_bool "data kind" true (kind = Protocol.Data);
+      check_int "length" n (Bytes.length got);
+      check_bool "intact" true (Bytes.equal payload got);
+      Socket.close a;
+      Socket.close b
 
-  (* The checksummed envelope rides on top of any transport: a frame
-     corrupted in flight is rejected on decode, never decoded as
-     garbage; the intact frame around it still decodes exactly. *)
-  let test_checksummed_corruption_rejected () =
-    let codec = Codec.checksummed Codec.float in
-    let a, b = T.connect () in
-    let good = Codec.to_bytes codec 216.45 in
-    let evil = Bytes.copy good in
-    let i = Bytes.length evil - 3 in
-    Bytes.set evil i (Char.chr (Char.code (Bytes.get evil i) lxor 0x5a));
-    T.send a evil;
-    T.send a good;
-    let _, frame1 = T.recv b in
-    check_bool "corrupt frame rejected" true
-      (match Codec.of_bytes codec frame1 with
-      | _ -> false
-      | exception Codec.Checksum_mismatch _ -> true
-      | exception Codec.Trailing_bytes _ -> true);
-    let _, frame2 = T.recv b in
-    Alcotest.(check (float 0.0))
-      "intact frame decodes" 216.45
-      (Codec.of_bytes codec frame2);
-    T.close a;
-    T.close b
+(* The fabric's receive times out on a live but silent child, after at
+   least the timeout on the monotonic clock. *)
+let test_timeout () =
+  let fabric = Transport.Proc.fork ~n:1 ~child:echo_child in
+  Fun.protect
+    ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
+    (fun () ->
+      let t0 = Clock.monotonic_ns () in
+      (match Transport.Proc.recv_any fabric ~timeout:0.02 with
+      | `Timeout -> ()
+      | `Msg _ -> Alcotest.fail "phantom frame"
+      | `Eof _ | `No_nodes -> Alcotest.fail "phantom close"
+      | `Wake -> Alcotest.fail "phantom wake");
+      let waited = float_of_int (Clock.monotonic_ns () - t0) /. 1e9 in
+      check_bool "waited at least the timeout" true (waited >= 0.019);
+      check_bool "still alive" true (Transport.Proc.is_alive fabric 0))
 
-  (* Closing one endpoint wakes a peer blocked on the other. *)
-  let test_close_wakes_blocked_peer () =
-    let a, b = T.connect () in
-    let blocked =
-      Domain.spawn (fun () ->
-          match T.recv b with
+(* The checksummed envelope rides on top of the transport: a frame
+   corrupted in flight is rejected on decode, never decoded as garbage;
+   the intact frame around it still decodes exactly. *)
+let test_checksummed_corruption_rejected () =
+  let codec = Codec.checksummed Codec.float in
+  let a, b = Socket.connect () in
+  let good = Codec.to_bytes codec 216.45 in
+  let evil = Bytes.copy good in
+  let i = Bytes.length evil - 3 in
+  Bytes.set evil i (Char.chr (Char.code (Bytes.get evil i) lxor 0x5a));
+  Socket.send a evil;
+  Socket.send a good;
+  let _, frame1 = Socket.recv b in
+  check_bool "corrupt frame rejected" true
+    (match Codec.of_bytes codec frame1 with
+    | _ -> false
+    | exception Codec.Checksum_mismatch _ -> true
+    | exception Codec.Trailing_bytes _ -> true);
+  let _, frame2 = Socket.recv b in
+  Alcotest.(check (float 0.0))
+    "intact frame decodes" 216.45
+    (Codec.of_bytes codec frame2);
+  Socket.close a;
+  Socket.close b
+
+(* Closing one endpoint wakes a peer blocked on the other. *)
+let test_close_wakes_blocked_peer () =
+  let a, b = Socket.connect () in
+  let outcome = ref `Pending in
+  let blocked =
+    Thread.create
+      (fun () ->
+        outcome :=
+          match Socket.recv b with
           | _ -> `Got_frame
           | exception Transport.Closed -> `Closed)
-    in
-    Unix.sleepf 0.02;
-    T.close a;
-    check_bool "woke with Closed" true (Domain.join blocked = `Closed)
-
-  let tests =
-    [
-      Alcotest.test_case (T.name ^ " echo") `Quick test_echo;
-      Alcotest.test_case (T.name ^ " order and kinds") `Quick
-        test_order_and_kinds;
-      Alcotest.test_case (T.name ^ " 1MiB frame") `Quick test_large_payload;
-      Alcotest.test_case (T.name ^ " timeout") `Quick test_timeout;
-      Alcotest.test_case (T.name ^ " corruption rejected") `Quick
-        test_checksummed_corruption_rejected;
-      Alcotest.test_case (T.name ^ " close wakes peer") `Quick
-        test_close_wakes_blocked_peer;
-    ]
-end
-
-module Mailbox_conf = Conformance (Transport.Mailbox_chan)
-module Socket_conf = Conformance (Transport.Socket_s)
+      ()
+  in
+  Unix.sleepf 0.02;
+  Socket.close a;
+  Thread.join blocked;
+  Socket.close b;
+  check_bool "woke with Closed" true (!outcome = `Closed)
 
 (* ------------------------------------------------------------------ *)
-(* Fail-fast guard: by this point the conformance tests have spawned
-   domains, so the process backend must refuse to fork with a clear
-   explanation rather than die inside [Unix.fork].                      *)
+(* Fail-fast guard: once domains have been spawned, the process backend
+   must refuse to fork with a clear explanation rather than die inside
+   [Unix.fork].                                                         *)
 
 let test_process_after_domains_fails () =
   (* Spawn (and immediately retire) a real worker pool: the fork ban is
@@ -509,12 +565,28 @@ let () =
           Alcotest.test_case "noisy links recovered" `Quick
             test_noisy_faults_recovered;
         ] );
+      ( "bad-frame-recovered",
+        [
+          Alcotest.test_case "fabric reports the node's EOF" `Quick
+            test_bad_frame_is_eof;
+          Alcotest.test_case "cluster re-issues the slice" `Quick
+            test_garbage_reply_recovered;
+        ] );
       ( "backend-api",
         [
           Alcotest.test_case "backend strings" `Quick test_backend_strings;
         ] );
-      ("conformance-mailbox", Mailbox_conf.tests);
-      ("conformance-socket", Socket_conf.tests);
+      ( "conformance-socket",
+        [
+          Alcotest.test_case "socket echo" `Quick test_echo;
+          Alcotest.test_case "socket order and kinds" `Quick test_order_and_kinds;
+          Alcotest.test_case "socket 1MiB frame" `Quick test_large_payload;
+          Alcotest.test_case "socket timeout" `Quick test_timeout;
+          Alcotest.test_case "socket corruption rejected" `Quick
+            test_checksummed_corruption_rejected;
+          Alcotest.test_case "socket close wakes peer" `Quick
+            test_close_wakes_blocked_peer;
+        ] );
       ( "fork-guard",
         [
           Alcotest.test_case "process after domains fails" `Quick
