@@ -107,6 +107,18 @@ let bench_serialize =
       Test.make ~name:"boxed-elementwise" (Staged.stage element);
     ]
 
+(* The CRC-32 every checksummed frame pays (the Darray, Service and
+   fault-plan envelope): a resident-round task frame is about 16 KiB, a
+   row-block put 256 KiB. *)
+let bench_checksum =
+  let crc n =
+    let b = Bytes.init n (fun i -> Char.chr ((i * 131) land 0xff)) in
+    Test.make
+      ~name:(Printf.sprintf "crc32-%dKiB" (n / 1024))
+      (Staged.stage (fun () -> Triolet_base.Rw.crc32 b 0 n))
+  in
+  Test.make_grouped ~name:"checksum" [ crc 16_384; crc 262_144 ]
+
 (* Histogramming through a collector (per-task private mutation) vs a
    boxed list pipeline. *)
 let bench_histogram =
@@ -803,8 +815,11 @@ let families : (string * string * (quick:bool -> unit)) list =
       "nested traversal encodings (Figure 1 'slow' cell)",
       fun ~quick:_ -> run_group bench_nested );
     ( "serialize",
-      "serialization: block copy vs element-wise (section 3.4)",
-      fun ~quick:_ -> run_group bench_serialize );
+      "serialization: block copy vs element-wise (section 3.4), frame \
+       checksum",
+      fun ~quick:_ ->
+        run_group bench_serialize;
+        run_group bench_checksum );
     ( "histogram",
       "histogramming: collector vs boxed list",
       fun ~quick:_ -> run_group bench_histogram );

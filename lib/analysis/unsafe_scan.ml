@@ -33,7 +33,7 @@ let patterns =
    Vec.fget/fset, so any unsafe access reappearing there fails. *)
 let whitelist =
   [
-    ("lib/base/rw.ml", 5);
+    ("lib/base/rw.ml", 4);
     ("lib/base/vec.ml", 5);
     ("lib/core/grid3.ml", 4);
     ("lib/core/matrix.ml", 13);

@@ -117,7 +117,9 @@ let int_array =
     decode =
       (fun r ->
         let n = Rw.read_int r in
-        if n < 0 then raise Rw.Underflow;
+        (* each element is 8 bytes: a corrupt length fails here rather
+           than in [Array.init] *)
+        if n < 0 || n > Rw.remaining r / 8 then raise Rw.Underflow;
         Array.init n (fun _ -> Rw.read_int r));
     size = (fun v -> 8 + (8 * Array.length v));
   }

@@ -83,31 +83,56 @@ let patch_u32 w ~pos v =
   Bytes.set_int32_le w.buf pos v
 
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum of
-   zlib and Ethernet frames.  Table-driven, one table for the library. *)
+   zlib and Ethernet frames, sliced by 8: [crc_table] holds eight
+   256-entry tables back to back, table [k] advancing a byte's CRC
+   through [k] further zero bytes, so one step folds 8 input bytes with
+   8 lookups.  Values are native ints masked to 32 bits, so nothing in
+   the loop is boxed. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+(* [Int32.to_int] sign-extends; the mask keeps the word's 32 bits. *)
+let get_u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
 
 let crc32 b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Rw.crc32";
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = off to off + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.unsafe_get b i)))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  let t = crc_table in
+  let c = ref 0xFFFFFFFF in
+  let i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = get_u32 b !i lxor !c in
+    let hi = get_u32 b (!i + 4) in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  for j = stop8 to off + len - 1 do
+    c := t.((!c lxor Char.code (Bytes.get b j)) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32_range w ~pos ~len =
   if pos < 0 || len < 0 || pos + len > w.len then invalid_arg "Rw.crc32_range";
@@ -173,8 +198,9 @@ let read_string r =
 
 let read_floatarray r =
   let n = read_int r in
-  if n < 0 then raise Underflow;
-  check r (8 * n);
+  (* Bounded by the bytes left before multiplying: a corrupt length
+     above [max_int / 8] would overflow [8 * n] past the check. *)
+  if n < 0 || n > remaining r / 8 then raise Underflow;
   let a = Float.Array.create n in
   for i = 0 to n - 1 do
     Float.Array.unsafe_set a i

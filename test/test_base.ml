@@ -346,6 +346,88 @@ let test_crc32_known_answer () =
   let b = Bytes.of_string "123456789" in
   Alcotest.(check int32) "crc32 \"123456789\"" 0xCBF43926l (Rw.crc32 b 0 9)
 
+(* Bit-at-a-time CRC-32, straight from the polynomial: the oracle the
+   table-driven [Rw.crc32] must match on every input. *)
+let reference_crc32 b off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let random_bytes seed n =
+  let st = Random.State.make [| seed |] in
+  Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Every start alignment against every tail length, including [len = 0]. *)
+let test_crc32_alignments () =
+  let b = random_bytes 1 64 in
+  for off = 0 to 8 do
+    for len = 0 to 40 do
+      Alcotest.(check int32)
+        (Printf.sprintf "crc32 off %d len %d" off len)
+        (reference_crc32 b off len) (Rw.crc32 b off len)
+    done
+  done
+
+(* Random buffers and ranges, small (unaligned starts, short tails) and
+   at least 64 KiB (a resident task frame, a row-block put). *)
+let prop_crc32_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* big = bool in
+      let* seed = int in
+      let* off = int_bound 15 in
+      let* len = if big then int_range 65536 140000 else int_bound 300 in
+      let* slack = int_bound 15 in
+      return (seed, off, len, slack))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"crc32 matches bitwise reference" gen
+       (fun (seed, off, len, slack) ->
+         let b = random_bytes seed (off + len + slack) in
+         Rw.crc32 b off len = reference_crc32 b off len))
+
+let test_crc32_range_and_envelope () =
+  let b = random_bytes 2 70_001 in
+  let w = Rw.create_writer () in
+  Rw.write_bytes w b 0 (Bytes.length b);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check int32)
+        (Printf.sprintf "crc32_range pos %d len %d" pos len)
+        (reference_crc32 b pos len) (Rw.crc32_range w ~pos ~len))
+    [ (0, 0); (3, 7); (1, 65_536); (0, 70_001); (70_000, 1) ];
+  let s = Bytes.sub_string b 5 65_541 in
+  let e = Codec.to_bytes (Codec.checksummed Codec.string) s in
+  let header = Codec.checksum_header in
+  Alcotest.(check int32) "envelope crc is the reference's"
+    (reference_crc32 e header (Bytes.length e - header))
+    (Bytes.get_int32_le e 8);
+  Alcotest.(check bool) "envelope intact" true (Codec.checksummed_intact e);
+  Bytes.set e (Bytes.length e - 1)
+    (Char.chr (Char.code (Bytes.get e (Bytes.length e - 1)) lxor 1));
+  Alcotest.(check bool) "flipped byte caught" false (Codec.checksummed_intact e)
+
+(* A corrupt array length above [max_int / 8] must fail as a short read,
+   not overflow the byte count and escape as [Invalid_argument]. *)
+let test_corrupt_array_length_underflows () =
+  List.iter
+    (fun tag ->
+      let w = Rw.create_writer () in
+      Rw.write_int w 1;
+      Rw.write_u8 w tag;
+      Rw.write_int w (1 lsl 60);
+      Rw.write_int w 0;
+      Alcotest.check_raises
+        (Printf.sprintf "tag %d length 2^60" tag)
+        Rw.Underflow
+        (fun () -> ignore (Codec.of_bytes Payload.codec (Rw.contents w))))
+    [ 0; 1 ]
+
 let () =
   Alcotest.run "base"
     [
@@ -362,6 +444,13 @@ let () =
             test_rw_reader_of_writer_bounded;
           Alcotest.test_case "detach" `Quick test_rw_detach;
           Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+          Alcotest.test_case "crc32 alignments and tails" `Quick
+            test_crc32_alignments;
+          prop_crc32_matches_reference;
+          Alcotest.test_case "crc32_range and envelope" `Quick
+            test_crc32_range_and_envelope;
+          Alcotest.test_case "corrupt array length" `Quick
+            test_corrupt_array_length_underflows;
         ] );
       ( "codec",
         [
