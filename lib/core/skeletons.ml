@@ -159,38 +159,45 @@ let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
 (* ------------------------------------------------------------------ *)
 (* Resident (persistent) distributed state                             *)
 
-(** Warm resident fabric for iterative skeletons, geometry and backend
-    from the context like every other skeleton here.  Under the
-    [Process] backend this forks the per-node children, so call it
-    before any domain is spawned (in particular before [Pool.default]
-    is first touched). *)
-let resident_session ?ctx ~work () =
-  let ctx = Exec.resolve ctx in
-  Obs.span ~name:"skel.resident_session" (fun () ->
-      Darray.create_session ~topology:(Exec.topology ctx) ~work ())
+(** One resident array for an iterative kernel: [len] outer iterations
+    cut into {!Partition.blocks}, one block per node, each block's
+    payload a {!Darray} segment kept warm across rounds.  The session
+    is sized to the blocks, so with fewer outer iterations than the
+    context has nodes the spare nodes are never started, and node [i]
+    owns exactly block [i]. *)
+module Resident = struct
+  type t = { session : Darray.session; arr : Darray.t; blocks : (int * int) array }
 
-(** Block boundaries {!resident_segments} uses: one block per resident
-    node (a Darray session holds one segment table per topology node,
-    regardless of cores), in {!Partition.blocks} order so segment [i]
-    is owned by node [i]. *)
-let resident_blocks ?ctx ~len () =
-  let ctx = Exec.resolve ctx in
-  let nodes = (Exec.topology ctx).Cluster.nodes in
-  Partition.blocks ~parts:nodes len
+  let create ?ctx ~len ~segment ~work () =
+    let ctx = Exec.resolve ctx in
+    let topo = Exec.topology ctx in
+    let blocks = Partition.blocks ~parts:topo.Cluster.nodes len in
+    if Array.length blocks = 0 then
+      invalid_arg "Skeletons.Resident.create: empty domain";
+    Obs.span ~name:"skel.resident_session" (fun () ->
+        let session =
+          Darray.create_session
+            ~topology:{ topo with Cluster.nodes = Array.length blocks }
+            ~work:(fun ~node ~resident ~arg ->
+              work ~block:blocks.(node) ~resident ~arg)
+            ()
+        in
+        { session; arr = Darray.create session ~segments:(Array.map segment blocks); blocks })
 
-(** Partition [len] outer iterations one block per resident node and
-    materialize each block's payload, yielding the segments of a
-    {!Darray.create}: with one segment per node, segment [i] lands on
-    node [i] and replies merge back in segment order. *)
-let resident_segments ?ctx ~len ~payload_of () =
-  Array.map
-    (fun (off, n) -> payload_of off n)
-    (resident_blocks ?ctx ~len ())
+  let refresh t ~segment =
+    let changed = ref 0 in
+    Array.iteri
+      (fun i block -> if Darray.update t.arr i (segment block) then incr changed)
+      t.blocks;
+    !changed
 
-(** One round over a resident view: ship residency deltas and the
-    per-node argument, gather and merge replies in node order.  The
-    iterative kernels call this once per outer iteration; after the
-    first round only changed segments re-ship. *)
-let resident_round view ~arg ~merge ~init =
-  Obs.span ~name:"skel.resident_round" (fun () ->
-      Darray.run view ~arg ~merge ~init)
+  let round t ~arg ~merge ~init =
+    let replies, report =
+      Darray.run t.arr ~arg:(fun _ -> arg) ~merge:(fun acc r -> r :: acc) ~init:[]
+    in
+    (List.fold_left2 merge init (Array.to_list t.blocks) (List.rev replies), report)
+
+  let array t = t.arr
+  let blocks t = t.blocks
+  let close t = Darray.close_session t.session
+end

@@ -75,40 +75,52 @@ val distributed_map_blocks :
 
 (** {1 Resident (persistent) distributed state}
 
-    Iterative skeletons that re-visit the same data every round keep it
+    Iterative kernels that re-visit the same data every round keep it
     resident in warm per-node children via {!Triolet_runtime.Darray}
-    instead of re-shipping it; these wrappers derive the session and
-    segment geometry from the execution context so kernels stay on the
+    instead of re-shipping it.  {!Resident} derives the session and the
+    block geometry from the execution context, so kernels stay on the
     [?ctx] API. *)
 
-val resident_session :
-  ?ctx:Exec.t ->
-  work:Triolet_runtime.Darray.work ->
-  unit ->
-  Triolet_runtime.Darray.session
-(** Warm resident fabric with topology from the context.  Under the
-    [Process] backend this forks the node children — create it before
-    any domain is spawned. *)
+module Resident : sig
+  type t
 
-val resident_blocks : ?ctx:Exec.t -> len:int -> unit -> (int * int) array
-(** The [(offset, length)] blocks {!resident_segments} materializes:
-    one per resident node, in owner order. *)
+  val create :
+    ?ctx:Exec.t ->
+    len:int ->
+    segment:(int * int -> Triolet_base.Payload.t) ->
+    work:
+      (block:int * int ->
+      resident:Triolet_base.Payload.t ->
+      arg:Triolet_base.Payload.t ->
+      Triolet_base.Payload.t) ->
+    unit ->
+    t
+  (** Cut [len] outer iterations into at most one [(offset, length)]
+      block per context node, start a warm session with one node per
+      block, and make [segment block] each block's resident segment.
+      [work ~block ~resident ~arg] is a node's compute over its block
+      (see {!Triolet_runtime.Darray.work}).  Under the [Process]
+      backend this forks the node children — create it before any
+      domain is spawned.  Raises [Invalid_argument] when [len = 0]. *)
 
-val resident_segments :
-  ?ctx:Exec.t ->
-  len:int ->
-  payload_of:(int -> int -> Triolet_base.Payload.t) ->
-  unit ->
-  Triolet_base.Payload.t array
-(** Block [len] one-per-resident-node and materialize each block's
-    payload as a {!Triolet_runtime.Darray.create} segment: segment [i]
-    is owned by node [i], so replies merge back in segment order. *)
+  val refresh : t -> segment:(int * int -> Triolet_base.Payload.t) -> int
+  (** Recompute every block's segment; returns how many changed.  Only
+      those bump their version and re-ship on the next {!round}. *)
 
-val resident_round :
-  Triolet_runtime.Darray.view ->
-  arg:(int -> Triolet_base.Payload.t) ->
-  merge:('a -> Triolet_base.Payload.t -> 'a) ->
-  init:'a ->
-  'a * Triolet_runtime.Cluster.report
-(** One round over a resident view ({!Triolet_runtime.Darray.run})
-    under an observability span. *)
+  val round :
+    t ->
+    arg:Triolet_base.Payload.t ->
+    merge:('a -> int * int -> Triolet_base.Payload.t -> 'a) ->
+    init:'a ->
+    'a * Triolet_runtime.Cluster.report
+  (** One round: ship [arg] to every node with the residency deltas,
+      and merge each reply with its block, in block order. *)
+
+  val array : t -> Triolet_runtime.Darray.t
+  (** The resident array, for halo exchange. *)
+
+  val blocks : t -> (int * int) array
+  (** The blocks, in block (= node = segment) order. *)
+
+  val close : t -> unit
+end

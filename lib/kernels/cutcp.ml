@@ -41,8 +41,12 @@ let contribution (c : D.cutcp) ~x ~y ~z ~q ix iy iz =
 
 (* ------------------------------------------------------------------ *)
 
-let run_c (c : D.cutcp) : floatarray =
-  let grid = Float.Array.make (D.grid_points c) 0.0 in
+(* Scatter the atoms of [c] into the z-slab [(s0, planes)] of its grid:
+   [grid] holds planes [s0, s0 + planes), plane [s0] first.  The one
+   imperative scatter loop: [run_c] is the slab [(0, nz)], and every
+   resident node runs it over its own slab. *)
+let scatter_slab (c : D.cutcp) (s0, planes) grid =
+  let base = grid_index c 0 0 s0 in
   let atoms = Float.Array.length c.D.ax in
   for a = 0 to atoms - 1 do
     let x = Vec.fget c.D.ax a
@@ -52,18 +56,22 @@ let run_c (c : D.cutcp) : floatarray =
     let x0, x1 = bounds c x c.D.nx in
     let y0, y1 = bounds c y c.D.ny in
     let z0, z1 = bounds c z c.D.nz in
-    for iz = z0 to z1 do
+    for iz = Int.max z0 s0 to Int.min z1 (s0 + planes - 1) do
       for iy = y0 to y1 do
         for ix = x0 to x1 do
           match contribution c ~x ~y ~z ~q ix iy iz with
           | Some v ->
-              let g = grid_index c ix iy iz in
+              let g = grid_index c ix iy iz - base in
               Vec.fset grid g (Vec.fget grid g +. v)
           | None -> ()
         done
       done
     done
-  done;
+  done
+
+let run_c (c : D.cutcp) : floatarray =
+  let grid = Float.Array.make (D.grid_points c) 0.0 in
+  scatter_slab c (0, c.D.nz) grid;
   grid
 
 (* ------------------------------------------------------------------ *)
@@ -166,220 +174,119 @@ let agrees ?(eps = 1e-9) g1 g2 =
    only on content change), so local perturbations re-ship only the
    affected slab and its neighbours' halos. *)
 
-module Darray = Triolet_runtime.Darray
 module Payload = Triolet_base.Payload
 
 module Resident = struct
-  (* Scalar geometry only — the closure forks into the children, and
-     capturing the atom arrays would let results bypass the shipped
-     segments. *)
-  type geom = {
-    nx : int;
-    ny : int;
-    nz : int;
-    spacing : float;
-    cutoff : float;
-    zblocks : (int * int) array;  (* (z0, planes) per slab/node *)
-  }
-
   type t = {
-    session : Darray.session;
-    arr : Darray.t;
-    g : geom;
-    (* Parent-side atom state, mutable under {!displace}. *)
-    ax : floatarray;
-    ay : floatarray;
-    az : floatarray;
-    aq : floatarray;
-    mutable own_payloads : Payload.t array;  (* shipped state, to diff *)
+    res : Skeletons.Resident.t;
+    c : D.cutcp;  (* parent-side atom state, mutable under {!displace} *)
     mutable round : int;
   }
 
-  let quad_payload (sel : int list) ax ay az aq =
-    let pick a = Float.Array.of_list (List.map (Vec.fget a) sel) in
-    [
-      Payload.Floats (pick ax);
-      Payload.Floats (pick ay);
-      Payload.Floats (pick az);
-      Payload.Floats (pick aq);
-    ]
-
-  let slab_of_z g z =
-    let iz = int_of_float (Float.floor (z /. g.spacing)) in
-    let iz = max 0 (min (g.nz - 1) iz) in
-    let s = ref 0 in
-    Array.iteri
-      (fun i (z0, n) -> if n > 0 && iz >= z0 && iz < z0 + n then s := i)
-      g.zblocks;
-    !s
-
-  (* Atoms owned by slab [s]: z falls inside the slab's plane range. *)
-  let own_payload_of g ax ay az aq s =
+  (* The atoms whose z passes [keep], as four planes (x, y, z, q). *)
+  let select (c : D.cutcp) keep =
     let sel = ref [] in
-    for a = Float.Array.length ax - 1 downto 0 do
-      if slab_of_z g (Vec.fget az a) = s then sel := a :: !sel
+    for a = Float.Array.length c.D.ax - 1 downto 0 do
+      if keep (Vec.fget c.D.az a) then sel := a :: !sel
     done;
-    quad_payload !sel ax ay az aq
+    let pick a = Payload.Floats (Float.Array.of_list (List.map (Vec.fget a) !sel)) in
+    [ pick c.D.ax; pick c.D.ay; pick c.D.az; pick c.D.aq ]
 
-  (* Halo of slab [s]: atoms of other slabs within cutoff of the
+  let plane_of_z (c : D.cutcp) z =
+    Int.max 0 (Int.min (c.D.nz - 1) (int_of_float (Float.floor (z /. c.D.spacing))))
+
+  (* Atoms owned by slab [(z0, n)]: z falls inside the slab's plane range. *)
+  let own_payload c (z0, n) =
+    select c (fun z ->
+        let iz = plane_of_z c z in
+        iz >= z0 && iz < z0 + n)
+
+  (* Halo of slab [(z0, n)]: atoms of other slabs within cutoff of the
      slab's z extent — the only foreign atoms whose contribution can
      reach a grid point of the slab. *)
-  let halo_payload_of g ax ay az aq s =
-    let z0, n = g.zblocks.(s) in
-    if n = 0 then quad_payload [] ax ay az aq
-    else begin
-      let zlo = (float_of_int z0 *. g.spacing) -. g.cutoff in
-      let zhi = (float_of_int (z0 + n - 1) *. g.spacing) +. g.cutoff in
-      let sel = ref [] in
-      for a = Float.Array.length ax - 1 downto 0 do
-        let z = Vec.fget az a in
-        if slab_of_z g z <> s && z >= zlo && z <= zhi then sel := a :: !sel
-      done;
-      quad_payload !sel ax ay az aq
-    end
-
-  let own_payload t s = own_payload_of t.g t.ax t.ay t.az t.aq s
-  let halo_payload t s = halo_payload_of t.g t.ax t.ay t.az t.aq s
+  let halo_payload (c : D.cutcp) (z0, n) =
+    let zlo = (float_of_int z0 *. c.D.spacing) -. c.D.cutoff in
+    let zhi = (float_of_int (z0 + n - 1) *. c.D.spacing) +. c.D.cutoff in
+    select c (fun z ->
+        let iz = plane_of_z c z in
+        (iz < z0 || iz >= z0 + n) && z >= zlo && z <= zhi)
 
   (* Child-side compute: resident = own atoms (4 planes) then halo
-     atoms (4 planes); the reply is the slab's grid. *)
-  let work (g : geom) ~node ~resident ~arg:_ =
-    let z0, nzs = g.zblocks.(node) in
-    let grid = Float.Array.make (nzs * g.ny * g.nx) 0.0 in
+     atoms (4 planes); the reply is the slab's grid.  [geom] has no
+     atoms — the closure forks into the children, and capturing the
+     atom arrays would let results bypass the shipped segments. *)
+  let work (geom : D.cutcp) ~block ~resident ~arg:_ =
+    let grid = Float.Array.make (snd block * geom.D.ny * geom.D.nx) 0.0 in
     let fa = function
       | Payload.Floats f -> f
       | _ -> invalid_arg "Cutcp.Resident: bad atom plane"
     in
-    let groups =
-      match resident with
-      | [ ax; ay; az; aq ] -> [ (fa ax, fa ay, fa az, fa aq) ]
-      | [ ax; ay; az; aq; gx; gy; gz; gq ] ->
-          [ (fa ax, fa ay, fa az, fa aq); (fa gx, fa gy, fa gz, fa gq) ]
+    let rec scatter = function
+      | [] -> ()
+      | ax :: ay :: az :: aq :: rest ->
+          scatter_slab { geom with ax = fa ax; ay = fa ay; az = fa az; aq = fa aq } block grid;
+          scatter rest
       | _ -> invalid_arg "Cutcp.Resident: bad resident payload"
     in
-    if nzs > 0 then
-      List.iter
-        (fun (ax, ay, az, aq) ->
-          for a = 0 to Float.Array.length ax - 1 do
-            let x = Vec.fget ax a
-            and y = Vec.fget ay a
-            and z = Vec.fget az a
-            and q = Vec.fget aq a in
-            let x0 =
-              max 0 (int_of_float (ceil ((x -. g.cutoff) /. g.spacing)))
-            and x1 =
-              min (g.nx - 1)
-                (int_of_float (floor ((x +. g.cutoff) /. g.spacing)))
-            in
-            let y0 =
-              max 0 (int_of_float (ceil ((y -. g.cutoff) /. g.spacing)))
-            and y1 =
-              min (g.ny - 1)
-                (int_of_float (floor ((y +. g.cutoff) /. g.spacing)))
-            in
-            let z0' =
-              max z0 (int_of_float (ceil ((z -. g.cutoff) /. g.spacing)))
-            and z1' =
-              min
-                (z0 + nzs - 1)
-                (int_of_float (floor ((z +. g.cutoff) /. g.spacing)))
-            in
-            for iz = z0' to z1' do
-              for iy = y0 to y1 do
-                for ix = x0 to x1 do
-                  let gx = float_of_int ix *. g.spacing in
-                  let gy = float_of_int iy *. g.spacing in
-                  let gz = float_of_int iz *. g.spacing in
-                  let dx = gx -. x and dy = gy -. y and dz = gz -. z in
-                  let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-                  if r2 > 0.0 && r2 < g.cutoff *. g.cutoff then begin
-                    let i = ((((iz - z0) * g.ny) + iy) * g.nx) + ix in
-                    Vec.fset grid i
-                      (Vec.fget grid i
-                      +. (q *. ((1.0 /. sqrt r2) -. (1.0 /. g.cutoff))))
-                  end
-                done
-              done
-            done
-          done)
-        groups;
+    scatter resident;
     [ Payload.Floats grid ]
 
+  let exchange_halo t =
+    let blocks = Skeletons.Resident.blocks t.res in
+    Triolet_runtime.Darray.exchange_halo (Skeletons.Resident.array t.res)
+      ~compute:(fun i -> halo_payload t.c blocks.(i))
+
   let create ?ctx (c : D.cutcp) =
-    let zblocks = Skeletons.resident_blocks ?ctx ~len:c.D.nz () in
-    let g =
+    let none = Float.Array.create 0 in
+    let geom = { c with ax = none; ay = none; az = none; aq = none } in
+    let c =
       {
-        nx = c.D.nx;
-        ny = c.D.ny;
-        nz = c.D.nz;
-        spacing = c.D.spacing;
-        cutoff = c.D.cutoff;
-        zblocks;
+        c with
+        ax = Float.Array.copy c.D.ax;
+        ay = Float.Array.copy c.D.ay;
+        az = Float.Array.copy c.D.az;
+        aq = Float.Array.copy c.D.aq;
       }
     in
-    let session = Skeletons.resident_session ?ctx ~work:(work g) () in
-    let ax = Float.Array.copy c.D.ax
-    and ay = Float.Array.copy c.D.ay
-    and az = Float.Array.copy c.D.az
-    and aq = Float.Array.copy c.D.aq in
-    let own =
-      Array.init (Array.length zblocks) (own_payload_of g ax ay az aq)
+    let res =
+      Skeletons.Resident.create ?ctx ~len:c.D.nz ~segment:(own_payload c)
+        ~work:(work geom) ()
     in
-    let arr = Darray.create session ~segments:own in
-    let t = { session; arr; g; ax; ay; az; aq; own_payloads = own; round = 0 }
-    in
-    ignore (Darray.exchange_halo t.arr ~compute:(halo_payload t));
+    let t = { res; c; round = 0 } in
+    ignore (exchange_halo t);
     t
 
   (* Move one atom (parent-side state only; {!resync} ships deltas). *)
   let displace t ~atom ~dx ~dy ~dz =
-    Vec.fset t.ax atom (Vec.fget t.ax atom +. dx);
-    Vec.fset t.ay atom (Vec.fget t.ay atom +. dy);
-    Vec.fset t.az atom (Vec.fget t.az atom +. dz)
+    Vec.fset t.c.D.ax atom (Vec.fget t.c.D.ax atom +. dx);
+    Vec.fset t.c.D.ay atom (Vec.fget t.c.D.ay atom +. dy);
+    Vec.fset t.c.D.az atom (Vec.fget t.c.D.az atom +. dz)
 
   (* Re-derive slab contents and halos from the current atom state;
      only slabs and halos whose bytes changed re-ship.  Returns
      (changed slabs, changed halos). *)
   let resync t =
-    let slabs = ref 0 in
-    Array.iteri
-      (fun i old ->
-        let p = own_payload t i in
-        if p <> old then begin
-          t.own_payloads.(i) <- p;
-          Darray.update t.arr i p;
-          incr slabs
-        end)
-      t.own_payloads;
-    let halos = Darray.exchange_halo t.arr ~compute:(halo_payload t) in
-    (!slabs, halos)
+    let slabs = Skeletons.Resident.refresh t.res ~segment:(own_payload t.c) in
+    (slabs, exchange_halo t)
 
   (* One round: compute every slab against its resident atoms + halo
-     and reassemble the full grid (slabs are contiguous z ranges, so
-     node-order replies concatenate). *)
+     and reassemble the full grid (slabs are contiguous z ranges). *)
   let potential t =
     t.round <- t.round + 1;
-    let out = Float.Array.make (t.g.nx * t.g.ny * t.g.nz) 0.0 in
-    let node = ref 0 in
+    let out = Float.Array.make (D.grid_points t.c) 0.0 in
     let (), report =
-      Darray.run1 t.arr
-        ~arg:(fun _ -> [ Payload.Ints [| t.round |] ])
-        ~merge:(fun () reply ->
-          let slab =
-            match reply with
-            | [ Payload.Floats f ] -> f
-            | _ -> invalid_arg "Cutcp.Resident: bad reply"
-          in
-          let z0, _ = t.g.zblocks.(!node) in
-          Float.Array.blit slab 0 out
-            (z0 * t.g.ny * t.g.nx)
-            (Float.Array.length slab);
-          incr node)
+      Skeletons.Resident.round t.res
+        ~arg:[ Payload.Ints [| t.round |] ]
+        ~merge:(fun () (z0, _) reply ->
+          match reply with
+          | [ Payload.Floats slab ] ->
+              Float.Array.blit slab 0 out (grid_index t.c 0 0 z0) (Float.Array.length slab)
+          | _ -> invalid_arg "Cutcp.Resident: bad reply")
         ~init:()
     in
     (out, report)
 
-  let close t = Darray.close_session t.session
+  let close t = Skeletons.Resident.close t.res
 end
 
 (* Gather formulation over a 3-D iterator: for each grid point, sum the

@@ -11,10 +11,12 @@
 
 open Triolet
 
-let run_c ?(alpha = 1.0) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
-  if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_c";
-  let bt = Matrix.transpose b in
-  let m = Matrix.rows a and n = Matrix.cols b and k = Matrix.cols a in
+(* C = alpha * A * B over A and B already transposed: the one block
+   product every imperative sgemm loop runs, [run_c]'s and the resident
+   nodes'. *)
+let product ~alpha (a : Matrix.t) (bt : Matrix.t) : Matrix.t =
+  if Matrix.cols a <> Matrix.cols bt then invalid_arg "Sgemm.product";
+  let m = Matrix.rows a and n = Matrix.rows bt and k = Matrix.cols a in
   let da = Matrix.data a and dbt = Matrix.data bt in
   let c = Matrix.create m n in
   let dc = Matrix.data c in
@@ -33,6 +35,10 @@ let run_c ?(alpha = 1.0) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
     done
   done;
   c
+
+let run_c ?(alpha = 1.0) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
+  if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_c";
+  product ~alpha a (Matrix.transpose b)
 
 (* The paper's code (section 2):
      zipped_AB = outerproduct(rows(A), rows(BT))
@@ -108,9 +114,6 @@ let agrees ?(eps = 1e-9) c1 c2 = Matrix.equal_eps ~eps c1 c2
 (* ------------------------------------------------------------------ *)
 (* Resident iterative variant: A's row blocks stay on the nodes.       *)
 
-module Darray = Triolet_runtime.Darray
-module Payload = Triolet_base.Payload
-
 (** Iterated products against a fixed left operand — the shape of
     power iteration or any [C_r = alpha * A * B_r] loop.  A's row
     blocks install once in the resident fabric; each {!Resident.multiply}
@@ -118,66 +121,34 @@ module Payload = Triolet_base.Payload
     is much larger than B the per-round scatter bytes collapse.
     {!Resident.update_a} re-ships exactly the row blocks that changed. *)
 module Resident = struct
-  type t = {
-    session : Darray.session;
-    arr : Darray.t;
-    blocks : (int * int) array;  (* (row offset, rows) per segment *)
-    mutable a_segments : Payload.t array;  (* current payloads, to diff *)
-    m : int;
-    k : int;
-  }
+  type t = { res : Skeletons.Resident.t; m : int; k : int }
 
-  (* Child-side compute: resident = this node's A row block, arg = all
-     of B already transposed; reply = the C row block.  All three are
-     {!Iter.matrix_payload}s, the payload {!Iter.rows} ships. *)
-  let work ~alpha ~node:_ ~resident ~arg =
-    let ablk = Iter.matrix_of_payload resident in
-    let bt = Iter.matrix_of_payload arg in
-    let mb = Matrix.rows ablk and n = Matrix.rows bt and k = Matrix.cols ablk in
-    if Matrix.cols bt <> k then
-      invalid_arg "Sgemm.Resident: A/B dimension mismatch";
-    let da = Matrix.data ablk and dbt = Matrix.data bt in
-    let out = Float.Array.make (mb * n) 0.0 in
-    for i = 0 to mb - 1 do
-      let ai = i * k in
-      for j = 0 to n - 1 do
-        let bj = j * k in
-        let acc = ref 0.0 in
-        for l = 0 to k - 1 do
-          acc :=
-            !acc
-            +. Float.Array.unsafe_get da (ai + l)
-               *. Float.Array.unsafe_get dbt (bj + l)
-        done;
-        Float.Array.unsafe_set out ((i * n) + j) (alpha *. !acc)
-      done
-    done;
-    Iter.matrix_payload (Matrix.of_floatarray ~rows:mb ~cols:n out)
-
-  let segment_of (a : Matrix.t) (off, n) =
+  (* Segments, the argument and replies are all {!Iter.matrix_payload}s,
+     the payload {!Iter.rows} ships. *)
+  let segment (a : Matrix.t) (off, n) =
     Iter.matrix_payload (Matrix.copy_rows a off n)
 
+  (* Child-side compute: resident = this node's A row block, arg = all
+     of B already transposed; reply = the C row block. *)
+  let work ~alpha ~block:_ ~resident ~arg =
+    Iter.matrix_payload
+      (product ~alpha (Iter.matrix_of_payload resident) (Iter.matrix_of_payload arg))
+
   let create ?ctx ?(alpha = 1.0) (a : Matrix.t) =
-    let session = Skeletons.resident_session ?ctx ~work:(work ~alpha) () in
-    let blocks = Skeletons.resident_blocks ?ctx ~len:(Matrix.rows a) () in
-    let a_segments = Array.map (segment_of a) blocks in
-    let arr = Darray.create session ~segments:a_segments in
-    { session; arr; blocks; a_segments; m = Matrix.rows a; k = Matrix.cols a }
+    let res =
+      Skeletons.Resident.create ?ctx ~len:(Matrix.rows a) ~segment:(segment a)
+        ~work:(work ~alpha) ()
+    in
+    { res; m = Matrix.rows a; k = Matrix.cols a }
 
   let multiply t (b : Matrix.t) =
     if Matrix.rows b <> t.k then invalid_arg "Sgemm.Resident.multiply";
-    let bt = Matrix.transpose b in
-    let argp = Iter.matrix_payload bt in
     let c = Matrix.create t.m (Matrix.cols b) in
-    let row0 = ref 0 in
     let (), report =
-      Darray.run1 t.arr
-        ~arg:(fun _ -> argp)
-        ~merge:(fun () reply ->
-          (* Replies merge in node order = row-block order. *)
-          let blk = Iter.matrix_of_payload reply in
-          Matrix.blit_block ~src:blk ~dst:c ~r0:!row0 ~c0:0;
-          row0 := !row0 + Matrix.rows blk)
+      Skeletons.Resident.round t.res
+        ~arg:(Iter.matrix_payload (Matrix.transpose b))
+        ~merge:(fun () (r0, _) reply ->
+          Matrix.blit_block ~src:(Iter.matrix_of_payload reply) ~dst:c ~r0 ~c0:0)
         ~init:()
     in
     (c, report)
@@ -186,17 +157,7 @@ module Resident = struct
   let update_a t (a : Matrix.t) =
     if Matrix.rows a <> t.m || Matrix.cols a <> t.k then
       invalid_arg "Sgemm.Resident.update_a: geometry change";
-    let changed = ref 0 in
-    Array.iteri
-      (fun i blk ->
-        let p = segment_of a blk in
-        if p <> t.a_segments.(i) then begin
-          t.a_segments.(i) <- p;
-          Darray.update t.arr i p;
-          incr changed
-        end)
-      t.blocks;
-    !changed
+    Skeletons.Resident.refresh t.res ~segment:(segment a)
 
-  let close t = Darray.close_session t.session
+  let close t = Skeletons.Resident.close t.res
 end

@@ -34,6 +34,20 @@ let score ~bins (x1, y1, z1) (x2, y2, z2) =
 
 (* ------------------------------------------------------------------ *)
 
+(* Histogram of every pair across two catalogs: the one imperative
+   cross loop, run by [run_c]'s DR and by the resident nodes. *)
+let cross_hist ~bins (c1 : D.catalog) (c2 : D.catalog) =
+  let n1 = D.catalog_size c1 and n2 = D.catalog_size c2 in
+  let h = Array.make bins 0 in
+  for i = 0 to n1 - 1 do
+    let pi = point c1 i in
+    for j = 0 to n2 - 1 do
+      let b = score ~bins pi (point c2 j) in
+      h.(b) <- h.(b) + 1
+    done
+  done;
+  h
+
 let run_c ~bins (d : D.tpacf) : result =
   let self_hist (c : D.catalog) =
     let n = D.catalog_size c in
@@ -47,23 +61,11 @@ let run_c ~bins (d : D.tpacf) : result =
     done;
     h
   in
-  let cross_hist (c1 : D.catalog) (c2 : D.catalog) =
-    let n1 = D.catalog_size c1 and n2 = D.catalog_size c2 in
-    let h = Array.make bins 0 in
-    for i = 0 to n1 - 1 do
-      let pi = point c1 i in
-      for j = 0 to n2 - 1 do
-        let b = score ~bins pi (point c2 j) in
-        h.(b) <- h.(b) + 1
-      done
-    done;
-    h
-  in
   let add a b = Array.mapi (fun i x -> x + b.(i)) a in
   let dd = self_hist d.D.observed in
   let dr =
     Array.fold_left
-      (fun acc r -> add acc (cross_hist d.D.observed r))
+      (fun acc r -> add acc (cross_hist ~bins d.D.observed r))
       (Array.make bins 0) d.D.randoms
   in
   let rr =
@@ -224,7 +226,6 @@ let agrees r1 r2 = r1.dd = r2.dd && r1.dr = r2.dr && r1.rr = r2.rr
 (* ------------------------------------------------------------------ *)
 (* Resident multi-round variant: observed points stay on the nodes.    *)
 
-module Darray = Triolet_runtime.Darray
 module Payload = Triolet_base.Payload
 
 (** The DR loop re-visits the observed catalog once per random set; the
@@ -233,9 +234,9 @@ module Payload = Triolet_base.Payload
     are integer counts and every observed point lands in exactly one
     block, so {!Resident.dr} equals {!run_c}'s DR exactly. *)
 module Resident = struct
-  type t = { session : Darray.session; arr : Darray.t; bins : int }
+  type t = { res : Skeletons.Resident.t; bins : int }
 
-  let catalog_payload (c : D.catalog) off n =
+  let catalog_payload (c : D.catalog) (off, n) =
     [
       Payload.Floats (Float.Array.sub c.D.cx off n);
       Payload.Floats (Float.Array.sub c.D.cy off n);
@@ -253,35 +254,21 @@ module Resident = struct
 
   (* Child-side compute: cross-histogram of this node's observed block
      against the round's random set. *)
-  let work ~bins ~node:_ ~resident ~arg =
-    let obs = catalog_of_payload resident in
-    let rand = catalog_of_payload arg in
-    let n1 = D.catalog_size obs and n2 = D.catalog_size rand in
-    let h = Array.make bins 0 in
-    for i = 0 to n1 - 1 do
-      let pi = point obs i in
-      for j = 0 to n2 - 1 do
-        let b = score ~bins pi (point rand j) in
-        h.(b) <- h.(b) + 1
-      done
-    done;
-    [ Payload.Ints h ]
+  let work ~bins ~block:_ ~resident ~arg =
+    [ Payload.Ints (cross_hist ~bins (catalog_of_payload resident) (catalog_of_payload arg)) ]
 
   let create ?ctx ~bins (observed : D.catalog) =
-    let session = Skeletons.resident_session ?ctx ~work:(work ~bins) () in
-    let segments =
-      Skeletons.resident_segments ?ctx ~len:(D.catalog_size observed)
-        ~payload_of:(catalog_payload observed) ()
+    let res =
+      Skeletons.Resident.create ?ctx ~len:(D.catalog_size observed)
+        ~segment:(catalog_payload observed) ~work:(work ~bins) ()
     in
-    let arr = Darray.create session ~segments in
-    { session; arr; bins }
+    { res; bins }
 
   (* One round: observed (resident) against one random set. *)
   let cross t (rand : D.catalog) =
-    let argp = catalog_payload rand 0 (D.catalog_size rand) in
-    Darray.run1 t.arr
-      ~arg:(fun _ -> argp)
-      ~merge:(fun acc reply ->
+    Skeletons.Resident.round t.res
+      ~arg:(catalog_payload rand (0, D.catalog_size rand))
+      ~merge:(fun acc _ reply ->
         match reply with
         | [ h ] ->
             Array.iteri (fun i c -> acc.(i) <- acc.(i) + c)
@@ -304,5 +291,5 @@ module Resident = struct
     in
     (hist, reports)
 
-  let close t = Darray.close_session t.session
+  let close t = Skeletons.Resident.close t.res
 end

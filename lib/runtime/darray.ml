@@ -42,9 +42,9 @@
     {2 Versioning and refusal}
 
     Segments are keyed [(darray_id, segment, version)].  {!update}
-    bumps the version; the parent tracks, per node, which version it
-    believes resident and ships a put exactly when belief and truth
-    disagree.  A child {e refuses} a reuse naming a version it does not
+    bumps the version when the content changed; the parent tracks, per
+    node, which version it believes resident and ships a put exactly
+    when belief and truth disagree.  A child {e refuses} a reuse naming a version it does not
     hold (a [Nack] carrying the offending key): the parent reacts by
     dropping every belief about that node and replaying puts, so a
     mistaken belief costs one round trip, never a wrong answer.  Task
@@ -147,7 +147,7 @@ let close_session s =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Arrays, views, geometry.                                            *)
+(* Arrays.                                                             *)
 
 type segment = {
   mutable version : int;
@@ -164,13 +164,6 @@ type t = {
   ghosts : segment option array;  (* ghost of seg i rides wire index nsegs+i *)
   mutable freed : bool;
 }
-
-let buf_elems = function
-  | Payload.Floats a -> Float.Array.length a
-  | Payload.Ints a -> Array.length a
-  | Payload.Raw s -> String.length s
-
-let payload_elems p = List.fold_left (fun acc b -> acc + buf_elems b) 0 p
 
 let create session ~segments =
   if session.closed then invalid_arg "Darray.create: session closed";
@@ -193,26 +186,27 @@ let owner d i = i mod d.session.nodes
 let segment_version d i = d.segs.(i).version
 let ghost_version d i = Option.map (fun g -> g.version) d.ghosts.(i)
 
+(* Content equality (structural, on the decoded payload) gates the
+   version bump: an unchanged segment keeps its version and so keeps
+   shipping as a key-only reuse. *)
+let replace seg payload =
+  if seg.payload = payload then false
+  else begin
+    seg.version <- seg.version + 1;
+    seg.payload <- payload;
+    seg.encoded <- None;
+    true
+  end
+
 let update d i payload =
   if d.freed then invalid_arg "Darray.update: freed array";
-  let seg = d.segs.(i) in
-  seg.version <- seg.version + 1;
-  seg.payload <- payload;
-  seg.encoded <- None
+  replace d.segs.(i) payload
 
-(* Install or refresh the ghost of primary segment [i].  Content
-   equality (structural, on the decoded payload) gates the version
-   bump: an unchanged ghost keeps its version and so keeps shipping as
-   a key-only reuse. *)
+(* Install or refresh the ghost of primary segment [i]. *)
 let set_ghost d i payload =
   if d.freed then invalid_arg "Darray.set_ghost: freed array";
   match d.ghosts.(i) with
-  | Some g when g.payload = payload -> false
-  | Some g ->
-      g.version <- g.version + 1;
-      g.payload <- payload;
-      g.encoded <- None;
-      true
+  | Some g -> replace g payload
   | None ->
       d.ghosts.(i) <- Some { version = 1; payload; encoded = None };
       true
@@ -228,63 +222,26 @@ let exchange_halo d ~compute =
     ();
   !changed
 
-type view = { arrays : t list }
-
-let view d = { arrays = [ d ] }
-
-let zip v d =
-  match v.arrays with
-  | [] -> { arrays = [ d ] }
-  | first :: _ ->
-      if d.session != first.session then
-        invalid_arg "Darray.zip: arrays from different sessions";
-      if nsegs d <> nsegs first then
-        invalid_arg
-          (Printf.sprintf "Darray.zip: segment count mismatch (%d vs %d)"
-             (nsegs first) (nsegs d));
-      Array.iteri
-        (fun i seg ->
-          let a = payload_elems first.segs.(i).payload
-          and b = payload_elems seg.payload in
-          if a <> b then
-            invalid_arg
-              (Printf.sprintf
-                 "Darray.zip: segment %d geometry mismatch (%d vs %d elements)"
-                 i a b))
-        d.segs;
-      { arrays = v.arrays @ [ d ] }
-
-let zip2 a b = zip (view a) b
-
 (* ------------------------------------------------------------------ *)
-(* Running a view.                                                     *)
+(* Running an array.                                                   *)
 
-(* The segments node [n] must hold to compute its slice of [v]:
-   per array in view order, each primary segment owned by [n] (index
-   order) followed by its ghost.  Concatenation order at the child is
-   exactly this order. *)
-let plan_for_node v n =
-  List.concat_map
-    (fun d ->
-      if d.freed then invalid_arg "Darray.run: freed array";
-      let out = ref [] in
-      Array.iteri
-        (fun i seg ->
-          if owner d i = n then begin
-            out := (d, i, seg) :: !out;
-            match d.ghosts.(i) with
-            | Some g -> out := (d, nsegs d + i, g) :: !out
-            | None -> ()
-          end)
-        d.segs;
-      List.rev !out)
-    v.arrays
+(* The wire segments node [n] must hold to compute its slice: each
+   primary segment owned by [n] (index order) followed by its ghost.
+   Concatenation order at the child is exactly this order. *)
+let plan_for_node d n =
+  List.concat
+    (List.init (nsegs d) (fun i ->
+         if owner d i <> n then []
+         else
+           (i, d.segs.(i))
+           :: (match d.ghosts.(i) with Some g -> [ (nsegs d + i, g) ] | None -> [])))
 
-let key_of (d, w, seg) = (d.did, w, seg.version)
+let segment_at d w =
+  if w < nsegs d then d.segs.(w) else Option.get d.ghosts.(w - nsegs d)
 
 (* Encoded put frame for one segment — encoded at most once per
    version; retries and crash replay reuse the retained bytes. *)
-let encoded_put (d, w, seg) =
+let encoded_put d w seg =
   match seg.encoded with
   | Some b -> b
   | None ->
@@ -299,37 +256,33 @@ let encoded_put (d, w, seg) =
       seg.encoded <- Some b;
       b
 
-let run v ~arg ~merge ~init =
-  match v.arrays with
-  | [] -> invalid_arg "Darray.run: empty view"
-  | first :: _ ->
-      let s = first.session in
-      if s.closed then invalid_arg "Darray.run: session closed";
-      Obs.span ~name:"darray.run" (fun () ->
-          let plans = List.init s.nodes (plan_for_node v) in
-          let items = Hashtbl.create 16 in
-          List.iter (List.iter (fun item -> Hashtbl.replace items (key_of item) item)) plans;
-          let keys = List.map (List.map key_of) plans in
-          let task ~slice ~seq =
-            Envelope.encode ~crc Envelope.task ~slice ~seq (List.nth keys slice, 0, arg slice)
-          in
-          let results = Array.make s.nodes None in
-          let on_done i b = results.(i) <- Some (Envelope.body ~crc Payload.codec b) in
-          let report, failed =
-            Dispatch.run_job s.dispatch ~pinned:true ~plans:keys
-              ~put:(fun key -> encoded_put (Hashtbl.find items key))
-              ~task ~on_done ()
-          in
-          (match failed with
-          | None -> ()
-          | Some (Dispatch.Exhausted { slice; attempts }) ->
-              raise (Cluster.Recovery_exhausted { worker = slice; attempts })
-          | Some (Dispatch.Raised { slice; msg }) ->
-              failwith (Printf.sprintf "Darray: node %d raised: %s" slice msg)
-          | Some Dispatch.Expired -> assert false (* rounds carry no deadline *));
-          (Array.fold_left (fun acc r -> merge acc (Option.get r)) init results, report))
-
-let run1 d = run (view d)
+let run d ~arg ~merge ~init =
+  let s = d.session in
+  if s.closed then invalid_arg "Darray.run: session closed";
+  if d.freed then invalid_arg "Darray.run: freed array";
+  Obs.span ~name:"darray.run" (fun () ->
+      let keys =
+        List.init s.nodes (fun n ->
+            List.map (fun (w, seg) -> (d.did, w, seg.version)) (plan_for_node d n))
+      in
+      let task ~slice ~seq =
+        Envelope.encode ~crc Envelope.task ~slice ~seq (List.nth keys slice, 0, arg slice)
+      in
+      let results = Array.make s.nodes None in
+      let on_done i b = results.(i) <- Some (Envelope.body ~crc Payload.codec b) in
+      let report, failed =
+        Dispatch.run_job s.dispatch ~pinned:true ~plans:keys
+          ~put:(fun (_, w, _) -> encoded_put d w (segment_at d w))
+          ~task ~on_done ()
+      in
+      (match failed with
+      | None -> ()
+      | Some (Dispatch.Exhausted { slice; attempts }) ->
+          raise (Cluster.Recovery_exhausted { worker = slice; attempts })
+      | Some (Dispatch.Raised { slice; msg }) ->
+          failwith (Printf.sprintf "Darray: node %d raised: %s" slice msg)
+      | Some Dispatch.Expired -> assert false (* rounds carry no deadline *));
+      (Array.fold_left (fun acc r -> merge acc (Option.get r)) init results, report))
 
 (* ------------------------------------------------------------------ *)
 (* Release.                                                            *)

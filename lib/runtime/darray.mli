@@ -7,7 +7,8 @@
     {!Protocol.Seg_reuse} envelopes for unchanged segments plus the
     per-round argument, so iterative kernels' per-round scatter bytes
     collapse to near zero.  Segments are versioned: {!update} bumps a
-    version and exactly the changed segments re-ship ({!Protocol.Seg_put}).
+    version when the content changed, and exactly the changed segments
+    re-ship ({!Protocol.Seg_put}).
     A child refuses a reuse (or a task) naming a version it does not
     hold, and a respawned child's segments are replayed from
     parent-retained encoded bytes before its slice is re-issued. *)
@@ -19,8 +20,8 @@ module Payload = Triolet_base.Payload
 
 type work = node:int -> resident:Payload.t -> arg:Payload.t -> Payload.t
 (** A node's compute: [resident] is the concatenation of the node's
-    resident segments in plan order (per array of the view, each owned
-    primary segment then its ghost); [arg] is the per-round payload.
+    resident segments in plan order (each owned primary segment then its
+    ghost); [arg] is the per-round payload.
     Must be pure in its inputs (it re-executes on retry) and must not
     mutate [resident] (it persists across calls). *)
 
@@ -63,9 +64,11 @@ val nsegs : t -> int
 val owner : t -> int -> int
 val segment_version : t -> int -> int
 
-val update : t -> int -> Payload.t -> unit
-(** Replace segment [i]'s contents and bump its version; exactly this
-    segment re-ships (as a [Seg_put]) on the next run that needs it. *)
+val update : t -> int -> Payload.t -> bool
+(** Replace segment [i]'s contents.  Returns whether the content
+    changed: a changed segment bumps its version and re-ships (as a
+    [Seg_put]) on the next run that needs it; an unchanged one keeps
+    its version and ships as a key-only reuse, like {!set_ghost}. *)
 
 val free : t -> unit
 (** Evict the array's segments everywhere ([Seg_free] per node) and
@@ -86,40 +89,21 @@ val exchange_halo : t -> compute:(int -> Payload.t) -> int
     of neighbouring segments, assembled parent-side) and install the
     changed ones; returns how many actually changed. *)
 
-(** {1 Views, zip, and running} *)
-
-type view
-
-val view : t -> view
-
-val zip : view -> t -> view
-(** Co-distributed zip: appends an array to the view.  Asserts matching
-    geometry — same session, same segment count, same per-segment
-    element count — and raises [Invalid_argument] otherwise. *)
-
-val zip2 : t -> t -> view
+(** {1 Running} *)
 
 val run :
-  view ->
-  arg:(int -> Payload.t) ->
-  merge:('a -> Payload.t -> 'a) ->
-  init:'a ->
-  'a * Cluster.report
-(** One round over the resident view: per node, ship residency deltas
-    (puts for changed or lost segments, key-only reuses otherwise),
-    ship [arg n] in the task frame, and gather replies; results merge
-    in node order.  The report's [scatter_bytes] counts puts + reuses +
-    task frames, so a warm run over an unchanged view ships orders of
-    magnitude fewer bytes than the first.  Under the process backend a
-    child that dies mid-round is respawned (supervisor backoff), its
-    segments are replayed from parent-retained encoded bytes, and its
-    slice re-issued, up to a bounded attempt budget
-    ({!Cluster.Recovery_exhausted} beyond it). *)
-
-val run1 :
   t ->
   arg:(int -> Payload.t) ->
   merge:('a -> Payload.t -> 'a) ->
   init:'a ->
   'a * Cluster.report
-(** [run1 d] is [run (view d)]. *)
+(** One round over the resident array: per node, ship residency deltas
+    (puts for changed or lost segments, key-only reuses otherwise),
+    ship [arg n] in the task frame, and gather replies; results merge
+    in node order.  The report's [scatter_bytes] counts puts + reuses +
+    task frames, so a warm run over an unchanged array ships orders of
+    magnitude fewer bytes than the first.  Under the process backend a
+    child that dies mid-round is respawned (supervisor backoff), its
+    segments are replayed from parent-retained encoded bytes, and its
+    slice re-issued, up to a bounded attempt budget
+    ({!Cluster.Recovery_exhausted} beyond it). *)

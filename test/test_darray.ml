@@ -1,7 +1,7 @@
 (* Persistent distributed arrays: the shared envelope codec (qcheck
    roundtrip and fuzz through the fabric's socket reader), the model check of
    the real engine's residency protocol,
-   residency byte collapse, geometry-checked zip, halo versioning, the
+   residency byte collapse, content-gated updates and halo versioning, the
    resident kernel variants' exact parity with their non-resident
    paths, and crash replay over the process transport.
 
@@ -86,7 +86,7 @@ let test_proc_warm_reuse () =
     (fun () ->
       let segs = Array.init 2 (fun i -> seg_floats ~len:10_000 (float_of_int (i + 1))) in
       let d = Darray.create s ~segments:segs in
-      let run scale = Darray.run1 d ~arg:(scale_arg scale) ~merge:merge_sum ~init:0.0 in
+      let run scale = Darray.run d ~arg:(scale_arg scale) ~merge:merge_sum ~init:0.0 in
       let cold, rc = run 1.0 in
       let warm, rw = run 1.0 in
       Alcotest.(check (float 0.0)) "cold sum" (expected_sum segs 1.0) cold;
@@ -121,7 +121,7 @@ let test_proc_kill_mid_iteration () =
     (fun () ->
       let segs = Array.init 2 (fun i -> seg_floats ~len:5_000 (float_of_int (i + 1))) in
       let d = Darray.create s ~segments:segs in
-      let run () = Darray.run1 d ~arg:(scale_arg 2.0) ~merge:merge_sum ~init:0.0 in
+      let run () = Darray.run d ~arg:(scale_arg 2.0) ~merge:merge_sum ~init:0.0 in
       let clean, _ = run () in
       Alcotest.(check (float 0.0)) "clean round" (expected_sum segs 2.0) clean;
       let victim =
@@ -168,6 +168,79 @@ let test_proc_sgemm_first_round_parity () =
         (Triolet_kernels.Sgemm.agrees ~eps:0.0 c1 c2);
       check_bool "warm round ships fewer bytes" true
         (rep2.Cluster.scatter_bytes < rep1.Cluster.scatter_bytes))
+
+(* Each case runs the process backend first: the in-process runs spawn
+   no domain, but forking first keeps the order safe regardless. *)
+let both_backends = [ Cluster.Process; Cluster.Inprocess ]
+
+(* Fewer outer elements than nodes: the resident session sizes itself
+   to the blocks, so no node is sent a task without a segment. *)
+let test_resident_fewer_blocks_than_nodes () =
+  List.iter
+    (fun backend ->
+      let ctx nodes = Exec.make ~nodes ~cores_per_node:1 ~backend () in
+      let a, b = D.sgemm_matrices ~seed:3 ~m:2 ~k:5 ~n:3 in
+      let r = Triolet_kernels.Sgemm.Resident.create ~ctx:(ctx 4) a in
+      Fun.protect
+        ~finally:(fun () -> Triolet_kernels.Sgemm.Resident.close r)
+        (fun () ->
+          let c, _ = Triolet_kernels.Sgemm.Resident.multiply r b in
+          check_bool "sgemm m=2 on 4 nodes = run_c exactly" true
+            (Triolet_kernels.Sgemm.agrees ~eps:0.0
+               (Triolet_kernels.Sgemm.run_c a b) c));
+      let data = D.tpacf ~seed:5 ~points:2 ~random_sets:2 in
+      let bins = 6 in
+      let r = Triolet_kernels.Tpacf.Resident.create ~ctx:(ctx 4) ~bins data.D.observed in
+      Fun.protect
+        ~finally:(fun () -> Triolet_kernels.Tpacf.Resident.close r)
+        (fun () ->
+          let dr, _ = Triolet_kernels.Tpacf.Resident.dr r data.D.randoms in
+          Alcotest.(check (array int)) "tpacf 2 points on 4 nodes = run_c DR"
+            (Triolet_kernels.Tpacf.run_c ~bins data).Triolet_kernels.Tpacf.dr dr);
+      List.iter
+        (fun (nodes, nz) ->
+          let data =
+            D.cutcp ~seed:11 ~atoms:12 ~nx:6 ~ny:6 ~nz ~spacing:0.5 ~cutoff:1.5
+          in
+          let r = Triolet_kernels.Cutcp.Resident.create ~ctx:(ctx nodes) data in
+          Fun.protect
+            ~finally:(fun () -> Triolet_kernels.Cutcp.Resident.close r)
+            (fun () ->
+              let g, _ = Triolet_kernels.Cutcp.Resident.potential r in
+              check_bool
+                (Printf.sprintf "cutcp nz=%d on %d nodes agrees with run_c" nz nodes)
+                true
+                (Triolet_kernels.Cutcp.agrees ~eps:1e-9
+                   (Triolet_kernels.Cutcp.run_c data) g)))
+        [ (4, 2); (2, 1) ])
+    both_backends
+
+(* The resident wire bytes, pinned exactly: a 256x256 A over 2 nodes
+   against a 256x8 B.  Cold rounds put both row blocks, warm rounds
+   ship key-only reuses, and a one-element update re-puts one block;
+   every round ships one task frame per node. *)
+let test_sgemm_resident_wire_bytes () =
+  List.iter
+    (fun backend ->
+      let ctx = Exec.make ~nodes:2 ~cores_per_node:1 ~backend () in
+      let a, b = D.sgemm_matrices ~seed:13 ~m:256 ~k:256 ~n:8 in
+      let r = Triolet_kernels.Sgemm.Resident.create ~ctx a in
+      Fun.protect
+        ~finally:(fun () -> Triolet_kernels.Sgemm.Resident.close r)
+        (fun () ->
+          let round () = snd (Triolet_kernels.Sgemm.Resident.multiply r b) in
+          let cold = round () in
+          let warm = round () in
+          let a' = Matrix.copy_rows a 0 (Matrix.rows a) in
+          Matrix.set a' 200 17 42.0;
+          check_int "one block changed" 1
+            (Triolet_kernels.Sgemm.Resident.update_a r a');
+          let dirty = round () in
+          let bytes r = (r.Cluster.scatter_bytes, r.Cluster.scatter_messages) in
+          Alcotest.(check (pair int int)) "cold round" (557_464, 4) (bytes cold);
+          Alcotest.(check (pair int int)) "warm round" (33_092, 4) (bytes warm);
+          Alcotest.(check (pair int int)) "after update_a" (295_278, 4) (bytes dirty)))
+    both_backends
 
 (* ------------------------------------------------------------------ *)
 (* Wire codecs: qcheck roundtrip, socket frame reader, corruption.     *)
@@ -320,7 +393,7 @@ let test_warm_bytes_collapse () =
         Array.init 4 (fun i -> seg_floats ~len:50_000 (float_of_int (i + 1)))
       in
       let d = Darray.create s ~segments:segs in
-      let run () = Darray.run1 d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      let run () = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
       let cold, rc = run () in
       let warm, rw = run () in
       Alcotest.(check (float 0.0)) "sum" (expected_sum segs 1.0) cold;
@@ -335,10 +408,10 @@ let test_update_reships_only_changed () =
   with_local_session (fun s ->
       let segs = Array.init 4 (fun _ -> seg_floats ~len:10_000 1.0) in
       let d = Darray.create s ~segments:segs in
-      let run () = Darray.run1 d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      let run () = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
       let _, cold = run () in
       let _, warm = run () in
-      Darray.update d 2 (seg_floats ~len:10_000 5.0);
+      check_bool "update changed" true (Darray.update d 2 (seg_floats ~len:10_000 5.0));
       check_int "version bumped" 2 (Darray.segment_version d 2);
       let after, dirty = run () in
       Alcotest.(check (float 0.0)) "result reflects the update"
@@ -350,35 +423,6 @@ let test_update_reships_only_changed () =
         (dirty.Cluster.scatter_bytes > warm.Cluster.scatter_bytes);
       check_bool "dirty ships ~one segment, not four" true
         (dirty.Cluster.scatter_bytes * 2 < cold.Cluster.scatter_bytes))
-
-let test_zip_geometry_checked () =
-  with_local_session (fun s ->
-      let d4 = Darray.create s ~segments:(Array.init 4 (fun _ -> seg_floats ~len:100 1.0)) in
-      let d4b = Darray.create s ~segments:(Array.init 4 (fun _ -> seg_floats ~len:100 2.0)) in
-      let d3 = Darray.create s ~segments:(Array.init 3 (fun _ -> seg_floats ~len:100 1.0)) in
-      let dshort = Darray.create s ~segments:(Array.init 4 (fun _ -> seg_floats ~len:99 1.0)) in
-      (* A well-formed zip runs: each node sees both arrays' segments. *)
-      let total, _ =
-        Darray.run (Darray.zip2 d4 d4b) ~arg:(scale_arg 1.0) ~merge:merge_sum
-          ~init:0.0
-      in
-      Alcotest.(check (float 0.0)) "zipped sum" (400.0 +. 800.0) total;
-      let raises f =
-        match f () with
-        | _ -> false
-        | exception Invalid_argument _ -> true
-      in
-      check_bool "segment count mismatch refused" true
-        (raises (fun () -> Darray.zip2 d4 d3));
-      check_bool "element count mismatch refused" true
-        (raises (fun () -> Darray.zip2 d4 dshort));
-      (* Cross-session zip refused too. *)
-      with_local_session (fun s2 ->
-          let foreign =
-            Darray.create s2 ~segments:(Array.init 4 (fun _ -> seg_floats ~len:100 1.0))
-          in
-          check_bool "cross-session zip refused" true
-            (raises (fun () -> Darray.zip2 d4 foreign))))
 
 let test_ghost_versioning () =
   with_local_session ~nodes:2 (fun s ->
@@ -393,6 +437,13 @@ let test_ghost_versioning () =
       check_bool "changed content bumps" true
         (Darray.set_ghost d 0 (seg_floats ~len:4 7.0));
       check_bool "v2" true (Darray.ghost_version d 0 = Some 2);
+      (* Primary segments follow the same rule through [update]. *)
+      check_bool "identical update keeps version" false
+        (Darray.update d 1 (seg_floats ~len:10 1.0));
+      check_int "segment still v1" 1 (Darray.segment_version d 1);
+      check_bool "changed update bumps" true
+        (Darray.update d 1 (seg_floats ~len:10 2.0));
+      check_int "segment v2" 2 (Darray.segment_version d 1);
       (* exchange_halo counts exactly the ghosts that changed. *)
       check_int "converged halo ships nothing new" 1
         (Darray.exchange_halo d ~compute:(fun i ->
@@ -401,15 +452,15 @@ let test_ghost_versioning () =
         (Darray.exchange_halo d ~compute:(fun i ->
              if i = 0 then seg_floats ~len:4 7.0 else seg_floats ~len:4 3.0));
       (* Ghost contents ride with the owner's resident concatenation. *)
-      let total, _ = Darray.run1 d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      let total, _ = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
       Alcotest.(check (float 0.0)) "primaries + ghosts summed"
-        (20.0 +. (4.0 *. 7.0) +. (4.0 *. 3.0))
+        (10.0 +. 20.0 +. (4.0 *. 7.0) +. (4.0 *. 3.0))
         total)
 
 let test_free_refuses_further_use () =
   with_local_session (fun s ->
       let d = Darray.create s ~segments:(Array.init 2 (fun _ -> seg_floats ~len:10 1.0)) in
-      let _ = Darray.run1 d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      let _ = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
       Darray.free d;
       Darray.free d;
       (* idempotent *)
@@ -422,7 +473,7 @@ let test_free_refuses_further_use () =
         (raises (fun () -> Darray.update d 0 (seg_floats ~len:10 2.0)));
       check_bool "run refused" true
         (raises (fun () ->
-             Darray.run1 d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0)))
+             Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0)))
 
 (* ------------------------------------------------------------------ *)
 (* Resident kernels: exact parity with the non-resident paths.         *)
@@ -524,6 +575,10 @@ let () =
             test_proc_kill_mid_iteration;
           Alcotest.test_case "sgemm first-round parity" `Quick
             test_proc_sgemm_first_round_parity;
+          Alcotest.test_case "resident kernels on fewer blocks than nodes" `Quick
+            test_resident_fewer_blocks_than_nodes;
+          Alcotest.test_case "sgemm resident wire bytes pinned" `Quick
+            test_sgemm_resident_wire_bytes;
         ] );
       ( "codecs",
         [
@@ -551,8 +606,6 @@ let () =
             test_warm_bytes_collapse;
           Alcotest.test_case "update reships only changed" `Quick
             test_update_reships_only_changed;
-          Alcotest.test_case "zip geometry checked" `Quick
-            test_zip_geometry_checked;
           Alcotest.test_case "ghost versioning" `Quick test_ghost_versioning;
           Alcotest.test_case "free refuses further use" `Quick
             test_free_refuses_further_use;
