@@ -56,6 +56,12 @@ type edge = {
     primitive's discipline; shrink it when one is retired. *)
 let whitelist =
   [
+    (* cluster.ml's lock serializes every caller's jobs on the warm
+       process sessions and guards their table; a forked child replaces
+       it (the second site), since the fork may have happened under it.
+       Jobs block in select under it by design: a second caller waits
+       for the fabric, which only one job can drive at a time. *)
+    ("lib/runtime/cluster.ml", 2);
     ("lib/core/skeletons.ml", 1);
     ("lib/runtime/fault.ml", 1);
     ("lib/runtime/pool.ml", 7);
@@ -63,9 +69,14 @@ let whitelist =
     ("lib/runtime/service.ml", 1);
     (* stats.ml's 25th atomic is the standalone payload-encode counter:
        a monotone count bumped only inside scatter serialization spans,
-       read only by tests and reports — no ordering discipline needed. *)
-    ("lib/runtime/stats.ml", 25);
-    ("lib/runtime/transport.ml", 1);
+       read only by tests and reports — no ordering discipline needed.
+       The 26th, the task-code byte total, is the same kind of monotone
+       counter, bumped where a [Code] frame is sent. *)
+    ("lib/runtime/stats.ml", 26);
+    (* transport.ml's atomic is the process-wide list of parent-side
+       endpoints every forked child closes: updated by compare-and-set,
+       read without a lock in the child. *)
+    ("lib/runtime/transport.ml", 2);
     ("lib/runtime/wsdeque.ml", 2);
   ]
 

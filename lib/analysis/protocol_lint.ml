@@ -27,6 +27,7 @@ let kind_constructors =
     ("Seg_put", Protocol.Seg_put);
     ("Seg_reuse", Protocol.Seg_reuse);
     ("Seg_free", Protocol.Seg_free);
+    ("Code", Protocol.Code);
   ]
 
 (* Findings for an arbitrary spec — exposed so tests can seed a spec

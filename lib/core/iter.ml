@@ -256,6 +256,16 @@ let split_payload w p =
   in
   take w p
 
+(* The rebuild of a two-input iterator.  It closes over the inputs'
+   rebuilds only, never over their records, whose [local] and
+   [payload_of] hold the source data: a node's task code ships that
+   closure, and the data belongs in the payload. *)
+let rebuild2 combine a b =
+  let wa = a.width and ra = a.rebuild and rb = b.rebuild in
+  fun p ->
+    let pa, pb = split_payload wa p in
+    combine (ra pa) (rb pb)
+
 (** The paper's [outerproduct]: pair every element of [a] with every
     element of [b].  Block (r0, nr, c0, nc) needs elements [r0, r0+nr)
     of [a] and [c0, c0+nc) of [b] — exactly the slices its payload
@@ -279,10 +289,7 @@ let rec outer_product (a : 'a t) (b : 'b t) =
     payload_of =
       (fun ((r0, c0), Shape.Dim2 (nr, nc)) ->
         a.payload_of (r0, Shape.Seq nr) @ b.payload_of (c0, Shape.Seq nc));
-    rebuild =
-      (fun p ->
-        let pa, pb = split_payload a.width p in
-        outer_product (a.rebuild pa) (b.rebuild pb));
+    rebuild = rebuild2 outer_product a b;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -290,11 +297,8 @@ let rec outer_product (a : 'a t) (b : 'b t) =
 
 (* Apply a loop-nest rewrite to both the in-place and rebuilt paths. *)
 let rec lift g t =
-  {
-    t with
-    local = (fun blk -> g (t.local blk));
-    rebuild = (fun p -> lift g (t.rebuild p));
-  }
+  let rebuild = t.rebuild in
+  { t with local = (fun blk -> g (t.local blk)); rebuild = (fun p -> lift g (rebuild p)) }
 
 let map f t = lift (Seq_iter.map f) t
 let filter p t = lift (Seq_iter.filter p) t
@@ -315,10 +319,7 @@ let rec zip_with f a b =
     local = (fun blk -> Seq_iter.zip_with f (a.local blk) (b.local blk));
     width = a.width + b.width;
     payload_of = (fun blk -> a.payload_of blk @ b.payload_of blk);
-    rebuild =
-      (fun p ->
-        let pa, pb = split_payload a.width p in
-        zip_with f (a.rebuild pa) (b.rebuild pb));
+    rebuild = rebuild2 (zip_with f) a b;
   }
 
 let zip a b = zip_with (fun x y -> (x, y)) a b
@@ -355,8 +356,11 @@ let sequential t = { t with hint = Sequential }
 (* Generic reduction skeleton: dispatch on the hint.  The pool reduces
    outer-axis bands; the cluster reduces one node block per worker.
    The execution context is resolved once here and passed explicitly
-   below; the [node_work] closure captures it by value, so it crosses a
-   [fork] intact under the process backend. *)
+   below; the [node_work] closure captures it by value, so under the
+   process backend it reaches the warm children intact inside the
+   job's closure bytes.  [node_work] captures [t]'s rebuild, not [t]:
+   the record's [local] holds the source data, which travels as the
+   payload. *)
 let run_reduce ?ctx ~result_codec ~of_chunk ~merge ~init t =
   let ctx = Exec.resolve ctx in
   let on_pool pool t =
@@ -370,10 +374,11 @@ let run_reduce ?ctx ~result_codec ~of_chunk ~merge ~init t =
       else merge init (of_chunk (t.local (Shape.whole t.shape)))
   | Local -> on_pool (Pool.default ()) t
   | Distributed ->
+      let rebuild = t.rebuild in
       Skeletons.distributed_reduce ~ctx
         ~blocks:(Shape.blocks ~parts:(Exec.worker_count ctx) t.shape)
         ~payload_of:t.payload_of
-        ~node_work:(fun ~pool payload -> on_pool pool (t.rebuild payload))
+        ~node_work:(fun ~pool payload -> on_pool pool (rebuild payload))
         ~result_codec ~merge ~init ()
 
 let sum ?ctx t =
@@ -445,11 +450,12 @@ let collect ?ctx ~result_codec ~of_chunk ~concat (t : 'a t) =
   | Sequential -> of_chunk (t.local (Shape.whole t.shape))
   | Local -> on_pool (Pool.default ()) t
   | Distributed ->
+      let rebuild = t.rebuild in
       concat
         (Skeletons.distributed_map_blocks ~ctx
            ~blocks:(Shape.blocks ~parts:ctx.Exec.nodes t.shape)
            ~payload_of:t.payload_of
-           ~node_work:(fun ~pool payload -> on_pool pool (t.rebuild payload))
+           ~node_work:(fun ~pool payload -> on_pool pool (rebuild payload))
            ~result_codec ())
 
 (** Pack the (possibly variable-length) float results into a contiguous
@@ -522,9 +528,10 @@ let materialize ?ctx t =
   | Local -> on_pool (Pool.default ()) t out
   | Distributed ->
       let blocks = Shape.blocks ~parts:ctx.Exec.nodes t.shape in
+      let rebuild = t.rebuild in
       Skeletons.distributed_map_blocks ~ctx ~blocks ~payload_of:t.payload_of
         ~node_work:(fun ~pool payload ->
-          let sub = t.rebuild payload in
+          let sub = rebuild payload in
           let part = Float.Array.make (length sub) 0.0 in
           on_pool pool sub part;
           part)

@@ -1,18 +1,24 @@
-(** Two-level distributed runtime: one-shot scatter/gather sessions.
+(** Two-level distributed runtime: scatter/gather jobs on dispatch
+    sessions.
 
     The paper's runtime distributes large units of work to cluster nodes
     over MPI, then subdivides each unit across cores with work-stealing
     threads (section 3.4).  Nodes here exchange *only* serialized
     bytes: payloads are encoded, shipped, and decoded into structurally
     fresh buffers, so a task can never touch the sender's memory.  Task
-    *code* travels as an OCaml closure (serializing code is what the
-    Triolet compiler adds); task *data* always travels as bytes.
+    *code* travels as closure bytes (serializing code is what the
+    Triolet compiler adds); task *data* always travels as payload.
 
-    A run is one job on a {!Dispatch} session that lives exactly as
-    long as the call: in-process nodes executed inline, or one forked
-    process per node.  The engine owns retries, deduplication and
-    recovery, so the fault-free and fault-injected paths are the same
-    code; a fault plan only adds checksums, link faults and timers. *)
+    A run is one job on a {!Dispatch} session.  In-process nodes run
+    inline on a session that lives for the call.  Process nodes run on
+    a warm session: the first process call for a topology forks one
+    child per node, and every later call with that topology is a job
+    on the same children, which receive the job's code in a [Code]
+    frame.  A fault plan gets a private process session, closed after
+    the call, so injected crashes never reach the warm children.  The
+    engine owns retries, deduplication and recovery, so the fault-free
+    and fault-injected paths are the same code; a fault plan only adds
+    checksums, link faults and timers. *)
 
 module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
@@ -59,6 +65,7 @@ type report = Dispatch.report = {
   crashed_nodes : int;
   faults_injected : int;
   recovery_ns : int;
+  code_bytes : int;
 }
 
 let pp_report fmt r =
@@ -78,6 +85,7 @@ let pp_report fmt r =
       (float_of_int r.recovery_ns /. 1e6)
 
 exception Recovery_exhausted of { worker : int; attempts : int }
+exception Unshippable_task of string
 
 let () =
   Printexc.register_printer (function
@@ -87,6 +95,7 @@ let () =
              "Cluster.Recovery_exhausted (worker %d still unresolved after %d \
               attempts)"
              worker attempts)
+    | Unshippable_task why -> Some (Printf.sprintf "Cluster.Unshippable_task (%s)" why)
     | _ -> None)
 
 let on_node = Dispatch.on_node
@@ -101,6 +110,116 @@ let ensure_forkable () =
 
 let ns s = int_of_float (s *. 1e9)
 let node_attr n = [ ("node", string_of_int n) ]
+
+(* A node's task code as closure bytes, refused before any frame is
+   sent when it cannot cross: a closure over a value [Marshal] cannot
+   serialize (a mutex, a channel), or one bigger than a frame.  The
+   heap the closure reaches bounds the size first, without marshalling
+   it; the bytes themselves are checked after. *)
+let closure_bytes (code : _ Dispatch.code) =
+  let too_big () =
+    raise
+      (Unshippable_task
+         (Printf.sprintf "task code over the %d B frame limit" Protocol.max_frame_payload))
+  in
+  Obs.span ~name:"cluster.serialize" (fun () ->
+      if Obj.reachable_words (Obj.repr code) > Protocol.max_frame_payload / (Sys.word_size / 8) then
+        too_big ();
+      match Marshal.to_bytes code [ Marshal.Closures ] with
+      | b when Bytes.length b > Protocol.max_frame_payload -> too_big ()
+      | b -> b
+      | exception (Invalid_argument why | Failure why) -> raise (Unshippable_task why))
+
+(* A process session whose children take their code from each job, each
+   child keeping one [cores_per_node]-wide pool for life. *)
+let fork_session ?faults (topo : topology) cfg =
+  ensure_forkable ();
+  Dispatch.fork ?faults ~span:"cluster" cfg ~child:(fun ~id chan ->
+      Dispatch.code_child ~ctx:(lazy (Pool.create ~workers:topo.cores_per_node ())) ~id chan)
+
+(* The warm fabric: one process session per [(nodes, cores_per_node)],
+   forked by the first fault-free process call with that topology and
+   closed at exit.  One lock serializes every caller's jobs on it. *)
+type warm = { mutable lock : Mutex.t; sessions : (int * int, Dispatch.session) Hashtbl.t }
+
+let warm = { lock = Mutex.create (); sessions = Hashtbl.create 4 }
+
+let () =
+  (* A forked child owns none of these sessions, and the lock may have
+     been held at the fork: a nested process call there starts anew. *)
+  Transport.Proc.on_fork_child (fun () ->
+      warm.lock <- Mutex.create ();
+      Hashtbl.reset warm.sessions);
+  at_exit (fun () ->
+      Hashtbl.iter (fun _ s -> Dispatch.close s) warm.sessions;
+      Hashtbl.reset warm.sessions)
+
+(* Run [f] on the topology's warm session under the lock.  Nodes that
+   died in an earlier call are respawned first.  A job that fails may
+   leave slices in flight, so its session is retired and the next call
+   forks afresh. *)
+let with_warm (topo : topology) cfg f =
+  let key = (topo.nodes, topo.cores_per_node) in
+  Mutex.lock warm.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock warm.lock)
+    (fun () ->
+      let s =
+        match Hashtbl.find_opt warm.sessions key with
+        | Some s ->
+            Dispatch.revive s ~before_fork:ensure_forkable;
+            s
+        | None ->
+            let s = fork_session topo cfg in
+            Hashtbl.replace warm.sessions key s;
+            s
+      in
+      try f s
+      with e ->
+        Hashtbl.remove warm.sessions key;
+        Dispatch.close s;
+        raise e)
+
+(* One job on [session]: each slice encoded once, replies decoded as
+   they arrive, the per-slice results returned in worker order. *)
+let run_job ?code session ~crc ~workers ~scatter ~result_codec ~raised =
+  (* Retries resend the cached bytes (replies are accepted from any
+     attempt of the job). *)
+  let encoded = Array.make workers None in
+  let task ~slice ~seq =
+    match encoded.(slice) with
+    | Some b -> b
+    | None ->
+        let b =
+          Obs.span ~name:"cluster.serialize" ~attrs:(node_attr slice) (fun () ->
+              Stats.record_encode ();
+              Dispatch.Envelope.(encode ~crc task ~slice ~seq ([], 0, scatter slice)))
+        in
+        encoded.(slice) <- Some b;
+        b
+  in
+  let results = Array.make workers None in
+  let on_done i bytes =
+    (* A finished slice is never re-issued: drop its bytes now. *)
+    encoded.(i) <- None;
+    results.(i) <-
+      Some
+        (Obs.span ~name:"cluster.recv" ~attrs:(node_attr i) (fun () ->
+             Dispatch.Envelope.body ~crc result_codec bytes))
+  in
+  let report, failed =
+    Dispatch.run_job session ?code ~plans:(List.init workers (fun _ -> [])) ~task ~on_done ()
+  in
+  (match failed with
+  | None -> ()
+  | Some (Dispatch.Exhausted { slice; attempts }) ->
+      raise (Recovery_exhausted { worker = slice; attempts })
+  | Some (Dispatch.Raised { slice; msg }) -> (
+      match raised.(slice) with
+      | Some e -> raise e
+      | None -> failwith (Printf.sprintf "Cluster: node %d raised: %s" slice msg))
+  | Some Dispatch.Expired -> assert false (* no deadline on one-shot runs *));
+  (Array.map Option.get results, report)
 
 let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
     ~merge ~init =
@@ -121,11 +240,9 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
   in
   let cfg = { Dispatch.nodes = workers; crc; policy; supervision = None } in
   let fault = Option.map Fault.make faults in
-  (* [work] sees the logical worker id whose slice it computes, stable
-     across re-execution on another node. *)
-  let node_work pool ~slice ~resident:_ arg = work ~node:slice ~pool arg in
   let raised = Array.make workers None in
-  let session =
+  let job ?code session = run_job ?code session ~crc ~workers ~scatter ~result_codec ~raised in
+  let results, report =
     match topo.backend with
     | Inprocess | Flat ->
         (* Nodes share the default pool, capped at the configured core
@@ -136,74 +253,42 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
         let phases =
           { Dispatch.Child.phase = (fun name f -> Obs.span ~name:("cluster." ^ name) f) }
         in
-        (* Inline nodes keep the exception itself, re-raised as is. *)
-        let work ~slice ~resident arg =
-          try node_work pool ~slice ~resident arg
+        (* [work] sees the logical worker id whose slice it computes,
+           stable across re-execution on another node.  Inline nodes
+           keep the exception itself, re-raised as is. *)
+        let work ~slice ~resident:_ arg =
+          try work ~node:slice ~pool arg
           with e ->
             raised.(slice) <- Some e;
             raise e
         in
-        Dispatch.inline ?faults:fault ~span:"cluster" cfg
-          (Array.init workers (fun _ ->
-               Dispatch.server ~crc ~phases ~result:result_codec ~work ()))
-    | Process ->
-        (* The parent does no task work: each child builds its own pool
-           after the fork, so a caller-supplied pool is irrelevant. *)
-        ensure_forkable ();
-        let crash id =
-          match faults with
-          | Some { Fault.crash = Some (n, phase); _ } when n = id -> Some phase
-          | _ -> None
+        job
+          (Dispatch.inline ?faults:fault ~span:"cluster" cfg
+             (Array.init workers (fun _ -> Dispatch.server ~crc ~phases ~result:result_codec ~work ())))
+    | Process -> (
+        (* The parent does no task work: each child runs its slices on
+           its own pool, so a caller-supplied pool is irrelevant.  The
+           code is marshalled before any session is touched. *)
+        let serve pool =
+          Dispatch.server ~crc ~result:result_codec
+            ~work:(fun ~slice ~resident:_ arg -> work ~node:slice ~pool:(Lazy.force pool) arg)
+            ()
         in
-        Dispatch.fork ?faults:fault ~span:"cluster" cfg ~child:(fun ~id chan ->
-            let pool = lazy (Pool.create ~workers:topo.cores_per_node ()) in
-            let work ~slice ~resident arg = node_work (Lazy.force pool) ~slice ~resident arg in
-            Dispatch.child_loop ?crash:(crash id) ~id
-              (Dispatch.server ~crc ~result:result_codec ~work ())
-              chan)
-  in
-  Fun.protect
-    ~finally:(fun () -> Dispatch.close session)
-    (fun () ->
-      (* Each slice is encoded exactly once; retries resend the cached
-         bytes (replies are accepted from any attempt of the job). *)
-      let encoded = Array.make workers None in
-      let task ~slice ~seq =
-        match encoded.(slice) with
-        | Some b -> b
-        | None ->
-            let b =
-              Obs.span ~name:"cluster.serialize" ~attrs:(node_attr slice) (fun () ->
-                  Stats.record_encode ();
-                  Dispatch.Envelope.(encode ~crc task ~slice ~seq ([], 0, scatter slice)))
+        let plain = closure_bytes { Dispatch.serve; crash = None } in
+        match faults with
+        | None -> with_warm topo cfg (job ~code:(fun _ -> plain))
+        | Some { Fault.crash; _ } ->
+            let code =
+              Array.init workers (fun id ->
+                  match crash with
+                  | Some (n, phase) when n = id -> closure_bytes { Dispatch.serve; crash = Some phase }
+                  | _ -> plain)
             in
-            encoded.(slice) <- Some b;
-            b
-      in
-      let results = Array.make workers None in
-      let on_done i bytes =
-        (* A finished slice is never re-issued: drop its bytes now. *)
-        encoded.(i) <- None;
-        results.(i) <-
-          Some
-            (Obs.span ~name:"cluster.recv" ~attrs:(node_attr i) (fun () ->
-                 Dispatch.Envelope.body ~crc result_codec bytes))
-      in
-      let report, failed =
-        Dispatch.run_job session ~plans:(List.init workers (fun _ -> [])) ~task ~on_done ()
-      in
-      (match failed with
-      | None -> ()
-      | Some (Dispatch.Exhausted { slice; attempts }) ->
-          raise (Recovery_exhausted { worker = slice; attempts })
-      | Some (Dispatch.Raised { slice; msg }) -> (
-          match raised.(slice) with
-          | Some e -> raise e
-          | None -> failwith (Printf.sprintf "Cluster: node %d raised: %s" slice msg))
-      | Some Dispatch.Expired -> assert false (* no deadline on one-shot runs *));
-      (* Merge strictly in worker order, never arrival order. *)
-      let acc =
-        Obs.span ~name:"cluster.merge" (fun () ->
-            Array.fold_left (fun acc r -> merge acc (Option.get r)) init results)
-      in
-      (acc, report))
+            let session = fork_session ?faults:fault topo cfg in
+            Fun.protect
+              ~finally:(fun () -> Dispatch.close session)
+              (fun () -> job ~code:(Array.get code) session))
+  in
+  (* Merge strictly in worker order, never arrival order. *)
+  let acc = Obs.span ~name:"cluster.merge" (fun () -> Array.fold_left merge init results) in
+  (acc, report)

@@ -3,9 +3,10 @@
     Nodes exchange *only* serialized bytes: payloads are encoded,
     shipped over a transport, and decoded into structurally fresh
     buffers, so a task can never touch the sender's memory.  Task *code*
-    travels as an OCaml closure (serializing code is what the Triolet
-    compiler adds); task *data* always travels as bytes, and every byte
-    is counted.
+    travels as an OCaml closure — marshalled to closure bytes between
+    processes of this one binary, as the Triolet compiler serializes
+    code between its SPMD ranks; task *data* always travels as payload
+    bytes, and every byte is counted.
 
     Which transport carries the bytes is the {!backend} of the
     {!topology}: in-process nodes fed through the dispatch engine's
@@ -28,11 +29,13 @@ type backend =
           node *)
   | Process
       (** one forked OS process per node over socketpair framed
-          channels; each child runs its slice on a private
-          [cores_per_node]-wide pool.  The fork happens inside the run,
-          so it must be called before any domain has ever been spawned
-          in this process (an OCaml runtime restriction); keep the
-          parent single-domain, e.g. via [TRIOLET_BACKEND=process]. *)
+          channels; each child runs its slices on a private
+          [cores_per_node]-wide pool.  The first call for a topology
+          forks the children, which then stay warm for every later
+          call; that first fork (and the respawn of a node that died)
+          must happen before any domain has ever been spawned in this
+          process (an OCaml runtime restriction); keep the parent
+          single-domain, e.g. via [TRIOLET_BACKEND=process]. *)
 
 val backend_to_string : backend -> string
 
@@ -61,6 +64,9 @@ type report = Dispatch.report = {
   crashed_nodes : int;  (** injected node crashes survived *)
   faults_injected : int;  (** total faults the injector fired *)
   recovery_ns : int;  (** wall time spent in timeout/retry recovery *)
+  code_bytes : int;
+      (** task-code bytes shipped to process nodes ({!Process} only);
+          not payload, so not in the byte and message counts *)
 }
 (** Fault-free runs leave the recovery fields zero. *)
 
@@ -71,6 +77,12 @@ val pp_report : Format.formatter -> report -> unit
 exception Recovery_exhausted of { worker : int; attempts : int }
 (** A worker's result could never be obtained within the fault plan's
     attempt budget (or no surviving node remains). *)
+
+exception Unshippable_task of string
+(** A {!Process} call's task code cannot reach the children: [work]
+    closes over a value [Marshal] cannot serialize (a mutex, a
+    channel), or its closure bytes exceed
+    {!Protocol.max_frame_payload}.  Raised before any frame is sent. *)
 
 val run_topology :
   ?pool:Pool.t ->
@@ -83,7 +95,7 @@ val run_topology :
   init:'a ->
   'a * report
 (** [run_topology topo ~scatter ~work ~result_codec ~merge ~init] runs
-    one job on a {!Dispatch} session that lives for the call:
+    one job on a {!Dispatch} session:
 
     - [scatter w] builds worker [w]'s input payload, serialized and
       shipped once (retries resend the same bytes);
@@ -96,15 +108,22 @@ val run_topology :
     Backends: {!Inprocess}/{!Flat} execute nodes inline in this process
     ([?pool], default {!Pool.default}, gives intra-node parallelism; a
     flat topology has [nodes * cores_per_node] single-core workers).
-    {!Process} forks one OS process per node, each with a private
-    [cores_per_node]-wide pool; [?pool] is ignored, and it fails fast
-    with a [Failure] if a domain was ever spawned in this process
-    (OCaml then forbids [fork]).  Byte and message accounting (frame
-    headers excluded) is identical across backends.
+    {!Process} runs on the topology's warm session: one OS process per
+    node, each with a private [cores_per_node]-wide pool, forked by the
+    first call and reused by every later one; [?pool] is ignored.
+    [work], [result_codec] and the crash plan ship to each node as
+    closure bytes once per call (see {!Unshippable_task}); state they
+    capture starts from the caller's value on every call.  A node that
+    died is respawned before the next call.  Forking fails fast with a
+    [Failure] if a domain was ever spawned in this process (OCaml then
+    forbids [fork]); a warm topology with every node alive keeps
+    serving.  Byte and message accounting (frame headers and code bytes
+    excluded) is identical across backends.
 
     A node that dies (EOF on its channel, e.g. a SIGKILL from outside)
     has its slice re-issued to a survivor, with or without a fault
-    plan.  With [?faults] (a deterministic, seeded plan) every frame is
+    plan.  With [?faults] (a deterministic, seeded plan) a process call
+    forks a private session, closed after the call; every frame is
     CRC-checksummed, link faults are injected parent-side, crashes are
     real child exits (or inline node deaths), and a slice whose reply
     does not arrive within a capped exponential timeout is re-issued,

@@ -12,9 +12,11 @@
     Around it sit an in-process shell (inline node execution over
     queues) and a process shell (a [select] loop over
     {!Transport.Proc}); {!Child.handle} is the one node-side handler
-    every caller's children run.  {!Cluster} is a one-shot session,
-    {!Darray} a session plus its residency table, {!Service} admission
-    and deadlines around a long-lived session. *)
+    every caller's children run.  {!Cluster} runs jobs on a per-call
+    inline session or on a warm process session whose children receive
+    each job's code in a [Code] frame, {!Darray} is a session plus its
+    residency table, {!Service} admission and deadlines around a
+    long-lived session. *)
 
 module Codec = Triolet_base.Codec
 module Rw = Triolet_base.Rw
@@ -97,7 +99,7 @@ module Child = struct
     let untagged = [ (Protocol.Nack, Bytes.empty) ] in
     match (kind : Protocol.kind) with
     | Ping -> (table, [ (Protocol.Pong, bytes) ])
-    | Err | Nack | Pong -> (table, [])
+    | Err | Nack | Pong | Code -> (table, [])
     | Seg_put -> (
         match Envelope.decode ~crc Envelope.put bytes with
         | _, _, (key, p) -> (install table key p, [])
@@ -164,6 +166,7 @@ type node = {
   respawn_at : int option;
   fresh : bool;  (** respawned, not yet pong-verified *)
   believed : key list;  (** segments believed resident *)
+  coded : bool;  (** holds the current job's task code *)
 }
 
 type slice =
@@ -175,6 +178,7 @@ type job = {
   base : int;  (** replies tagged below this seq belong to older jobs *)
   deadline : int;  (** absolute ns, 0 = none *)
   pinned : bool;  (** slice [i] may only run on node [i mod nodes] *)
+  code : bool;  (** the job ships its task code to every node it uses *)
   plans : key list list;  (** per slice: the residency it computes against *)
   slices : slice list;
 }
@@ -192,6 +196,7 @@ type msg =
   | Reuse of { slice : int; seq : int; key : key }
   | Free of int
   | Ping
+  | Code  (** the current job's task code, once per node and job *)
 
 type note =
   | Retry of { slice : int; node : int }
@@ -210,11 +215,12 @@ type action =
   | Note of note
 
 type event =
-  | Submit of { plans : key list list; deadline : int; pinned : bool }
+  | Submit of { plans : key list list; deadline : int; pinned : bool; code : bool }
   | Frame of int * Protocol.kind * Bytes.t
   | Eof of int
   | Tick of int
   | Release of int  (** a darray was freed: evict its segments *)
+  | Revive  (** respawn every dead node now (between jobs) *)
 
 let kind_of_msg = function
   | Task _ -> Protocol.Data
@@ -222,6 +228,7 @@ let kind_of_msg = function
   | Reuse _ -> Protocol.Seg_reuse
   | Free _ -> Protocol.Seg_free
   | Ping -> Protocol.Ping
+  | Code -> Protocol.Code
 
 let create (cfg : config) ~now =
   let n =
@@ -233,6 +240,7 @@ let create (cfg : config) ~now =
       respawn_at = None;
       fresh = false;
       believed = [];
+      coded = false;
     }
   in
   { cfg; now; next_seq = 0; nodes = List.init cfg.nodes (fun _ -> n); job = None }
@@ -284,9 +292,10 @@ let hopeful t job s =
 
 let with_slice job s v = { job with slices = set job.slices s v }
 
-(* Issue slice [s] after [attempts] earlier attempts: ship the residency
-   it needs (a put where belief and truth disagree, a key-only reuse
-   otherwise), then the task. *)
+(* Issue slice [s] after [attempts] earlier attempts: ship the job's
+   code if the node does not hold it yet, the residency the slice needs
+   (a put where belief and truth disagree, a key-only reuse otherwise),
+   then the task. *)
 let issue o t job s attempts =
   if attempts >= t.cfg.policy.max_attempts then raise (Fail (t, Exhausted { slice = s; attempts }));
   match target t job s with
@@ -296,6 +305,7 @@ let issue o t job s attempts =
   | Some i ->
       let seq = t.next_seq in
       let n = List.nth t.nodes i in
+      if job.code && not n.coded then emit o (Send (i, Code));
       let believed =
         List.fold_left
           (fun bel ((did, seg, _) as key) ->
@@ -314,7 +324,7 @@ let issue o t job s attempts =
           (fun (base, cap) -> t.now + min cap (base lsl min attempts 30))
           t.cfg.policy.timeout
       in
-      ( { t with next_seq = seq + 1; nodes = set t.nodes i { n with believed } },
+      ( { t with next_seq = seq + 1; nodes = set t.nodes i { n with believed; coded = n.coded || job.code } },
         with_slice job s (Sent { node = i; seq; attempts = attempts + 1; due }) )
 
 (* Re-issue every slice of the job [pick] selects, in slice order. *)
@@ -378,7 +388,7 @@ let on_frame o t i kind bytes =
                   let t, job = issue o t job s attempts in
                   { t with job = Some job }
               | _ -> t))
-      | Ping | Seg_put | Seg_reuse | Seg_free -> t)
+      | Ping | Seg_put | Seg_reuse | Seg_free | Code -> t)
 
 let on_eof o t i =
   match proto o t i Protocol.Eof with
@@ -393,7 +403,8 @@ let on_eof o t i =
         | None -> (n, None)
       in
       emit o (Note (Death { node = i; backoff }));
-      let t = { t with nodes = set t.nodes i { n with believed = [] } } in
+      (* A replacement starts from nothing: no segments, no code. *)
+      let t = { t with nodes = set t.nodes i { n with believed = []; coded = false } } in
       (* The dead child's in-flight slices move now, not at timeout. *)
       match t.job with
       | None -> t
@@ -402,6 +413,15 @@ let on_eof o t i =
             reissue o t job (function Sent { node; attempts; _ } when node = i -> Some attempts | _ -> None)
           in
           { t with job = Some job }
+
+(* Bring dead node [i] back as a fresh process, pong-verified under
+   supervision. *)
+let respawn o t i =
+  match proto o t i Protocol.Backoff_elapsed with
+  | None -> t
+  | Some n ->
+      emit o (Respawn i);
+      { t with nodes = set t.nodes i { n with last_ping = t.now; unanswered = 0; respawn_at = None; fresh = true } }
 
 (* Supervision for node [i] at [t.now]: ping cadence, miss verdicts,
    due respawns. *)
@@ -424,12 +444,7 @@ let supervise o sv t i =
     else t
   else
     match n.respawn_at with
-    | Some at when t.now >= at -> (
-        match proto o t i Protocol.Backoff_elapsed with
-        | None -> t
-        | Some n ->
-            emit o (Respawn i);
-            put { n with last_ping = t.now; unanswered = 0; respawn_at = None; fresh = true })
+    | Some at when t.now >= at -> respawn o t i
     | _ -> t
 
 let on_tick o t now =
@@ -456,12 +471,14 @@ let step t ev =
   let t' =
     try
       match ev with
-      | Submit { plans; deadline; pinned } ->
+      | Submit { plans; deadline; pinned; code } ->
           if t.job <> None then invalid_arg "Dispatch.step: a job is already running";
           if deadline > 0 && t.now > deadline then raise (Fail (t, Expired));
           let job =
-            { base = t.next_seq; deadline; pinned; plans; slices = List.map (fun _ -> Waiting 0) plans }
+            { base = t.next_seq; deadline; pinned; code; plans; slices = List.map (fun _ -> Waiting 0) plans }
           in
+          (* Code is per job: no node holds this one's yet. *)
+          let t = { t with nodes = List.map (fun n -> { n with coded = false }) t.nodes } in
           let t, job = reissue o t job (function Waiting a -> Some a | _ -> None) in
           finish t job
       | Frame (i, kind, bytes) -> on_frame o t i kind bytes
@@ -476,6 +493,11 @@ let step t ev =
               t.nodes
           in
           { t with nodes }
+      | Revive ->
+          List.fold_left
+            (fun t i -> if live (List.nth t.nodes i) then t else respawn o t i)
+            t
+            (List.init t.cfg.nodes Fun.id)
     with Fail (t, f) ->
       emit o (Job_failed f);
       { t with job = None }
@@ -519,6 +541,7 @@ type report = {
   crashed_nodes : int;  (** node deaths survived *)
   faults_injected : int;  (** total faults the injector fired *)
   recovery_ns : int;  (** wall time from the first retry or death *)
+  code_bytes : int;  (** task code shipped in [Code] frames; not payload *)
 }
 
 let empty_report =
@@ -534,6 +557,7 @@ let empty_report =
     crashed_nodes = 0;
     faults_injected = 0;
     recovery_ns = 0;
+    code_bytes = 0;
   }
 
 (* A node as a function: one frame in, the frames it answers out. *)
@@ -550,25 +574,52 @@ let server ~crc ?phases ~result ~work () : serve =
 
 let is_data (k, _) = k = Protocol.Data
 
-(* The process child: the serve loop every forked node runs.  A planned
-   crash is a real exit, indistinguishable on the wire from a kill. *)
-let child_loop ?crash ~id (serve : serve) chan =
+(* Task code as a job ships it in [Code] frames: how a node builds its
+   serve function from the context its child process keeps for life
+   (Cluster's: the child's pool), and the phase at which the node's
+   planned crash fires.  Marshalled with its closures, which is valid
+   between processes of one binary — every forked child is one. *)
+type 'ctx code = { serve : 'ctx -> serve; crash : Fault.crash_phase option }
+
+(* The process child: the serve loop every forked node runs.  A [Code]
+   frame replaces the serve function and the planned crash with the
+   ones [code] builds from it.  A planned crash is a real exit,
+   indistinguishable on the wire from a kill. *)
+let child_loop ?code ~id (serve : serve) chan =
   current_node := Some id;
   let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
-  let dies phase = crash = Some phase in
+  let serve = ref serve and crash = ref None in
+  let dies phase = !crash = Some phase in
   let rec loop () =
     match Transport.Socket.recv chan with
     | exception Transport.Closed -> Protocol.step trk Protocol.Eof
     | kind, bytes ->
         Protocol.step trk (Protocol.Recv kind);
-        if kind = Protocol.Data && dies Fault.Before_work then Unix._exit 0;
-        let out = serve kind bytes in
-        if List.exists is_data out && (dies Fault.During_work || dies Fault.After_work) then
-          Unix._exit 0;
-        List.iter (fun (kind, b) -> Transport.Socket.send chan ~kind b) out;
+        (match (kind, code) with
+        | Protocol.Code, Some install ->
+            let s, c = install bytes in
+            serve := s;
+            crash := c
+        | _ ->
+            if kind = Protocol.Data && dies Fault.Before_work then Unix._exit 0;
+            let out = !serve kind bytes in
+            if List.exists is_data out && (dies Fault.During_work || dies Fault.After_work) then
+              Unix._exit 0;
+            List.iter (fun (kind, b) -> Transport.Socket.send chan ~kind b) out);
         loop ()
   in
   loop ()
+
+(** A child whose task code arrives with each job: every [Code] frame is
+    unmarshalled afresh, so no job sees state an earlier one mutated.
+    A task before any code is a protocol bug: the child exits, and the
+    parent sees a death. *)
+let code_child (type ctx) ~(ctx : ctx) ~id chan =
+  let install bytes =
+    let c : ctx code = Marshal.from_bytes bytes 0 in
+    (c.serve ctx, c.crash)
+  in
+  child_loop ~code:install ~id (fun _ _ -> failwith "Dispatch: a frame before the job's code") chan
 
 type inline = {
   serves : serve array;
@@ -583,6 +634,7 @@ type io = Inline of inline | Procs of procs
 type hooks = {
   task : slice:int -> seq:int -> Bytes.t;
   put : key -> Bytes.t;
+  code : int -> Bytes.t;  (** node [i]'s [Code] frame for the job *)
   on_done : int -> Bytes.t -> unit;
 }
 
@@ -590,6 +642,7 @@ let no_hooks =
   {
     task = (fun ~slice:_ ~seq:_ -> invalid_arg "Dispatch: no job");
     put = (fun _ -> invalid_arg "Dispatch: no residency");
+    code = (fun _ -> invalid_arg "Dispatch: no task code");
     on_done = (fun _ _ -> ());
   }
 
@@ -731,8 +784,17 @@ and perform s = function
         | Reuse { slice; seq; key } -> Envelope.encode ~crc Envelope.key ~slice ~seq key
         | Free did -> Envelope.encode ~crc Codec.int ~slice:(-1) ~seq:0 did
         | Ping -> Bytes.empty
+        | Code -> s.hooks.code n
       in
-      (match m with Ping | Free _ -> () | _ -> count s ~gather:false bytes);
+      (match m with
+      | Ping | Free _ -> ()
+      | Code ->
+          (* Code is not payload: kept out of messages and bytes, so
+             payload traffic is the same over every backend. *)
+          let len = Bytes.length bytes in
+          Stats.record_code ~bytes:len;
+          s.tally <- { s.tally with code_bytes = s.tally.code_bytes + len }
+      | Task _ | Put _ | Reuse _ -> count s ~gather:false bytes);
       Obs.span ~name:s.names.send ~attrs:(node_attr n) (fun () ->
           through s (Fault.To_node n) kind bytes (deliver s n kind))
   | Kill n -> Option.iter (fun f -> Transport.Proc.kill f n) (fabric s)
@@ -861,11 +923,12 @@ let idle s ~wake =
 
 (** Run one job to completion: [plans.(i)] is slice [i]'s residency,
     [task] its frame for a given attempt, [put] a segment's retained
-    install frame, [on_done] receives each slice's reply frame once.
-    Returns the job's traffic and recovery report, and the failure if
-    it failed. *)
-let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~task ~on_done () =
-  s.hooks <- { task; put; on_done };
+    install frame, [code] node [i]'s task-code frame (given, it is sent
+    before a node's first task of the job), [on_done] receives each
+    slice's reply frame once.  Returns the job's traffic and recovery
+    report, and the failure if it failed. *)
+let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ?code ~plans ~task ~on_done () =
+  s.hooks <- { task; put; code = Option.value code ~default:no_hooks.code; on_done };
   s.failed <- None;
   s.tally <- empty_report;
   s.recovery_from <- None;
@@ -877,7 +940,7 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~ta
       s.st <- { s.st with job = None })
     (fun () ->
       tick s;
-      feed s (Submit { plans; deadline; pinned });
+      feed s (Submit { plans; deadline; pinned; code = code <> None });
       (match s.io with
       | Inline io -> pump_inline s io
       | Procs p ->
@@ -905,3 +968,24 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~ta
 
 (** Evict darray [did] everywhere. *)
 let release s did = feed s (Release did)
+
+(** Between jobs of a process session: take in the deaths (and any
+    stale frames) the fabric already holds, then respawn every dead
+    node, so the next job starts on the full set of nodes.
+    [before_fork] runs first when a node must be respawned: respawning
+    forks. *)
+let revive s ~before_fork =
+  match s.io with
+  | Inline _ -> ()
+  | Procs p ->
+      let rec drain () =
+        match Transport.Proc.recv_any p.fabric ~timeout:0.0 with
+        | `Msg (n, kind, bytes) -> arrive s n kind bytes; drain ()
+        | `Eof n -> feed s (Eof n); drain ()
+        | `Timeout | `No_nodes | `Wake -> ()
+      in
+      drain ();
+      if not (List.for_all live s.st.nodes) then begin
+        before_fork ();
+        feed s Revive
+      end

@@ -36,11 +36,13 @@
     array segment's bytes in a child's resident table; [Seg_reuse]
     names an already-resident [(darray, segment, version)] so an
     unchanged segment ships only its key; [Seg_free] evicts a
-    darray's segments when the array is released. *)
-type kind = Data | Err | Nack | Ping | Pong | Seg_put | Seg_reuse | Seg_free
+    darray's segments when the array is released.  [Code] carries a
+    job's task code — the node's serve function marshalled with its
+    closures — to a child of the same binary. *)
+type kind = Data | Err | Nack | Ping | Pong | Seg_put | Seg_reuse | Seg_free | Code
 
 (* New kinds append at the end: generators index this list. *)
-let all_kinds = [ Data; Err; Nack; Ping; Pong; Seg_put; Seg_reuse; Seg_free ]
+let all_kinds = [ Data; Err; Nack; Ping; Pong; Seg_put; Seg_reuse; Seg_free; Code ]
 
 let kind_name = function
   | Data -> "Data"
@@ -51,6 +53,7 @@ let kind_name = function
   | Seg_put -> "Seg_put"
   | Seg_reuse -> "Seg_reuse"
   | Seg_free -> "Seg_free"
+  | Code -> "Code"
 
 exception Bad_frame of string
 (** A frame that cannot be on the wire: unknown kind byte or a
@@ -72,6 +75,7 @@ let kind_to_byte = function
   | Seg_put -> '\005'
   | Seg_reuse -> '\006'
   | Seg_free -> '\007'
+  | Code -> '\008'
 
 let kind_of_byte = function
   | '\000' -> Data
@@ -82,6 +86,7 @@ let kind_of_byte = function
   | '\005' -> Seg_put
   | '\006' -> Seg_reuse
   | '\007' -> Seg_free
+  | '\008' -> Code
   | c -> raise (Bad_frame (Printf.sprintf "unknown kind byte %d" (Char.code c)))
 
 (* ------------------------------------------------------------------ *)
@@ -188,7 +193,8 @@ let lookup spec ~role ~state event =
     serving child consumes [Seg_put] (install bytes), [Seg_reuse]
     (assert residency of a version) and [Seg_free] (evict) in place;
     it answers with plain [Data]/[Nack] frames, so no new child-side
-    send kinds appear. *)
+    send kinds appear.  [Code] is parent-sent too: a serving child
+    installs the task code it carries and answers nothing. *)
 let spec =
   let parent_rules =
     List.map
@@ -197,7 +203,7 @@ let spec =
     @ List.map
         (fun k ->
           { role = Parent; state = "live"; event = Recv k; action = Drop })
-        [ Ping; Seg_put; Seg_reuse; Seg_free ]
+        [ Ping; Seg_put; Seg_reuse; Seg_free; Code ]
     @ [
         { role = Parent; state = "live"; event = Eof; action = Goto "backoff" };
         { role = Parent; state = "live"; event = Miss_limit; action = Stay };
@@ -218,7 +224,7 @@ let spec =
     List.map
       (fun k ->
         { role = Child; state = "serving"; event = Recv k; action = Stay })
-      [ Ping; Data; Seg_put; Seg_reuse; Seg_free ]
+      [ Ping; Data; Seg_put; Seg_reuse; Seg_free; Code ]
     @ [
         { role = Child; state = "serving"; event = Eof; action = Goto "stopped" };
       ]
@@ -240,7 +246,7 @@ let spec =
     rules = parent_rules @ child_rules;
     sends =
       [
-        (Parent, "live", [ Ping; Data; Seg_put; Seg_reuse; Seg_free ]);
+        (Parent, "live", [ Ping; Data; Seg_put; Seg_reuse; Seg_free; Code ]);
         (Child, "serving", [ Pong; Data; Err; Nack ]);
       ];
   }

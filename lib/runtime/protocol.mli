@@ -9,12 +9,13 @@
 
 (** {1 Frame kinds and framing} *)
 
-type kind = Data | Err | Nack | Ping | Pong | Seg_put | Seg_reuse | Seg_free
+type kind = Data | Err | Nack | Ping | Pong | Seg_put | Seg_reuse | Seg_free | Code
 (** [Seg_put] installs a distributed-array segment's bytes in a child's
     resident table; [Seg_reuse] names an already-resident
     [(darray, segment, version)] key so an unchanged segment ships no
-    bytes; [Seg_free] evicts a darray's segments.  All three are
-    parent-sent only. *)
+    bytes; [Seg_free] evicts a darray's segments.  [Code] carries a
+    job's task code as closure bytes.  All four are parent-sent
+    only. *)
 
 exception Bad_frame of string
 (** Typed rejection for anything that cannot be a frame: unknown kind

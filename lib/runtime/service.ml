@@ -194,11 +194,13 @@ let dispatcher_loop t =
 (* Client API.                                                         *)
 
 (** Fork the fabric and start the dispatcher.  [work] crosses into the
-    children by address-space inheritance at fork time, exactly like
-    [Cluster.run_topology]'s process backend; it must be re-executable
-    (a slice may run more than once under retries).  The parent must
-    never have spawned a domain ([fork] would be forbidden) — and must
-    not spawn one afterwards, or respawns will fail. *)
+    children by address-space inheritance at fork time — unlike
+    [Cluster.run_topology]'s process backend, whose warm children get
+    their task code as closure bytes with every call.  It must be
+    re-executable (a slice may run more than once under retries).  The
+    parent must never have spawned a domain ([fork] would be
+    forbidden) — and must not spawn one afterwards, or respawns will
+    fail. *)
 let create ?(cfg = default_config) ~work () =
   if cfg.nodes < 1 then invalid_arg "Service: nodes < 1";
   if cfg.queue_bound < 1 then invalid_arg "Service: queue_bound < 1";

@@ -48,8 +48,9 @@ val create :
   unit ->
   t
 (** Fork the fabric and start the dispatcher.  [work] crosses into the
-    children by address-space inheritance at fork time and must be
-    re-executable (a slice may run more than once under retries).
+    children by address-space inheritance at fork time (a
+    [Cluster.run_topology] process call instead ships its code to warm
+    children as closure bytes) and must be re-executable (a slice may run more than once under retries).
     Fails if any domain has ever been spawned in this process — the
     fabric forks, and OCaml forbids [fork] after a domain spawn. *)
 

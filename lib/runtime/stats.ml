@@ -38,6 +38,7 @@ type snapshot = {
   heartbeat_misses : int;  (** heartbeat silences that tripped the threshold *)
   shed : int;  (** requests rejected [Overloaded] by admission control *)
   deadline_expired : int;  (** requests cancelled past their deadline *)
+  code_bytes : int;  (** task-code bytes shipped in [Code] frames, not payload *)
   per_worker : worker_snapshot array;
 }
 
@@ -57,6 +58,7 @@ let respawns = Atomic.make 0
 let heartbeat_misses = Atomic.make 0
 let shed = Atomic.make 0
 let deadline_expired = Atomic.make 0
+let code_bytes = Atomic.make 0
 
 (* Per-worker slots, indexed by pool worker id.  Each worker only ever
    bumps its own slot, so the fields are plain atomics with no
@@ -151,6 +153,7 @@ let record_crash () = add crashed_nodes 1
 let record_recovery_ns ns = add recovery_ns ns
 
 (* Supervision counters (bumped by the {!Dispatch} shells). *)
+let record_code ~bytes = add code_bytes bytes
 let record_respawn () = add respawns 1
 let record_heartbeat_miss () = add heartbeat_misses 1
 let record_shed () = add shed 1
@@ -191,6 +194,7 @@ let raw_snapshot () =
     heartbeat_misses = Atomic.get heartbeat_misses;
     shed = Atomic.get shed;
     deadline_expired = Atomic.get deadline_expired;
+    code_bytes = Atomic.get code_bytes;
     per_worker =
       Array.map
         (fun c ->
@@ -237,6 +241,7 @@ let diff a b =
     heartbeat_misses = a.heartbeat_misses - b.heartbeat_misses;
     shed = a.shed - b.shed;
     deadline_expired = a.deadline_expired - b.deadline_expired;
+    code_bytes = a.code_bytes - b.code_bytes;
     per_worker =
       Array.mapi
         (fun i wa ->
@@ -266,6 +271,7 @@ let zero =
     heartbeat_misses = 0;
     shed = 0;
     deadline_expired = 0;
+    code_bytes = 0;
     per_worker = [||];
   }
 

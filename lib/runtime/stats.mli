@@ -31,6 +31,9 @@ type snapshot = {
   heartbeat_misses : int;  (** heartbeat silences that tripped the threshold *)
   shed : int;  (** requests rejected [Overloaded] by admission control *)
   deadline_expired : int;  (** requests cancelled past their deadline *)
+  code_bytes : int;
+      (** task-code bytes shipped to process nodes in [Code] frames;
+          not payload, so never in [messages]/[bytes_sent] *)
   per_worker : worker_snapshot array;
 }
 
@@ -39,6 +42,11 @@ val ensure_workers : int -> unit
     on creation so per-worker counters cover every worker id. *)
 
 val record_message : bytes:int -> unit
+
+val record_code : bytes:int -> unit
+(** Task code shipped to a process node: counted apart from payload
+    messages and bytes, which stay identical across backends. *)
+
 val record_chunk : ?worker:int -> unit -> unit
 val record_steal : ?worker:int -> unit -> unit
 val record_split : ?worker:int -> unit -> unit

@@ -16,11 +16,16 @@
     {!Proc} is the process fabric the multi-process backend builds on:
     it forks one child per node with a socket channel back to the
     parent, multiplexes replies with [select], and tears children down
-    with an EOF-then-SIGKILL grace protocol.  Task *code* crosses the
-    [fork] (the child inherits the closure by address-space copy); task
-    *data* only ever crosses the socket as bytes.  OCaml cannot fork
-    once any domain has been spawned, so the fabric must be created
-    before the first domain — see DESIGN.md, Transports. *)
+    with an EOF-then-SIGKILL grace protocol.  A process-wide registry
+    of parent-side endpoints lets every forked child close every
+    fabric's parent ends, not just its own fabric's, so each fabric's
+    EOFs stay prompt while others are up.  Whatever the child's serve
+    closure captures crosses the [fork] by address-space copy; task
+    code a job ships later crosses the socket as closure bytes in a
+    [Code] frame, and task *data* only ever as payload bytes.  OCaml
+    cannot fork once any domain has been spawned, so a fabric must be
+    forked (and a dead node respawned) before the first domain — see
+    DESIGN.md, Transports. *)
 
 exception Closed
 (** The endpoint (or its peer) is closed: no further frames will ever
@@ -162,10 +167,44 @@ module Proc = struct
     Array.to_list t.nodes
     |> List.filter_map (fun n -> if n.alive then Some n.id else None)
 
+  (* Every parent-side endpoint of every live fabric in this process.
+     A child forked while another fabric is up would otherwise keep
+     that fabric's parent ends open, and the other fabric's children
+     would never read EOF at shutdown.  An atomic list, not a locked
+     table: a forked child reads it without locking, and a lock held by
+     another thread at fork time would never be released there. *)
+  let parent_ends : Socket.t list Atomic.t = Atomic.make []
+
+  let rec update f =
+    let old = Atomic.get parent_ends in
+    if not (Atomic.compare_and_set parent_ends old (f old)) then update f
+
+  let register chan = update (fun l -> chan :: l)
+
+  (* Close a parent-side endpoint, dropping it from the registry first
+     so no later fork can see a recycled descriptor number. *)
+  let release chan =
+    update (List.filter (fun c -> c != chan));
+    Socket.close chan
+
+  (* State a forked child must not inherit, forgotten by the hooks that
+     higher layers register at module initialisation. *)
+  let child_resets : (unit -> unit) list ref = ref []
+
+  let on_fork_child f = child_resets := f :: !child_resets
+
+  (* First thing in every forked child: close every fabric's parent
+     ends (the child's own channel is a child end, never registered)
+     and run the resets. *)
+  let enter_child () =
+    List.iter Socket.close (Atomic.exchange parent_ends []);
+    List.iter (fun f -> f ()) !child_resets
+
   (** Fork [n] children.  Each child closes every descriptor except its
-      own channel, runs [child ~id chan], and [_exit]s — it never
-      returns into the parent's control flow, never flushes the
-      parent's buffered output, and never runs [at_exit] handlers.
+      own channel — including every other fabric's parent ends — runs
+      [child ~id chan], and [_exit]s: it never returns into the
+      parent's control flow, never flushes the parent's buffered
+      output, and never runs [at_exit] handlers.
 
       Must be called before any domain has been spawned in this
       process; the caller is responsible for checking (OCaml's runtime
@@ -177,20 +216,18 @@ module Proc = struct
        the buffers first so a child can never replay parent output. *)
     flush_all ();
     let pairs = Array.init n (fun _ -> Socket.connect ()) in
+    Array.iter (fun (parent_end, _) -> register parent_end) pairs;
     let nodes =
       Array.init n (fun i ->
           let parent_end, child_end = pairs.(i) in
           match Unix.fork () with
           | 0 ->
               (* Child: keep only this node's child end.  Closing the
-                 sibling descriptors matters for EOF detection — a
+                 other descriptors matters for EOF detection — a
                  parent-side read returns EOF only once *every* process
                  holding the write end has closed it. *)
-              Array.iteri
-                (fun j (p, c) ->
-                  Socket.close p;
-                  if j <> i then Socket.close c)
-                pairs;
+              enter_child ();
+              Array.iteri (fun j (_, c) -> if j <> i then Socket.close c) pairs;
               (try child ~id:i child_end
                with _ -> (try Socket.close child_end with _ -> ()));
               Unix._exit 0
@@ -226,7 +263,7 @@ module Proc = struct
               | Some (kind, payload) -> `Msg (n.id, kind, payload)
               | None | (exception (Closed | Protocol.Bad_frame _)) ->
                   n.alive <- false;
-                  Socket.close n.chan;
+                  release n.chan;
                   `Eof n.id))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Timeout
 
@@ -268,7 +305,7 @@ module Proc = struct
   let reap ?grace t i =
     let n = t.nodes.(i) in
     n.alive <- false;
-    Socket.close n.chan;
+    release n.chan;
     if claim_reap t n then reap_node ?grace n
 
   (** SIGKILL node [i]'s current incarnation (no reap — the parent's
@@ -285,19 +322,17 @@ module Proc = struct
       ever been spawned in this process. *)
   let respawn t i ~child =
     let n = t.nodes.(i) in
-    Socket.close n.chan;
+    release n.chan;
     if claim_reap t n then reap_node ~grace:0.0 n;
     flush_all ();
     let parent_end, child_end = Socket.connect () in
+    register parent_end;
     (match Unix.fork () with
     | 0 ->
-        (* Child: drop every other node's parent-side descriptor so EOF
-           detection on the siblings' channels keeps working, then run
+        (* Child: drop every parent-side descriptor, this fabric's
+           siblings' included, so EOF detection keeps working, then run
            the same serve closure as the original incarnation. *)
-        Socket.close parent_end;
-        Array.iter
-          (fun other -> if other.id <> i then try Socket.close other.chan with _ -> ())
-          t.nodes;
+        enter_child ();
         (try child ~id:i child_end
          with _ -> (try Socket.close child_end with _ -> ()));
         Unix._exit 0
@@ -319,7 +354,7 @@ module Proc = struct
     Array.iter
       (fun n ->
         n.alive <- false;
-        try Socket.close n.chan with _ -> ())
+        try release n.chan with _ -> ())
       t.nodes;
     Array.iter
       (fun n -> if claim_reap t n then try reap_node ?grace n with _ -> ())

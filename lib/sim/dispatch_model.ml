@@ -7,7 +7,9 @@
     around them: FIFO channels per node, process kills (each one EOF),
     lost pongs or segment puts, and a clock that jumps to the engine's
     timers.  Every task seq the engine ever sends must be fresh, so a
-    late reply can only ever match the attempt it answers.
+    late reply can only ever match the attempt it answers, and a job
+    that ships code must have its node hold that job's code before it
+    computes any of the job's tasks.
 
     Seeded bugs are harness wrappers around [step] or the handler, so
     the engine itself carries no test flags. *)
@@ -29,12 +31,16 @@ type bug =
   | Forget_failed_step
       (** a step that fails the job keeps only the state from before
           it, though the actions it emitted were performed *)
+  | Code_once
+      (** task code ships with a session's first job only, so later
+          jobs run on the code of the first *)
 
 type frame = Protocol.kind * Bytes.t
 
 type state = {
   engine : D.t;
   tables : D.Child.table list;
+  codes : int option list;  (** the job (by base seq) whose code the node holds *)
   alive : bool list;  (** the node's process exists *)
   eofs : bool list;  (** a dead process whose one EOF is still to come *)
   down : frame list list;  (** parent -> node, FIFO per node *)
@@ -86,6 +92,9 @@ let step bug (t : D.t) ev =
       match List.exists (function D.Job_failed _ -> true | _ -> false) acts with
       | true -> ({ t with job = None }, acts)
       | false -> (t', acts))
+  | Some Code_once, D.Submit _ when t.next_seq > 0 ->
+      let t, acts = D.step t ev in
+      (t, List.filter (function D.Send (_, D.Code) -> false | _ -> true) acts)
   | Some Stale_reuse, D.Submit ({ plans; _ } as sub) ->
       let stale n (d, seg, v) =
         match List.find_opt (fun (d', s', _) -> d' = d && s' = seg) n.D.believed with
@@ -131,6 +140,20 @@ let encode st = function
   | D.Reuse { slice; seq; key } -> Envelope.encode ~crc Envelope.key ~slice ~seq key
   | D.Free d -> Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 d
   | D.Ping -> Bytes.empty
+  | D.Code ->
+      (* The model's code is the job it belongs to. *)
+      let base = match st.engine.job with Some j -> j.base | None -> -1 in
+      Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 base
+
+(* A task of the current job handled by node [n] must run on that job's
+   code when the job ships code. *)
+let code_ok st n ((kind, bytes) : frame) =
+  match (kind, st.engine.job) with
+  | Protocol.Data, Some j when j.code -> (
+      match Envelope.tag ~crc bytes with
+      | Some (_, seq) when seq >= j.base -> List.nth st.codes n = Some j.base
+      | _ -> true)
+  | _ -> true
 
 let fail st msg = { st with bad = (match st.bad with None -> Some msg | b -> b) }
 
@@ -159,6 +182,7 @@ let apply ~may_fail st act =
         alive = set st.alive n true;
         eofs = set st.eofs n false;
         tables = set st.tables n D.Child.empty;
+        codes = set st.codes n None;
         down = set st.down n [];
         up = set st.up n [];
       }
@@ -178,7 +202,7 @@ let feed ~may_fail bug st ev =
 
 (* --- the model --------------------------------------------------------- *)
 
-let transitions ~may_fail bug st =
+let transitions ~may_fail ~code bug st =
   let feed = feed ~may_fail in
   if st.bad <> None then []
   else
@@ -191,8 +215,15 @@ let transitions ~may_fail bug st =
           ( "submit",
             feed bug
               { st with rounds = st.rounds - 1; completions = List.map (fun _ -> 0) plans; failed = false }
-              (D.Submit { plans; deadline = 0; pinned = st.truth <> [] }) );
+              (D.Submit { plans; deadline = 0; pinned = st.truth <> []; code }) );
         ]
+      else []
+    in
+    (* Without supervision, dead nodes come back only when the caller
+       revives them between jobs. *)
+    let revive =
+      if idle && st.engine.cfg.supervision = None && List.exists (fun n -> not (D.live n)) st.engine.nodes
+      then [ ("revive", feed bug st D.Revive) ]
       else []
     in
     let updates =
@@ -210,6 +241,12 @@ let transitions ~may_fail bug st =
         match down with
         | f :: rest when alive ->
             let table, out = handle bug (List.nth st.tables n) f in
+            let st =
+              match f with
+              | Protocol.Code, b -> { st with codes = set st.codes n (Some (Envelope.body ~crc Triolet_base.Codec.int b)) }
+              | _ when code_ok st n f -> st
+              | _ -> fail st (Printf.sprintf "n%d computed a task without its job's code" n)
+            in
             [
               ( Printf.sprintf "n%d handles %s" n (Protocol.kind_name (fst f)),
                 { st with tables = set st.tables n table; down = set st.down n rest; up = set st.up n (up @ out) } );
@@ -269,7 +306,7 @@ let transitions ~may_fail bug st =
              let lbl, d = at d in
              (lbl, feed bug { st with ticks = (if free then st.ticks else st.ticks - 1) } (D.Tick d)))
     in
-    submit @ updates @ List.concat (List.init nodes per_node) @ ticks
+    submit @ revive @ updates @ List.concat (List.init nodes per_node) @ ticks
 
 let invariant st =
   match st.bad with
@@ -286,13 +323,14 @@ let terminal_ok st =
   then Some "node never returned to live"
   else None
 
-let check ~name ?bug ?(may_fail = false) ~(engine : D.config) ~slices ~truth ~rounds ~updates ~kills ~losses
-    ~put_losses ~ticks () =
+let check ~name ?bug ?(may_fail = false) ?(code = false) ~(engine : D.config) ~slices ~truth ~rounds ~updates
+    ~kills ~losses ~put_losses ~ticks () =
   let nodes = engine.D.nodes in
   let init =
     {
       engine = D.create engine ~now:0;
       tables = List.init nodes (fun _ -> D.Child.empty);
+      codes = List.init nodes (fun _ -> None);
       alive = List.init nodes (fun _ -> true);
       eofs = List.init nodes (fun _ -> false);
       down = List.init nodes (fun _ -> []);
@@ -316,7 +354,7 @@ let check ~name ?bug ?(may_fail = false) ~(engine : D.config) ~slices ~truth ~ro
 
       let name = name
       let scenarios = [ init ]
-      let transitions = transitions ~may_fail bug
+      let transitions = transitions ~may_fail ~code bug
       let invariant = invariant
       let terminal_ok = terminal_ok
     end : Modelcheck.MODEL
@@ -365,3 +403,13 @@ let check_failure ?bug () =
         supervision = Some { hb_interval = 10; miss_threshold = 1; backoff_base = 5; backoff_max = 20 };
       }
     ~slices:2 ~truth:[] ~rounds:2 ~updates:0 ~kills:1 ~losses:0 ~put_losses:0 ~ticks:2 ()
+
+(** Warm process fabric: two code-shipping jobs of three slices over
+    three unsupervised nodes, under two SIGKILLs at any point; a dead
+    node comes back only through a revive between jobs.  Every task
+    must run on its own job's code, shipped anew to each node it uses
+    every job. *)
+let check_cluster ?bug () =
+  check ~name:"cluster" ?bug ~code:true
+    ~engine:{ D.nodes = 3; crc; policy = { max_attempts = 8; timeout = None }; supervision = None }
+    ~slices:3 ~truth:[] ~rounds:2 ~updates:0 ~kills:2 ~losses:0 ~put_losses:0 ~ticks:0 ()

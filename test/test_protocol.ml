@@ -194,7 +194,7 @@ let engine ?timeout ?(supervised = true) ~nodes ~max_attempts () =
          else None);
     }
 
-let submit t n = D.step t (D.Submit { plans = List.init n (fun _ -> []); deadline = 0; pinned = false })
+let submit t n = D.step t (D.Submit { plans = List.init n (fun _ -> []); deadline = 0; pinned = false; code = false })
 let failed acts = List.exists (function D.Job_failed _ -> true | _ -> false) acts
 let task_seqs acts = List.filter_map (function D.Send (_, D.Task { seq; _ }) -> Some seq | _ -> None) acts
 
@@ -301,6 +301,21 @@ let test_failure_catches_forgotten_step () =
   | None -> Alcotest.fail "forgotten failed step not caught"
   | Some v -> check_bool "minimal witness" true (List.length v.Modelcheck.trace <= 5)
 
+(* The warm fabric's jobs ship code: the clean engine passes, and code
+   shipped with a session's first job only is caught as soon as the
+   second job's first task runs on the first job's code. *)
+let test_cluster_clean () =
+  let r = DM.check_cluster () in
+  check_bool "no violation" true (r.Modelcheck.violation = None);
+  check_bool "explored seriously" true (r.Modelcheck.states > 1000)
+
+let test_cluster_catches_code_once () =
+  match (DM.check_cluster ~bug:DM.Code_once ()).Modelcheck.violation with
+  | None -> Alcotest.fail "stale task code not caught"
+  | Some v ->
+      check_bool "names the code" true
+        (Str.string_match (Str.regexp ".*without its job's code") v.Modelcheck.message 0)
+
 let () =
   Alcotest.run "protocol"
     [
@@ -337,6 +352,11 @@ let () =
         ] );
       ( "engine retry",
         [ Alcotest.test_case "timeout backoff doubles to cap" `Quick test_retry_backoff ] );
+      ( "cluster model",
+        [
+          Alcotest.test_case "clean protocol passes" `Quick test_cluster_clean;
+          Alcotest.test_case "code shipped once caught" `Quick test_cluster_catches_code_once;
+        ] );
       ( "heartbeat model",
         [
           Alcotest.test_case "clean protocol passes" `Slow test_heartbeat_clean;

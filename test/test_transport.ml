@@ -4,8 +4,9 @@
    ORDER MATTERS.  The process backend forks, and OCaml forbids [fork]
    once any domain has ever been spawned.  Every suite before the last
    uses threads at most; the final suite checks the fail-fast guard the
-   other way around: once domains exist, the process backend must raise
-   a clear [Failure] instead of a cryptic fork error. *)
+   other way around: once domains exist, a process call that must fork
+   raises a clear [Failure] instead of a cryptic fork error, while a
+   topology whose warm children are all alive keeps serving. *)
 
 open Triolet_runtime
 module Payload = Triolet_base.Payload
@@ -148,6 +149,48 @@ let test_bad_frame_is_eof () =
           Alcotest.fail "malformed frame not reported as the node's EOF");
       check_bool "node 0 dead" false (Transport.Proc.is_alive fabric 0))
 
+(* The open sockets among this process's descriptors. *)
+let sockets () =
+  List.init 1021 (fun i -> (Obj.magic (i + 3) : Unix.file_descr))
+  |> List.filter (fun fd ->
+         match Unix.fstat fd with
+         | { Unix.st_kind = Unix.S_SOCK; _ } -> true
+         | _ -> false
+         | exception Unix.Unix_error _ -> false)
+
+(* The forked node's channel back to the parent: the one socket the
+   fabric leaves open in a child. *)
+let own_channel () =
+  match sockets () with
+  | [ fd ] -> Transport.Socket.of_fd fd
+  | fds -> failwith (Printf.sprintf "expected one socket in the child, found %d" (List.length fds))
+
+(* A child forked while another fabric is up holds none of that
+   fabric's parent ends: it finds its own channel only, and the first
+   fabric's children see EOF at once when it shuts down, instead of
+   waiting out the grace period and a SIGKILL. *)
+let test_second_fabric_isolated () =
+  let first = Transport.Proc.fork ~n:2 ~child:echo_child in
+  let second =
+    Transport.Proc.fork ~n:2 ~child:(fun ~id:_ chan ->
+        let n = List.length (sockets ()) in
+        Transport.Socket.send chan (Bytes.of_string (string_of_int n));
+        echo_child ~id:0 chan)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Transport.Proc.shutdown ~grace:2.0 first;
+      Transport.Proc.shutdown ~grace:2.0 second)
+    (fun () ->
+      for i = 0 to 1 do
+        let _, n = Transport.Socket.recv (Transport.Proc.node second i).Transport.Proc.chan in
+        Alcotest.(check string) "one socket in the child" "1" (Bytes.to_string n)
+      done;
+      let t0 = Clock.monotonic_ns () in
+      Transport.Proc.shutdown ~grace:2.0 first;
+      let took = float_of_int (Clock.monotonic_ns () - t0) /. 1e9 in
+      check_bool (Printf.sprintf "closed in %.3f s, well under the 2 s grace" took) true (took < 0.5))
+
 (* Ping/Pong kinds cross the wire like any frame. *)
 let test_ping_pong_frames () =
   let fabric = Transport.Proc.fork ~n:1 ~child:echo_child in
@@ -197,7 +240,9 @@ let test_clean_parity () =
   check_int "gather messages" rep_in.Cluster.gather_messages
     rep_pr.Cluster.gather_messages;
   check_int "max message" rep_in.Cluster.max_message_bytes
-    rep_pr.Cluster.max_message_bytes
+    rep_pr.Cluster.max_message_bytes;
+  check_int "no code in-process" 0 rep_in.Cluster.code_bytes;
+  check_bool "code over processes" true (rep_pr.Cluster.code_bytes > 0)
 
 let test_merge_order_process () =
   let topo = { Cluster.nodes = 3; cores_per_node = 1;
@@ -225,55 +270,182 @@ let test_kernels_cross_backend () =
   let measured f =
     Stats.reset ();
     let r, d = Stats.measure f in
-    (r, d.Stats.messages, d.Stats.bytes_sent)
+    (r, (d.Stats.messages, d.Stats.bytes_sent, d.Stats.code_bytes))
   in
-  let check_traffic name (m_in, b_in) (m_pr, b_pr) =
+  (* Code bytes are not payload: some over processes, none in-process,
+     and the payload traffic is the same either way. *)
+  let check_traffic name (m_in, b_in, c_in) (m_pr, b_pr, c_pr) =
     check_int (name ^ " messages") m_in m_pr;
-    check_int (name ^ " bytes") b_in b_pr
+    check_int (name ^ " bytes") b_in b_pr;
+    check_int (name ^ " no code in-process") 0 c_in;
+    check_bool (name ^ " code over processes") true (c_pr > 0)
   in
   (let d = D.mriq ~seed:11 ~samples:48 ~voxels:96 in
-   let r_in, m_in, b_in =
+   let r_in, t_in =
      measured (fun () -> Triolet_kernels.Mriq.run_triolet ~ctx:ctx_in d)
    in
-   let r_pr, m_pr, b_pr =
+   let r_pr, t_pr =
      measured (fun () -> Triolet_kernels.Mriq.run_triolet ~ctx:ctx_pr d)
    in
    check_bool "mri-q agrees" true
      (Triolet_kernels.Mriq.agrees ~eps:0.0 r_in r_pr);
-   check_traffic "mri-q" (m_in, b_in) (m_pr, b_pr));
+   check_traffic "mri-q" t_in t_pr);
   (let a, b = D.sgemm_matrices ~seed:21 ~m:18 ~k:12 ~n:14 in
-   let r_in, m_in, b_in =
+   let r_in, t_in =
      measured (fun () -> Triolet_kernels.Sgemm.run_triolet ~ctx:ctx_in a b)
    in
-   let r_pr, m_pr, b_pr =
+   let r_pr, t_pr =
      measured (fun () -> Triolet_kernels.Sgemm.run_triolet ~ctx:ctx_pr a b)
    in
    check_bool "sgemm agrees" true
      (Triolet_kernels.Sgemm.agrees ~eps:0.0 r_in r_pr);
-   check_traffic "sgemm" (m_in, b_in) (m_pr, b_pr));
+   check_traffic "sgemm" t_in t_pr);
   (let d = D.tpacf ~seed:31 ~points:32 ~random_sets:3 in
-   let r_in, m_in, b_in =
+   let r_in, t_in =
      measured (fun () ->
          Triolet_kernels.Tpacf.run_triolet ~ctx:ctx_in ~bins:12 d)
    in
-   let r_pr, m_pr, b_pr =
+   let r_pr, t_pr =
      measured (fun () ->
          Triolet_kernels.Tpacf.run_triolet ~ctx:ctx_pr ~bins:12 d)
    in
    check_bool "tpacf agrees" true (Triolet_kernels.Tpacf.agrees r_in r_pr);
-   check_traffic "tpacf" (m_in, b_in) (m_pr, b_pr));
+   check_traffic "tpacf" t_in t_pr);
   let d =
     D.cutcp ~seed:41 ~atoms:32 ~nx:8 ~ny:8 ~nz:8 ~spacing:0.5 ~cutoff:1.5
   in
-  let r_in, m_in, b_in =
+  let r_in, t_in =
     measured (fun () -> Triolet_kernels.Cutcp.run_triolet ~ctx:ctx_in d)
   in
-  let r_pr, m_pr, b_pr =
+  let r_pr, t_pr =
     measured (fun () -> Triolet_kernels.Cutcp.run_triolet ~ctx:ctx_pr d)
   in
   check_bool "cutcp agrees" true
     (Triolet_kernels.Cutcp.agrees ~eps:1e-9 r_in r_pr);
-  check_traffic "cutcp" (m_in, b_in) (m_pr, b_pr)
+  check_traffic "cutcp" t_in t_pr
+
+(* ------------------------------------------------------------------ *)
+(* The warm fabric: each process topology forks once; every call after
+   the first is a job on the same children, its code shipped as closure
+   bytes.  Each case runs over processes, then in-process.              *)
+
+let warm_topo backend = { Cluster.nodes = 2; cores_per_node = 1; backend }
+
+(* Each node's result, in worker order. *)
+let per_node topo ~work =
+  fst
+    (Cluster.run_topology topo
+       ~scatter:(fun _ -> Payload.empty)
+       ~work:(fun ~node ~pool:_ _ -> work node)
+       ~result_codec:Codec.int
+       ~merge:(fun acc v -> acc @ [ v ])
+       ~init:[])
+
+let on_both f () = List.iter f [ Cluster.Process; Cluster.Inprocess ]
+
+let test_warm_same_pids =
+  on_both (fun backend ->
+      let topo = warm_topo backend in
+      let calls = List.init 5 (fun _ -> per_node topo ~work:(fun _ -> Unix.getpid ())) in
+      let first = List.hd calls in
+      List.iter (fun pids -> Alcotest.(check (list int)) "the same pids every call" first pids) calls;
+      match backend with
+      | Cluster.Process ->
+          check_bool "children, not the parent" true
+            (List.for_all (fun p -> p <> Unix.getpid ()) first);
+          check_int "one child per node" 2 (List.length (List.sort_uniq compare first))
+      | Cluster.Inprocess | Cluster.Flat ->
+          check_bool "inline in the parent" true (List.for_all (( = ) (Unix.getpid ())) first))
+
+(* A node SIGKILLed in one call is respawned before the next, which
+   reports no death.  Only a process node can die: inline nodes never
+   match the victim. *)
+let test_warm_killed_node_back =
+  on_both (fun backend ->
+      let topo = warm_topo backend in
+      let pids = per_node topo ~work:(fun _ -> Unix.getpid ()) in
+      let victim = List.nth pids 1 in
+      let run_call () =
+        Cluster.run_topology topo
+          ~scatter:(fun node -> [ Payload.Ints [| node + 1 |] ])
+          ~work:(fun ~node:_ ~pool:_ payload ->
+            if Cluster.on_node () <> None && Unix.getpid () = victim then
+              Unix.kill (Unix.getpid ()) Sys.sigkill;
+            match payload with [ Payload.Ints a ] -> a.(0) * 10 | _ -> -1)
+          ~result_codec:Codec.int ~merge:( + ) ~init:0
+      in
+      let r_kill, rep_kill = run_call () in
+      check_int "call k: both slices" 30 r_kill;
+      check_int "call k: the death"
+        (if backend = Cluster.Process then 1 else 0)
+        rep_kill.Cluster.crashed_nodes;
+      let r_next, rep_next = run_call () in
+      check_int "call k+1: both slices" 30 r_next;
+      check_int "call k+1: no death" 0 rep_next.Cluster.crashed_nodes;
+      check_int "call k+1: no re-issue" 0 rep_next.Cluster.retries;
+      let after = per_node topo ~work:(fun _ -> Unix.getpid ()) in
+      check_int "node 0 kept its process" (List.hd pids) (List.hd after);
+      check_bool "node 1 back"
+        (backend = Cluster.Process)
+        (List.nth after 1 <> victim))
+
+(* State a closure captures starts from the caller's value on every call:
+   a child's mutation in one job never reaches the next. *)
+let test_warm_captured_ref =
+  on_both (fun backend ->
+      let topo = warm_topo backend in
+      let r = ref 7 in
+      for _ = 1 to 3 do
+        let before = !r in
+        let seen =
+          per_node topo ~work:(fun _ ->
+              let v = !r in
+              r := v + 100;
+              v)
+        in
+        check_int "node 0 sees the caller's value" before (List.hd seen);
+        if backend = Cluster.Process then begin
+          Alcotest.(check (list int)) "every node sees it" [ before; before ] seen;
+          check_int "the caller's ref is untouched" before !r
+        end
+      done)
+
+(* An iterator pipeline's task code carries no source data: the arrays
+   reach the nodes as their block payloads only, not again inside the
+   closure bytes. *)
+let test_code_carries_no_source () =
+  let ctx = Triolet.Exec.make ~nodes:2 ~cores_per_node:1 ~backend:Cluster.Process () in
+  let xs = Float.Array.make 100_000 1.0 and ys = Float.Array.make 100_000 2.0 in
+  let dot, d =
+    Stats.measure (fun () ->
+        Triolet.Iter.(sum ~ctx (map (fun (x, y) -> x *. y) (zip (par (of_floatarray xs)) (of_floatarray ys)))))
+  in
+  Alcotest.(check (float 0.0)) "dot" 200_000.0 dot;
+  check_bool
+    (Printf.sprintf "%d code bytes against %d payload bytes" d.Stats.code_bytes d.Stats.bytes_sent)
+    true
+    (d.Stats.code_bytes > 0 && d.Stats.code_bytes * 100 < d.Stats.bytes_sent)
+
+(* Task code that cannot cross is refused in the parent, before any
+   frame: a closure over a mutex, and one over more than a frame holds
+   (a gigabyte never written, so never resident). *)
+let test_unshippable_task () =
+  let topo = warm_topo Cluster.Process in
+  let refused name work =
+    let outcome, d =
+      Stats.measure (fun () ->
+          match per_node topo ~work with
+          | _ -> `Ran
+          | exception Cluster.Unshippable_task _ -> `Refused)
+    in
+    check_bool (name ^ " refused") true (outcome = `Refused);
+    check_int (name ^ ": no frame sent") 0 (d.Stats.messages + d.Stats.code_bytes)
+  in
+  let m = Mutex.create () in
+  refused "a mutex" (fun _ -> Mutex.protect m (fun () -> 1));
+  let big = Bytes.create (Protocol.max_frame_payload + 1) in
+  refused "an over-frame closure" (fun _ -> Bytes.length big);
+  Alcotest.(check (list int)) "the topology still serves" [ 1; 1 ] (per_node topo ~work:(fun _ -> 1))
 
 (* ------------------------------------------------------------------ *)
 (* Fault path over real processes.                                      *)
@@ -341,19 +513,6 @@ let test_noisy_faults_recovered () =
   in
   check_int "exact result under noise" 303 result;
   check_bool "faults fired" true (report.Cluster.faults_injected > 0)
-
-(* The forked node's channel back to the parent: the one socket the
-   fabric leaves open in a child. *)
-let own_channel () =
-  List.init 1021 (fun i -> (Obj.magic (i + 3) : Unix.file_descr))
-  |> List.filter (fun fd ->
-         match Unix.fstat fd with
-         | { Unix.st_kind = Unix.S_SOCK; _ } -> true
-         | _ -> false
-         | exception Unix.Unix_error _ -> false)
-  |> function
-  | [ fd ] -> Transport.Socket.of_fd fd
-  | fds -> failwith (Printf.sprintf "expected one socket in the child, found %d" (List.length fds))
 
 (* A node whose first reply is garbage on the wire is recovered like a
    crash: the parent closes the desynchronised channel, marks the node
@@ -512,21 +671,34 @@ let test_close_wakes_blocked_peer () =
    must refuse to fork with a clear explanation rather than die inside
    [Unix.fork].                                                         *)
 
-let test_process_after_domains_fails () =
+let spawn_domains () =
   (* Spawn (and immediately retire) a real worker pool: the fork ban is
-     permanent, so even a shut-down pool poisons the process backend. *)
+     permanent, so even a shut-down pool poisons forking. *)
   let p = Pool.create ~workers:2 () in
   Pool.shutdown p;
-  check_bool "domains were spawned" true (Pool.domains_ever_spawned ());
-  match
-    Cluster.run_topology
-      { Cluster.nodes = 2; cores_per_node = 1; backend = Cluster.Process }
-      ~scatter:(fun _ -> Payload.empty)
-      ~work:(fun ~node:_ ~pool:_ _ -> ())
-      ~result_codec:Codec.unit
-      ~merge:(fun () () -> ())
-      ~init:()
-  with
+  check_bool "domains were spawned" true (Pool.domains_ever_spawned ())
+
+let unit_call topo =
+  Cluster.run_topology topo
+    ~scatter:(fun _ -> Payload.empty)
+    ~work:(fun ~node:_ ~pool:_ _ -> ())
+    ~result_codec:Codec.unit
+    ~merge:(fun () () -> ())
+    ~init:()
+
+(* A topology warmed before the first domain forks nothing later, so it
+   keeps serving once domains exist. *)
+let test_warm_after_domains () =
+  let topo = { Cluster.nodes = 4; cores_per_node = 1; backend = Cluster.Process } in
+  let pids () = per_node topo ~work:(fun _ -> Unix.getpid ()) in
+  let before = pids () in
+  spawn_domains ();
+  Alcotest.(check (list int)) "same children" before (pids ())
+
+(* A topology no earlier test uses: its first call must fork. *)
+let test_process_after_domains_fails () =
+  spawn_domains ();
+  match unit_call { Cluster.nodes = 5; cores_per_node = 1; backend = Cluster.Process } with
   | _ -> Alcotest.fail "process backend forked after domains were spawned"
   | exception Failure msg ->
       check_bool "explains the fork restriction" true
@@ -546,6 +718,7 @@ let () =
             test_shutdown_with_dying_child;
           Alcotest.test_case "kill and respawn" `Quick test_kill_respawn_echo;
           Alcotest.test_case "ping/pong frames" `Quick test_ping_pong_frames;
+          Alcotest.test_case "second fabric isolated" `Quick test_second_fabric_isolated;
         ] );
       ( "cross-backend",
         [
@@ -555,6 +728,14 @@ let () =
             test_merge_order_process;
           Alcotest.test_case "kernels identical" `Slow
             test_kernels_cross_backend;
+        ] );
+      ( "warm-fabric",
+        [
+          Alcotest.test_case "same pids every call" `Quick test_warm_same_pids;
+          Alcotest.test_case "killed node back next call" `Quick test_warm_killed_node_back;
+          Alcotest.test_case "captured state from the caller" `Quick test_warm_captured_ref;
+          Alcotest.test_case "code carries no source data" `Quick test_code_carries_no_source;
+          Alcotest.test_case "unshippable task refused" `Quick test_unshippable_task;
         ] );
       ( "process-faults",
         [
@@ -589,6 +770,8 @@ let () =
         ] );
       ( "fork-guard",
         [
+          Alcotest.test_case "warm topology serves after domains" `Quick
+            test_warm_after_domains;
           Alcotest.test_case "process after domains fails" `Quick
             test_process_after_domains_fails;
         ] );
