@@ -214,8 +214,7 @@ module Resident = struct
   (* Child-side compute: resident = own atoms (4 planes) then halo
      atoms (4 planes); the reply is the slab's grid.  [geom] has no
      atoms: whatever the closure captures reaches the children outside
-     the accounted payload (across the session's fork today, as
-     closure bytes once sessions ship code), so capturing the atom
+     the accounted payload, as closure bytes, so capturing the atom
      arrays would let results bypass the shipped segments. *)
   let work (geom : D.cutcp) ~block ~resident ~arg:_ =
     let grid = Float.Array.make (snd block * geom.D.ny * geom.D.nx) 0.0 in

@@ -13,7 +13,7 @@
     inline on a session that lives for the call.  Process nodes run on
     a warm session: the first process call for a topology forks one
     child per node, and every later call with that topology is a job
-    on the same children, which receive the job's code in a [Code]
+    on the same children, which receive the call's code in a [Code]
     frame.  A fault plan gets a private process session, closed after
     the call, so injected crashes never reach the warm children.  The
     engine owns retries, deduplication and recovery, so the fault-free
@@ -85,7 +85,7 @@ let pp_report fmt r =
       (float_of_int r.recovery_ns /. 1e6)
 
 exception Recovery_exhausted of { worker : int; attempts : int }
-exception Unshippable_task of string
+exception Unshippable_task = Dispatch.Unshippable_task
 
 let () =
   Printexc.register_printer (function
@@ -100,42 +100,8 @@ let () =
 
 let on_node = Dispatch.on_node
 
-let ensure_forkable () =
-  if Pool.domains_ever_spawned () then
-    failwith
-      "Cluster: the process backend forks one OS process per node, and \
-       OCaml cannot fork once any domain has been spawned.  Select the \
-       backend before creating any multi-domain pool (e.g. run with \
-       TRIOLET_BACKEND=process so the default pool stays single-domain)."
-
 let ns s = int_of_float (s *. 1e9)
 let node_attr n = [ ("node", string_of_int n) ]
-
-(* A node's task code as closure bytes, refused before any frame is
-   sent when it cannot cross: a closure over a value [Marshal] cannot
-   serialize (a mutex, a channel), or one bigger than a frame.  The
-   heap the closure reaches bounds the size first, without marshalling
-   it; the bytes themselves are checked after. *)
-let closure_bytes (code : _ Dispatch.code) =
-  let too_big () =
-    raise
-      (Unshippable_task
-         (Printf.sprintf "task code over the %d B frame limit" Protocol.max_frame_payload))
-  in
-  Obs.span ~name:"cluster.serialize" (fun () ->
-      if Obj.reachable_words (Obj.repr code) > Protocol.max_frame_payload / (Sys.word_size / 8) then
-        too_big ();
-      match Marshal.to_bytes code [ Marshal.Closures ] with
-      | b when Bytes.length b > Protocol.max_frame_payload -> too_big ()
-      | b -> b
-      | exception (Invalid_argument why | Failure why) -> raise (Unshippable_task why))
-
-(* A process session whose children take their code from each job, each
-   child keeping one [cores_per_node]-wide pool for life. *)
-let fork_session ?faults (topo : topology) cfg =
-  ensure_forkable ();
-  Dispatch.fork ?faults ~span:"cluster" cfg ~child:(fun ~id chan ->
-      Dispatch.code_child ~ctx:(lazy (Pool.create ~workers:topo.cores_per_node ())) ~id chan)
 
 (* The warm fabric: one process session per [(nodes, cores_per_node)],
    forked by the first fault-free process call with that topology and
@@ -154,11 +120,12 @@ let () =
       Hashtbl.iter (fun _ s -> Dispatch.close s) warm.sessions;
       Hashtbl.reset warm.sessions)
 
-(* Run [f] on the topology's warm session under the lock.  Nodes that
-   died in an earlier call are respawned first.  A job that fails may
-   leave slices in flight, so its session is retired and the next call
-   forks afresh. *)
-let with_warm (topo : topology) cfg f =
+(* Run [f] on the topology's warm session under the lock, on task code
+   [code].  Nodes that died in an earlier call are respawned first.  A
+   respawn that cannot fork, or a job that fails, may leave the engine
+   and the fabric out of step, so the session is retired and the next
+   call forks afresh. *)
+let with_warm (topo : topology) cfg code f =
   let key = (topo.nodes, topo.cores_per_node) in
   Mutex.lock warm.lock;
   Fun.protect
@@ -166,15 +133,16 @@ let with_warm (topo : topology) cfg f =
     (fun () ->
       let s =
         match Hashtbl.find_opt warm.sessions key with
-        | Some s ->
-            Dispatch.revive s ~before_fork:ensure_forkable;
-            s
+        | Some s -> s
         | None ->
-            let s = fork_session topo cfg in
+            let s = Dispatch.fork ~span:"cluster" ~cores:topo.cores_per_node ~code cfg in
             Hashtbl.replace warm.sessions key s;
             s
       in
-      try f s
+      try
+        Dispatch.revive s;
+        Dispatch.load s code;
+        f s
       with e ->
         Hashtbl.remove warm.sessions key;
         Dispatch.close s;
@@ -182,7 +150,7 @@ let with_warm (topo : topology) cfg f =
 
 (* One job on [session]: each slice encoded once, replies decoded as
    they arrive, the per-slice results returned in worker order. *)
-let run_job ?code session ~crc ~workers ~scatter ~result_codec ~raised =
+let run_job session ~crc ~workers ~scatter ~result_codec ~raised =
   (* Retries resend the cached bytes (replies are accepted from any
      attempt of the job). *)
   let encoded = Array.make workers None in
@@ -208,7 +176,7 @@ let run_job ?code session ~crc ~workers ~scatter ~result_codec ~raised =
              Dispatch.Envelope.body ~crc result_codec bytes))
   in
   let report, failed =
-    Dispatch.run_job session ?code ~plans:(List.init workers (fun _ -> [])) ~task ~on_done ()
+    Dispatch.run_job session ~plans:(List.init workers (fun _ -> [])) ~task ~on_done ()
   in
   (match failed with
   | None -> ()
@@ -241,7 +209,7 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
   let cfg = { Dispatch.nodes = workers; crc; policy; supervision = None } in
   let fault = Option.map Fault.make faults in
   let raised = Array.make workers None in
-  let job ?code session = run_job ?code session ~crc ~workers ~scatter ~result_codec ~raised in
+  let job session = run_job session ~crc ~workers ~scatter ~result_codec ~raised in
   let results, report =
     match topo.backend with
     | Inprocess | Flat ->
@@ -264,30 +232,29 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
         in
         job
           (Dispatch.inline ?faults:fault ~span:"cluster" cfg
-             (Array.init workers (fun _ -> Dispatch.server ~crc ~phases ~result:result_codec ~work ())))
+             (Dispatch.compute ~crc ~phases ~result:result_codec ~work ()))
     | Process -> (
         (* The parent does no task work: each child runs its slices on
            its own pool, so a caller-supplied pool is irrelevant.  The
-           code is marshalled before any session is touched. *)
-        let serve pool =
-          Dispatch.server ~crc ~result:result_codec
-            ~work:(fun ~slice ~resident:_ arg -> work ~node:slice ~pool:(Lazy.force pool) arg)
-            ()
+           code is marshalled before any session is touched, and loaded
+           anew on every call. *)
+        let compute ~node:_ ~pool =
+          Dispatch.compute ~crc ~result:result_codec ~work:(fun ~slice ~resident:_ arg ->
+              work ~node:slice ~pool:(Lazy.force pool) arg) ()
         in
-        let plain = closure_bytes { Dispatch.serve; crash = None } in
-        match faults with
-        | None -> with_warm topo cfg (job ~code:(fun _ -> plain))
-        | Some { Fault.crash; _ } ->
+        let ship crash = Dispatch.closure_bytes ~span:"cluster" { Dispatch.compute; crash } in
+        let plain = ship None in
+        match fault with
+        | None -> with_warm topo cfg (Fun.const plain) job
+        | Some f ->
             let code =
-              Array.init workers (fun id ->
-                  match crash with
-                  | Some (n, phase) when n = id -> closure_bytes { Dispatch.serve; crash = Some phase }
-                  | _ -> plain)
+              Array.init workers (fun node ->
+                  match Fault.crash_phase f ~node with None -> plain | c -> ship c)
             in
-            let session = fork_session ?faults:fault topo cfg in
-            Fun.protect
-              ~finally:(fun () -> Dispatch.close session)
-              (fun () -> job ~code:(Array.get code) session))
+            let session =
+              Dispatch.fork ~faults:f ~span:"cluster" ~cores:topo.cores_per_node ~code:(Array.get code) cfg
+            in
+            Fun.protect ~finally:(fun () -> Dispatch.close session) (fun () -> job session))
   in
   (* Merge strictly in worker order, never arrival order. *)
   let acc = Obs.span ~name:"cluster.merge" (fun () -> Array.fold_left merge init results) in

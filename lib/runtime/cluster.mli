@@ -79,10 +79,12 @@ exception Recovery_exhausted of { worker : int; attempts : int }
     attempt budget (or no surviving node remains). *)
 
 exception Unshippable_task of string
-(** A {!Process} call's task code cannot reach the children: [work]
+(** Task code cannot reach process children — a {!Process} call's, or
+    the [work] of a process-mode {!Darray} session or a {!Service}: it
     closes over a value [Marshal] cannot serialize (a mutex, a
     channel), or its closure bytes exceed
-    {!Protocol.max_frame_payload}.  Raised before any frame is sent. *)
+    {!Protocol.max_frame_payload}.  Raised before any frame is sent or
+    child forked. *)
 
 val run_topology :
   ?pool:Pool.t ->

@@ -31,13 +31,14 @@
     - [Process] backend: one forked child per node over
       {!Transport.Proc} socket channels, each holding its segment table
       in its own address space, supervised by the {!Dispatch} engine
-      (heartbeats, SIGKILL verdicts, backoff respawn).  Like every fork
-      in the runtime, the session must be created before any domain is
-      spawned.
+      (heartbeats, SIGKILL verdicts, backoff respawn).  The compute
+      closure ships to each child as closure bytes, once per node and
+      again after a respawn.  Like every fork in the runtime, the
+      session must be created before any domain is spawned.
 
     Either way the session is a {!Dispatch} session: the engine owns
     the per-node residency beliefs and ships puts and reuses, and every
-    node runs the one {!Dispatch.Child} handler.
+    node runs the one {!Dispatch.Node} program.
 
     {2 Versioning and refusal}
 
@@ -108,26 +109,21 @@ let create_session ?(topology = Cluster.default_topology) ~work () =
   let cfg supervision =
     { Dispatch.nodes; crc; policy = { max_attempts; timeout = None }; supervision }
   in
-  let server ?phases () =
-    Dispatch.server ~crc ?phases ~result:Payload.codec
-      ~work:(fun ~slice ~resident arg -> work ~node:slice ~resident ~arg)
-      ()
-  in
+  let work ~slice ~resident arg = work ~node:slice ~resident ~arg in
   let dispatch =
     match topology.Cluster.backend with
     | Cluster.Inprocess | Cluster.Flat ->
         let phases =
           { Dispatch.Child.phase = (fun name f -> Obs.span ~name:("darray." ^ name) f) }
         in
-        Dispatch.inline ~span:"darray" (cfg None) (Array.init nodes (fun _ -> server ~phases ()))
+        Dispatch.inline ~span:"darray" (cfg None) (Dispatch.compute ~crc ~phases ~result:Payload.codec ~work ())
     | Cluster.Process ->
-        if Pool.domains_ever_spawned () then
-          failwith
-            "Darray: a process-mode session forks one child per node, and \
-             OCaml cannot fork once any domain has been spawned.  Create \
-             the session before any multi-domain pool.";
-        Dispatch.fork ~span:"darray" (cfg (Some supervision)) ~child:(fun ~id chan ->
-            Dispatch.child_loop ~id (server ()) chan)
+        (* Marshalled before anything forks; each node receives it
+           once, and again after a respawn. *)
+        let compute ~node:_ ~pool:_ = Dispatch.compute ~crc ~result:Payload.codec ~work () in
+        let code = Dispatch.closure_bytes ~span:"darray" { Dispatch.compute; crash = None } in
+        Dispatch.fork ~span:"darray" ~cores:topology.Cluster.cores_per_node ~code:(Fun.const code)
+          (cfg (Some supervision))
   in
   { nodes; dispatch; next_did = 0; closed = false }
 

@@ -11,12 +11,13 @@
 
     Around it sit an in-process shell (inline node execution over
     queues) and a process shell (a [select] loop over
-    {!Transport.Proc}); {!Child.handle} is the one node-side handler
-    every caller's children run.  {!Cluster} runs jobs on a per-call
-    inline session or on a warm process session whose children receive
-    each job's code in a [Code] frame, {!Darray} is a session plus its
-    residency table, {!Service} admission and deadlines around a
-    long-lived session. *)
+    {!Transport.Proc}); {!Node.step} is the one node program both run,
+    and every forked child of every caller is a {!node_main} that takes
+    its task code from [Code] frames.  {!Cluster} runs jobs on a
+    per-call inline session or on a warm process session, loading new
+    code every call; {!Darray} is a session plus its residency table,
+    {!Service} admission and deadlines around a long-lived session,
+    both loading their code once. *)
 
 module Codec = Triolet_base.Codec
 module Rw = Triolet_base.Rw
@@ -166,7 +167,7 @@ type node = {
   respawn_at : int option;
   fresh : bool;  (** respawned, not yet pong-verified *)
   believed : key list;  (** segments believed resident *)
-  coded : bool;  (** holds the current job's task code *)
+  code : int option;  (** the task-code generation the node holds *)
 }
 
 type slice =
@@ -178,7 +179,10 @@ type job = {
   base : int;  (** replies tagged below this seq belong to older jobs *)
   deadline : int;  (** absolute ns, 0 = none *)
   pinned : bool;  (** slice [i] may only run on node [i mod nodes] *)
-  code : bool;  (** the job ships its task code to every node it uses *)
+  code : int option;
+      (** the code generation its tasks run on, shipped to every node
+          that does not hold it; [None]: nodes keep the compute they
+          were built with *)
   plans : key list list;  (** per slice: the residency it computes against *)
   slices : slice list;
 }
@@ -196,7 +200,7 @@ type msg =
   | Reuse of { slice : int; seq : int; key : key }
   | Free of int
   | Ping
-  | Code  (** the current job's task code, once per node and job *)
+  | Code  (** the job's task code, to a node holding another generation *)
 
 type note =
   | Retry of { slice : int; node : int }
@@ -215,7 +219,7 @@ type action =
   | Note of note
 
 type event =
-  | Submit of { plans : key list list; deadline : int; pinned : bool; code : bool }
+  | Submit of { plans : key list list; deadline : int; pinned : bool; code : int option }
   | Frame of int * Protocol.kind * Bytes.t
   | Eof of int
   | Tick of int
@@ -240,7 +244,7 @@ let create (cfg : config) ~now =
       respawn_at = None;
       fresh = false;
       believed = [];
-      coded = false;
+      code = None;
     }
   in
   { cfg; now; next_seq = 0; nodes = List.init cfg.nodes (fun _ -> n); job = None }
@@ -293,7 +297,7 @@ let hopeful t job s =
 let with_slice job s v = { job with slices = set job.slices s v }
 
 (* Issue slice [s] after [attempts] earlier attempts: ship the job's
-   code if the node does not hold it yet, the residency the slice needs
+   code if the node holds another generation, the residency the slice needs
    (a put where belief and truth disagree, a key-only reuse otherwise),
    then the task. *)
 let issue o t job s attempts =
@@ -305,7 +309,8 @@ let issue o t job s attempts =
   | Some i ->
       let seq = t.next_seq in
       let n = List.nth t.nodes i in
-      if job.code && not n.coded then emit o (Send (i, Code));
+      let code = if job.code = None then n.code else job.code in
+      if code <> n.code then emit o (Send (i, Code));
       let believed =
         List.fold_left
           (fun bel ((did, seg, _) as key) ->
@@ -324,7 +329,7 @@ let issue o t job s attempts =
           (fun (base, cap) -> t.now + min cap (base lsl min attempts 30))
           t.cfg.policy.timeout
       in
-      ( { t with next_seq = seq + 1; nodes = set t.nodes i { n with believed; coded = n.coded || job.code } },
+      ( { t with next_seq = seq + 1; nodes = set t.nodes i { n with believed; code } },
         with_slice job s (Sent { node = i; seq; attempts = attempts + 1; due }) )
 
 (* Re-issue every slice of the job [pick] selects, in slice order. *)
@@ -404,7 +409,7 @@ let on_eof o t i =
       in
       emit o (Note (Death { node = i; backoff }));
       (* A replacement starts from nothing: no segments, no code. *)
-      let t = { t with nodes = set t.nodes i { n with believed = []; coded = false } } in
+      let t = { t with nodes = set t.nodes i { n with believed = []; code = None } } in
       (* The dead child's in-flight slices move now, not at timeout. *)
       match t.job with
       | None -> t
@@ -477,8 +482,6 @@ let step t ev =
           let job =
             { base = t.next_seq; deadline; pinned; code; plans; slices = List.map (fun _ -> Waiting 0) plans }
           in
-          (* Code is per job: no node holds this one's yet. *)
-          let t = { t with nodes = List.map (fun n -> { n with coded = false }) t.nodes } in
           let t, job = reissue o t job (function Waiting a -> Some a | _ -> None) in
           finish t job
       | Frame (i, kind, bytes) -> on_frame o t i kind bytes
@@ -560,81 +563,132 @@ let empty_report =
     code_bytes = 0;
   }
 
-(* A node as a function: one frame in, the frames it answers out. *)
-type serve = Protocol.kind -> Bytes.t -> (Protocol.kind * Bytes.t) list
+(* A node's compute: its segment table and one frame in, the table
+   after and the frames it answers. *)
+type compute =
+  Child.table -> Protocol.kind -> Bytes.t -> Child.table * (Protocol.kind * Bytes.t) list
 
-let server ~crc ?phases ~result ~work () : serve =
-  let table = ref Child.empty in
-  fun kind bytes ->
-    let tbl, out =
-      Child.handle ~crc ?phases ~now:(Clock.monotonic_ns ()) ~result ~work !table kind bytes
-    in
-    table := tbl;
-    out
+let compute ~crc ?phases ~result ~work () : compute =
+ fun table kind bytes ->
+  Child.handle ~crc ?phases ~now:(Clock.monotonic_ns ()) ~result ~work table kind bytes
+
+(* Task code as [Code] frames carry it: how a node builds its compute
+   from its id and the pool it keeps for life, and the phase at which
+   the node's planned crash fires.  Marshalled with its closures, which
+   is valid between processes of one binary — every forked child is
+   one. *)
+type code = { compute : node:int -> pool:Pool.t Lazy.t -> compute; crash : Fault.crash_phase option }
+
+exception Unshippable_task of string
+
+(* Task code as closure bytes, refused before any frame is sent or any
+   child forked when it cannot cross: a closure over a value [Marshal]
+   cannot serialize (a mutex, a channel), or one bigger than a frame.
+   The heap the closure reaches bounds the size first, without
+   marshalling it; the bytes themselves are checked after. *)
+let closure_bytes ~span (code : code) =
+  let too_big () =
+    raise
+      (Unshippable_task
+         (Printf.sprintf "task code over the %d B frame limit" Protocol.max_frame_payload))
+  in
+  Obs.span ~name:(span ^ ".serialize") (fun () ->
+      if Obj.reachable_words (Obj.repr code) > Protocol.max_frame_payload / (Sys.word_size / 8) then
+        too_big ();
+      match Marshal.to_bytes code [ Marshal.Closures ] with
+      | b when Bytes.length b > Protocol.max_frame_payload -> too_big ()
+      | b -> b
+      | exception (Invalid_argument why | Failure why) -> raise (Unshippable_task why))
 
 let is_data (k, _) = k = Protocol.Data
 
-(* Task code as a job ships it in [Code] frames: how a node builds its
-   serve function from the context its child process keeps for life
-   (Cluster's: the child's pool), and the phase at which the node's
-   planned crash fires.  Marshalled with its closures, which is valid
-   between processes of one binary — every forked child is one. *)
-type 'ctx code = { serve : 'ctx -> serve; crash : Fault.crash_phase option }
+(** One node's program, run by the inline shell and by every forked
+    child alike: a segment table that lives as long as the node, the
+    compute it serves with, and the phase of its planned crash.  A
+    [Code] frame replaces the compute and the crash phase, never the
+    table, so resident segments outlive it. *)
+module Node = struct
+  type t = {
+    id : int;
+    pool : Pool.t Lazy.t;
+    mutable table : Child.table;
+    mutable compute : compute;
+    mutable crash : Fault.crash_phase option;
+  }
 
-(* The process child: the serve loop every forked node runs.  A [Code]
-   frame replaces the serve function and the planned crash with the
-   ones [code] builds from it.  A planned crash is a real exit,
-   indistinguishable on the wire from a kill. *)
-let child_loop ?code ~id (serve : serve) chan =
+  let create ?crash ~id ~pool compute = { id; pool; table = Child.empty; compute; crash }
+
+  (* A forked node before its first [Code] frame: it answers pings and
+     nothing else.  A task then is a protocol bug, and kills the node. *)
+  let uncoded : compute =
+   fun table kind bytes ->
+    match kind with
+    | Protocol.Ping -> (table, [ (Protocol.Pong, bytes) ])
+    | Protocol.Data -> failwith "Dispatch: a task before the node's code"
+    | _ -> (table, [])
+
+  (** One frame in: [Some] frames to answer, or [None] when the node
+      dies at this frame. *)
+  let step n kind bytes =
+    match (kind : Protocol.kind) with
+    | Code ->
+        let c : code = Marshal.from_bytes bytes 0 in
+        n.compute <- c.compute ~node:n.id ~pool:n.pool;
+        n.crash <- c.crash;
+        Some []
+    | Data when n.crash = Some Before_work -> None
+    | _ -> (
+        let table, out = n.compute n.table kind bytes in
+        n.table <- table;
+        match n.crash with
+        | Some (During_work | After_work) when List.exists is_data out -> None
+        | _ -> Some out)
+end
+
+(* OCaml cannot fork once any domain has been spawned: checked before
+   every fork of a node, first or respawn. *)
+let forkable () =
+  if Pool.domains_ever_spawned () then
+    failwith
+      "Cluster: process-backend nodes are forked (and respawned) \
+       processes, and OCaml cannot fork once any domain has been \
+       spawned.  Select the backend before creating any multi-domain \
+       pool (e.g. run with TRIOLET_BACKEND=process)."
+
+(* The one program every forked node runs: each frame from the parent
+   through {!Node.step}, the answers back.  Its compute arrives in
+   [Code] frames; a death is a real exit, indistinguishable on the wire
+   from a kill. *)
+let node_main ~cores ~id chan =
   current_node := Some id;
   let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
-  let serve = ref serve and crash = ref None in
-  let dies phase = !crash = Some phase in
+  let node = Node.create ~id ~pool:(lazy (Pool.create ~workers:cores ())) Node.uncoded in
   let rec loop () =
     match Transport.Socket.recv chan with
     | exception Transport.Closed -> Protocol.step trk Protocol.Eof
-    | kind, bytes ->
+    | kind, bytes -> (
         Protocol.step trk (Protocol.Recv kind);
-        (match (kind, code) with
-        | Protocol.Code, Some install ->
-            let s, c = install bytes in
-            serve := s;
-            crash := c
-        | _ ->
-            if kind = Protocol.Data && dies Fault.Before_work then Unix._exit 0;
-            let out = !serve kind bytes in
-            if List.exists is_data out && (dies Fault.During_work || dies Fault.After_work) then
-              Unix._exit 0;
-            List.iter (fun (kind, b) -> Transport.Socket.send chan ~kind b) out);
-        loop ()
+        match Node.step node kind bytes with
+        | None -> Unix._exit 0
+        | Some out ->
+            List.iter (fun (kind, b) -> Transport.Socket.send chan ~kind b) out;
+            loop ())
   in
   loop ()
 
-(** A child whose task code arrives with each job: every [Code] frame is
-    unmarshalled afresh, so no job sees state an earlier one mutated.
-    A task before any code is a protocol bug: the child exits, and the
-    parent sees a death. *)
-let code_child (type ctx) ~(ctx : ctx) ~id chan =
-  let install bytes =
-    let c : ctx code = Marshal.from_bytes bytes 0 in
-    (c.serve ctx, c.crash)
-  in
-  child_loop ~code:install ~id (fun _ _ -> failwith "Dispatch: a frame before the job's code") chan
-
 type inline = {
-  serves : serve array;
+  nodes : Node.t array;
   inbox : (Protocol.kind * Bytes.t) Queue.t array;
   arrivals : event Queue.t;  (* node output and deaths, in order *)
   dead : bool array;
 }
 
-type procs = { fabric : Transport.Proc.t; child : id:int -> Transport.Socket.t -> unit }
+type procs = { fabric : Transport.Proc.t; cores : int }
 type io = Inline of inline | Procs of procs
 
 type hooks = {
   task : slice:int -> seq:int -> Bytes.t;
   put : key -> Bytes.t;
-  code : int -> Bytes.t;  (** node [i]'s [Code] frame for the job *)
   on_done : int -> Bytes.t -> unit;
 }
 
@@ -642,7 +696,6 @@ let no_hooks =
   {
     task = (fun ~slice:_ ~seq:_ -> invalid_arg "Dispatch: no job");
     put = (fun _ -> invalid_arg "Dispatch: no residency");
-    code = (fun _ -> invalid_arg "Dispatch: no task code");
     on_done = (fun _ _ -> ());
   }
 
@@ -656,6 +709,9 @@ type session = {
   names : names;
   late : (unit -> unit) Queue.t;  (* delayed deliveries, released on a timeout *)
   mutable hooks : hooks;
+  mutable code : (int * (int -> Bytes.t)) option;
+      (* the task code every job runs on: its generation and node [i]'s
+         [Code] frame *)
   mutable failed : failure option;
   mutable tally : report;
   mutable recovery_from : int option;
@@ -677,6 +733,7 @@ let make ?faults ~span (cfg : config) io =
       };
     late = Queue.create ();
     hooks = no_hooks;
+    code = None;
     failed = None;
     tally = empty_report;
     recovery_from = None;
@@ -684,20 +741,34 @@ let make ?faults ~span (cfg : config) io =
     misses = 0;
   }
 
-let inline ?faults ~span (cfg : config) serves =
+(* Inline nodes all serve with [compute], share the default pool and
+   take their planned crash from the fault plan. *)
+let inline ?faults ~span (cfg : config) compute =
   let n = cfg.nodes in
+  let crash id = Option.bind faults (Fault.crash_phase ~node:id) in
+  let pool = lazy (Pool.default ()) in
   make ?faults ~span cfg
     (Inline
        {
-         serves;
+         nodes = Array.init n (fun id -> Node.create ?crash:(crash id) ~id ~pool compute);
          inbox = Array.init n (fun _ -> Queue.create ());
          arrivals = Queue.create ();
          dead = Array.make n false;
        })
 
-let fork ?faults ~span (cfg : config) ~child =
-  let fabric = Transport.Proc.fork ~n:cfg.nodes ~child in
-  make ?faults ~span cfg (Procs { fabric; child })
+(** Task code for every later job: node [i] receives [frames i] before
+    its next task, and again only after a respawn or the next [load]. *)
+let load s frames =
+  s.code <- Some ((match s.code with Some (g, _) -> g + 1 | None -> 0), frames)
+
+(* One {!node_main} child per node, each with a [cores]-wide pool,
+   running on task code [code] until the next {!load}. *)
+let fork ?faults ~span ~cores ~code (cfg : config) =
+  forkable ();
+  let fabric = Transport.Proc.fork ~n:cfg.nodes ~child:(node_main ~cores) in
+  let s = make ?faults ~span cfg (Procs { fabric; cores }) in
+  load s code;
+  s
 
 let fabric s = match s.io with Procs p -> Some p.fabric | Inline _ -> None
 let respawns s = s.respawns
@@ -784,7 +855,7 @@ and perform s = function
         | Reuse { slice; seq; key } -> Envelope.encode ~crc Envelope.key ~slice ~seq key
         | Free did -> Envelope.encode ~crc Codec.int ~slice:(-1) ~seq:0 did
         | Ping -> Bytes.empty
-        | Code -> s.hooks.code n
+        | Code -> (snd (Option.get s.code)) n
       in
       (match m with
       | Ping | Free _ -> ()
@@ -802,6 +873,7 @@ and perform s = function
       match s.io with
       | Inline _ -> ()
       | Procs p ->
+          forkable ();
           (* A replacement sacrificed to the chaos plan exits before
              serving anything, so the backoff escalates. *)
           let young =
@@ -809,7 +881,9 @@ and perform s = function
             | Some f -> Fault.inject f Fault.Crash_on_respawn ~node:n
             | None -> false
           in
-          let child ~id chan = if young then Transport.Socket.close chan else p.child ~id chan in
+          let child ~id chan =
+            if young then Transport.Socket.close chan else node_main ~cores:p.cores ~id chan
+          in
           Transport.Proc.respawn p.fabric n ~child;
           s.respawns <- s.respawns + 1;
           Stats.record_respawn ();
@@ -841,26 +915,18 @@ let seconds_until s =
   | Some d -> Float.max 0.0 (float_of_int (d - Clock.monotonic_ns ()) /. 1e9)
 
 (* Run every live inline node over its inbox.  Node output crosses the
-   link faults into [arrivals]; a planned crash kills the node. *)
+   link faults into [arrivals]; a node that dies queues its EOF. *)
 let run_nodes s io =
-  let crash n phase =
-    match s.faults with Some f -> Fault.crash_now f ~node:n ~phase | None -> false
-  in
   Array.iteri
     (fun n q ->
       while (not io.dead.(n)) && not (Queue.is_empty q) do
         let kind, bytes = Queue.pop q in
-        let die () =
-          io.dead.(n) <- true;
-          Queue.clear q;
-          Queue.push (Eof n) io.arrivals
-        in
-        if kind = Protocol.Data && crash n Fault.Before_work then die ()
-        else
-          let out = io.serves.(n) kind bytes in
-          if List.exists is_data out && (crash n Fault.During_work || crash n Fault.After_work) then
-            die ()
-          else
+        match Node.step io.nodes.(n) kind bytes with
+        | None ->
+            io.dead.(n) <- true;
+            Queue.clear q;
+            Queue.push (Eof n) io.arrivals
+        | Some out ->
             List.iter
               (fun (k, b) ->
                 if k = Protocol.Data then count s ~gather:true b;
@@ -923,12 +989,11 @@ let idle s ~wake =
 
 (** Run one job to completion: [plans.(i)] is slice [i]'s residency,
     [task] its frame for a given attempt, [put] a segment's retained
-    install frame, [code] node [i]'s task-code frame (given, it is sent
-    before a node's first task of the job), [on_done] receives each
-    slice's reply frame once.  Returns the job's traffic and recovery
+    install frame, [on_done] receives each slice's reply frame once.
+    The tasks run on the code last {!load}ed, if any.  Returns the job's traffic and recovery
     report, and the failure if it failed. *)
-let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ?code ~plans ~task ~on_done () =
-  s.hooks <- { task; put; code = Option.value code ~default:no_hooks.code; on_done };
+let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~task ~on_done () =
+  s.hooks <- { task; put; on_done };
   s.failed <- None;
   s.tally <- empty_report;
   s.recovery_from <- None;
@@ -940,7 +1005,7 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ?code ~pla
       s.st <- { s.st with job = None })
     (fun () ->
       tick s;
-      feed s (Submit { plans; deadline; pinned; code = code <> None });
+      feed s (Submit { plans; deadline; pinned; code = Option.map fst s.code });
       (match s.io with
       | Inline io -> pump_inline s io
       | Procs p ->
@@ -971,10 +1036,8 @@ let release s did = feed s (Release did)
 
 (** Between jobs of a process session: take in the deaths (and any
     stale frames) the fabric already holds, then respawn every dead
-    node, so the next job starts on the full set of nodes.
-    [before_fork] runs first when a node must be respawned: respawning
-    forks. *)
-let revive s ~before_fork =
+    node, so the next job starts on the full set of nodes. *)
+let revive s =
   match s.io with
   | Inline _ -> ()
   | Procs p ->
@@ -985,7 +1048,4 @@ let revive s ~before_fork =
         | `Timeout | `No_nodes | `Wake -> ()
       in
       drain ();
-      if not (List.for_all live s.st.nodes) then begin
-        before_fork ();
-        feed s Revive
-      end
+      if not (List.for_all live s.st.nodes) then feed s Revive

@@ -140,26 +140,8 @@ let ensure_node t node =
     t.crashed <- n
   end
 
-(** [crash_now t ~node ~phase] fires the planned crash the first time
-    execution of [node] reaches [phase]; once fired the node stays dead
-    and work for its slice must be re-executed on a surviving node. *)
-let crash_now t ~node ~phase =
-  match t.s.crash with
-  | Some (n, p) when n = node && p = phase ->
-      Mutex.lock t.lock;
-      ensure_node t node;
-      let fresh = not t.crashed.(node) in
-      if fresh then begin
-        t.crashed.(node) <- true;
-        t.counters <- { t.counters with crashes = t.counters.crashes + 1 }
-      end;
-      Mutex.unlock t.lock;
-      if fresh then begin
-        Stats.record_crash ();
-        Stats.record_fault ()
-      end;
-      fresh
-  | _ -> false
+let crash_phase t ~node =
+  match t.s.crash with Some (n, p) when n = node -> Some p | _ -> None
 
 (* One Bernoulli draw.  Zero-rate faults skip the draw; determinism is
    unaffected because the plan itself fixes which rates are zero. *)
@@ -227,11 +209,10 @@ let decide t ~link bytes =
   Mutex.unlock t.lock;
   decision
 
-(** [mark_crashed t node] records that [node] died for a reason outside
-    the plan's crash schedule — the multi-process backend calls this
-    when it reads EOF from a child's channel (the child [_exit]ed on an
-    injected crash, or something external [kill]ed it).  Returns whether
-    the death was fresh, so each death is counted once. *)
+(** [mark_crashed t node] records that [node] died — the dispatch
+    engine calls this on the node's EOF, whether the node died at its
+    planned crash phase or something external [kill]ed it.  Returns
+    whether the death was fresh, so each death is counted once. *)
 let mark_crashed t node =
   Mutex.lock t.lock;
   ensure_node t node;

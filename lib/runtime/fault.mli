@@ -94,14 +94,12 @@ val decide :
     delayed frames on the engine's [late] queue until its next timeout,
     so a fault plan has the same meaning in process and over sockets. *)
 
-val crash_now : t -> node:int -> phase:crash_phase -> bool
-(** True exactly once, when execution of the planned crash node first
-    reaches the planned phase; the node is then permanently dead. *)
+val crash_phase : t -> node:int -> crash_phase option
+(** The phase at which the plan crashes [node], if it does. *)
 
 val mark_crashed : t -> int -> bool
-(** Record an *observed* (rather than planned) death of a node — the
-    multi-process backend calls this on reading EOF from a child's
-    channel, whether the child [_exit]ed on an injected crash or was
+(** Record a node's death — the dispatch engine calls this on the
+    node's EOF, whether the node died at its planned crash phase or was
     killed externally.  True if the death was fresh. *)
 
 type service_fault =

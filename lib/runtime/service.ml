@@ -193,22 +193,9 @@ let dispatcher_loop t =
 (* ------------------------------------------------------------------ *)
 (* Client API.                                                         *)
 
-(** Fork the fabric and start the dispatcher.  [work] crosses into the
-    children by address-space inheritance at fork time — unlike
-    [Cluster.run_topology]'s process backend, whose warm children get
-    their task code as closure bytes with every call.  It must be
-    re-executable (a slice may run more than once under retries).  The
-    parent must never have spawned a domain ([fork] would be
-    forbidden) — and must not spawn one afterwards, or respawns will
-    fail. *)
 let create ?(cfg = default_config) ~work () =
   if cfg.nodes < 1 then invalid_arg "Service: nodes < 1";
   if cfg.queue_bound < 1 then invalid_arg "Service: queue_bound < 1";
-  if Pool.domains_ever_spawned () then
-    failwith
-      "Service: the service fabric forks (and re-forks, on respawn) one \
-       process per node, and OCaml cannot fork once any domain has been \
-       spawned.  Create the service before any multi-domain pool.";
   if cfg.heartbeat_interval <= 0.0 then invalid_arg "Service: heartbeat_interval <= 0";
   if cfg.miss_threshold < 1 then invalid_arg "Service: miss_threshold < 1";
   if cfg.respawn_backoff <= 0.0 || cfg.respawn_backoff_max < cfg.respawn_backoff then
@@ -230,13 +217,18 @@ let create ?(cfg = default_config) ~work () =
           };
     }
   in
-  let child ~id chan =
-    let pool = lazy (Pool.create ~workers:cfg.cores_per_node ()) in
-    let work ~slice:_ ~resident:_ p = work ~node:id ~pool:(Lazy.force pool) p in
-    Dispatch.child_loop ~id (Dispatch.server ~crc:true ~result:Payload.codec ~work ()) chan
+  let compute ~node ~pool =
+    Dispatch.compute ~crc:true ~result:Payload.codec
+      ~work:(fun ~slice:_ ~resident:_ p -> work ~node ~pool:(Lazy.force pool) p)
+      ()
   in
+  (* Marshalled before anything forks; each node receives it once, and
+     again after a respawn. *)
+  let code = Dispatch.closure_bytes ~span:"service" { Dispatch.compute; crash = None } in
   let fault = Option.map Fault.make cfg.faults in
-  let session = Dispatch.fork ?faults:fault ~span:"service" dcfg ~child in
+  let session =
+    Dispatch.fork ?faults:fault ~span:"service" ~cores:cfg.cores_per_node ~code:(Fun.const code) dcfg
+  in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -261,11 +253,6 @@ let create ?(cfg = default_config) ~work () =
   t.dispatcher <- Some (Thread.create dispatcher_loop t);
   t
 
-(** Submit one request: [payloads.(i)] becomes slice [i], distributed
-    over live nodes; the result array is in slice order.  Blocks the
-    calling thread until the request completes or is rejected.
-    [?deadline] is a compute budget in seconds from now.  Thread-safe;
-    admission control applies at the queue's high-water mark. *)
 let submit ?deadline t payloads =
   if Array.length payloads = 0 then invalid_arg "Service.submit: no payloads";
   let deadline_ns =
@@ -306,28 +293,16 @@ let submit ?deadline t payloads =
     wait ()
   end
 
-(** Stop accepting work ([Draining] to new submits) but let admitted
-    requests finish.  Returns once the queue is empty and the
-    dispatcher is idle. *)
 let drain t =
   Mutex.lock t.lock;
   t.draining <- true;
-  Mutex.unlock t.lock;
   poke t;
-  let rec wait () =
-    Mutex.lock t.lock;
-    let busy = t.queued > 0 || t.inflight in
-    Mutex.unlock t.lock;
-    if busy then begin
-      Thread.yield ();
-      Unix.sleepf 0.002;
-      wait ()
-    end
-  in
-  wait ()
+  (* The dispatcher broadcasts after every request it finishes. *)
+  while t.queued > 0 || t.inflight do
+    Condition.wait t.cond t.lock
+  done;
+  Mutex.unlock t.lock
 
-(** Graceful shutdown: {!drain}, stop the dispatcher, tear the fabric
-    down (idempotent, like [Transport.Proc.shutdown]). *)
 let shutdown ?grace t =
   drain t;
   Mutex.lock t.lock;
@@ -343,5 +318,4 @@ let shutdown ?grace t =
     try Unix.close t.wake_w with Unix.Unix_error _ -> ()
   end
 
-(** Fault counters of the chaos plan, when one was configured. *)
 let fault_counters t = Option.map Fault.counters t.fault

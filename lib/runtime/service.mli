@@ -47,12 +47,14 @@ val create :
     Triolet_base.Payload.t) ->
   unit ->
   t
-(** Fork the fabric and start the dispatcher.  [work] crosses into the
-    children by address-space inheritance at fork time (a
-    [Cluster.run_topology] process call instead ships its code to warm
-    children as closure bytes) and must be re-executable (a slice may run more than once under retries).
-    Fails if any domain has ever been spawned in this process — the
-    fabric forks, and OCaml forbids [fork] after a domain spawn. *)
+(** Fork the fabric and start the dispatcher.  [work] ships to the
+    children as closure bytes, once per node and again after a respawn;
+    it must be re-executable (a slice may run more than once under
+    retries).  Raises {!Cluster.Unshippable_task}, before anything
+    forks, if [work] cannot cross (it closes over a mutex or a channel,
+    or is bigger than a frame).  Fails if any domain has ever been
+    spawned in this process — the fabric forks, and OCaml forbids
+    [fork] after a domain spawn. *)
 
 val submit :
   ?deadline:float ->

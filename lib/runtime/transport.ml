@@ -19,10 +19,10 @@
     with an EOF-then-SIGKILL grace protocol.  A process-wide registry
     of parent-side endpoints lets every forked child close every
     fabric's parent ends, not just its own fabric's, so each fabric's
-    EOFs stay prompt while others are up.  Whatever the child's serve
-    closure captures crosses the [fork] by address-space copy; task
-    code a job ships later crosses the socket as closure bytes in a
-    [Code] frame, and task *data* only ever as payload bytes.  OCaml
+    EOFs stay prompt while others are up.  The runtime's children all
+    run one node program that takes its task code from the socket, as
+    closure bytes in [Code] frames, and task *data* only ever as
+    payload bytes.  OCaml
     cannot fork once any domain has been spawned, so a fabric must be
     forked (and a dead node respawned) before the first domain — see
     DESIGN.md, Transports. *)

@@ -8,8 +8,11 @@
     lost pongs or segment puts, and a clock that jumps to the engine's
     timers.  Every task seq the engine ever sends must be fresh, so a
     late reply can only ever match the attempt it answers, and a job
-    that ships code must have its node hold that job's code before it
-    computes any of the job's tasks.
+    that runs on shipped code must have its node hold that code's
+    generation before it computes any of the job's tasks: a new
+    generation per job (the warm [Cluster]), or one for the whole
+    session ([Darray], [Service]) that a respawned node must receive
+    again.
 
     Seeded bugs are harness wrappers around [step] or the handler, so
     the engine itself carries no test flags. *)
@@ -34,13 +37,23 @@ type bug =
   | Code_once
       (** task code ships with a session's first job only, so later
           jobs run on the code of the first *)
+  | Code_kept_on_death
+      (** a node's EOF leaves its code generation standing, so its
+          replacement is never sent the code *)
+
+(** Which code the model's jobs run on. *)
+type code =
+  | Built_in  (** no [Code] frames: nodes keep the compute they were built with *)
+  | Per_job  (** a new generation every job *)
+  | Per_session  (** one generation for every job *)
 
 type frame = Protocol.kind * Bytes.t
 
 type state = {
   engine : D.t;
   tables : D.Child.table list;
-  codes : int option list;  (** the job (by base seq) whose code the node holds *)
+  codes : int option list;  (** the code generation the node holds *)
+  gen : int option;  (** the code generation of the latest job *)
   alive : bool list;  (** the node's process exists *)
   eofs : bool list;  (** a dead process whose one EOF is still to come *)
   down : frame list list;  (** parent -> node, FIFO per node *)
@@ -95,6 +108,10 @@ let step bug (t : D.t) ev =
   | Some Code_once, D.Submit _ when t.next_seq > 0 ->
       let t, acts = D.step t ev in
       (t, List.filter (function D.Send (_, D.Code) -> false | _ -> true) acts)
+  | Some Code_kept_on_death, D.Eof i ->
+      let t', acts = D.step t ev in
+      let kept = { (List.nth t'.nodes i) with code = (List.nth t.nodes i).code } in
+      ({ t' with nodes = set t'.nodes i kept }, acts)
   | Some Stale_reuse, D.Submit ({ plans; _ } as sub) ->
       let stale n (d, seg, v) =
         match List.find_opt (fun (d', s', _) -> d' = d && s' = seg) n.D.believed with
@@ -141,17 +158,16 @@ let encode st = function
   | D.Free d -> Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 d
   | D.Ping -> Bytes.empty
   | D.Code ->
-      (* The model's code is the job it belongs to. *)
-      let base = match st.engine.job with Some j -> j.base | None -> -1 in
-      Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 base
+      (* The model's code is its generation. *)
+      Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 (Option.get st.gen)
 
 (* A task of the current job handled by node [n] must run on that job's
-   code when the job ships code. *)
+   code generation when the job ships code. *)
 let code_ok st n ((kind, bytes) : frame) =
   match (kind, st.engine.job) with
-  | Protocol.Data, Some j when j.code -> (
+  | Protocol.Data, Some ({ code = Some _; _ } as j) -> (
       match Envelope.tag ~crc bytes with
-      | Some (_, seq) when seq >= j.base -> List.nth st.codes n = Some j.base
+      | Some (_, seq) when seq >= j.base -> List.nth st.codes n = j.code
       | _ -> true)
   | _ -> true
 
@@ -211,10 +227,13 @@ let transitions ~may_fail ~code bug st =
     let submit =
       if idle && st.rounds > 0 then
         let plans = plans st (List.length st.completions) in
+        let code =
+          match code with Built_in -> None | Per_job -> Some st.rounds | Per_session -> Some 0
+        in
         [
           ( "submit",
             feed bug
-              { st with rounds = st.rounds - 1; completions = List.map (fun _ -> 0) plans; failed = false }
+              { st with rounds = st.rounds - 1; completions = List.map (fun _ -> 0) plans; failed = false; gen = code }
               (D.Submit { plans; deadline = 0; pinned = st.truth <> []; code }) );
         ]
       else []
@@ -323,7 +342,7 @@ let terminal_ok st =
   then Some "node never returned to live"
   else None
 
-let check ~name ?bug ?(may_fail = false) ?(code = false) ~(engine : D.config) ~slices ~truth ~rounds ~updates
+let check ~name ?bug ?(may_fail = false) ?(code = Built_in) ~(engine : D.config) ~slices ~truth ~rounds ~updates
     ~kills ~losses ~put_losses ~ticks () =
   let nodes = engine.D.nodes in
   let init =
@@ -331,6 +350,7 @@ let check ~name ?bug ?(may_fail = false) ?(code = false) ~(engine : D.config) ~s
       engine = D.create engine ~now:0;
       tables = List.init nodes (fun _ -> D.Child.empty);
       codes = List.init nodes (fun _ -> None);
+      gen = None;
       alive = List.init nodes (fun _ -> true);
       eofs = List.init nodes (fun _ -> false);
       down = List.init nodes (fun _ -> []);
@@ -375,10 +395,11 @@ let check_supervision ?bug () =
     ~slices:2 ~truth:[] ~rounds:1 ~updates:0 ~kills:1 ~losses:1 ~put_losses:0 ~ticks:2 ()
 
 (** Residency: two versioned segments resident on one pinned node over
-    two rounds, under two version updates, one crash and one lost put.
-    Every compute must see exactly the current versions. *)
+    two rounds, under two version updates, one crash and one lost put,
+    on session-lifetime code.  Every compute must see exactly the
+    current versions, on the session's code. *)
 let check_residency ?bug () =
-  check ~name:"residency" ?bug
+  check ~name:"residency" ?bug ~code:Per_session
     ~engine:
       {
         D.nodes = 1;
@@ -391,10 +412,11 @@ let check_residency ?bug () =
 
 (** Failure: as {!check_supervision} but with two attempts per slice and
     two rounds, so a kill, a missed ping or an early timeout can fail
-    the first job.  A failed job must still leave every dead node respawned
-    and every seq it spent unused by the next job. *)
+    the first job, on session-lifetime code.  A failed job must still
+    leave every dead node respawned, every seq it spent unused by the
+    next job, and a replacement node sent the code again. *)
 let check_failure ?bug () =
-  check ~name:"failure" ?bug ~may_fail:true
+  check ~name:"failure" ?bug ~may_fail:true ~code:Per_session
     ~engine:
       {
         D.nodes = 2;
@@ -410,6 +432,6 @@ let check_failure ?bug () =
     must run on its own job's code, shipped anew to each node it uses
     every job. *)
 let check_cluster ?bug () =
-  check ~name:"cluster" ?bug ~code:true
+  check ~name:"cluster" ?bug ~code:Per_job
     ~engine:{ D.nodes = 3; crc; policy = { max_attempts = 8; timeout = None }; supervision = None }
     ~slices:3 ~truth:[] ~rounds:2 ~updates:0 ~kills:2 ~losses:0 ~put_losses:0 ~ticks:0 ()

@@ -100,6 +100,9 @@ let test_proc_warm_reuse () =
            rc.Cluster.scatter_bytes rw.Cluster.scatter_bytes)
         true
         (rw.Cluster.scatter_bytes * 10 <= rc.Cluster.scatter_bytes);
+      (* The work ships once per node, with the cold round. *)
+      check_bool "cold round ships the code" true (rc.Cluster.code_bytes > 0);
+      check_int "warm round ships no code" 0 rw.Cluster.code_bytes;
       check_int "no respawns in a clean run" 0 (Darray.session_respawns s))
 
 let test_proc_kill_mid_iteration () =
@@ -122,7 +125,7 @@ let test_proc_kill_mid_iteration () =
       let segs = Array.init 2 (fun i -> seg_floats ~len:5_000 (float_of_int (i + 1))) in
       let d = Darray.create s ~segments:segs in
       let run () = Darray.run d ~arg:(scale_arg 2.0) ~merge:merge_sum ~init:0.0 in
-      let clean, _ = run () in
+      let clean, cold = run () in
       Alcotest.(check (float 0.0)) "clean round" (expected_sum segs 2.0) clean;
       let victim =
         match Darray.proc_pids s with
@@ -144,10 +147,37 @@ let test_proc_kill_mid_iteration () =
         (Darray.session_respawns s >= 1);
       check_bool "crash observed by the run" true
         (report.Cluster.crashed_nodes >= 1);
+      (* Of the two nodes, only the respawned one is sent the code again. *)
+      check_int "code re-shipped to the respawned node only"
+        (cold.Cluster.code_bytes / 2) report.Cluster.code_bytes;
       (* And the fabric is warm again: the next round reuses. *)
       let again, r2 = run () in
       check_bool "next round still exact" true (again = clean);
-      check_int "no further crashes" 0 r2.Cluster.crashed_nodes)
+      check_int "no further crashes" 0 r2.Cluster.crashed_nodes;
+      check_int "and no further code" 0 r2.Cluster.code_bytes)
+
+(* A work closure over a mutex cannot cross as closure bytes: a process
+   session refuses it before forking anything, and an in-process
+   session, which ships no code, runs it. *)
+let test_unshippable_work () =
+  let m = Mutex.create () in
+  let work ~node ~resident ~arg = Mutex.protect m (fun () -> sum_work ~node ~resident ~arg) in
+  let ends () = List.length (Atomic.get Transport.Proc.parent_ends) in
+  let before = ends () in
+  (match Darray.create_session ~topology:(topo ~nodes:2 Cluster.Process) ~work () with
+  | s ->
+      Darray.close_session s;
+      Alcotest.fail "a mutex crossed as task code"
+  | exception Cluster.Unshippable_task _ -> ());
+  check_int "no child forked" before (ends ());
+  let s = Darray.create_session ~topology:(topo ~nodes:2 Cluster.Inprocess) ~work () in
+  Fun.protect
+    ~finally:(fun () -> Darray.close_session s)
+    (fun () ->
+      let segs = Array.init 2 (fun i -> seg_floats ~len:4 (float_of_int (i + 1))) in
+      let d = Darray.create s ~segments:segs in
+      let sum, _ = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      Alcotest.(check (float 0.0)) "in-process session runs it" (expected_sum segs 1.0) sum)
 
 let test_proc_sgemm_first_round_parity () =
   (* First-iteration results over the process transport are
@@ -573,6 +603,8 @@ let () =
             test_proc_warm_reuse;
           Alcotest.test_case "kill mid-iteration replays exactly" `Quick
             test_proc_kill_mid_iteration;
+          Alcotest.test_case "unshippable work refused" `Quick
+            test_unshippable_work;
           Alcotest.test_case "sgemm first-round parity" `Quick
             test_proc_sgemm_first_round_parity;
           Alcotest.test_case "resident kernels on fewer blocks than nodes" `Quick

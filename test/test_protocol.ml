@@ -194,7 +194,7 @@ let engine ?timeout ?(supervised = true) ~nodes ~max_attempts () =
          else None);
     }
 
-let submit t n = D.step t (D.Submit { plans = List.init n (fun _ -> []); deadline = 0; pinned = false; code = false })
+let submit t n = D.step t (D.Submit { plans = List.init n (fun _ -> []); deadline = 0; pinned = false; code = None })
 let failed acts = List.exists (function D.Job_failed _ -> true | _ -> false) acts
 let task_seqs acts = List.filter_map (function D.Send (_, D.Task { seq; _ }) -> Some seq | _ -> None) acts
 
@@ -316,6 +316,16 @@ let test_cluster_catches_code_once () =
       check_bool "names the code" true
         (Str.string_match (Str.regexp ".*without its job's code") v.Modelcheck.message 0)
 
+(* Session-lifetime code (Darray, Service): a node whose EOF does not
+   clear its code generation has a replacement that is never sent the
+   code, caught when that replacement runs its first task. *)
+let test_failure_catches_code_kept_on_death () =
+  match (DM.check_failure ~bug:DM.Code_kept_on_death ()).Modelcheck.violation with
+  | None -> Alcotest.fail "code kept across a death not caught"
+  | Some v ->
+      check_bool "names the code" true
+        (Str.string_match (Str.regexp ".*without its job's code") v.Modelcheck.message 0)
+
 let () =
   Alcotest.run "protocol"
     [
@@ -349,6 +359,7 @@ let () =
           Alcotest.test_case "failed tick keeps its respawn" `Quick test_failed_tick_keeps_respawn;
           Alcotest.test_case "failure model passes" `Slow test_failure_clean;
           Alcotest.test_case "forgotten failed step caught" `Quick test_failure_catches_forgotten_step;
+          Alcotest.test_case "code kept on death caught" `Quick test_failure_catches_code_kept_on_death;
         ] );
       ( "engine retry",
         [ Alcotest.test_case "timeout backoff doubles to cap" `Quick test_retry_backoff ] );

@@ -50,17 +50,38 @@ let with_service ?(cfg = Service.default_config) ~work f =
 let test_basic_roundtrip () =
   let cfg = { Service.default_config with nodes = 3; cores_per_node = 1 } in
   with_service ~cfg ~work:double_inc (fun t ->
+      let code () = (Stats.snapshot ()).Stats.code_bytes in
+      let c0 = code () in
+      let after_first = ref 0 in
       for r = 0 to 4 do
         let req = request ~slices:5 ~base:(r * 1000) in
-        match Service.submit t req with
+        (match Service.submit t req with
         | Ok results ->
             check_bool
               (Printf.sprintf "request %d exact" r)
               true
               (payloads_equal (expected req) results)
-        | Error e -> Alcotest.fail (Service.error_to_string e)
+        | Error e -> Alcotest.fail (Service.error_to_string e));
+        if r = 0 then after_first := code () - c0
       done;
+      (* The work ships with the first request, once per node. *)
+      check_bool "first request ships the code" true (!after_first > 0);
+      check_int "later requests ship none" !after_first (code () - c0);
       check_int "all nodes live" 3 (List.length (Service.live_nodes t)))
+
+(* A work closure over a mutex cannot cross as closure bytes: refused
+   before anything forks. *)
+let test_unshippable_work () =
+  let m = Mutex.create () in
+  let work ~node ~pool p = Mutex.protect m (fun () -> double_inc ~node ~pool p) in
+  let ends () = List.length (Atomic.get Transport.Proc.parent_ends) in
+  let before = ends () in
+  (match Service.create ~work () with
+  | t ->
+      Service.shutdown t;
+      Alcotest.fail "a mutex crossed as task code"
+  | exception Cluster.Unshippable_task _ -> ());
+  check_int "no child forked" before (ends ())
 
 let test_concurrent_clients () =
   let cfg = { Service.default_config with nodes = 2; cores_per_node = 1 } in
@@ -392,6 +413,7 @@ let () =
         [
           Alcotest.test_case "basic roundtrip" `Quick test_basic_roundtrip;
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+          Alcotest.test_case "unshippable work refused" `Quick test_unshippable_work;
         ] );
       ( "admission",
         [
