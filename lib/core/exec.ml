@@ -29,10 +29,6 @@ type t = {
   faults : Fault.spec option;  (** fault-injection plan, if any *)
   grain : int option;  (** scheduler grain override *)
   chunk_multiplier : int;  (** over-decomposition for pre-chunked loops *)
-  deadline : float option;
-      (** per-request compute budget in seconds for the long-lived
-          service; [None] means no deadline *)
-  queue_bound : int;  (** service admission-queue high-water mark *)
 }
 
 (* The backend can be selected from outside via TRIOLET_BACKEND
@@ -62,8 +58,6 @@ let default () =
     faults = None;
     grain = None;
     chunk_multiplier = 4;
-    deadline = None;
-    queue_bound = 64;
   }
 
 (* Created lazily so the environment is read at first use, after a CLI
@@ -99,12 +93,8 @@ let with_context c f =
 
 let resolve = function Some c -> c | None -> current ()
 
-let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier
-    ?deadline ?queue_bound () =
+let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier () =
   let base = current () in
-  (match queue_bound with
-  | Some b when b < 1 -> invalid_arg "Exec.make: queue_bound < 1"
-  | _ -> ());
   {
     nodes = Option.value nodes ~default:base.nodes;
     cores_per_node = Option.value cores_per_node ~default:base.cores_per_node;
@@ -113,8 +103,6 @@ let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier
     grain = (match grain with Some g -> g | None -> base.grain);
     chunk_multiplier =
       Option.value chunk_multiplier ~default:base.chunk_multiplier;
-    deadline = (match deadline with Some d -> d | None -> base.deadline);
-    queue_bound = Option.value queue_bound ~default:base.queue_bound;
   }
 
 let topology c =

@@ -18,20 +18,13 @@ type t = {
   grain : int option;  (** scheduler grain override *)
   chunk_multiplier : int;
       (** over-decomposition for pre-chunked local loops *)
-  deadline : float option;
-      (** per-request compute budget in seconds for the long-lived
-          service ({!Triolet_runtime.Service}); [None] = no deadline *)
-  queue_bound : int;
-      (** service admission-queue high-water mark; requests beyond it
-          are rejected [Overloaded] instead of queueing unboundedly *)
 }
 
 val default : unit -> t
-(** 4 nodes x 2 cores, no faults, automatic grain, multiplier 4, no
-    deadline, queue bound 64.  The backend honours the
-    [TRIOLET_BACKEND] environment variable (["inprocess"] | ["flat"] |
-    ["process"]); any other non-empty value raises [Invalid_argument]
-    naming the valid choices. *)
+(** 4 nodes x 2 cores, no faults, automatic grain, multiplier 4.  The
+    backend honours the [TRIOLET_BACKEND] environment variable
+    (["inprocess"] | ["flat"] | ["process"]); any other non-empty value
+    raises [Invalid_argument] naming the valid choices. *)
 
 val make :
   ?nodes:int ->
@@ -40,12 +33,9 @@ val make :
   ?faults:Triolet_runtime.Fault.spec option ->
   ?grain:int option ->
   ?chunk_multiplier:int ->
-  ?deadline:float option ->
-  ?queue_bound:int ->
   unit ->
   t
-(** A context derived from {!current}, overriding the given fields.
-    Raises [Invalid_argument] on [queue_bound < 1]. *)
+(** A context derived from {!current}, overriding the given fields. *)
 
 val current : unit -> t
 (** The ambient context (created from {!default} on first use). *)

@@ -9,7 +9,9 @@
     *code* travels as closure bytes (serializing code is what the
     Triolet compiler adds); task *data* always travels as payload.
 
-    A run is one job on a {!Dispatch} session.  In-process nodes run
+    A run is one job on a {!Dispatch} session, which owns the frames
+    and the node code; this module keeps the topology's session config,
+    the warm-session table and the merge order.  In-process nodes run
     inline on a session that lives for the call.  Process nodes run on
     a warm session: the first process call for a topology forks one
     child per node, and every later call with that topology is a job
@@ -20,8 +22,6 @@
     and fault-injected paths are the same code; a fault plan only adds
     checksums, link faults and timers. *)
 
-module Codec = Triolet_base.Codec
-module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
 
 (* Execution backends.  [Flat] is the in-process transport with Eden's
@@ -101,7 +101,6 @@ let () =
 let on_node = Dispatch.on_node
 
 let ns s = int_of_float (s *. 1e9)
-let node_attr n = [ ("node", string_of_int n) ]
 
 (* The warm fabric: one process session per [(nodes, cores_per_node)],
    forked by the first fault-free process call with that topology and
@@ -120,12 +119,12 @@ let () =
       Hashtbl.iter (fun _ s -> Dispatch.close s) warm.sessions;
       Hashtbl.reset warm.sessions)
 
-(* Run [f] on the topology's warm session under the lock, on task code
-   [code].  Nodes that died in an earlier call are respawned first.  A
-   respawn that cannot fork, or a job that fails, may leave the engine
-   and the fabric out of step, so the session is retired and the next
-   call forks afresh. *)
-let with_warm (topo : topology) cfg code f =
+(* Run [f] on the topology's warm session under the lock; nodes that
+   died in an earlier call are respawned first.  A respawn that cannot
+   fork, or a job that fails, may leave the engine and the fabric out
+   of step, so the session is retired and the next call forks afresh.
+   Code refused as unshippable was never sent: the session stays. *)
+let with_warm (topo : topology) cfg f =
   let key = (topo.nodes, topo.cores_per_node) in
   Mutex.lock warm.lock;
   Fun.protect
@@ -135,68 +134,25 @@ let with_warm (topo : topology) cfg code f =
         match Hashtbl.find_opt warm.sessions key with
         | Some s -> s
         | None ->
-            let s = Dispatch.fork ~span:"cluster" ~cores:topo.cores_per_node ~code cfg in
+            let s = Dispatch.fork ~span:"cluster" ~cores:topo.cores_per_node cfg in
             Hashtbl.replace warm.sessions key s;
             s
       in
       try
         Dispatch.revive s;
-        Dispatch.load s code;
         f s
-      with e ->
-        Hashtbl.remove warm.sessions key;
-        Dispatch.close s;
-        raise e)
-
-(* One job on [session]: each slice encoded once, replies decoded as
-   they arrive, the per-slice results returned in worker order. *)
-let run_job session ~crc ~workers ~scatter ~result_codec ~raised =
-  (* Retries resend the cached bytes (replies are accepted from any
-     attempt of the job). *)
-  let encoded = Array.make workers None in
-  let task ~slice ~seq =
-    match encoded.(slice) with
-    | Some b -> b
-    | None ->
-        let b =
-          Obs.span ~name:"cluster.serialize" ~attrs:(node_attr slice) (fun () ->
-              Stats.record_encode ();
-              Dispatch.Envelope.(encode ~crc task ~slice ~seq ([], 0, scatter slice)))
-        in
-        encoded.(slice) <- Some b;
-        b
-  in
-  let results = Array.make workers None in
-  let on_done i bytes =
-    (* A finished slice is never re-issued: drop its bytes now. *)
-    encoded.(i) <- None;
-    results.(i) <-
-      Some
-        (Obs.span ~name:"cluster.recv" ~attrs:(node_attr i) (fun () ->
-             Dispatch.Envelope.body ~crc result_codec bytes))
-  in
-  let report, failed =
-    Dispatch.run_job session ~plans:(List.init workers (fun _ -> [])) ~task ~on_done ()
-  in
-  (match failed with
-  | None -> ()
-  | Some (Dispatch.Exhausted { slice; attempts }) ->
-      raise (Recovery_exhausted { worker = slice; attempts })
-  | Some (Dispatch.Raised { slice; msg }) -> (
-      match raised.(slice) with
-      | Some e -> raise e
-      | None -> failwith (Printf.sprintf "Cluster: node %d raised: %s" slice msg))
-  | Some Dispatch.Expired -> assert false (* no deadline on one-shot runs *));
-  (Array.map Option.get results, report)
+      with
+      | Unshippable_task _ as e -> raise e
+      | e ->
+          Hashtbl.remove warm.sessions key;
+          Dispatch.close s;
+          raise e)
 
 let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
     ~merge ~init =
   if topo.nodes <= 0 || topo.cores_per_node <= 0 then
     invalid_arg "Cluster.run: bad config";
   let workers = topology_workers topo in
-  (* Checksums and timers only under a fault plan: a clean run pays for
-     neither. *)
-  let crc = faults <> None in
   let policy =
     match faults with
     | None -> { Dispatch.max_attempts = max_int; timeout = None }
@@ -206,55 +162,47 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
           timeout = Some (ns s.base_timeout, ns s.max_timeout);
         }
   in
-  let cfg = { Dispatch.nodes = workers; crc; policy; supervision = None } in
+  (* Checksums and timers only under a fault plan: a clean run pays for
+     neither. *)
+  let cfg = { Dispatch.nodes = workers; crc = faults <> None; policy; supervision = None } in
   let fault = Option.map Fault.make faults in
+  (* [work] sees the logical worker id whose slice it computes, stable
+     across re-execution on another node.  Inline nodes keep the
+     exception itself, re-raised as is. *)
   let raised = Array.make workers None in
-  let job session = run_job session ~crc ~workers ~scatter ~result_codec ~raised in
+  let work ~node:_ ~pool ~slice ~resident:_ arg =
+    try work ~node:slice ~pool:(Lazy.force pool) arg
+    with e ->
+      raised.(slice) <- Some e;
+      raise e
+  in
+  let job session =
+    Dispatch.load session ~result:result_codec ~work;
+    match Dispatch.run_job session ~slices:workers ~arg:scatter ~result:result_codec () with
+    | Ok results, report -> (results, report)
+    | Error (Dispatch.Exhausted { slice; attempts }), _ ->
+        raise (Recovery_exhausted { worker = slice; attempts })
+    | Error (Dispatch.Raised { slice; msg }), _ -> (
+        match raised.(slice) with
+        | Some e -> raise e
+        | None -> failwith (Printf.sprintf "Cluster: node %d raised: %s" slice msg))
+    | Error Dispatch.Expired, _ -> assert false (* no deadline on one-shot runs *)
+  in
   let results, report =
-    match topo.backend with
-    | Inprocess | Flat ->
+    match (topo.backend, fault) with
+    | (Inprocess | Flat), _ ->
         (* Nodes share the default pool, capped at the configured core
            count; a fresh per-call pool would cost a domain spawn per
            operation. *)
         let pool = match pool with Some p -> p | None -> Pool.default () in
         Stats.ensure_workers (Pool.size pool);
-        let phases =
-          { Dispatch.Child.phase = (fun name f -> Obs.span ~name:("cluster." ^ name) f) }
-        in
-        (* [work] sees the logical worker id whose slice it computes,
-           stable across re-execution on another node.  Inline nodes
-           keep the exception itself, re-raised as is. *)
-        let work ~slice ~resident:_ arg =
-          try work ~node:slice ~pool arg
-          with e ->
-            raised.(slice) <- Some e;
-            raise e
-        in
-        job
-          (Dispatch.inline ?faults:fault ~span:"cluster" cfg
-             (Dispatch.compute ~crc ~phases ~result:result_codec ~work ()))
-    | Process -> (
-        (* The parent does no task work: each child runs its slices on
-           its own pool, so a caller-supplied pool is irrelevant.  The
-           code is marshalled before any session is touched, and loaded
-           anew on every call. *)
-        let compute ~node:_ ~pool =
-          Dispatch.compute ~crc ~result:result_codec ~work:(fun ~slice ~resident:_ arg ->
-              work ~node:slice ~pool:(Lazy.force pool) arg) ()
-        in
-        let ship crash = Dispatch.closure_bytes ~span:"cluster" { Dispatch.compute; crash } in
-        let plain = ship None in
-        match fault with
-        | None -> with_warm topo cfg (Fun.const plain) job
-        | Some f ->
-            let code =
-              Array.init workers (fun node ->
-                  match Fault.crash_phase f ~node with None -> plain | c -> ship c)
-            in
-            let session =
-              Dispatch.fork ~faults:f ~span:"cluster" ~cores:topo.cores_per_node ~code:(Array.get code) cfg
-            in
-            Fun.protect ~finally:(fun () -> Dispatch.close session) (fun () -> job session))
+        job (Dispatch.inline ?faults:fault ~span:"cluster" ~pool:(Lazy.from_val pool) cfg)
+    (* The parent does no task work: each child runs its slices on its
+       own pool, so a caller-supplied pool is irrelevant. *)
+    | Process, None -> with_warm topo cfg job
+    | Process, Some f ->
+        let session = Dispatch.fork ~faults:f ~span:"cluster" ~cores:topo.cores_per_node cfg in
+        Fun.protect ~finally:(fun () -> Dispatch.close session) (fun () -> job session)
   in
   (* Merge strictly in worker order, never arrival order. *)
   let acc = Obs.span ~name:"cluster.merge" (fun () -> Array.fold_left merge init results) in

@@ -113,8 +113,9 @@ val run_topology :
     {!Process} runs on the topology's warm session: one OS process per
     node, each with a private [cores_per_node]-wide pool, forked by the
     first call and reused by every later one; [?pool] is ignored.
-    [work], [result_codec] and the crash plan ship to each node as
-    closure bytes once per call (see {!Unshippable_task}); state they
+    [work] and [result_codec] ship to each node as closure bytes once
+    per call (see {!Unshippable_task}), the fault plan's crash node a
+    variant that dies at its planned phase; state they
     capture starts from the caller's value on every call.  A node that
     died is respawned before the next call.  Forking fails fast with a
     [Failure] if a domain was ever spawned in this process (OCaml then

@@ -37,8 +37,10 @@
       session must be created before any domain is spawned.
 
     Either way the session is a {!Dispatch} session: the engine owns
-    the per-node residency beliefs and ships puts and reuses, and every
-    node runs the one {!Dispatch.Node} program.
+    the per-node residency beliefs and ships puts and reuses, the shell
+    owns the frames and the node code, and every node runs the one
+    {!Dispatch.Node} program.  This module keeps the segment truth:
+    versions, ghosts, and each version's retained put frame.
 
     {2 Versioning and refusal}
 
@@ -75,10 +77,7 @@
 module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
-module Envelope = Dispatch.Envelope
 
-(* Every frame a darray session ships is checksummed. *)
-let crc = true
 let max_attempts = 8
 
 (* ------------------------------------------------------------------ *)
@@ -106,25 +105,19 @@ let supervision =
 let create_session ?(topology = Cluster.default_topology) ~work () =
   let nodes = topology.Cluster.nodes in
   if nodes < 1 then invalid_arg "Darray: topology needs at least one node";
+  (* Every frame a darray session ships is checksummed. *)
   let cfg supervision =
-    { Dispatch.nodes; crc; policy = { max_attempts; timeout = None }; supervision }
+    { Dispatch.nodes; crc = true; policy = { max_attempts; timeout = None }; supervision }
   in
-  let work ~slice ~resident arg = work ~node:slice ~resident ~arg in
   let dispatch =
     match topology.Cluster.backend with
     | Cluster.Inprocess | Cluster.Flat ->
-        let phases =
-          { Dispatch.Child.phase = (fun name f -> Obs.span ~name:("darray." ^ name) f) }
-        in
-        Dispatch.inline ~span:"darray" (cfg None) (Dispatch.compute ~crc ~phases ~result:Payload.codec ~work ())
+        Dispatch.inline ~span:"darray" ~pool:(lazy (Pool.default ())) (cfg None)
     | Cluster.Process ->
-        (* Marshalled before anything forks; each node receives it
-           once, and again after a respawn. *)
-        let compute ~node:_ ~pool:_ = Dispatch.compute ~crc ~result:Payload.codec ~work () in
-        let code = Dispatch.closure_bytes ~span:"darray" { Dispatch.compute; crash = None } in
-        Dispatch.fork ~span:"darray" ~cores:topology.Cluster.cores_per_node ~code:(Fun.const code)
-          (cfg (Some supervision))
+        Dispatch.fork ~span:"darray" ~cores:topology.Cluster.cores_per_node (cfg (Some supervision))
   in
+  Dispatch.load dispatch ~result:Payload.codec ~work:(fun ~node:_ ~pool:_ ~slice ~resident arg ->
+      work ~node:slice ~resident ~arg);
   { nodes; dispatch; next_did = 0; closed = false }
 
 let session_nodes s = s.nodes
@@ -241,14 +234,7 @@ let encoded_put d w seg =
   match seg.encoded with
   | Some b -> b
   | None ->
-      let b =
-        Obs.span ~name:"darray.serialize"
-          ~attrs:[ ("darray", string_of_int d.did); ("seg", string_of_int w) ]
-          (fun () ->
-            Stats.record_encode ();
-            Envelope.encode ~crc Envelope.put ~slice:0 ~seq:0
-              ((d.did, w, seg.version), seg.payload))
-      in
+      let b = Dispatch.put_frame d.session.dispatch (d.did, w, seg.version) seg.payload in
       seg.encoded <- Some b;
       b
 
@@ -257,28 +243,18 @@ let run d ~arg ~merge ~init =
   if s.closed then invalid_arg "Darray.run: session closed";
   if d.freed then invalid_arg "Darray.run: freed array";
   Obs.span ~name:"darray.run" (fun () ->
-      let keys =
-        List.init s.nodes (fun n ->
-            List.map (fun (w, seg) -> (d.did, w, seg.version)) (plan_for_node d n))
-      in
-      let task ~slice ~seq =
-        Envelope.encode ~crc Envelope.task ~slice ~seq (List.nth keys slice, 0, arg slice)
-      in
-      let results = Array.make s.nodes None in
-      let on_done i b = results.(i) <- Some (Envelope.body ~crc Payload.codec b) in
-      let report, failed =
-        Dispatch.run_job s.dispatch ~pinned:true ~plans:keys
+      let keys n = List.map (fun (w, seg) -> (d.did, w, seg.version)) (plan_for_node d n) in
+      match
+        Dispatch.run_job s.dispatch ~pinned:true ~keys
           ~put:(fun (_, w, _) -> encoded_put d w (segment_at d w))
-          ~task ~on_done ()
-      in
-      (match failed with
-      | None -> ()
-      | Some (Dispatch.Exhausted { slice; attempts }) ->
+          ~slices:s.nodes ~arg ~result:Payload.codec ()
+      with
+      | Ok results, report -> (Array.fold_left merge init results, report)
+      | Error (Dispatch.Exhausted { slice; attempts }), _ ->
           raise (Cluster.Recovery_exhausted { worker = slice; attempts })
-      | Some (Dispatch.Raised { slice; msg }) ->
+      | Error (Dispatch.Raised { slice; msg }), _ ->
           failwith (Printf.sprintf "Darray: node %d raised: %s" slice msg)
-      | Some Dispatch.Expired -> assert false (* rounds carry no deadline *));
-      (Array.fold_left (fun acc r -> merge acc (Option.get r)) init results, report))
+      | Error Dispatch.Expired, _ -> assert false (* rounds carry no deadline *))
 
 (* ------------------------------------------------------------------ *)
 (* Release.                                                            *)

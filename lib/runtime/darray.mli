@@ -35,11 +35,11 @@ type session
 val create_session : ?topology:Cluster.topology -> work:work -> unit -> session
 (** [create_session ~work ()] builds the resident fabric for
     [topology] (default {!Cluster.default_topology}).  Under the
-    [Process] backend [work] ships to the children as closure bytes,
-    once per node and again after a respawn; {!Cluster.Unshippable_task}
-    is raised, before anything forks, when it cannot cross (a closure
-    over a mutex or a channel, or one bigger than a frame).  In-process
-    sessions ship no code.  Process mode is
+    [Process] backend [work] ships to the children as closure bytes
+    ({!Dispatch.load}), once per node and again after a respawn;
+    {!Cluster.Unshippable_task} is raised, before anything forks, when
+    it cannot cross (a closure over a mutex or a channel, or one bigger
+    than a frame).  In-process sessions ship no code.  Process mode is
     supervised more loosely than {!Service} (pings every 0.5 s, death
     after 4 unanswered) because a node computing a long slice cannot
     answer pings meanwhile. *)

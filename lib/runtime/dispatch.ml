@@ -13,11 +13,16 @@
     queues) and a process shell (a [select] loop over
     {!Transport.Proc}); {!Node.step} is the one node program both run,
     and every forked child of every caller is a {!node_main} that takes
-    its task code from [Code] frames.  {!Cluster} runs jobs on a
-    per-call inline session or on a warm process session, loading new
-    code every call; {!Darray} is a session plus its residency table,
-    {!Service} admission and deadlines around a long-lived session,
-    both loading their code once. *)
+    its task code from [Code] frames.  The shells own the frame format
+    (the {!Envelope} and whether a session checksums it) and how a node
+    gets its code: a caller hands {!load} a [work] function and a
+    result codec, and {!run_job} per-slice payloads, and gets back
+    decoded results — it never builds a frame or marshals a closure.
+    {!Cluster} runs jobs on a per-call inline session or on a warm
+    process session, loading new code every call; {!Darray} is a
+    session plus its segment versions, {!Service} admission and
+    deadlines around a long-lived session, both loading their code
+    once. *)
 
 module Codec = Triolet_base.Codec
 module Rw = Triolet_base.Rw
@@ -83,10 +88,6 @@ module Child = struct
 
   let empty : table = []
 
-  type phases = { phase : 'a. string -> (unit -> 'a) -> 'a }
-
-  let no_phases = { phase = (fun _ f -> f ()) }
-
   let lookup table (did, seg, ver) =
     match List.assoc_opt (did, seg) table with
     | Some (v, p) when v = ver -> Some p
@@ -95,7 +96,10 @@ module Child = struct
   let install table (did, seg, ver) p =
     List.merge compare [ ((did, seg), (ver, p)) ] (List.remove_assoc (did, seg) table)
 
-  let handle ~crc ?(phases = no_phases) ~now ~result ~work table kind bytes =
+  (* With [span], the task's decode, compute and reply encode are
+     [<span>.recv], [<span>.compute] and [<span>.serialize] spans. *)
+  let handle ~crc ?span ~now ~result ~work table kind bytes =
+    let phase name f = match span with None -> f () | Some s -> Obs.span ~name:(s ^ "." ^ name) f in
     let reply ~slice ~seq c v kind = [ (kind, Envelope.encode ~crc c ~slice ~seq v) ] in
     let untagged = [ (Protocol.Nack, Bytes.empty) ] in
     match (kind : Protocol.kind) with
@@ -116,7 +120,7 @@ module Child = struct
         | _, _, did -> (List.filter (fun ((d, _), _) -> d <> did) table, [])
         | exception _ -> (table, []))
     | Data -> (
-        match phases.phase "recv" (fun () -> Envelope.decode ~crc Envelope.task bytes) with
+        match phase "recv" (fun () -> Envelope.decode ~crc Envelope.task bytes) with
         | exception _ -> (table, untagged)
         | slice, seq, (keys, deadline, arg) -> (
             (* Every expected key must be resident at exactly its
@@ -128,8 +132,8 @@ module Child = struct
                 (table, reply ~slice ~seq Envelope.err None Protocol.Err)
             | None -> (
                 let resident = List.concat_map (fun k -> Option.get (lookup table k)) keys in
-                match phases.phase "compute" (fun () -> work ~slice ~resident arg) with
-                | r -> (table, phases.phase "serialize" (fun () -> reply ~slice ~seq result r Protocol.Data))
+                match phase "compute" (fun () -> work ~slice ~resident arg) with
+                | r -> (table, phase "serialize" (fun () -> reply ~slice ~seq result r Protocol.Data))
                 | exception e ->
                     (table, reply ~slice ~seq Envelope.err (Some (Printexc.to_string e)) Protocol.Err))))
 end
@@ -568,9 +572,15 @@ let empty_report =
 type compute =
   Child.table -> Protocol.kind -> Bytes.t -> Child.table * (Protocol.kind * Bytes.t) list
 
-let compute ~crc ?phases ~result ~work () : compute =
+(** A session's task code: node [node] computes slice [slice] of a job
+    from the slice's argument and the segments resident for it, on its
+    [pool] (forced on first use). *)
+type 'r work = node:int -> pool:Pool.t Lazy.t -> slice:int -> resident:Payload.t -> Payload.t -> 'r
+
+(* [work] served by node [node], its results encoded with [result]. *)
+let serve ~crc ?span ~result (work : _ work) ~node ~pool : compute =
  fun table kind bytes ->
-  Child.handle ~crc ?phases ~now:(Clock.monotonic_ns ()) ~result ~work table kind bytes
+  Child.handle ~crc ?span ~now:(Clock.monotonic_ns ()) ~result ~work:(work ~node ~pool) table kind bytes
 
 (* Task code as [Code] frames carry it: how a node builds its compute
    from its id and the pool it keeps for life, and the phase at which
@@ -605,8 +615,8 @@ let is_data (k, _) = k = Protocol.Data
 (** One node's program, run by the inline shell and by every forked
     child alike: a segment table that lives as long as the node, the
     compute it serves with, and the phase of its planned crash.  A
-    [Code] frame replaces the compute and the crash phase, never the
-    table, so resident segments outlive it. *)
+    [Code] frame (or, inline, {!load}) replaces the compute and the
+    crash phase, never the table, so resident segments outlive it. *)
 module Node = struct
   type t = {
     id : int;
@@ -616,16 +626,16 @@ module Node = struct
     mutable crash : Fault.crash_phase option;
   }
 
-  let create ?crash ~id ~pool compute = { id; pool; table = Child.empty; compute; crash }
-
-  (* A forked node before its first [Code] frame: it answers pings and
-     nothing else.  A task then is a protocol bug, and kills the node. *)
+  (* A node before its first code: it answers pings and nothing else.
+     A task then is a protocol bug, and kills the node. *)
   let uncoded : compute =
    fun table kind bytes ->
     match kind with
     | Protocol.Ping -> (table, [ (Protocol.Pong, bytes) ])
     | Protocol.Data -> failwith "Dispatch: a task before the node's code"
     | _ -> (table, [])
+
+  let create ~id ~pool = { id; pool; table = Child.empty; compute = uncoded; crash = None }
 
   (** One frame in: [Some] frames to answer, or [None] when the node
       dies at this frame. *)
@@ -662,7 +672,7 @@ let forkable () =
 let node_main ~cores ~id chan =
   current_node := Some id;
   let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
-  let node = Node.create ~id ~pool:(lazy (Pool.create ~workers:cores ())) Node.uncoded in
+  let node = Node.create ~id ~pool:(lazy (Pool.create ~workers:cores ())) in
   let rec loop () =
     match Transport.Socket.recv chan with
     | exception Transport.Closed -> Protocol.step trk Protocol.Eof
@@ -683,7 +693,9 @@ type inline = {
   dead : bool array;
 }
 
-type procs = { fabric : Transport.Proc.t; cores : int }
+(* A process session's children are forked by its first {!load}, once
+   the code is known to cross. *)
+type procs = { fabric : Transport.Proc.t Lazy.t; cores : int }
 type io = Inline of inline | Procs of procs
 
 type hooks = {
@@ -700,7 +712,7 @@ let no_hooks =
   }
 
 (* The owning layer's span names. *)
-type names = { send : string; recv : string; retry : string; reissue : string }
+type names = { layer : string; send : string; recv : string; serialize : string; retry : string; reissue : string }
 
 type session = {
   mutable st : t;
@@ -710,7 +722,7 @@ type session = {
   late : (unit -> unit) Queue.t;  (* delayed deliveries, released on a timeout *)
   mutable hooks : hooks;
   mutable code : (int * (int -> Bytes.t)) option;
-      (* the task code every job runs on: its generation and node [i]'s
+      (* a process session's task code: its generation and node [i]'s
          [Code] frame *)
   mutable failed : failure option;
   mutable tally : report;
@@ -726,8 +738,10 @@ let make ?faults ~span (cfg : config) io =
     faults;
     names =
       {
+        layer = span;
         send = span ^ ".send";
         recv = span ^ ".recv";
+        serialize = span ^ ".serialize";
         retry = span ^ ".retry";
         reissue = span ^ ".retry.reissue";
       };
@@ -741,39 +755,53 @@ let make ?faults ~span (cfg : config) io =
     misses = 0;
   }
 
-(* Inline nodes all serve with [compute], share the default pool and
-   take their planned crash from the fault plan. *)
-let inline ?faults ~span (cfg : config) compute =
+(* Inline nodes share [pool]. *)
+let inline ?faults ~span ~pool (cfg : config) =
   let n = cfg.nodes in
-  let crash id = Option.bind faults (Fault.crash_phase ~node:id) in
-  let pool = lazy (Pool.default ()) in
   make ?faults ~span cfg
     (Inline
        {
-         nodes = Array.init n (fun id -> Node.create ?crash:(crash id) ~id ~pool compute);
+         nodes = Array.init n (fun id -> Node.create ~id ~pool);
          inbox = Array.init n (fun _ -> Queue.create ());
          arrivals = Queue.create ();
          dead = Array.make n false;
        })
 
-(** Task code for every later job: node [i] receives [frames i] before
-    its next task, and again only after a respawn or the next [load]. *)
-let load s frames =
-  s.code <- Some ((match s.code with Some (g, _) -> g + 1 | None -> 0), frames)
+(* One {!node_main} child per node, each with a [cores]-wide pool. *)
+let fork ?faults ~span ~cores (cfg : config) =
+  make ?faults ~span cfg
+    (Procs { fabric = lazy (forkable (); Transport.Proc.fork ~n:cfg.nodes ~child:(node_main ~cores)); cores })
 
-(* One {!node_main} child per node, each with a [cores]-wide pool,
-   running on task code [code] until the next {!load}. *)
-let fork ?faults ~span ~cores ~code (cfg : config) =
-  forkable ();
-  let fabric = Transport.Proc.fork ~n:cfg.nodes ~child:(node_main ~cores) in
-  let s = make ?faults ~span cfg (Procs { fabric; cores }) in
-  load s code;
-  s
+(** Task code for every later job: [work] computes the slices, [result]
+    encodes their results.  Inline nodes take the closure itself, with
+    its phases traced under the session's span; forked nodes take it as
+    closure bytes in a [Code] frame before their next task, and again
+    only after a respawn or the next [load].  The fault plan's crash
+    node gets a variant that dies at the planned phase until the node's
+    first death.  The code is marshalled before the first [load] forks
+    a process session, so code that cannot cross forks nothing. *)
+let load s ~result ~work =
+  let crc = s.st.cfg.crc in
+  let crash node = Option.bind s.faults (Fault.crash_phase ~node) in
+  match s.io with
+  | Inline io ->
+      Array.iter
+        (fun (n : Node.t) ->
+          n.compute <- serve ~crc ~span:s.names.layer ~result work ~node:n.id ~pool:n.pool;
+          n.crash <- crash n.id)
+        io.nodes
+  | Procs p ->
+      let ship crash = closure_bytes ~span:s.names.layer { compute = serve ~crc ~result work; crash } in
+      let plain = ship None in
+      let code = Array.init s.st.cfg.nodes (fun id -> match crash id with None -> plain | c -> ship c) in
+      let frames id = if crash id = None then plain else code.(id) in
+      s.code <- Some ((match s.code with Some (g, _) -> g + 1 | None -> 0), frames);
+      ignore (Lazy.force p.fabric)
 
-let fabric s = match s.io with Procs p -> Some p.fabric | Inline _ -> None
+let fabric s = match s.io with Procs p when Lazy.is_val p.fabric -> Some (Lazy.force p.fabric) | _ -> None
 let respawns s = s.respawns
 let heartbeat_misses s = s.misses
-let close s = match s.io with Procs p -> Transport.Proc.shutdown p.fabric | Inline _ -> ()
+let close s = Option.iter Transport.Proc.shutdown (fabric s)
 let node_attr n = [ ("node", string_of_int n) ]
 
 let count s ~gather bytes =
@@ -802,8 +830,9 @@ let deliver s n kind bytes =
   match s.io with
   | Inline io -> if not io.dead.(n) then Queue.push (kind, bytes) io.inbox.(n)
   | Procs p -> (
-      if Transport.Proc.is_alive p.fabric n then
-        try Transport.Socket.send (Transport.Proc.node p.fabric n).chan ~kind bytes
+      let fabric = Lazy.force p.fabric in
+      if Transport.Proc.is_alive fabric n then
+        try Transport.Socket.send (Transport.Proc.node fabric n).chan ~kind bytes
         with Transport.Closed -> (* its EOF surfaces in the select loop *) ())
 
 let recovering s = if s.recovery_from = None then s.recovery_from <- Some (Clock.monotonic_ns ())
@@ -884,11 +913,12 @@ and perform s = function
           let child ~id chan =
             if young then Transport.Socket.close chan else node_main ~cores:p.cores ~id chan
           in
-          Transport.Proc.respawn p.fabric n ~child;
+          let fabric = Lazy.force p.fabric in
+          Transport.Proc.respawn fabric n ~child;
           s.respawns <- s.respawns + 1;
           Stats.record_respawn ();
           Obs.instant ~name:"service.respawn"
-            ~attrs:(node_attr n @ [ ("pid", string_of_int (Transport.Proc.pid p.fabric n)) ])
+            ~attrs:(node_attr n @ [ ("pid", string_of_int (Transport.Proc.pid fabric n)) ])
             ())
   | Slice_done (i, bytes) -> s.hooks.on_done i bytes
   | Job_failed f -> s.failed <- Some f
@@ -983,16 +1013,52 @@ let idle s ~wake =
   | Procs p ->
       let rec go () =
         tick s;
-        if not (wait_procs ~wake s p.fabric) then go ()
+        if not (wait_procs ~wake s (Lazy.force p.fabric)) then go ()
       in
       go ()
 
-(** Run one job to completion: [plans.(i)] is slice [i]'s residency,
-    [task] its frame for a given attempt, [put] a segment's retained
-    install frame, [on_done] receives each slice's reply frame once.
-    The tasks run on the code last {!load}ed, if any.  Returns the job's traffic and recovery
-    report, and the failure if it failed. *)
-let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~task ~on_done () =
+(** The frame that installs segment [key] with [payload], for a caller
+    to retain per version and hand back through [run_job ~put]. *)
+let put_frame s ((did, seg, _) as key) payload =
+  Obs.span ~name:s.names.serialize
+    ~attrs:[ ("darray", string_of_int did); ("seg", string_of_int seg) ]
+    (fun () ->
+      Stats.record_encode ();
+      Envelope.encode ~crc:s.st.cfg.crc Envelope.put ~slice:0 ~seq:0 (key, payload))
+
+(** Run one job of [slices] slices to completion on the code last
+    {!load}ed.  Slice [i] computes [arg i] against the segments
+    [keys i] names ([put] gives a segment's retained install frame),
+    by [deadline] (absolute monotonic ns, 0 = none), on node
+    [i mod nodes] only if [pinned].  A slice that names no segment is
+    encoded once and its bytes resent on retry; one that does is
+    encoded per attempt, because a refusal names its attempt.  Returns
+    the results decoded with [result] in slice order, or the failure,
+    and the job's traffic and recovery report. *)
+let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no_hooks.put) ~slices ~arg
+    ~result () =
+  let crc = s.st.cfg.crc in
+  let plans = Array.init slices keys in
+  let encoded = Array.make slices None in
+  let task ~slice ~seq =
+    match encoded.(slice) with
+    | Some b -> b
+    | None ->
+        let b =
+          Obs.span ~name:s.names.serialize ~attrs:(node_attr slice) (fun () ->
+              Stats.record_encode ();
+              Envelope.encode ~crc Envelope.task ~slice ~seq (plans.(slice), deadline, arg slice))
+        in
+        if plans.(slice) = [] then encoded.(slice) <- Some b;
+        b
+  in
+  let results = Array.make slices None in
+  let on_done i bytes =
+    (* A finished slice is never re-issued: drop its bytes now. *)
+    encoded.(i) <- None;
+    results.(i) <-
+      Some (Obs.span ~name:s.names.recv ~attrs:(node_attr i) (fun () -> Envelope.body ~crc result bytes))
+  in
   s.hooks <- { task; put; on_done };
   s.failed <- None;
   s.tally <- empty_report;
@@ -1005,12 +1071,12 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~ta
       s.st <- { s.st with job = None })
     (fun () ->
       tick s;
-      feed s (Submit { plans; deadline; pinned; code = Option.map fst s.code });
+      feed s (Submit { plans = Array.to_list plans; deadline; pinned; code = Option.map fst s.code });
       (match s.io with
       | Inline io -> pump_inline s io
       | Procs p ->
           while active s.st && s.failed = None do
-            ignore (wait_procs s p.fabric);
+            ignore (wait_procs s (Lazy.force p.fabric));
             tick_if_due s
           done);
       let recovery_ns =
@@ -1029,7 +1095,8 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(put = no_hooks.put) ~plans ~ta
             - (c0.drops + c0.duplicates + c0.corruptions + c0.delays + c0.crashes)
         | _ -> 0
       in
-      ({ s.tally with recovery_ns; faults_injected }, s.failed))
+      ( (match s.failed with None -> Ok (Array.map Option.get results) | Some f -> Error f),
+        { s.tally with recovery_ns; faults_injected } ))
 
 (** Evict darray [did] everywhere. *)
 let release s did = feed s (Release did)
@@ -1038,11 +1105,11 @@ let release s did = feed s (Release did)
     stale frames) the fabric already holds, then respawn every dead
     node, so the next job starts on the full set of nodes. *)
 let revive s =
-  match s.io with
-  | Inline _ -> ()
-  | Procs p ->
+  match fabric s with
+  | None -> ()
+  | Some fabric ->
       let rec drain () =
-        match Transport.Proc.recv_any p.fabric ~timeout:0.0 with
+        match Transport.Proc.recv_any fabric ~timeout:0.0 with
         | `Msg (n, kind, bytes) -> arrive s n kind bytes; drain ()
         | `Eof n -> feed s (Eof n); drain ()
         | `Timeout | `No_nodes | `Wake -> ()

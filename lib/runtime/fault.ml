@@ -22,9 +22,9 @@
       delivered only once the engine's next timeout fires — a straggler
       whose reply crosses the retry on the wire.
 
-    Node-level faults: one node may crash permanently (before, during
-    or after its [work]), and designated straggler nodes have their
-    first reply delayed. *)
+    Node-level faults: one node may crash once (before, during or after
+    its [work]; a supervised fabric's replacement runs plain code), and
+    designated straggler nodes have their first reply delayed. *)
 
 module Rng = Triolet_base.Rng
 
@@ -52,7 +52,7 @@ type spec = {
   faults_of : link -> link_faults;
       (** per-link fault rates; defaults to a uniform rate everywhere *)
   crash : (int * crash_phase) option;
-      (** node that crashes permanently, and when *)
+      (** node that crashes (once), and when *)
   stragglers : int list;  (** nodes whose first reply is delayed *)
   max_attempts : int;  (** per-worker cap on (re-)execution attempts *)
   base_timeout : float;  (** seconds; first gather/node receive timeout *)
@@ -140,8 +140,17 @@ let ensure_node t node =
     t.crashed <- n
   end
 
+(* Once the node has died, the plan's crash has fired: a replacement
+   runs plain code, so a respawned node does not flap. *)
 let crash_phase t ~node =
-  match t.s.crash with Some (n, p) when n = node -> Some p | _ -> None
+  match t.s.crash with
+  | Some (n, p) when n = node ->
+      Mutex.lock t.lock;
+      ensure_node t node;
+      let fired = t.crashed.(node) in
+      Mutex.unlock t.lock;
+      if fired then None else Some p
+  | _ -> None
 
 (* One Bernoulli draw.  Zero-rate faults skip the draw; determinism is
    unaffected because the plan itself fixes which rates are zero. *)

@@ -95,7 +95,8 @@ val decide :
     so a fault plan has the same meaning in process and over sockets. *)
 
 val crash_phase : t -> node:int -> crash_phase option
-(** The phase at which the plan crashes [node], if it does. *)
+(** The phase at which the plan crashes [node], if it does and the node
+    has not died yet ({!mark_crashed}): a plan's crash fires once. *)
 
 val mark_crashed : t -> int -> bool
 (** Record a node's death — the dispatch engine calls this on the

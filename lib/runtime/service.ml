@@ -137,26 +137,20 @@ let execute t req =
   Obs.span ~name:"service.request"
     ~attrs:[ ("req", string_of_int req.req_id) ]
     (fun () ->
-      let n = Array.length req.payloads in
-      let results = Array.make n None in
-      let task ~slice ~seq =
-        Dispatch.Envelope.(encode ~crc:true task ~slice ~seq ([], req.deadline_ns, req.payloads.(slice)))
-      in
-      let on_done i b = results.(i) <- Some (Dispatch.Envelope.body ~crc:true Payload.codec b) in
       match
-        Dispatch.run_job t.session ~deadline:req.deadline_ns
-          ~plans:(List.init n (fun _ -> [])) ~task ~on_done ()
+        Dispatch.run_job t.session ~deadline:req.deadline_ns ~slices:(Array.length req.payloads)
+          ~arg:(Array.get req.payloads) ~result:Payload.codec ()
       with
-      | _, None -> Ok (Array.map Option.get results)
-      | _, Some Dispatch.Expired ->
+      | Ok results, _ -> Ok results
+      | Error Dispatch.Expired, _ ->
           Stats.record_deadline_expired ();
           Obs.instant ~name:"service.deadline.expired"
             ~attrs:[ ("req", string_of_int req.req_id) ]
             ();
           Error Deadline_expired
-      | _, Some (Dispatch.Exhausted { slice; attempts }) ->
+      | Error (Dispatch.Exhausted { slice; attempts }), _ ->
           Error (Failed (Printf.sprintf "slice %d exhausted %d attempts" slice attempts))
-      | _, Some (Dispatch.Raised { slice; msg }) ->
+      | Error (Dispatch.Raised { slice; msg }), _ ->
           Error (Failed (Printf.sprintf "slice %d raised: %s" slice msg)))
 
 let dispatcher_loop t =
@@ -217,18 +211,10 @@ let create ?(cfg = default_config) ~work () =
           };
     }
   in
-  let compute ~node ~pool =
-    Dispatch.compute ~crc:true ~result:Payload.codec
-      ~work:(fun ~slice:_ ~resident:_ p -> work ~node ~pool:(Lazy.force pool) p)
-      ()
-  in
-  (* Marshalled before anything forks; each node receives it once, and
-     again after a respawn. *)
-  let code = Dispatch.closure_bytes ~span:"service" { Dispatch.compute; crash = None } in
   let fault = Option.map Fault.make cfg.faults in
-  let session =
-    Dispatch.fork ?faults:fault ~span:"service" ~cores:cfg.cores_per_node ~code:(Fun.const code) dcfg
-  in
+  let session = Dispatch.fork ?faults:fault ~span:"service" ~cores:cfg.cores_per_node dcfg in
+  Dispatch.load session ~result:Payload.codec ~work:(fun ~node ~pool ~slice:_ ~resident:_ p ->
+      work ~node ~pool:(Lazy.force pool) p);
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;

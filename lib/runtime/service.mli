@@ -54,7 +54,9 @@ val create :
     forks, if [work] cannot cross (it closes over a mutex or a channel,
     or is bigger than a frame).  Fails if any domain has ever been
     spawned in this process — the fabric forks, and OCaml forbids
-    [fork] after a domain spawn. *)
+    [fork] after a domain spawn.  A crash in [cfg.faults] fires once:
+    the planned node dies at its phase, and its replacement runs plain
+    [work]. *)
 
 val submit :
   ?deadline:float ->

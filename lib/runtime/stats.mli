@@ -63,10 +63,11 @@ val record_busy : worker:int -> int -> unit
 (** {2 Encode accounting}
 
     Standalone counter (not part of {!snapshot}) for payload
-    serializations performed by the scatter paths.  The retry loops
-    encode each (node, slice) exactly once and replay cached bytes, so
-    under injected drops [encode_count] equals the slice count — a
-    regression test pins that contract. *)
+    serializations performed by {!Dispatch.run_job} and
+    {!Dispatch.put_frame}.  A slice with no resident keys is encoded
+    once per job and its cached bytes replayed on retry, so under
+    injected drops a cluster run's [encode_count] equals the slice
+    count — a regression test pins that contract. *)
 
 val record_encode : unit -> unit
 val encode_count : unit -> int

@@ -11,6 +11,8 @@ module Stats = Triolet_runtime.Stats
 module Pool = Triolet_runtime.Pool
 module Cluster = Triolet_runtime.Cluster
 module Fault = Triolet_runtime.Fault
+module Darray = Triolet_runtime.Darray
+module Payload = Triolet_base.Payload
 module BC = Triolet_harness.Bench_compare
 
 (* This suite spawns multi-domain pools and then runs ambient-context
@@ -282,6 +284,49 @@ let test_stats_hammer () =
       check_int "no negative snapshot ever observed" 0 (Atomic.get bad))
 
 (* ------------------------------------------------------------------ *)
+(* Layer spans: the names a trace and the benchmarks read              *)
+
+(* One inline cluster run and one inline darray round each record their
+   layer's phases under the names [demo --trace] and the end-to-end
+   benchmark aggregate. *)
+let test_layer_span_names () =
+  let topo = { Cluster.nodes = 2; cores_per_node = 1; backend = Cluster.Inprocess } in
+  let ints = function [ Payload.Ints a ] -> a | _ -> failwith "bad payload" in
+  with_tracing (fun () ->
+      let sum, _ =
+        Cluster.run_topology topo
+          ~scatter:(fun i -> [ Payload.Ints [| i + 1 |] ])
+          ~work:(fun ~node:_ ~pool:_ p -> (ints p).(0))
+          ~result_codec:Triolet_base.Codec.int ~merge:( + ) ~init:0
+      in
+      check_int "cluster result" 3 sum;
+      let s =
+        Darray.create_session ~topology:topo
+          ~work:(fun ~node:_ ~resident ~arg:_ -> resident)
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Darray.close_session s)
+        (fun () ->
+          let d = Darray.create s ~segments:[| [ Payload.Ints [| 1 |] ]; [ Payload.Ints [| 2 |] ] |] in
+          let total, _ =
+            Darray.run d ~arg:(fun _ -> []) ~merge:(fun acc r -> acc + (ints r).(0)) ~init:0
+          in
+          check_int "darray result" 3 total);
+      let names = List.map fst (Obs.aggregates ()) in
+      List.iter
+        (fun name -> check_bool (name ^ " recorded") true (List.mem name names))
+        [
+          "cluster.serialize";
+          "cluster.send";
+          "cluster.compute";
+          "cluster.recv";
+          "cluster.merge";
+          "darray.compute";
+          "darray.serialize";
+        ])
+
+(* ------------------------------------------------------------------ *)
 (* Recovery timing: monotonic, hence non-negative                      *)
 
 let test_recovery_ns_nonnegative () =
@@ -405,6 +450,8 @@ let () =
           Alcotest.test_case "trace round-trips through parser" `Quick
             test_trace_json_roundtrip;
         ] );
+      ( "layer-spans",
+        [ Alcotest.test_case "cluster and darray phase names" `Quick test_layer_span_names ] );
       ( "json",
         [
           Alcotest.test_case "print/parse roundtrip" `Quick test_json_roundtrip;

@@ -259,6 +259,39 @@ let test_crash_on_respawn_backoff () =
       | Some c -> check_bool "respawn crashes counted" true (c.Fault.respawn_crashes >= 2)
       | None -> Alcotest.fail "no fault counters")
 
+(* A fault plan's crash fires in a service, and once: node 1 dies at
+   its planned phase, its slices re-run on the survivor, and the
+   respawned node runs plain code instead of dying at every task. *)
+let test_planned_crash_fires_once () =
+  let faults = Fault.spec ~seed:3 ~crash:(1, Fault.During_work) () in
+  let cfg =
+    { Service.default_config with nodes = 2; cores_per_node = 1;
+      respawn_backoff = 0.005; faults = Some faults }
+  in
+  with_service ~cfg ~work:double_inc (fun t ->
+      let submit r =
+        let req = request ~slices:4 ~base:(r * 1000) in
+        match Service.submit t req with
+        | Ok res -> check_bool (Printf.sprintf "request %d exact" r) true (payloads_equal (expected req) res)
+        | Error e -> Alcotest.fail (Service.error_to_string e)
+      in
+      for r = 0 to 4 do
+        submit r
+      done;
+      await (fun () -> List.length (Service.live_nodes t) = 2) "the crashed node never came back";
+      check_bool "respawned" true (Service.respawns t >= 1);
+      (* Back on both nodes, more requests cost no further death. *)
+      let respawned = Service.respawns t in
+      for r = 5 to 9 do
+        submit r
+      done;
+      Unix.sleepf 0.05;
+      check_int "no further respawn" respawned (Service.respawns t);
+      check_int "both nodes live" 2 (List.length (Service.live_nodes t));
+      match Service.fault_counters t with
+      | Some c -> check_int "one crash" 1 c.Fault.crashes
+      | None -> Alcotest.fail "no fault counters")
+
 (* The supervision rules live in the pure dispatch engine: drive it
    directly, one node, with time passed in by hand. *)
 let ns s = int_of_float (s *. 1e9)
@@ -430,6 +463,8 @@ let () =
             test_heartbeat_loss_detected;
           Alcotest.test_case "crash-on-respawn backoff" `Quick
             test_crash_on_respawn_backoff;
+          Alcotest.test_case "planned crash fires once" `Quick
+            test_planned_crash_fires_once;
           Alcotest.test_case "backoff sequence pinned" `Quick
             test_backoff_sequence;
           Alcotest.test_case "backoff resets on fresh pong" `Quick
