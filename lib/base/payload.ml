@@ -39,6 +39,27 @@ let size (p : t) = codec.Codec.size p
 
 let empty : t = []
 
+(* Float buffers compare by bit pattern: [-0.0] differs from [0.0], and
+   a NaN equals the same NaN bits. *)
+let floats_equal a b =
+  let n = Float.Array.length a in
+  let rec go i =
+    i >= n
+    || Int64.bits_of_float (Float.Array.get a i)
+       = Int64.bits_of_float (Float.Array.get b i)
+       && go (i + 1)
+  in
+  n = Float.Array.length b && go 0
+
+let buf_equal a b =
+  match (a, b) with
+  | Floats x, Floats y -> floats_equal x y
+  | Ints x, Ints y -> x = y
+  | Raw x, Raw y -> String.equal x y
+  | (Floats _ | Ints _ | Raw _), _ -> false
+
+let equal (a : t) (b : t) = List.equal buf_equal a b
+
 (* Accessors used by rebuild functions: they state the expected layout
    and fail loudly on a mismatch, which would indicate a slicing bug. *)
 

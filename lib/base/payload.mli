@@ -18,6 +18,11 @@ val size : t -> int
 
 val empty : t
 
+val equal : t -> t -> bool
+(** Bitwise content equality: float buffers compare by bit pattern (so
+    [-0.0 <> 0.0] and a NaN equals the same NaN bits), ints and raw
+    bytes by value. *)
+
 (** {1 Layout accessors}
 
     Rebuild functions state the layout they expect; a mismatch raises

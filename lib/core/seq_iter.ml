@@ -4,23 +4,31 @@
     nesting level:
 
     - [Idx_flat]  — flat random-access loop (parallelizable);
+    - [Idx_opt]   — flat random-access loop whose lookup may yield
+                    nothing (parallelizable, filtered);
     - [Step_flat] — flat sequential stream;
     - [Idx_nest]  — random-access outer loop of inner iterators
                     (parallelizable outer, irregular inner);
     - [Step_nest] — sequential outer loop of inner iterators.
 
-    [filter] and [concat_map] on an [Idx_flat] produce an [Idx_nest]
-    rather than reassigning indices: each input index yields a short
-    (possibly empty) inner stream, so irregularity is isolated in inner
-    loops while the outer loop stays partitionable — exactly the
-    sum-of-filter strategy of section 3.2.  Every function below is one
-    of the equations in Figure 2 of the paper (plus [map], [fold] and
-    friends in the same style). *)
+    [filter] and [concat_map] on a random-access level never reassign
+    indices: each input index yields a short (possibly empty) inner
+    stream, so irregularity is isolated in inner loops while the outer
+    loop stays partitionable — exactly the sum-of-filter strategy of
+    section 3.2.  [concat_map] builds that [Idx_nest] literally.  For
+    [filter] and [filter_map] every inner stream has 0 or 1 elements,
+    so the paper's [IdxNest (mapIdx (filterStep p . unitStep))] is
+    stored fused, as an [Idx_opt] whose lookup returns the element or
+    [None]: consumers run it as one counted loop with a branch instead
+    of building an inner stream per element.  Every function below is
+    one of the equations in Figure 2 of the paper (plus [map], [fold]
+    and friends in the same style). *)
 
 module Fcell = Triolet_base.Fcell
 
 type 'a t =
   | Idx_flat of (int, 'a) Indexer.t
+  | Idx_opt of (int, 'a option) Indexer.t
   | Step_flat of 'a Stepper.t
   | Idx_nest of (int, 'a t) Indexer.t
   | Step_nest of 'a t Stepper.t
@@ -50,6 +58,7 @@ let range lo hi = Idx_flat (Indexer.range lo hi)
 (** [toStep]: demote any iterator to a flat sequential stream. *)
 let rec to_stepper : 'a. 'a t -> 'a Stepper.t = function
   | Idx_flat xs -> Indexer.to_stepper xs
+  | Idx_opt xs -> Stepper.filter_map Fun.id (Indexer.to_stepper xs)
   | Step_flat xs -> xs
   | Idx_nest xss ->
       Stepper.concat_map to_stepper (Indexer.to_stepper xss)
@@ -71,17 +80,23 @@ let zip_with f a b =
 let rec map : 'a 'b. ('a -> 'b) -> 'a t -> 'b t =
  fun f -> function
   | Idx_flat xs -> Idx_flat (Indexer.map f xs)
+  | Idx_opt xs -> Idx_opt (Indexer.map (Option.map f) xs)
   | Step_flat xs -> Step_flat (Stepper.map f xs)
   | Idx_nest xss -> Idx_nest (Indexer.map (map f) xss)
   | Step_nest xss -> Step_nest (Stepper.map (map f) xss)
 
 (** [filter]: on a flat indexer, each element becomes a 0-or-1-element
-    stepper under an unchanged outer index — variable-length output
-    without index reassignment. *)
+    result under an unchanged outer index — variable-length output
+    without index reassignment, held as the fused [Idx_opt] level. *)
 let rec filter : 'a. ('a -> bool) -> 'a t -> 'a t =
  fun p -> function
   | Idx_flat xs ->
-      Idx_nest (Indexer.map (fun x -> Step_flat (Stepper.guard p x)) xs)
+      Idx_opt (Indexer.map (fun x -> if p x then Some x else None) xs)
+  | Idx_opt xs ->
+      Idx_opt
+        (Indexer.map
+           (fun o -> match o with Some x when p x -> o | _ -> None)
+           xs)
   | Step_flat xs -> Step_flat (Stepper.filter p xs)
   | Idx_nest xss -> Idx_nest (Indexer.map (filter p) xss)
   | Step_nest xss -> Step_nest (Stepper.map (filter p) xss)
@@ -91,6 +106,9 @@ let rec filter : 'a. ('a -> bool) -> 'a t -> 'a t =
 let rec concat_map : 'a 'b. ('a -> 'b t) -> 'a t -> 'b t =
  fun f -> function
   | Idx_flat xs -> Idx_nest (Indexer.map f xs)
+  | Idx_opt xs ->
+      Idx_nest
+        (Indexer.map (function Some x -> f x | None -> empty) xs)
   | Step_flat xs -> Step_nest (Stepper.map f xs)
   | Idx_nest xss -> Idx_nest (Indexer.map (concat_map f) xss)
   | Step_nest xss -> Step_nest (Stepper.map (concat_map f) xss)
@@ -100,6 +118,10 @@ let rec concat_map : 'a 'b. ('a -> 'b t) -> 'a t -> 'b t =
 let rec fold : 'a 'acc. ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc =
  fun f init -> function
   | Idx_flat xs -> Indexer.fold f init xs
+  | Idx_opt xs ->
+      Indexer.fold
+        (fun acc o -> match o with Some x -> f acc x | None -> acc)
+        init xs
   | Step_flat xs -> Stepper.fold f init xs
   | Idx_nest xss -> Indexer.fold (fun acc it -> fold f acc it) init xss
   | Step_nest xss -> Stepper.fold (fun acc it -> fold f acc it) init xss
@@ -109,15 +131,21 @@ let sum_int it = fold ( + ) 0 it
 (** Side-effecting traversal gets its own recursion rather than a
     unit-accumulator [fold]: it is the consumer under every
     [collect]-routed kernel.  The unit-fold wrappers are allocated once
-    per traversal and reused at every level — a filtered flat indexer
-    holds one [Step_flat] leaf per outer index, so building a wrapper
-    per leaf (as [Stepper.iter] would) costs an allocation per element
-    of the original loop. *)
+    per traversal and reused at every level, and a filtered flat level
+    runs as a counted loop with a branch, so nothing is allocated per
+    element of the original loop. *)
 let iter : 'a. ('a -> unit) -> 'a t -> unit =
  fun f t ->
   let pf () x = f x in
   let rec go = function
     | Idx_flat xs -> Indexer.iter f xs
+    | Idx_opt xs -> (
+        match xs.Indexer.shape with
+        | Shape.Seq n ->
+            let get = xs.Indexer.get in
+            for i = 0 to n - 1 do
+              match get i with Some x -> f x | None -> ()
+            done)
     | Step_flat xs -> Stepper.fold pf () xs
     | Idx_nest xss -> Indexer.iter go xss
     | Step_nest xss -> Stepper.fold go_u () xss
@@ -139,6 +167,15 @@ let sum_float it =
             let get = ix.Indexer.get in
             for i = 0 to n - 1 do
               acc.Fcell.v <- acc.Fcell.v +. get i
+            done)
+    | Idx_opt ix -> (
+        match ix.Indexer.shape with
+        | Shape.Seq n ->
+            let get = ix.Indexer.get in
+            for i = 0 to n - 1 do
+              match get i with
+              | Some x -> acc.Fcell.v <- acc.Fcell.v +. x
+              | None -> ()
             done)
     | Step_flat xs -> Stepper.fold add () xs
     | Idx_nest xss -> Indexer.iter go xss
@@ -166,7 +203,8 @@ let to_floatarray (it : float t) =
   let v = to_vec 0.0 it in
   Float.Array.init (Triolet_base.Vec.length v) (Triolet_base.Vec.get v)
 
-(** First element, if any. *)
+(** Left reduction: [Some (f (... (f x1 x2) ...) xn)] over the elements
+    in order, [None] when there are none. *)
 let reduce f it =
   fold
     (fun acc x -> match acc with None -> Some x | Some a -> Some (f a x))
@@ -178,6 +216,7 @@ let reduce f it =
 (** Number of outer tasks when the outermost level is random-access. *)
 let outer_length = function
   | Idx_flat ix -> Some (Indexer.size ix)
+  | Idx_opt ix -> Some (Indexer.size ix)
   | Idx_nest ix -> Some (Indexer.size ix)
   | Step_flat _ | Step_nest _ -> None
 
@@ -186,18 +225,15 @@ let outer_length = function
 let slice_outer it off len =
   match it with
   | Idx_flat ix -> Idx_flat (Indexer.slice ix off len)
+  | Idx_opt ix -> Idx_opt (Indexer.slice ix off len)
   | Idx_nest ix -> Idx_nest (Indexer.slice ix off len)
   | Step_flat _ | Step_nest _ ->
       invalid_arg "Seq_iter.slice_outer: outer loop is not random-access"
 
 let rec filter_map : 'a 'b. ('a -> 'b option) -> 'a t -> 'b t =
  fun f -> function
-  | Idx_flat xs ->
-      Idx_nest
-        (Indexer.map
-           (fun x ->
-             match f x with Some y -> singleton y | None -> empty)
-           xs)
+  | Idx_flat xs -> Idx_opt (Indexer.map f xs)
+  | Idx_opt xs -> Idx_opt (Indexer.map (fun o -> Option.bind o f) xs)
   | Step_flat xs -> Step_flat (Stepper.filter_map f xs)
   | Idx_nest xss -> Idx_nest (Indexer.map (filter_map f) xss)
   | Step_nest xss -> Step_nest (Stepper.map (filter_map f) xss)
@@ -256,6 +292,10 @@ type shape =
 
 let rec shape_of : 'a. 'a t -> shape = function
   | Idx_flat ix -> Shape_idx_flat (Indexer.size ix)
+  | Idx_opt ix ->
+      (* the fused IdxNest of 0-or-1-element inner streams *)
+      let n = Indexer.size ix in
+      Shape_idx_nest (n, if n > 0 then Some Shape_step_flat else None)
   | Step_flat _ -> Shape_step_flat
   | Idx_nest ix ->
       let inner =

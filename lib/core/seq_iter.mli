@@ -2,13 +2,20 @@
     Figure 2).
 
     A loop nest with an indexer or stepper at each nesting level.
-    [filter] and [concat_map] on a flat indexer produce an [Idx_nest]
-    rather than reassigning indices: each input index yields a short
-    (possibly empty) inner stream, so irregularity is isolated in inner
-    loops while the outer loop stays random-access and partitionable. *)
+    [filter] and [concat_map] on a flat indexer never reassign indices:
+    each input index yields a short (possibly empty) inner stream, so
+    irregularity is isolated in inner loops while the outer loop stays
+    random-access and partitionable.  [concat_map] builds an [Idx_nest];
+    [filter] and [filter_map], whose inner streams hold 0 or 1
+    elements, build the fused [Idx_opt] — the paper's
+    [IdxNest (mapIdx (filterStep p . unitStep))] run as one counted
+    loop with a branch, with no inner stream per element. *)
 
 type 'a t =
   | Idx_flat of (int, 'a) Indexer.t  (** flat, random access *)
+  | Idx_opt of (int, 'a option) Indexer.t
+      (** flat, random access, lookups that may yield nothing: a
+          filtered flat level *)
   | Step_flat of 'a Stepper.t  (** flat, sequential *)
   | Idx_nest of (int, 'a t) Indexer.t  (** random-access outer loop *)
   | Step_nest of 'a t Stepper.t  (** sequential outer loop *)
@@ -37,8 +44,10 @@ val zip_with : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 val map : ('a -> 'b) -> 'a t -> 'b t
 
 val filter : ('a -> bool) -> 'a t -> 'a t
-(** On a flat indexer: each element becomes a 0-or-1-element stepper
-    under an unchanged outer index. *)
+(** On a flat indexer (or an [Idx_opt]): an [Idx_opt] whose lookup
+    keeps or drops each element under an unchanged outer index.  Its
+    consumers allocate nothing per element beyond the [Some] of a kept
+    one. *)
 
 val concat_map : ('a -> 'b t) -> 'a t -> 'b t
 (** Adds one nesting level, keeping the outer loop's encoding. *)
@@ -59,6 +68,7 @@ val to_vec : 'a -> 'a t -> 'a Triolet_base.Vec.t
 val to_array : 'a -> 'a t -> 'a array
 val to_floatarray : float t -> floatarray
 val reduce : ('a -> 'a -> 'a) -> 'a t -> 'a option
+(** Left reduction of the elements in order; [None] when empty. *)
 
 (** {1 Outer-loop structure (what the parallel layer needs)} *)
 
@@ -72,7 +82,8 @@ val slice_outer : 'a t -> int -> int -> 'a t
 (** {1 Extended operations} *)
 
 val filter_map : ('a -> 'b option) -> 'a t -> 'b t
-(** Fused map + filter; preserves a random-access outer loop like
+(** Fused map + filter; on a flat indexer its result is the [Idx_opt]
+    whose lookup is [f], so it preserves a random-access outer loop like
     {!filter}. *)
 
 val append : 'a t -> 'a t -> 'a t
@@ -115,7 +126,8 @@ val shape_to_string : shape -> string
 
 val describe : 'a t -> string
 (** [shape_to_string (shape_of it)], e.g. ["IdxNest[6](StepFlat)"].
-    For inspection and tests. *)
+    An [Idx_opt] renders as the nest it fuses: [IdxNest[n](StepFlat)],
+    or [IdxNest[0](empty)].  For inspection and tests. *)
 
 val of_seq : 'a Seq.t -> 'a t
 (** Stdlib [Seq] interop (sequential: a [Seq] has no random access). *)

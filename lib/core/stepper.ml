@@ -60,18 +60,6 @@ let singleton x =
       (function false -> Yield (x, true) | true -> Done),
       { push = (fun f init -> f init x) } )
 
-(** [guard p x]: the fused [filterStep (unitStep x)] of the paper's
-    filter equation in one object — the 0-or-1-element inner stream
-    hybrid iterators hang under each outer index of a filtered flat
-    indexer. *)
-let guard p x =
-  Stepper
-    ( false,
-      (function
-      | false -> if p x then Yield (x, true) else Done
-      | true -> Done),
-      { push = (fun f init -> if p x then f init x else init) } )
-
 let range lo hi =
   Stepper
     ( lo,

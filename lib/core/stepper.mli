@@ -35,11 +35,6 @@ val empty : 'a t
 val singleton : 'a -> 'a t
 (** One element: [unitStep] in the paper's filter equation. *)
 
-val guard : ('a -> bool) -> 'a -> 'a t
-(** [guard p x] is [filter p (singleton x)] fused into one object: the
-    0-or-1-element inner stream hybrid iterators hang under each outer
-    index of a filtered flat indexer. *)
-
 val make : 's -> ('s -> ('a, 's) step) -> 'a push -> 'a t
 (** Build from both faces.  The push face must fold exactly the
     sequence the pull face yields. *)

@@ -175,11 +175,12 @@ let owner d i = i mod d.session.nodes
 let segment_version d i = d.segs.(i).version
 let ghost_version d i = Option.map (fun g -> g.version) d.ghosts.(i)
 
-(* Content equality (structural, on the decoded payload) gates the
-   version bump: an unchanged segment keeps its version and so keeps
-   shipping as a key-only reuse. *)
+(* Bitwise content equality gates the version bump: an unchanged
+   segment keeps its version and so keeps shipping as a key-only reuse,
+   and any change the nodes could observe — a zero's sign included —
+   re-ships it. *)
 let replace seg payload =
-  if seg.payload = payload then false
+  if Payload.equal seg.payload payload then false
   else begin
     seg.version <- seg.version + 1;
     seg.payload <- payload;

@@ -71,7 +71,7 @@ val segment_version : t -> int -> int
 
 val update : t -> int -> Payload.t -> bool
 (** Replace segment [i]'s contents.  Returns whether the content
-    changed: a changed segment bumps its version and re-ships (as a
+    changed, compared bitwise ({!Payload.equal}): a changed segment bumps its version and re-ships (as a
     [Seg_put]) on the next run that needs it; an unchanged one keeps
     its version and ships as a key-only reuse, like {!set_ghost}. *)
 

@@ -487,6 +487,49 @@ let test_ghost_versioning () =
         (10.0 +. 20.0 +. (4.0 *. 7.0) +. (4.0 *. 3.0))
         total)
 
+(* The content gate compares float bits: structural equality would
+   keep a sign-flipped zero's old version ([-0.0 = 0.0]), leaving the
+   nodes on stale bits, and re-ship identical NaNs ([nan <> nan]).
+   [sign_work] sums the sign of every resident float. *)
+let sign_work ~node:_ ~resident ~arg:_ =
+  let s =
+    List.fold_left
+      (fun acc -> function
+        | Payload.Floats f ->
+            Float.Array.fold_left
+              (fun acc x -> acc +. Float.copy_sign 1.0 x)
+              acc f
+        | Payload.Ints _ | Payload.Raw _ -> acc)
+      0.0 resident
+  in
+  [ Payload.Floats (Float.Array.make 1 s) ]
+
+let test_update_sees_zero_sign () =
+  let s =
+    Darray.create_session ~topology:(topo ~nodes:2 Cluster.Inprocess)
+      ~work:sign_work ()
+  in
+  Fun.protect ~finally:(fun () -> Darray.close_session s) (fun () ->
+      let d = Darray.create s ~segments:(Array.init 2 (fun _ -> seg_floats ~len:8 0.0)) in
+      let run () = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      Alcotest.(check (float 0.0)) "all +0.0" 16.0 (fst (run ()));
+      check_bool "-0.0 is a change" true (Darray.update d 1 (seg_floats ~len:8 (-0.0)));
+      check_int "version bumped" 2 (Darray.segment_version d 1);
+      Alcotest.(check (float 0.0)) "nodes see the new sign" 0.0 (fst (run ())))
+
+let test_update_identical_nan_keeps_version () =
+  with_local_session ~nodes:2 (fun s ->
+      let d = Darray.create s ~segments:(Array.init 2 (fun _ -> seg_floats ~len:1_000 Float.nan)) in
+      let run () = Darray.run d ~arg:(scale_arg 1.0) ~merge:merge_sum ~init:0.0 in
+      let _ = run () in
+      let _, warm = run () in
+      check_bool "same NaN bits are no change" false
+        (Darray.update d 0 (seg_floats ~len:1_000 Float.nan));
+      check_int "version kept" 1 (Darray.segment_version d 0);
+      let _, next = run () in
+      check_int "next round ships key-only" warm.Cluster.scatter_bytes
+        next.Cluster.scatter_bytes)
+
 let test_free_refuses_further_use () =
   with_local_session (fun s ->
       let d = Darray.create s ~segments:(Array.init 2 (fun _ -> seg_floats ~len:10 1.0)) in
@@ -639,6 +682,10 @@ let () =
           Alcotest.test_case "update reships only changed" `Quick
             test_update_reships_only_changed;
           Alcotest.test_case "ghost versioning" `Quick test_ghost_versioning;
+          Alcotest.test_case "update sees a zero's sign" `Quick
+            test_update_sees_zero_sign;
+          Alcotest.test_case "identical NaN update ships key-only" `Quick
+            test_update_identical_nan_keeps_version;
           Alcotest.test_case "free refuses further use" `Quick
             test_free_refuses_further_use;
         ] );

@@ -1,7 +1,8 @@
 (* Tests for the hybrid iterator representation (paper, section 3.2 and
-   Figure 2). Each group checks one Figure 2 function across all four
+   Figure 2). Each group checks one Figure 2 function across all five
    constructors, plus the structural claims the paper makes: filter and
-   concat_map on flat indexers preserve a random-access outer loop. *)
+   concat_map on flat indexers preserve a random-access outer loop, and
+   a filtered flat level allocates no inner stream per element. *)
 
 open Triolet
 
@@ -14,7 +15,7 @@ let qtest name gen prop =
 
 let ilist it = Seq_iter.to_list it
 
-(* Builders producing each of the four constructors with the same
+(* Builders producing each of the five constructors with the same
    element contents, so every equation can be checked on every loop
    structure. *)
 let idx_flat l = Seq_iter.of_array (Array.of_list l)
@@ -27,11 +28,17 @@ let idx_nest l =
 let step_nest l =
   Seq_iter.concat_map (fun x -> Seq_iter.singleton x) (step_flat l)
 
+let idx_opt l =
+  (* guarded level: every element is followed by a dropped lookup *)
+  Seq_iter.filter_map Fun.id
+    (idx_flat (List.concat_map (fun x -> [ Some x; None ]) l))
+
 let constructors = [ ("idx_flat", idx_flat); ("step_flat", step_flat);
-                     ("idx_nest", idx_nest); ("step_nest", step_nest) ]
+                     ("idx_nest", idx_nest); ("step_nest", step_nest);
+                     ("idx_opt", idx_opt) ]
 
 let is_idx_outer = function
-  | Seq_iter.Idx_flat _ | Seq_iter.Idx_nest _ -> true
+  | Seq_iter.Idx_flat _ | Seq_iter.Idx_opt _ | Seq_iter.Idx_nest _ -> true
   | Seq_iter.Step_flat _ | Seq_iter.Step_nest _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -45,7 +52,13 @@ let test_constructor_shapes () =
   Alcotest.(check bool) "concat_map of IdxFlat is IdxNest" true
     (match idx_nest [ 1 ] with Seq_iter.Idx_nest _ -> true | _ -> false);
   Alcotest.(check bool) "concat_map of StepFlat is StepNest" true
-    (match step_nest [ 1 ] with Seq_iter.Step_nest _ -> true | _ -> false)
+    (match step_nest [ 1 ] with Seq_iter.Step_nest _ -> true | _ -> false);
+  Alcotest.(check bool) "filter_map of IdxFlat is IdxOpt" true
+    (match idx_opt [ 1 ] with Seq_iter.Idx_opt _ -> true | _ -> false);
+  Alcotest.(check bool) "filter of IdxOpt stays IdxOpt" true
+    (match Seq_iter.filter (fun _ -> true) (idx_opt [ 1 ]) with
+    | Seq_iter.Idx_opt _ -> true
+    | _ -> false)
 
 let test_filter_keeps_outer_random_access () =
   (* The central representational claim: filtering a flat indexer yields
@@ -69,7 +82,9 @@ let test_outer_length_none_for_steppers () =
   Alcotest.(check (option int)) "step_flat" None
     (Seq_iter.outer_length (step_flat [ 1; 2 ]));
   Alcotest.(check (option int)) "step_nest" None
-    (Seq_iter.outer_length (step_nest [ 1; 2 ]))
+    (Seq_iter.outer_length (step_nest [ 1; 2 ]));
+  Alcotest.(check (option int)) "idx_opt counts dropped lookups" (Some 4)
+    (Seq_iter.outer_length (idx_opt [ 1; 2 ]))
 
 let test_slice_outer () =
   let it = Seq_iter.filter (fun x -> x mod 2 = 0) (Seq_iter.range 0 10) in
@@ -141,6 +156,47 @@ let test_to_stepper_all_constructors () =
     (fun (name, mk) ->
       check_il name [ 9; 8; 7 ] (Stepper.to_list (Seq_iter.to_stepper (mk [ 9; 8; 7 ]))))
     constructors
+
+(* A filtered flat level is one counted loop with a branch: consuming
+   it allocates at most the [Some] of each kept element (2 words) and
+   nothing for a dropped one; the slack covers per-traversal closures. *)
+let test_filter_allocation () =
+  let n = 100_000 in
+  let sink = ref 0 in
+  let consumers =
+    [
+      ("sum_int", fun it -> sink := Seq_iter.sum_int it);
+      ("iter", fun it -> Seq_iter.iter (fun x -> sink := !sink + x) it);
+      ("fold", fun it -> sink := Seq_iter.fold (fun a x -> a + x) 0 it);
+    ]
+  in
+  let pipelines =
+    [
+      ("filter", fun p -> Seq_iter.filter p (Seq_iter.range 0 n));
+      ( "filter_map",
+        fun p ->
+          Seq_iter.filter_map
+            (fun x -> if p x then Some x else None)
+            (Seq_iter.range 0 n) );
+    ]
+  in
+  List.iter
+    (fun (pname, pipe) ->
+      List.iter
+        (fun (cname, consume) ->
+          List.iter
+            (fun (kept, p) ->
+              let it = pipe p in
+              let before = Gc.minor_words () in
+              consume it;
+              let words = Gc.minor_words () -. before in
+              let bound = float_of_int ((2 * kept) + 200) in
+              if words > bound then
+                Alcotest.failf "%s/%s keeping %d of %d: %.0f minor words > %.0f"
+                  pname cname kept n words bound)
+            [ (n / 2, fun x -> x land 1 = 0); (0, fun _ -> false) ])
+        consumers)
+    pipelines
 
 (* ------------------------------------------------------------------ *)
 (* The paper's worked example: sum of filter                           *)
@@ -298,7 +354,7 @@ let () =
           Alcotest.test_case "map" `Quick test_map_all_constructors;
           Alcotest.test_case "filter" `Quick test_filter_all_constructors;
           Alcotest.test_case "concat_map" `Quick test_concat_map_all_constructors;
-          Alcotest.test_case "zip (all 16 pairs)" `Quick test_zip_all_pairs;
+          Alcotest.test_case "zip (all 25 pairs)" `Quick test_zip_all_pairs;
           Alcotest.test_case "zip idx/idx stays indexed" `Quick
             test_zip_idx_idx_stays_indexed;
           Alcotest.test_case "collect" `Quick test_collect_all_constructors;
@@ -334,6 +390,8 @@ let () =
             test_fusion_no_materialization;
           Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
           Alcotest.test_case "empty cases" `Quick test_empty_cases;
+          Alcotest.test_case "filter allocates per kept element only" `Quick
+            test_filter_allocation;
           Alcotest.test_case "reduce / to_array" `Quick test_reduce_and_to_array;
         ] );
       ( "properties",
