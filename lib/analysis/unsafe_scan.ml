@@ -23,8 +23,8 @@ let patterns =
 (* Audited allowance per file (paths relative to the repo root).
    - vec.ml: the checked fget/fset accessors themselves plus the
      hot memset loop;
-   - rw.ml: the byte-level codec primitives (bounds carried by the
-     cursor invariant);
+   - rw.ml: the single-byte codec primitives (bounds carried by the
+     cursor invariant); float arrays move by checked block copies;
    - matrix.ml / grid3.ml / stepper.ml: inner loops whose indices are
      produced by the module's own shape arithmetic;
    - mriq.ml / sgemm.ml / bench: measured inner loops where the bounds
@@ -33,7 +33,7 @@ let patterns =
    Vec.fget/fset, so any unsafe access reappearing there fails. *)
 let whitelist =
   [
-    ("lib/base/rw.ml", 4);
+    ("lib/base/rw.ml", 2);
     ("lib/base/vec.ml", 5);
     ("lib/core/grid3.ml", 4);
     ("lib/core/matrix.ml", 13);

@@ -61,14 +61,25 @@ let write_string w s =
 
 (* Pointer-free float arrays are written as one contiguous block of
    8-byte words, mirroring Triolet's block-copy serialization of unboxed
-   arrays (paper, section 3.4). *)
+   arrays (paper, section 3.4).  The copies are C stubs ([rw_stubs.c]):
+   a [memcpy] on little-endian hosts, a per-word byte swap on big-endian
+   ones.  They check nothing, so every caller checks its range first. *)
+external blit_floats_to_bytes :
+  floatarray -> int -> Bytes.t -> int -> int -> unit
+  = "triolet_rw_floats_to_bytes"
+[@@noalloc]
+
+external blit_bytes_to_floats :
+  Bytes.t -> int -> floatarray -> int -> int -> unit
+  = "triolet_rw_bytes_to_floats"
+[@@noalloc]
+
 let write_floatarray w (a : floatarray) off len =
+  if off < 0 || len < 0 || off > Float.Array.length a - len then
+    invalid_arg "Rw.write_floatarray";
   write_int w len;
   ensure w (8 * len);
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le w.buf (w.len + (8 * i))
-      (Int64.bits_of_float (Float.Array.unsafe_get a (off + i)))
-  done;
+  blit_floats_to_bytes a off w.buf w.len len;
   w.len <- w.len + (8 * len)
 
 let write_u32 w v =
@@ -202,9 +213,6 @@ let read_floatarray r =
      above [max_int / 8] would overflow [8 * n] past the check. *)
   if n < 0 || n > remaining r / 8 then raise Underflow;
   let a = Float.Array.create n in
-  for i = 0 to n - 1 do
-    Float.Array.unsafe_set a i
-      (Int64.float_of_bits (Bytes.get_int64_le r.data (r.pos + (8 * i))))
-  done;
+  blit_bytes_to_floats r.data r.pos a 0 n;
   r.pos <- r.pos + (8 * n);
   a

@@ -41,8 +41,10 @@ val write_string : writer -> string -> unit
 
 val write_floatarray : writer -> floatarray -> int -> int -> unit
 (** [write_floatarray w a off len]: length prefix followed by one
-    contiguous block of 8-byte words — the block-copy serialization of
-    pointer-free arrays (paper, section 3.4). *)
+    contiguous block of 8-byte little-endian words — the block-copy
+    serialization of pointer-free arrays (paper, section 3.4), moved by
+    one block copy.  Raises [Invalid_argument] unless
+    [0 <= off], [0 <= len] and [off + len <= Float.Array.length a]. *)
 
 val contents : writer -> Bytes.t
 (** Copy of the bytes written so far. *)

@@ -79,17 +79,25 @@ let to_list t =
 
 (** Integer histogram: counts occurrences of each bin index in [0, bins).
     Out-of-range indices are ignored, matching a guarded scatter. *)
-let histogram ~bins (t : int t) =
+let histogram_into h (t : int t) =
+  let bins = Array.length h in
+  t.run (fun i -> if i >= 0 && i < bins then h.(i) <- h.(i) + 1)
+
+let histogram ~bins t =
   let h = Array.make bins 0 in
-  t.run (fun i -> if i >= 0 && i < bins then h.(i) <- h.(i) + 1);
+  histogram_into h t;
   h
 
 (** Weighted histogram over (bin, weight) pairs. *)
-let weighted_histogram ~bins (t : (int * float) t) =
-  let h = Float.Array.make bins 0.0 in
+let weighted_histogram_into h (t : (int * float) t) =
+  let bins = Float.Array.length h in
   t.run (fun (i, w) ->
       if i >= 0 && i < bins then
-        Float.Array.set h i (Float.Array.get h i +. w));
+        Float.Array.set h i (Float.Array.get h i +. w))
+
+let weighted_histogram ~bins t =
+  let h = Float.Array.make bins 0.0 in
+  weighted_histogram_into h t;
   h
 
 let sum_float (t : float t) =

@@ -36,9 +36,18 @@ val histogram : bins:int -> int t -> int array
 (** Counts occurrences of each bin index in [0, bins); out-of-range
     indices are ignored. *)
 
+val histogram_into : int array -> int t -> unit
+(** Adds the counts into an existing histogram in place; its length is
+    the bin count.  A parallel task's private histogram accumulates
+    all its ranges this way. *)
+
 val weighted_histogram : bins:int -> (int * float) t -> floatarray
 (** Floating-point histogram over (bin, weight) pairs — the cutcp
     pattern. *)
+
+val weighted_histogram_into : floatarray -> (int * float) t -> unit
+(** Adds the weights into an existing histogram in place, as
+    {!histogram_into}. *)
 
 val sum_float : float t -> float
 

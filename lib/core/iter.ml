@@ -353,25 +353,28 @@ let sequential t = { t with hint = Sequential }
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                           *)
 
-(* Generic reduction skeleton: dispatch on the hint.  The pool reduces
-   outer-axis bands; the cluster reduces one node block per worker.
-   The execution context is resolved once here and passed explicitly
-   below; the [node_work] closure captures it by value, so under the
-   process backend it reaches the warm children intact inside the
-   job's closure bytes.  [node_work] captures [t]'s rebuild, not [t]:
-   the record's [local] holds the source data, which travels as the
-   payload. *)
-let run_reduce ?ctx ~result_codec ~of_chunk ~merge ~init t =
+(* Generic reduction skeleton: dispatch on the hint.  The pool folds
+   outer-axis bands, one accumulator per worker from [create]; the
+   cluster reduces one node block per worker and merges the nodes'
+   results into a fresh [create ()].  [fold] and [merge] may update
+   their first argument in place: every accumulator they see is
+   private to one worker, node or call.  The execution context is
+   resolved once here and passed explicitly below; the [node_work]
+   closure captures it by value, so under the process backend it
+   reaches the warm children intact inside the job's closure bytes.
+   [node_work] captures [t]'s rebuild, not [t]: the record's [local]
+   holds the source data, which travels as the payload. *)
+let run_reduce ?ctx ~result_codec ~create ~fold ~merge t =
   let ctx = Exec.resolve ctx in
   let on_pool pool t =
-    Skeletons.local_reduce_with ~ctx pool ~len:(Shape.outer t.shape)
-      ~chunk:(fun off n -> of_chunk (t.local (Shape.band t.shape off n)))
-      ~merge ~init
+    Skeletons.local_reduce_with ~ctx pool ~len:(Shape.outer t.shape) ~create
+      ~fold:(fun acc off n -> fold acc (t.local (Shape.band t.shape off n)))
+      ~merge
   in
   match t.hint with
   | Sequential ->
-      if length t = 0 then init
-      else merge init (of_chunk (t.local (Shape.whole t.shape)))
+      if length t = 0 then create ()
+      else fold (create ()) (t.local (Shape.whole t.shape))
   | Local -> on_pool (Pool.default ()) t
   | Distributed ->
       let rebuild = t.rebuild in
@@ -379,52 +382,73 @@ let run_reduce ?ctx ~result_codec ~of_chunk ~merge ~init t =
         ~blocks:(Shape.blocks ~parts:(Exec.worker_count ctx) t.shape)
         ~payload_of:t.payload_of
         ~node_work:(fun ~pool payload -> on_pool pool (rebuild payload))
-        ~result_codec ~merge ~init ()
+        ~result_codec ~merge ~init:(create ()) ()
+
+(* A reduction over immutable values: each chunk's [of_chunk] result is
+   merged into the running value, [init] being [merge]'s identity. *)
+let reduce_values ?ctx ~result_codec ~of_chunk ~merge ~init t =
+  run_reduce ?ctx ~result_codec
+    ~create:(fun () -> init)
+    ~fold:(fun acc si -> merge acc (of_chunk si))
+    ~merge t
 
 let sum ?ctx t =
-  run_reduce ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.sum_float
+  reduce_values ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.sum_float
     ~merge:( +. ) ~init:0.0 t
 
 let sum_int ?ctx t =
-  run_reduce ?ctx ~result_codec:Codec.int ~of_chunk:Seq_iter.sum_int
+  reduce_values ?ctx ~result_codec:Codec.int ~of_chunk:Seq_iter.sum_int
     ~merge:( + ) ~init:0 t
 
 let count ?ctx t =
-  run_reduce ?ctx ~result_codec:Codec.int ~of_chunk:Seq_iter.length
+  reduce_values ?ctx ~result_codec:Codec.int ~of_chunk:Seq_iter.length
     ~merge:( + ) ~init:0 t
 
 (** General reduction.  [codec] is only exercised under distributed
     execution (results cross a node boundary). *)
 let reduce ?ctx ~codec ~merge ~init t =
-  run_reduce ?ctx ~result_codec:codec
+  reduce_values ?ctx ~result_codec:codec
     ~of_chunk:(fun si -> Seq_iter.fold merge init si)
     ~merge ~init t
 
+(* In-place merges of private accumulators: add [b] into [a], return
+   [a]. *)
 let array_add a b =
   if Array.length a <> Array.length b then invalid_arg "Iter: histogram merge";
-  Array.mapi (fun i x -> x + b.(i)) a
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- a.(i) + b.(i)
+  done;
+  a
 
 let floatarray_add a b =
   if Float.Array.length a <> Float.Array.length b then
     invalid_arg "Iter: scatter merge";
-  Float.Array.mapi (fun i x -> x +. Float.Array.get b i) a
+  for i = 0 to Float.Array.length a - 1 do
+    Float.Array.set a i (Float.Array.get a i +. Float.Array.get b i)
+  done;
+  a
 
-(** Counting histogram of bin indices: each task builds a private
-    histogram; histograms are added within each node and once more
-    across nodes — the paper's distributed histogram strategy. *)
+(** Counting histogram of bin indices: each pool worker counts into one
+    private histogram across all its ranges; histograms are added in
+    place within each node and once more across nodes — the paper's
+    distributed histogram strategy. *)
 let histogram ?ctx ~bins t =
   run_reduce ?ctx ~result_codec:Codec.int_array
-    ~of_chunk:(fun si -> Collector.histogram ~bins (Seq_iter.collect si))
-    ~merge:array_add ~init:(Array.make bins 0) t
+    ~create:(fun () -> Array.make bins 0)
+    ~fold:(fun h si ->
+      Collector.histogram_into h (Seq_iter.collect si);
+      h)
+    ~merge:array_add t
 
 (** Floating-point scatter-add over (index, weight) pairs: cutcp's
-    "floating-point histogram". *)
+    "floating-point histogram", accumulated like {!histogram}. *)
 let scatter_add ?ctx ~size t =
   run_reduce ?ctx ~result_codec:Codec.floatarray
-    ~of_chunk:(fun si ->
-      Collector.weighted_histogram ~bins:size (Seq_iter.collect si))
-    ~merge:floatarray_add
-    ~init:(Float.Array.make size 0.0) t
+    ~create:(fun () -> Float.Array.make size 0.0)
+    ~fold:(fun g si ->
+      Collector.weighted_histogram_into g (Seq_iter.collect si);
+      g)
+    ~merge:floatarray_add t
 
 let floatarray_concat parts =
   let total = Array.fold_left (fun n a -> n + Float.Array.length a) 0 parts in
@@ -567,17 +591,17 @@ let fold f init t = Seq_iter.fold f init (to_seq_iter t)
 (* Extended consumers                                                  *)
 
 let min_float ?ctx t =
-  run_reduce ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.min_float
+  reduce_values ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.min_float
     ~merge:Float.min ~init:Float.infinity t
 
 let max_float ?ctx t =
-  run_reduce ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.max_float
+  reduce_values ?ctx ~result_codec:Codec.float ~of_chunk:Seq_iter.max_float
     ~merge:Float.max ~init:Float.neg_infinity t
 
 (** Arithmetic mean; [nan] on empty input. *)
 let mean ?ctx t =
   let sum, n =
-    run_reduce ?ctx
+    reduce_values ?ctx
       ~result_codec:(Codec.pair Codec.float Codec.int)
       ~of_chunk:(fun si ->
         Seq_iter.fold (fun (s, n) x -> (s +. x, n + 1)) (0.0, 0) si)
@@ -587,11 +611,11 @@ let mean ?ctx t =
   if n = 0 then Float.nan else sum /. float_of_int n
 
 let exists ?ctx p t =
-  run_reduce ?ctx ~result_codec:Codec.bool
+  reduce_values ?ctx ~result_codec:Codec.bool
     ~of_chunk:(fun si -> Seq_iter.exists p si)
     ~merge:( || ) ~init:false t
 
 let for_all ?ctx p t =
-  run_reduce ?ctx ~result_codec:Codec.bool
+  reduce_values ?ctx ~result_codec:Codec.bool
     ~of_chunk:(fun si -> Seq_iter.for_all p si)
     ~merge:( && ) ~init:true t

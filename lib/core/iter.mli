@@ -149,13 +149,18 @@ val reduce :
     node boundaries). *)
 
 val histogram : ?ctx:Exec.t -> bins:int -> ('i, int) iter -> int array
-(** Private per-task histograms, added within each node and once more
-    across nodes — the paper's distributed histogram strategy. *)
+(** The paper's distributed histogram strategy: each pool worker counts
+    into one private histogram across all the ranges it runs (not one
+    per range), and those are added in place once per worker within
+    each node and once per node across nodes.  Out-of-range bins are
+    ignored. *)
 
 val scatter_add :
   ?ctx:Exec.t -> size:int -> ('i, int * float) iter -> floatarray
 (** Floating-point scatter-add over (index, weight) pairs: cutcp's
-    "floating-point histogram". *)
+    "floating-point histogram".  Accumulates like {!histogram}: one
+    [size]-float grid per pool worker plus one per node reply, however
+    many grains the scheduler runs; out-of-range indices are ignored. *)
 
 val min_float : ?ctx:Exec.t -> ('i, float) iter -> float
 (** [infinity] on empty input. *)

@@ -49,20 +49,21 @@ let node_pool (topo : Cluster.topology) =
   | Cluster.Inprocess -> Some (Pool.default ())
   | Cluster.Process -> None
 
-(** Shared-memory parallel reduction over [len] outer iterations on the
-    work-stealing pool's adaptive lazy-splitting scheduler.  [chunk off n]
-    computes the partial result for outer range [off, off+n) — the
+(** Shared-memory parallel fold over [len] outer iterations on the
+    work-stealing pool's adaptive lazy-splitting scheduler.
+    [fold acc off n] folds outer range [off, off+n) into [acc] — the
     scheduler chooses the [n]s, splitting ranges on demand so skewed
     per-iteration cost (filtered or nested loops) rebalances across
-    workers; per-worker partials are merged locally first. *)
-let local_reduce_with ?ctx pool ~len ~chunk ~merge ~init =
+    workers.  Each worker gets one accumulator from [create], and the
+    per-worker accumulators are merged once, in worker order. *)
+let local_reduce_with ?ctx pool ~len ~create ~fold ~merge =
   let ctx = Exec.resolve ctx in
   Obs.span ~name:"skel.local_reduce" (fun () ->
-      Pool.parallel_range pool ?grain:ctx.Exec.grain ~lo:0 ~hi:len ~f:chunk
-        ~merge ~init ())
+      Pool.parallel_fold pool ?grain:ctx.Exec.grain ~lo:0 ~hi:len ~create
+        ~f:fold ~merge ())
 
-let local_reduce ?ctx ~len ~chunk ~merge ~init () =
-  local_reduce_with ?ctx (Pool.default ()) ~len ~chunk ~merge ~init
+let local_reduce ?ctx ~len ~create ~fold ~merge () =
+  local_reduce_with ?ctx (Pool.default ()) ~len ~create ~fold ~merge
 
 (** Order-preserving chunked map: runs [chunk] over each block of
     [len] on the pool and returns the per-block results in block order.

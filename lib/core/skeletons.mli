@@ -15,20 +15,23 @@ val local_reduce_with :
   ?ctx:Exec.t ->
   Triolet_runtime.Pool.t ->
   len:int ->
-  chunk:(int -> int -> 'r) ->
+  create:(unit -> 'r) ->
+  fold:('r -> int -> int -> 'r) ->
   merge:('r -> 'r -> 'r) ->
-  init:'r ->
   'r
-(** Shared-memory parallel reduction over [len] outer iterations on the
+(** Shared-memory parallel fold over [len] outer iterations on the
     adaptive lazy-splitting scheduler (ranges split on demand, grain
-    from the context or auto); per-worker local merging first. *)
+    from the context or auto): each pool worker folds its ranges into
+    one accumulator from [create], which [fold] may update in place;
+    the per-worker accumulators are merged once, in worker order
+    ({!Triolet_runtime.Pool.parallel_fold}). *)
 
 val local_reduce :
   ?ctx:Exec.t ->
   len:int ->
-  chunk:(int -> int -> 'r) ->
+  create:(unit -> 'r) ->
+  fold:('r -> int -> int -> 'r) ->
   merge:('r -> 'r -> 'r) ->
-  init:'r ->
   unit ->
   'r
 (** {!local_reduce_with} on the default pool. *)

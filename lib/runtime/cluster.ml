@@ -191,9 +191,9 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
   let results, report =
     match (topo.backend, fault) with
     | (Inprocess | Flat), _ ->
-        (* Nodes share the default pool, capped at the configured core
-           count; a fresh per-call pool would cost a domain spawn per
-           operation. *)
+        (* Nodes share the caller's pool, or else the full default
+           pool: its width is not capped at [cores_per_node].  A fresh
+           per-call pool would cost a domain spawn per operation. *)
         let pool = match pool with Some p -> p | None -> Pool.default () in
         Stats.ensure_workers (Pool.size pool);
         job (Dispatch.inline ?faults:fault ~span:"cluster" ~pool:(Lazy.from_val pool) cfg)

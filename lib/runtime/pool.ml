@@ -6,9 +6,9 @@
     (section 3.4).
 
     Dynamically scheduled loops use *adaptive lazy binary splitting*
-    ({!parallel_range}): each worker owns one contiguous range task
-    [(lo, hi)] on its Chase–Lev deque and executes a small grain off the
-    bottom at a time.  While its deque holds stealable work the worker
+    ({!parallel_fold}, and {!parallel_range} on it): each worker owns
+    one contiguous range task [(lo, hi)] on its Chase–Lev deque and
+    executes a small grain off the bottom at a time.  While its deque holds stealable work the worker
     just runs grains; the moment the deque is empty (either freshly
     seeded or because a thief took the pending half) and the remaining
     range is longer than a grain, the worker splits it and pushes the
@@ -173,35 +173,45 @@ let run_job t job =
     match main_exn with Some e -> raise e | None -> ()
   end
 
-(* Merge the per-worker partial results (worker order; [merge] must be
-   associative with identity [init], so order is unobservable). *)
-let combine_results ~merge ~init results =
-  Array.fold_left
-    (fun a r ->
-      match (a, r) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (merge a b))
-    None results
-  |> function
-  | None -> init
-  | Some v -> merge init v
+(* [merge] lifted to partial results, [None] standing for a worker
+   that ran no grain.  Folding it over the workers' partials combines
+   them in worker order. *)
+let merge_opt merge a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some a, Some b -> Some (merge a b)
 
-(** Core adaptive primitive: reduce [f off len] grains over [lo, hi)
-    with lazy binary splitting (see the module header), folding each
-    worker's grain results locally with [merge] and combining the
-    per-worker partials at the end — the result-aggregation strategy
-    described for dot product in section 2. *)
-let parallel_range t ?grain ~lo ~hi ~f ~merge ~init () =
+(* Run one grain on worker [id] unless an earlier grain has raised:
+   counted, traced, timed as busy time, and its exception recorded as
+   the job's failure if it is the first. *)
+let run_grain ~failure ~busy id grain =
+  match Atomic.get failure with
+  | Some _ -> ()
+  | None ->
+      Stats.record_chunk ~worker:id ();
+      let t0 = now_ns () in
+      (try Obs.span ~name:"pool.chunk" ~attrs:(worker_attr id) grain
+       with e -> ignore (Atomic.compare_and_set failure None (Some e)));
+      busy := !busy + (now_ns () - t0)
+
+(** Core adaptive primitive: fold [f acc off len] over grains of
+    [lo, hi) with lazy binary splitting (see the module header).  Each
+    worker calls [create] on its first grain and threads that one
+    accumulator through all its grains; the per-worker accumulators are
+    then combined with [merge] in worker order — the result-aggregation
+    strategy described for dot product in section 2, with the private
+    per-task collector state of section 3.1. *)
+let parallel_fold t ?grain ~lo ~hi ~create ~f ~merge () =
   let total = hi - lo in
-  if total <= 0 then init
+  if total <= 0 then create ()
   else begin
     let grain =
       match grain with
-      | Some g -> if g <= 0 then invalid_arg "Pool.parallel_range: grain" else g
+      | Some g -> if g <= 0 then invalid_arg "Pool.parallel_fold: grain" else g
       | None -> Partition.grain ~workers:t.n total
     in
     Log.debug (fun m ->
-        m "parallel_range: [%d,%d) grain %d on %d workers" lo hi grain t.n);
+        m "parallel_fold: [%d,%d) grain %d on %d workers" lo hi grain t.n);
     Stats.ensure_workers t.n;
     let deques = Array.init t.n (fun _ -> Wsdeque.create ()) in
     (* Seed one contiguous range per worker; everything further is
@@ -217,28 +227,15 @@ let parallel_range t ?grain ~lo ~hi ~f ~merge ~init () =
     let job id =
       let dq = deques.(id) in
       let acc = ref None in
-      (* Busy time counts only chunk execution, not steal hunting, so
+      (* Busy time counts only grain execution, not steal hunting, so
          per-worker busy times expose load imbalance: under a perfectly
          balanced schedule they are equal, and their max approximates
          the makespan this job would have on dedicated cores. *)
       let busy = ref 0 in
       let exec off len =
-        (match Atomic.get failure with
-        | Some _ -> ()
-        | None -> (
-            Stats.record_chunk ~worker:id ();
-            let t0 = now_ns () in
-            (try
-               let v =
-                 Obs.span ~name:"pool.chunk" ~attrs:(worker_attr id)
-                   (fun () -> f off len)
-               in
-               acc :=
-                 (match !acc with
-                 | None -> Some v
-                 | Some a -> Some (merge a v))
-             with e -> ignore (Atomic.compare_and_set failure None (Some e)));
-            busy := !busy + (now_ns () - t0)));
+        run_grain ~failure ~busy id (fun () ->
+            let a = match !acc with Some a -> a | None -> create () in
+            acc := Some (f a off len));
         ignore (Atomic.fetch_and_add remaining (-len))
       in
       (* Run a range: peel one grain at a time off the bottom; when the
@@ -294,8 +291,22 @@ let parallel_range t ?grain ~lo ~hi ~f ~merge ~init () =
     in
     run_job t job;
     (match Atomic.get failure with Some e -> raise e | None -> ());
-    combine_results ~merge ~init results
+    match Array.fold_left (merge_opt merge) None results with
+    | Some v -> v
+    | None -> create ()
   end
+
+(** Adaptive reduction of grain results: {!parallel_fold} whose
+    accumulator is the merge of the worker's grain results so far. *)
+let parallel_range t ?grain ~lo ~hi ~f ~merge ~init () =
+  match
+    parallel_fold t ?grain ~lo ~hi
+      ~create:(fun () -> None)
+      ~f:(fun acc off len -> merge_opt merge acc (Some (f off len)))
+      ~merge:(merge_opt merge) ()
+  with
+  | None -> init
+  | Some v -> merge init v
 
 (** Static-preload primitive: execute every (off, len) chunk exactly
     once across the pool.  Chunks are never subdivided, so use this for
@@ -321,22 +332,8 @@ let parallel_chunks t ~chunks ~f ~merge ~init =
       let busy = ref 0 in
       let acc = ref None in
       let execute (off, len) =
-        (match Atomic.get failure with
-        | Some _ -> ()
-        | None -> (
-            Stats.record_chunk ~worker:id ();
-            let t0 = now_ns () in
-            (try
-               let v =
-                 Obs.span ~name:"pool.chunk" ~attrs:(worker_attr id)
-                   (fun () -> f off len)
-               in
-               acc :=
-                 (match !acc with
-                 | None -> Some v
-                 | Some a -> Some (merge a v))
-             with e -> ignore (Atomic.compare_and_set failure None (Some e)));
-            busy := !busy + (now_ns () - t0)));
+        run_grain ~failure ~busy id (fun () ->
+            acc := merge_opt merge !acc (Some (f off len)));
         ignore (Atomic.fetch_and_add remaining (-1))
       in
       let rec drain () =
@@ -370,7 +367,9 @@ let parallel_chunks t ~chunks ~f ~merge ~init =
     in
     run_job t job;
     (match Atomic.get failure with Some e -> raise e | None -> ());
-    combine_results ~merge ~init results
+    match Array.fold_left (merge_opt merge) None results with
+    | None -> init
+    | Some v -> merge init v
   end
 
 (** Parallel loop over [lo, hi) for side effects on disjoint state. *)

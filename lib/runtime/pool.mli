@@ -2,13 +2,15 @@
     (paper, section 3.4).
 
     A pool owns [n - 1] helper domains plus the calling domain.
-    Dynamically scheduled loops ({!parallel_range}, {!parallel_for},
-    {!parallel_reduce}) use adaptive lazy binary splitting: each worker
-    owns one contiguous range task on its Chase–Lev deque, executes a
-    small grain off the bottom at a time, and splits the remainder —
-    pushing the larger half for thieves — only when its deque runs
-    empty.  Skewed per-element costs rebalance at grain granularity
-    instead of stranding a static chunk on one worker.
+    Dynamically scheduled loops ({!parallel_fold} and, defined on it,
+    {!parallel_range}, {!parallel_for}, {!parallel_reduce}) use adaptive
+    lazy binary splitting: each worker owns one contiguous range task on
+    its Chase–Lev deque, executes a small grain off the bottom at a
+    time, and splits the remainder — pushing the larger half for
+    thieves — only when its deque runs empty.  Skewed per-element costs
+    rebalance at grain granularity instead of stranding a static chunk
+    on one worker.  Each worker threads one accumulator through all its
+    grains, so per-grain state is never re-allocated.
 
     {!parallel_chunks} keeps the static-preload path for explicitly
     pre-partitioned work.  Parallel consumers called from *inside* a
@@ -25,6 +27,29 @@ val size : t -> int
 val shutdown : t -> unit
 (** Joins the helper domains.  The pool must be idle. *)
 
+val parallel_fold :
+  t ->
+  ?grain:int ->
+  lo:int ->
+  hi:int ->
+  create:(unit -> 'acc) ->
+  f:('acc -> int -> int -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) ->
+  unit ->
+  'acc
+(** Adaptive fold over [lo, hi): a worker calls [create] on its first
+    grain and threads that one accumulator through all its grains,
+    [f acc off len] folding the grain [off, off+len) into [acc] (it may
+    update [acc] in place and return it).  The accumulators of the
+    workers that ran a grain are combined with [merge] in worker order;
+    an empty range returns [create ()].  [merge] must be associative.
+    [grain] defaults to {!Partition.grain}; ranges no longer than a
+    grain are never split across workers.
+
+    If [f] or [create] raises, remaining work is skipped, all workers
+    rendezvous normally, and the first exception is re-raised on the
+    caller. *)
+
 val parallel_range :
   t ->
   ?grain:int ->
@@ -35,15 +60,11 @@ val parallel_range :
   init:'a ->
   unit ->
   'a
-(** Adaptive reduction over [lo, hi): [f off len] computes the partial
-    result for one grain-sized sub-range; each worker folds its grains
-    locally with [merge] before the per-worker partials are combined.
-    [merge] must be associative with identity [init]; combination order
-    is unspecified.  [grain] defaults to {!Partition.grain}; ranges no
-    longer than a grain are never split across workers.
-
-    If [f] raises, remaining work is skipped, all workers rendezvous
-    normally, and the first exception is re-raised on the caller. *)
+(** Adaptive reduction over [lo, hi), a {!parallel_fold}: [f off len]
+    computes the partial result for one grain-sized sub-range; each
+    worker folds its grains locally with [merge] before the per-worker
+    partials are combined.  [merge] must be associative with identity
+    [init].  Grain and exception behaviour as in {!parallel_fold}. *)
 
 val parallel_chunks :
   t ->

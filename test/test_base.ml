@@ -74,6 +74,69 @@ let test_rw_floatarray_block () =
     check_float "elem" (float_of_int (10 + i) *. 0.5) (Float.Array.get b i)
   done
 
+let test_rw_floatarray_range_checked () =
+  (* A range past the end or a negative length is refused before
+     anything reaches the writer. *)
+  let a = Float.Array.init 100 float_of_int in
+  let w = Rw.create_writer () in
+  Rw.write_int w 7;
+  let refused name off len =
+    Alcotest.check_raises name (Invalid_argument "Rw.write_floatarray")
+      (fun () -> Rw.write_floatarray w a off len);
+    check_int (name ^ ": writer untouched") 8 (Rw.writer_length w)
+  in
+  refused "past the end" 90 50;
+  refused "negative length" 0 (-3);
+  refused "negative offset" (-1) 1;
+  refused "offset past the end" 101 0;
+  Rw.write_floatarray w a 100 0;
+  check_int "empty range at the end" 16 (Rw.writer_length w)
+
+(* The wire bytes of [Codec.floatarray]: a little-endian int64 length,
+   then each float's IEEE-754 bits as a little-endian int64.  Spelled
+   out byte by byte so any change of encoder keeps the format. *)
+let golden_floats =
+  Float.Array.of_list
+    [
+      1.0;
+      -0.0;
+      Int64.float_of_bits 0x7FF8_0000_0000_0123L (* NaN with a payload *);
+      Float.infinity;
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+    ]
+
+let golden_word = function
+  | 0 -> "\x00\x00\x00\x00\x00\x00\xf0\x3f"
+  | 1 -> "\x00\x00\x00\x00\x00\x00\x00\x80"
+  | 2 -> "\x23\x01\x00\x00\x00\x00\xf8\x7f"
+  | 3 -> "\x00\x00\x00\x00\x00\x00\xf0\x7f"
+  | _ -> "\xff\xff\xff\xff\xff\xff\x0f\x00"
+
+let length_word n = String.make 1 (Char.chr n) ^ String.make 7 '\x00'
+
+let test_floatarray_golden_bytes () =
+  let bits a = List.map Int64.bits_of_float (Float.Array.to_list a) in
+  let whole = Bytes.to_string (Codec.to_bytes Codec.floatarray golden_floats) in
+  Alcotest.(check string) "whole array"
+    (length_word 5 ^ String.concat "" (List.init 5 golden_word))
+    whole;
+  let decoded = Codec.of_bytes Codec.floatarray (Bytes.of_string whole) in
+  Alcotest.(check (list int64)) "decoded bits" (bits golden_floats)
+    (bits decoded);
+  let w = Rw.create_writer () in
+  Rw.write_floatarray w golden_floats 1 3;
+  Alcotest.(check string) "offset sub-range"
+    (length_word 3
+    ^ String.concat "" (List.init 3 (fun i -> golden_word (i + 1))))
+    (Bytes.to_string (Rw.contents w));
+  let underflows name s =
+    Alcotest.check_raises name Rw.Underflow (fun () ->
+        ignore (Codec.of_bytes Codec.floatarray (Bytes.of_string s)))
+  in
+  underflows "truncated buffer" (String.sub whole 0 (String.length whole - 1));
+  underflows "over-long length"
+    (length_word 6 ^ String.sub whole 8 (String.length whole - 8))
+
 let test_rw_remaining () =
   let w = Rw.create_writer () in
   Rw.write_int w 5;
@@ -439,6 +502,8 @@ let () =
           Alcotest.test_case "buffer growth" `Quick test_rw_growth;
           Alcotest.test_case "underflow" `Quick test_rw_underflow;
           Alcotest.test_case "floatarray block" `Quick test_rw_floatarray_block;
+          Alcotest.test_case "floatarray range checked" `Quick
+            test_rw_floatarray_range_checked;
           Alcotest.test_case "remaining" `Quick test_rw_remaining;
           Alcotest.test_case "zero-copy reader bounded" `Quick
             test_rw_reader_of_writer_bounded;
@@ -458,6 +523,8 @@ let () =
           Alcotest.test_case "compounds" `Quick test_codec_compounds;
           Alcotest.test_case "size exact" `Quick test_codec_size_exact;
           Alcotest.test_case "floatarray" `Quick test_codec_floatarray';
+          Alcotest.test_case "floatarray golden bytes" `Quick
+            test_floatarray_golden_bytes;
           Alcotest.test_case "map" `Quick test_codec_map;
           Alcotest.test_case "block copy compact" `Quick
             test_codec_block_copy_smaller;

@@ -11,6 +11,9 @@ let check_float = Alcotest.(check (float 1e-9))
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen prop)
 
+(* The accumulator test below measures a pool fold on one worker. *)
+let () = Triolet_runtime.Pool.set_default_width 1
+
 (* ------------------------------------------------------------------ *)
 (* Shape                                                               *)
 
@@ -190,6 +193,39 @@ let test_collector_weighted_histogram () =
   check_float "bin0" 2.0 (Float.Array.get wh 0);
   check_float "bin1" 0.0 (Float.Array.get wh 1);
   check_float "bin2" 2.0 (Float.Array.get wh 2)
+
+let test_collector_into_accumulates () =
+  let h = [| 1; 0 |] in
+  Collector.histogram_into h (Collector.of_list [ 1; 1; 9 ]);
+  Alcotest.(check (array int)) "added in place" [| 1; 2 |] h;
+  let g = Float.Array.make 2 1.0 in
+  Collector.weighted_histogram_into g (Collector.of_list [ (1, 0.5); (-1, 3.0) ]);
+  check_float "weighted added in place" 1.5 (Float.Array.get g 1)
+
+let test_scatter_add_one_grid_per_worker () =
+  (* A pool worker keeps one private grid across all its grains:
+     scatter_add over 1,000 single-element grains allocates about one
+     grid's worth of major heap, not one (plus a merge) per grain. *)
+  let size = 4096 and n = 1000 in
+  let ctx = Exec.make ~grain:(Some 1) () in
+  let it =
+    Iter.localpar (Iter.map (fun i -> (i * 7 mod size, 1.0)) (Iter.range 0 n))
+  in
+  let major () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  ignore (Iter.scatter_add ~ctx ~size it);
+  let before = major () in
+  let g = Iter.scatter_add ~ctx ~size it in
+  let words = major () -. before in
+  check_float "every weight lands" (float_of_int n)
+    (Float.Array.fold_left ( +. ) 0.0 g);
+  let grid = float_of_int (size + 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words within 2 grids of %.0f" words grid)
+    true
+    (words <= 2.0 *. grid)
 
 let test_collector_pack () =
   let v =
@@ -405,6 +441,10 @@ let () =
           Alcotest.test_case "weighted histogram" `Quick
             test_collector_weighted_histogram;
           Alcotest.test_case "pack variable-length" `Quick test_collector_pack;
+          Alcotest.test_case "histograms into accumulators" `Quick
+            test_collector_into_accumulates;
+          Alcotest.test_case "scatter_add: one grid per worker" `Quick
+            test_scatter_add_one_grid_per_worker;
           prop_collector_filter_matches_list;
         ] );
       ( "indexer",

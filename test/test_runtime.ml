@@ -332,6 +332,68 @@ let test_pool_range_exception () =
       check_int "pool still works" 4950
         (Pool.parallel_reduce p ~lo:0 ~hi:100 ~f:Fun.id ~merge:( + ) ~init:0 ()))
 
+let test_pool_fold_one_accumulator_per_worker () =
+  (* Under grain 1 every grain is its own call of [f], yet [create]
+     runs at most once per worker, and each grain receives exactly the
+     accumulator its worker's previous grain returned.  [f] builds a
+     fresh list per grain, so a stale or shared accumulator would also
+     lose or duplicate spans. *)
+  let last = Domain.DLS.new_key (fun () -> None) in
+  List.iter
+    (fun width ->
+      with_pool width (fun p ->
+          let n = 500 in
+          let creates = Atomic.make 0 and stale = Atomic.make 0 in
+          let spans =
+            Pool.parallel_fold p ~grain:1 ~lo:0 ~hi:n
+              ~create:(fun () ->
+                Atomic.incr creates;
+                Domain.DLS.set last None;
+                [])
+              ~f:(fun acc off len ->
+                (match Domain.DLS.get last with
+                | Some prev when prev != acc -> Atomic.incr stale
+                | _ -> ());
+                let acc = (off, len) :: acc in
+                Domain.DLS.set last (Some acc);
+                acc)
+              ~merge:( @ ) ()
+          in
+          let name = Printf.sprintf "width %d" width in
+          Alcotest.(check bool)
+            (name ^ ": create at most once per worker")
+            true
+            (Atomic.get creates >= 1 && Atomic.get creates <= width);
+          check_int (name ^ ": grains threaded") 0 (Atomic.get stale);
+          Alcotest.(check (list (pair int int)))
+            (name ^ ": every grain folded once")
+            (List.init n (fun i -> (i, 1)))
+            (List.sort compare spans)))
+    [ 1; 2; 4 ];
+  with_pool 2 (fun p ->
+      check_int "empty range is create ()" 7
+        (Pool.parallel_fold p ~lo:3 ~hi:3
+           ~create:(fun () -> 7)
+           ~f:(fun _ _ _ -> assert false)
+           ~merge:( + ) ()))
+
+let test_pool_fold_exception () =
+  (* A raising grain or [create] surfaces on the caller and leaves the
+     pool reusable. *)
+  with_pool 4 (fun p ->
+      let fold ~create f =
+        Pool.parallel_fold p ~grain:1 ~lo:0 ~hi:1000 ~create ~f ~merge:( + ) ()
+      in
+      Alcotest.check_raises "grain raised" (Failure "boom") (fun () ->
+          ignore
+            (fold
+               ~create:(fun () -> 0)
+               (fun acc off _ -> if off = 500 then failwith "boom" else acc + off)));
+      Alcotest.check_raises "create raised" (Failure "no acc") (fun () ->
+          ignore (fold ~create:(fun () -> failwith "no acc") (fun acc _ _ -> acc)));
+      check_int "pool still works" 499_500
+        (fold ~create:(fun () -> 0) (fun acc off len -> acc + (off * len))))
+
 let test_pool_per_worker_stats () =
   (* Per-worker counters reconcile with the global aggregates, and an
      adversarial workload at width 4 shows adaptive activity: ranges
@@ -599,6 +661,9 @@ let () =
           Alcotest.test_case "parallel_range covers" `Quick
             test_pool_parallel_range_covers;
           Alcotest.test_case "range exception" `Quick test_pool_range_exception;
+          Alcotest.test_case "fold: one accumulator per worker" `Quick
+            test_pool_fold_one_accumulator_per_worker;
+          Alcotest.test_case "fold exception" `Quick test_pool_fold_exception;
           Alcotest.test_case "per-worker stats" `Quick
             test_pool_per_worker_stats;
           Alcotest.test_case "grain policy" `Quick test_pool_grain_policy;
