@@ -214,9 +214,11 @@ let checksummed_intact b =
   Bytes.length b >= checksum_header
   &&
   let r = Rw.reader_of_bytes b in
-  let len = Rw.read_int r in
-  let expected = Rw.read_u32 r in
-  len = Rw.remaining r && Rw.crc32_next r len = expected
+  match Rw.read_int r with
+  | exception Rw.Underflow -> false
+  | len ->
+      let expected = Rw.read_u32 r in
+      len = Rw.remaining r && Rw.crc32_next r len = expected
 
 let versioned ~version inner =
   if version < 0 || version > 0xFF then invalid_arg "Codec.versioned";

@@ -94,56 +94,32 @@ let patch_u32 w ~pos v =
   Bytes.set_int32_le w.buf pos v
 
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum of
-   zlib and Ethernet frames, sliced by 8: [crc_table] holds eight
-   256-entry tables back to back, table [k] advancing a byte's CRC
-   through [k] further zero bytes, so one step folds 8 input bytes with
-   8 lookups.  Values are native ints masked to 32 bits, so nothing in
-   the loop is boxed. *)
-let crc_table =
-  let t = Array.make (8 * 256) 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for k = 1 to 7 do
-    for n = 0 to 255 do
-      let prev = t.(((k - 1) * 256) + n) in
-      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-    done
-  done;
-  t
+   zlib and Ethernet frames, computed by C stubs ([rw_stubs.c]): a
+   carry-less-multiply fold on x86-64 hosts with PCLMULQDQ, a table
+   sliced by 8 elsewhere and for short tails.  [crc32_init] builds the
+   table and picks the path while this module initializes, before any
+   other domain can call in.  The stubs check nothing, so every caller
+   checks its range first; the value fits in 32 bits of a native int. *)
+external crc32_init : unit -> unit = "triolet_rw_crc32_init" [@@noalloc]
 
-(* [Int32.to_int] sign-extends; the mask keeps the word's 32 bits. *)
-let get_u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
+external crc32_unchecked : Bytes.t -> int -> int -> int = "triolet_rw_crc32"
+[@@noalloc]
+
+external crc32_table_unchecked : Bytes.t -> int -> int -> int
+  = "triolet_rw_crc32_portable"
+[@@noalloc]
+
+let () = crc32_init ()
 
 let crc32 b off len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Rw.crc32";
-  let t = crc_table in
-  let c = ref 0xFFFFFFFF in
-  let i = ref off in
-  let stop8 = off + (len land lnot 7) in
-  while !i < stop8 do
-    let lo = get_u32 b !i lxor !c in
-    let hi = get_u32 b (!i + 4) in
-    c :=
-      t.((7 * 256) + (lo land 0xff))
-      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
-      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
-      lxor t.((4 * 256) + (lo lsr 24))
-      lxor t.((3 * 256) + (hi land 0xff))
-      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
-      lxor t.(256 + ((hi lsr 16) land 0xff))
-      lxor t.(hi lsr 24);
-    i := !i + 8
-  done;
-  for j = stop8 to off + len - 1 do
-    c := t.((!c lxor Char.code (Bytes.get b j)) land 0xff) lxor (!c lsr 8)
-  done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  Int32.of_int (crc32_unchecked b off len)
+
+let crc32_portable b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Rw.crc32_portable";
+  Int32.of_int (crc32_table_unchecked b off len)
 
 let crc32_range w ~pos ~len =
   if pos < 0 || len < 0 || pos + len > w.len then invalid_arg "Rw.crc32_range";
@@ -195,7 +171,14 @@ let read_i64 r =
   r.pos <- r.pos + 8;
   v
 
-let read_int r = Int64.to_int (read_i64 r)
+(* A native int has 63 bits, so [write_int] always writes a word whose
+   top two bits agree.  Any other word is corrupt (a flipped length
+   header, say) and fails as a short read instead of losing bit 63. *)
+let read_int r =
+  let v = read_i64 r in
+  let i = Int64.to_int v in
+  if Int64.of_int i <> v then raise Underflow;
+  i
 
 let read_f64 r = Int64.float_of_bits (read_i64 r)
 

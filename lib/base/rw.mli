@@ -77,7 +77,19 @@ val reader_pos : reader -> int
     messages. *)
 
 val crc32 : Bytes.t -> int -> int -> int32
-(** [crc32 b off len] checksums [len] bytes of [b] from [off]. *)
+(** [crc32 b off len] checksums [len] bytes of [b] from [off].  On
+    x86-64 hosts with PCLMULQDQ a C stub folds 64 bytes per step by
+    carry-less multiplication (Intel's "Fast CRC Computation for
+    Generic Polynomials Using PCLMULQDQ") and Barrett-reduces the
+    remainder; other hosts, buffers shorter than 64 bytes and tails
+    shorter than 16 take a C table loop sliced by 8.  Both give the same
+    value.  Raises [Invalid_argument] unless [0 <= off], [0 <= len] and
+    [off + len <= Bytes.length b]. *)
+
+val crc32_portable : Bytes.t -> int -> int -> int32
+(** The table-driven fallback of {!crc32} on its own, whatever the
+    host: the path hosts without PCLMULQDQ take.  Exposed so it is
+    tested on hosts that have the fold; same range check. *)
 
 val crc32_range : writer -> pos:int -> len:int -> int32
 (** Checksum over a range already written to the writer. *)
@@ -90,6 +102,9 @@ val read_u8 : reader -> int
 val read_u32 : reader -> int32
 val read_i64 : reader -> int64
 val read_int : reader -> int
+(** Inverse of {!write_int}.  Raises {!Underflow} on a word outside the
+    native int range, which {!write_int} never writes. *)
+
 val read_f64 : reader -> float
 val read_string : reader -> string
 

@@ -66,10 +66,7 @@ let run_fig3 ?(scale = 1.0) () =
     let bins = 32 in
     let rc, c_time = time (fun () -> Tpacf.run_c ~bins d) in
     let rt, triolet_time =
-      time (fun () ->
-          Triolet.Exec.with_context
-            (Triolet.Exec.make ~nodes:1 ~cores_per_node:1 ())
-            (fun () -> Tpacf.run_triolet ~bins d))
+      time (fun () -> Tpacf.run_triolet ~hint:Triolet.Iter.Sequential ~bins d)
     in
     let re, eden_time = time (fun () -> Tpacf.run_eden ~bins d) in
     checkf "tpacf/triolet" (Tpacf.agrees rc rt);

@@ -17,6 +17,7 @@ type instance = {
   run_eden : unit -> unit;
   run_triolet : ?ctx:Exec.t -> unit -> unit;
   run_seq : unit -> unit;
+  check_seq : unit -> bool;
   check : ?ctx:Exec.t -> unit -> bool;
   pipelines : unit -> (string * pipeline) list;
   model : ?rates:Models.rates -> unit -> Triolet_sim.App_model.t;
@@ -66,6 +67,7 @@ module Mriq_k = struct
     let samples, voxels = dims size in
     let d = lazy (Dataset.mriq ~seed ~samples ~voxels) in
     let run ?ctx () = Mriq.run_triolet ?ctx (Lazy.force d) in
+    let seq () = Mriq.run_triolet ~hint:Iter.sequential (Lazy.force d) in
     {
       kernel = name;
       size;
@@ -73,9 +75,9 @@ module Mriq_k = struct
       run_ref = (fun () -> ignore (Mriq.run_c (Lazy.force d)));
       run_eden = (fun () -> ignore (Mriq.run_eden (Lazy.force d)));
       run_triolet = (fun ?ctx () -> ignore (run ?ctx ()));
-      run_seq =
-        (fun () ->
-          ignore (Mriq.run_triolet ~hint:Iter.sequential (Lazy.force d)));
+      run_seq = (fun () -> ignore (seq ()));
+      check_seq =
+        (fun () -> Mriq.agrees ~eps:1e-9 (Mriq.run_c (Lazy.force d)) (seq ()));
       check = checker ~agree:(Mriq.agrees ~eps:1e-9) run;
       pipelines =
         (fun () -> [ (name, Pipe (Mriq.pipeline (Lazy.force d))) ]);
@@ -102,6 +104,10 @@ module Sgemm_k = struct
       let a, b = Lazy.force ab in
       Sgemm.run_triolet ?ctx a b
     in
+    let seq () =
+      let a, b = Lazy.force ab in
+      Sgemm.run_triolet ~hint:Iter.sequential a b
+    in
     {
       kernel = name;
       size;
@@ -115,10 +121,11 @@ module Sgemm_k = struct
           let a, b = Lazy.force ab in
           ignore (Sgemm.run_eden a b));
       run_triolet = (fun ?ctx () -> ignore (run ?ctx ()));
-      run_seq =
+      run_seq = (fun () -> ignore (seq ()));
+      check_seq =
         (fun () ->
           let a, b = Lazy.force ab in
-          ignore (Sgemm.run_triolet ~hint:Iter.sequential a b));
+          Sgemm.agrees ~eps:1e-9 (Sgemm.run_c a b) (seq ()));
       check = checker ~agree:(Sgemm.agrees ~eps:1e-9) run;
       pipelines =
         (fun () ->
@@ -143,6 +150,9 @@ module Tpacf_k = struct
     let points, sets, bins = dims size in
     let d = lazy (Dataset.tpacf ~seed ~points ~random_sets:sets) in
     let run ?ctx () = Tpacf.run_triolet ?ctx ~bins (Lazy.force d) in
+    let seq () =
+      Tpacf.run_triolet ~hint:Iter.Sequential ~bins (Lazy.force d)
+    in
     {
       kernel = name;
       size;
@@ -150,13 +160,9 @@ module Tpacf_k = struct
       run_ref = (fun () -> ignore (Tpacf.run_c ~bins (Lazy.force d)));
       run_eden = (fun () -> ignore (Tpacf.run_eden ~bins (Lazy.force d)));
       run_triolet = (fun ?ctx () -> ignore (run ?ctx ()));
-      run_seq =
-        (fun () ->
-          (* No sequential hint hook: force one node x one core. *)
-          ignore
-            (Tpacf.run_triolet
-               ~ctx:(Exec.make ~nodes:1 ~cores_per_node:1 ())
-               ~bins (Lazy.force d)));
+      run_seq = (fun () -> ignore (seq ()));
+      check_seq =
+        (fun () -> Tpacf.agrees (Tpacf.run_c ~bins (Lazy.force d)) (seq ()));
       check = checker ~agree:Tpacf.agrees run;
       pipelines =
         (fun () ->
@@ -187,6 +193,7 @@ module Cutcp_k = struct
     in
     let box = int_of_float ((2.0 *. cutoff /. spacing) +. 1.0) in
     let run ?ctx () = Cutcp.run_triolet ?ctx (Lazy.force d) in
+    let seq () = Cutcp.run_triolet ~hint:Iter.sequential (Lazy.force d) in
     {
       kernel = name;
       size;
@@ -194,9 +201,10 @@ module Cutcp_k = struct
       run_ref = (fun () -> ignore (Cutcp.run_c (Lazy.force d)));
       run_eden = (fun () -> ignore (Cutcp.run_eden (Lazy.force d)));
       run_triolet = (fun ?ctx () -> ignore (run ?ctx ()));
-      run_seq =
+      run_seq = (fun () -> ignore (seq ()));
+      check_seq =
         (fun () ->
-          ignore (Cutcp.run_triolet ~hint:Iter.sequential (Lazy.force d)));
+          Cutcp.agrees ~eps:1e-9 (Cutcp.run_c (Lazy.force d)) (seq ()));
       check = checker ~agree:(Cutcp.agrees ~eps:1e-9) run;
       pipelines =
         (fun () -> [ (name, Pipe (Cutcp.pipeline (Lazy.force d))) ]);

@@ -23,8 +23,12 @@ type instance = {
   run_eden : unit -> unit;  (** the Eden-style baseline *)
   run_triolet : ?ctx:Triolet.Exec.t -> unit -> unit;
   run_seq : unit -> unit;
-      (** the Triolet pipeline forced sequential — what the auto-mapper
-          calibrates per-unit costs from *)
+      (** the Triolet pipeline under a sequential hint: every loop runs
+          on the calling domain, no pool and no cluster — what the
+          auto-mapper calibrates per-unit costs from *)
+  check_seq : unit -> bool;
+      (** runs {!run_seq}'s pipeline and compares its result with the
+          sequential-C reference's *)
   check : ?ctx:Triolet.Exec.t -> unit -> bool;
       (** runs the Triolet version and compares against the first run's
           result (computed on first call — call once up front to pin

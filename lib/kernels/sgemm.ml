@@ -49,10 +49,16 @@ type matrix_iter = (int * int, float) Iter.iter
 
 (* The 2-D dot-product iterator the build consumes — including B's
    transposition — exposed as a plan-reification hook for
-   [triolet analyze]. *)
+   [triolet analyze].  The transposition follows the hint: sequential
+   under a sequential hint, on the shared-memory pool otherwise. *)
 let pipeline ?(alpha = 1.0) ?(hint = Iter.par) (a : Matrix.t) (b : Matrix.t) =
   if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_triolet";
-  let bt = Matrix.transpose_par (Triolet_runtime.Pool.default ()) b in
+  let bt =
+    match Iter.hint (hint (Iter.init (Shape.dim2 0 0) (fun _ -> 0.0))) with
+    | Iter.Sequential -> Matrix.transpose b
+    | Iter.Local | Iter.Distributed ->
+        Matrix.transpose_par (Triolet_runtime.Pool.default ()) b
+  in
   let zipped_ab = Iter.outer_product (Iter.rows a) (Iter.rows bt) in
   hint (Iter.map (fun (u, v) -> alpha *. Matrix.view_dot u v) zipped_ab)
 

@@ -16,7 +16,8 @@ val run_triolet :
   Triolet.Matrix.t ->
   Triolet.Matrix.t
 (** The paper's two-line rows/outerproduct version; transposition runs
-    [localpar] over shared memory.  [hint] defaults to [Iter.par]. *)
+    [localpar] over shared memory, or sequentially when [hint] sets
+    [Iter.Sequential].  [hint] defaults to [Iter.par]. *)
 
 val pipeline :
   ?alpha:float ->

@@ -88,11 +88,16 @@ let score_pipeline ~bins pairs = Iter.map (fun (u, v) -> score ~bins u v) pairs
 let correlation ?ctx ~bins pairs =
   Iter.histogram ?ctx ~bins (score_pipeline ~bins pairs)
 
+(* [hint], when given, replaces an iterator's own hint; otherwise
+   [default] sets it. *)
+let with_hint ?hint default t =
+  match hint with None -> default t | Some h -> { t with Iter.hint = h }
+
 (* Triangular pair loop over one catalog:
      indexed = zip(indices(domain(rand)), rand)
      pairs = localpar((u,v) for (i,u) in indexed for v in rand[i+1:])
    (Figure 6, lines 14-18). *)
-let self_pairs (c : D.catalog) =
+let self_pairs ?hint (c : D.catalog) =
   let n = D.catalog_size c in
   let points =
     Iter.zip3
@@ -100,7 +105,7 @@ let self_pairs (c : D.catalog) =
       (Iter.of_floatarray c.D.cy)
       (Iter.of_floatarray c.D.cz)
   in
-  Iter.localpar
+  with_hint ?hint Iter.localpar
     (Iter.concat_map
        (fun (i, u) ->
          Seq_iter.map
@@ -108,7 +113,7 @@ let self_pairs (c : D.catalog) =
            (Seq_iter.range (i + 1) n))
        (Iter.enumerate points))
 
-let cross_pairs (c1 : D.catalog) (c2 : D.catalog) =
+let cross_pairs ?hint (c1 : D.catalog) (c2 : D.catalog) =
   let n2 = D.catalog_size c2 in
   let points1 =
     Iter.zip3
@@ -116,7 +121,7 @@ let cross_pairs (c1 : D.catalog) (c2 : D.catalog) =
       (Iter.of_floatarray c1.D.cy)
       (Iter.of_floatarray c1.D.cz)
   in
-  Iter.localpar
+  with_hint ?hint Iter.localpar
     (Iter.concat_map
        (fun u -> Seq_iter.map (fun j -> (u, point c2 j)) (Seq_iter.range 0 n2))
        points1)
@@ -131,16 +136,17 @@ let catalog_codec =
 (* The distributed pipeline of randomSetsCorrelation, pre-reduction:
    one histogram per random set, computed where the set is shipped.
    Exposed as a plan-reification hook. *)
-let random_sets_pipeline corr1 (rands : D.catalog array) =
-  Iter.map corr1 (Iter.par (Iter.of_array ~codec:catalog_codec rands))
+let random_sets_pipeline ?hint corr1 (rands : D.catalog array) =
+  Iter.map corr1
+    (with_hint ?hint Iter.par (Iter.of_array ~codec:catalog_codec rands))
 
 (* randomSetsCorrelation: a parallel reduction over the random sets that
    sums their histograms (Figure 6, lines 6-11). *)
-let random_sets_correlation ?ctx ~bins corr1 (rands : D.catalog array) =
+let random_sets_correlation ?ctx ?hint ~bins corr1 (rands : D.catalog array) =
   let add h1 h2 = Array.mapi (fun i x -> x + h2.(i)) h1 in
   Iter.reduce ?ctx ~codec:Triolet_base.Codec.int_array ~merge:add
     ~init:(Array.make bins 0)
-    (random_sets_pipeline corr1 rands)
+    (random_sets_pipeline ?hint corr1 rands)
 
 (* Plan-reification hooks for [triolet analyze]: the exact fused
    pipelines run_triolet's consumers execute — DD's shared-memory
@@ -159,28 +165,29 @@ let size_class (d : D.tpacf) =
   let n = D.catalog_size d.D.observed and sets = Array.length d.D.randoms in
   Mapping.size_class_of_work (n * n * ((2 * sets) + 1) / 2)
 
-let run_triolet ?ctx ~bins (d : D.tpacf) : result =
+let run_triolet ?ctx ?hint ~bins (d : D.tpacf) : result =
   let ctx = Exec.for_kernel ?ctx ~kernel:"tpacf" ~size:(size_class d) () in
   let module Obs = Triolet_obs.Obs in
   (* One span per pipeline stage: DD is the shared-memory triangular
      loop; DR and RR are distributed reductions over random sets.  The
      per-set correlations inside the distributed reductions run on the
      node's own pool and must not re-enter the distributed context, so
-     they take no [?ctx]. *)
+     they take no [?ctx].  [hint], when given, replaces the hint of
+     every pair loop and of the random-set iterator. *)
   let dd =
     Obs.span ~name:"kernel.tpacf.dd" (fun () ->
-        correlation ~ctx ~bins (self_pairs d.D.observed))
+        correlation ~ctx ~bins (self_pairs ?hint d.D.observed))
   in
   let dr =
     Obs.span ~name:"kernel.tpacf.dr" (fun () ->
-        random_sets_correlation ~ctx ~bins
-          (fun r -> correlation ~bins (cross_pairs d.D.observed r))
+        random_sets_correlation ~ctx ?hint ~bins
+          (fun r -> correlation ~bins (cross_pairs ?hint d.D.observed r))
           d.D.randoms)
   in
   let rr =
     Obs.span ~name:"kernel.tpacf.rr" (fun () ->
-        random_sets_correlation ~ctx ~bins
-          (fun r -> correlation ~bins (self_pairs r))
+        random_sets_correlation ~ctx ?hint ~bins
+          (fun r -> correlation ~bins (self_pairs ?hint r))
           d.D.randoms)
   in
   { dd; dr; rr }

@@ -11,10 +11,18 @@ val bin_of_dot : bins:int -> float -> int
 val run_c : bins:int -> Dataset.tpacf -> result
 (** Imperative nested loops with direct histogram updates. *)
 
-val run_triolet : ?ctx:Triolet.Exec.t -> bins:int -> Dataset.tpacf -> result
+val run_triolet :
+  ?ctx:Triolet.Exec.t ->
+  ?hint:Triolet.Iter.hint ->
+  bins:int ->
+  Dataset.tpacf ->
+  result
 (** Follows the paper's Figure 6: a shared [correlation] over a pair
     iterator; a triangular nested comprehension for self-correlation;
-    [par] over random sets with [localpar] pair loops inside. *)
+    [par] over random sets with [localpar] pair loops inside.  [hint],
+    when given, replaces the hint of every pair loop and of the
+    random-set iterator ([Iter.Sequential] runs the whole kernel on the
+    calling domain). *)
 
 val run_eden : bins:int -> Dataset.tpacf -> result
 

@@ -436,6 +436,29 @@ let test_crc32_alignments () =
     done
   done
 
+(* Both checksum paths against the reference, from every start offset
+   0-15 over every length 0-300: below 64 bytes (table only), the first
+   64-byte fold, 16-byte folds and every tail.  [Rw.crc32] takes the
+   fold where the host has it; [Rw.crc32_portable] is always the table. *)
+let test_crc32_paths_every_offset_and_tail () =
+  let b = random_bytes 3 (15 + 300) in
+  List.iter
+    (fun (path, crc) ->
+      for off = 0 to 15 do
+        for len = 0 to 300 do
+          let want = reference_crc32 b off len and got = crc b off len in
+          if got <> want then
+            Alcotest.failf "%s off %d len %d: %08lx, want %08lx" path off len
+              got want
+        done
+      done)
+    [ ("crc32", Rw.crc32); ("crc32_portable", Rw.crc32_portable) ];
+  Alcotest.(check int32) "portable \"123456789\"" 0xCBF43926l
+    (Rw.crc32_portable (Bytes.of_string "123456789") 0 9);
+  Alcotest.check_raises "portable range checked"
+    (Invalid_argument "Rw.crc32_portable") (fun () ->
+      ignore (Rw.crc32_portable b 300 16))
+
 (* Random buffers and ranges, small (unaligned starts, short tails) and
    at least 64 KiB (a resident task frame, a row-block put). *)
 let prop_crc32_matches_reference =
@@ -475,6 +498,22 @@ let test_crc32_range_and_envelope () =
     (Char.chr (Char.code (Bytes.get e (Bytes.length e - 1)) lxor 1));
   Alcotest.(check bool) "flipped byte caught" false (Codec.checksummed_intact e)
 
+(* Bit 63 of the envelope's 8-byte length lies outside a native int:
+   flipping it must still fail the integrity check, not read back as the
+   same length. *)
+let test_checksummed_length_top_bit () =
+  let e = Codec.to_bytes (Codec.checksummed Codec.string) "payload" in
+  Bytes.set e 7 (Char.chr (Char.code (Bytes.get e 7) lxor 0x80));
+  Alcotest.(check bool) "not intact" false (Codec.checksummed_intact e);
+  Alcotest.check_raises "decode refuses" Rw.Underflow (fun () ->
+      ignore (Codec.of_bytes (Codec.checksummed Codec.string) e));
+  let w = Rw.create_writer () in
+  List.iter (Rw.write_int w) [ max_int; min_int; -1 ];
+  let r = Rw.reader_of_writer w in
+  Alcotest.(check (list int)) "native extremes still read"
+    [ max_int; min_int; -1 ]
+    (List.init 3 (fun _ -> Rw.read_int r))
+
 (* A corrupt array length above [max_int / 8] must fail as a short read,
    not overflow the byte count and escape as [Invalid_argument]. *)
 let test_corrupt_array_length_underflows () =
@@ -511,9 +550,13 @@ let () =
           Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
           Alcotest.test_case "crc32 alignments and tails" `Quick
             test_crc32_alignments;
+          Alcotest.test_case "crc32 both paths, every offset and tail" `Quick
+            test_crc32_paths_every_offset_and_tail;
           prop_crc32_matches_reference;
           Alcotest.test_case "crc32_range and envelope" `Quick
             test_crc32_range_and_envelope;
+          Alcotest.test_case "checksummed length top bit" `Quick
+            test_checksummed_length_top_bit;
           Alcotest.test_case "corrupt array length" `Quick
             test_corrupt_array_length_underflows;
         ] );

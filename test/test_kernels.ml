@@ -297,6 +297,20 @@ let test_mriq_rate_independence () =
   let r2 = Mriq.run_c d in
   Alcotest.(check bool) "deterministic" true (Mriq.agrees ~eps:0.0 r1 r2)
 
+(* A sequential run is sequential: under [run_seq] no loop of any
+   registry kernel reaches the (2-wide) default pool, and the result is
+   the C reference's. *)
+let test_run_seq_is_sequential () =
+  List.iter
+    (fun (module K : Kernel.S) ->
+      let inst = K.instance ~size:"tiny" () in
+      let (), delta = Triolet_runtime.Stats.measure inst.Kernel.run_seq in
+      Alcotest.(check int)
+        (K.name ^ ": pool chunks") 0 delta.Triolet_runtime.Stats.chunks_run;
+      Alcotest.(check bool) (K.name ^ ": agrees with C") true
+        (inst.Kernel.check_seq ()))
+    (Kernel.all ())
+
 let () =
   Alcotest.run "kernels"
     [
@@ -310,6 +324,8 @@ let () =
           Alcotest.test_case "cutcp no atoms" `Quick test_cutcp_no_atoms;
           Alcotest.test_case "mriq deterministic" `Quick
             test_mriq_rate_independence;
+          Alcotest.test_case "run_seq stays off the pool" `Quick
+            test_run_seq_is_sequential;
         ] );
       ( "mriq",
         [
