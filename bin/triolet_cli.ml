@@ -572,13 +572,10 @@ let analyze_cmd =
           Printf.printf "lock graph written to %s\n" path
       | None -> ()
     end;
-    let protocol_findings =
-      if protocol then Triolet_analysis.Protocol_lint.run ~root () else []
-    in
     let findings =
       Passes.run_all plans
       @ Triolet_analysis.Unsafe_scan.run ~root ()
-      @ lock_findings @ protocol_findings
+      @ lock_findings
     in
     print_endline "== findings ==";
     if findings = [] then print_endline "(none)"
@@ -640,9 +637,9 @@ let analyze_cmd =
       value & flag
       & info [ "protocol" ]
           ~doc:
-            "Audit the reified wire-protocol spec (completeness, drift \
-             against sent frame kinds) and exhaustively model-check the \
-             real dispatch engine and node handler.")
+            "Exhaustively model-check the real dispatch engine and node \
+             handler: the dispatch, residency, failure and cluster \
+             models.")
   in
   let dot_file =
     Arg.(
@@ -656,8 +653,8 @@ let analyze_cmd =
        ~doc:
          "Static analysis gate: audit reified kernel plans (coverage, \
           fusion, serialization, grain), scan for unchecked unsafe \
-          accesses, lint the runtime's lock discipline and wire-protocol \
-          spec, and exhaustively model-check the concurrency protocols")
+          accesses, lint the runtime's lock discipline, and exhaustively \
+          model-check the concurrency protocols")
     Term.(const run $ nodes $ cores $ root $ locks $ protocol $ dot_file $ verbose_arg)
 
 (* Long-lived supervised service demo: keep a forked fabric warm, push

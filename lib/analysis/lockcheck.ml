@@ -65,7 +65,6 @@ let whitelist =
     ("lib/core/skeletons.ml", 1);
     ("lib/runtime/fault.ml", 1);
     ("lib/runtime/pool.ml", 7);
-    ("lib/runtime/protocol.ml", 1);
     ("lib/runtime/service.ml", 1);
     (* stats.ml's 25th atomic is the standalone payload-encode counter:
        a monotone count bumped only inside scatter serialization spans,

@@ -9,6 +9,12 @@
     arrives in events.  The state is immutable data — no closures, no
     mutable fields — so {!Triolet_sim} model-checks this very function.
 
+    This engine is the wire protocol's one spec.  Each node is [Live]
+    or [Backoff], and the engine, like the node program ({!Node},
+    {!Child.handle}), matches on {!Protocol.kind} with no wildcard: a
+    new kind does not build until every state of both sides says what
+    it does with it.
+
     Around it sit an in-process shell (inline node execution over
     queues) and a process shell (a [select] loop over
     {!Transport.Proc}); {!Node.step} is the one node program both run,
@@ -163,8 +169,14 @@ type config = {
   supervision : supervision option;  (** [None]: no pings, no respawns *)
 }
 
+(** A node as the parent sees it: [Live] while its process answers
+    (its frames are handled, a miss verdict kills it, EOF moves it to
+    [Backoff]); [Backoff] once it is dead (every frame and EOF is a
+    stale leftover, dropped; only the respawn moves it back). *)
+type proto = Live | Backoff
+
 type node = {
-  proto : string;  (** parent-side {!Protocol.spec} state *)
+  proto : proto;
   last_ping : int;
   unanswered : int;
   backoff : int;  (** next respawn delay, ns *)
@@ -212,7 +224,6 @@ type note =
   | Corrupt
   | Death of { node : int; backoff : int option }
   | Miss of int
-  | Off_spec of string
 
 type action =
   | Send of int * msg
@@ -241,7 +252,7 @@ let kind_of_msg = function
 let create (cfg : config) ~now =
   let n =
     {
-      proto = Protocol.(initial spec Parent);
+      proto = Live;
       last_ping = now;
       unanswered = 0;
       backoff = (match cfg.supervision with Some s -> s.backoff_base | None -> 0);
@@ -254,7 +265,7 @@ let create (cfg : config) ~now =
   { cfg; now; next_seq = 0; nodes = List.init cfg.nodes (fun _ -> n); job = None }
 
 let active t = t.job <> None
-let live n = n.proto = "live"
+let live n = n.proto = Live
 let set l i v = List.mapi (fun j x -> if j = i then v else x) l
 
 (* A job failure, carrying the state reached so far: whatever the step
@@ -266,21 +277,6 @@ exception Fail of t * failure
 type out = { mutable acts : action list }
 
 let emit o a = o.acts <- a :: o.acts
-
-(* Advance node [i]'s spec state; [None] means the event is dropped. *)
-let proto o t i ev =
-  let n = List.nth t.nodes i in
-  match Protocol.action_for Protocol.spec ~role:Protocol.Parent ~state:n.proto ev with
-  | Some (Protocol.Goto s) -> Some { n with proto = s }
-  | Some Protocol.Stay -> Some n
-  | Some Protocol.Drop -> None
-  | None ->
-      emit o
-        (Note
-           (Off_spec
-              (Printf.sprintf "parent[%d] in state %s: no rule for %s" i n.proto
-                 (Protocol.event_name ev))));
-      None
 
 let target t job s =
   let nodes = t.cfg.nodes in
@@ -347,12 +343,15 @@ let reissue o t job pick =
 let finish t job =
   if List.for_all (( = ) Done) job.slices then { t with job = None } else { t with job = Some job }
 
-let on_frame o t i kind bytes =
+(* A dead incarnation's frames are stale: a backed-off node drops them
+   all.  A live node handles what a node sends and drops what only the
+   parent sends. *)
+let on_frame o t i (kind : Protocol.kind) bytes =
   let crc = t.cfg.crc in
-  match proto o t i (Protocol.Recv kind) with
-  | None -> t
-  | Some n -> (
-      let t = { t with nodes = set t.nodes i n } in
+  let n = List.nth t.nodes i in
+  match n.proto with
+  | Backoff -> t
+  | Live -> (
       let current (s, seq) =
         match t.job with
         | Some job when seq >= job.base && s >= 0 && s < List.length job.slices ->
@@ -360,7 +359,7 @@ let on_frame o t i kind bytes =
         | _ -> None
       in
       match kind with
-      | Protocol.Pong ->
+      | Pong ->
           let n =
             match t.cfg.supervision with
             | Some sv when n.fresh -> { n with backoff = sv.backoff_base; fresh = false; unanswered = 0 }
@@ -400,9 +399,11 @@ let on_frame o t i kind bytes =
       | Ping | Seg_put | Seg_reuse | Seg_free | Code -> t)
 
 let on_eof o t i =
-  match proto o t i Protocol.Eof with
-  | None -> t
-  | Some n ->
+  let n = List.nth t.nodes i in
+  match n.proto with
+  | Backoff -> t
+  | Live ->
+      let n = { n with proto = Backoff } in
       let n, backoff =
         match t.cfg.supervision with
         | Some sv ->
@@ -423,38 +424,35 @@ let on_eof o t i =
           in
           { t with job = Some job }
 
-(* Bring dead node [i] back as a fresh process, pong-verified under
-   supervision. *)
-let respawn o t i =
-  match proto o t i Protocol.Backoff_elapsed with
-  | None -> t
-  | Some n ->
-      emit o (Respawn i);
-      { t with nodes = set t.nodes i { n with last_ping = t.now; unanswered = 0; respawn_at = None; fresh = true } }
+(* Bring backed-off node [i] ([n]) back as a fresh process,
+   pong-verified under supervision.  Reached only from a [Backoff]
+   arm. *)
+let respawn o t i n =
+  emit o (Respawn i);
+  let n = { n with proto = Live; last_ping = t.now; unanswered = 0; respawn_at = None; fresh = true } in
+  { t with nodes = set t.nodes i n }
 
-(* Supervision for node [i] at [t.now]: ping cadence, miss verdicts,
-   due respawns. *)
+(* Supervision for node [i] at [t.now]: ping cadence and miss verdicts
+   while live, the due respawn while backed off. *)
 let supervise o sv t i =
   let n = List.nth t.nodes i in
   let put n = { t with nodes = set t.nodes i n } in
-  if live n then
-    if n.unanswered >= sv.miss_threshold then (
-      (* Silence is a death verdict, realized as SIGKILL so the EOF
-         comes back through the one death path. *)
-      match proto o t i Protocol.Miss_limit with
-      | None -> t
-      | Some n ->
-          emit o (Note (Miss i));
-          emit o (Kill i);
-          put { n with unanswered = 0 })
-    else if t.now - n.last_ping >= sv.hb_interval then (
-      emit o (Send (i, Ping));
-      put { n with last_ping = t.now; unanswered = n.unanswered + 1 })
-    else t
-  else
-    match n.respawn_at with
-    | Some at when t.now >= at -> respawn o t i
-    | _ -> t
+  match n.proto with
+  | Live ->
+      if n.unanswered >= sv.miss_threshold then (
+        (* Silence is a death verdict, realized as SIGKILL so the EOF
+           comes back through the one death path. *)
+        emit o (Note (Miss i));
+        emit o (Kill i);
+        put { n with unanswered = 0 })
+      else if t.now - n.last_ping >= sv.hb_interval then (
+        emit o (Send (i, Ping));
+        put { n with last_ping = t.now; unanswered = n.unanswered + 1 })
+      else t
+  | Backoff -> (
+      match n.respawn_at with
+      | Some at when t.now >= at -> respawn o t i n
+      | _ -> t)
 
 let on_tick o t now =
   let t = { t with now = max t.now now } in
@@ -495,14 +493,16 @@ let step t ev =
           let nodes =
             List.mapi
               (fun i n ->
-                if live n then emit o (Send (i, Free did));
+                (match n.proto with Live -> emit o (Send (i, Free did)) | Backoff -> ());
                 { n with believed = List.filter (fun (d, _, _) -> d <> did) n.believed })
               t.nodes
           in
           { t with nodes }
       | Revive ->
           List.fold_left
-            (fun t i -> if live (List.nth t.nodes i) then t else respawn o t i)
+            (fun t i ->
+              let n = List.nth t.nodes i in
+              match n.proto with Live -> t | Backoff -> respawn o t i n)
             t
             (List.init t.cfg.nodes Fun.id)
     with Fail (t, f) ->
@@ -630,10 +630,10 @@ module Node = struct
      A task then is a protocol bug, and kills the node. *)
   let uncoded : compute =
    fun table kind bytes ->
-    match kind with
-    | Protocol.Ping -> (table, [ (Protocol.Pong, bytes) ])
-    | Protocol.Data -> failwith "Dispatch: a task before the node's code"
-    | _ -> (table, [])
+    match (kind : Protocol.kind) with
+    | Ping -> (table, [ (Protocol.Pong, bytes) ])
+    | Data -> failwith "Dispatch: a task before the node's code"
+    | Err | Nack | Pong | Seg_put | Seg_reuse | Seg_free | Code -> (table, [])
 
   let create ~id ~pool = { id; pool; table = Child.empty; compute = uncoded; crash = None }
 
@@ -647,7 +647,7 @@ module Node = struct
         n.crash <- c.crash;
         Some []
     | Data when n.crash = Some Before_work -> None
-    | _ -> (
+    | Data | Err | Nack | Ping | Pong | Seg_put | Seg_reuse | Seg_free -> (
         let table, out = n.compute n.table kind bytes in
         n.table <- table;
         match n.crash with
@@ -671,13 +671,11 @@ let forkable () =
    from a kill. *)
 let node_main ~cores ~id chan =
   current_node := Some id;
-  let trk = Protocol.make_tracker Protocol.Child ~id:(string_of_int id) in
   let node = Node.create ~id ~pool:(lazy (Pool.create ~workers:cores ())) in
   let rec loop () =
     match Transport.Socket.recv chan with
-    | exception Transport.Closed -> Protocol.step trk Protocol.Eof
+    | exception Transport.Closed -> ()
     | kind, bytes -> (
-        Protocol.step trk (Protocol.Recv kind);
         match Node.step node kind bytes with
         | None -> Unix._exit 0
         | Some out ->
@@ -865,7 +863,6 @@ let note s = function
       s.misses <- s.misses + 1;
       Stats.record_heartbeat_miss ();
       Obs.instant ~name:"service.heartbeat.miss" ~attrs:(node_attr node) ()
-  | Off_spec msg -> Protocol.violation msg
 
 let rec feed s ev =
   let st, acts = step s.st ev in

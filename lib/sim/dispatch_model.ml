@@ -6,13 +6,15 @@
     call to {!Dispatch.Child.handle}.  The harness adds only the world
     around them: FIFO channels per node, process kills (each one EOF),
     lost pongs or segment puts, and a clock that jumps to the engine's
-    timers.  Every task seq the engine ever sends must be fresh, so a
-    late reply can only ever match the attempt it answers, and a job
-    that runs on shipped code must have its node hold that code's
-    generation before it computes any of the job's tasks: a new
-    generation per job (the warm [Cluster]), or one for the whole
-    session ([Darray], [Service]) that a respawned node must receive
-    again.
+    timers.  Every frame must travel in a direction its kind may: a
+    node sends only [Pong]/[Data]/[Err]/[Nack], the engine only the
+    kinds the parent sends.  Every task seq the engine ever sends must
+    be fresh, so a late reply can only ever match the attempt it
+    answers, and a job that runs on shipped code must have its node
+    hold that code's generation before it computes any of the job's
+    tasks: a new generation per job (the warm [Cluster]), or one for
+    the whole session ([Darray], [Service]) that a respawned node must
+    receive again.
 
     Seeded bugs are harness wrappers around [step] or the handler, so
     the engine itself carries no test flags. *)
@@ -40,6 +42,7 @@ type bug =
   | Code_kept_on_death
       (** a node's EOF leaves its code generation standing, so its
           replacement is never sent the code *)
+  | Ping_echo  (** the node answers a [Ping] with a [Ping], not a [Pong] *)
 
 (** Which code the model's jobs run on. *)
 type code =
@@ -48,6 +51,10 @@ type code =
   | Per_session  (** one generation for every job *)
 
 type frame = Protocol.kind * Bytes.t
+
+(* Which kinds each side may put on the wire. *)
+let node_sends = Protocol.[ Pong; Data; Err; Nack ]
+let parent_sends = Protocol.[ Ping; Data; Seg_put; Seg_reuse; Seg_free; Code ]
 
 type state = {
   engine : D.t;
@@ -143,7 +150,10 @@ let handle bug table ((kind, bytes) : frame) =
           table named
     | _ -> table
   in
-  D.Child.handle ~crc ~now:0 ~result:Payload.codec ~work table kind bytes
+  let table, out = D.Child.handle ~crc ~now:0 ~result:Payload.codec ~work table kind bytes in
+  match bug with
+  | Some Ping_echo -> (table, List.map (function Protocol.Pong, b -> (Protocol.Ping, b) | f -> f) out)
+  | _ -> (table, out)
 
 (* --- applying engine actions to the world ------------------------------ *)
 
@@ -183,6 +193,10 @@ let apply ~may_fail st act =
   match act with
   | D.Send (n, m) ->
       let st =
+        if List.mem (D.kind_of_msg m) parent_sends then st
+        else fail st (Printf.sprintf "the parent sends %s" (Protocol.kind_name (D.kind_of_msg m)))
+      in
+      let st =
         match m with
         | D.Task { seq; _ } when seq <= st.last_seq -> fail st (Printf.sprintf "task seq %d reused" seq)
         | D.Task { seq; _ } -> { st with last_seq = seq }
@@ -209,7 +223,6 @@ let apply ~may_fail st act =
         fail st (Printf.sprintf "slice %d computed against stale segments" s)
       else st
   | D.Job_failed _ -> if may_fail then { st with failed = true } else fail st "job failed"
-  | D.Note (D.Off_spec msg) -> fail st ("off-spec: " ^ msg)
   | D.Note _ -> st
 
 let feed ~may_fail bug st ev =
@@ -265,6 +278,11 @@ let transitions ~may_fail ~code bug st =
               | Protocol.Code, b -> { st with codes = set st.codes n (Some (Envelope.body ~crc Triolet_base.Codec.int b)) }
               | _ when code_ok st n f -> st
               | _ -> fail st (Printf.sprintf "n%d computed a task without its job's code" n)
+            in
+            let st =
+              match List.find_opt (fun (k, _) -> not (List.mem k node_sends)) out with
+              | Some (k, _) -> fail st (Printf.sprintf "n%d sends %s" n (Protocol.kind_name k))
+              | None -> st
             in
             [
               ( Printf.sprintf "n%d handles %s" n (Protocol.kind_name (fst f)),
@@ -338,7 +356,7 @@ let terminal_ok st =
     Some "slice lost: never completed"
   else if st.rounds > 0 then Some "rounds never submitted"
   else if
-    not (List.for_all2 (fun a n -> a && n.D.proto = "live") st.alive st.engine.nodes)
+    not (List.for_all2 (fun a n -> a && n.D.proto = D.Live) st.alive st.engine.nodes)
   then Some "node never returned to live"
   else None
 

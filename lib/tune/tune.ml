@@ -77,10 +77,17 @@ let calibrate (app : App.t) ~measured_seq =
 (* ------------------------------------------------------------------ *)
 (* Scoring                                                             *)
 
-(* Per-backend communication constants for the host projection.  The
-   in-process and flat transports are memory queues plus the explicit
-   payload encode/decode every distributed consumer performs; the
-   process backend adds real pipes and a fork per node. *)
+(* Per-backend communication constants for the host projection.
+   In-process and flat nodes run inline in the caller's session: a
+   message costs the payload encode/decode every distributed consumer
+   performs and a queue push.  Process nodes are forked once per
+   topology and kept warm; a message crosses a socket.  [spawn_s]
+   charges every call a start-up cost: 20 us per in-process worker,
+   and 12 ms per process node, the price of the fork per node per call
+   that the process backend paid before its fabric stayed warm (a warm
+   call's dispatch floor is about 1 ms).  The 12 ms stands until the
+   auto-mapper's constants are calibrated from measurements, because
+   the checked-in mappings were searched with it. *)
 let ser_bytes_per_sec = 2e9
 
 let per_message_s = function

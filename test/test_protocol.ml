@@ -1,11 +1,13 @@
-(* Wire-protocol spec, framing codec (fuzzed through the fabric's
-   socket reader), conformance trackers, the dispatch engine's retry
-   timer, and the model check of the real engine's supervision. *)
+(* Framing codec (fuzzed through the fabric's socket reader), the
+   dispatch engine's handling of every frame kind in every node state,
+   its failure and retry paths, and the model check of the real
+   engine's supervision. *)
 
 module Protocol = Triolet_runtime.Protocol
 module Socket = Triolet_runtime.Transport.Socket
 module DM = Triolet_sim.Dispatch_model
 module Modelcheck = Triolet_sim.Modelcheck
+module Payload = Triolet_base.Payload
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -69,7 +71,7 @@ let test_transport_shares_codec () =
 let gen_frames =
   QCheck2.Gen.(
     list_size (1 -- 8)
-      (pair (int_range 0 4) (string_size (0 -- 64))))
+      (pair (int_range 0 (List.length Protocol.all_kinds - 1)) (string_size (0 -- 64))))
 
 let kind_of_int i = List.nth Protocol.all_kinds i
 
@@ -101,83 +103,6 @@ let prop_garbage_fuzz =
       | exception (Protocol.Bad_frame _ | Triolet_runtime.Transport.Closed) -> true
       | exception _ -> false)
 
-(* --- the spec ----------------------------------------------------- *)
-
-let test_spec_is_closed () =
-  check_int "no issues" 0 (List.length (Protocol.check Protocol.spec))
-
-(* Seed the classic drift bug: the child may send Err, but the parent's
-   live state has no rule for receiving it.  The audit must object. *)
-let seeded_hole =
-  let spec = Protocol.spec in
-  {
-    spec with
-    Protocol.name = "seeded-hole";
-    rules =
-      List.filter
-        (fun (r : Protocol.rule) ->
-          not
-            (r.role = Protocol.Parent && r.state = "live"
-           && r.event = Protocol.Recv Protocol.Err))
-        spec.rules;
-  }
-
-let test_seeded_unhandled_kind () =
-  let issues = Protocol.check seeded_hole in
-  check_bool "audit found the hole" true (issues <> []);
-  check_bool "names the kind" true
-    (List.exists
-       (fun (i : Protocol.issue) ->
-         i.issue_kind = Some Protocol.Err && i.issue_state = "live")
-       issues);
-  (* And through the analyzer pass, as error findings. *)
-  let fs = Triolet_analysis.Protocol_lint.check_spec seeded_hole in
-  check_bool "lint reports errors" true
-    (Triolet_analysis.Passes.has_errors fs)
-
-let test_action_lookup () =
-  let act state ev =
-    Protocol.action_for Protocol.spec ~role:Protocol.Parent ~state ev
-  in
-  check_bool "live pong" true (act "live" (Protocol.Recv Protocol.Pong) <> None);
-  check_bool "live eof -> backoff" true
-    (act "live" Protocol.Eof = Some (Protocol.Goto "backoff"));
-  check_bool "backoff elapsed -> live" true
-    (act "backoff" Protocol.Backoff_elapsed = Some (Protocol.Goto "live"));
-  (* Miss_limit has no meaning while backed off — that hole is real and
-     the tracker counts it as a violation if ever exercised. *)
-  check_bool "backoff miss unruled" true (act "backoff" Protocol.Miss_limit = None)
-
-(* --- runtime conformance trackers --------------------------------- *)
-
-let test_tracker_follows_spec () =
-  Protocol.reset_violations ();
-  let t = Protocol.make_tracker Protocol.Parent ~id:"t0" in
-  Alcotest.(check string) "initial" "live" (Protocol.tracker_state t);
-  Protocol.step t (Protocol.Recv Protocol.Pong);
-  Protocol.step t Protocol.Eof;
-  Alcotest.(check string) "after eof" "backoff" (Protocol.tracker_state t);
-  Protocol.step t Protocol.Backoff_elapsed;
-  Alcotest.(check string) "respawned" "live" (Protocol.tracker_state t);
-  check_int "no violations" 0 (Protocol.violations ())
-
-let test_tracker_counts_violations () =
-  Protocol.reset_violations ();
-  let was_debug = Protocol.debug () in
-  Protocol.set_debug false;
-  let t = Protocol.make_tracker Protocol.Parent ~id:"t1" in
-  Protocol.step t Protocol.Eof;
-  (* backoff + Miss_limit: no rule *)
-  Protocol.step t Protocol.Miss_limit;
-  check_int "counted" 1 (Protocol.violations ());
-  Protocol.set_debug true;
-  (try
-     Protocol.step t Protocol.Miss_limit;
-     Alcotest.fail "debug step off-spec did not raise"
-   with Protocol.Violation _ -> ());
-  Protocol.set_debug was_debug;
-  Protocol.reset_violations ()
-
 (* --- the dispatch engine: a failed job keeps what its step did ----- *)
 
 module D = Triolet_runtime.Dispatch
@@ -205,7 +130,7 @@ let test_failed_eof_keeps_death () =
   let t, acts = D.step t (D.Eof 0) in
   check_bool "job failed" true (failed acts && t.D.job = None);
   let n = List.hd t.D.nodes in
-  Alcotest.(check string) "node backs off" "backoff" n.D.proto;
+  check_bool "node backs off" true (n.D.proto = D.Backoff);
   match n.D.respawn_at with
   | None -> Alcotest.fail "no respawn scheduled"
   | Some at ->
@@ -235,9 +160,103 @@ let test_failed_tick_keeps_respawn () =
   let t, acts = D.step t (D.Tick 10) in
   check_bool "respawned and failed" true (List.mem (D.Respawn 1) acts && failed acts);
   let n = List.nth t.D.nodes 1 in
-  check_bool "respawn consumed" true (n.D.respawn_at = None && n.D.proto = "live");
+  check_bool "respawn consumed" true (n.D.respawn_at = None && n.D.proto = D.Live);
   let _, acts = D.step t (D.Tick 20) in
   check_bool "no second respawn" false (List.mem (D.Respawn 1) acts)
+
+(* --- every frame kind in every node state ---------------------------- *)
+
+(* One node with one slice in flight and one ping unanswered, driven
+   with a frame of every kind while live and while backed off, and with
+   EOF, the miss verdict and the respawn.  A live node handles what a
+   node sends and drops what only the parent sends; a backed-off node
+   drops everything until its respawn.  Which kinds exist is the
+   compiler's to check: [frame] and [on_live] match them exhaustively. *)
+let spec_cfg =
+  {
+    D.nodes = 1;
+    crc = true;
+    policy = { max_attempts = 4; timeout = None };
+    supervision = Some { hb_interval = 10; miss_threshold = 1; backoff_base = 5; backoff_max = 20 };
+  }
+
+let spec_live () =
+  let t, _ = submit (D.create spec_cfg ~now:0) 1 in
+  let live, acts = D.step t (D.Tick 10) in
+  check_bool "ping sent" true (acts = [ D.Send (0, D.Ping) ]);
+  live
+
+let spec_frame =
+  let enc c v = D.Envelope.encode ~crc:true c ~slice:0 ~seq:0 v in
+  let key = (0, 0, 0) in
+  function
+  | Protocol.Data -> enc Payload.codec [ Payload.Ints [| 1 |] ]
+  | Err -> enc D.Envelope.err (Some "boom")
+  | Nack | Seg_reuse -> enc D.Envelope.key key
+  | Seg_put -> enc D.Envelope.put (key, [])
+  | Seg_free -> enc Triolet_base.Codec.int 0
+  | Ping | Pong -> Bytes.empty
+  | Code -> Bytes.of_string "code"
+
+let spec_reissued = [ D.Send (0, D.Task { slice = 0; seq = 1 }); D.Note (D.Retry { slice = 0; node = 0 }) ]
+
+let spec_node (t : D.t) = List.hd t.nodes
+
+let spec_pin label t ev ~proto ~acts =
+  let t', got = D.step t ev in
+  check_bool (label ^ ": state") true ((spec_node t').D.proto = proto);
+  check_bool (label ^ ": actions") true (got = acts);
+  t'
+
+let spec_eof live =
+  let dead =
+    spec_pin "live eof" live (D.Eof 0) ~proto:D.Backoff
+      ~acts:[ D.Note (D.Death { node = 0; backoff = Some 5 }) ]
+  in
+  Alcotest.(check (option int)) "respawn scheduled" (Some 15) (spec_node dead).D.respawn_at;
+  dead
+
+(* A live node: every kind, and the miss verdict. *)
+let test_spec_live () =
+  let live = spec_live () in
+  let on_live = function
+    | Protocol.Data -> [ D.Slice_done (0, spec_frame Data) ]
+    | Err -> [ D.Job_failed (D.Raised { slice = 0; msg = "boom" }) ]
+    | Nack -> spec_reissued
+    | Pong | Ping | Seg_put | Seg_reuse | Seg_free | Code -> []
+  in
+  List.iter
+    (fun k ->
+      let name = Protocol.kind_name k in
+      let t' =
+        spec_pin ("live " ^ name) live (D.Frame (0, k, spec_frame k)) ~proto:D.Live ~acts:(on_live k)
+      in
+      match k with
+      | Pong -> check_int "pong answers the ping" 0 (spec_node t').D.unanswered
+      | Ping | Seg_put | Seg_reuse | Seg_free | Code -> check_bool (name ^ " dropped") true (t' = live)
+      | Data | Err | Nack -> ())
+    Protocol.all_kinds;
+  ignore (spec_pin "live miss verdict" live (D.Tick 20) ~proto:D.Live ~acts:[ D.Note (D.Miss 0); D.Kill 0 ])
+
+(* A backed-off node: EOF put it there, and every kind and a second EOF
+   are dropped. *)
+let test_spec_backoff () =
+  let dead = spec_eof (spec_live ()) in
+  List.iter
+    (fun k ->
+      let name = Protocol.kind_name k in
+      let t' = spec_pin ("backoff " ^ name) dead (D.Frame (0, k, spec_frame k)) ~proto:D.Backoff ~acts:[] in
+      check_bool (name ^ " dropped while backed off") true (t' = dead))
+    Protocol.all_kinds;
+  check_bool "backoff eof dropped" true (spec_pin "backoff eof" dead (D.Eof 0) ~proto:D.Backoff ~acts:[] = dead)
+
+(* The whole path: live, backed off until the respawn is due, live again
+   with the lost slice re-issued. *)
+let test_spec_live_backoff_live () =
+  let dead = spec_eof (spec_live ()) in
+  ignore (spec_pin "backoff before its respawn" dead (D.Tick 14) ~proto:D.Backoff ~acts:[]);
+  let back = spec_pin "backoff respawn" dead (D.Tick 15) ~proto:D.Live ~acts:(D.Respawn 0 :: spec_reissued) in
+  check_bool "respawn consumed" true ((spec_node back).D.respawn_at = None)
 
 (* --- the dispatch engine's retry timer ------------------------------ *)
 
@@ -304,6 +323,14 @@ let test_failure_catches_forgotten_step () =
 (* The warm fabric's jobs ship code: the clean engine passes, and code
    shipped with a session's first job only is caught as soon as the
    second job's first task runs on the first job's code. *)
+(* A node that answers a ping with a ping puts a kind on the wire that
+   only the parent sends.  The engine would drop it and later kill the
+   node for silence, so nothing but the direction check objects. *)
+let test_heartbeat_catches_ping_echo () =
+  match (DM.check_supervision ~bug:DM.Ping_echo ()).Modelcheck.violation with
+  | None -> Alcotest.fail "a node sending Ping not caught"
+  | Some v -> Alcotest.(check string) "names the frame" "n0 sends Ping" v.Modelcheck.message
+
 let test_cluster_clean () =
   let r = DM.check_cluster () in
   check_bool "no violation" true (r.Modelcheck.violation = None);
@@ -340,18 +367,11 @@ let () =
         ] );
       ( "spec",
         [
-          Alcotest.test_case "live spec is closed" `Quick test_spec_is_closed;
-          Alcotest.test_case "seeded unhandled kind caught" `Quick
-            test_seeded_unhandled_kind;
-          Alcotest.test_case "action lookup" `Quick test_action_lookup;
+          Alcotest.test_case "live spec is closed" `Quick test_spec_live;
+          Alcotest.test_case "action lookup" `Quick test_spec_backoff;
         ] );
       ( "conformance",
-        [
-          Alcotest.test_case "tracker follows spec" `Quick
-            test_tracker_follows_spec;
-          Alcotest.test_case "tracker counts violations" `Quick
-            test_tracker_counts_violations;
-        ] );
+        [ Alcotest.test_case "tracker follows spec" `Quick test_spec_live_backoff_live ] );
       ( "engine failure",
         [
           Alcotest.test_case "exhausting EOF still a death" `Quick test_failed_eof_keeps_death;
@@ -375,5 +395,6 @@ let () =
             test_heartbeat_catches_forget_inflight;
           Alcotest.test_case "stale replies caught" `Quick
             test_heartbeat_catches_stale_reply;
+          Alcotest.test_case "ping echo caught" `Quick test_heartbeat_catches_ping_echo;
         ] );
     ]
