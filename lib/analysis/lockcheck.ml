@@ -56,13 +56,12 @@ type edge = {
     primitive's discipline; shrink it when one is retired. *)
 let whitelist =
   [
-    (* cluster.ml's lock serializes every caller's jobs on the warm
-       process sessions and guards their table; a forked child replaces
-       it (the second site), since the fork may have happened under it.
-       Jobs block in select under it by design: a second caller waits
-       for the fabric, which only one job can drive at a time. *)
-    ("lib/runtime/cluster.ml", 2);
     ("lib/core/skeletons.ml", 1);
+    (* dispatch.ml's lock guards the table of idle warm sessions, held
+       only to take one out or put one back, never across a job; a
+       forked child replaces it (the second site), since the fork may
+       have happened under it. *)
+    ("lib/runtime/dispatch.ml", 2);
     ("lib/runtime/fault.ml", 1);
     ("lib/runtime/pool.ml", 7);
     ("lib/runtime/service.ml", 1);

@@ -10,17 +10,17 @@
     Triolet compiler adds); task *data* always travels as payload.
 
     A run is one job on a {!Dispatch} session, which owns the frames
-    and the node code; this module keeps the topology's session config,
-    the warm-session table and the merge order.  In-process nodes run
-    inline on a session that lives for the call.  Process nodes run on
-    a warm session: the first process call for a topology forks one
-    child per node, and every later call with that topology is a job
-    on the same children, which receive the call's code in a [Code]
-    frame.  A fault plan gets a private process session, closed after
-    the call, so injected crashes never reach the warm children.  The
-    engine owns retries, deduplication and recovery, so the fault-free
-    and fault-injected paths are the same code; a fault plan only adds
-    checksums, link faults and timers. *)
+    and the node code; this module keeps the topology's session config
+    and the merge order.  In-process nodes run inline on a session that
+    lives for the call.  Process nodes run on a session leased from the
+    warm fabric ({!Dispatch.lease}) for the call: the first process
+    caller of a topology — a call, a {!Darray} session or a {!Service}
+    — forks one child per node, and every later one runs on the same
+    children, which receive the call's code in a [Code] frame.  A fault
+    plan gets a private session, closed after the call, so injected
+    crashes never reach the warm children.  The engine owns checksums,
+    retries, deduplication and recovery, so the fault-free and
+    fault-injected paths are the same code. *)
 
 module Obs = Triolet_obs.Obs
 
@@ -102,52 +102,6 @@ let on_node = Dispatch.on_node
 
 let ns s = int_of_float (s *. 1e9)
 
-(* The warm fabric: one process session per [(nodes, cores_per_node)],
-   forked by the first fault-free process call with that topology and
-   closed at exit.  One lock serializes every caller's jobs on it. *)
-type warm = { mutable lock : Mutex.t; sessions : (int * int, Dispatch.session) Hashtbl.t }
-
-let warm = { lock = Mutex.create (); sessions = Hashtbl.create 4 }
-
-let () =
-  (* A forked child owns none of these sessions, and the lock may have
-     been held at the fork: a nested process call there starts anew. *)
-  Transport.Proc.on_fork_child (fun () ->
-      warm.lock <- Mutex.create ();
-      Hashtbl.reset warm.sessions);
-  at_exit (fun () ->
-      Hashtbl.iter (fun _ s -> Dispatch.close s) warm.sessions;
-      Hashtbl.reset warm.sessions)
-
-(* Run [f] on the topology's warm session under the lock; nodes that
-   died in an earlier call are respawned first.  A respawn that cannot
-   fork, or a job that fails, may leave the engine and the fabric out
-   of step, so the session is retired and the next call forks afresh.
-   Code refused as unshippable was never sent: the session stays. *)
-let with_warm (topo : topology) cfg f =
-  let key = (topo.nodes, topo.cores_per_node) in
-  Mutex.lock warm.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock warm.lock)
-    (fun () ->
-      let s =
-        match Hashtbl.find_opt warm.sessions key with
-        | Some s -> s
-        | None ->
-            let s = Dispatch.fork ~span:"cluster" ~cores:topo.cores_per_node cfg in
-            Hashtbl.replace warm.sessions key s;
-            s
-      in
-      try
-        Dispatch.revive s;
-        f s
-      with
-      | Unshippable_task _ as e -> raise e
-      | e ->
-          Hashtbl.remove warm.sessions key;
-          Dispatch.close s;
-          raise e)
-
 let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
     ~merge ~init =
   if topo.nodes <= 0 || topo.cores_per_node <= 0 then
@@ -162,9 +116,8 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
           timeout = Some (ns s.base_timeout, ns s.max_timeout);
         }
   in
-  (* Checksums and timers only under a fault plan: a clean run pays for
-     neither. *)
-  let cfg = { Dispatch.nodes = workers; crc = faults <> None; policy; supervision = None } in
+  (* Timers only under a fault plan: a clean run waits on none. *)
+  let cfg = { Dispatch.nodes = workers; policy; supervision = None } in
   let fault = Option.map Fault.make faults in
   (* [work] sees the logical worker id whose slice it computes, stable
      across re-execution on another node.  Inline nodes keep the
@@ -189,8 +142,8 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
     | Error Dispatch.Expired, _ -> assert false (* no deadline on one-shot runs *)
   in
   let results, report =
-    match (topo.backend, fault) with
-    | (Inprocess | Flat), _ ->
+    match topo.backend with
+    | Inprocess | Flat ->
         (* Nodes share the caller's pool, or else the full default
            pool: its width is not capped at [cores_per_node].  A fresh
            per-call pool would cost a domain spawn per operation. *)
@@ -199,9 +152,8 @@ let run_topology ?pool ?faults (topo : topology) ~scatter ~work ~result_codec
         job (Dispatch.inline ?faults:fault ~span:"cluster" ~pool:(Lazy.from_val pool) cfg)
     (* The parent does no task work: each child runs its slices on its
        own pool, so a caller-supplied pool is irrelevant. *)
-    | Process, None -> with_warm topo cfg job
-    | Process, Some f ->
-        let session = Dispatch.fork ~faults:f ~span:"cluster" ~cores:topo.cores_per_node cfg in
+    | Process ->
+        let session = Dispatch.lease ?faults:fault ~span:"cluster" ~cores:topo.cores_per_node cfg in
         Fun.protect ~finally:(fun () -> Dispatch.close session) (fun () -> job session)
   in
   (* Merge strictly in worker order, never arrival order. *)

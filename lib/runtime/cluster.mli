@@ -30,12 +30,11 @@ type backend =
   | Process
       (** one forked OS process per node over socketpair framed
           channels; each child runs its slices on a private
-          [cores_per_node]-wide pool.  The first call for a topology
-          forks the children, which then stay warm for every later
-          call; that first fork (and the respawn of a node that died)
-          must happen before any domain has ever been spawned in this
-          process (an OCaml runtime restriction); keep the parent
-          single-domain, e.g. via [TRIOLET_BACKEND=process]. *)
+          [cores_per_node]-wide pool.  Every process caller of a
+          topology shares its children, forked by the first; that fork
+          (and a respawn) must precede any domain spawn in this process
+          (an OCaml restriction): keep the parent single-domain, e.g.
+          via [TRIOLET_BACKEND=process]. *)
 
 val backend_to_string : backend -> string
 
@@ -110,9 +109,9 @@ val run_topology :
     Backends: {!Inprocess}/{!Flat} execute nodes inline in this process
     ([?pool], default {!Pool.default}, gives intra-node parallelism; a
     flat topology has [nodes * cores_per_node] single-core workers).
-    {!Process} runs on the topology's warm session: one OS process per
-    node, each with a private [cores_per_node]-wide pool, forked by the
-    first call and reused by every later one; [?pool] is ignored.
+    {!Process} leases the topology's warm session for the call: one OS
+    process per node, each with a private [cores_per_node]-wide pool,
+    shared by every process caller of the topology; [?pool] is ignored.
     [work] and [result_codec] ship to each node as closure bytes once
     per call (see {!Unshippable_task}), the fault plan's crash node a
     variant that dies at its planned phase; state they
@@ -120,14 +119,15 @@ val run_topology :
     died is respawned before the next call.  Forking fails fast with a
     [Failure] if a domain was ever spawned in this process (OCaml then
     forbids [fork]); a warm topology with every node alive keeps
-    serving.  Byte and message accounting (frame headers and code bytes
-    excluded) is identical across backends.
+    serving.  Every frame is CRC-checksummed; byte and message
+    accounting (frame headers and code bytes excluded) is identical
+    across backends.
 
     A node that dies (EOF on its channel, e.g. a SIGKILL from outside)
     has its slice re-issued to a survivor, with or without a fault
     plan.  With [?faults] (a deterministic, seeded plan) a process call
-    forks a private session, closed after the call; every frame is
-    CRC-checksummed, link faults are injected parent-side, crashes are
+    forks a private session, closed after the call; link faults are
+    injected parent-side, crashes are
     real child exits (or inline node deaths), and a slice whose reply
     does not arrive within a capped exponential timeout is re-issued,
     up to the plan's [max_attempts].  [work] must then be re-executable.

@@ -28,13 +28,13 @@
       the stored copy is the {e decoded} image of those bytes, so a
       node can never alias the parent's buffers), making byte
       accounting identical to the process mode.
-    - [Process] backend: one forked child per node over
-      {!Transport.Proc} socket channels, each holding its segment table
-      in its own address space, supervised by the {!Dispatch} engine
-      (heartbeats, SIGKILL verdicts, backoff respawn).  The compute
-      closure ships to each child as closure bytes, once per node and
-      again after a respawn.  Like every fork in the runtime, the
-      session must be created before any domain is spawned.
+    - [Process] backend: the session leases the topology's warm fabric
+      ({!Dispatch.lease}) for its life, one child per node shared with
+      every process caller of the topology, each holding its segment
+      table in its own address space under the engine's supervision.
+      The compute closure ships as closure bytes, once per node and
+      again after a respawn.  Ids are never reused by a warm session,
+      and closing frees the session's arrays.
 
     Either way the session is a {!Dispatch} session: the engine owns
     the per-node residency beliefs and ships puts and reuses, the shell
@@ -78,19 +78,12 @@ module Codec = Triolet_base.Codec
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
 
-let max_attempts = 8
-
 (* ------------------------------------------------------------------ *)
 (* Session.                                                            *)
 
 type work = node:int -> resident:Payload.t -> arg:Payload.t -> Payload.t
 
-type session = {
-  nodes : int;
-  dispatch : Dispatch.session;
-  mutable next_did : int;
-  mutable closed : bool;
-}
+type session = { nodes : int; dispatch : Dispatch.session; mutable closed : bool }
 
 (* Looser than the service's defaults: a node computing a long slice
    cannot answer pings meanwhile. *)
@@ -105,20 +98,17 @@ let supervision =
 let create_session ?(topology = Cluster.default_topology) ~work () =
   let nodes = topology.Cluster.nodes in
   if nodes < 1 then invalid_arg "Darray: topology needs at least one node";
-  (* Every frame a darray session ships is checksummed. *)
-  let cfg supervision =
-    { Dispatch.nodes; crc = true; policy = { max_attempts; timeout = None }; supervision }
-  in
+  let cfg supervision = { Dispatch.nodes; policy = { max_attempts = 8; timeout = None }; supervision } in
   let dispatch =
     match topology.Cluster.backend with
     | Cluster.Inprocess | Cluster.Flat ->
         Dispatch.inline ~span:"darray" ~pool:(lazy (Pool.default ())) (cfg None)
     | Cluster.Process ->
-        Dispatch.fork ~span:"darray" ~cores:topology.Cluster.cores_per_node (cfg (Some supervision))
+        Dispatch.lease ~span:"darray" ~cores:topology.Cluster.cores_per_node (cfg (Some supervision))
   in
-  Dispatch.load dispatch ~result:Payload.codec ~work:(fun ~node:_ ~pool:_ ~slice ~resident arg ->
+  Dispatch.load_or_close dispatch ~result:Payload.codec ~work:(fun ~node:_ ~pool:_ ~slice ~resident arg ->
       work ~node:slice ~resident ~arg);
-  { nodes; dispatch; next_did = 0; closed = false }
+  { nodes; dispatch; closed = false }
 
 let session_nodes s = s.nodes
 
@@ -127,7 +117,7 @@ let proc_pids s =
   | None -> []
   | Some f -> List.map (Transport.Proc.pid f) (Transport.Proc.alive_ids f)
 
-let session_respawns s = Dispatch.respawns s.dispatch
+let session_respawns s = s.dispatch.Dispatch.respawns
 
 let close_session s =
   if not s.closed then begin
@@ -157,11 +147,9 @@ type t = {
 let create session ~segments =
   if session.closed then invalid_arg "Darray.create: session closed";
   if Array.length segments = 0 then invalid_arg "Darray.create: no segments";
-  let did = session.next_did in
-  session.next_did <- did + 1;
   {
     session;
-    did;
+    did = Dispatch.fresh_did session.dispatch;
     segs =
       Array.map
         (fun payload -> { version = 1; payload; encoded = None })

@@ -27,13 +27,14 @@ type work = node:int -> resident:Payload.t -> arg:Payload.t -> Payload.t
 
 type session
 (** Warm compute context: the work closure, the topology, and — under
-    the [Process] backend — one forked child per node with its segment
-    table, supervised with heartbeats and backoff respawn.  Fork
+    the [Process] backend — a lease of the topology's warm fabric, one
+    child per node with its segment table, supervised with heartbeats
+    and backoff respawn.  A fork, if the topology has no idle fabric,
     happens at creation, so create process-mode sessions before any
     domain is spawned. *)
 
 val create_session : ?topology:Cluster.topology -> work:work -> unit -> session
-(** [create_session ~work ()] builds the resident fabric for
+(** [create_session ~work ()] leases the resident fabric for
     [topology] (default {!Cluster.default_topology}).  Under the
     [Process] backend [work] ships to the children as closure bytes
     ({!Dispatch.load}), once per node and again after a respawn;
@@ -54,8 +55,8 @@ val session_respawns : session -> int
 (** Children replaced by the session's supervisor so far. *)
 
 val close_session : session -> unit
-(** Tear the fabric down (EOF then SIGKILL after grace, like
-    {!Transport.Proc.shutdown}).  Idempotent. *)
+(** Free every array of the session ([Seg_free] per node) and hand the
+    fabric back warm for the next caller.  Idempotent. *)
 
 (** {1 Arrays} *)
 

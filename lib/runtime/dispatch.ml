@@ -20,15 +20,15 @@
     {!Transport.Proc}); {!Node.step} is the one node program both run,
     and every forked child of every caller is a {!node_main} that takes
     its task code from [Code] frames.  The shells own the frame format
-    (the {!Envelope} and whether a session checksums it) and how a node
-    gets its code: a caller hands {!load} a [work] function and a
-    result codec, and {!run_job} per-slice payloads, and gets back
-    decoded results — it never builds a frame or marshals a closure.
-    {!Cluster} runs jobs on a per-call inline session or on a warm
-    process session, loading new code every call; {!Darray} is a
-    session plus its segment versions, {!Service} admission and
-    deadlines around a long-lived session, both loading their code
-    once. *)
+    (the checksummed {!Envelope}) and how a node gets its code: a
+    caller hands {!load} a [work] function and a result codec, and
+    {!run_job} per-slice payloads, and gets back decoded results — it
+    never builds a frame or marshals a closure.  Process callers never
+    fork either: they {!lease} the topology's warm session, and the
+    children outlive the lease.  {!Cluster} leases one per call and
+    loads new code every call; a {!Darray} session (a session plus its
+    segment versions) and a {!Service} (admission and deadlines) hold
+    one for life and load their code once. *)
 
 module Codec = Triolet_base.Codec
 module Rw = Triolet_base.Rw
@@ -39,24 +39,21 @@ module Obs = Triolet_obs.Obs
 type key = int * int * int
 
 (* ------------------------------------------------------------------ *)
-(* The envelope: every frame with a body is [(slice, seq, body)], and a
-   session either checksums all of them or none.                       *)
+(* The envelope: every frame with a body is [(slice, seq, body)] under a
+   CRC-32 checksum.                                                    *)
 
 module Envelope = struct
-  let codec ~crc c =
-    if crc then Codec.checksummed Codec.(triple int int c)
-    else Codec.(triple int int c)
+  let codec c = Codec.checksummed Codec.(triple int int c)
+  let encode c ~slice ~seq v = Codec.to_bytes (codec c) (slice, seq, v)
+  let decode c b = Codec.of_bytes (codec c) b
 
-  let encode ~crc c ~slice ~seq v = Codec.to_bytes (codec ~crc c) (slice, seq, v)
-  let decode ~crc c b = Codec.of_bytes (codec ~crc c) b
+  (* A reader at the tag, past the checksum header. *)
+  let at_tag b = Rw.reader_of_bytes ~pos:Codec.checksum_header b
 
-  (* A reader at the tag: past the checksum header when there is one. *)
-  let at_tag ~crc b = Rw.reader_of_bytes ~pos:(if crc then Codec.checksum_header else 0) b
-
-  let tag ~crc b =
-    if crc && not (Codec.checksummed_intact b) then None
+  let tag b =
+    if not (Codec.checksummed_intact b) then None
     else
-      let r = at_tag ~crc b in
+      let r = at_tag b in
       if Rw.remaining r < 16 then None
       else
         let slice = Rw.read_int r in
@@ -65,8 +62,8 @@ module Envelope = struct
 
   (* The body of a frame whose tag (and checksum) {!tag} already
      accepted: decoded without checking the checksum a second time. *)
-  let body ~crc c b =
-    let r = at_tag ~crc b in
+  let body c b =
+    let r = at_tag b in
     ignore (Rw.read_int r);
     ignore (Rw.read_int r);
     let v = c.Codec.decode r in
@@ -104,29 +101,29 @@ module Child = struct
 
   (* With [span], the task's decode, compute and reply encode are
      [<span>.recv], [<span>.compute] and [<span>.serialize] spans. *)
-  let handle ~crc ?span ~now ~result ~work table kind bytes =
+  let handle ?span ~now ~result ~work table kind bytes =
     let phase name f = match span with None -> f () | Some s -> Obs.span ~name:(s ^ "." ^ name) f in
-    let reply ~slice ~seq c v kind = [ (kind, Envelope.encode ~crc c ~slice ~seq v) ] in
+    let reply ~slice ~seq c v kind = [ (kind, Envelope.encode c ~slice ~seq v) ] in
     let untagged = [ (Protocol.Nack, Bytes.empty) ] in
     match (kind : Protocol.kind) with
     | Ping -> (table, [ (Protocol.Pong, bytes) ])
     | Err | Nack | Pong | Code -> (table, [])
     | Seg_put -> (
-        match Envelope.decode ~crc Envelope.put bytes with
+        match Envelope.decode Envelope.put bytes with
         | _, _, (key, p) -> (install table key p, [])
         | exception _ -> (table, untagged))
     | Seg_reuse -> (
-        match Envelope.decode ~crc Envelope.key bytes with
+        match Envelope.decode Envelope.key bytes with
         | slice, seq, key ->
             if lookup table key <> None then (table, [])
             else (table, reply ~slice ~seq Envelope.key key Protocol.Nack)
         | exception _ -> (table, untagged))
     | Seg_free -> (
-        match Envelope.decode ~crc Codec.int bytes with
+        match Envelope.decode Codec.int bytes with
         | _, _, did -> (List.filter (fun ((d, _), _) -> d <> did) table, [])
         | exception _ -> (table, []))
     | Data -> (
-        match phase "recv" (fun () -> Envelope.decode ~crc Envelope.task bytes) with
+        match phase "recv" (fun () -> Envelope.decode Envelope.task bytes) with
         | exception _ -> (table, untagged)
         | slice, seq, (keys, deadline, arg) -> (
             (* Every expected key must be resident at exactly its
@@ -164,7 +161,6 @@ type supervision = {
 
 type config = {
   nodes : int;
-  crc : bool;
   policy : policy;
   supervision : supervision option;  (** [None]: no pings, no respawns *)
 }
@@ -249,20 +245,20 @@ let kind_of_msg = function
   | Ping -> Protocol.Ping
   | Code -> Protocol.Code
 
+(** The state a lease of a warm session starts from: the lease's own
+    config, and each node's supervision (unanswered pings, backoff)
+    restarted at [now].  Beliefs and code generations stay: they
+    describe the children, which outlive every lease. *)
+let renew (cfg : config) ~now t =
+  let backoff = match cfg.supervision with Some s -> s.backoff_base | None -> 0 in
+  let restart n = { n with last_ping = now; unanswered = 0; backoff; fresh = false } in
+  { t with cfg; now = max t.now now; nodes = List.map restart t.nodes }
+
 let create (cfg : config) ~now =
   let n =
-    {
-      proto = Live;
-      last_ping = now;
-      unanswered = 0;
-      backoff = (match cfg.supervision with Some s -> s.backoff_base | None -> 0);
-      respawn_at = None;
-      fresh = false;
-      believed = [];
-      code = None;
-    }
+    { proto = Live; last_ping = now; unanswered = 0; backoff = 0; respawn_at = None; fresh = false; believed = []; code = None }
   in
-  { cfg; now; next_seq = 0; nodes = List.init cfg.nodes (fun _ -> n); job = None }
+  renew cfg ~now { cfg; now; next_seq = 0; nodes = List.init cfg.nodes (fun _ -> n); job = None }
 
 let active t = t.job <> None
 let live n = n.proto = Live
@@ -347,7 +343,6 @@ let finish t job =
    all.  A live node handles what a node sends and drops what only the
    parent sends. *)
 let on_frame o t i (kind : Protocol.kind) bytes =
-  let crc = t.cfg.crc in
   let n = List.nth t.nodes i in
   match n.proto with
   | Backoff -> t
@@ -367,7 +362,7 @@ let on_frame o t i (kind : Protocol.kind) bytes =
           in
           { t with nodes = set t.nodes i n }
       | Data -> (
-          match Envelope.tag ~crc bytes with
+          match Envelope.tag bytes with
           | None -> emit o (Note Corrupt); t
           | Some ((s, _) as tag) -> (
               match current tag with
@@ -376,10 +371,10 @@ let on_frame o t i (kind : Protocol.kind) bytes =
                   finish t (with_slice job s Done)
               | Some (_, Done) | None -> emit o (Note Redelivery); t))
       | Err -> (
-          match Envelope.tag ~crc bytes with
+          match Envelope.tag bytes with
           | None -> emit o (Note Corrupt); t
           | Some ((s, _) as tag) -> (
-              match (current tag, Envelope.body ~crc Envelope.err bytes) with
+              match (current tag, Envelope.body Envelope.err bytes) with
               | Some (_, (Waiting _ | Sent _)), None -> raise (Fail (t, Expired))
               | Some (_, (Waiting _ | Sent _)), Some msg -> raise (Fail (t, Raised { slice = s; msg }))
               | (Some (_, Done) | None), _ -> t
@@ -388,7 +383,7 @@ let on_frame o t i (kind : Protocol.kind) bytes =
           (* Whatever was refused, our beliefs about the node were
              wrong: forget them, and re-issue the refused attempt. *)
           let t = { t with nodes = set t.nodes i { n with believed = [] } } in
-          match Envelope.tag ~crc bytes with
+          match Envelope.tag bytes with
           | None -> emit o (Note Corrupt); t
           | Some ((s, seq) as tag) -> (
               match current tag with
@@ -578,9 +573,9 @@ type compute =
 type 'r work = node:int -> pool:Pool.t Lazy.t -> slice:int -> resident:Payload.t -> Payload.t -> 'r
 
 (* [work] served by node [node], its results encoded with [result]. *)
-let serve ~crc ?span ~result (work : _ work) ~node ~pool : compute =
+let serve ?span ~result (work : _ work) ~node ~pool : compute =
  fun table kind bytes ->
-  Child.handle ~crc ?span ~now:(Clock.monotonic_ns ()) ~result ~work:(work ~node ~pool) table kind bytes
+  Child.handle ?span ~now:(Clock.monotonic_ns ()) ~result ~work:(work ~node ~pool) table kind bytes
 
 (* Task code as [Code] frames carry it: how a node builds its compute
    from its id and the pool it keeps for life, and the phase at which
@@ -716,7 +711,7 @@ type session = {
   mutable st : t;
   io : io;
   faults : Fault.t option;
-  names : names;
+  mutable names : names;
   late : (unit -> unit) Queue.t;  (* delayed deliveries, released on a timeout *)
   mutable hooks : hooks;
   mutable code : (int * (int -> Bytes.t)) option;
@@ -725,24 +720,29 @@ type session = {
   mutable failed : failure option;
   mutable tally : report;
   mutable recovery_from : int option;
-  mutable respawns : int;
-  mutable misses : int;
+  mutable respawns : int;  (* this lease's *)
+  mutable misses : int;  (* this lease's *)
+  mutable sound : bool;  (* false once the shell raised: retired, never pooled *)
+  mutable next_did : int;  (* darray ids are never reused, across leases too *)
+  mutable dids : int list;  (* this lease's live darrays *)
 }
+
+let names span =
+  {
+    layer = span;
+    send = span ^ ".send";
+    recv = span ^ ".recv";
+    serialize = span ^ ".serialize";
+    retry = span ^ ".retry";
+    reissue = span ^ ".retry.reissue";
+  }
 
 let make ?faults ~span (cfg : config) io =
   {
     st = create cfg ~now:(Clock.monotonic_ns ());
     io;
     faults;
-    names =
-      {
-        layer = span;
-        send = span ^ ".send";
-        recv = span ^ ".recv";
-        serialize = span ^ ".serialize";
-        retry = span ^ ".retry";
-        reissue = span ^ ".retry.reissue";
-      };
+    names = names span;
     late = Queue.create ();
     hooks = no_hooks;
     code = None;
@@ -751,6 +751,9 @@ let make ?faults ~span (cfg : config) io =
     recovery_from = None;
     respawns = 0;
     misses = 0;
+    sound = true;
+    next_did = 0;
+    dids = [];
   }
 
 (* Inline nodes share [pool]. *)
@@ -765,11 +768,6 @@ let inline ?faults ~span ~pool (cfg : config) =
          dead = Array.make n false;
        })
 
-(* One {!node_main} child per node, each with a [cores]-wide pool. *)
-let fork ?faults ~span ~cores (cfg : config) =
-  make ?faults ~span cfg
-    (Procs { fabric = lazy (forkable (); Transport.Proc.fork ~n:cfg.nodes ~child:(node_main ~cores)); cores })
-
 (** Task code for every later job: [work] computes the slices, [result]
     encodes their results.  Inline nodes take the closure itself, with
     its phases traced under the session's span; forked nodes take it as
@@ -779,17 +777,16 @@ let fork ?faults ~span ~cores (cfg : config) =
     first death.  The code is marshalled before the first [load] forks
     a process session, so code that cannot cross forks nothing. *)
 let load s ~result ~work =
-  let crc = s.st.cfg.crc in
   let crash node = Option.bind s.faults (Fault.crash_phase ~node) in
   match s.io with
   | Inline io ->
       Array.iter
         (fun (n : Node.t) ->
-          n.compute <- serve ~crc ~span:s.names.layer ~result work ~node:n.id ~pool:n.pool;
+          n.compute <- serve ~span:s.names.layer ~result work ~node:n.id ~pool:n.pool;
           n.crash <- crash n.id)
         io.nodes
   | Procs p ->
-      let ship crash = closure_bytes ~span:s.names.layer { compute = serve ~crc ~result work; crash } in
+      let ship crash = closure_bytes ~span:s.names.layer { compute = serve ~result work; crash } in
       let plain = ship None in
       let code = Array.init s.st.cfg.nodes (fun id -> match crash id with None -> plain | c -> ship c) in
       let frames id = if crash id = None then plain else code.(id) in
@@ -797,10 +794,11 @@ let load s ~result ~work =
       ignore (Lazy.force p.fabric)
 
 let fabric s = match s.io with Procs p when Lazy.is_val p.fabric -> Some (Lazy.force p.fabric) | _ -> None
-let respawns s = s.respawns
-let heartbeat_misses s = s.misses
-let close s = Option.iter Transport.Proc.shutdown (fabric s)
 let node_attr n = [ ("node", string_of_int n) ]
+
+(* A session the shell raised out of may hold an engine and a fabric
+   out of step: it is retired at {!close}, never pooled. *)
+let guard s f = try f () with e -> s.sound <- false; raise e
 
 let count s ~gather bytes =
   let len = Bytes.length bytes and r = s.tally in
@@ -873,13 +871,13 @@ let rec feed s ev =
 
 and perform s = function
   | Send (n, m) ->
-      let crc = s.st.cfg.crc and kind = kind_of_msg m in
+      let kind = kind_of_msg m in
       let bytes =
         match m with
         | Task { slice; seq } -> s.hooks.task ~slice ~seq
         | Put key -> s.hooks.put key
-        | Reuse { slice; seq; key } -> Envelope.encode ~crc Envelope.key ~slice ~seq key
-        | Free did -> Envelope.encode ~crc Codec.int ~slice:(-1) ~seq:0 did
+        | Reuse { slice; seq; key } -> Envelope.encode Envelope.key ~slice ~seq key
+        | Free did -> Envelope.encode Codec.int ~slice:(-1) ~seq:0 did
         | Ping -> Bytes.empty
         | Code -> (snd (Option.get s.code)) n
       in
@@ -1012,7 +1010,7 @@ let idle s ~wake =
         tick s;
         if not (wait_procs ~wake s (Lazy.force p.fabric)) then go ()
       in
-      go ()
+      guard s go
 
 (** The frame that installs segment [key] with [payload], for a caller
     to retain per version and hand back through [run_job ~put]. *)
@@ -1021,7 +1019,7 @@ let put_frame s ((did, seg, _) as key) payload =
     ~attrs:[ ("darray", string_of_int did); ("seg", string_of_int seg) ]
     (fun () ->
       Stats.record_encode ();
-      Envelope.encode ~crc:s.st.cfg.crc Envelope.put ~slice:0 ~seq:0 (key, payload))
+      Envelope.encode Envelope.put ~slice:0 ~seq:0 (key, payload))
 
 (** Run one job of [slices] slices to completion on the code last
     {!load}ed.  Slice [i] computes [arg i] against the segments
@@ -1034,7 +1032,6 @@ let put_frame s ((did, seg, _) as key) payload =
     and the job's traffic and recovery report. *)
 let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no_hooks.put) ~slices ~arg
     ~result () =
-  let crc = s.st.cfg.crc in
   let plans = Array.init slices keys in
   let encoded = Array.make slices None in
   let task ~slice ~seq =
@@ -1044,7 +1041,7 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no
         let b =
           Obs.span ~name:s.names.serialize ~attrs:(node_attr slice) (fun () ->
               Stats.record_encode ();
-              Envelope.encode ~crc Envelope.task ~slice ~seq (plans.(slice), deadline, arg slice))
+              Envelope.encode Envelope.task ~slice ~seq (plans.(slice), deadline, arg slice))
         in
         if plans.(slice) = [] then encoded.(slice) <- Some b;
         b
@@ -1054,7 +1051,7 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no
     (* A finished slice is never re-issued: drop its bytes now. *)
     encoded.(i) <- None;
     results.(i) <-
-      Some (Obs.span ~name:s.names.recv ~attrs:(node_attr i) (fun () -> Envelope.body ~crc result bytes))
+      Some (Obs.span ~name:s.names.recv ~attrs:(node_attr i) (fun () -> Envelope.body result bytes))
   in
   s.hooks <- { task; put; on_done };
   s.failed <- None;
@@ -1063,19 +1060,20 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no
   let c0 = Option.map Fault.counters s.faults in
   Fun.protect
     ~finally:(fun () ->
-      (* Even if the shell raised, the session stays usable. *)
+      (* Even if the shell raised, the session is left between jobs. *)
       s.hooks <- no_hooks;
       s.st <- { s.st with job = None })
     (fun () ->
-      tick s;
-      feed s (Submit { plans = Array.to_list plans; deadline; pinned; code = Option.map fst s.code });
-      (match s.io with
-      | Inline io -> pump_inline s io
-      | Procs p ->
-          while active s.st && s.failed = None do
-            ignore (wait_procs s (Lazy.force p.fabric));
-            tick_if_due s
-          done);
+      guard s (fun () ->
+          tick s;
+          feed s (Submit { plans = Array.to_list plans; deadline; pinned; code = Option.map fst s.code });
+          match s.io with
+          | Inline io -> pump_inline s io
+          | Procs p ->
+              while active s.st && s.failed = None do
+                ignore (wait_procs s (Lazy.force p.fabric));
+                tick_if_due s
+              done);
       let recovery_ns =
         match s.recovery_from with
         | None -> 0
@@ -1095,12 +1093,20 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no
       ( (match s.failed with None -> Ok (Array.map Option.get results) | Some f -> Error f),
         { s.tally with recovery_ns; faults_injected } ))
 
-(** Evict darray [did] everywhere. *)
-let release s did = feed s (Release did)
+(** Darray ids: a fresh one is never one an earlier lease of the
+    session used, and {!release} evicts one everywhere. *)
+let fresh_did s =
+  let did = s.next_did in
+  s.next_did <- did + 1;
+  s.dids <- did :: s.dids;
+  did
 
-(** Between jobs of a process session: take in the deaths (and any
-    stale frames) the fabric already holds, then respawn every dead
-    node, so the next job starts on the full set of nodes. *)
+let release s did =
+  s.dids <- List.filter (( <> ) did) s.dids;
+  feed s (Release did)
+
+(* At a lease: take in the deaths (and stale frames) the fabric already
+   holds, then respawn every dead node. *)
 let revive s =
   match fabric s with
   | None -> ()
@@ -1113,3 +1119,59 @@ let revive s =
       in
       drain ();
       if not (List.for_all live s.st.nodes) then feed s Revive
+
+(* ------------------------------------------------------------------ *)
+(* The warm fabric: idle process sessions by [(nodes, cores)].          *)
+
+type warm = { mutable lock : Mutex.t; idle : (int * int, session) Hashtbl.t }
+
+let warm = { lock = Mutex.create (); idle = Hashtbl.create 4 }
+let shut ?grace s = Option.iter (Transport.Proc.shutdown ?grace) (fabric s)
+
+let () =
+  (* A forked child owns none of these sessions, and the lock may have
+     been held at the fork: a nested process call there starts anew. *)
+  Transport.Proc.on_fork_child (fun () ->
+      warm.lock <- Mutex.create ();
+      Hashtbl.reset warm.idle);
+  at_exit (fun () ->
+      Hashtbl.iter (fun _ s -> shut s) warm.idle;
+      Hashtbl.reset warm.idle)
+
+(** A process session of [cfg.nodes] nodes with [cores]-wide pools, the
+    caller's until {!close}: an idle one of that topology (dead nodes
+    respawned; the caller's config, span names and counters), or else a
+    new one that forks a {!node_main} per node at its first {!load}.
+    Concurrent leases of one topology get separate sessions, so a lease
+    never waits for another.  A fault plan's session is private. *)
+let lease ?faults ~span ~cores (cfg : config) =
+  let key = (cfg.nodes, cores) in
+  Mutex.lock warm.lock;
+  let idle = if faults = None then Hashtbl.find_opt warm.idle key else None in
+  if Option.is_some idle then Hashtbl.remove warm.idle key;
+  Mutex.unlock warm.lock;
+  match idle with
+  | None ->
+      make ?faults ~span cfg
+        (Procs { fabric = lazy (forkable (); Transport.Proc.fork ~n:cfg.nodes ~child:(node_main ~cores)); cores })
+  | Some s ->
+      s.st <- renew cfg ~now:(Clock.monotonic_ns ()) s.st;
+      s.names <- names span;
+      s.respawns <- 0;
+      s.misses <- 0;
+      (try revive s with e -> shut s; raise e);
+      s
+
+(** Done with a session: a sound, fault-free process session frees this
+    lease's darrays and goes back warm; any other is shut down. *)
+let close ?grace s =
+  match (s.io, s.faults, fabric s) with
+  | Procs p, None, Some _ when s.sound ->
+      List.iter (release s) s.dids;
+      Mutex.lock warm.lock;
+      Hashtbl.add warm.idle (s.st.cfg.nodes, p.cores) s;
+      Mutex.unlock warm.lock
+  | _ -> shut ?grace s
+
+(** {!load} on a fresh lease: code that cannot be loaded closes it. *)
+let load_or_close s ~result ~work = try load s ~result ~work with e -> close s; raise e

@@ -181,18 +181,28 @@ let merge_opt merge a b =
   | None, x | x, None -> x
   | Some a, Some b -> Some (merge a b)
 
+(* Whether this domain is inside a timed grain: a nested job's grains
+   run within it, and their CPU time is already the outer grain's. *)
+let timing : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
 (* Run one grain on worker [id] unless an earlier grain has raised:
-   counted, traced, timed as busy time, and its exception recorded as
-   the job's failure if it is the first. *)
+   counted, traced, timed as busy time unless an outer grain already
+   times this domain, and its exception recorded as the job's failure
+   if it is the first. *)
 let run_grain ~failure ~busy id grain =
   match Atomic.get failure with
   | Some _ -> ()
   | None ->
       Stats.record_chunk ~worker:id ();
+      let outermost = not (Domain.DLS.get timing) in
       let t0 = now_ns () in
+      if outermost then Domain.DLS.set timing true;
       (try Obs.span ~name:"pool.chunk" ~attrs:(worker_attr id) grain
        with e -> ignore (Atomic.compare_and_set failure None (Some e)));
-      busy := !busy + (now_ns () - t0)
+      if outermost then begin
+        Domain.DLS.set timing false;
+        busy := !busy + (now_ns () - t0)
+      end
 
 (** Core adaptive primitive: fold [f acc off len] over grains of
     [lo, hi) with lazy binary splitting (see the module header).  Each

@@ -1,11 +1,10 @@
-(** Long-lived, supervised job service over the {!Transport.Proc}
-    fork-per-node fabric.
+(** Long-lived, supervised job service over the warm process fabric.
 
-    Every skeleton call so far built a cluster, ran one scatter/gather,
-    and tore the cluster down; a resident deployment cannot afford a
-    fork per call, and a fabric that stays up must survive its own
-    children.  A service forks its workers once, keeps them warm across
-    requests, and wires four robustness mechanisms end to end:
+    A resident deployment cannot afford a fork per request, and a
+    fabric that stays up must survive its own children.  A service
+    leases its topology's warm session ({!Dispatch.lease}) from
+    {!create} to {!shutdown}, so creating one forks nothing once the
+    topology is warm, and wires four robustness mechanisms end to end:
 
     - {b supervision}: periodic [Ping]/[Pong] heartbeats,
       missed-heartbeat death verdicts, and respawn of dead children
@@ -26,16 +25,16 @@
       into refusing all new work ([Draining]) while admitted requests
       finish.
 
-    Supervision, retry and the wire protocol all live in the long-lived
+    Supervision, retry and the wire protocol all live in the leased
     {!Dispatch} session; this module keeps only admission, the queue,
-    deadlines and client wake-ups.  Concurrency model: any number of
-    client threads may call {!submit}; a single dispatcher thread owns
-    the session, so every seeded fault decision happens on one stream
-    in one order.  Clients
-    block on a condition variable until their request completes.  The
-    parent process must never spawn a domain — respawning forks — so
-    intra-request parallelism lives in the children's pools, and client
-    concurrency uses systhreads. *)
+    deadlines and client wake-ups.  A fault plan's service runs on a
+    private session instead.  Concurrency model: any number of client
+    threads may call {!submit}; a single dispatcher thread owns the
+    session, so every seeded fault decision happens on one stream in
+    one order.  Clients block on a condition variable until their
+    request completes.  The parent process must never spawn a domain —
+    respawning forks — so intra-request parallelism lives in the
+    children's pools, and client concurrency uses systhreads. *)
 
 module Payload = Triolet_base.Payload
 module Obs = Triolet_obs.Obs
@@ -92,7 +91,6 @@ type request = {
 type t = {
   cfg : config;
   session : Dispatch.session;
-  fault : Fault.t option;
   (* Client-facing state, under [lock]. *)
   lock : Mutex.t;
   cond : Condition.t;
@@ -111,8 +109,8 @@ type t = {
 let fabric t = Option.get (Dispatch.fabric t.session)
 let live_nodes t = Transport.Proc.alive_ids (fabric t)
 let node_pids t = Array.init t.cfg.nodes (Transport.Proc.pid (fabric t))
-let respawns t = Dispatch.respawns t.session
-let heartbeat_misses t = Dispatch.heartbeat_misses t.session
+let respawns t = t.session.Dispatch.respawns
+let heartbeat_misses t = t.session.Dispatch.misses
 
 let poke t =
   (* Wake the dispatcher out of its select; a full pipe already wakes. *)
@@ -198,7 +196,6 @@ let create ?(cfg = default_config) ~work () =
   let dcfg =
     {
       Dispatch.nodes = cfg.nodes;
-      crc = true;
       policy =
         { max_attempts = cfg.max_attempts; timeout = Some (ns cfg.request_timeout, ns 2.0) };
       supervision =
@@ -212,8 +209,8 @@ let create ?(cfg = default_config) ~work () =
     }
   in
   let fault = Option.map Fault.make cfg.faults in
-  let session = Dispatch.fork ?faults:fault ~span:"service" ~cores:cfg.cores_per_node dcfg in
-  Dispatch.load session ~result:Payload.codec ~work:(fun ~node ~pool ~slice:_ ~resident:_ p ->
+  let session = Dispatch.lease ?faults:fault ~span:"service" ~cores:cfg.cores_per_node dcfg in
+  Dispatch.load_or_close session ~result:Payload.codec ~work:(fun ~node ~pool ~slice:_ ~resident:_ p ->
       work ~node ~pool:(Lazy.force pool) p);
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
@@ -222,7 +219,6 @@ let create ?(cfg = default_config) ~work () =
     {
       cfg;
       session;
-      fault;
       lock = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
@@ -299,9 +295,9 @@ let shutdown ?grace t =
   if first then begin
     (match t.dispatcher with Some th -> Thread.join th | None -> ());
     t.dispatcher <- None;
-    Transport.Proc.shutdown ?grace (fabric t);
+    Dispatch.close ?grace t.session;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     try Unix.close t.wake_w with Unix.Unix_error _ -> ()
   end
 
-let fault_counters t = Option.map Fault.counters t.fault
+let fault_counters t = Option.map Fault.counters t.session.Dispatch.faults

@@ -1,9 +1,9 @@
-(** Long-lived, supervised job service over the {!Transport.Proc}
-    fork-per-node fabric.
+(** Long-lived, supervised job service over the warm process fabric.
 
-    A service forks its workers once, keeps them warm across requests,
-    and runs every request as one job on a long-lived {!Dispatch}
-    session (heartbeats, respawn with backoff, retry of a dead child's
+    A service leases its topology's warm {!Dispatch} session from
+    {!create} to {!shutdown} — the same children every process caller
+    of that topology runs on — and runs every request as one job on it
+    (heartbeats, respawn with backoff, retry of a dead child's
     in-flight slices); this module adds absolute-deadline propagation
     and bounded-queue admission control.
 
@@ -47,16 +47,16 @@ val create :
     Triolet_base.Payload.t) ->
   unit ->
   t
-(** Fork the fabric and start the dispatcher.  [work] ships to the
-    children as closure bytes, once per node and again after a respawn;
-    it must be re-executable (a slice may run more than once under
-    retries).  Raises {!Cluster.Unshippable_task}, before anything
-    forks, if [work] cannot cross (it closes over a mutex or a channel,
-    or is bigger than a frame).  Fails if any domain has ever been
-    spawned in this process — the fabric forks, and OCaml forbids
-    [fork] after a domain spawn.  A crash in [cfg.faults] fires once:
-    the planned node dies at its phase, and its replacement runs plain
-    [work]. *)
+(** Lease the topology's warm fabric — forking it only if no idle one
+    exists — and start the dispatcher.  [work] ships to the children as
+    closure bytes, once per node and again after a respawn; it must be
+    re-executable (a slice may run more than once under retries).
+    Raises {!Cluster.Unshippable_task}, before anything forks, if
+    [work] cannot cross (it closes over a mutex or a channel, or is
+    bigger than a frame).  A fork fails if any domain has ever been
+    spawned in this process.  With [cfg.faults] the service gets a
+    private fabric; a crash in the plan fires once: the planned node
+    dies at its phase, and its replacement runs plain [work]. *)
 
 val submit :
   ?deadline:float ->
@@ -75,13 +75,14 @@ val drain : t -> unit
     dispatcher is idle. *)
 
 val shutdown : ?grace:float -> t -> unit
-(** Graceful shutdown: {!drain}, stop the dispatcher, tear the fabric
-    down.  Idempotent. *)
+(** Graceful shutdown: {!drain}, stop the dispatcher, hand the fabric
+    back warm (or tear a private one down).  Idempotent. *)
 
-(** {1 Introspection} *)
+(** {1 Introspection} The counters are this service's own, since {!create}. *)
 
 val live_nodes : t -> int list
 val node_pids : t -> int array
+
 val respawns : t -> int
 val heartbeat_misses : t -> int
 

@@ -78,7 +78,6 @@ type state = {
   bad : string option;
 }
 
-let crc = true
 let set l i v = List.mapi (fun j x -> if j = i then v else x) l
 let did = 0
 
@@ -103,7 +102,7 @@ let step bug (t : D.t) ev =
             | _ -> true)
           acts )
   | Some No_stale_filter, D.Frame (_, Protocol.Data, b) -> (
-      match (Envelope.tag ~crc b, t.job) with
+      match (Envelope.tag b, t.job) with
       | Some (s, _), Some job when s >= 0 && s < List.length job.slices ->
           D.step { t with job = Some { job with slices = set job.slices s (D.Waiting 0) } } ev
       | _ -> D.step t ev)
@@ -136,10 +135,10 @@ let handle bug table ((kind, bytes) : frame) =
     match (bug, kind) with
     | Some Skip_version_check, (Protocol.Data | Protocol.Seg_reuse) ->
         let named =
-          match Envelope.decode ~crc Envelope.task bytes with
+          match Envelope.decode Envelope.task bytes with
           | _, _, (keys, _, _) -> keys
           | exception _ -> (
-              match Envelope.decode ~crc Envelope.key bytes with
+              match Envelope.decode Envelope.key bytes with
               | _, _, k -> [ k ]
               | exception _ -> [])
         in
@@ -150,7 +149,7 @@ let handle bug table ((kind, bytes) : frame) =
           table named
     | _ -> table
   in
-  let table, out = D.Child.handle ~crc ~now:0 ~result:Payload.codec ~work table kind bytes in
+  let table, out = D.Child.handle ~now:0 ~result:Payload.codec ~work table kind bytes in
   match bug with
   | Some Ping_echo -> (table, List.map (function Protocol.Pong, b -> (Protocol.Ping, b) | f -> f) out)
   | _ -> (table, out)
@@ -162,21 +161,21 @@ let encode st = function
       let keys =
         match st.engine.job with Some j -> List.nth j.plans slice | None -> []
       in
-      Envelope.encode ~crc Envelope.task ~slice ~seq (keys, 0, content slice)
-  | D.Put ((_, _, v) as key) -> Envelope.encode ~crc Envelope.put ~slice:0 ~seq:0 (key, content v)
-  | D.Reuse { slice; seq; key } -> Envelope.encode ~crc Envelope.key ~slice ~seq key
-  | D.Free d -> Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 d
+      Envelope.encode Envelope.task ~slice ~seq (keys, 0, content slice)
+  | D.Put ((_, _, v) as key) -> Envelope.encode Envelope.put ~slice:0 ~seq:0 (key, content v)
+  | D.Reuse { slice; seq; key } -> Envelope.encode Envelope.key ~slice ~seq key
+  | D.Free d -> Envelope.encode Triolet_base.Codec.int ~slice:(-1) ~seq:0 d
   | D.Ping -> Bytes.empty
   | D.Code ->
       (* The model's code is its generation. *)
-      Envelope.encode ~crc Triolet_base.Codec.int ~slice:(-1) ~seq:0 (Option.get st.gen)
+      Envelope.encode Triolet_base.Codec.int ~slice:(-1) ~seq:0 (Option.get st.gen)
 
 (* A task of the current job handled by node [n] must run on that job's
    code generation when the job ships code. *)
 let code_ok st n ((kind, bytes) : frame) =
   match (kind, st.engine.job) with
   | Protocol.Data, Some ({ code = Some _; _ } as j) -> (
-      match Envelope.tag ~crc bytes with
+      match Envelope.tag bytes with
       | Some (_, seq) when seq >= j.base -> List.nth st.codes n = j.code
       | _ -> true)
   | _ -> true
@@ -219,7 +218,7 @@ let apply ~may_fail st act =
   | D.Slice_done (s, bytes) ->
       let st = { st with completions = set st.completions s (List.nth st.completions s + 1) } in
       let expect = List.concat_map content st.truth in
-      if st.truth <> [] && Envelope.body ~crc Payload.codec bytes <> expect then
+      if st.truth <> [] && Envelope.body Payload.codec bytes <> expect then
         fail st (Printf.sprintf "slice %d computed against stale segments" s)
       else st
   | D.Job_failed _ -> if may_fail then { st with failed = true } else fail st "job failed"
@@ -275,7 +274,7 @@ let transitions ~may_fail ~code bug st =
             let table, out = handle bug (List.nth st.tables n) f in
             let st =
               match f with
-              | Protocol.Code, b -> { st with codes = set st.codes n (Some (Envelope.body ~crc Triolet_base.Codec.int b)) }
+              | Protocol.Code, b -> { st with codes = set st.codes n (Some (Envelope.body Triolet_base.Codec.int b)) }
               | _ when code_ok st n f -> st
               | _ -> fail st (Printf.sprintf "n%d computed a task without its job's code" n)
             in
@@ -406,7 +405,6 @@ let check_supervision ?bug () =
     ~engine:
       {
         D.nodes = 2;
-        crc;
         policy = { max_attempts = 8; timeout = Some (40, 80) };
         supervision = Some { hb_interval = 10; miss_threshold = 1; backoff_base = 5; backoff_max = 20 };
       }
@@ -421,7 +419,6 @@ let check_residency ?bug () =
     ~engine:
       {
         D.nodes = 1;
-        crc;
         policy = { max_attempts = 8; timeout = None };
         supervision =
           Some { hb_interval = 1_000_000; miss_threshold = 4; backoff_base = 5; backoff_max = 20 };
@@ -438,7 +435,6 @@ let check_failure ?bug () =
     ~engine:
       {
         D.nodes = 2;
-        crc;
         policy = { max_attempts = 2; timeout = Some (40, 80) };
         supervision = Some { hb_interval = 10; miss_threshold = 1; backoff_base = 5; backoff_max = 20 };
       }
@@ -451,5 +447,5 @@ let check_failure ?bug () =
     every job. *)
 let check_cluster ?bug () =
   check ~name:"cluster" ?bug ~code:Per_job
-    ~engine:{ D.nodes = 3; crc; policy = { max_attempts = 8; timeout = None }; supervision = None }
+    ~engine:{ D.nodes = 3; policy = { max_attempts = 8; timeout = None }; supervision = None }
     ~slices:3 ~truth:[] ~rounds:2 ~updates:0 ~kills:2 ~losses:0 ~put_losses:0 ~ticks:0 ()

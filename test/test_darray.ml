@@ -272,6 +272,85 @@ let test_sgemm_resident_wire_bytes () =
           Alcotest.(check (pair int int)) "after update_a" (295_278, 4) (bytes dirty)))
     both_backends
 
+(* Two resident arrays in turn on one topology: the second leases the
+   session the first returned, and must never take the first's
+   resident segments for its own.  Its cold round puts every block —
+   the first cold round's bytes exactly — and computes on its own
+   matrix; and a darray id is never handed out twice by a warm
+   session. *)
+let test_resident_fresh_across_leases () =
+  List.iter
+    (fun backend ->
+      let ctx = Exec.make ~nodes:2 ~cores_per_node:1 ~backend () in
+      let cold a b =
+        let r = Triolet_kernels.Sgemm.Resident.create ~ctx a in
+        Fun.protect
+          ~finally:(fun () -> Triolet_kernels.Sgemm.Resident.close r)
+          (fun () -> Triolet_kernels.Sgemm.Resident.multiply r b)
+      in
+      let a1, b = D.sgemm_matrices ~seed:17 ~m:24 ~k:10 ~n:6 in
+      let a2, _ = D.sgemm_matrices ~seed:18 ~m:24 ~k:10 ~n:6 in
+      let _, r1 = cold a1 b in
+      let c2, r2 = cold a2 b in
+      check_bool "second array = run_c A2 b exactly" true
+        (Triolet_kernels.Sgemm.agrees ~eps:0.0 (Triolet_kernels.Sgemm.run_c a2 b) c2);
+      check_int "its cold round puts every block" r1.Cluster.scatter_bytes r2.Cluster.scatter_bytes)
+    both_backends;
+  let did () =
+    let cfg = { Dispatch.nodes = 2; policy = { max_attempts = 1; timeout = None }; supervision = None } in
+    let s = Dispatch.lease ~span:"test" ~cores:1 cfg in
+    Fun.protect
+      ~finally:(fun () -> Dispatch.close s)
+      (fun () ->
+        Dispatch.load s ~result:Codec.int ~work:(fun ~node:_ ~pool:_ ~slice:_ ~resident:_ _ -> 0);
+        Dispatch.fresh_did s)
+  in
+  let first = did () in
+  check_bool "no darray id twice across leases" true (did () <> first)
+
+(* One set of nodes: a cluster call, a resident array and a service on
+   one process topology run on the same children, forked once. *)
+let test_one_fabric () =
+  let nodes = 3 in
+  let ends () = List.length (Atomic.get Transport.Proc.parent_ends) in
+  let before = ends () in
+  let topo = { Cluster.nodes; cores_per_node = 1; backend = Cluster.Process } in
+  let cluster_pids, _ =
+    Cluster.run_topology topo
+      ~scatter:(fun _ -> [])
+      ~work:(fun ~node:_ ~pool:_ _ -> Unix.getpid ())
+      ~result_codec:Codec.int
+      ~merge:(fun acc p -> acc @ [ p ])
+      ~init:[]
+  in
+  check_int "the first caller forks one child per node" (before + nodes) (ends ());
+  let a, b = D.sgemm_matrices ~seed:19 ~m:12 ~k:4 ~n:3 in
+  let r = Triolet_kernels.Sgemm.Resident.create ~ctx:(Exec.make ~nodes ~cores_per_node:1 ~backend:Cluster.Process ()) a in
+  Fun.protect
+    ~finally:(fun () -> Triolet_kernels.Sgemm.Resident.close r)
+    (fun () ->
+      let c, _ = Triolet_kernels.Sgemm.Resident.multiply r b in
+      check_bool "resident product exact" true
+        (Triolet_kernels.Sgemm.agrees ~eps:0.0 (Triolet_kernels.Sgemm.run_c a b) c));
+  check_int "the resident array forks nothing" (before + nodes) (ends ());
+  let svc =
+    Service.create
+      ~cfg:{ Service.default_config with nodes; cores_per_node = 1 }
+      ~work:(fun ~node:_ ~pool:_ _ -> [ Payload.Ints [| Unix.getpid () |] ])
+      ()
+  in
+  let service_pids = Array.to_list (Service.node_pids svc) in
+  let served = Service.submit svc (Array.make nodes []) in
+  Service.shutdown svc;
+  check_int "the service forks nothing" (before + nodes) (ends ());
+  Alcotest.(check (list int)) "the service runs on the cluster's children" cluster_pids service_pids;
+  match served with
+  | Ok replies ->
+      let pids = Array.to_list (Array.map (function [ Payload.Ints [| p |] ] -> p | _ -> -1) replies) in
+      check_bool "the service's replies come from those children" true
+        (List.for_all (fun p -> List.mem p cluster_pids) pids)
+  | Error e -> Alcotest.fail (Service.error_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Wire codecs: qcheck roundtrip, socket frame reader, corruption.     *)
 
@@ -290,7 +369,7 @@ let payload_gen : Payload.t QCheck2.Gen.t =
 let key_gen = QCheck2.Gen.(triple (int_bound 1000) (int_bound 1000) (int_bound 1000))
 
 (* Every darray frame rides the shared checksummed envelope. *)
-let env c = Envelope.codec ~crc:true c
+let env c = Envelope.codec c
 
 let roundtrips c v =
   let c = env c and v = (3, 7, v) in
@@ -310,7 +389,7 @@ let prop_put_roundtrip =
 let prop_reuse_roundtrip =
   qtest "reuse codec roundtrips" key_gen (fun k ->
       roundtrips Envelope.key k
-      && Envelope.tag ~crc:true (Codec.to_bytes (env Envelope.key) (3, 7, k)) = Some (3, 7))
+      && Envelope.tag (Codec.to_bytes (env Envelope.key) (3, 7, k)) = Some (3, 7))
 
 let prop_free_roundtrip =
   qtest "free codec roundtrips"
@@ -328,8 +407,8 @@ let prop_reply_roundtrip =
     QCheck2.Gen.(pair (int_bound 10_000) payload_gen)
     (fun (slice, p) ->
       let b = Codec.to_bytes (env Payload.codec) (slice, 1, p) in
-      Envelope.tag ~crc:true b = Some (slice, 1)
-      && Envelope.body ~crc:true Payload.codec b = p)
+      Envelope.tag b = Some (slice, 1)
+      && Envelope.body Payload.codec b = p)
 
 (* Every Seg_* frame kind carries its codec's bytes through a real
    socket and the fabric's frame reader, written in chunks cut at
@@ -376,7 +455,7 @@ let prop_corrupt_put_refused =
       let b = Bytes.copy bytes in
       let pos = posseed mod Bytes.length b in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
-      Envelope.tag ~crc:true b = None
+      Envelope.tag b = None
       &&
       match Codec.of_bytes (env Envelope.put) b with
       | _ -> false
@@ -654,6 +733,9 @@ let () =
             test_resident_fewer_blocks_than_nodes;
           Alcotest.test_case "sgemm resident wire bytes pinned" `Quick
             test_sgemm_resident_wire_bytes;
+          Alcotest.test_case "no stale residency across leases" `Quick
+            test_resident_fresh_across_leases;
+          Alcotest.test_case "one set of nodes for every caller" `Quick test_one_fabric;
         ] );
       ( "codecs",
         [

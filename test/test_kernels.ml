@@ -311,6 +311,34 @@ let test_run_seq_is_sequential () =
         (inst.Kernel.check_seq ()))
     (Kernel.all ())
 
+(* Busy time adds up: a nested job runs inside a grain that already
+   times its CPU, so over every registry kernel on 2 in-process nodes
+   the workers' summed busy time stays within the process's CPU time.
+   The 1 ms allowance covers the two clocks' sampling, not a grain. *)
+let test_busy_within_cpu () =
+  let ctx = Exec.make ~nodes:2 ~cores_per_node:1 ~backend:Cluster.Inprocess () in
+  let cpu_ms () =
+    let t = Unix.times () in
+    (t.Unix.tms_utime +. t.Unix.tms_stime) *. 1e3
+  in
+  List.iter
+    (fun (module K : Kernel.S) ->
+      let inst = K.instance ~size:"tiny" () in
+      let c0 = cpu_ms () in
+      let (), d = Triolet_runtime.Stats.measure (fun () -> inst.Kernel.run_triolet ~ctx ()) in
+      let cpu = cpu_ms () -. c0 in
+      let busy =
+        Array.fold_left
+          (fun a w -> a + w.Triolet_runtime.Stats.w_busy_ns)
+          0 d.Triolet_runtime.Stats.per_worker
+      in
+      let busy = float_of_int busy /. 1e6 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: busy %.3f ms <= CPU %.3f ms" K.name busy cpu)
+        true
+        (busy <= cpu +. 1.0))
+    (Kernel.all ())
+
 let () =
   Alcotest.run "kernels"
     [
@@ -326,6 +354,8 @@ let () =
             test_mriq_rate_independence;
           Alcotest.test_case "run_seq stays off the pool" `Quick
             test_run_seq_is_sequential;
+          Alcotest.test_case "busy time within process CPU" `Quick
+            test_busy_within_cpu;
         ] );
       ( "mriq",
         [

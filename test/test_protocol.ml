@@ -111,7 +111,6 @@ let engine ?timeout ?(supervised = true) ~nodes ~max_attempts () =
   D.create ~now:0
     {
       D.nodes;
-      crc = true;
       policy = { max_attempts; timeout };
       supervision =
         (if supervised then
@@ -142,7 +141,7 @@ let test_failed_eof_keeps_death () =
    for a slice of the next job. *)
 let test_failed_tick_keeps_seqs () =
   let t, sent = submit (engine ~supervised:false ~timeout:(10, 10) ~nodes:2 ~max_attempts:2 ()) 2 in
-  let nack = D.Envelope.(encode ~crc:true key ~slice:1 ~seq:1 (0, 0, 0)) in
+  let nack = D.Envelope.(encode key ~slice:1 ~seq:1 (0, 0, 0)) in
   let t, renack = D.step t (D.Frame (1, Protocol.Nack, nack)) in
   let t, acts = D.step t (D.Tick 10) in
   check_bool "job failed" true (failed acts);
@@ -175,7 +174,6 @@ let test_failed_tick_keeps_respawn () =
 let spec_cfg =
   {
     D.nodes = 1;
-    crc = true;
     policy = { max_attempts = 4; timeout = None };
     supervision = Some { hb_interval = 10; miss_threshold = 1; backoff_base = 5; backoff_max = 20 };
   }
@@ -187,7 +185,7 @@ let spec_live () =
   live
 
 let spec_frame =
-  let enc c v = D.Envelope.encode ~crc:true c ~slice:0 ~seq:0 v in
+  let enc c v = D.Envelope.encode c ~slice:0 ~seq:0 v in
   let key = (0, 0, 0) in
   function
   | Protocol.Data -> enc Payload.codec [ Payload.Ints [| 1 |] ]

@@ -300,7 +300,6 @@ let engine ~base ~max_s =
   Dispatch.create ~now:0
     {
       Dispatch.nodes = 1;
-      crc = true;
       policy = { max_attempts = 8; timeout = None };
       supervision =
         Some

@@ -410,6 +410,30 @@ let test_warm_captured_ref =
         end
       done)
 
+(* A job that returns an [Error] (its work raised) keeps the warm
+   session; one the shell raised out of (a reply its codec cannot
+   decode) is retired, and the next call forks anew. *)
+let test_warm_retired_on_raise () =
+  let topo = warm_topo Cluster.Process in
+  let pids () = per_node topo ~work:(fun _ -> Unix.getpid ()) in
+  let before = pids () in
+  (match per_node topo ~work:(fun _ -> failwith "boom") with
+  | _ -> Alcotest.fail "work raised"
+  | exception Failure _ -> ());
+  Alcotest.(check (list int)) "an Error keeps the session" before (pids ());
+  let undecodable = { Codec.int with decode = (fun _ -> failwith "undecodable") } in
+  (match
+     Cluster.run_topology topo
+       ~scatter:(fun _ -> Payload.empty)
+       ~work:(fun ~node:_ ~pool:_ _ -> 0)
+       ~result_codec:undecodable ~merge:(fun () _ -> ()) ~init:()
+   with
+  | _ -> Alcotest.fail "an undecodable reply decoded"
+  | exception Failure _ -> ());
+  let after = pids () in
+  check_bool "a raise retires it: new children" true
+    (List.for_all (fun p -> not (List.mem p before)) after)
+
 (* An iterator pipeline's task code carries no source data: the arrays
    reach the nodes as their block payloads only, not again inside the
    closure bytes. *)
@@ -734,6 +758,7 @@ let () =
           Alcotest.test_case "same pids every call" `Quick test_warm_same_pids;
           Alcotest.test_case "killed node back next call" `Quick test_warm_killed_node_back;
           Alcotest.test_case "captured state from the caller" `Quick test_warm_captured_ref;
+          Alcotest.test_case "retired only when the shell raised" `Quick test_warm_retired_on_raise;
           Alcotest.test_case "code carries no source data" `Quick test_code_carries_no_source;
           Alcotest.test_case "unshippable task refused" `Quick test_unshippable_task;
         ] );
