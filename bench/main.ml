@@ -233,7 +233,7 @@ let iter_cutcp_box =
 let iter_tpacf_cat =
   lazy (Kern.Dataset.tpacf ~seed:14 ~points:128 ~random_sets:1)
 
-let iter_patterns = [ "dot"; "sgemm-tile"; "cutcp"; "tpacf-hist" ]
+let iter_patterns = [ "dot"; "sgemm-tile"; "cutcp"; "tpacf-hist"; "tpacf-hist-lib" ]
 
 let bench_iter =
   (* dot / map-reduce: zip two arrays, multiply, sum. *)
@@ -287,18 +287,25 @@ let bench_iter =
     !acc
   in
   (* cutcp gather: the full scatter pipeline (atoms -> nearby grid
-     points -> conditional scatter-add), sequential, vs run_c. *)
+     points -> conditional scatter-add) as run_triolet runs it
+     ([%fuse]d), sequential, vs run_c. *)
   let cutcp_pipeline () =
     Kern.Cutcp.run_triolet ~hint:Iter.sequential (Lazy.force iter_cutcp_box)
   in
   let cutcp_imperative () = Kern.Cutcp.run_c (Lazy.force iter_cutcp_box) in
-  (* tpacf histogram: the DD triangular pair loop into a histogram vs
-     the imperative double loop with direct bin updates. *)
+  (* tpacf histogram: the DD triangular pair loop into a histogram, as
+     the kernel runs it ([%fuse]d) and as the library pipeline it is
+     written as, vs the imperative double loop with direct bin
+     updates. *)
   let tpacf_bins = 32 in
   let tpacf_pipeline () =
+    Kern.Tpacf.self_correlation ~hint:Iter.Sequential ~bins:tpacf_bins
+      (Lazy.force iter_tpacf_cat).Kern.Dataset.observed
+  in
+  let tpacf_library () =
     Iter.histogram ~bins:tpacf_bins
-      (Iter.sequential
-         (Kern.Tpacf.dd_pipeline ~bins:tpacf_bins (Lazy.force iter_tpacf_cat)))
+      (Kern.Tpacf.dd_pipeline ~hint:Iter.Sequential ~bins:tpacf_bins
+         (Lazy.force iter_tpacf_cat))
   in
   let tpacf_imperative () =
     let d = Lazy.force iter_tpacf_cat in
@@ -341,6 +348,11 @@ let bench_iter =
       Test.make_grouped ~name:"tpacf-hist"
         [
           Test.make ~name:"pipeline" (Staged.stage tpacf_pipeline);
+          Test.make ~name:"imperative" (Staged.stage tpacf_imperative);
+        ];
+      Test.make_grouped ~name:"tpacf-hist-lib"
+        [
+          Test.make ~name:"pipeline" (Staged.stage tpacf_library);
           Test.make ~name:"imperative" (Staged.stage tpacf_imperative);
         ];
     ]
@@ -440,7 +452,7 @@ let add_row ?speedup name ns =
    allocation-free imperative baselines with allocating pipelines (the
    iter fusion-gap family) need it so one test's garbage doesn't tax
    its neighbour's measurement. *)
-let run_group ?(quota = 0.5) ?(stabilize = false) test =
+let measure_group ~quota ~stabilize test =
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~kde:None ~stabilize
       ()
@@ -450,22 +462,22 @@ let run_group ?(quota = 0.5) ?(stabilize = false) test =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name o acc ->
-        let ns =
-          match Analyze.OLS.estimates o with Some (x :: _) -> x | _ -> nan
-        in
-        let r2 = Option.value ~default:nan (Analyze.OLS.r_square o) in
-        (name, ns, r2) :: acc)
-      results []
-    |> List.sort compare
-  in
+  Hashtbl.fold
+    (fun name o acc ->
+      let ns =
+        match Analyze.OLS.estimates o with Some (x :: _) -> x | _ -> nan
+      in
+      let r2 = Option.value ~default:nan (Analyze.OLS.r_square o) in
+      (name, ns, r2) :: acc)
+    results []
+  |> List.sort compare
+
+let run_group test =
   List.iter
     (fun (name, ns, r2) ->
       add_row name ns;
       Printf.printf "  %-36s %14.1f ns/run   (r2 %.3f)\n" name ns r2)
-    rows
+    (measure_group ~quota:0.5 ~stabilize:false test)
 
 (* Measure several runs under [Stats.measure] and keep the fastest:
    when the host timeshares the workers on fewer physical cores,
@@ -554,27 +566,54 @@ let counters_json (s : Stats.snapshot) =
       ("recovery_ns", num s.Stats.recovery_ns);
     ]
 
-(* Gap rows, computed from the raw rows of this family's run: the
-   fused-pipeline-vs-imperative ratio per pattern. *)
-let iter_gap_rows () =
-  let ns name =
-    List.find_map
-      (fun (n, v, _) -> if n = name then Some v else None)
-      !family_rows
+(* The iter family: the whole group measured [iter_reps] times, each
+   pattern's pipeline and imperative sides next to each other in every
+   repetition.  A raw row is the median of its estimates, and a gap row
+   the median of the per-repetition ratios: one Bechamel estimate per
+   side spreads too widely to gate on. *)
+let iter_reps = 5
+
+let run_iter_family () =
+  let reps =
+    List.init iter_reps (fun _ -> measure_group ~quota:1.0 ~stabilize:true bench_iter)
+  in
+  let median l =
+    let a = Array.of_list (List.sort Float.compare l) in
+    a.(Array.length a / 2)
+  in
+  let ns rep name =
+    List.find_map (fun (n, v, _) -> if n = name then Some v else None) rep
   in
   List.iter
+    (fun (name, _, _) ->
+      let estimates = List.filter_map (fun rep -> ns rep name) reps in
+      let m = median estimates in
+      add_row name m;
+      Printf.printf "  %-36s %14.1f ns/run   (%.1f-%.1f over %d)\n" name m
+        (List.fold_left Float.min infinity estimates)
+        (List.fold_left Float.max neg_infinity estimates)
+        (List.length estimates))
+    (List.hd reps);
+  List.iter
     (fun pat ->
-      match
-        ( ns (Printf.sprintf "iter/%s/pipeline" pat),
-          ns (Printf.sprintf "iter/%s/imperative" pat) )
-      with
-      | Some p, Some i when i > 0.0 && Float.is_finite p ->
-          let gap = p /. i in
-          Printf.printf "  %-36s %14.2fx pipeline/imperative\n"
-            (Printf.sprintf "iter/%s-gap" pat)
-            gap;
-          add_row (Printf.sprintf "iter/%s-gap" pat) gap
-      | _ -> ())
+      let side s = Printf.sprintf "iter/%s/%s" pat s in
+      let gaps =
+        List.filter_map
+          (fun rep ->
+            match (ns rep (side "pipeline"), ns rep (side "imperative")) with
+            | Some p, Some i when i > 0.0 && Float.is_finite p -> Some (p /. i)
+            | _ -> None)
+          reps
+      in
+      if gaps <> [] then begin
+        let gap = median gaps in
+        Printf.printf "  %-36s %14.2fx pipeline/imperative   (%.2f-%.2f)\n"
+          (Printf.sprintf "iter/%s-gap" pat)
+          gap
+          (List.fold_left Float.min infinity gaps)
+          (List.fold_left Float.max neg_infinity gaps);
+        add_row (Printf.sprintf "iter/%s-gap" pat) gap
+      end)
     iter_patterns
 
 (* ------------------------------------------------------------------ *)
@@ -808,9 +847,7 @@ let families : (string * string * (quick:bool -> unit)) list =
     ( "iter",
       "iterator fusion gap: fused pipeline vs imperative loop per kernel \
        inner pattern",
-      fun ~quick:_ ->
-        run_group ~quota:2.0 ~stabilize:true bench_iter;
-        iter_gap_rows () );
+      fun ~quick:_ -> run_iter_family () );
     ( "nested",
       "nested traversal encodings (Figure 1 'slow' cell)",
       fun ~quick:_ -> run_group bench_nested );

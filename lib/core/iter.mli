@@ -162,6 +162,30 @@ val scatter_add :
     [size]-float grid per pool worker plus one per node reply, however
     many grains the scheduler runs; out-of-range indices are ignored. *)
 
+val run_reduce :
+  ?ctx:Exec.t ->
+  result_codec:'acc Triolet_base.Codec.t ->
+  create:(unit -> 'acc) ->
+  fold:('acc -> 'a Seq_iter.t -> 'acc) ->
+  merge:('acc -> 'acc -> 'acc) ->
+  ('i, 'a) iter ->
+  'acc
+(** The band fold every reduction consumer runs on, and what a
+    [[%fuse]] site compiles to.  [Sequential] folds the whole domain
+    into one [create ()]; [Local] folds outer-axis bands on the pool,
+    one accumulator per worker, merged in place; [Distributed] does the
+    same on each node's block and merges the nodes' results into a
+    fresh [create ()].  [fold] and [merge] may update their first
+    argument in place: every accumulator they see is private to one
+    worker, node or call.  [result_codec] carries node results. *)
+
+val array_add : int array -> int array -> int array
+(** [array_add a b] adds [b] into [a] in place and returns [a]: the
+    merge of {!histogram}. *)
+
+val floatarray_add : floatarray -> floatarray -> floatarray
+(** The in-place merge of {!scatter_add}. *)
+
 val min_float : ?ctx:Exec.t -> ('i, float) iter -> float
 (** [infinity] on empty input. *)
 

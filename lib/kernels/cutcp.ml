@@ -79,7 +79,7 @@ let run_c (c : D.cutcp) : floatarray =
 (* Grid points near one atom, as a fusible nested loop: three nested
    ranges with a filter — irregularity stays in inner steppers while
    the atom loop remains partitionable. *)
-let grid_pts (c : D.cutcp) (x, y, z, q) =
+let[@fuse] grid_pts (c : D.cutcp) (x, y, z, q) =
   let x0, x1 = bounds c x c.D.nx in
   let y0, y1 = bounds c y c.D.ny in
   let z0, z1 = bounds c z c.D.nz in
@@ -95,7 +95,7 @@ let grid_pts (c : D.cutcp) (x, y, z, q) =
 
 (* The fused (index, weight) pipeline scatter_add consumes, exposed as
    a plan-reification hook for [triolet analyze]. *)
-let pipeline ?(hint = Iter.par) (c : D.cutcp) =
+let[@fuse] pipeline ?(hint = Iter.par) (c : D.cutcp) =
   let atoms =
     Iter.zip_with
       (fun (x, y, z) q -> (x, y, z, q))
@@ -113,10 +113,12 @@ let size_class (c : D.cutcp) =
   let box = int_of_float ((2.0 *. c.D.cutoff /. c.D.spacing) +. 1.0) in
   Mapping.size_class_of_work (Float.Array.length c.D.ax * box * box * box)
 
+(* [%fuse] compiles each atom's z/y/x nest into flat loops over each
+   band of atoms. *)
 let run_triolet ?ctx ?hint (c : D.cutcp) : floatarray =
   let ctx = Exec.for_kernel ?ctx ~kernel:"cutcp" ~size:(size_class c) () in
   Triolet_obs.Obs.span ~name:"kernel.cutcp" (fun () ->
-      Iter.scatter_add ~ctx ~size:(D.grid_points c) (pipeline ?hint c))
+      [%fuse Iter.scatter_add ~ctx ~size:(D.grid_points c) (pipeline ?hint c)])
 
 (* ------------------------------------------------------------------ *)
 

@@ -17,8 +17,8 @@ val run_triolet :
   Dataset.cutcp ->
   floatarray
 (** atoms |> par |> concat_map gridPts |> scatter_add — the paper's
-    [floatHist [f a r | a <- atoms, r <- gridPts a]].  [hint] defaults
-    to [Iter.par]. *)
+    [floatHist [f a r | a <- atoms, r <- gridPts a]], compiled by a
+    [[%fuse]] site.  [hint] defaults to [Iter.par]. *)
 
 val pipeline :
   ?hint:
@@ -26,8 +26,10 @@ val pipeline :
      (float * float * float * float) Triolet.Iter.t) ->
   Dataset.cutcp ->
   (int * float) Triolet.Iter.t
-(** Plan-reification hook: the fused (index, weight) pipeline
-    {!run_triolet}'s scatter-add consumes. *)
+(** Plan-reification hook: the (index, weight) pipeline
+    {!run_triolet}'s [[%fuse]] site compiles, as a library value.
+    [Iter.scatter_add] over it gives {!run_triolet}'s grid, bit for bit
+    under [Iter.sequential]. *)
 
 val run_eden : Dataset.cutcp -> floatarray
 

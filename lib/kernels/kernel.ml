@@ -168,6 +168,7 @@ module Tpacf_k = struct
         (fun () ->
           [
             (name ^ "-dd", Pipe (Tpacf.dd_pipeline ~bins (Lazy.force d)));
+            (name ^ "-dr", Pipe (Tpacf.dr_pipeline ~bins (Lazy.force d)));
             (name ^ "-rr", Pipe (Tpacf.rr_pipeline ~bins (Lazy.force d)));
           ]);
       model =

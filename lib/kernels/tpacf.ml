@@ -12,7 +12,10 @@
     [correlation] maps a score function over a pair iterator into a
     histogram; [random_sets_correlation] runs a parallel reduction over
     random sets; self-correlation builds the triangular pair loop with
-    a nested comprehension. *)
+    a nested comprehension.  Each correlation runs in a [%fuse] site,
+    which compiles the pair loop into a flat histogram loop, as the
+    paper's compiler does, from the same definitions the
+    plan-reification hooks return. *)
 
 open Triolet
 module D = Dataset
@@ -82,10 +85,12 @@ let run_c ~bins (d : D.tpacf) : result =
    pairs)) — the common code of all three loops (Figure 6, lines 1-4).
    [pairs] is an iterator with a localpar hint set by the caller.
    [score_pipeline] is the fused iterator the histogram consumes,
-   split out as a plan-reification hook. *)
-let score_pipeline ~bins pairs = Iter.map (fun (u, v) -> score ~bins u v) pairs
+   split out as a plan-reification hook.  The [@fuse] definitions are
+   library values, and [%fuse] sites below inline them. *)
+let[@fuse] score_pipeline ~bins pairs =
+  Iter.map (fun (u, v) -> score ~bins u v) pairs
 
-let correlation ?ctx ~bins pairs =
+let[@fuse] correlation ?ctx ~bins pairs =
   Iter.histogram ?ctx ~bins (score_pipeline ~bins pairs)
 
 (* [hint], when given, replaces an iterator's own hint; otherwise
@@ -93,38 +98,43 @@ let correlation ?ctx ~bins pairs =
 let with_hint ?hint default t =
   match hint with None -> default t | Some h -> { t with Iter.hint = h }
 
-(* Triangular pair loop over one catalog:
-     indexed = zip(indices(domain(rand)), rand)
-     pairs = localpar((u,v) for (i,u) in indexed for v in rand[i+1:])
-   (Figure 6, lines 14-18). *)
-let self_pairs ?hint (c : D.catalog) =
-  let n = D.catalog_size c in
-  let points =
-    Iter.zip3
-      (Iter.of_floatarray c.D.cx)
-      (Iter.of_floatarray c.D.cy)
-      (Iter.of_floatarray c.D.cz)
-  in
-  with_hint ?hint Iter.localpar
-    (Iter.concat_map
-       (fun (i, u) ->
-         Seq_iter.map
-           (fun j -> (u, point c j))
-           (Seq_iter.range (i + 1) n))
-       (Iter.enumerate points))
+let points (c : D.catalog) =
+  Iter.zip3
+    (Iter.of_floatarray c.D.cx)
+    (Iter.of_floatarray c.D.cy)
+    (Iter.of_floatarray c.D.cz)
 
-let cross_pairs ?hint (c1 : D.catalog) (c2 : D.catalog) =
+(* The outer loops of the pair loops, which carry their hint:
+     indexed = zip(indices(domain(rand)), rand)
+   (Figure 6, line 14). *)
+let self_outer ?hint c = with_hint ?hint Iter.localpar (Iter.enumerate (points c))
+let cross_outer ?hint c = with_hint ?hint Iter.localpar (points c)
+
+(* Triangular pair loop over one catalog:
+     pairs = localpar((u,v) for (i,u) in indexed for v in rand[i+1:])
+   (Figure 6, lines 15-18). *)
+let[@fuse] self_pairs ?hint (c : D.catalog) =
+  let n = D.catalog_size c in
+  Iter.concat_map
+    (fun (i, u) ->
+      Seq_iter.map (fun j -> (u, point c j)) (Seq_iter.range (i + 1) n))
+    (self_outer ?hint c)
+
+let[@fuse] cross_pairs ?hint (c1 : D.catalog) (c2 : D.catalog) =
   let n2 = D.catalog_size c2 in
-  let points1 =
-    Iter.zip3
-      (Iter.of_floatarray c1.D.cx)
-      (Iter.of_floatarray c1.D.cy)
-      (Iter.of_floatarray c1.D.cz)
-  in
-  with_hint ?hint Iter.localpar
-    (Iter.concat_map
-       (fun u -> Seq_iter.map (fun j -> (u, point c2 j)) (Seq_iter.range 0 n2))
-       points1)
+  Iter.concat_map
+    (fun u -> Seq_iter.map (fun j -> (u, point c2 j)) (Seq_iter.range 0 n2))
+    (cross_outer ?hint c1)
+
+(* The correlations run_triolet runs: [correlation] over each pair loop
+   in a [%fuse] site, which compiles the pair nest into a flat histogram
+   loop over each band of the outer iterator.  Same elements in the
+   same order as the library form. *)
+let self_correlation ?ctx ?hint ~bins (c : D.catalog) =
+  [%fuse correlation ?ctx ~bins (self_pairs ?hint c)]
+
+let cross_correlation ?ctx ?hint ~bins (c1 : D.catalog) (c2 : D.catalog) =
+  [%fuse correlation ?ctx ~bins (cross_pairs ?hint c1 c2)]
 
 let catalog_codec =
   Triolet_base.Codec.map
@@ -148,15 +158,22 @@ let random_sets_correlation ?ctx ?hint ~bins corr1 (rands : D.catalog array) =
     ~init:(Array.make bins 0)
     (random_sets_pipeline ?hint corr1 rands)
 
-(* Plan-reification hooks for [triolet analyze]: the exact fused
-   pipelines run_triolet's consumers execute — DD's shared-memory
-   triangular pair loop and RR's distributed reduction over random
-   sets. *)
-let dd_pipeline ~bins (d : D.tpacf) =
-  score_pipeline ~bins (self_pairs d.D.observed)
+(* Plan-reification hooks for [triolet analyze]: each stage
+   run_triolet runs, in its library form — DD's shared-memory
+   triangular pair loop, and DR's and RR's distributed reductions over
+   random sets. *)
+let dd_pipeline ?hint ~bins (d : D.tpacf) =
+  score_pipeline ~bins (self_pairs ?hint d.D.observed)
 
-let rr_pipeline ~bins (d : D.tpacf) =
-  random_sets_pipeline (fun r -> correlation ~bins (self_pairs r)) d.D.randoms
+let dr_pipeline ?hint ~bins (d : D.tpacf) =
+  random_sets_pipeline ?hint
+    (fun r -> correlation ~bins (cross_pairs ?hint d.D.observed r))
+    d.D.randoms
+
+let rr_pipeline ?hint ~bins (d : D.tpacf) =
+  random_sets_pipeline ?hint
+    (fun r -> correlation ~bins (self_pairs ?hint r))
+    d.D.randoms
 
 (* Size taxonomy shared with the auto-mapper: one point-pair score is
    the work unit (DD does n^2/2 pairs, each of the [sets] DR and RR
@@ -176,18 +193,18 @@ let run_triolet ?ctx ?hint ~bins (d : D.tpacf) : result =
      every pair loop and of the random-set iterator. *)
   let dd =
     Obs.span ~name:"kernel.tpacf.dd" (fun () ->
-        correlation ~ctx ~bins (self_pairs ?hint d.D.observed))
+        self_correlation ~ctx ?hint ~bins d.D.observed)
   in
   let dr =
     Obs.span ~name:"kernel.tpacf.dr" (fun () ->
         random_sets_correlation ~ctx ?hint ~bins
-          (fun r -> correlation ~bins (cross_pairs ?hint d.D.observed r))
+          (fun r -> cross_correlation ?hint ~bins d.D.observed r)
           d.D.randoms)
   in
   let rr =
     Obs.span ~name:"kernel.tpacf.rr" (fun () ->
         random_sets_correlation ~ctx ?hint ~bins
-          (fun r -> correlation ~bins (self_pairs ?hint r))
+          (fun r -> self_correlation ?hint ~bins r)
           d.D.randoms)
   in
   { dd; dr; rr }

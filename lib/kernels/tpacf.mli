@@ -30,15 +30,34 @@ val agrees : result -> result -> bool
 
 (** {1 Plan-reification hooks}
 
-    The exact fused pipelines {!run_triolet}'s consumers execute,
-    exposed so [triolet analyze] can reify and verify their plans. *)
+    The pipelines {!run_triolet}'s [[%fuse]] sites compile, as library
+    values built from the same definitions, exposed so [triolet
+    analyze] can reify and verify their plans.  Consumed by the library ([Iter.histogram] for DD, a
+    summing [Iter.reduce] for DR and RR), each gives {!run_triolet}'s
+    stage bit for bit.  [hint] is {!run_triolet}'s. *)
 
-val dd_pipeline : bins:int -> Dataset.tpacf -> int Triolet.Iter.t
+val dd_pipeline :
+  ?hint:Triolet.Iter.hint -> bins:int -> Dataset.tpacf -> int Triolet.Iter.t
 (** DD's shared-memory triangular pair loop, mapped to bin indices. *)
 
-val rr_pipeline : bins:int -> Dataset.tpacf -> int array Triolet.Iter.t
+val dr_pipeline :
+  ?hint:Triolet.Iter.hint -> bins:int -> Dataset.tpacf -> int array Triolet.Iter.t
+(** DR's distributed reduction over random sets, pre-merge: one
+    observed-against-set histogram per shipped set. *)
+
+val rr_pipeline :
+  ?hint:Triolet.Iter.hint -> bins:int -> Dataset.tpacf -> int array Triolet.Iter.t
 (** RR's distributed reduction over random sets, pre-merge: one
     histogram per shipped set. *)
+
+val self_correlation :
+  ?ctx:Triolet.Exec.t ->
+  ?hint:Triolet.Iter.hint ->
+  bins:int ->
+  Dataset.catalog ->
+  int array
+(** DD's stage as {!run_triolet} runs it: the triangular pair loop of
+    one catalog, histogrammed by a [[%fuse]] site. *)
 
 (** {1 Resident multi-round DR}
 

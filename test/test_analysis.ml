@@ -179,6 +179,8 @@ let kernel_plans () =
     (let d = D.tpacf ~seed:31 ~points:16 ~random_sets:3 in
      Plan.of_iter ~name:"tpacf-dd" (Triolet_kernels.Tpacf.dd_pipeline ~bins:8 d));
     (let d = D.tpacf ~seed:31 ~points:16 ~random_sets:3 in
+     Plan.of_iter ~name:"tpacf-dr" (Triolet_kernels.Tpacf.dr_pipeline ~bins:8 d));
+    (let d = D.tpacf ~seed:31 ~points:16 ~random_sets:3 in
      Plan.of_iter ~name:"tpacf-rr" (Triolet_kernels.Tpacf.rr_pipeline ~bins:8 d));
     Plan.of_iter ~name:"cutcp"
       (Triolet_kernels.Cutcp.pipeline
@@ -258,6 +260,10 @@ let test_plan_text_pinned () =
         \  %s block grid (%d blocks) over %d workers, %d payload bytes"
         grid nodes nodes sgemm_bytes;
       local;
+      Printf.sprintf
+        "plan tpacf-dr   distributed space [0, 3)       nest IdxFlat[3]\n\
+        \  3 static blocks over %d workers, 1248 payload bytes"
+        nodes;
       Printf.sprintf
         "plan tpacf-rr   distributed space [0, 3)       nest IdxFlat[3]\n\
         \  3 static blocks over %d workers, 1248 payload bytes"
