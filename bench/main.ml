@@ -403,16 +403,17 @@ let sched_spike =
 
 let sched_chunk it off len = Iter.fold ( + ) 0 (Iter.sub ~off ~len it)
 
-(* Baseline: the pre-PR schedule — over-decomposed blocks preloaded
-   onto the deques, chunks never subdivided. *)
+(* Baseline: static chunking — the loop cut into 4 blocks per worker up
+   front, each block run whole (grain 1 over the block indices), so a
+   block is never subdivided however much work it holds. *)
 let sched_static it () =
   let pool = Lazy.force sched_pool in
-  let chunks =
-    Partition.blocks
-      ~parts:(Partition.chunk_count ~workers:(Pool.size pool) sched_n)
-      sched_n
-  in
-  Pool.parallel_chunks pool ~chunks ~f:(sched_chunk it) ~merge:( + ) ~init:0
+  let blocks = Partition.blocks ~parts:(4 * Pool.size pool) sched_n in
+  let sums = Array.make (Array.length blocks) 0 in
+  Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:(Array.length blocks) (fun k ->
+      let off, len = blocks.(k) in
+      sums.(k) <- sched_chunk it off len);
+  Array.fold_left ( + ) 0 sums
 
 let sched_adaptive it () =
   let pool = Lazy.force sched_pool in

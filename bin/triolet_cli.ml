@@ -889,14 +889,12 @@ let autotune_cmd =
                (match c.Tune.grain with
                | None -> "auto"
                | Some g -> string_of_int g);
-               string_of_int c.Tune.chunk_multiplier;
                Table.seconds s.Tune.host_s;
                Table.seconds s.Tune.cluster_s;
              ])
     in
     Table.print
-      ([ "nodes"; "cores"; "backend"; "grain"; "chunk_x"; "pred host";
-         "pred cluster" ]
+      ([ "nodes"; "cores"; "backend"; "grain"; "pred host"; "pred cluster" ]
       :: rows)
   in
   let score_json s =
@@ -910,8 +908,6 @@ let autotune_cmd =
           match c.Tune.grain with
           | None -> Json.Null
           | Some g -> Json.Num (float_of_int g) );
-        ( "chunk_multiplier",
-          Json.Num (float_of_int c.Tune.chunk_multiplier) );
         ("predicted_host_s", Json.Num s.Tune.host_s);
         ("predicted_cluster_s", Json.Num s.Tune.cluster_s);
       ]

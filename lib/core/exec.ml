@@ -28,7 +28,6 @@ type t = {
   backend : Cluster.backend;  (** transport realizing the geometry *)
   faults : Fault.spec option;  (** fault-injection plan, if any *)
   grain : int option;  (** scheduler grain override *)
-  chunk_multiplier : int;  (** over-decomposition for pre-chunked loops *)
 }
 
 (* The backend can be selected from outside via TRIOLET_BACKEND
@@ -57,7 +56,6 @@ let default () =
     backend = Option.value (env_backend ()) ~default:Cluster.Inprocess;
     faults = None;
     grain = None;
-    chunk_multiplier = 4;
   }
 
 (* Created lazily so the environment is read at first use, after a CLI
@@ -93,7 +91,7 @@ let with_context c f =
 
 let resolve = function Some c -> c | None -> current ()
 
-let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier () =
+let make ?nodes ?cores_per_node ?backend ?faults ?grain () =
   let base = current () in
   {
     nodes = Option.value nodes ~default:base.nodes;
@@ -101,8 +99,6 @@ let make ?nodes ?cores_per_node ?backend ?faults ?grain ?chunk_multiplier () =
     backend = Option.value backend ~default:base.backend;
     faults = (match faults with Some f -> f | None -> base.faults);
     grain = (match grain with Some g -> g | None -> base.grain);
-    chunk_multiplier =
-      Option.value chunk_multiplier ~default:base.chunk_multiplier;
   }
 
 let topology c =
@@ -143,5 +139,4 @@ let for_kernel ?ctx ~kernel ~size () =
                 cores_per_node = max 1 e.Mapping.cores_per_node;
                 backend;
                 grain = e.Mapping.grain;
-                chunk_multiplier = max 1 e.Mapping.chunk_multiplier;
               }))

@@ -16,12 +16,10 @@ type t = {
   faults : Triolet_runtime.Fault.spec option;
       (** fault-injection plan, if any *)
   grain : int option;  (** scheduler grain override *)
-  chunk_multiplier : int;
-      (** over-decomposition for pre-chunked local loops *)
 }
 
 val default : unit -> t
-(** 4 nodes x 2 cores, no faults, automatic grain, multiplier 4.  The
+(** 4 nodes x 2 cores, no faults, automatic grain.  The
     backend honours the [TRIOLET_BACKEND] environment variable
     (["inprocess"] | ["flat"] | ["process"]); any other non-empty value
     raises [Invalid_argument] naming the valid choices. *)
@@ -32,7 +30,6 @@ val make :
   ?backend:Triolet_runtime.Cluster.backend ->
   ?faults:Triolet_runtime.Fault.spec option ->
   ?grain:int option ->
-  ?chunk_multiplier:int ->
   unit ->
   t
 (** A context derived from {!current}, overriding the given fields. *)

@@ -461,14 +461,21 @@ let floatarray_concat parts =
     parts;
   out
 
-(* Order-preserving packing: per-chunk results concatenated in chunk
-   order, on the pool or on one node block per cluster node. *)
+(* Order-preserving packing: per-range results concatenated in range
+   order, on the pool or on one node block per cluster node.  A pool
+   worker may run ranges from anywhere in the loop, so each worker
+   keeps its results tagged with their offsets, and the merged list is
+   sorted by offset before concatenation. *)
 let collect ?ctx ~result_codec ~of_chunk ~concat (t : 'a t) =
   let ctx = Exec.resolve ctx in
   let on_pool pool t =
-    concat
-      (Skeletons.local_map_chunks_with ~ctx pool ~len:(length t)
-         ~chunk:(fun off n -> of_chunk (t.local (off, Shape.Seq n))))
+    Skeletons.local_reduce_with ~ctx pool ~len:(length t)
+      ~create:(fun () -> [])
+      ~fold:(fun acc off n ->
+        (off, of_chunk (t.local (off, Shape.Seq n))) :: acc)
+      ~merge:List.rev_append
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd |> Array.of_list |> concat
   in
   match t.hint with
   | Sequential -> of_chunk (t.local (Shape.whole t.shape))

@@ -14,7 +14,6 @@ type entry = {
   cores_per_node : int;
   backend : string;
   grain : int option;
-  chunk_multiplier : int;
   predicted_s : float;
   cluster_s : float;
   seq_s : float;
@@ -45,7 +44,6 @@ let entry_to_json (e : entry) =
       ("cores_per_node", Json.Num (float_of_int e.cores_per_node));
       ("backend", Json.Str e.backend);
       ("grain", int_opt e.grain);
-      ("chunk_multiplier", Json.Num (float_of_int e.chunk_multiplier));
       ("predicted_s", Json.Num e.predicted_s);
       ("cluster_s", Json.Num e.cluster_s);
       ("seq_s", Json.Num e.seq_s);
@@ -99,18 +97,13 @@ let entry_of_json i j =
   let* nodes = get_int ctx "nodes" j in
   let* cores_per_node = get_int ctx "cores_per_node" j in
   let* backend = get_str ctx "backend" j in
-  let* chunk_multiplier = get_int ctx "chunk_multiplier" j in
   let* predicted_s = get_num ctx "predicted_s" j in
   let* cluster_s = get_num ctx "cluster_s" j in
   let* seq_s = get_num ctx "seq_s" j in
   let non_positive =
     List.filter_map
       (fun (name, v) -> if v < 1 then Some name else None)
-      [
-        ("nodes", nodes);
-        ("cores_per_node", cores_per_node);
-        ("chunk_multiplier", chunk_multiplier);
-      ]
+      [ ("nodes", nodes); ("cores_per_node", cores_per_node) ]
   in
   if non_positive <> [] then
     Error
@@ -125,7 +118,6 @@ let entry_of_json i j =
         cores_per_node;
         backend;
         grain = get_int_opt "grain" j;
-        chunk_multiplier;
         predicted_s;
         cluster_s;
         seq_s;

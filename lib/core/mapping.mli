@@ -19,7 +19,6 @@ type entry = {
   cores_per_node : int;
   backend : string;  (** ["inprocess"] | ["flat"] | ["process"] *)
   grain : int option;
-  chunk_multiplier : int;
   predicted_s : float;  (** host-projected predicted makespan, seconds *)
   cluster_s : float;  (** abstract-cluster simulated makespan, seconds *)
   seq_s : float;  (** measured sequential run used to calibrate costs *)

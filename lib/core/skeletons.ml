@@ -65,29 +65,6 @@ let local_reduce_with ?ctx pool ~len ~create ~fold ~merge =
 let local_reduce ?ctx ~len ~create ~fold ~merge () =
   local_reduce_with ?ctx (Pool.default ()) ~len ~create ~fold ~merge
 
-(** Order-preserving chunked map: runs [chunk] over each block of
-    [len] on the pool and returns the per-block results in block order.
-    Used by consumers that pack variable-length output, where
-    concatenation order matters. *)
-let local_map_chunks_with ?ctx pool ~len ~chunk =
-  let ctx = Exec.resolve ctx in
-  if len <= 0 then [||]
-  else
-    Obs.span ~name:"skel.local_map_chunks" (fun () ->
-        let parts =
-          Partition.chunk_count ~multiplier:ctx.Exec.chunk_multiplier
-            ~workers:(Pool.size pool) len
-        in
-        let blocks = Partition.blocks ~parts len in
-        let out = Array.make (Array.length blocks) None in
-        Pool.parallel_for pool ~lo:0 ~hi:(Array.length blocks) (fun k ->
-            let off, n = blocks.(k) in
-            out.(k) <- Some (chunk off n));
-        Array.map Option.get out)
-
-let local_map_chunks ?ctx ~len ~chunk () =
-  local_map_chunks_with ?ctx (Pool.default ()) ~len ~chunk
-
 (** Distributed reduction: ship each of the context's cluster workers
     the payload of one block (serialized; workers beyond the last block
     idle), run [node_work] against the decoded payload with intra-node

@@ -36,18 +36,6 @@ val local_reduce :
   'r
 (** {!local_reduce_with} on the default pool. *)
 
-val local_map_chunks_with :
-  ?ctx:Exec.t ->
-  Triolet_runtime.Pool.t ->
-  len:int ->
-  chunk:(int -> int -> 'r) ->
-  'r array
-(** Order-preserving chunked map: per-block results in block order, for
-    consumers that pack variable-length output. *)
-
-val local_map_chunks :
-  ?ctx:Exec.t -> len:int -> chunk:(int -> int -> 'r) -> unit -> 'r array
-
 val distributed_reduce :
   ?ctx:Exec.t ->
   blocks:'blk array ->

@@ -68,13 +68,6 @@ let square_factors parts =
   let r = !r and c = parts / !r in
   if r <= c then (r, c) else (c, r)
 
-(** Number of chunks to cut a loop of [n] iterations into for a pool of
-    [workers] workers.  Over-decomposition by [multiplier] gives the
-    work-stealing scheduler room to balance irregular iterations. *)
-let chunk_count ?(multiplier = 4) ~workers n =
-  if workers <= 0 then invalid_arg "Partition.chunk_count";
-  max 1 (min n (workers * multiplier))
-
 (** Grain size for the adaptive lazy-splitting scheduler: the number of
     iterations a worker peels off the bottom of its range between
     deque-empty checks, and the length below which a range is no longer

@@ -25,12 +25,6 @@ val square_factors : int -> int * int
     close as possible ([r <= c]); the grid shape used for 2-D block
     decompositions. *)
 
-val chunk_count : ?multiplier:int -> workers:int -> int -> int
-(** Number of chunks to cut a loop of [n] iterations into for a pool of
-    [workers]: over-decomposition (default 4x) gives work stealing room
-    to balance irregular iterations.  Used for *pre-partitioned* work
-    (explicit blocks); dynamically scheduled loops use {!grain}. *)
-
 val grain : ?max_grain:int -> workers:int -> int -> int
 (** [grain ~workers n] is the auto grain size for the lazy-splitting
     scheduler on a loop of [n] iterations: roughly [n / (workers * 32)],

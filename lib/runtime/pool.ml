@@ -5,7 +5,7 @@
     thread parallelism with work stealing runs inside each cluster node
     (section 3.4).
 
-    Dynamically scheduled loops use *adaptive lazy binary splitting*
+    Every loop uses *adaptive lazy binary splitting*
     ({!parallel_fold}, and {!parallel_range} on it): each worker owns
     one contiguous range task [(lo, hi)] on its Chase–Lev deque and
     executes a small grain off the bottom at a time.  While its deque holds stealable work the worker
@@ -16,14 +16,9 @@
     as often as demand requires: a uniform loop splits O(workers) times,
     while a loop whose cost concentrates in one region keeps
     sub-splitting that region until every worker is fed.  This is the
-    lazy-splitting strategy of indexed-stream runtimes, replacing the
-    old static preload of [workers * multiplier] equal chunks that left
-    workers idle when per-element cost was skewed.
-
-    {!parallel_chunks} retains the static-preload path for work that
-    arrives pre-partitioned (sgemm's 2-D blocks, explicit block maps) —
-    and doubles as the baseline the bench harness compares the adaptive
-    scheduler against. *)
+    lazy-splitting strategy of indexed-stream runtimes: a static preload
+    of equal chunks leaves workers idle when per-element cost is
+    skewed. *)
 
 let log_src = Logs.Src.create "triolet.pool" ~doc:"Work-stealing pool"
 
@@ -317,70 +312,6 @@ let parallel_range t ?grain ~lo ~hi ~f ~merge ~init () =
   with
   | None -> init
   | Some v -> merge init v
-
-(** Static-preload primitive: execute every (off, len) chunk exactly
-    once across the pool.  Chunks are never subdivided, so use this for
-    work that is already partitioned along meaningful boundaries (2-D
-    blocks, per-node slabs); dynamically splittable loops should use
-    {!parallel_range}. *)
-let parallel_chunks t ~chunks ~f ~merge ~init =
-  let nchunks = Array.length chunks in
-  Log.debug (fun m -> m "parallel_chunks: %d chunks on %d workers" nchunks t.n);
-  if nchunks = 0 then init
-  else begin
-    Stats.ensure_workers t.n;
-    let deques = Array.init t.n (fun _ -> Wsdeque.create ()) in
-    (* Blocked preload keeps adjacent chunks on the same worker for
-       locality; stealing rebalances irregular ones. *)
-    Array.iteri
-      (fun i c -> Wsdeque.push deques.(i * t.n / nchunks) c)
-      chunks;
-    let remaining = Atomic.make nchunks in
-    let results = Array.make t.n None in
-    let failure = Atomic.make None in
-    let job id =
-      let busy = ref 0 in
-      let acc = ref None in
-      let execute (off, len) =
-        run_grain ~failure ~busy id (fun () ->
-            acc := merge_opt merge !acc (Some (f off len)));
-        ignore (Atomic.fetch_and_add remaining (-1))
-      in
-      let rec drain () =
-        match Wsdeque.pop deques.(id) with
-        | Some c -> execute c; drain ()
-        | None -> hunt 0
-      and hunt failures =
-        if Atomic.get remaining > 0 then begin
-          let stolen = ref false in
-          for k = 1 to t.n - 1 do
-            if not !stolen then
-              match Wsdeque.steal deques.((id + k) mod t.n) with
-              | Wsdeque.Stolen c ->
-                  Stats.record_steal ~worker:id ();
-                  Obs.instant ~name:"pool.steal" ~attrs:(worker_attr id) ();
-                  stolen := true;
-                  execute c
-              | Wsdeque.Empty | Wsdeque.Retry -> ()
-          done;
-          if !stolen then drain ()
-          else begin
-            Stats.record_failed_steal ~worker:id ();
-            steal_backoff failures;
-            hunt (failures + 1)
-          end
-        end
-      in
-      drain ();
-      Stats.record_busy ~worker:id !busy;
-      results.(id) <- !acc
-    in
-    run_job t job;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
-    match Array.fold_left (merge_opt merge) None results with
-    | None -> init
-    | Some v -> merge init v
-  end
 
 (** Parallel loop over [lo, hi) for side effects on disjoint state. *)
 let parallel_for t ?grain ~lo ~hi f =

@@ -2,8 +2,8 @@
     (paper, section 3.4).
 
     A pool owns [n - 1] helper domains plus the calling domain.
-    Dynamically scheduled loops ({!parallel_fold} and, defined on it,
-    {!parallel_range}, {!parallel_for}, {!parallel_reduce}) use adaptive
+    Every loop ({!parallel_fold} and, defined on it, {!parallel_range},
+    {!parallel_for}, {!parallel_reduce}) uses adaptive
     lazy binary splitting: each worker owns one contiguous range task on
     its Chase–Lev deque, executes a small grain off the bottom at a
     time, and splits the remainder — pushing the larger half for
@@ -12,9 +12,8 @@
     on one worker.  Each worker threads one accumulator through all its
     grains, so per-grain state is never re-allocated.
 
-    {!parallel_chunks} keeps the static-preload path for explicitly
-    pre-partitioned work.  Parallel consumers called from *inside* a
-    pool worker run inline (nested data parallelism is flattened). *)
+    Parallel consumers called from *inside* a pool worker run inline
+    (nested data parallelism is flattened). *)
 
 type t
 
@@ -65,18 +64,6 @@ val parallel_range :
     worker folds its grains locally with [merge] before the per-worker
     partials are combined.  [merge] must be associative with identity
     [init].  Grain and exception behaviour as in {!parallel_fold}. *)
-
-val parallel_chunks :
-  t ->
-  chunks:(int * int) array ->
-  f:(int -> int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** Static-preload scheduler: executes every (offset, length) chunk
-    exactly once across the pool, never subdividing a chunk.  For work
-    partitioned along meaningful boundaries (2-D blocks, node slabs);
-    exception behaviour as in {!parallel_range}. *)
 
 val parallel_for : t -> ?grain:int -> lo:int -> hi:int -> (int -> unit) -> unit
 (** Parallel loop over [lo, hi) for side effects on disjoint state, with

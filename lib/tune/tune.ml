@@ -20,7 +20,6 @@ type candidate = {
   nodes : int;
   cores_per_node : int;
   grain : int option;
-  chunk_multiplier : int;
   backend : Cluster.backend;
 }
 
@@ -51,15 +50,11 @@ let default_lattice () =
       List.concat_map
         (fun cores_per_node ->
           List.concat_map
-            (fun chunk_multiplier ->
-              List.concat_map
-                (fun grain ->
-                  List.map
-                    (fun backend ->
-                      { nodes; cores_per_node; grain; chunk_multiplier; backend })
-                    [ Cluster.Inprocess; Cluster.Flat; Cluster.Process ])
-                [ None; Some 64; Some 256 ])
-            [ 1; 2; 4; 8 ])
+            (fun grain ->
+              List.map
+                (fun backend -> { nodes; cores_per_node; grain; backend })
+                [ Cluster.Inprocess; Cluster.Flat; Cluster.Process ])
+            [ None; Some 64; Some 256 ])
         [ 1; 2; 4 ])
     [ 1; 2; 4; 8 ]
 
@@ -110,6 +105,8 @@ let workers_of cand =
 (* Total concurrent lanes the candidate asks the host for. *)
 let lanes_of cand = cand.nodes * cand.cores_per_node
 
+(* Each distributed consumer cuts one block per worker and never
+   re-splits it, so every candidate is scored under static blocks. *)
 let profile_of cand =
   let p = Profile.triolet ~efficiency:(fun _ -> 1.0) () in
   let net =
@@ -118,13 +115,7 @@ let profile_of cand =
     | Cluster.Inprocess | Cluster.Flat ->
         Netmodel.make ~latency:1e-5 ~bytes_per_sec:ser_bytes_per_sec ()
   in
-  {
-    p with
-    Profile.node_scheduling =
-      (if cand.chunk_multiplier <= 1 then Profile.Static_blocks
-       else Profile.Overdecomposed cand.chunk_multiplier);
-    net;
-  }
+  { p with Profile.node_scheduling = Profile.Static_blocks; net }
 
 let machine_of cand =
   match cand.backend with
@@ -164,8 +155,7 @@ let host_project ~host_cores app cand (b : Sim.breakdown) =
   let messages = 2 * workers_of cand in
   let dispatch =
     float_of_int (local_chunks app cand) *. 2e-6
-    +. float_of_int (min app.App.tasks (cand.nodes * cand.chunk_multiplier))
-       *. 1e-5
+    +. float_of_int (min app.App.tasks cand.nodes) *. 1e-5
   in
   compute +. comm
   +. (float_of_int messages *. per_message_s cand.backend)
@@ -209,7 +199,6 @@ let compare_scores objective a b =
       ( lanes_of s.cand,
         s.cand.nodes,
         s.cand.cores_per_node,
-        s.cand.chunk_multiplier,
         (match s.cand.grain with None -> 0 | Some g -> g),
         backend_rank s.cand.backend )
     in
@@ -224,8 +213,7 @@ let search ?(objective = Host) ?lattice ?host_cores ~app () =
 
 let ctx_of_candidate cand =
   Exec.make ~nodes:cand.nodes ~cores_per_node:cand.cores_per_node
-    ~backend:cand.backend ~grain:cand.grain
-    ~chunk_multiplier:cand.chunk_multiplier ()
+    ~backend:cand.backend ~grain:cand.grain ()
 
 (* ------------------------------------------------------------------ *)
 (* Measurement and per-instance tuning                                 *)
@@ -271,7 +259,6 @@ let entry_of_score ~kernel ~size ~seq_s ?measured_s (s : score) =
     cores_per_node = s.cand.cores_per_node;
     backend = Cluster.backend_to_string s.cand.backend;
     grain = s.cand.grain;
-    chunk_multiplier = s.cand.chunk_multiplier;
     predicted_s = s.host_s;
     cluster_s = s.cluster_s;
     seq_s;
@@ -343,7 +330,6 @@ let check_entry ~objective ~host_cores ~rates (e : Mapping.entry) =
               s.cand.nodes = e.Mapping.nodes
               && s.cand.cores_per_node = e.Mapping.cores_per_node
               && s.cand.grain = e.Mapping.grain
-              && s.cand.chunk_multiplier = e.Mapping.chunk_multiplier
               && Cluster.backend_to_string s.cand.backend = e.Mapping.backend)
             ranked
         in

@@ -69,11 +69,6 @@ let test_square_factors () =
   Alcotest.(check (pair int int)) "1" (1, 1) (Partition.square_factors 1);
   Alcotest.(check (pair int int)) "7 (prime)" (1, 7) (Partition.square_factors 7)
 
-let test_chunk_count () =
-  check_int "bounded by n" 3 (Partition.chunk_count ~workers:8 3);
-  check_int "multiplied" 16 (Partition.chunk_count ~workers:4 1000);
-  check_int "at least 1" 1 (Partition.chunk_count ~workers:4 0)
-
 let prop_blocks_cover_exactly =
   qtest "blocks partition [0,n)"
     QCheck2.Gen.(pair (int_range 0 200) (int_range 1 17))
@@ -199,21 +194,6 @@ let test_pool_parallel_reduce () =
           ~init:0 ()
       in
       check_int "gauss" 50_005_000 s)
-
-let test_pool_parallel_chunks_merge () =
-  with_pool 2 (fun p ->
-      let chunks = Partition.blocks ~parts:8 100 in
-      let total =
-        Pool.parallel_chunks p ~chunks
-          ~f:(fun off len ->
-            let s = ref 0 in
-            for i = off to off + len - 1 do
-              s := !s + i
-            done;
-            !s)
-          ~merge:( + ) ~init:0
-      in
-      check_int "sum 0..99" 4950 total)
 
 let test_pool_empty_range () =
   with_pool 2 (fun p ->
@@ -502,13 +482,18 @@ let test_pool_reuse_across_jobs () =
 let test_pool_nonuniform_merge_type () =
   with_pool 2 (fun p ->
       let l =
-        Pool.parallel_chunks p
-          ~chunks:(Partition.blocks ~parts:5 50)
+        Pool.parallel_range p ~grain:10 ~lo:0 ~hi:50
           ~f:(fun off len -> [ (off, len) ])
-          ~merge:( @ ) ~init:[]
+          ~merge:( @ ) ~init:[] ()
       in
-      check_int "all chunks reported" 5 (List.length l);
-      check_int "total" 50 (List.fold_left (fun a (_, l) -> a + l) 0 l))
+      let rec tiles pos = function
+        | [] -> pos = 50
+        | (off, len) :: rest ->
+            off = pos && len > 0 && len <= 10 && tiles (off + len) rest
+      in
+      Alcotest.(check bool)
+        "grains tile [0,50)" true
+        (tiles 0 (List.sort compare l)))
 
 (* ------------------------------------------------------------------ *)
 (* Cluster                                                             *)
@@ -627,7 +612,6 @@ let () =
           Alcotest.test_case "owner consistent" `Quick test_owner_consistent;
           Alcotest.test_case "2d grid" `Quick test_grid;
           Alcotest.test_case "square factors" `Quick test_square_factors;
-          Alcotest.test_case "chunk count" `Quick test_chunk_count;
           prop_blocks_cover_exactly;
           prop_blocks_balanced;
         ] );
@@ -647,8 +631,6 @@ let () =
           Alcotest.test_case "parallel_for covers" `Quick
             test_pool_parallel_for_covers;
           Alcotest.test_case "parallel_reduce" `Quick test_pool_parallel_reduce;
-          Alcotest.test_case "parallel_chunks merge" `Quick
-            test_pool_parallel_chunks_merge;
           Alcotest.test_case "empty ranges" `Quick test_pool_empty_range;
           Alcotest.test_case "single worker" `Quick test_pool_single_worker;
           Alcotest.test_case "irregular work" `Quick test_pool_irregular_work;

@@ -41,7 +41,6 @@ let sample_entry =
     cores_per_node = 2;
     backend = "flat";
     grain = Some 64;
-    chunk_multiplier = 4;
     predicted_s = 0.125;
     cluster_s = 0.0625;
     seq_s = 0.5;
@@ -154,7 +153,6 @@ let test_for_kernel_precedence () =
           check_int "mapping cores" 2 c.Exec.cores_per_node;
           check_bool "mapping backend" true (c.Exec.backend = Cluster.Flat);
           check_bool "mapping grain" true (c.Exec.grain = Some 64);
-          check_int "mapping chunk multiplier" 4 c.Exec.chunk_multiplier;
           (* No entry for this (kernel, size): current context. *)
           let d = Exec.for_kernel ~kernel:"mri-q" ~size:"paper" () in
           check_int "miss falls back to current" (Exec.current ()).Exec.nodes
@@ -203,7 +201,6 @@ let cand_key (s : Tune.score) =
   ( s.Tune.cand.Tune.nodes,
     s.Tune.cand.Tune.cores_per_node,
     s.Tune.cand.Tune.grain,
-    s.Tune.cand.Tune.chunk_multiplier,
     Cluster.backend_to_string s.Tune.cand.Tune.backend )
 
 let test_search_deterministic () =
@@ -222,6 +219,10 @@ let test_search_deterministic () =
     | _ -> true
   in
   check_bool "best-first" true (sorted r1)
+
+let test_lattice_size () =
+  check_int "nodes x cores x grain x backend" 108
+    (List.length (Tune.default_lattice ()))
 
 let test_score_finite_on_host_lattice () =
   let app = Models.sgemm_model_sized ~m:256 ~k:256 ~n:256 () in
@@ -258,7 +259,6 @@ let synthetic_file () =
               backend =
                 Cluster.backend_to_string best.Tune.cand.Tune.backend;
               grain = best.Tune.cand.Tune.grain;
-              chunk_multiplier = best.Tune.cand.Tune.chunk_multiplier;
               predicted_s = best.Tune.host_s;
               cluster_s = best.Tune.cluster_s;
               seq_s;
@@ -349,6 +349,55 @@ let test_check_detects_drift () =
     (drift_mentions "unknown objective"
        (Tune.check { file with Mapping.objective = "gpu" }))
 
+(* The checked-in tune/MAPPINGS.json passes [check] with no
+   re-measurement, and each entry re-scores to exactly the host
+   prediction the cost model gave it when the file was written, so a
+   scoring change that moves a checked-in prediction shows here. *)
+let checked_in_rescores =
+  [
+    ("mri-q", 0x1.8ce21b23d909cp-4);
+    ("sgemm", 0x1.9ccd2ce65f698p-6);
+    ("tpacf", 0x1.bd45f820a7599p-4);
+    ("cutcp", 0x1.22f85ee5ad5d4p-4);
+  ]
+
+let test_checked_in_file () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../tune/MAPPINGS.json"
+  in
+  match Mapping.load path with
+  | Error e -> Alcotest.failf "tune/MAPPINGS.json unreadable: %s" e
+  | Ok file ->
+      (match Tune.check file with
+      | Tune.Check_ok -> ()
+      | Tune.Check_drift issues ->
+          Alcotest.failf "expected ok, got drift:\n%s" (String.concat "\n" issues));
+      check_int "one entry per kernel" (List.length checked_in_rescores)
+        (List.length file.Mapping.entries);
+      let rates = Tune.rates_of_assoc file.Mapping.rates in
+      List.iter
+        (fun (e : Mapping.entry) ->
+          let (module K : Kernel.S) = Option.get (Kernel.find e.Mapping.kernel) in
+          let inst = K.instance ~size:e.Mapping.size () in
+          let app =
+            Tune.calibrate (inst.Kernel.model ~rates ())
+              ~measured_seq:e.Mapping.seq_s
+          in
+          let cand =
+            {
+              Tune.nodes = e.Mapping.nodes;
+              cores_per_node = e.Mapping.cores_per_node;
+              grain = e.Mapping.grain;
+              backend = Option.get (Cluster.backend_of_string e.Mapping.backend);
+            }
+          in
+          let s = Tune.score ~host_cores:file.Mapping.host_cores ~app cand in
+          Alcotest.(check (float 0.0))
+            (e.Mapping.kernel ^ " re-scores as pinned")
+            (List.assoc e.Mapping.kernel checked_in_rescores)
+            s.Tune.host_s)
+        file.Mapping.entries
+
 (* ------------------------------------------------------------------ *)
 (* Registry consistency                                                *)
 
@@ -402,6 +451,7 @@ let () =
         [
           Alcotest.test_case "deterministic ranking" `Quick
             test_search_deterministic;
+          Alcotest.test_case "lattice size" `Quick test_lattice_size;
           Alcotest.test_case "finite host scores" `Quick
             test_score_finite_on_host_lattice;
         ] );
@@ -409,6 +459,7 @@ let () =
         [
           Alcotest.test_case "consistent file passes" `Quick test_check_ok;
           Alcotest.test_case "drift detected" `Quick test_check_detects_drift;
+          Alcotest.test_case "checked-in file" `Quick test_checked_in_file;
         ] );
       ( "registry",
         [
