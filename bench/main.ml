@@ -233,7 +233,8 @@ let iter_cutcp_box =
 let iter_tpacf_cat =
   lazy (Kern.Dataset.tpacf ~seed:14 ~points:128 ~random_sets:1)
 
-let iter_patterns = [ "dot"; "sgemm-tile"; "cutcp"; "tpacf-hist"; "tpacf-hist-lib" ]
+let iter_patterns =
+  [ "dot"; "sgemm-tile"; "sgemm-tile-lib"; "cutcp"; "tpacf-hist"; "tpacf-hist-lib" ]
 
 let bench_iter =
   (* dot / map-reduce: zip two arrays, multiply, sum. *)
@@ -249,42 +250,21 @@ let bench_iter =
     done;
     !acc
   in
-  (* sgemm tile: every (i, j) row-dot of a 32x32 tile through Seq_iter
-     vs the triple loop over the same views. *)
-  let si_of_view v =
-    Seq_iter.of_indexer
-      (Indexer.make (Shape.seq (Matrix.view_len v)) (Matrix.view_get v))
-  in
+  (* sgemm tile: a 32x32 product, transposition included, as
+     run_triolet runs it ([%fuse]d: the for i / for j / for l tile) and
+     as the library pipeline it is written as (to_matrix over the
+     row-pair dots), sequential, vs run_c. *)
   let sgemm_pipeline () =
     let a, b = Lazy.force iter_sgemm_mats in
-    let bt = Matrix.transpose b in
-    let dot u v =
-      Seq_iter.sum_float (Seq_iter.zip_with ( *. ) (si_of_view u) (si_of_view v))
-    in
-    Seq_iter.sum_float
-      (Seq_iter.concat_map
-         (fun i ->
-           Seq_iter.map
-             (fun j -> dot (Matrix.row a i) (Matrix.row bt j))
-             (Seq_iter.range 0 (Matrix.rows bt)))
-         (Seq_iter.range 0 (Matrix.rows a)))
+    Kern.Sgemm.run_triolet ~hint:Iter.sequential a b
+  in
+  let sgemm_library () =
+    let a, b = Lazy.force iter_sgemm_mats in
+    Iter.to_matrix (Kern.Sgemm.pipeline ~hint:Iter.sequential a b)
   in
   let sgemm_imperative () =
     let a, b = Lazy.force iter_sgemm_mats in
-    let bt = Matrix.transpose b in
-    let acc = ref 0.0 in
-    for i = 0 to Matrix.rows a - 1 do
-      let u = Matrix.row a i in
-      for j = 0 to Matrix.rows bt - 1 do
-        let v = Matrix.row bt j in
-        let d = ref 0.0 in
-        for l = 0 to Matrix.view_len u - 1 do
-          d := !d +. (Matrix.view_get u l *. Matrix.view_get v l)
-        done;
-        acc := !acc +. !d
-      done
-    done;
-    !acc
+    Kern.Sgemm.run_c a b
   in
   (* cutcp gather: the full scatter pipeline (atoms -> nearby grid
      points -> conditional scatter-add) as run_triolet runs it
@@ -338,6 +318,11 @@ let bench_iter =
       Test.make_grouped ~name:"sgemm-tile"
         [
           Test.make ~name:"pipeline" (Staged.stage sgemm_pipeline);
+          Test.make ~name:"imperative" (Staged.stage sgemm_imperative);
+        ];
+      Test.make_grouped ~name:"sgemm-tile-lib"
+        [
+          Test.make ~name:"pipeline" (Staged.stage sgemm_library);
           Test.make ~name:"imperative" (Staged.stage sgemm_imperative);
         ];
       Test.make_grouped ~name:"cutcp"

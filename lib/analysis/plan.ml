@@ -80,13 +80,16 @@ let space_size = function
 
 let buf_summary_of = function
   | Triolet_base.Payload.Floats a -> Floats_buf (Float.Array.length a)
+  | Triolet_base.Payload.Slice (_, _, len) -> Floats_buf len
   | Triolet_base.Payload.Ints a -> Ints_buf (Array.length a)
   | Triolet_base.Payload.Raw s -> Raw_buf (String.length s)
 
 (* Two extractions of a *copying* [payload_of] yield physically distinct
    buffers; physically equal non-empty buffers mean the extractor handed
    out the sender's own array.  (Zero-length arrays and strings are
-   excluded: OCaml interns those, so sharing proves nothing.) *)
+   excluded: OCaml interns those, so sharing proves nothing.)  A [Slice]
+   names the sender's array on purpose: it is only ever encoded, and
+   decodes as a fresh [Floats]. *)
 let phys_alias b1 b2 =
   match (b1, b2) with
   | Triolet_base.Payload.Floats a, Triolet_base.Payload.Floats b ->

@@ -210,10 +210,11 @@ let checksummed inner =
     size = (fun v -> checksum_header + inner.size v);
   }
 
-let checksummed_intact b =
-  Bytes.length b >= checksum_header
+let checksummed_intact ?(pos = 0) ?len b =
+  let len = Option.value len ~default:(Bytes.length b - pos) in
+  len >= checksum_header
   &&
-  let r = Rw.reader_of_bytes b in
+  let r = Rw.reader_of_bytes ~pos ~len b in
   match Rw.read_int r with
   | exception Rw.Underflow -> false
   | len ->

@@ -77,11 +77,12 @@ val checksummed : 'a t -> 'a t
 val checksum_header : int
 (** Bytes a {!checksummed} encoding carries before its payload. *)
 
-val checksummed_intact : Bytes.t -> bool
-(** Whether a whole buffer is a {!checksummed} encoding whose length
-    field and CRC-32 agree with its payload (which starts at
-    {!checksum_header}).  Lets a caller check a frame once and then read
-    its payload directly, without a second CRC pass. *)
+val checksummed_intact : ?pos:int -> ?len:int -> Bytes.t -> bool
+(** Whether the [len] bytes of a buffer from [pos] (defaults: the whole
+    buffer) are a {!checksummed} encoding whose length field and CRC-32
+    agree with its payload (which starts {!checksum_header} bytes in).
+    Lets a caller check a frame once and then read its payload in
+    place, without a second CRC pass. *)
 
 exception Version_mismatch of { expected : int; got : int }
 

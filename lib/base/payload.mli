@@ -6,6 +6,12 @@
 
 type buf =
   | Floats of floatarray  (** pointer-free array: block-copied *)
+  | Slice of floatarray * int * int
+      (** [Slice (a, off, len)]: elements [off, off+len) of [a], named
+          in place so extracting a block copies nothing.  Encoded
+          exactly as the [Floats] of those elements, and decoded as
+          one.  Raises [Invalid_argument] at encoding if the range is
+          outside [a]. *)
   | Ints of int array
   | Raw of string  (** opaque pre-encoded bytes *)
 
@@ -21,7 +27,7 @@ val empty : t
 val equal : t -> t -> bool
 (** Bitwise content equality: float buffers compare by bit pattern (so
     [-0.0 <> 0.0] and a NaN equals the same NaN bits), ints and raw
-    bytes by value. *)
+    bytes by value.  A [Slice] equals the [Floats] of its elements. *)
 
 (** {1 Layout accessors}
 
@@ -29,6 +35,9 @@ val equal : t -> t -> bool
     [Invalid_argument] and indicates a slicing bug. *)
 
 val floats_exn : buf -> floatarray
+(** A [Slice] of a whole array is that array itself; any other slice
+    is copied out. *)
+
 val ints_exn : buf -> int array
 val raw_exn : buf -> string
 

@@ -82,6 +82,12 @@ let write_floatarray w (a : floatarray) off len =
   blit_floats_to_bytes a off w.buf w.len len;
   w.len <- w.len + (8 * len)
 
+let reserve w n =
+  if n < 0 then invalid_arg "Rw.reserve";
+  ensure w n;
+  Bytes.fill w.buf w.len n '\000';
+  w.len <- w.len + n
+
 let write_u32 w v =
   ensure w 4;
   Bytes.set_int32_le w.buf w.len v;
@@ -131,9 +137,11 @@ let contents w = Bytes.sub w.buf 0 w.len
    common case hands the backing buffer over without the final copy. *)
 let detach w = if w.len = Bytes.length w.buf then w.buf else contents w
 
-let reader_of_bytes ?(pos = 0) b =
-  if pos < 0 || pos > Bytes.length b then invalid_arg "Rw.reader_of_bytes";
-  { data = b; pos; limit = Bytes.length b }
+let reader_of_bytes ?(pos = 0) ?len b =
+  let len = Option.value len ~default:(Bytes.length b - pos) in
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Rw.reader_of_bytes";
+  { data = b; pos; limit = pos + len }
 
 (* Zero copy: the reader aliases the writer's backing buffer, bounded by
    the bytes written so far.  Writes to [w] after this call may be

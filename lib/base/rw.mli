@@ -25,6 +25,10 @@ val write_i64 : writer -> int64 -> unit
 val write_int : writer -> int -> unit
 val write_f64 : writer -> float -> unit
 
+val reserve : writer -> int -> unit
+(** [reserve w n] advances past [n] zero bytes whose contents are
+    written later (a frame header, say). *)
+
 val write_u32 : writer -> int32 -> unit
 (** Little-endian 32-bit word (checksum slots). *)
 
@@ -55,8 +59,10 @@ val detach : writer -> Bytes.t
     e.g. those preallocated from [Codec.size]).  The writer must not be
     written to afterwards. *)
 
-val reader_of_bytes : ?pos:int -> Bytes.t -> reader
-(** A reader over [b], starting at [pos] (default 0). *)
+val reader_of_bytes : ?pos:int -> ?len:int -> Bytes.t -> reader
+(** A reader over the [len] bytes of [b] from [pos] (defaults: 0, and
+    the rest of [b]), read in place.  {!reader_pos} counts from the
+    start of [b]. *)
 
 val reader_of_writer : writer -> reader
 (** Zero-copy reader over the writer's backing buffer, bounded by the
@@ -68,7 +74,8 @@ val remaining : reader -> int
 (** Bytes left to read. *)
 
 val reader_pos : reader -> int
-(** Bytes consumed so far. *)
+(** The cursor's offset in the underlying bytes: bytes consumed so far,
+    plus the reader's starting [pos]. *)
 
 (** {1 Integrity}
 

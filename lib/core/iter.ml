@@ -79,8 +79,7 @@ let rec of_floatarray (a : floatarray) =
       (fun (off, Shape.Seq n) ->
         Seq_iter.of_indexer (Indexer.slice (Indexer.of_floatarray a) off n));
     width = 1;
-    payload_of =
-      (fun (off, Shape.Seq n) -> [ Payload.Floats (Float.Array.sub a off n) ]);
+    payload_of = (fun (off, Shape.Seq n) -> [ Payload.Slice (a, off, n) ]);
     rebuild =
       (fun p ->
         match p with
@@ -189,7 +188,7 @@ let transpose m =
 
 (** A grid's elements over [Dim3 (nz, ny, nx)].  Node blocks of a [Dim3]
     are z-slabs, contiguous in the x-fastest layout, so a slab's payload
-    is one block copy. *)
+    names one run of the grid's data, copied once, into the frame. *)
 let rec of_grid (g : Grid3.t) =
   let nx, ny, nz = Grid3.dims g in
   {
@@ -201,7 +200,7 @@ let rec of_grid (g : Grid3.t) =
       (fun ((z0, _, _), Shape.Dim3 (n, _, _)) ->
         [
           Payload.Ints [| nx; ny; n |];
-          Payload.Floats (Grid3.data (Grid3.copy_slab g z0 n));
+          Payload.Slice (Grid3.data g, z0 * ny * nx, n * ny * nx);
         ]);
     rebuild =
       (fun p ->
@@ -231,8 +230,9 @@ let matrix_of_payload (p : Payload.t) =
   | _ -> invalid_arg "Iter.matrix_of_payload: bad payload"
 
 (** The paper's [rows]: a matrix as a 1-D iterator over its rows.  Rows
-    of a row-major matrix are contiguous, so the payload of a slice of
-    rows is a single block copy. *)
+    of a row-major matrix are contiguous, so a slice of rows names one
+    run of the matrix's data: {!matrix_payload}'s layout, copied once,
+    into the frame. *)
 let rec rows (m : Matrix.t) : Matrix.view t =
   {
     hint = Sequential;
@@ -240,7 +240,9 @@ let rec rows (m : Matrix.t) : Matrix.view t =
     local = (fun blk -> nest blk (Matrix.row m));
     width = 2;
     payload_of =
-      (fun (off, Shape.Seq n) -> matrix_payload (Matrix.copy_rows m off n));
+      (fun (off, Shape.Seq n) ->
+        let k = Matrix.cols m in
+        [ Payload.Ints [| n; k |]; Payload.Slice (Matrix.data m, off * k, n * k) ]);
     rebuild = (fun p -> { (rows (matrix_of_payload p)) with hint = Local });
   }
 
@@ -349,6 +351,8 @@ let par t = { t with hint = Distributed }
 let localpar t = { t with hint = Local }
 
 let sequential t = { t with hint = Sequential }
+
+let with_hint hint t = { t with hint }
 
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                           *)
@@ -536,26 +540,25 @@ let fill shape blk out si =
   if !r <> Array.length starts || !c <> 0 then
     invalid_arg "Iter: to_matrix/to_grid need exactly one element per index"
 
-(* Materialize a float iterator row-major over its domain: one fill,
-   outer-axis bands on the pool, or node blocks each shipped only its
-   input slice, filled with band parallelism, and copied back into
-   place run by run. *)
-let materialize ?ctx t =
+(* Materialize an iterator row-major over its domain through a band
+   fill: [band src] writes outer rows [off, off+n) of [src]'s domain
+   into an array laid out as that domain.  One band, outer-axis bands on
+   the pool, or node blocks each shipped only its input slice, rebuilt,
+   filled with band parallelism, and copied back into place run by run.
+   The node's task code captures [band] and [t]'s rebuild, never [t]. *)
+let materialize_by ?ctx ~band t =
   let ctx = Exec.resolve ctx in
-  let on_pool pool t out =
+  let on_pool pool src out =
+    let fill_band = band src in
     Pool.parallel_range pool ?grain:ctx.Exec.grain ~lo:0
-      ~hi:(Shape.outer t.shape)
-      ~f:(fun off n ->
-        let blk = Shape.band t.shape off n in
-        fill t.shape blk out (t.local blk))
+      ~hi:(Shape.outer src.shape)
+      ~f:(fun off n -> fill_band out off n)
       ~merge:(fun () () -> ())
       ~init:() ()
   in
   let out = Float.Array.make (length t) 0.0 in
   (match t.hint with
-  | Sequential ->
-      let blk = Shape.whole t.shape in
-      fill t.shape blk out (t.local blk)
+  | Sequential -> band t out 0 (Shape.outer t.shape)
   | Local -> on_pool (Pool.default ()) t out
   | Distributed ->
       let blocks = Shape.blocks ~parts:ctx.Exec.nodes t.shape in
@@ -574,15 +577,31 @@ let materialize ?ctx t =
                (Shape.runs t.shape blocks.(k))));
   out
 
+(* The library's band: the element loop of each band. *)
+let element_band src out off n =
+  let blk = Shape.band src.shape off n in
+  fill src.shape blk out (src.local blk)
+
 let to_matrix ?ctx t =
   match t.shape with
   | Shape.Dim2 (rows, cols) ->
-      Matrix.of_floatarray ~rows ~cols (materialize ?ctx t)
+      Matrix.of_floatarray ~rows ~cols (materialize_by ?ctx ~band:element_band t)
+
+let fill_matrix ?ctx ~fill t =
+  match t.shape with
+  | Shape.Dim2 (rows, cols) ->
+      let band src = fill (src.payload_of (Shape.whole src.shape)) in
+      Matrix.of_floatarray ~rows ~cols (materialize_by ?ctx ~band t)
+
+let row_blocks p =
+  match p with
+  | [ ha; fa; hb; fb ] -> (matrix_of_payload [ ha; fa ], matrix_of_payload [ hb; fb ])
+  | _ -> invalid_arg "Iter.row_blocks: bad payload"
 
 let to_grid ?ctx t =
   match t.shape with
   | Shape.Dim3 (nz, ny, nx) ->
-      Grid3.of_floatarray ~nx ~ny ~nz (materialize ?ctx t)
+      Grid3.of_floatarray ~nx ~ny ~nz (materialize_by ?ctx ~band:element_band t)
 
 (* Sequential-only conveniences. *)
 

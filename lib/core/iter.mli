@@ -77,7 +77,9 @@ val of_grid : Grid3.t -> (int * int * int, float) iter
 
 val rows : Matrix.t -> Matrix.view t
 (** The paper's [rows]: a matrix as a 1-D iterator over row views.  A
-    slice's payload is one {!matrix_payload} of the row block. *)
+    slice's payload has {!matrix_payload}'s layout, its data a
+    [Payload.Slice] of the matrix's own rows: nothing is copied until
+    the frame is written. *)
 
 val matrix_payload : Matrix.t -> Triolet_base.Payload.t
 (** The one row-block payload: an [Ints [|rows; cols|]] header, then the
@@ -126,6 +128,10 @@ val localpar : ('i, 'a) iter -> ('i, 'a) iter
 (** Shared-memory parallelism on a single node. *)
 
 val sequential : ('i, 'a) iter -> ('i, 'a) iter
+
+val with_hint : hint -> ('i, 'a) iter -> ('i, 'a) iter
+(** [with_hint h t] is [t] under hint [h]: {!par}, {!localpar} or
+    {!sequential} chosen by value. *)
 
 (** {1 Consumers}
 
@@ -211,6 +217,25 @@ val to_matrix : ?ctx:Exec.t -> (int * int, float) iter -> Matrix.t
 (** Materialize a 2-D iterator (exactly one element per index): one
     fill, row bands on the pool, or a near-square grid of node blocks,
     each shipped only its input slice and written straight into place. *)
+
+val fill_matrix :
+  ?ctx:Exec.t ->
+  fill:(Triolet_base.Payload.t -> floatarray -> int -> int -> unit) ->
+  (int * int, 'a) iter ->
+  Matrix.t
+(** {!to_matrix}'s blocks, payloads, pool bands and merge, with the
+    element loop of each band given, and what a [[%fuse]] site over
+    [to_matrix] compiles to.  [fill p] is the band fill of the domain
+    whose payload is [p]: the whole domain's [payload_of] where the
+    iterator runs, a node block's shipped payload on a node.  [fill p
+    out off n] writes outer rows [off, off+n) of that domain into [out],
+    laid out row-major as the domain.  The iterator's elements are never
+    read. *)
+
+val row_blocks : Triolet_base.Payload.t -> Matrix.t * Matrix.t
+(** The two row blocks an [outer_product] of two {!rows} ships, read
+    back without a copy where they are whole.  Raises
+    [Invalid_argument] on any other payload. *)
 
 val to_grid : ?ctx:Exec.t -> (int * int * int, float) iter -> Grid3.t
 (** Materialize a 3-D iterator: plane bands on the pool, z-slabs across

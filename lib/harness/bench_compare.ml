@@ -4,8 +4,11 @@
     by the bench harness (per-family [BENCH_<family>.json] objects with
     a ["rows"] array, or a legacy top-level array of row objects),
     matches rows by name, and flags every row whose [ns_per_run] grew by
-    more than the threshold.  Rows present in only one file are reported
-    but are not regressions — families and benchmarks come and go. *)
+    more than the threshold.  A baseline row carrying a ["max"] field is
+    gated against that limit as it stands instead: a row pinned where a
+    target sits below pin + threshold.  Rows present in only one file
+    are reported but are not regressions — families and benchmarks come
+    and go. *)
 
 module Json = Triolet_obs.Json
 
@@ -16,6 +19,7 @@ type delta = {
   old_ns : float;
   new_ns : float;
   ratio : float;  (** new / old; > 1.0 is a slowdown *)
+  limit : float option;  (** the baseline row's ["max"], gated as it stands *)
 }
 
 type report = {
@@ -26,7 +30,9 @@ type report = {
           matched against a non-positive old value.  Reported as
           "added", never a regression and never a failure: a new bench
           family's first run always lands here. *)
-  regressions : delta list;  (** deltas with ratio > 1 + threshold *)
+  regressions : delta list;
+      (** deltas above their limit, or without one, with
+          ratio > 1 + threshold *)
 }
 
 let row_of_json j =
@@ -38,21 +44,33 @@ let row_of_json j =
 
 (* Accept either shape: {"family":..,"rows":[...]} or a bare [...]
    array of rows. *)
-let rows_of_json j =
-  let arr =
-    match j with
-    | Json.Arr _ -> Json.to_list j
-    | Json.Obj _ -> (
-        match Json.member "rows" j with
-        | Some (Json.Arr _ as rows) -> Json.to_list rows
-        | _ -> [])
-    | _ -> []
-  in
-  List.filter_map row_of_json arr
+let row_objects j =
+  match j with
+  | Json.Arr _ -> Json.to_list j
+  | Json.Obj _ -> (
+      match Json.member "rows" j with
+      | Some (Json.Arr _ as rows) -> Json.to_list rows
+      | _ -> [])
+  | _ -> []
+
+let rows_of_json j = List.filter_map row_of_json (row_objects j)
 
 let load_rows path = rows_of_json (Json.of_file path)
 
-let compare_rows ?(threshold = 0.15) old_rows new_rows =
+(* The rows that carry a ["max"], and that limit. *)
+let limits_of_json j =
+  List.filter_map
+    (fun r ->
+      let field f conv = Option.bind (Json.member f r) conv in
+      match (field "name" Json.to_string_opt, field "max" Json.to_float_opt) with
+      | Some name, Some max -> Some (name, max)
+      | _ -> None)
+    (row_objects j)
+
+let regressed ~threshold d =
+  match d.limit with Some max -> d.new_ns > max | None -> d.ratio > 1.0 +. threshold
+
+let compare_rows ?(threshold = 0.15) ?(limits = []) old_rows new_rows =
   let find rows n = List.find_opt (fun r -> r.name = n) rows in
   let deltas =
     List.filter_map
@@ -65,6 +83,7 @@ let compare_rows ?(threshold = 0.15) old_rows new_rows =
                 old_ns = o.ns_per_run;
                 new_ns = n.ns_per_run;
                 ratio = n.ns_per_run /. o.ns_per_run;
+                limit = List.assoc_opt o.name limits;
               }
         | _ -> None)
       old_rows
@@ -89,12 +108,13 @@ let compare_rows ?(threshold = 0.15) old_rows new_rows =
     deltas;
     only_old = only_in old_rows new_rows;
     only_new = added;
-    regressions =
-      List.filter (fun d -> d.ratio > 1.0 +. threshold) deltas;
+    regressions = List.filter (regressed ~threshold) deltas;
   }
 
 let compare_files ?threshold old_path new_path =
-  compare_rows ?threshold (load_rows old_path) (load_rows new_path)
+  let old_json = Json.of_file old_path in
+  compare_rows ?threshold ~limits:(limits_of_json old_json) (rows_of_json old_json)
+    (load_rows new_path)
 
 let pp_report ?(threshold = 0.15) ppf r =
   let pct d = (d.ratio -. 1.0) *. 100.0 in
@@ -102,9 +122,10 @@ let pp_report ?(threshold = 0.15) ppf r =
     "benchmark" "old ns/run" "new ns/run" "delta";
   List.iter
     (fun d ->
-      Format.fprintf ppf "%-32s %12.1f %12.1f %+7.1f%%%s@."
+      Format.fprintf ppf "%-32s %12.1f %12.1f %+7.1f%%%s%s@."
         d.d_name d.old_ns d.new_ns (pct d)
-        (if d.ratio > 1.0 +. threshold then "  REGRESSION" else ""))
+        (match d.limit with Some max -> Printf.sprintf "  (max %g)" max | None -> "")
+        (if regressed ~threshold d then "  REGRESSION" else ""))
     r.deltas;
   List.iter
     (fun n -> Format.fprintf ppf "%-32s (only in old file)@." n)
@@ -113,9 +134,9 @@ let pp_report ?(threshold = 0.15) ppf r =
     (fun n -> Format.fprintf ppf "%-32s (added — no baseline row)@." n)
     r.only_new;
   if r.regressions = [] then
-    Format.fprintf ppf "no regressions beyond %.0f%%@."
+    Format.fprintf ppf "no regressions beyond %.0f%% or a row's max@."
       (threshold *. 100.0)
   else
-    Format.fprintf ppf "%d regression(s) beyond %.0f%%@."
+    Format.fprintf ppf "%d regression(s) beyond %.0f%% or a row's max@."
       (List.length r.regressions)
       (threshold *. 100.0)

@@ -47,30 +47,46 @@ let run_c ?(alpha = 1.0) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
    (localpar), being too cheap to distribute (section 4.3). *)
 type matrix_iter = (int * int, float) Iter.iter
 
-(* The 2-D dot-product iterator the build consumes — including B's
-   transposition — exposed as a plan-reification hook for
-   [triolet analyze].  The transposition follows the hint: sequential
-   under a sequential hint, on the shared-memory pool otherwise. *)
+(* The hint [hint] sets, read off an empty iterator. *)
+let hint_of hint = Iter.hint (hint (Iter.init (Shape.dim2 0 0) (fun _ -> 0.0)))
+
+(* B's transposition follows the hint: sequential under a sequential
+   hint, on the shared-memory pool otherwise. *)
+let transpose_for hint b =
+  match hint with
+  | Iter.Sequential -> Matrix.transpose b
+  | Iter.Local | Iter.Distributed -> Matrix.transpose_par (Triolet_runtime.Pool.default ()) b
+
+(* The 2-D dot-product iterator over A and B already transposed: a
+   library value, and the definition the [%fuse] site in [run_triolet]
+   inlines. *)
+let[@fuse] dots ~alpha ~hint a bt =
+  Iter.map
+    (fun (u, v) -> alpha *. Matrix.view_dot u v)
+    (Iter.with_hint hint (Iter.outer_product (Iter.rows a) (Iter.rows bt)))
+
+(* The iterator the build consumes, including B's transposition,
+   exposed as a plan-reification hook for [triolet analyze]. *)
 let pipeline ?(alpha = 1.0) ?(hint = Iter.par) (a : Matrix.t) (b : Matrix.t) =
   if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_triolet";
-  let bt =
-    match Iter.hint (hint (Iter.init (Shape.dim2 0 0) (fun _ -> 0.0))) with
-    | Iter.Sequential -> Matrix.transpose b
-    | Iter.Local | Iter.Distributed ->
-        Matrix.transpose_par (Triolet_runtime.Pool.default ()) b
-  in
-  let zipped_ab = Iter.outer_product (Iter.rows a) (Iter.rows bt) in
-  hint (Iter.map (fun (u, v) -> alpha *. Matrix.view_dot u v) zipped_ab)
+  let hint = hint_of hint in
+  dots ~alpha ~hint a (transpose_for hint b)
 
 (* Size taxonomy shared with the auto-mapper: one multiply-accumulate
    is the work unit. *)
 let size_class (a : Matrix.t) (b : Matrix.t) =
   Mapping.size_class_of_work (Matrix.rows a * Matrix.cols a * Matrix.cols b)
 
-let run_triolet ?ctx ?alpha ?hint (a : Matrix.t) (b : Matrix.t) : Matrix.t =
+(* [to_matrix] over [dots] in a [%fuse] site: each band of the product
+   is a plain loop nest over the two row blocks it reads, summing in
+   [product]'s order, with the library's blocks, payloads and merge. *)
+let run_triolet ?ctx ?(alpha = 1.0) ?(hint = Iter.par) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
   let ctx = Exec.for_kernel ?ctx ~kernel:"sgemm" ~size:(size_class a b) () in
   Triolet_obs.Obs.span ~name:"kernel.sgemm" (fun () ->
-      Iter.to_matrix ~ctx (pipeline ?alpha ?hint a b))
+      if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_triolet";
+      let hint = hint_of hint in
+      let bt = transpose_for hint b in
+      [%fuse Iter.to_matrix ~ctx (dots ~alpha ~hint a bt)])
 
 (* Eden-style, following the paper's Eden code: arrays are kept "in
    chunked form" — boxed lists of unboxed row vectors — so tasks can be

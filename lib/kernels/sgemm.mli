@@ -17,7 +17,10 @@ val run_triolet :
   Triolet.Matrix.t
 (** The paper's two-line rows/outerproduct version; transposition runs
     [localpar] over shared memory, or sequentially when [hint] sets
-    [Iter.Sequential].  [hint] defaults to [Iter.par]. *)
+    [Iter.Sequential].  [hint] defaults to [Iter.par], and only the hint
+    it sets is read.  The build is a [[%fuse]] site over {!pipeline}'s
+    definition: each band is a loop nest over the two row blocks it
+    reads, summing in {!run_c}'s order, so the two agree bit for bit. *)
 
 val pipeline :
   ?alpha:float ->
@@ -25,8 +28,10 @@ val pipeline :
   Triolet.Matrix.t ->
   Triolet.Matrix.t ->
   matrix_iter
-(** Plan-reification hook: the 2-D dot-product iterator
-    {!run_triolet}'s build consumes (B already transposed). *)
+(** Plan-reification hook: the 2-D dot-product iterator over A and B
+    already transposed, the definition {!run_triolet}'s fused build
+    inlines.  [Iter.to_matrix] over it is the library form of that
+    build. *)
 
 val run_eden : ?alpha:float -> Triolet.Matrix.t -> Triolet.Matrix.t -> Triolet.Matrix.t
 (** The paper's Eden style: boxed lists of unboxed row vectors

@@ -131,7 +131,7 @@ let close_session s =
 type segment = {
   mutable version : int;
   mutable payload : Payload.t;
-  mutable encoded : Bytes.t option;
+  mutable encoded : Protocol.frame option;
       (* the retained put frame for this version — encoded at most once
          per version, replayed verbatim on retries and crash recovery *)
 }

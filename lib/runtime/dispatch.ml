@@ -44,31 +44,38 @@ type key = int * int * int
 
 module Envelope = struct
   let codec c = Codec.checksummed Codec.(triple int int c)
-  let encode c ~slice ~seq v = Codec.to_bytes (codec c) (slice, seq, v)
-  let decode c b = Codec.of_bytes (codec c) b
 
-  (* A reader at the tag, past the checksum header. *)
-  let at_tag b = Rw.reader_of_bytes ~pos:Codec.checksum_header b
+  (* Written once, into a buffer with the frame header's room before
+     it and sized exactly, so it is never copied to be sent. *)
+  let encode c ~slice ~seq v =
+    let c = codec c and v = (slice, seq, v) in
+    let w = Protocol.writer (c.Codec.size v) in
+    c.Codec.encode w v;
+    Protocol.of_writer w
 
-  let tag b =
-    if not (Codec.checksummed_intact b) then None
-    else
-      let r = at_tag b in
-      if Rw.remaining r < 16 then None
-      else
-        let slice = Rw.read_int r in
-        let seq = Rw.read_int r in
-        Some (slice, seq)
-
-  (* The body of a frame whose tag (and checksum) {!tag} already
-     accepted: decoded without checking the checksum a second time. *)
-  let body c b =
-    let r = at_tag b in
-    ignore (Rw.read_int r);
-    ignore (Rw.read_int r);
+  (* [c] over the [len] bytes of frame [f] from [skip] into its body,
+     read in place: what it returns (floats, ints, strings) is copied
+     out of the frame, so it outlives the buffer. *)
+  let read c (f : Protocol.frame) ~skip =
+    let r = Rw.reader_of_bytes ~pos:(f.off + skip) ~len:(f.len - skip) f.buf in
     let v = c.Codec.decode r in
     (match Rw.remaining r with 0 -> () | n -> raise (Codec.Trailing_bytes n));
     v
+
+  let decode c f = read (codec c) f ~skip:0
+
+  let tag (f : Protocol.frame) =
+    if not (Codec.checksummed_intact ~pos:f.off ~len:f.len f.buf) then None
+    else if f.len < Codec.checksum_header + 16 then None
+    else
+      let r = Rw.reader_of_bytes ~pos:(f.off + Codec.checksum_header) ~len:16 f.buf in
+      let slice = Rw.read_int r in
+      let seq = Rw.read_int r in
+      Some (slice, seq)
+
+  (* The body of a frame whose tag (and checksum) {!tag} already
+     accepted: decoded without checking the checksum a second time. *)
+  let body c f = read c f ~skip:(Codec.checksum_header + 16)
 
   let key = Codec.(triple int int int)
 
@@ -104,7 +111,7 @@ module Child = struct
   let handle ?span ~now ~result ~work table kind bytes =
     let phase name f = match span with None -> f () | Some s -> Obs.span ~name:(s ^ "." ^ name) f in
     let reply ~slice ~seq c v kind = [ (kind, Envelope.encode c ~slice ~seq v) ] in
-    let untagged = [ (Protocol.Nack, Bytes.empty) ] in
+    let untagged = [ (Protocol.Nack, Protocol.empty ()) ] in
     match (kind : Protocol.kind) with
     | Ping -> (table, [ (Protocol.Pong, bytes) ])
     | Err | Nack | Pong | Code -> (table, [])
@@ -225,13 +232,13 @@ type action =
   | Send of int * msg
   | Kill of int
   | Respawn of int
-  | Slice_done of int * Bytes.t  (** the reply frame; its body is the caller's *)
+  | Slice_done of int * Protocol.frame  (** the reply frame; its body is the caller's *)
   | Job_failed of failure
   | Note of note
 
 type event =
   | Submit of { plans : key list list; deadline : int; pinned : bool; code : int option }
-  | Frame of int * Protocol.kind * Bytes.t
+  | Frame of int * Protocol.kind * Protocol.frame
   | Eof of int
   | Tick of int
   | Release of int  (** a darray was freed: evict its segments *)
@@ -565,7 +572,7 @@ let empty_report =
 (* A node's compute: its segment table and one frame in, the table
    after and the frames it answers. *)
 type compute =
-  Child.table -> Protocol.kind -> Bytes.t -> Child.table * (Protocol.kind * Bytes.t) list
+  Child.table -> Protocol.kind -> Protocol.frame -> Child.table * (Protocol.kind * Protocol.frame) list
 
 (** A session's task code: node [node] computes slice [slice] of a job
     from the slice's argument and the segments resident for it, on its
@@ -586,11 +593,12 @@ type code = { compute : node:int -> pool:Pool.t Lazy.t -> compute; crash : Fault
 
 exception Unshippable_task of string
 
-(* Task code as closure bytes, refused before any frame is sent or any
-   child forked when it cannot cross: a closure over a value [Marshal]
-   cannot serialize (a mutex, a channel), or one bigger than a frame.
-   The heap the closure reaches bounds the size first, without
-   marshalling it; the bytes themselves are checked after. *)
+(* Task code as a [Code] frame's closure bytes, refused before any
+   frame is sent or any child forked when it cannot cross: a closure
+   over a value [Marshal] cannot serialize (a mutex, a channel), or one
+   bigger than a frame.  The heap the closure reaches bounds the size
+   first, without marshalling it; the bytes themselves are checked
+   after, and copied once behind a header's room. *)
 let closure_bytes ~span (code : code) =
   let too_big () =
     raise
@@ -602,7 +610,7 @@ let closure_bytes ~span (code : code) =
         too_big ();
       match Marshal.to_bytes code [ Marshal.Closures ] with
       | b when Bytes.length b > Protocol.max_frame_payload -> too_big ()
-      | b -> b
+      | b -> Protocol.of_bytes b
       | exception (Invalid_argument why | Failure why) -> raise (Unshippable_task why))
 
 let is_data (k, _) = k = Protocol.Data
@@ -634,16 +642,17 @@ module Node = struct
 
   (** One frame in: [Some] frames to answer, or [None] when the node
       dies at this frame. *)
-  let step n kind bytes =
+  let step n kind (f : Protocol.frame) =
     match (kind : Protocol.kind) with
     | Code ->
-        let c : code = Marshal.from_bytes bytes 0 in
+        (* Unmarshalling copies the code out of the frame. *)
+        let c : code = Marshal.from_bytes f.buf f.off in
         n.compute <- c.compute ~node:n.id ~pool:n.pool;
         n.crash <- c.crash;
         Some []
     | Data when n.crash = Some Before_work -> None
     | Data | Err | Nack | Ping | Pong | Seg_put | Seg_reuse | Seg_free -> (
-        let table, out = n.compute n.table kind bytes in
+        let table, out = n.compute n.table kind f in
         n.table <- table;
         match n.crash with
         | Some (During_work | After_work) when List.exists is_data out -> None
@@ -670,8 +679,10 @@ let node_main ~cores ~id chan =
   let rec loop () =
     match Transport.Socket.recv chan with
     | exception Transport.Closed -> ()
-    | kind, bytes -> (
-        match Node.step node kind bytes with
+    | kind, frame -> (
+        (* [frame] is a view of the link's buffer: handled, and answered
+           from fresh frames, before the next read. *)
+        match Node.step node kind frame with
         | None -> Unix._exit 0
         | Some out ->
             List.iter (fun (kind, b) -> Transport.Socket.send chan ~kind b) out;
@@ -681,7 +692,7 @@ let node_main ~cores ~id chan =
 
 type inline = {
   nodes : Node.t array;
-  inbox : (Protocol.kind * Bytes.t) Queue.t array;
+  inbox : (Protocol.kind * Protocol.frame) Queue.t array;
   arrivals : event Queue.t;  (* node output and deaths, in order *)
   dead : bool array;
 }
@@ -692,9 +703,9 @@ type procs = { fabric : Transport.Proc.t Lazy.t; cores : int }
 type io = Inline of inline | Procs of procs
 
 type hooks = {
-  task : slice:int -> seq:int -> Bytes.t;
-  put : key -> Bytes.t;
-  on_done : int -> Bytes.t -> unit;
+  task : slice:int -> seq:int -> Protocol.frame;
+  put : key -> Protocol.frame;
+  on_done : int -> Protocol.frame -> unit;
 }
 
 let no_hooks =
@@ -714,7 +725,7 @@ type session = {
   mutable names : names;
   late : (unit -> unit) Queue.t;  (* delayed deliveries, released on a timeout *)
   mutable hooks : hooks;
-  mutable code : (int * (int -> Bytes.t)) option;
+  mutable code : (int * (int -> Protocol.frame)) option;
       (* a process session's task code: its generation and node [i]'s
          [Code] frame *)
   mutable failed : failure option;
@@ -800,8 +811,8 @@ let node_attr n = [ ("node", string_of_int n) ]
    out of step: it is retired at {!close}, never pooled. *)
 let guard s f = try f () with e -> s.sound <- false; raise e
 
-let count s ~gather bytes =
-  let len = Bytes.length bytes and r = s.tally in
+let count s ~gather (f : Protocol.frame) =
+  let len = f.len and r = s.tally in
   Stats.record_message ~bytes:len;
   let max_message_bytes = max r.max_message_bytes len in
   s.tally <-
@@ -811,24 +822,36 @@ let count s ~gather bytes =
        { r with scatter_bytes = r.scatter_bytes + len; scatter_messages = r.scatter_messages + 1; max_message_bytes })
 
 (* Data frames cross the fault plan's links: dropped, corrupted,
-   delayed until the next timeout, or duplicated. *)
-let through s link kind bytes push =
+   delayed until the next timeout, or duplicated.  A frame read from a
+   socket is a view of the link's buffer, which the next read
+   overwrites, and [push] is done with it when it returns: a frame the
+   plan corrupts, delays or duplicates is copied out first. *)
+let through s link kind (frame : Protocol.frame) push =
   match s.faults with
   | Some f when kind = Protocol.Data -> (
-      match Fault.decide f ~link bytes with
+      match Fault.fate f ~link ~len:frame.len with
       | `Drop -> ()
-      | `Deliver (b, delayed, dup) ->
-          if delayed then Queue.push (fun () -> push b) s.late else push b;
-          if dup then push (Bytes.copy b))
-  | _ -> push bytes
+      | `Deliver (flip, delayed, dup) ->
+          let frame =
+            match flip with
+            | None -> if delayed then Protocol.copy frame else frame
+            | Some (pos, mask) ->
+                let c = Protocol.copy frame in
+                let at = c.off + pos in
+                Bytes.set c.buf at (Char.chr (Char.code (Bytes.get c.buf at) lxor mask));
+                c
+          in
+          if delayed then Queue.push (fun () -> push frame) s.late else push frame;
+          if dup then push (Protocol.copy frame))
+  | _ -> push frame
 
-let deliver s n kind bytes =
+let deliver s n kind frame =
   match s.io with
-  | Inline io -> if not io.dead.(n) then Queue.push (kind, bytes) io.inbox.(n)
+  | Inline io -> if not io.dead.(n) then Queue.push (kind, frame) io.inbox.(n)
   | Procs p -> (
       let fabric = Lazy.force p.fabric in
       if Transport.Proc.is_alive fabric n then
-        try Transport.Socket.send (Transport.Proc.node fabric n).chan ~kind bytes
+        try Transport.Socket.send (Transport.Proc.node fabric n).chan ~kind frame
         with Transport.Closed -> (* its EOF surfaces in the select loop *) ())
 
 let recovering s = if s.recovery_from = None then s.recovery_from <- Some (Clock.monotonic_ns ())
@@ -872,13 +895,13 @@ let rec feed s ev =
 and perform s = function
   | Send (n, m) ->
       let kind = kind_of_msg m in
-      let bytes =
+      let frame =
         match m with
         | Task { slice; seq } -> s.hooks.task ~slice ~seq
         | Put key -> s.hooks.put key
         | Reuse { slice; seq; key } -> Envelope.encode Envelope.key ~slice ~seq key
         | Free did -> Envelope.encode Codec.int ~slice:(-1) ~seq:0 did
-        | Ping -> Bytes.empty
+        | Ping -> Protocol.empty ()
         | Code -> (snd (Option.get s.code)) n
       in
       (match m with
@@ -886,12 +909,11 @@ and perform s = function
       | Code ->
           (* Code is not payload: kept out of messages and bytes, so
              payload traffic is the same over every backend. *)
-          let len = Bytes.length bytes in
-          Stats.record_code ~bytes:len;
-          s.tally <- { s.tally with code_bytes = s.tally.code_bytes + len }
-      | Task _ | Put _ | Reuse _ -> count s ~gather:false bytes);
+          Stats.record_code ~bytes:frame.len;
+          s.tally <- { s.tally with code_bytes = s.tally.code_bytes + frame.len }
+      | Task _ | Put _ | Reuse _ -> count s ~gather:false frame);
       Obs.span ~name:s.names.send ~attrs:(node_attr n) (fun () ->
-          through s (Fault.To_node n) kind bytes (deliver s n kind))
+          through s (Fault.To_node n) kind frame (deliver s n kind))
   | Kill n -> Option.iter (fun f -> Transport.Proc.kill f n) (fabric s)
   | Respawn n -> (
       match s.io with
@@ -915,19 +937,19 @@ and perform s = function
           Obs.instant ~name:"service.respawn"
             ~attrs:(node_attr n @ [ ("pid", string_of_int (Transport.Proc.pid fabric n)) ])
             ())
-  | Slice_done (i, bytes) -> s.hooks.on_done i bytes
+  | Slice_done (i, frame) -> s.hooks.on_done i frame
   | Job_failed f -> s.failed <- Some f
   | Note n -> note s n
 
 (* A frame from node [n] reaching the parent. *)
-let arrive s n kind bytes =
-  if kind = Protocol.Data then count s ~gather:true bytes;
+let arrive s n kind frame =
+  if kind = Protocol.Data then count s ~gather:true frame;
   let lost =
     kind = Protocol.Pong
     && match s.faults with Some f -> Fault.inject f Fault.Heartbeat_loss ~node:n | None -> false
   in
   if lost then Obs.instant ~name:"service.heartbeat.lost" ~attrs:(node_attr n) ()
-  else through s (Fault.From_node n) kind bytes (fun b -> feed s (Frame (n, kind, b)))
+  else through s (Fault.From_node n) kind frame (fun f -> feed s (Frame (n, kind, f)))
 
 let release_late s =
   let q = Queue.copy s.late in
@@ -945,8 +967,8 @@ let run_nodes s io =
   Array.iteri
     (fun n q ->
       while (not io.dead.(n)) && not (Queue.is_empty q) do
-        let kind, bytes = Queue.pop q in
-        match Node.step io.nodes.(n) kind bytes with
+        let kind, frame = Queue.pop q in
+        match Node.step io.nodes.(n) kind frame with
         | None ->
             io.dead.(n) <- true;
             Queue.clear q;
@@ -986,7 +1008,7 @@ let wait_procs ?wake s fabric =
     Obs.span ~name:s.names.recv (fun () ->
         Transport.Proc.recv_any ?wake fabric ~timeout:(seconds_until s))
   with
-  | `Msg (n, kind, bytes) -> arrive s n kind bytes; false
+  | `Msg (n, kind, frame) -> arrive s n kind frame; false
   | `Eof n -> feed s (Eof n); false
   | `Timeout -> release_late s; false
   | `No_nodes -> Unix.sleepf (Float.max 0.001 (Float.min 0.005 (seconds_until s))); false
@@ -1047,11 +1069,11 @@ let run_job s ?(deadline = 0) ?(pinned = false) ?(keys = fun _ -> []) ?(put = no
         b
   in
   let results = Array.make slices None in
-  let on_done i bytes =
+  let on_done i frame =
     (* A finished slice is never re-issued: drop its bytes now. *)
     encoded.(i) <- None;
     results.(i) <-
-      Some (Obs.span ~name:s.names.recv ~attrs:(node_attr i) (fun () -> Envelope.body result bytes))
+      Some (Obs.span ~name:s.names.recv ~attrs:(node_attr i) (fun () -> Envelope.body result frame))
   in
   s.hooks <- { task; put; on_done };
   s.failed <- None;
@@ -1113,7 +1135,7 @@ let revive s =
   | Some fabric ->
       let rec drain () =
         match Transport.Proc.recv_any fabric ~timeout:0.0 with
-        | `Msg (n, kind, bytes) -> arrive s n kind bytes; drain ()
+        | `Msg (n, kind, frame) -> arrive s n kind frame; drain ()
         | `Eof n -> feed s (Eof n); drain ()
         | `Timeout | `No_nodes | `Wake -> ()
       in

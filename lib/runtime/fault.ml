@@ -156,16 +156,19 @@ let crash_phase t ~node =
    unaffected because the plan itself fixes which rates are zero. *)
 let roll t p = p > 0.0 && Rng.float t.rng < p
 
-let flip_byte t bytes =
-  let len = Bytes.length bytes in
-  if len = 0 then bytes
-  else begin
-    let b = Bytes.copy bytes in
+(* Where a corruption flips a message of [len] bytes: a position and a
+   non-zero mask, or nothing for an empty message. *)
+let flip_at t len =
+  if len = 0 then None
+  else
     let pos = Rng.int t.rng len in
     let mask = 1 + Rng.int t.rng 255 in
-    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
-    b
-  end
+    Some (pos, mask)
+
+let flip bytes (pos, mask) =
+  let b = Bytes.copy bytes in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+  b
 
 let bump t f =
   t.counters <- f t.counters;
@@ -182,15 +185,15 @@ let straggle_now t link =
       true
   | To_node _ | From_node _ -> false
 
-(** [decide t ~link bytes] draws this message's fate from the seeded
-    stream without touching any channel: [`Drop], or
-    [`Deliver (bytes', delayed, duplicated)] where [bytes'] may have one
-    byte flipped.  The draw order (drop, corrupt, delay, duplicate) is
+(** [fate t ~link ~len] draws the fate of a [len]-byte message from the
+    seeded stream without touching any channel: [`Drop], or
+    [`Deliver (flip, delayed, duplicated)] where [flip] is where a
+    corruption flips one byte.  The draw order (drop, corrupt, delay, duplicate) is
     the wire contract: [Dispatch.through] routes every frame of both
     backends through this single function — a delayed frame waits on
     the engine's [late] queue — so a fault plan means the same thing in
     process and over sockets.  Counted in {!counters} and {!Stats}. *)
-let decide t ~link bytes =
+let fate t ~link ~len =
   Mutex.lock t.lock;
   let lf = t.s.faults_of link in
   let dropped = roll t lf.drop in
@@ -200,23 +203,29 @@ let decide t ~link bytes =
       `Drop
     end
     else begin
-      let bytes =
+      let flip =
         if roll t lf.corrupt then begin
           bump t (fun c -> { c with corruptions = c.corruptions + 1 });
-          flip_byte t bytes
+          flip_at t len
         end
-        else bytes
+        else None
       in
       let delayed = straggle_now t link || roll t lf.delay in
       if delayed then
         bump t (fun c -> { c with delays = c.delays + 1 });
       let dup = roll t lf.duplicate in
       if dup then bump t (fun c -> { c with duplicates = c.duplicates + 1 });
-      `Deliver (bytes, delayed, dup)
+      `Deliver (flip, delayed, dup)
     end
   in
   Mutex.unlock t.lock;
   decision
+
+let decide t ~link bytes =
+  match fate t ~link ~len:(Bytes.length bytes) with
+  | `Drop -> `Drop
+  | `Deliver (at, delayed, dup) ->
+      `Deliver ((match at with None -> bytes | Some at -> flip bytes at), delayed, dup)
 
 (** [mark_crashed t node] records that [node] died — the dispatch
     engine calls this on the node's EOF, whether the node died at its

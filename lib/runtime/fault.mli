@@ -82,17 +82,29 @@ val zero_counters : counters
 val counters : t -> counters
 val pp_counters : Format.formatter -> counters -> unit
 
+val fate :
+  t ->
+  link:link ->
+  len:int ->
+  [ `Drop | `Deliver of (int * int) option * bool * bool ]
+(** [fate t ~link ~len] draws the fate of one [len]-byte message from
+    the seeded stream: [`Drop], or [`Deliver (flip, delayed,
+    duplicated)] where [flip] is the [(position, mask)] of the one byte
+    a corruption flips.  The draw order (drop, corrupt, delay,
+    duplicate) is the wire contract: [Dispatch.through] routes every
+    frame of both backends through this single function, so a fault
+    plan means the same thing in process and over sockets.  Counted in
+    {!counters} and {!Stats}. *)
+
 val decide :
   t ->
   link:link ->
   Bytes.t ->
   [ `Drop | `Deliver of Bytes.t * bool * bool ]
 (** Draw one message's fate from the seeded stream without touching any
-    channel: [`Drop], or [`Deliver (bytes, delayed, duplicated)] where
-    [bytes] may have one byte flipped.  [Dispatch.through] routes every
-    frame of both backends through this single decision point, parking
-    delayed frames on the engine's [late] queue until its next timeout,
-    so a fault plan has the same meaning in process and over sockets. *)
+    channel: {!fate}, applied to [bytes]: [`Drop], or
+    [`Deliver (bytes, delayed, duplicated)] where [bytes] may be a copy
+    with one byte flipped. *)
 
 val crash_phase : t -> node:int -> crash_phase option
 (** The phase at which the plan crashes [node], if it does and the node

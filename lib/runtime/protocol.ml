@@ -2,10 +2,14 @@
 
     Every frame the fabric puts on a socket is a 5-byte header — a
     4-byte big-endian payload length and one kind byte — followed by
-    the payload.  {!Transport.Socket} writes and reads frames through
-    {!encode_frame} and {!decode_header}; a malformed header is the
-    typed {!Bad_frame}, never a crash or a mis-split, and the tests
-    fuzz that property through the socket reader itself.
+    the payload.  A {!frame} is a body in place in a buffer: one built
+    to be sent has the header's bytes reserved before it, so
+    {!Transport.Socket} writes the header there ({!write_header}) and
+    the whole frame with one write; one read from a socket is a view of
+    the link's receive buffer.  Reads go through {!decode_header}; a
+    malformed header is the typed {!Bad_frame}, never a crash or a
+    mis-split, and the tests fuzz that property through the socket
+    reader itself.
 
     What each side does with each kind lives in the code that does it:
     the dispatch engine ({!Dispatch.step}) and the node program
@@ -81,13 +85,45 @@ let kind_of_byte = function
 let header_len = 5
 let max_frame_payload = 1 lsl 30
 
-let encode_frame ?(kind = Data) payload =
-  let len = Bytes.length payload in
-  let frame = Bytes.create (header_len + len) in
-  Bytes.set_int32_be frame 0 (Int32.of_int len);
-  Bytes.set frame 4 (kind_to_byte kind);
-  Bytes.blit payload 0 frame header_len len;
-  frame
+module Rw = Triolet_base.Rw
+
+type frame = { buf : Bytes.t; off : int; len : int }
+
+let view ?(off = 0) ?len buf =
+  let len = Option.value len ~default:(Bytes.length buf - off) in
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg "Protocol.view";
+  { buf; off; len }
+
+(* A writer sized for a body of [size] bytes after the header's room:
+   a body that fills it exactly is handed over without a copy. *)
+let writer size =
+  let w = Rw.create_writer ~capacity:(header_len + size) () in
+  Rw.reserve w header_len;
+  w
+
+let of_writer w =
+  let buf = Rw.detach w in
+  { buf; off = header_len; len = Bytes.length buf - header_len }
+
+let blit_frame buf off len =
+  let w = writer len in
+  Rw.write_bytes w buf off len;
+  of_writer w
+
+let of_bytes b = blit_frame b 0 (Bytes.length b)
+let copy f = blit_frame f.buf f.off f.len
+let to_bytes f = Bytes.sub f.buf f.off f.len
+let empty () = of_bytes Bytes.empty
+
+(* The header goes in the bytes before the body, so the frame leaves in
+   one write.  Rewriting it is harmless: a frame resent (a retried
+   task, one node's code sent to another) gets the same header again. *)
+let write_header f kind =
+  let start = f.off - header_len in
+  if start < 0 then invalid_arg "Protocol.write_header: no room for the header";
+  Bytes.set_int32_be f.buf start (Int32.of_int f.len);
+  Bytes.set f.buf (start + 4) (kind_to_byte kind);
+  start
 
 (** [decode_header buf off] reads one header at [off]; the payload
     occupies the next [len] bytes.  Raises {!Bad_frame} on an unknown

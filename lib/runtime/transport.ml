@@ -5,8 +5,11 @@
     queues; process nodes exchange them here.  {!Socket} writes each
     frame to a [socketpair] as a 4-byte big-endian payload length, a
     1-byte frame kind, and the payload — the header codec and the kinds
-    ({!Protocol.kind}) live in {!Protocol}.  A malformed header (unknown
-    kind byte, absurd length field) raises [Protocol.Bad_frame].
+    ({!Protocol.kind}) live in {!Protocol}.  A frame leaves in one
+    write, its header written into the room its buffer reserves before
+    the body, and arrives in the link's own grow-only receive buffer,
+    read in place.  A malformed header (unknown kind byte, absurd
+    length field) raises [Protocol.Bad_frame].
 
     Frame *headers* (length + kind) are transport framing, not payload:
     byte accounting everywhere in the runtime counts payload bytes only,
@@ -47,9 +50,15 @@ let ignore_sigpipe () =
   end
 
 module Socket = struct
-  type t = { fd : Unix.file_descr; mutable closed : bool }
+  type t = {
+    fd : Unix.file_descr;
+    mutable closed : bool;
+    mutable rbuf : Bytes.t;
+        (** the receive buffer: a frame read is a view of it, valid
+            until the next read; it only ever grows *)
+  }
 
-  let of_fd fd = { fd; closed = false }
+  let of_fd fd = { fd; closed = false; rbuf = Bytes.empty }
   let fd t = t.fd
 
   (** A linked endpoint pair: frames sent on one arrive on the other,
@@ -70,11 +79,10 @@ module Socket = struct
 
   let header_len = Protocol.header_len
 
-  let write_all t buf =
-    let len = Bytes.length buf in
+  let write t buf off len =
     let pos = ref 0 in
     while !pos < len do
-      match Unix.write t.fd buf !pos (len - !pos) with
+      match Unix.write t.fd buf (off + !pos) (len - !pos) with
       | n -> pos := !pos + n
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
@@ -82,48 +90,60 @@ module Socket = struct
           raise Closed
     done
 
-  (* Read exactly [len] bytes; [None] on a clean EOF at a frame
-     boundary (peer gone), [Closed] mid-frame or on a dead fd. *)
-  let read_exactly t len =
-    let buf = Bytes.create len in
+  let write_all t buf = write t buf 0 (Bytes.length buf)
+
+  (* Read exactly [len] bytes into [buf] at [off]; [false] on a clean
+     EOF before the first byte (peer gone at a frame boundary),
+     [Closed] mid-read or on a dead fd. *)
+  let read_into t buf off len =
     let pos = ref 0 in
     let eof = ref false in
     while (not !eof) && !pos < len do
-      match Unix.read t.fd buf !pos (len - !pos) with
+      match Unix.read t.fd buf (off + !pos) (len - !pos) with
       | 0 -> if !pos = 0 then eof := true else raise Closed
       | n -> pos := !pos + n
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) ->
           raise Closed
     done;
-    if !eof then None else Some buf
+    not !eof
 
-  (** Ship one frame ([kind] defaults to [Data]).  Raises {!Closed} if
-      the channel is down. *)
-  let send t ?(kind = Protocol.Data) payload =
+  let read_exactly t len =
+    let buf = Bytes.create len in
+    if read_into t buf 0 len then Some buf else None
+
+  (** Ship one frame ([kind] defaults to [Data]): its header into the
+      room before its body, then header and body in one write.  Raises
+      {!Closed} if the channel is down. *)
+  let send t ?(kind = Protocol.Data) (f : Protocol.frame) =
     if t.closed then raise Closed;
-    write_all t (Protocol.encode_frame ~kind payload)
+    let start = Protocol.write_header f kind in
+    write t f.buf start (header_len + f.len)
 
-  let try_recv_header t =
-    match read_exactly t header_len with
-    | None -> None
-    | Some hdr ->
-        let len, kind = Protocol.decode_header hdr 0 in
-        let payload =
-          if len = 0 then Bytes.empty
-          else
-            match read_exactly t len with
-            | Some b -> b
-            | None -> raise Closed (* EOF mid-frame *)
-        in
-        Some (kind, payload)
+  (* The header, then the body after it, into the receive buffer, which
+     grows (keeping the header) to hold the largest frame seen. *)
+  let try_recv t =
+    if Bytes.length t.rbuf < header_len then t.rbuf <- Bytes.create 4096;
+    if not (read_into t t.rbuf 0 header_len) then None
+    else
+      let len, kind = Protocol.decode_header t.rbuf 0 in
+      let need = header_len + len in
+      if Bytes.length t.rbuf < need then begin
+        let b = Bytes.create (max need (2 * Bytes.length t.rbuf)) in
+        Bytes.blit t.rbuf 0 b 0 header_len;
+        t.rbuf <- b
+      end;
+      (* EOF mid-frame *)
+      if len > 0 && not (read_into t t.rbuf header_len len) then raise Closed;
+      Some (kind, Protocol.view ~off:header_len ~len t.rbuf)
 
-  (** Blocking receive of the next whole frame.  Raises {!Closed} once
+  (** Blocking receive of the next whole frame, a view of the receive
+      buffer that the next receive overwrites.  Raises {!Closed} once
       the channel is closed or the peer is gone, and [Protocol.Bad_frame]
       on a malformed header. *)
   let recv t =
     if t.closed then raise Closed;
-    match try_recv_header t with Some f -> f | None -> raise Closed
+    match try_recv t with Some f -> f | None -> raise Closed
 
   (** Tear the endpoint down; the peer reads EOF once it has drained
       the frames already buffered. *)
@@ -162,7 +182,6 @@ module Proc = struct
   let node t i = t.nodes.(i)
   let pid t i = t.nodes.(i).pid
   let is_alive t i = t.nodes.(i).alive
-  let size t = Array.length t.nodes
   let alive_ids t =
     Array.to_list t.nodes
     |> List.filter_map (fun n -> if n.alive then Some n.id else None)
@@ -259,7 +278,7 @@ module Proc = struct
           | _ -> (
               let fd = List.hd ready in
               let n = List.find (fun n -> Socket.fd n.chan = fd) live in
-              match Socket.try_recv_header n.chan with
+              match Socket.try_recv n.chan with
               | Some (kind, payload) -> `Msg (n.id, kind, payload)
               | None | (exception (Closed | Protocol.Bad_frame _)) ->
                   n.alive <- false;
@@ -298,15 +317,6 @@ module Proc = struct
     if mine then n.reaped <- true;
     Mutex.unlock t.lock;
     mine
-
-  (** Reap node [i]: close the channel (EOF tells the child to exit),
-      wait, escalate to SIGKILL after [grace].  Idempotent and safe to
-      call concurrently with the child dying on its own. *)
-  let reap ?grace t i =
-    let n = t.nodes.(i) in
-    n.alive <- false;
-    release n.chan;
-    if claim_reap t n then reap_node ?grace n
 
   (** SIGKILL node [i]'s current incarnation (no reap — the parent's
       next [recv_any] sees the EOF and marks the node dead, exactly as

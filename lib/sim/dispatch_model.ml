@@ -50,7 +50,7 @@ type code =
   | Per_job  (** a new generation every job *)
   | Per_session  (** one generation for every job *)
 
-type frame = Protocol.kind * Bytes.t
+type frame = Protocol.kind * Protocol.frame
 
 (* Which kinds each side may put on the wire. *)
 let node_sends = Protocol.[ Pong; Data; Err; Nack ]
@@ -165,7 +165,7 @@ let encode st = function
   | D.Put ((_, _, v) as key) -> Envelope.encode Envelope.put ~slice:0 ~seq:0 (key, content v)
   | D.Reuse { slice; seq; key } -> Envelope.encode Envelope.key ~slice ~seq key
   | D.Free d -> Envelope.encode Triolet_base.Codec.int ~slice:(-1) ~seq:0 d
-  | D.Ping -> Bytes.empty
+  | D.Ping -> Protocol.empty ()
   | D.Code ->
       (* The model's code is its generation. *)
       Envelope.encode Triolet_base.Codec.int ~slice:(-1) ~seq:0 (Option.get st.gen)

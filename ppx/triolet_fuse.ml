@@ -8,13 +8,19 @@
      consumer ::= Iter.histogram [~ctx|?ctx] ~bins:e
                 | Iter.scatter_add [~ctx|?ctx] ~size:e
                 | Iter.sum [~ctx|?ctx]
+                | Iter.to_matrix [~ctx|?ctx]     (over a tile only)
      producer ::= let p = e [and ...] in producer
                 | Iter.map ifn producer
                 | Iter.concat_map ibody producer
                 | hint producer
                 | x                          (a [let] above bound it to a producer)
                 | outer                      (any other expression)
-     hint     ::= Iter.par | Iter.localpar | Iter.sequential
+     hint     ::= Iter.par | Iter.localpar | Iter.sequential | Iter.with_hint e
+     tile     ::= Iter.map tfn outer    (outer: hint* (Iter.outer_product
+                                          (Iter.rows e) (Iter.rows e)))
+     tfn      ::= let p = e [and ...] in tfn
+                | fun (u, v) -> e       (u and v used only as
+                                          Matrix.view_dot u v or v u)
      ifn      ::= let p = e [and ...] in ifn | fn
      ibody    ::= let p = e [and ...] in ibody | fun p -> body
      body     ::= let p = e [and ...] in body | nest
@@ -35,7 +41,11 @@
    The consumer becomes one call to [Iter.run_reduce] over [outer],
    with the hint wrappers moved onto it ([map] and [concat_map] keep
    their input's shape and hint), so partitioning, distribution and
-   merge order are the library's.  The [let]s outside the nest are
+   merge order are the library's.  [to_matrix] over a tile becomes one
+   call to [Iter.fill_matrix] over [outer] instead: each band is a
+   [for i] / [for j] nest over the two row blocks the band's payload
+   names, the function's body written in place with each dot a [for l]
+   loop that sums in [Matrix.view_dot]'s order.  The [let]s outside the nest are
    evaluated once, before the call, in the order met; one bound to a
    producer is read where it is used instead.  The per-band fold walks
    the band's outer elements with [Seq_iter.iter] and runs each through
@@ -186,6 +196,7 @@ type consumer =
   | Histogram of expression src
   | Scatter_add of expression src
   | Sum
+  | To_matrix
 
 (* A [let[@fuse]] definition.  [producer]: its body is a producer. *)
 type def = {
@@ -259,7 +270,7 @@ let rec producer_shape defs e =
   | _ -> (
       match (def_call defs e, call "Iter" e) with
       | Some (d, _), _ -> d.producer
-      | None, Some (_, ("map" | "concat_map" | "par" | "localpar" | "sequential"), _)
+      | None, Some (_, ("map" | "concat_map" | "par" | "localpar" | "sequential" | "with_hint"), _)
         ->
           true
       | None, _ -> false)
@@ -439,7 +450,8 @@ let arg st senv e =
   a
 
 (* The producer: its stages in execution order, the hint wrappers met
-   (innermost first) and the outer iterator. *)
+   (innermost first, with [with_hint]'s argument) and the outer
+   iterator. *)
 let rec producer_of st senv stages hints e =
   let e = view e in
   match (e.pexp_desc, bound_producer st senv e) with
@@ -462,7 +474,10 @@ let rec producer_of st senv stages hints e =
               producer_of st senv (Concat (body_of genv g) :: stages) hints x
           | Some (path, (("par" | "localpar" | "sequential") as h), [ (Nolabel, x) ])
             ->
-              producer_of st senv stages ((path, h) :: hints) x
+              producer_of st senv stages ((path, h, None) :: hints) x
+          | Some (path, "with_hint", [ (Nolabel, h); (Nolabel, x) ]) ->
+              let h = arg st senv h in
+              producer_of st senv stages ((path, "with_hint", Some h) :: hints) x
           | _ -> (stages, hints, arg st senv e)))
 
 (* (Iter's path, consumer, the [ctx] argument if any, the producer and
@@ -493,6 +508,7 @@ let rec consumer_of st senv e =
             | "histogram" -> size "bins" (fun e -> Histogram e)
             | "scatter_add" -> size "size" (fun e -> Scatter_add e)
             | "sum" -> (Sum, rest)
+            | "to_matrix" -> (To_matrix, rest)
             | _ -> raise Refuse
           in
           (match (ctx, rest) with
@@ -677,6 +693,106 @@ and nest ~loc scope n k =
   bound n.lo.it (fun lo -> bound n.hi.it (fun hi -> loop lo hi))
 
 (* ------------------------------------------------------------------ *)
+(* The tile                                                            *)
+
+(* [Iter.outer_product (Iter.rows _) (Iter.rows _)] *)
+let rows_product e =
+  match call "Iter" e with
+  | Some (_, "outer_product", [ (Nolabel, a); (Nolabel, b) ]) -> (
+      match (call "Iter" a, call "Iter" b) with
+      | Some (_, "rows", [ (Nolabel, _) ]), Some (_, "rows", [ (Nolabel, _) ]) -> true
+      | _ -> false)
+  | _ -> false
+
+(* Whether [e] binds any of [names] anywhere. *)
+let binds names e =
+  (object
+     inherit [bool] Ast_traverse.fold as super
+     method! pattern p acc = acc || (not (S.disjoint names (pat_vars p))) || super#pattern p acc
+  end)
+    #expression e false
+
+(* [to_matrix] over [Iter.map (fun (u, v) -> body) outer], [outer] a
+   hinted product of two [rows]: [Iter.fill_matrix] over [outer], whose
+   band fill runs rows [off, off+n) of the first row block against every
+   row of the second.  [body] is written in place, each
+   [Matrix.view_dot u v] (or [v u]) a [for l] loop summing from [0.0]
+   in [view_dot]'s order, so the tile equals the library bit for bit. *)
+let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
+  let u, v, body, f =
+    match stages with
+    | [ Map ({ it = Lam ({ ppat_desc = Ppat_tuple [ pu; pv ]; _ }, body, _); _ } as f) ] -> (
+        match (pu.ppat_desc, pv.ppat_desc) with
+        | Ppat_var { txt = u; _ }, Ppat_var { txt = v; _ } when u <> v -> (u, v, body, f)
+        | _ -> raise Refuse)
+    | _ -> raise Refuse
+  in
+  if not (rows_product tile_outer) then raise Refuse;
+  let uv = S.of_list [ u; v ] in
+  if binds uv body then raise Refuse;
+  place f scope;
+  let matrix =
+    match path with
+    | Lident _ -> Lident "Matrix"
+    | Ldot (p, _) -> Ldot (p, "Matrix")
+    | Lapply _ -> raise Refuse
+  in
+  let m name = B.pexp_ident ~loc { loc; txt = Ldot (matrix, name) } in
+  let iter name = B.pexp_ident ~loc { loc; txt = Ldot (path, name) } in
+  let p = fresh () and a = fresh () and b = fresh () and k = fresh ()
+  and nc = fresh () and da = fresh () and db = fresh () and out = fresh ()
+  and off = fresh () and n = fresh () and i = fresh () and j = fresh ()
+  and ai = fresh () and bj = fresh () in
+  let e = B.evar ~loc and pv = B.pvar ~loc in
+  let dot first =
+    let s = fresh () and l = fresh () in
+    let get d o = [%expr Stdlib.Float.Array.get [%e e d] ([%e e o] + [%e e l])] in
+    let x, y = if first = u then (get da ai, get db bj) else (get db bj, get da ai) in
+    [%expr
+      let [%p pv s] = Stdlib.ref 0.0 in
+      for [%p pv l] = 0 to [%e e k] - 1 do
+        [%e e s] := ![%e e s] +. ([%e x] *. [%e y])
+      done;
+      ![%e e s]]
+  in
+  let ident x = match x.pexp_desc with Pexp_ident { txt = Lident y; _ } -> Some y | _ -> None in
+  let body =
+    (object
+       inherit Ast_traverse.map as super
+
+       method! expression x =
+         match call "Matrix" x with
+         | Some (_, "view_dot", [ (Nolabel, x1); (Nolabel, x2) ]) -> (
+             match (ident x1, ident x2) with
+             | Some a1, Some a2 when S.equal (S.of_list [ a1; a2 ]) uv -> dot a1
+             | _ -> super#expression x)
+         | _ -> super#expression x
+    end)
+      #expression body
+  in
+  if not (S.disjoint uv (fv body)) then raise Refuse;
+  let fill =
+    [%expr
+      fun [%p pv p] ->
+        let [%p pv a], [%p pv b] = [%e iter "row_blocks"] [%e e p] in
+        let [%p pv k] = [%e m "cols"] [%e e a]
+        and [%p pv nc] = [%e m "rows"] [%e e b]
+        and [%p pv da] = [%e m "data"] [%e e a]
+        and [%p pv db] = [%e m "data"] [%e e b] in
+        if [%e m "rows"] [%e e a] > 0 && [%e e nc] > 0 && [%e m "cols"] [%e e b] <> [%e e k]
+        then Stdlib.invalid_arg "Matrix.view_dot";
+        fun [%p pv out] [%p pv off] [%p pv n] ->
+          for [%p pv i] = [%e e off] to [%e e off] + [%e e n] - 1 do
+            let [%p pv ai] = [%e e i] * [%e e k] in
+            for [%p pv j] = 0 to [%e e nc] - 1 do
+              let [%p pv bj] = [%e e j] * [%e e k] in
+              Stdlib.Float.Array.set [%e e out] (([%e e i] * [%e e nc]) + [%e e j]) [%e body]
+            done
+          done]
+  in
+  B.pexp_apply ~loc (iter "fill_matrix") (ctx @ [ (Labelled "fill", fill); (Nolabel, outer) ])
+
+(* ------------------------------------------------------------------ *)
 (* The band fold                                                       *)
 
 let fuse ~loc ~defs e =
@@ -707,9 +823,12 @@ let fuse ~loc ~defs e =
     match List.assq_opt a named with Some v -> B.evar ~loc v | None -> a.it
   in
   let id p name = B.pexp_ident ~loc { loc; txt = Ldot (p, name) } in
+  let tile_outer = outer.it in
   let outer =
     List.fold_left
-      (fun acc (p, h) -> B.pexp_apply ~loc (id p h) [ (Nolabel, acc) ])
+      (fun acc (p, h, a) ->
+        let a = Option.to_list (Option.map (fun a -> (Nolabel, use a)) a) in
+        B.pexp_apply ~loc (id p h) (a @ [ (Nolabel, acc) ]))
       (use outer) hints
   in
   let seq_iter =
@@ -790,6 +909,7 @@ let fuse ~loc ~defs e =
                            Stdlib.Float.Array.set [%e acc_e] [%e i_e]
                              (Stdlib.Float.Array.get [%e acc_e] [%e i_e]
                              +. [%e B.evar ~loc w])])))
+    | To_matrix -> tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx:(List.map (fun (l, a) -> (l, use a)) ctx)
     | Sum ->
         (* [n] is the band's running sum, one unboxed float cell *)
         run_reduce ~codec:[%expr Triolet_base.Codec.float]

@@ -139,6 +139,27 @@ let[@fuse] around ~k x = Seq_iter.range (x mod k) k |> Seq_iter.map (fun j -> j 
 let partial ?ctx ~hint (xs : int array) =
   [%fuse Iter.histogram ?ctx ~bins:32 (Iter.concat_map (around ~k:7) (hint (Iter.of_int_array xs)))]
 
+(* sgemm's tile: to_matrix over a map of row-pair dots, the hint set on
+   the product by value. *)
+let tile ?ctx ~hint (a : Matrix.t) (bt : Matrix.t) =
+  [%fuse
+    Iter.to_matrix ?ctx
+      (Iter.map
+         (fun (u, v) -> 2.0 *. Matrix.view_dot u v)
+         (Iter.with_hint hint (Iter.outer_product (Iter.rows a) (Iter.rows bt))))]
+
+(* A tile under a hint wrapper, its dot written [v u] and bound by a
+   [let]. *)
+let tile_par ~ctx (a : Matrix.t) (bt : Matrix.t) =
+  [%fuse
+    Iter.to_matrix ~ctx
+      (Iter.par
+         (Iter.map
+            (fun (u, v) ->
+              let d = Matrix.view_dot v u in
+              d *. d)
+            (Iter.outer_product (Iter.rows a) (Iter.rows bt))))]
+
 (* Not recognised, so left exactly as written: *)
 
 (* a consumer the rewriter does not know; *)
@@ -182,3 +203,11 @@ let shadowed (xs : floatarray) =
          (Iter.map
             (fun x -> (x, float_of_int (bucket ~bins:4 x x) /. 4.0))
             (Iter.of_floatarray xs)))]
+
+(* a tile whose [u] is read outside its dot. *)
+let tile_escapes (a : Matrix.t) (bt : Matrix.t) =
+  [%fuse
+    Iter.to_matrix
+      (Iter.map
+         (fun (u, v) -> Matrix.view_dot u v +. Matrix.view_get u 0)
+         (Iter.outer_product (Iter.rows a) (Iter.rows bt)))]

@@ -5,6 +5,7 @@
 
 module Transport = Triolet_runtime.Transport
 module Socket = Transport.Socket
+module Protocol = Triolet_runtime.Protocol
 
 (* [chunks ~cuts stream] cuts [stream] into successive pieces of the
    sizes in [cuts] (cycling; [[]] means one piece). *)
@@ -51,8 +52,8 @@ let replay pieces read =
    [Protocol.Bad_frame] and an EOF mid-frame raises [Transport.Closed]. *)
 let frames b =
   let rec go acc =
-    match Socket.try_recv_header b with
-    | Some (k, p) -> go ((k, Bytes.to_string p) :: acc)
+    match Socket.try_recv b with
+    | Some (k, f) -> go ((k, Bytes.to_string (Protocol.to_bytes f)) :: acc)
     | None -> List.rev acc
   in
   go []

@@ -5,7 +5,8 @@
    consumers bit for bit, float consumers bit for bit under
    [Sequential] and within rounding elsewhere.  Then the kernels that
    adopted [%fuse]: tpacf's three stages against [run_c] and against
-   their library-form hooks, and cutcp against its hook.
+   their library-form hooks, cutcp against its hook, and sgemm against
+   its hook and, bit for bit, [run_c] at 1-4 nodes x 1-2 cores.
 
    The parent stays single-domain (pool width 1) so the Process backend
    can fork at any point of the run. *)
@@ -17,6 +18,7 @@ module Cluster = Triolet_runtime.Cluster
 module D = Triolet_kernels.Dataset
 module Tpacf = Triolet_kernels.Tpacf
 module Cutcp = Triolet_kernels.Cutcp
+module Sgemm = Triolet_kernels.Sgemm
 
 let () = Triolet_runtime.Pool.set_default_width 1
 
@@ -39,6 +41,9 @@ let hints =
   ]
 
 let check_ints = Alcotest.(check (array int))
+
+(* A hint function's value, read off an empty iterator. *)
+let hint_value h = Iter.hint (h.hint (Iter.range 0 0))
 let check_bool = Alcotest.(check bool)
 
 let for_all2 p a b =
@@ -151,6 +156,20 @@ let ref_partial xs =
   |> R.concat_map (fun x -> R.map (fun j -> j + x) (R.range (x mod 7) 7))
   |> ref_hist ~bins:32
 
+(* The tile fixtures' references: every element its own [view_dot],
+   summed as the tile sums it. *)
+let tile_a, tile_bt =
+  let a, b = D.sgemm_matrices ~seed:73 ~m:9 ~k:7 ~n:11 in
+  (a, Matrix.transpose b)
+
+let ref_tile f =
+  Matrix.init (Matrix.rows tile_a) (Matrix.rows tile_bt) (fun i j ->
+      f (Matrix.row tile_a i) (Matrix.row tile_bt j))
+
+let matrix_bits x y =
+  Matrix.rows x = Matrix.rows y && Matrix.cols x = Matrix.cols y
+  && bits_equal (Matrix.data x) (Matrix.data y)
+
 (* One backend's fixture checks, under every hint. *)
 let fixtures_on backend () =
   let ctx = ctx_of backend in
@@ -171,6 +190,10 @@ let fixtures_on backend () =
       let gr = ref_grid ~nx ~ny ~nz ax aw in
       check_bool (name "grid") true (close gr g);
       if h.seq then check_bool (name "grid, bits") true (bits_equal gr g);
+      check_bool (name "tile, bits") true
+        (matrix_bits
+           (ref_tile (fun u v -> 2.0 *. Matrix.view_dot u v))
+           (F.tile ~ctx ~hint:(hint_value h) tile_a tile_bt));
       let s = F.sum_cases ~ctx ~hint:h.hint xs_float in
       let sr = ref_sum_cases xs_float in
       let fa = Float.Array.make 1 in
@@ -178,7 +201,13 @@ let fixtures_on backend () =
       if h.seq then check_bool (name "sum, bits") true (bits_equal (fa sr) (fa s)))
     hints;
   check_ints "hinted_par = seq_iter_ref" (ref_hinted ( + ) xs_int)
-    (F.hinted_par ~ctx xs_int)
+    (F.hinted_par ~ctx xs_int);
+  check_bool "tile_par, bits" true
+    (matrix_bits
+       (ref_tile (fun u v ->
+            let d = Matrix.view_dot v u in
+            d *. d))
+       (F.tile_par ~ctx tile_a tile_bt))
 
 let test_fixed_hints () =
   check_ints "hinted_localpar = seq_iter_ref" (ref_hinted ( * ) xs_int)
@@ -215,7 +244,11 @@ let test_unrecognised () =
        (R.map
           (fun x -> F.bucket ~bins:4 x (if x < 0.5 then 0.0 else 0.75))
           (r_floats xs_float)))
-    (F.shadowed xs_float)
+    (F.shadowed xs_float);
+  check_bool "tile_escapes, bits" true
+    (matrix_bits
+       (ref_tile (fun u v -> Matrix.view_dot u v +. Matrix.view_get u 0))
+       (F.tile_escapes tile_a tile_bt))
 
 (* Unsafe_scan audits the sources; an expansion with an unchecked
    access would hide one from it. *)
@@ -294,6 +327,51 @@ let test_cutcp backend () =
         (Cutcp.agrees ~eps:1e-9 reference (Cutcp.run_triolet ~ctx ~hint:h.hint c)))
     hints
 
+(* sgemm: run_triolet's fused site against the library form of the
+   same definitions, under every hint. *)
+let test_sgemm_hook backend () =
+  let a, b = D.sgemm_matrices ~seed:74 ~m:13 ~k:9 ~n:11 in
+  let ctx = ctx_of backend in
+  List.iter
+    (fun h ->
+      let hint = Iter.with_hint (hint_value h) in
+      check_bool (h.name ^ ": fused = hook, bits") true
+        (matrix_bits
+           (Iter.to_matrix ~ctx (Sgemm.pipeline ~alpha:0.5 ~hint a b))
+           (Sgemm.run_triolet ~ctx ~alpha:0.5 ~hint a b)))
+    hints
+
+(* [run_triolet] sums each element in [run_c]'s order, so it equals
+   [run_c] bit for bit on every backend, at 1-4 nodes x 1-2 cores,
+   under every hint; so does the resident product. *)
+let test_sgemm_bits backend () =
+  let a, b = D.sgemm_matrices ~seed:75 ~m:13 ~k:9 ~n:11 in
+  let c = Sgemm.run_c ~alpha:1.5 a b in
+  for nodes = 1 to 4 do
+    for cores = 1 to 2 do
+      let ctx = Exec.make ~nodes ~cores_per_node:cores ~backend () in
+      let at = Printf.sprintf "%dx%d" nodes cores in
+      List.iter
+        (fun h ->
+          let r, d =
+            Triolet_runtime.Stats.measure (fun () ->
+                Sgemm.run_triolet ~ctx ~alpha:1.5 ~hint:(Iter.with_hint (hint_value h)) a b)
+          in
+          check_bool (Printf.sprintf "%s %s: run_triolet = run_c, bits" at h.name) true
+            (matrix_bits c r);
+          if backend = Cluster.Process && h.name = "par" then
+            check_bool (at ^ " " ^ h.name ^ ": ran on the process nodes") true
+              (d.Triolet_runtime.Stats.code_bytes > 0))
+        hints;
+      let r = Sgemm.Resident.create ~ctx ~alpha:1.5 a in
+      Fun.protect
+        ~finally:(fun () -> Sgemm.Resident.close r)
+        (fun () ->
+          check_bool (at ^ " resident multiply = run_c, bits") true
+            (matrix_bits c (fst (Sgemm.Resident.multiply r b))))
+    done
+  done
+
 let () =
   let per_backend f =
     List.map (fun (name, b) -> Alcotest.test_case name `Quick (f b)) backends
@@ -312,4 +390,5 @@ let () =
         Alcotest.test_case "hooks = fused stages (inprocess 2x1)" `Quick test_tpacf_hooks
         :: per_backend test_tpacf_every_hint );
       ("cutcp", per_backend test_cutcp);
+      ("sgemm", per_backend test_sgemm_hook @ per_backend test_sgemm_bits);
     ]

@@ -421,6 +421,31 @@ let test_bench_compare_json_shapes () =
   check_bool "unmatched rows reported, not regressions" true
     (r.BC.only_old = [ "c" ] && r.BC.only_new = [ "d" ])
 
+(* A baseline row with a "max" is gated against that limit as it
+   stands, both below and above pin + threshold; rows without one keep
+   the relative rule, and a file without the field has no limits. *)
+let test_bench_compare_limits () =
+  let baseline =
+    {|{"family":"iter","rows":[{"name":"tight","ns_per_run":1.11,"max":1.2},{"name":"loose","ns_per_run":1.0,"max":2.0},{"name":"plain","ns_per_run":1.0}]}|}
+  in
+  let j = Json.of_string baseline in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "limits parsed" [ ("tight", 1.2); ("loose", 2.0) ] (BC.limits_of_json j);
+  check_int "no max, no limits" 0
+    (List.length (BC.limits_of_json (Json.of_string {|[{"name":"a","ns_per_run":1.0}]|})));
+  let gate tight loose plain =
+    let news =
+      [ { BC.name = "tight"; ns_per_run = tight }; { BC.name = "loose"; ns_per_run = loose };
+        { BC.name = "plain"; ns_per_run = plain } ]
+    in
+    List.map (fun d -> d.BC.d_name)
+      (BC.compare_rows ~limits:(BC.limits_of_json j) (BC.rows_of_json j) news).BC.regressions
+  in
+  Alcotest.(check (list string)) "within limits and threshold" [] (gate 1.19 1.9 1.1);
+  Alcotest.(check (list string)) "over a limit under pin + 15%" [ "tight" ] (gate 1.21 1.0 1.0);
+  Alcotest.(check (list string)) "a limit above pin + 15% is the gate" [] (gate 1.0 1.9 1.0);
+  Alcotest.(check (list string)) "rows without a limit keep the ratio" [ "plain" ] (gate 1.0 1.0 1.2)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -474,5 +499,7 @@ let () =
             test_bench_compare_added_rows;
           Alcotest.test_case "both file shapes" `Quick
             test_bench_compare_json_shapes;
+          Alcotest.test_case "row limits gate as they stand" `Quick
+            test_bench_compare_limits;
         ] );
     ]

@@ -17,11 +17,18 @@ let qtest name gen prop =
 
 (* --- framing ------------------------------------------------------ *)
 
+(* The bytes a frame of [payload] puts on the wire: the frame writer's
+   buffer from its header on. *)
+let wire kind payload =
+  let f = Protocol.of_bytes payload in
+  let start = Protocol.write_header f kind in
+  Bytes.sub f.Protocol.buf start (Protocol.header_len + f.Protocol.len)
+
 let test_frame_roundtrip () =
   List.iter
     (fun kind ->
       let payload = Bytes.of_string "hello, fabric" in
-      let frame = Protocol.encode_frame ~kind payload in
+      let frame = wire kind payload in
       let len, k = Protocol.decode_header frame 0 in
       check_int "len" (Bytes.length payload) len;
       check_bool "kind" true (k = kind);
@@ -59,8 +66,8 @@ let test_transport_shares_codec () =
       List.iter
         (fun kind ->
           let payload = Bytes.of_string (Protocol.kind_name kind) in
-          let expected = Protocol.encode_frame ~kind payload in
-          Socket.send a ~kind payload;
+          let expected = wire kind payload in
+          Socket.send a ~kind (Protocol.of_bytes payload);
           check_bool (Protocol.kind_name kind) true
             (Socket.read_exactly b (Bytes.length expected) = Some expected))
         Protocol.all_kinds)
@@ -83,9 +90,7 @@ let prop_chunked_roundtrip =
         String.concat ""
           (List.map
              (fun (ki, payload) ->
-               Bytes.to_string
-                 (Protocol.encode_frame ~kind:(kind_of_int ki)
-                    (Bytes.of_string payload)))
+               Bytes.to_string (wire (kind_of_int ki) (Bytes.of_string payload)))
              frames)
       in
       Socket_stream.replay (Socket_stream.chunks ~cuts stream) Socket_stream.frames
@@ -193,8 +198,8 @@ let spec_frame =
   | Nack | Seg_reuse -> enc D.Envelope.key key
   | Seg_put -> enc D.Envelope.put (key, [])
   | Seg_free -> enc Triolet_base.Codec.int 0
-  | Ping | Pong -> Bytes.empty
-  | Code -> Bytes.of_string "code"
+  | Ping | Pong -> Protocol.empty ()
+  | Code -> Protocol.of_bytes (Bytes.of_string "code")
 
 let spec_reissued = [ D.Send (0, D.Task { slice = 0; seq = 1 }); D.Note (D.Retry { slice = 0; node = 0 }) ]
 

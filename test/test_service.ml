@@ -362,7 +362,7 @@ let test_backoff_resets_on_fresh_pong () =
   (* Escalated and clamped... *)
   Alcotest.(check (float 1e-12)) "escalated to max" max_s (backoff_s ~max_s t);
   (* ...until the replacement proves itself with one pong. *)
-  let t, acts = Dispatch.step t (Dispatch.Frame (0, Protocol.Pong, Bytes.empty)) in
+  let t, acts = Dispatch.step t (Dispatch.Frame (0, Protocol.Pong, Protocol.empty ())) in
   check_bool "pong accepted" true (acts = []);
   Alcotest.(check (float 1e-12)) "first fresh pong resets to base" base
     (backoff_s ~max_s t)

@@ -17,6 +17,14 @@ module Codec = Triolet_base.Codec
 let () = Pool.set_default_width 1
 
 let check_int = Alcotest.(check int)
+
+(* Frames as these tests write and read them: bytes copied into a frame
+   with the header's room, and copied out of the link's buffer. *)
+let send chan ?kind b = Transport.Socket.send chan ?kind (Protocol.of_bytes b)
+
+let recv chan =
+  let kind, f = Transport.Socket.recv chan in
+  (kind, Protocol.to_bytes f)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
@@ -30,9 +38,9 @@ let test_fabric_echo () =
   let fabric =
     Transport.Proc.fork ~n:2 ~child:(fun ~id:_ chan ->
         let rec loop () =
-          match Transport.Socket.recv chan with
+          match recv chan with
           | kind, payload ->
-              Transport.Socket.send chan ~kind (reverse_bytes payload);
+              send chan ~kind (reverse_bytes payload);
               loop ()
           | exception Transport.Closed -> ()
         in
@@ -45,8 +53,8 @@ let test_fabric_echo () =
       Array.iteri
         (fun i payload ->
           let chan = (Transport.Proc.node fabric i).Transport.Proc.chan in
-          Transport.Socket.send chan (Bytes.of_string payload);
-          let kind, reply = Transport.Socket.recv chan in
+          send chan (Bytes.of_string payload);
+          let kind, reply = recv chan in
           check_bool "data kind" true (kind = Protocol.Data);
           Alcotest.(check string)
             "reversed"
@@ -55,17 +63,17 @@ let test_fabric_echo () =
         [| "hello node zero"; "frames stay whole" |];
       (* Err frames keep their kind across the wire. *)
       let chan = (Transport.Proc.node fabric 0).Transport.Proc.chan in
-      Transport.Socket.send chan ~kind:Protocol.Err (Bytes.of_string "boom");
-      let kind, reply = Transport.Socket.recv chan in
+      send chan ~kind:Protocol.Err (Bytes.of_string "boom");
+      let kind, reply = recv chan in
       check_bool "err kind" true (kind = Protocol.Err);
       Alcotest.(check string) "err payload" "moob" (Bytes.to_string reply))
 
 (* An echo serve loop shared by the teardown/respawn regressions. *)
 let echo_child ~id:_ chan =
   let rec loop () =
-    match Transport.Socket.recv chan with
+    match recv chan with
     | kind, payload ->
-        Transport.Socket.send chan ~kind (reverse_bytes payload);
+        send chan ~kind (reverse_bytes payload);
         loop ()
     | exception Transport.Closed -> ()
   in
@@ -117,13 +125,13 @@ let test_kill_respawn_echo () =
         (Transport.Proc.pid fabric 0 <> old_pid);
       (* The replacement serves... *)
       let chan0 = (Transport.Proc.node fabric 0).Transport.Proc.chan in
-      Transport.Socket.send chan0 (Bytes.of_string "abc");
-      let _, r0 = Transport.Socket.recv chan0 in
+      send chan0 (Bytes.of_string "abc");
+      let _, r0 = recv chan0 in
       Alcotest.(check string) "respawned echoes" "cba" (Bytes.to_string r0);
       (* ...and the sibling was never disturbed. *)
       let chan1 = (Transport.Proc.node fabric 1).Transport.Proc.chan in
-      Transport.Socket.send chan1 (Bytes.of_string "xyz");
-      let _, r1 = Transport.Socket.recv chan1 in
+      send chan1 (Bytes.of_string "xyz");
+      let _, r1 = recv chan1 in
       Alcotest.(check string) "sibling still serves" "zyx" (Bytes.to_string r1))
 
 (* A frame header claiming a 4-byte payload of kind 255, which no kind
@@ -138,7 +146,7 @@ let test_bad_frame_is_eof () =
     Transport.Proc.fork ~n:1 ~child:(fun ~id:_ chan ->
         Transport.Socket.write_all chan garbage_frame;
         (* Hold the channel open: the EOF must be the parent's verdict. *)
-        try ignore (Transport.Socket.recv chan) with _ -> ())
+        try ignore (recv chan) with _ -> ())
   in
   Fun.protect
     ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
@@ -174,7 +182,7 @@ let test_second_fabric_isolated () =
   let second =
     Transport.Proc.fork ~n:2 ~child:(fun ~id:_ chan ->
         let n = List.length (sockets ()) in
-        Transport.Socket.send chan (Bytes.of_string (string_of_int n));
+        send chan (Bytes.of_string (string_of_int n));
         echo_child ~id:0 chan)
   in
   Fun.protect
@@ -183,7 +191,7 @@ let test_second_fabric_isolated () =
       Transport.Proc.shutdown ~grace:2.0 second)
     (fun () ->
       for i = 0 to 1 do
-        let _, n = Transport.Socket.recv (Transport.Proc.node second i).Transport.Proc.chan in
+        let _, n = recv (Transport.Proc.node second i).Transport.Proc.chan in
         Alcotest.(check string) "one socket in the child" "1" (Bytes.to_string n)
       done;
       let t0 = Clock.monotonic_ns () in
@@ -198,8 +206,8 @@ let test_ping_pong_frames () =
     ~finally:(fun () -> Transport.Proc.shutdown ~grace:2.0 fabric)
     (fun () ->
       let chan = (Transport.Proc.node fabric 0).Transport.Proc.chan in
-      Transport.Socket.send chan ~kind:Protocol.Ping (Bytes.of_string "hb");
-      let kind, payload = Transport.Socket.recv chan in
+      send chan ~kind:Protocol.Ping (Bytes.of_string "hb");
+      let kind, payload = recv chan in
       check_bool "ping kind preserved" true (kind = Protocol.Ping);
       Alcotest.(check string) "payload" "bh" (Bytes.to_string payload))
 
@@ -538,6 +546,79 @@ let test_noisy_faults_recovered () =
   check_int "exact result under noise" 303 result;
   check_bool "faults fired" true (report.Cluster.faults_injected > 0)
 
+(* Frames that outlive the link buffer they were read into.  Six slices
+   run on two nodes, three replies per link, slice [i]'s reply [i + 1]
+   floats long.  Seeded plans delay or duplicate the task frames, or the
+   replies.  A delayed reply waits on the engine's late queue while the
+   link's next reply is read into the same buffer, so one kept as a view
+   of that buffer would read another reply's bytes under its own length
+   and fail its checksum.  Every plan gives the fault-free result, with
+   no frame dropped as corrupt. *)
+let test_frames_outlive_link_buffer () =
+  let slices = 6 in
+  let expected = List.init slices (fun i -> Float.Array.make (i + 1) (float_of_int i)) in
+  let run name faults_of =
+    let faults =
+      Fault.make (Fault.spec ~seed:11 ~faults_of ~base_timeout:0.05 ~max_timeout:0.2 ())
+    in
+    let cfg =
+      {
+        Dispatch.nodes = 2;
+        policy = { max_attempts = 8; timeout = Some (50_000_000, 200_000_000) };
+        supervision = None;
+      }
+    in
+    let s = Dispatch.lease ~faults ~span:"test" ~cores:1 cfg in
+    let result, report =
+      Fun.protect
+        ~finally:(fun () -> Dispatch.close s)
+        (fun () ->
+          Dispatch.load s ~result:Codec.floatarray ~work:(fun ~node:_ ~pool:_ ~slice ~resident:_ _ ->
+              Float.Array.make (slice + 1) (float_of_int slice));
+          Dispatch.run_job s ~slices ~arg:(fun i -> [ Payload.Ints [| i |] ]) ~result:Codec.floatarray ())
+    in
+    (match result with
+    | Ok r ->
+        check_bool (name ^ ": fault-free result") true
+          (List.for_all2 (fun x y -> Float.Array.to_list x = Float.Array.to_list y) expected (Array.to_list r))
+    | Error _ -> Alcotest.fail (name ^ ": the job failed"));
+    check_bool (name ^ ": faults fired") true (report.Dispatch.faults_injected > 0);
+    check_int (name ^ ": no frame dropped as corrupt") 0 report.Dispatch.corrupt_drops
+  in
+  let on_tasks f = function Fault.To_node _ -> f | Fault.From_node _ -> Fault.no_faults in
+  let on_replies f = function Fault.To_node _ -> Fault.no_faults | Fault.From_node _ -> f in
+  let delay = { Fault.no_faults with delay = 0.5 } in
+  let duplicate = { Fault.no_faults with duplicate = 0.5 } in
+  run "delayed tasks" (on_tasks delay);
+  run "duplicated tasks" (on_tasks duplicate);
+  run "delayed replies" (on_replies delay);
+  run "duplicated replies" (on_replies duplicate)
+
+(* A steady-state sgemm call over two process nodes allocates no
+   major-heap frame buffers in the parent.  What it does allocate there
+   is B's transpose, the two task frames, the two decoded replies and
+   the product: about six times the product's words.  Copying each row
+   block out of its matrix, each frame again to put a header before it,
+   and each reply into a fresh buffer of its own came to about
+   thirteen. *)
+let test_sgemm_call_major_words () =
+  let n = 256 in
+  let a, b = Triolet_kernels.Dataset.sgemm_matrices ~seed:9 ~m:n ~k:n ~n in
+  let ctx = Triolet.Exec.make ~nodes:2 ~cores_per_node:1 ~backend:Cluster.Process () in
+  let call () = ignore (Triolet_kernels.Sgemm.run_triolet ~ctx a b) in
+  call ();
+  call ();
+  let calls = 4 in
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to calls do
+    call ()
+  done;
+  let per_call = ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int calls in
+  let bound = 8.0 *. float_of_int (n * n) in
+  check_bool
+    (Printf.sprintf "%.0f major words per call, under %.0f" per_call bound)
+    true (per_call < bound)
+
 (* A node whose first reply is garbage on the wire is recovered like a
    crash: the parent closes the desynchronised channel, marks the node
    dead, and re-issues its slice on a survivor. *)
@@ -580,16 +661,16 @@ module Socket = Transport.Socket
 
 let test_echo () =
   let a, b = Socket.connect () in
-  Socket.send a (Bytes.of_string "ping");
-  let kind, payload = Socket.recv b in
+  send a (Bytes.of_string "ping");
+  let kind, payload = recv b in
   check_bool "data kind" true (kind = Protocol.Data);
   Alcotest.(check string) "payload" "ping" (Bytes.to_string payload);
-  Socket.send b (Bytes.of_string "pong");
-  let _, reply = Socket.recv a in
+  send b (Bytes.of_string "pong");
+  let _, reply = recv a in
   Alcotest.(check string) "reply" "pong" (Bytes.to_string reply);
   (* Empty frames are legal and keep their boundary. *)
-  Socket.send a Bytes.empty;
-  let kind, payload = Socket.recv b in
+  send a Bytes.empty;
+  let kind, payload = recv b in
   check_bool "empty frame kind" true (kind = Protocol.Data);
   check_int "empty frame" 0 (Bytes.length payload);
   Socket.close a;
@@ -597,10 +678,10 @@ let test_echo () =
 
 let test_order_and_kinds () =
   let a, b = Socket.connect () in
-  Socket.send a ~kind:Protocol.Data (Bytes.of_string "1");
-  Socket.send a ~kind:Protocol.Err (Bytes.of_string "2");
-  Socket.send a ~kind:Protocol.Nack (Bytes.of_string "3");
-  let frames = List.init 3 (fun _ -> Socket.recv b) in
+  send a ~kind:Protocol.Data (Bytes.of_string "1");
+  send a ~kind:Protocol.Err (Bytes.of_string "2");
+  send a ~kind:Protocol.Nack (Bytes.of_string "3");
+  let frames = List.init 3 (fun _ -> recv b) in
   Alcotest.(check (list string))
     "fifo order" [ "1"; "2"; "3" ]
     (List.map (fun (_, p) -> Bytes.to_string p) frames);
@@ -617,8 +698,8 @@ let test_large_payload () =
   let payload = Bytes.init n (fun i -> Char.chr (i * 131 land 0xff)) in
   let a, b = Socket.connect () in
   let got = ref None in
-  let receiver = Thread.create (fun () -> got := Some (Socket.recv b)) () in
-  Socket.send a payload;
+  let receiver = Thread.create (fun () -> got := Some (recv b)) () in
+  send a payload;
   Thread.join receiver;
   match !got with
   | None -> Alcotest.fail "no frame"
@@ -656,15 +737,15 @@ let test_checksummed_corruption_rejected () =
   let evil = Bytes.copy good in
   let i = Bytes.length evil - 3 in
   Bytes.set evil i (Char.chr (Char.code (Bytes.get evil i) lxor 0x5a));
-  Socket.send a evil;
-  Socket.send a good;
-  let _, frame1 = Socket.recv b in
+  send a evil;
+  send a good;
+  let _, frame1 = recv b in
   check_bool "corrupt frame rejected" true
     (match Codec.of_bytes codec frame1 with
     | _ -> false
     | exception Codec.Checksum_mismatch _ -> true
     | exception Codec.Trailing_bytes _ -> true);
-  let _, frame2 = Socket.recv b in
+  let _, frame2 = recv b in
   Alcotest.(check (float 0.0))
     "intact frame decodes" 216.45
     (Codec.of_bytes codec frame2);
@@ -679,7 +760,7 @@ let test_close_wakes_blocked_peer () =
     Thread.create
       (fun () ->
         outcome :=
-          match Socket.recv b with
+          match recv b with
           | _ -> `Got_frame
           | exception Transport.Closed -> `Closed)
       ()
@@ -770,6 +851,10 @@ let () =
             test_clean_kill_recovered;
           Alcotest.test_case "noisy links recovered" `Quick
             test_noisy_faults_recovered;
+          Alcotest.test_case "frames outlive the link buffer" `Quick
+            test_frames_outlive_link_buffer;
+          Alcotest.test_case "sgemm call: no major-heap frame buffers" `Quick
+            test_sgemm_call_major_words;
         ] );
       ( "bad-frame-recovered",
         [
