@@ -57,17 +57,26 @@ let view_len v = v.vlen
 
 let view_unsafe_get v i = Float.Array.unsafe_get v.vdata (v.voff + i)
 
+(* The sum of [a.(ao + l) *. b.(bo + l)] for [l < k], from [0.0] in
+   index order: the one dot every row product runs.  Both ranges are
+   checked once, so the loop reads unchecked. *)
+let dot_range a ao b bo k =
+  if ao < 0 || bo < 0 || k < 0 || ao > Float.Array.length a - k
+     || bo > Float.Array.length b - k
+  then invalid_arg "Matrix.dot_range";
+  let acc = ref 0.0 in
+  for l = 0 to k - 1 do
+    acc :=
+      !acc
+      +. Float.Array.unsafe_get a (ao + l)
+         *. Float.Array.unsafe_get b (bo + l)
+  done;
+  !acc
+
 (** Dot product of two views: the sequential inner kernel of sgemm. *)
 let view_dot u v =
   if u.vlen <> v.vlen then invalid_arg "Matrix.view_dot";
-  let acc = ref 0.0 in
-  for i = 0 to u.vlen - 1 do
-    acc :=
-      !acc
-      +. Float.Array.unsafe_get u.vdata (u.voff + i)
-         *. Float.Array.unsafe_get v.vdata (v.voff + i)
-  done;
-  !acc
+  dot_range u.vdata u.voff v.vdata v.voff u.vlen
 
 (** Contiguous block copy of rows [r0, r0+nr): one blit, as in the
     paper's block-copy serialization of subarrays. *)

@@ -32,6 +32,12 @@ val view_unsafe_get : view -> int -> float
 val view_dot : view -> view -> float
 (** Dot product of two views: sgemm's sequential inner kernel. *)
 
+val dot_range : floatarray -> int -> floatarray -> int -> int -> float
+(** [dot_range a ao b bo k]: the sum of [a.(ao + l) *. b.(bo + l)] over
+    [l < k], from [0.0] in index order — {!view_dot}'s sum over two
+    runs named by offset, and what a [[%fuse]] tile's dots compile to.
+    Raises [Invalid_argument] unless both runs lie in their arrays. *)
+
 val copy_rows : t -> int -> int -> t
 (** [copy_rows m r0 nr]: fresh matrix holding rows [r0, r0+nr) — one
     blit, the block-copy serialization unit of section 3.4. *)

@@ -744,16 +744,14 @@ let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
   and off = fresh () and n = fresh () and i = fresh () and j = fresh ()
   and ai = fresh () and bj = fresh () in
   let e = B.evar ~loc and pv = B.pvar ~loc in
+  (* [Matrix.dot_range]: [view_dot]'s loop over the two rows by
+     offset, its range checked once, so the expansion makes no
+     unchecked access of its own. *)
   let dot first =
-    let s = fresh () and l = fresh () in
-    let get d o = [%expr Stdlib.Float.Array.get [%e e d] ([%e e o] + [%e e l])] in
-    let x, y = if first = u then (get da ai, get db bj) else (get db bj, get da ai) in
-    [%expr
-      let [%p pv s] = Stdlib.ref 0.0 in
-      for [%p pv l] = 0 to [%e e k] - 1 do
-        [%e e s] := ![%e e s] +. ([%e x] *. [%e y])
-      done;
-      ![%e e s]]
+    let ra = (e da, e ai) and rb = (e db, e bj) in
+    let (x, xo), (y, yo) = if first = u then (ra, rb) else (rb, ra) in
+    B.pexp_apply ~loc (m "dot_range")
+      [ (Nolabel, x); (Nolabel, xo); (Nolabel, y); (Nolabel, yo); (Nolabel, e k) ]
   in
   let ident x = match x.pexp_desc with Pexp_ident { txt = Lident y; _ } -> Some y | _ -> None in
   let body =
