@@ -251,12 +251,12 @@ let bench_iter =
     !acc
   in
   (* sgemm tile: a 32x32 product, transposition included, as
-     run_triolet runs it ([%fuse]d: the for i / for j / for l tile) and
-     as the library pipeline it is written as (to_matrix over the
-     row-pair dots), sequential, vs run_c. *)
+     run_triolet builds it ([%fuse]d: the for i / for j nest over
+     Matrix.dot_range) and as the library pipeline it is written as
+     (to_matrix over the row-pair dots), sequential, vs run_c. *)
   let sgemm_pipeline () =
     let a, b = Lazy.force iter_sgemm_mats in
-    Kern.Sgemm.run_triolet ~hint:Iter.sequential a b
+    Kern.Sgemm.tile ~alpha:1.0 ~hint:Iter.Sequential a (Matrix.transpose b)
   in
   let sgemm_library () =
     let a, b = Lazy.force iter_sgemm_mats in

@@ -80,13 +80,14 @@ let size_class (a : Matrix.t) (b : Matrix.t) =
 (* [to_matrix] over [dots] in a [%fuse] site: each band of the product
    is a plain loop nest over the two row blocks it reads, summing in
    [product]'s order, with the library's blocks, payloads and merge. *)
+let tile ?ctx ~alpha ~hint a bt = [%fuse Iter.to_matrix ?ctx (dots ~alpha ~hint a bt)]
+
 let run_triolet ?ctx ?(alpha = 1.0) ?(hint = Iter.par) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
   let ctx = Exec.for_kernel ?ctx ~kernel:"sgemm" ~size:(size_class a b) () in
   Triolet_obs.Obs.span ~name:"kernel.sgemm" (fun () ->
       if Matrix.cols a <> Matrix.rows b then invalid_arg "Sgemm.run_triolet";
       let hint = hint_of hint in
-      let bt = transpose_for hint b in
-      [%fuse Iter.to_matrix ~ctx (dots ~alpha ~hint a bt)])
+      tile ~ctx ~alpha ~hint a (transpose_for hint b))
 
 (* Eden-style, following the paper's Eden code: arrays are kept "in
    chunked form" — boxed lists of unboxed row vectors — so tasks can be

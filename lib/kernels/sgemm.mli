@@ -22,6 +22,17 @@ val run_triolet :
     definition: each band is a loop nest over the two row blocks it
     reads, summing in {!run_c}'s order, so the two agree bit for bit. *)
 
+val tile :
+  ?ctx:Triolet.Exec.t ->
+  alpha:float ->
+  hint:Triolet.Iter.hint ->
+  Triolet.Matrix.t ->
+  Triolet.Matrix.t ->
+  Triolet.Matrix.t
+(** [tile ~alpha ~hint a bt]: {!run_triolet}'s fused build over A and B
+    already transposed, under hint [hint] — the compiled stage, without
+    the kernel's transposition, span or mapping lookup. *)
+
 val pipeline :
   ?alpha:float ->
   ?hint:(matrix_iter -> matrix_iter) ->

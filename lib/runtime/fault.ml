@@ -165,11 +165,6 @@ let flip_at t len =
     let mask = 1 + Rng.int t.rng 255 in
     Some (pos, mask)
 
-let flip bytes (pos, mask) =
-  let b = Bytes.copy bytes in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
-  b
-
 let bump t f =
   t.counters <- f t.counters;
   Stats.record_fault ()
@@ -220,12 +215,6 @@ let fate t ~link ~len =
   in
   Mutex.unlock t.lock;
   decision
-
-let decide t ~link bytes =
-  match fate t ~link ~len:(Bytes.length bytes) with
-  | `Drop -> `Drop
-  | `Deliver (at, delayed, dup) ->
-      `Deliver ((match at with None -> bytes | Some at -> flip bytes at), delayed, dup)
 
 (** [mark_crashed t node] records that [node] died — the dispatch
     engine calls this on the node's EOF, whether the node died at its

@@ -96,16 +96,6 @@ val fate :
     plan means the same thing in process and over sockets.  Counted in
     {!counters} and {!Stats}. *)
 
-val decide :
-  t ->
-  link:link ->
-  Bytes.t ->
-  [ `Drop | `Deliver of Bytes.t * bool * bool ]
-(** Draw one message's fate from the seeded stream without touching any
-    channel: {!fate}, applied to [bytes]: [`Drop], or
-    [`Deliver (bytes, delayed, duplicated)] where [bytes] may be a copy
-    with one byte flipped. *)
-
 val crash_phase : t -> node:int -> crash_phase option
 (** The phase at which the plan crashes [node], if it does and the node
     has not died yet ({!mark_crashed}): a plan's crash fires once. *)

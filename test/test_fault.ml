@@ -107,13 +107,13 @@ let prop_plain_codec_roundtrip_still_exact =
 (* ------------------------------------------------------------------ *)
 (* Fault injector determinism                                          *)
 
-(* The fate of each of 50 frames, as drawn by [Fault.decide] — the one
+(* The fate of each of 50 frames, as drawn by [Fault.fate] — the one
    decision point [Dispatch.through] routes every frame through. *)
 let run_schedule seed =
   let f = Fault.make (fast ~drop:0.3 ~duplicate:0.3 ~corrupt:0.3 ~delay:0.3 ~seed ()) in
   let fates =
     List.init 50 (fun i ->
-        Fault.decide f ~link:(Fault.To_node (i mod 4)) (Bytes.make 16 'a'))
+        Fault.fate f ~link:(Fault.To_node (i mod 4)) ~len:16)
   in
   (Fault.counters f, fates)
 
@@ -162,7 +162,7 @@ let test_inject_zero_rate_inert () =
             check_bool "zero crash_on_respawn" false
               (Fault.inject f Fault.Crash_on_respawn ~node:(i mod 4))
           end;
-          Fault.decide f ~link:(Fault.To_node (i mod 4)) (Bytes.make 16 'a'))
+          Fault.fate f ~link:(Fault.To_node (i mod 4)) ~len:16)
     in
     (Fault.counters f, fates)
   in
