@@ -44,8 +44,8 @@
    merge order are the library's.  [to_matrix] over a tile becomes one
    call to [Iter.fill_matrix] over [outer] instead: each band is a
    [for i] / [for j] nest over the two row blocks the band's payload
-   names, the function's body written in place with each dot a [for l]
-   loop that sums in [Matrix.view_dot]'s order.  The [let]s outside the nest are
+   names, the function's body written in place with each dot a call to
+   [Matrix.dot_range], [Matrix.view_dot]'s loop by offset.  The [let]s outside the nest are
    evaluated once, before the call, in the order met; one bound to a
    producer is read where it is used instead.  The per-band fold walks
    the band's outer elements with [Seq_iter.iter] and runs each through
@@ -716,8 +716,9 @@ let binds names e =
    hinted product of two [rows]: [Iter.fill_matrix] over [outer], whose
    band fill runs rows [off, off+n) of the first row block against every
    row of the second.  [body] is written in place, each
-   [Matrix.view_dot u v] (or [v u]) a [for l] loop summing from [0.0]
-   in [view_dot]'s order, so the tile equals the library bit for bit. *)
+   [Matrix.view_dot u v] (or [v u]) a [Matrix.dot_range] over the two
+   rows by offset: [view_dot]'s own loop, so the tile equals the library
+   bit for bit. *)
 let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
   let u, v, body, f =
     match stages with
@@ -744,9 +745,9 @@ let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
   and off = fresh () and n = fresh () and i = fresh () and j = fresh ()
   and ai = fresh () and bj = fresh () in
   let e = B.evar ~loc and pv = B.pvar ~loc in
-  (* [Matrix.dot_range]: [view_dot]'s loop over the two rows by
-     offset, its range checked once, so the expansion makes no
-     unchecked access of its own. *)
+  (* [Matrix.dot_range] checks its two ranges once and reads them
+     unchecked, so the expansion makes no unchecked access of its own:
+     a [for l] over checked reads here ran no faster than the library. *)
   let dot first =
     let ra = (e da, e ai) and rb = (e db, e bj) in
     let (x, xo), (y, yo) = if first = u then (ra, rb) else (rb, ra) in
