@@ -114,8 +114,6 @@ let probe_payload extract =
 let local_workers () =
   Triolet_runtime.Pool.size (Triolet_runtime.Pool.default ())
 
-let distributed_workers () = Exec.worker_count (Exec.current ())
-
 let effective_grain ~workers n =
   match (Exec.current ()).Exec.grain with
   | Some g -> (g, true)
@@ -156,8 +154,8 @@ let partition_of : type i. i Shape.t -> i Shape.block array -> partition =
 
 (** Reify a pipeline over any domain.  Mirrors the dispatch in [Iter]'s
     consumers: sequential → one in-place task; local → lazy-splitting
-    dynamic ranges over the outer axis; distributed → {!Shape.blocks}
-    over the skeleton's worker count, one probed payload per block. *)
+    dynamic ranges over the outer axis; distributed → the consumers' own
+    {!Iter.node_blocks}, one probed payload per block. *)
 let of_iter ~name (it : ('i, 'a) Iter.iter) : t =
   let domain = Iter.shape it in
   let outer = Shape.outer domain in
@@ -179,8 +177,7 @@ let of_iter ~name (it : ('i, 'a) Iter.iter) : t =
         let grain, overridden = effective_grain ~workers outer in
         (Dynamic_ranges { grain; overridden }, workers, [ whole ])
     | Iter.Distributed ->
-        let workers = distributed_workers () in
-        let blocks = Shape.blocks ~parts:workers domain in
+        let blocks = Iter.node_blocks domain in
         let tasks =
           Array.to_list blocks
           |> List.map (fun blk ->
@@ -189,7 +186,7 @@ let of_iter ~name (it : ('i, 'a) Iter.iter) : t =
                  in
                  { slice = slice_of blk; payload; aliased })
         in
-        (partition_of domain blocks, workers, tasks)
+        (partition_of domain blocks, Exec.worker_count (Exec.current ()), tasks)
   in
   { name; hint; space = space_of domain; shape; partition; workers; tasks }
 

@@ -57,9 +57,9 @@ type t = {
 val of_iter : name:string -> ('i, 'a) Iter.iter -> t
 (** Reify a pipeline over any domain, mirroring the consumer dispatch:
     sequential → one in-place task; local → lazy-splitting dynamic
-    ranges over the outer axis; distributed → {!Shape.blocks} over the
-    skeleton's worker count (1-D static blocks, a 2-D block grid, or
-    the plane ranges of 3-D z-slabs), one probed payload per block. *)
+    ranges over the outer axis; distributed → the consumers' own blocks,
+    {!Iter.node_blocks} (1-D static blocks, a 2-D block grid, or the
+    plane ranges of 3-D z-slabs), one probed payload per block. *)
 
 val space_size : space -> int
 val hint_to_string : Iter.hint -> string

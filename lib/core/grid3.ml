@@ -48,21 +48,6 @@ let init nx ny nz f =
   done;
   g
 
-(** Contiguous copy of slab [z0, z0+n): one blit. *)
-let copy_slab g z0 n =
-  if z0 < 0 || n < 0 || z0 + n > g.nz then invalid_arg "Grid3.copy_slab";
-  let plane = g.nx * g.ny in
-  let out = Float.Array.make (n * plane) 0.0 in
-  Float.Array.blit g.data (z0 * plane) out 0 (n * plane);
-  { g with nz = n; data = out }
-
-(** Write slab [src] into [dst] starting at plane [z0]. *)
-let blit_slab ~src ~dst ~z0 =
-  if src.nx <> dst.nx || src.ny <> dst.ny || z0 + src.nz > dst.nz then
-    invalid_arg "Grid3.blit_slab";
-  let plane = dst.nx * dst.ny in
-  Float.Array.blit src.data 0 dst.data (z0 * plane) (src.nz * plane)
-
 (** Elementwise sum into a fresh grid; the merge operation of
     distributed scatter-style computations. *)
 let add a b =

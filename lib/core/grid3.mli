@@ -24,12 +24,6 @@ val set : t -> int -> int -> int -> float -> unit
 val unsafe_get : t -> int -> int -> int -> float
 val unsafe_set : t -> int -> int -> int -> float -> unit
 
-val copy_slab : t -> int -> int -> t
-(** [copy_slab g z0 n]: fresh grid holding planes [z0, z0+n) — one
-    blit. *)
-
-val blit_slab : src:t -> dst:t -> z0:int -> unit
-
 val add : t -> t -> t
 (** Elementwise sum into a fresh grid. *)
 

@@ -9,11 +9,11 @@
     [map]/[filter]/[concat_map]/[zip] stay fused and partitionable.
 
     Consumers ([sum], [reduce], [histogram], [collect_floats],
-    [to_matrix], ...) inspect the iterator's parallelism hint, set by
-    [par] and [localpar], and dispatch to sequential loops, the
-    work-stealing pool over outer-axis bands, or the two-level cluster
-    runtime over node blocks — both cut by {!Shape.band} and
-    {!Shape.blocks}. *)
+    [to_matrix], ...) are instances of one driver, which inspects the
+    iterator's parallelism hint, set by [par] and [localpar], and
+    dispatches to a sequential loop, the work-stealing pool over
+    outer-axis bands ({!Shape.band}), or one cluster node per block of
+    the one block rule, [node_blocks] ({!Shape.blocks}). *)
 
 module Payload = Triolet_base.Payload
 module Codec = Triolet_base.Codec
@@ -357,36 +357,48 @@ let with_hint hint t = { t with hint }
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                           *)
 
-(* Generic reduction skeleton: dispatch on the hint.  The pool folds
-   outer-axis bands, one accumulator per worker from [create]; the
-   cluster reduces one node block per worker and merges the nodes'
-   results into a fresh [create ()].  [fold] and [merge] may update
-   their first argument in place: every accumulator they see is
-   private to one worker, node or call.  The execution context is
-   resolved once here and passed explicitly below; the [node_work]
-   closure captures it by value, so under the process backend it
-   reaches the warm children intact inside the job's closure bytes.
-   [node_work] captures [t]'s rebuild, not [t]: the record's [local]
-   holds the source data, which travels as the payload. *)
-let run_reduce ?ctx ~result_codec ~create ~fold ~merge t =
+(* The one block rule of distributed execution: one node block per
+   cluster worker of the context. *)
+let node_blocks ?ctx shape =
+  Shape.blocks ~parts:(Exec.worker_count (Exec.resolve ctx)) shape
+
+(* The one consumer driver (paper, section 3.4), dispatching on the
+   hint: [whole] runs the whole domain in place; [on_pool ctx pool t]
+   runs [pool] over [t]'s outer-axis bands; [Distributed] runs
+   [on_pool] on one node per block of {!node_blocks}, over the block
+   rebuilt from its payload, and [combine] takes the node replies in
+   block order.  The context is resolved once here and handed to
+   [on_pool]; the node task captures it by value, so under the process
+   backend it reaches the warm children intact inside the job's closure
+   bytes.  The node task captures [t]'s rebuild, not [t]: the record's
+   [local] holds the source data, which travels as the payload. *)
+let drive ?ctx ~result_codec ~whole ~on_pool ~combine t =
   let ctx = Exec.resolve ctx in
-  let on_pool pool t =
-    Skeletons.local_reduce_with ~ctx pool ~len:(Shape.outer t.shape) ~create
-      ~fold:(fun acc off n -> fold acc (t.local (Shape.band t.shape off n)))
-      ~merge
-  in
   match t.hint with
-  | Sequential ->
-      if length t = 0 then create ()
-      else fold (create ()) (t.local (Shape.whole t.shape))
-  | Local -> on_pool (Pool.default ()) t
+  | Sequential -> whole t
+  | Local -> on_pool ctx (Pool.default ()) t
   | Distributed ->
-      let rebuild = t.rebuild in
-      Skeletons.distributed_reduce ~ctx
-        ~blocks:(Shape.blocks ~parts:(Exec.worker_count ctx) t.shape)
-        ~payload_of:t.payload_of
-        ~node_work:(fun ~pool payload -> on_pool pool (rebuild payload))
-        ~result_codec ~merge ~init:(create ()) ()
+      let blocks = node_blocks ~ctx t.shape and rebuild = t.rebuild in
+      combine blocks
+        (Skeletons.distributed ~ctx ~blocks ~payload_of:t.payload_of
+           ~node_work:(fun ~pool payload -> on_pool ctx pool (rebuild payload))
+           ~result_codec ())
+
+(* The band fold every reduction runs on: one accumulator per pool
+   worker from [create], and the node replies merged into a fresh
+   [create ()].  [fold] and [merge] may update their first argument in
+   place: every accumulator they see is private to one worker, node or
+   call. *)
+let run_reduce ?ctx ~result_codec ~create ~fold ~merge t =
+  drive ?ctx ~result_codec t
+    ~whole:(fun t ->
+      if length t = 0 then create ()
+      else fold (create ()) (t.local (Shape.whole t.shape)))
+    ~on_pool:(fun ctx pool t ->
+      Skeletons.local_reduce_with ~ctx pool ~len:(Shape.outer t.shape) ~create
+        ~fold:(fun acc off n -> fold acc (t.local (Shape.band t.shape off n)))
+        ~merge)
+    ~combine:(fun _ replies -> Array.fold_left merge (create ()) replies)
 
 (* A reduction over immutable values: each chunk's [of_chunk] result is
    merged into the running value, [init] being [merge]'s identity. *)
@@ -466,32 +478,22 @@ let floatarray_concat parts =
   out
 
 (* Order-preserving packing: per-range results concatenated in range
-   order, on the pool or on one node block per cluster node.  A pool
-   worker may run ranges from anywhere in the loop, so each worker
-   keeps its results tagged with their offsets, and the merged list is
-   sorted by offset before concatenation. *)
+   order.  A pool worker may run ranges from anywhere in the loop, so
+   each worker keeps its results tagged with their offsets, and the
+   merged list is sorted by offset before concatenation; node replies
+   come back in block order already. *)
 let collect ?ctx ~result_codec ~of_chunk ~concat (t : 'a t) =
-  let ctx = Exec.resolve ctx in
-  let on_pool pool t =
-    Skeletons.local_reduce_with ~ctx pool ~len:(length t)
-      ~create:(fun () -> [])
-      ~fold:(fun acc off n ->
-        (off, of_chunk (t.local (off, Shape.Seq n))) :: acc)
-      ~merge:List.rev_append
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd |> Array.of_list |> concat
-  in
-  match t.hint with
-  | Sequential -> of_chunk (t.local (Shape.whole t.shape))
-  | Local -> on_pool (Pool.default ()) t
-  | Distributed ->
-      let rebuild = t.rebuild in
-      concat
-        (Skeletons.distributed_map_blocks ~ctx
-           ~blocks:(Shape.blocks ~parts:ctx.Exec.nodes t.shape)
-           ~payload_of:t.payload_of
-           ~node_work:(fun ~pool payload -> on_pool pool (rebuild payload))
-           ~result_codec ())
+  drive ?ctx ~result_codec t
+    ~whole:(fun t -> of_chunk (t.local (Shape.whole t.shape)))
+    ~on_pool:(fun ctx pool t ->
+      Skeletons.local_reduce_with ~ctx pool ~len:(length t)
+        ~create:(fun () -> [])
+        ~fold:(fun acc off n ->
+          (off, of_chunk (t.local (off, Shape.Seq n))) :: acc)
+        ~merge:List.rev_append
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd |> Array.of_list |> concat)
+    ~combine:(fun _ replies -> concat replies)
 
 (** Pack the (possibly variable-length) float results into a contiguous
     array, preserving iteration order. *)
@@ -547,35 +549,29 @@ let fill shape blk out si =
    filled with band parallelism, and copied back into place run by run.
    The node's task code captures [band] and [t]'s rebuild, never [t]. *)
 let materialize_by ?ctx ~band t =
-  let ctx = Exec.resolve ctx in
-  let on_pool pool src out =
-    let fill_band = band src in
-    Pool.parallel_range pool ?grain:ctx.Exec.grain ~lo:0
-      ~hi:(Shape.outer src.shape)
-      ~f:(fun off n -> fill_band out off n)
-      ~merge:(fun () () -> ())
-      ~init:() ()
-  in
-  let out = Float.Array.make (length t) 0.0 in
-  (match t.hint with
-  | Sequential -> band t out 0 (Shape.outer t.shape)
-  | Local -> on_pool (Pool.default ()) t out
-  | Distributed ->
-      let blocks = Shape.blocks ~parts:ctx.Exec.nodes t.shape in
-      let rebuild = t.rebuild in
-      Skeletons.distributed_map_blocks ~ctx ~blocks ~payload_of:t.payload_of
-        ~node_work:(fun ~pool payload ->
-          let sub = rebuild payload in
-          let part = Float.Array.make (length sub) 0.0 in
-          on_pool pool sub part;
-          part)
-        ~result_codec:Codec.floatarray ()
-      |> Array.iteri (fun k part ->
-             let run = Shape.inner (snd blocks.(k)) in
-             Array.iteri
-               (fun r start -> Float.Array.blit part (r * run) out start run)
-               (Shape.runs t.shape blocks.(k))));
-  out
+  let fresh src = Float.Array.make (length src) 0.0 in
+  drive ?ctx ~result_codec:Codec.floatarray t
+    ~whole:(fun t ->
+      let out = fresh t in
+      band t out 0 (Shape.outer t.shape);
+      out)
+    ~on_pool:(fun ctx pool src ->
+      let out = fresh src and fill_band = band src in
+      Skeletons.local_reduce_with ~ctx pool ~len:(Shape.outer src.shape)
+        ~create:ignore
+        ~fold:(fun () off n -> fill_band out off n)
+        ~merge:(fun () () -> ());
+      out)
+    ~combine:(fun blocks parts ->
+      let out = fresh t in
+      Array.iteri
+        (fun k part ->
+          let run = Shape.inner (snd blocks.(k)) in
+          Array.iteri
+            (fun r start -> Float.Array.blit part (r * run) out start run)
+            (Shape.runs t.shape blocks.(k)))
+        parts;
+      out)
 
 (* The library's band: the element loop of each band. *)
 let element_band src out off n =

@@ -9,11 +9,12 @@
     section 3.5).  Transformations compose both paths, so pipelines of
     [map]/[filter]/[concat_map]/[zip] stay fused and partitionable.
 
-    Consumers dispatch on the parallelism hint set by {!par} and
-    {!localpar}: sequential loop, work-stealing pool over outer-axis
-    bands ({!Shape.band}), or the two-level cluster runtime over node
-    blocks ({!Shape.blocks}: 1-D blocks, a near-square 2-D grid,
-    z-slabs). *)
+    Every consumer runs on one driver that dispatches on the parallelism
+    hint set by {!par} and {!localpar}: a sequential loop over the whole
+    domain, the work-stealing pool over outer-axis bands ({!Shape.band}),
+    or one cluster node per block of {!node_blocks} (1-D blocks, a
+    near-square 2-D grid, z-slabs), each running the pool over its
+    block. *)
 
 type hint = Sequential | Local | Distributed
 
@@ -137,8 +138,16 @@ val with_hint : hint -> ('i, 'a) iter -> ('i, 'a) iter
 
     All reduction-shaped consumers require [merge] to be associative
     with identity [init]; combination order is unspecified under
-    parallel execution.  Reductions run over any domain, one node block
-    per cluster worker. *)
+    parallel execution.  Every consumer runs over any domain it accepts
+    with the same blocks: one per cluster worker ({!node_blocks}). *)
+
+val node_blocks : ?ctx:Exec.t -> 'i Shape.t -> 'i Shape.block array
+(** The one block rule of distributed execution: the domain cut by
+    {!Shape.blocks} into at most one block per cluster worker of the
+    context ({!Exec.worker_count}: a node, or a core of a
+    {!Triolet_runtime.Cluster.Flat} node).  Each block runs on a node of
+    its own; an empty domain has no blocks and dispatches nothing.  The
+    plan analyzer predicts blocks with this function. *)
 
 val sum : ?ctx:Exec.t -> ('i, float) iter -> float
 val sum_int : ?ctx:Exec.t -> ('i, int) iter -> int
@@ -206,7 +215,7 @@ val for_all : ?ctx:Exec.t -> ('a -> bool) -> ('i, 'a) iter -> bool
 
 val collect_floats : ?ctx:Exec.t -> float t -> floatarray
 (** Packs (possibly variable-length) float results contiguously,
-    preserving iteration order; one node block per cluster node. *)
+    preserving iteration order. *)
 
 val collect_float_pairs :
   ?ctx:Exec.t -> (float * float) t -> floatarray * floatarray

@@ -5,9 +5,9 @@
     cores within a node, and/or sequential loop iterations in a task").
 
     These functions know nothing about iterators; they distribute
-    abstract chunk ranges, blocks and payloads.  The [Iter] consumers
-    instantiate them with blocks cut by {!Shape.blocks} and chunk bodies
-    built from the iterator.
+    abstract chunk ranges, blocks and payloads.  [Iter]'s one consumer
+    driver instantiates them with the blocks of [Iter.node_blocks] and
+    chunk bodies built from the iterator.
 
     Every skeleton takes an optional execution context [?ctx]
     ({!Exec.t}): geometry, transport backend, fault plan and grain
@@ -17,8 +17,6 @@ module Pool = Triolet_runtime.Pool
 module Cluster = Triolet_runtime.Cluster
 module Partition = Triolet_runtime.Partition
 module Darray = Triolet_runtime.Darray
-module Payload = Triolet_base.Payload
-module Codec = Triolet_base.Codec
 module Obs = Triolet_obs.Obs
 
 (* A single-threaded pool for flat (Eden-model) node execution.  Lazily
@@ -39,16 +37,6 @@ let seq_pool () =
           seq_pool_ref := Some p;
           p)
 
-(* Pool selection for the distributed skeletons.  Under the process
-   backend the parent supplies no pool at all: each forked node builds
-   its own, and merely touching [Pool.default] here could spawn domains
-   and make the fork impossible. *)
-let node_pool (topo : Cluster.topology) =
-  match topo.Cluster.backend with
-  | Cluster.Flat -> Some (seq_pool ())
-  | Cluster.Inprocess -> Some (Pool.default ())
-  | Cluster.Process -> None
-
 (** Shared-memory parallel fold over [len] outer iterations on the
     work-stealing pool's adaptive lazy-splitting scheduler.
     [fold acc off n] folds outer range [off, off+n) into [acc] — the
@@ -62,77 +50,39 @@ let local_reduce_with ?ctx pool ~len ~create ~fold ~merge =
       Pool.parallel_fold pool ?grain:ctx.Exec.grain ~lo:0 ~hi:len ~create
         ~f:fold ~merge ())
 
-let local_reduce ?ctx ~len ~create ~fold ~merge () =
-  local_reduce_with ?ctx (Pool.default ()) ~len ~create ~fold ~merge
-
-(** Distributed reduction: ship each of the context's cluster workers
-    the payload of one block (serialized; workers beyond the last block
-    idle), run [node_work] against the decoded payload with intra-node
-    parallelism, and merge the nodes' serialized replies.  In flat mode
-    the work units are single-core processes; under the process backend
-    each node is a forked OS process with a private pool. *)
-let distributed_reduce ?ctx ~blocks ~payload_of ~node_work ~result_codec
-    ~merge ~init () =
-  let ctx = Exec.resolve ctx in
-  Obs.span ~name:"skel.distributed_reduce" (fun () ->
-      let topo = Exec.topology ctx in
-      let nblocks = Array.length blocks in
-      if nblocks > Cluster.topology_workers topo then
-        invalid_arg "Skeletons.distributed_reduce: more blocks than workers";
-      let result, _report =
-        Cluster.run_topology ?pool:(node_pool topo) ?faults:ctx.Exec.faults topo
-          ~scatter:(fun node ->
-            if node < nblocks then payload_of blocks.(node) else Payload.empty)
-          ~work:(fun ~node ~pool payload ->
-            if node < nblocks then Some (node_work ~pool payload) else None)
-          ~result_codec:(Codec.option result_codec)
-          ~merge:(fun acc r -> match r with None -> acc | Some v -> merge acc v)
-          ~init
-      in
-      result)
-
-(** Distributed map in block order: like {!distributed_reduce} but
-    returns the per-node results as an array indexed by block. *)
-let distributed_map_blocks ?ctx ~blocks ~payload_of ~node_work ~result_codec ()
-    =
+(** The one distributed skeleton: one node per block, each shipped its
+    block's serialized payload, running [node_work] against the decoded
+    payload with intra-node parallelism; the serialized replies come
+    back in block order.  A flat worker is a single-core in-process
+    node; under the process backend each node is a forked OS process
+    with a private pool, and the parent supplies no pool at all (merely
+    touching [Pool.default] here could spawn domains and make the fork
+    impossible).  No blocks (an empty domain) dispatch nothing. *)
+let distributed ?ctx ~blocks ~payload_of ~node_work ~result_codec () =
   let ctx = Exec.resolve ctx in
   let nblocks = Array.length blocks in
-  (* No blocks (an empty domain) means no nodes: nothing to dispatch. *)
   if nblocks = 0 then [||]
   else
-    Obs.span ~name:"skel.distributed_map_blocks" @@ fun () ->
+    Obs.span ~name:"skel.distributed" @@ fun () ->
       let base = Exec.topology ctx in
-      (* One node per block.  Flat mode degrades to in-process
-         single-core nodes here (the historical [flat = false] override
-         with a sequential pool); the other backends keep their
-         transport. *)
-      let topo =
-        {
-          base with
-          Cluster.nodes = nblocks;
-          backend =
-            (match base.Cluster.backend with
-            | Cluster.Flat -> Cluster.Inprocess
-            | b -> b);
-        }
-      in
-      let pool =
+      let topo, pool =
         match base.Cluster.backend with
-        | Cluster.Flat -> Some (seq_pool ())
-        | _ -> node_pool topo
+        | Cluster.Flat ->
+            ( { base with Cluster.nodes = nblocks; cores_per_node = 1 },
+              Some (seq_pool ()) )
+        | Cluster.Inprocess ->
+            ({ base with Cluster.nodes = nblocks }, Some (Pool.default ()))
+        | Cluster.Process -> ({ base with Cluster.nodes = nblocks }, None)
       in
-      let results = ref [] in
-      let (), _report =
+      let replies, _report =
         Cluster.run_topology ?pool ?faults:ctx.Exec.faults topo
           ~scatter:(fun node -> payload_of blocks.(node))
-          ~work:(fun ~node ~pool payload -> (node, node_work ~pool payload))
-          ~result_codec:(Codec.pair Codec.int result_codec)
-          ~merge:(fun () (node, r) -> results := (node, r) :: !results)
-          ~init:()
+          ~work:(fun ~node:_ -> node_work)
+          ~result_codec
+          ~merge:(fun acc r -> r :: acc)
+          ~init:[]
       in
-      let out = Array.make nblocks None in
-      List.iter (fun (node, r) -> out.(node) <- Some r) !results;
-      Array.map Option.get out
+      Array.of_list (List.rev replies)
 
 (* ------------------------------------------------------------------ *)
 (* Resident (persistent) distributed state                             *)

@@ -1,15 +1,13 @@
 (** Low-level skeletons: the glue between iterator consumers and the
     runtime (paper, section 3.4).  These know nothing about iterators;
-    they distribute abstract chunk ranges, blocks and payloads.  [Iter]
-    instantiates them with blocks cut by {!Shape.blocks} and chunk
-    bodies built from iterators.
+    they distribute abstract chunk ranges, blocks and payloads.  [Iter]'s
+    one consumer driver instantiates them with the blocks of
+    {!Iter.node_blocks} and chunk bodies built from iterators: outer-axis
+    bands on a pool ({!local_reduce_with}), node blocks on the cluster
+    ({!distributed}).
 
     All take an optional {!Exec.t} execution context; omitted, the
     ambient context applies. *)
-
-val seq_pool : unit -> Triolet_runtime.Pool.t
-(** Shared 1-wide pool for flat (process-per-core) node execution.
-    Thread-safe lazy creation. *)
 
 val local_reduce_with :
   ?ctx:Exec.t ->
@@ -26,34 +24,7 @@ val local_reduce_with :
     the per-worker accumulators are merged once, in worker order
     ({!Triolet_runtime.Pool.parallel_fold}). *)
 
-val local_reduce :
-  ?ctx:Exec.t ->
-  len:int ->
-  create:(unit -> 'r) ->
-  fold:('r -> int -> int -> 'r) ->
-  merge:('r -> 'r -> 'r) ->
-  unit ->
-  'r
-(** {!local_reduce_with} on the default pool. *)
-
-val distributed_reduce :
-  ?ctx:Exec.t ->
-  blocks:'blk array ->
-  payload_of:('blk -> Triolet_base.Payload.t) ->
-  node_work:(pool:Triolet_runtime.Pool.t -> Triolet_base.Payload.t -> 'r) ->
-  result_codec:'r Triolet_base.Codec.t ->
-  merge:('r -> 'r -> 'r) ->
-  init:'r ->
-  unit ->
-  'r
-(** One block per cluster worker (at most as many blocks as workers;
-    spare workers idle): ship each worker its block's serialized
-    payload, run [node_work] against the decoded payload with
-    intra-node parallelism, merge the serialized replies.  The
-    context's backend chooses the transport; under [Process],
-    [node_work] executes in a forked child on the child's own pool. *)
-
-val distributed_map_blocks :
+val distributed :
   ?ctx:Exec.t ->
   blocks:'blk array ->
   payload_of:('blk -> Triolet_base.Payload.t) ->
@@ -61,8 +32,13 @@ val distributed_map_blocks :
   result_codec:'r Triolet_base.Codec.t ->
   unit ->
   'r array
-(** One worker per block; results returned in block order.  No blocks
-    dispatch nothing and return [[||]]. *)
+(** One node per block: ship each node its block's serialized payload,
+    run [node_work] against the decoded payload with intra-node
+    parallelism, and return the decoded replies in block order.  The
+    context's backend chooses the transport; a {!Triolet_runtime.Cluster.Flat}
+    worker is a single-core in-process node, and under [Process]
+    [node_work] executes in a forked child on the child's own pool.  No
+    blocks dispatch nothing and return [[||]]. *)
 
 (** {1 Resident (persistent) distributed state}
 

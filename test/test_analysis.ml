@@ -166,9 +166,13 @@ let test_square_factors () =
 (* ------------------------------------------------------------------ *)
 (* Plan reification over the real kernels                              *)
 
-let with_cluster f =
-  Triolet.Exec.with_context (Triolet.Exec.make ~nodes:(4) ~cores_per_node:(2) ())
-    f
+(* Plans at a two-level geometry: in-process nodes, whatever backend
+   the environment selects. *)
+let two_level ~nodes =
+  Triolet.Exec.make ~nodes ~cores_per_node:2
+    ~backend:Triolet_runtime.Cluster.Inprocess ()
+
+let with_cluster f = Triolet.Exec.with_context (two_level ~nodes:4) f
 
 let kernel_plans () =
   [
@@ -277,14 +281,35 @@ let test_plan_text_pinned () =
   in
   List.iter
     (fun (nodes, want) ->
-      Triolet.Exec.with_context
-        (Triolet.Exec.make ~nodes ~cores_per_node:2 ())
-        (fun () ->
+      Triolet.Exec.with_context (two_level ~nodes) (fun () ->
           Alcotest.(check (list string))
             (Printf.sprintf "%d nodes" nodes)
             want
             (List.map Plan.to_string (kernel_plans ()))))
     [ (4, expected 4 "2x2" 1664); (3, expected 3 "1x3" 1728) ]
+
+(* The plan predicts what a consumer ships: at flat 2x2 (four workers),
+   one node per planned block, each a scatter and a reply. *)
+let test_plan_matches_shipping () =
+  let ctx =
+    Triolet.Exec.make ~nodes:2 ~cores_per_node:2
+      ~backend:Triolet_runtime.Cluster.Flat ()
+  in
+  let ships name it consume =
+    Triolet.Exec.with_context ctx (fun () ->
+        let blocks = List.length (Plan.of_iter ~name it).Plan.tasks in
+        check_int (name ^ ": planned blocks") 4 blocks;
+        let (), d = Triolet_runtime.Stats.measure (fun () -> consume it) in
+        check_int (name ^ ": messages") (2 * blocks)
+          d.Triolet_runtime.Stats.messages)
+  in
+  let m = Triolet.Matrix.init 64 64 (fun i j -> float_of_int ((64 * i) + j)) in
+  ships "to_matrix"
+    Triolet.Iter.(par (of_matrix m))
+    (fun it -> ignore (Triolet.Iter.to_matrix it));
+  ships "collect_floats"
+    Triolet.Iter.(par (of_floatarray (Float.Array.init 1000 float_of_int)))
+    (fun it -> ignore (Triolet.Iter.collect_floats it))
 
 (* A 3-D domain reifies as z-slab plane ranges that tile its depth. *)
 let test_plan_3d () =
@@ -497,6 +522,8 @@ let () =
           Alcotest.test_case "partitions" `Quick test_plan_partitions;
           Alcotest.test_case "plan text pinned" `Quick test_plan_text_pinned;
           Alcotest.test_case "3-D plan" `Quick test_plan_3d;
+          Alcotest.test_case "plan matches what ships" `Quick
+            test_plan_matches_shipping;
         ] );
       ( "passes",
         [

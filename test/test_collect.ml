@@ -118,7 +118,9 @@ let width_child w =
   property ~seed "inprocess and flat 2x1"
     (List.concat_map
        (fun b -> [ (b, sequential); (b, localpar); (b, par) ])
-       [ Cluster.Inprocess; Cluster.Flat ])
+       [ Cluster.Inprocess; Cluster.Flat ]);
+  (* Four flat workers on two nodes: one single-core node per block. *)
+  property ~cores:2 ~seed "flat 2x2" [ (Cluster.Flat, par) ]
 
 (* Run [width_child w] in a forked child; its exit status is the
    verdict and its output lands in this test's log. *)

@@ -24,7 +24,7 @@ let gen_cluster =
 
 let ctx_of { Cluster.nodes; cores_per_node; backend } =
   Exec.make ~nodes ~cores_per_node
-    ~backend:(if backend = Cluster.Flat then backend else (Exec.default ()).Exec.backend)
+    ~backend:(if backend = Cluster.Flat then backend else Two_level.backend ())
     ()
 
 let on cluster f = Exec.with_context (ctx_of cluster) f

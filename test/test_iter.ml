@@ -22,7 +22,7 @@ let () =
 let on_cluster ~nodes ~cores_per_node ~flat f =
   Exec.with_context
     (Exec.make ~nodes ~cores_per_node
-       ~backend:(if flat then Cluster.Flat else (Exec.default ()).Exec.backend)
+       ~backend:(if flat then Cluster.Flat else Two_level.backend ())
        ())
     f
 
@@ -225,8 +225,8 @@ let test_empty_iterators () =
 let test_flat_mode_matches () =
   let xs = Float.Array.init 500 float_of_int in
   let tw =
-    Exec.with_context (Exec.make ~nodes:(2) ~cores_per_node:(2) ())
-      (fun () -> Iter.sum (Iter.par (Iter.of_floatarray xs)))
+    on_cluster ~nodes:2 ~cores_per_node:2 ~flat:false (fun () ->
+        Iter.sum (Iter.par (Iter.of_floatarray xs)))
   in
   let fl =
     Exec.with_context (Exec.make ~nodes:(2) ~cores_per_node:(2) ~backend:Cluster.Flat ())
@@ -247,6 +247,24 @@ let test_flat_mode_sends_more_messages () =
   in
   let flat_msgs = count true and two_msgs = count false in
   Alcotest.(check bool) "flat needs more messages" true (flat_msgs > two_msgs)
+
+(* An empty domain has no blocks: a distributed consumer over it sends
+   no message, so it never reaches (or forks) a node. *)
+let test_empty_par_dispatches_nothing () =
+  let floats = Iter.par (Iter.of_floatarray (Float.Array.make 0 0.0)) in
+  let ints = Iter.par (Iter.of_int_array [||]) in
+  let sends_nothing name f =
+    let _, d = Stats.measure f in
+    check_int (name ^ ": messages") 0 d.Stats.messages
+  in
+  Exec.with_context (Exec.make ~nodes:2 ~cores_per_node:2 ()) (fun () ->
+      sends_nothing "sum" (fun () -> check_float "sum" 0.0 (Iter.sum floats));
+      sends_nothing "histogram" (fun () ->
+          Alcotest.(check (array int)) "histogram" [| 0; 0; 0 |]
+            (Iter.histogram ~bins:3 ints));
+      sends_nothing "collect_floats" (fun () ->
+          check_int "collect_floats" 0
+            (Float.Array.length (Iter.collect_floats floats))))
 
 let test_single_node_cluster () =
   Exec.with_context (Exec.make ~nodes:(1) ~cores_per_node:(2) ())
@@ -339,7 +357,7 @@ let prop_consumers_match_fold =
     (fun ((dims, d, h, w), (hint, nodes, cores_per_node, flat)) ->
       let ctx =
         Exec.make ~nodes ~cores_per_node
-          ~backend:(if flat then Cluster.Flat else (Exec.default ()).Exec.backend)
+          ~backend:(if flat then Cluster.Flat else Two_level.backend ())
           ()
       in
       let hint = List.nth [ Iter.Sequential; Iter.Local; Iter.Distributed ] hint in
@@ -411,6 +429,8 @@ let () =
           Alcotest.test_case "flat = two-level result" `Quick test_flat_mode_matches;
           Alcotest.test_case "flat sends more messages" `Quick
             test_flat_mode_sends_more_messages;
+          Alcotest.test_case "empty par dispatches nothing" `Quick
+            test_empty_par_dispatches_nothing;
           Alcotest.test_case "single node" `Quick test_single_node_cluster;
           Alcotest.test_case "more nodes than work" `Quick
             test_more_nodes_than_elements;

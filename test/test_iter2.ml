@@ -97,12 +97,22 @@ let each_hint2 f =
     [ ("seq", Iter.Sequential); ("localpar", Iter.Local);
       ("par", Iter.Distributed) ]
 
+(* [f ()] on a flat 2x2 cluster: four single-core nodes, one per
+   worker, where a two-level 2x2 cluster has two. *)
+let on_flat_2x2 f =
+  Exec.with_context
+    (Exec.make ~nodes:2 ~cores_per_node:2 ~backend:Cluster.Flat ())
+    f
+
 let test_build_of_matrix_identity () =
   let m = mk 5 7 (fun i j -> float_of_int ((i * 7) + j)) in
   each_hint2 (fun name h ->
       let rebuilt = Iter.to_matrix (with_hint2 h (Iter.of_matrix m)) in
       Alcotest.(check bool) (name ^ " identity") true
-        (Matrix.equal_eps ~eps:0.0 m rebuilt))
+        (Matrix.equal_eps ~eps:0.0 m rebuilt));
+  let flat = on_flat_2x2 (fun () -> Iter.to_matrix (Iter.par (Iter.of_matrix m))) in
+  Alcotest.(check bool) "par on flat 2x2 identity" true
+    (Matrix.equal_eps ~eps:0.0 m flat)
 
 let test_transpose_iter () =
   let m = mk 3 4 (fun i j -> float_of_int ((10 * i) + j)) in
@@ -124,7 +134,10 @@ let test_sgemm_two_lines_all_hints () =
   each_hint2 (fun name h ->
       let c = sgemm_triolet (with_hint2 h) a b in
       Alcotest.(check bool) (name ^ " matches reference") true
-        (Matrix.equal_eps ~eps:1e-9 reference c))
+        (Matrix.equal_eps ~eps:1e-9 reference c));
+  let flat = on_flat_2x2 (fun () -> sgemm_triolet Iter.par a b) in
+  Alcotest.(check bool) "par on flat 2x2 = seq, bit for bit" true
+    (Matrix.equal_eps ~eps:0.0 (sgemm_triolet Iter.sequential a b) flat)
 
 let test_sgemm_alpha () =
   let rng = Triolet_base.Rng.create 1 in
@@ -158,7 +171,11 @@ let test_outer_product_block_payload_is_rows_only () =
   let a = Matrix.random rng n n 0.0 1.0 in
   let b = Matrix.random rng n n 0.0 1.0 in
   Stats.reset ();
-  let _, delta = Stats.measure (fun () -> sgemm_triolet Iter.par a b) in
+  let _, delta =
+    (* A two-level 4-node cluster: a flat one would cut a 4x2 grid. *)
+    Exec.with_context (Exec.make ~backend:(Two_level.backend ()) ()) (fun () ->
+        Stats.measure (fun () -> sgemm_triolet Iter.par a b))
+  in
   let matrix_bytes = 8 * n * n in
   Alcotest.(check bool) "sliced traffic" true
     (delta.Stats.bytes_sent < (6 * matrix_bytes) + 2048);

@@ -48,17 +48,6 @@ let test_grid3_linear_layout () =
   check_int "y" 4 (Grid3.linear g 0 1 0);
   check_int "z" 12 (Grid3.linear g 0 0 1)
 
-let test_grid3_slab_roundtrip () =
-  let g = Grid3.init 3 3 6 (fun x y z -> float_of_int ((100 * z) + (10 * y) + x)) in
-  let slab = Grid3.copy_slab g 2 3 in
-  let _, _, nz = Grid3.dims slab in
-  check_int "slab depth" 3 nz;
-  check_float "slab content" (Grid3.get g 1 2 3) (Grid3.get slab 1 2 1);
-  let dst = Grid3.create 3 3 6 in
-  Grid3.blit_slab ~src:slab ~dst ~z0:2;
-  check_float "blitted back" (Grid3.get g 2 1 4) (Grid3.get dst 2 1 4);
-  check_float "outside zero" 0.0 (Grid3.get dst 0 0 0)
-
 let test_grid3_add_total () =
   let a = Grid3.init 2 2 2 (fun x y z -> float_of_int (x + y + z)) in
   let b = Grid3.init 2 2 2 (fun _ _ _ -> 1.0) in
@@ -71,12 +60,22 @@ let test_grid3_add_total () =
 (* ------------------------------------------------------------------ *)
 (* 3-D iterators                                                       *)
 
+(* [f ()] on a flat 2x2 cluster: four single-core nodes, one per
+   worker, where a two-level 2x2 cluster has two. *)
+let on_flat_2x2 f =
+  Exec.with_context
+    (Exec.make ~nodes:2 ~cores_per_node:2 ~backend:Cluster.Flat ())
+    f
+
 let test_iter3_build_identity () =
   let g = Grid3.init 4 3 5 (fun x y z -> float_of_int ((z * 100) + (y * 10) + x)) in
   each_hint (fun name h ->
       let rebuilt = Iter.to_grid (with_hint3 h (Iter.of_grid g)) in
       Alcotest.(check bool) (name ^ " identity") true
-        (Grid3.equal_eps ~eps:0.0 g rebuilt))
+        (Grid3.equal_eps ~eps:0.0 g rebuilt));
+  let flat = on_flat_2x2 (fun () -> Iter.to_grid (Iter.par (Iter.of_grid g))) in
+  Alcotest.(check bool) "par on flat 2x2 identity" true
+    (Grid3.equal_eps ~eps:0.0 g flat)
 
 let test_iter3_init_distributed () =
   (* init-based iterators are distributable: the slab payload carries
@@ -86,7 +85,11 @@ let test_iter3_init_distributed () =
   each_hint (fun name h ->
       let built = Iter.to_grid (with_hint3 h it) in
       Alcotest.(check bool) (name ^ " init build") true
-        (Grid3.equal_eps ~eps:0.0 (Grid3.init 5 4 7 f) built))
+        (Grid3.equal_eps ~eps:0.0 (Grid3.init 5 4 7 f) built));
+  let seq = Iter.to_grid (Iter.sequential it) in
+  let flat = on_flat_2x2 (fun () -> Iter.to_grid (Iter.par it)) in
+  Alcotest.(check bool) "par on flat 2x2 = seq" true
+    (Grid3.equal_eps ~eps:0.0 seq flat)
 
 let test_iter3_sum_all_hints () =
   let g = Grid3.init 3 3 9 (fun x y z -> float_of_int (x + y + z)) in
@@ -154,20 +157,6 @@ let prop_cutcp_gather_agreement =
         (Triolet_kernels.Cutcp.run_c c)
         (Triolet_kernels.Cutcp.run_gather c))
 
-(* ------------------------------------------------------------------ *)
-(* Properties                                                          *)
-
-let prop_grid3_slabs_glue =
-  qtest "slabs glue back to the grid"
-    QCheck2.Gen.(pair (int_range 1 10) (int_range 1 4))
-    (fun (nz, parts) ->
-      let g = Grid3.init 3 2 nz (fun x y z -> float_of_int ((z * 10) + (y * 3) + x)) in
-      let out = Grid3.create 3 2 nz in
-      Array.iter
-        (fun (z0, n) -> Grid3.blit_slab ~src:(Grid3.copy_slab g z0 n) ~dst:out ~z0)
-        (Triolet_runtime.Partition.blocks ~parts nz);
-      Grid3.equal_eps ~eps:0.0 g out)
-
 let () =
   Alcotest.run "iter3"
     [
@@ -175,9 +164,7 @@ let () =
         [
           Alcotest.test_case "get/set" `Quick test_grid3_get_set;
           Alcotest.test_case "linear layout" `Quick test_grid3_linear_layout;
-          Alcotest.test_case "slab roundtrip" `Quick test_grid3_slab_roundtrip;
           Alcotest.test_case "add/total" `Quick test_grid3_add_total;
-          prop_grid3_slabs_glue;
         ] );
       ( "iter3",
         [
