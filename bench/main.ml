@@ -251,8 +251,8 @@ let bench_iter =
     !acc
   in
   (* sgemm tile: a 32x32 product, transposition included, as
-     run_triolet builds it ([%fuse]d: the for i / for j nest over
-     Matrix.dot_range) and as the library pipeline it is written as
+     run_triolet builds it ([%fuse]d: 2x2 blocks of dots through
+     Matrix.dot_range2x2) and as the library pipeline it is written as
      (to_matrix over the row-pair dots), sequential, vs run_c. *)
   let sgemm_pipeline () =
     let a, b = Lazy.force iter_sgemm_mats in

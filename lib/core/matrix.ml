@@ -57,12 +57,14 @@ let view_len v = v.vlen
 
 let view_unsafe_get v i = Float.Array.unsafe_get v.vdata (v.voff + i)
 
+(* Whether a [len]-element array holds a run of [k] from [o]. *)
+let holds len o k = o >= 0 && o <= len - k
+
 (* The sum of [a.(ao + l) *. b.(bo + l)] for [l < k], from [0.0] in
    index order: the one dot every row product runs.  Both ranges are
    checked once, so the loop reads unchecked. *)
 let dot_range a ao b bo k =
-  if ao < 0 || bo < 0 || k < 0 || ao > Float.Array.length a - k
-     || bo > Float.Array.length b - k
+  if k < 0 || not (holds (Float.Array.length a) ao k && holds (Float.Array.length b) bo k)
   then invalid_arg "Matrix.dot_range";
   let acc = ref 0.0 in
   for l = 0 to k - 1 do
@@ -72,6 +74,30 @@ let dot_range a ao b bo k =
          *. Float.Array.unsafe_get b (bo + l)
   done;
   !acc
+
+(* The four dots of runs [a0], [a1] of [a] against runs [b0], [b1] of
+   [b], written to [dst.(d0)], [dst.(d0+1)], [dst.(d1)], [dst.(d1+1)]:
+   four accumulators, each {!dot_range}'s sum in its order, over one
+   pass of [l].  Every range is checked once, before the loop. *)
+let dot_range2x2 a a0 a1 b b0 b1 k dst d0 d1 =
+  let la = Float.Array.length a and lb = Float.Array.length b
+  and ld = Float.Array.length dst in
+  if k < 0 || not (holds la a0 k && holds la a1 k && holds lb b0 k && holds lb b1 k
+                   && holds ld d0 2 && holds ld d1 2)
+  then invalid_arg "Matrix.dot_range2x2";
+  let s00 = ref 0.0 and s01 = ref 0.0 and s10 = ref 0.0 and s11 = ref 0.0 in
+  for l = 0 to k - 1 do
+    let x0 = Float.Array.unsafe_get a (a0 + l) and x1 = Float.Array.unsafe_get a (a1 + l)
+    and y0 = Float.Array.unsafe_get b (b0 + l) and y1 = Float.Array.unsafe_get b (b1 + l) in
+    s00 := !s00 +. (x0 *. y0);
+    s01 := !s01 +. (x0 *. y1);
+    s10 := !s10 +. (x1 *. y0);
+    s11 := !s11 +. (x1 *. y1)
+  done;
+  Float.Array.unsafe_set dst d0 !s00;
+  Float.Array.unsafe_set dst (d0 + 1) !s01;
+  Float.Array.unsafe_set dst d1 !s10;
+  Float.Array.unsafe_set dst (d1 + 1) !s11
 
 (** Dot product of two views: the sequential inner kernel of sgemm. *)
 let view_dot u v =

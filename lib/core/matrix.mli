@@ -35,8 +35,20 @@ val view_dot : view -> view -> float
 val dot_range : floatarray -> int -> floatarray -> int -> int -> float
 (** [dot_range a ao b bo k]: the sum of [a.(ao + l) *. b.(bo + l)] over
     [l < k], from [0.0] in index order — {!view_dot}'s sum over two
-    runs named by offset, and what a [[%fuse]] tile's dots compile to.
+    runs named by offset, and what a [[%fuse]] tile's odd last row and
+    column compile to.
     Raises [Invalid_argument] unless both runs lie in their arrays. *)
+
+val dot_range2x2 :
+  floatarray -> int -> int -> floatarray -> int -> int -> int -> floatarray -> int -> int -> unit
+(** [dot_range2x2 a a0 a1 b b0 b1 k dst d0 d1]: the four dots of runs
+    [a0], [a1] of [a] against runs [b0], [b1] of [b], each of length
+    [k], over one pass: [dst.(d0)], [dst.(d0+1)], [dst.(d1)] and
+    [dst.(d1+1)] become [dot_range a a0 b b0 k], [dot_range a a0 b b1
+    k], [dot_range a a1 b b0 k] and [dot_range a a1 b b1 k], bit for bit
+    (four accumulators, each summing in index order).  What a
+    [[%fuse]] tile's 2×2 blocks compile to.  Raises [Invalid_argument],
+    writing nothing, unless every run lies in its array. *)
 
 val copy_rows : t -> int -> int -> t
 (** [copy_rows m r0 nr]: fresh matrix holding rows [r0, r0+nr) — one

@@ -63,15 +63,19 @@ let run_c (d : D.mriq) : result =
    plan-reification hook for [triolet analyze]. *)
 let pipeline ?(hint = Iter.par) (d : D.mriq) =
   let mu = magnitudes d in
-  let k = Float.Array.length d.D.kx in
+  (* The sample arrays are bound here so [voxel_sum] captures them, not
+     [d]: the task code ships what the closure captures, and the voxel
+     arrays already travel as payload. *)
+  let kx = d.D.kx and ky = d.D.ky and kz = d.D.kz in
+  let k = Float.Array.length kx in
   let voxel_sum (x, y, z) =
     let sr = ref 0.0 and si = ref 0.0 in
     for s = 0 to k - 1 do
       let phase =
         two_pi
-        *. ((Float.Array.unsafe_get d.D.kx s *. x)
-           +. (Float.Array.unsafe_get d.D.ky s *. y)
-           +. (Float.Array.unsafe_get d.D.kz s *. z))
+        *. ((Float.Array.unsafe_get kx s *. x)
+           +. (Float.Array.unsafe_get ky s *. y)
+           +. (Float.Array.unsafe_get kz s *. z))
       in
       let m = Float.Array.unsafe_get mu s in
       sr := !sr +. (m *. cos phase);

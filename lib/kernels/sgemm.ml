@@ -11,9 +11,9 @@
 
 open Triolet
 
-(* C = alpha * A * B over A and B already transposed: the one block
-   product every imperative sgemm loop runs, [run_c]'s and the resident
-   nodes'. *)
+(* C = alpha * A * B over A and B already transposed: [run_c]'s
+   imperative loop nest, one dot per output element, the yardstick the
+   compiled tile is held to bit for bit. *)
 let product ~alpha (a : Matrix.t) (bt : Matrix.t) : Matrix.t =
   if Matrix.cols a <> Matrix.cols bt then invalid_arg "Sgemm.product";
   let m = Matrix.rows a and n = Matrix.rows bt and k = Matrix.cols a in
@@ -78,8 +78,9 @@ let size_class (a : Matrix.t) (b : Matrix.t) =
   Mapping.size_class_of_work (Matrix.rows a * Matrix.cols a * Matrix.cols b)
 
 (* [to_matrix] over [dots] in a [%fuse] site: each band of the product
-   is a plain loop nest over the two row blocks it reads, summing in
-   [product]'s order, with the library's blocks, payloads and merge. *)
+   is a loop nest over the two row blocks it reads, computing 2×2 blocks
+   of dots per pass over k, each dot summing in [product]'s order, with
+   the library's blocks, payloads and merge. *)
 let tile ?ctx ~alpha ~hint a bt = [%fuse Iter.to_matrix ?ctx (dots ~alpha ~hint a bt)]
 
 let run_triolet ?ctx ?(alpha = 1.0) ?(hint = Iter.par) (a : Matrix.t) (b : Matrix.t) : Matrix.t =
@@ -152,10 +153,12 @@ module Resident = struct
     Iter.matrix_payload (Matrix.copy_rows a off n)
 
   (* Child-side compute: resident = this node's A row block, arg = all
-     of B already transposed; reply = the C row block. *)
+     of B already transposed; reply = the C row block, the compiled tile
+     run as one sequential band. *)
   let work ~alpha ~block:_ ~resident ~arg =
     Iter.matrix_payload
-      (product ~alpha (Iter.matrix_of_payload resident) (Iter.matrix_of_payload arg))
+      (tile ~alpha ~hint:Iter.Sequential (Iter.matrix_of_payload resident)
+         (Iter.matrix_of_payload arg))
 
   let create ?ctx ?(alpha = 1.0) (a : Matrix.t) =
     let res =

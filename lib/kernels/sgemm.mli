@@ -20,7 +20,8 @@ val run_triolet :
     [Iter.Sequential].  [hint] defaults to [Iter.par], and only the hint
     it sets is read.  The build is a [[%fuse]] site over {!pipeline}'s
     definition: each band is a loop nest over the two row blocks it
-    reads, summing in {!run_c}'s order, so the two agree bit for bit. *)
+    reads, computing 2×2 blocks of dots per pass over k, each dot
+    summing in {!run_c}'s order, so the two agree bit for bit. *)
 
 val tile :
   ?ctx:Triolet.Exec.t ->
@@ -31,7 +32,8 @@ val tile :
   Triolet.Matrix.t
 (** [tile ~alpha ~hint a bt]: {!run_triolet}'s fused build over A and B
     already transposed, under hint [hint] — the compiled stage, without
-    the kernel's transposition, span or mapping lookup. *)
+    the kernel's transposition, span or mapping lookup.  The resident
+    nodes run it too, sequentially, on their row blocks. *)
 
 val pipeline :
   ?alpha:float ->
@@ -63,9 +65,10 @@ module Resident : sig
 
   val multiply :
     t -> Triolet.Matrix.t -> Triolet.Matrix.t * Triolet_runtime.Cluster.report
-  (** One round: ship B, compute row blocks against resident A, gather
-      C.  The first call's report counts A's [Seg_put]s; later calls
-      count only reuses plus B. *)
+  (** One round: ship B, compute row blocks against resident A with
+      {!tile}, gather C (bit for bit {!run_c}'s product).  The first
+      call's report counts A's [Seg_put]s; later calls count only
+      reuses plus B. *)
 
   val update_a : t -> Triolet.Matrix.t -> int
   (** Replace A (same shape); returns how many row blocks actually

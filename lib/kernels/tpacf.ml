@@ -195,10 +195,13 @@ let run_triolet ?ctx ?hint ~bins (d : D.tpacf) : result =
     Obs.span ~name:"kernel.tpacf.dd" (fun () ->
         self_correlation ~ctx ?hint ~bins d.D.observed)
   in
+  (* DR's per-set closure captures the observed set, not [d]: task code
+     ships what it captures, and the random sets travel as payload. *)
+  let observed = d.D.observed in
   let dr =
     Obs.span ~name:"kernel.tpacf.dr" (fun () ->
         random_sets_correlation ~ctx ?hint ~bins
-          (fun r -> cross_correlation ?hint ~bins d.D.observed r)
+          (fun r -> cross_correlation ?hint ~bins observed r)
           d.D.randoms)
   in
   let rr =

@@ -42,10 +42,11 @@
    with the hint wrappers moved onto it ([map] and [concat_map] keep
    their input's shape and hint), so partitioning, distribution and
    merge order are the library's.  [to_matrix] over a tile becomes one
-   call to [Iter.fill_matrix] over [outer] instead: each band is a
-   [for i] / [for j] nest over the two row blocks the band's payload
-   names, the function's body written in place with each dot a call to
-   [Matrix.dot_range], [Matrix.view_dot]'s loop by offset.  The [let]s outside the nest are
+   call to [Iter.fill_matrix] over [outer] instead: each band is a 2×2
+   register tile over the two row blocks the band's payload names, one
+   [Matrix.dot_range2x2] per block of four dots and the function's body
+   written in place for each, with [Matrix.dot_range], [Matrix.view_dot]'s
+   loop by offset, on an odd last row or column.  The [let]s outside the nest are
    evaluated once, before the call, in the order met; one bound to a
    producer is read where it is used instead.  The per-band fold walks
    the band's outer elements with [Seq_iter.iter] and runs each through
@@ -715,10 +716,15 @@ let binds names e =
 (* [to_matrix] over [Iter.map (fun (u, v) -> body) outer], [outer] a
    hinted product of two [rows]: [Iter.fill_matrix] over [outer], whose
    band fill runs rows [off, off+n) of the first row block against every
-   row of the second.  [body] is written in place, each
-   [Matrix.view_dot u v] (or [v u]) a [Matrix.dot_range] over the two
-   rows by offset: [view_dot]'s own loop, so the tile equals the library
-   bit for bit. *)
+   row of the second, unrolled and jammed two by two.  Each 2×2 block is
+   one [Matrix.dot_range2x2], which writes its four dots into the band,
+   and [body] is written in place four times, each reading its dot back
+   where it was written for [Matrix.view_dot u v] (or [v u]).  An odd
+   last row or column runs [body] once per cell with that dot a
+   [Matrix.dot_range] over the two rows by offset.  Every dot is
+   [view_dot]'s sum in [view_dot]'s order ([v u]'s products are [u v]'s:
+   float multiplication commutes), so the tile equals the library bit
+   for bit. *)
 let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
   let u, v, body, f =
     match stages with
@@ -742,20 +748,14 @@ let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
   let iter name = B.pexp_ident ~loc { loc; txt = Ldot (path, name) } in
   let p = fresh () and a = fresh () and b = fresh () and k = fresh ()
   and nc = fresh () and da = fresh () and db = fresh () and out = fresh ()
-  and off = fresh () and n = fresh () and i = fresh () and j = fresh ()
-  and ai = fresh () and bj = fresh () in
+  and off = fresh () and n = fresh () and cell = fresh () and i = fresh ()
+  and j = fresh () and ip = fresh () and jp = fresh () and oi = fresh ()
+  and d = fresh () and o = fresh () in
   let e = B.evar ~loc and pv = B.pvar ~loc in
-  (* [Matrix.dot_range] checks its two ranges once and reads them
-     unchecked, so the expansion makes no unchecked access of its own:
-     a [for l] over checked reads here ran no faster than the library. *)
-  let dot first =
-    let ra = (e da, e ai) and rb = (e db, e bj) in
-    let (x, xo), (y, yo) = if first = u then (ra, rb) else (rb, ra) in
-    B.pexp_apply ~loc (m "dot_range")
-      [ (Nolabel, x); (Nolabel, xo); (Nolabel, y); (Nolabel, yo); (Nolabel, e k) ]
-  in
   let ident x = match x.pexp_desc with Pexp_ident { txt = Lident y; _ } -> Some y | _ -> None in
-  let body =
+  (* [body] with each [view_dot] over [u] and [v] replaced by [dot first],
+     [first] the variable read first. *)
+  let with_dot dot =
     (object
        inherit Ast_traverse.map as super
 
@@ -769,7 +769,26 @@ let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
     end)
       #expression body
   in
-  if not (S.disjoint uv (fv body)) then raise Refuse;
+  (* [Matrix.dot_range] and [dot_range2x2] check their ranges once and
+     read them unchecked, so the expansion makes no unchecked access of
+     its own: a [for l] over checked reads here ran no faster than the
+     library. *)
+  let one_dot first =
+    let ra = (e da, [%expr [%e e i] * [%e e k]]) and rb = (e db, [%expr [%e e j] * [%e e k]]) in
+    let (x, xo), (y, yo) = if first = u then (ra, rb) else (rb, ra) in
+    B.pexp_apply ~loc (m "dot_range")
+      [ (Nolabel, x); (Nolabel, xo); (Nolabel, y); (Nolabel, yo); (Nolabel, e k) ]
+  in
+  let cell_body = with_dot one_dot in
+  if not (S.disjoint uv (fv cell_body)) then raise Refuse;
+  let put_body = with_dot (fun _ -> e d) in
+  (* [body] over the dot the kernel wrote at [at]. *)
+  let put at =
+    [%expr
+      let [%p pv o] = [%e at] in
+      let [%p pv d] = Stdlib.Float.Array.get [%e e out] [%e e o] in
+      Stdlib.Float.Array.set [%e e out] [%e e o] [%e put_body]]
+  in
   let fill =
     [%expr
       fun [%p pv p] ->
@@ -781,13 +800,34 @@ let tile ~loc ~path ~scope ~stages ~tile_outer ~outer ~ctx =
         if [%e m "rows"] [%e e a] > 0 && [%e e nc] > 0 && [%e m "cols"] [%e e b] <> [%e e k]
         then Stdlib.invalid_arg "Matrix.view_dot";
         fun [%p pv out] [%p pv off] [%p pv n] ->
-          for [%p pv i] = [%e e off] to [%e e off] + [%e e n] - 1 do
-            let [%p pv ai] = [%e e i] * [%e e k] in
+          let [%p pv cell] =
+           fun [%p pv i] [%p pv j] ->
+            Stdlib.Float.Array.set [%e e out] (([%e e i] * [%e e nc]) + [%e e j]) [%e cell_body]
+          in
+          for [%p pv ip] = 0 to ([%e e n] / 2) - 1 do
+            let [%p pv i] = [%e e off] + (2 * [%e e ip]) in
+            let [%p pv oi] = [%e e i] * [%e e nc] in
+            for [%p pv jp] = 0 to ([%e e nc] / 2) - 1 do
+              let [%p pv j] = 2 * [%e e jp] in
+              [%e m "dot_range2x2"] [%e e da] ([%e e i] * [%e e k])
+                (([%e e i] + 1) * [%e e k])
+                [%e e db] ([%e e j] * [%e e k])
+                (([%e e j] + 1) * [%e e k])
+                [%e e k] [%e e out] ([%e e oi] + [%e e j])
+                ([%e e oi] + [%e e nc] + [%e e j]);
+              [%e put [%expr [%e e oi] + [%e e j]]];
+              [%e put [%expr [%e e oi] + [%e e j] + 1]];
+              [%e put [%expr [%e e oi] + [%e e nc] + [%e e j]]];
+              [%e put [%expr [%e e oi] + [%e e nc] + [%e e j] + 1]]
+            done;
+            if [%e e nc] land 1 = 1 then (
+              [%e e cell] [%e e i] ([%e e nc] - 1);
+              [%e e cell] ([%e e i] + 1) ([%e e nc] - 1))
+          done;
+          if [%e e n] land 1 = 1 then
             for [%p pv j] = 0 to [%e e nc] - 1 do
-              let [%p pv bj] = [%e e j] * [%e e k] in
-              Stdlib.Float.Array.set [%e e out] (([%e e i] * [%e e nc]) + [%e e j]) [%e body]
-            done
-          done]
+              [%e e cell] ([%e e off] + [%e e n] - 1) [%e e j]
+            done]
   in
   B.pexp_apply ~loc (iter "fill_matrix") (ctx @ [ (Labelled "fill", fill); (Nolabel, outer) ])
 

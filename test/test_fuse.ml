@@ -343,34 +343,43 @@ let test_sgemm_hook backend () =
 
 (* [run_triolet] sums each element in [run_c]'s order, so it equals
    [run_c] bit for bit on every backend, at 1-4 nodes x 1-2 cores,
-   under every hint; so does the resident product. *)
+   under every hint; so does the resident product.  Beside a 13x9x11
+   product, the tile's edges: odd [m] and [n] (an odd last row or
+   column goes through [dot_range]), [k] = 0 and 1, 1x1 matrices and
+   single-row bands (more workers than rows). *)
 let test_sgemm_bits backend () =
-  let a, b = D.sgemm_matrices ~seed:75 ~m:13 ~k:9 ~n:11 in
-  let c = Sgemm.run_c ~alpha:1.5 a b in
-  for nodes = 1 to 4 do
-    for cores = 1 to 2 do
-      let ctx = Exec.make ~nodes ~cores_per_node:cores ~backend () in
-      let at = Printf.sprintf "%dx%d" nodes cores in
-      List.iter
-        (fun h ->
-          let r, d =
-            Triolet_runtime.Stats.measure (fun () ->
-                Sgemm.run_triolet ~ctx ~alpha:1.5 ~hint:(Iter.with_hint (hint_value h)) a b)
-          in
-          check_bool (Printf.sprintf "%s %s: run_triolet = run_c, bits" at h.name) true
-            (matrix_bits c r);
-          if backend = Cluster.Process && h.name = "par" then
-            check_bool (at ^ " " ^ h.name ^ ": ran on the process nodes") true
-              (d.Triolet_runtime.Stats.code_bytes > 0))
-        hints;
-      let r = Sgemm.Resident.create ~ctx ~alpha:1.5 a in
-      Fun.protect
-        ~finally:(fun () -> Sgemm.Resident.close r)
-        (fun () ->
-          check_bool (at ^ " resident multiply = run_c, bits") true
-            (matrix_bits c (fst (Sgemm.Resident.multiply r b))))
-    done
-  done
+  List.iter
+    (fun (m, k, n) ->
+      let a, b = D.sgemm_matrices ~seed:75 ~m ~k ~n in
+      let c = Sgemm.run_c ~alpha:1.5 a b in
+      for nodes = 1 to 4 do
+        for cores = 1 to 2 do
+          let ctx = Exec.make ~nodes ~cores_per_node:cores ~backend () in
+          let at = Printf.sprintf "%dx%dx%d at %dx%d" m k n nodes cores in
+          List.iter
+            (fun h ->
+              let r, d =
+                Triolet_runtime.Stats.measure (fun () ->
+                    Sgemm.run_triolet ~ctx ~alpha:1.5 ~hint:(Iter.with_hint (hint_value h)) a b)
+              in
+              check_bool (Printf.sprintf "%s %s: run_triolet = run_c, bits" at h.name) true
+                (matrix_bits c r);
+              if backend = Cluster.Process && h.name = "par" then
+                check_bool (at ^ " " ^ h.name ^ ": ran on the process nodes") true
+                  (d.Triolet_runtime.Stats.code_bytes > 0))
+            hints;
+          let r = Sgemm.Resident.create ~ctx ~alpha:1.5 a in
+          Fun.protect
+            ~finally:(fun () -> Sgemm.Resident.close r)
+            (fun () ->
+              check_bool (at ^ " resident multiply = run_c, bits") true
+                (matrix_bits c (fst (Sgemm.Resident.multiply r b))))
+        done
+      done)
+    [
+      (13, 9, 11); (1, 1, 1); (1, 0, 1); (3, 0, 5); (5, 1, 3); (2, 1, 2); (8, 6, 10); (3, 4, 1);
+      (1, 4, 3);
+    ]
 
 let () =
   let per_backend f =

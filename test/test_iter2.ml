@@ -8,6 +8,7 @@ module Stats = Triolet_runtime.Stats
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
+let check_bool = Alcotest.(check bool)
 
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen prop)
@@ -42,6 +43,37 @@ let test_matrix_view_dot () =
   let m = mk 2 3 (fun i j -> float_of_int (i + j + 1)) in
   (* row0 = [1;2;3], row1 = [2;3;4] -> dot = 2+6+12 = 20 *)
   check_float "dot" 20.0 (Matrix.view_dot (Matrix.row m 0) (Matrix.row m 1))
+
+(* The 2x2 kernel writes [dot_range]'s four dots bit for bit, at any
+   offsets, and writes nothing when a range is out of its array. *)
+let test_matrix_dot_range2x2 () =
+  let rng = Triolet_base.Rng.create 9 in
+  let a = Float.Array.init 23 (fun _ -> Triolet_base.Rng.float_range rng (-1.0) 1.0)
+  and b = Float.Array.init 19 (fun _ -> Triolet_base.Rng.float_range rng (-1.0) 1.0) in
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (a0, a1, b0, b1, k) ->
+      let dst = Float.Array.make 9 nan in
+      Matrix.dot_range2x2 a a0 a1 b b0 b1 k dst 1 5;
+      List.iter
+        (fun (d, x, y) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "k=%d dst.(%d)" k d)
+            (bits (Matrix.dot_range a x b y k))
+            (bits (Float.Array.get dst d)))
+        [ (1, a0, b0); (2, a0, b1); (5, a1, b0); (6, a1, b1) ];
+      check_bool "untouched" true (Float.is_nan (Float.Array.get dst 0)))
+    [ (0, 7, 0, 7, 7); (3, 11, 2, 12, 7); (15, 1, 0, 18, 1); (4, 9, 3, 5, 0); (0, 0, 0, 0, 19) ];
+  let dst = Float.Array.make 4 nan in
+  List.iter
+    (fun (a0, a1, b0, b1, k, d0, d1) ->
+      Alcotest.check_raises "out of range" (Invalid_argument "Matrix.dot_range2x2") (fun () ->
+          Matrix.dot_range2x2 a a0 a1 b b0 b1 k dst d0 d1);
+      check_bool "nothing written" true (Float.Array.for_all Float.is_nan dst))
+    [
+      (17, 0, 0, 0, 7, 0, 2); (0, 0, 0, 13, 7, 0, 2); (0, 0, 0, 0, 7, 3, 0);
+      (-1, 0, 0, 0, 1, 0, 2); (0, 0, 0, 0, -1, 0, 2); (0, 0, 0, 0, 1, 0, -1);
+    ]
 
 let test_matrix_copy_rows_blit () =
   let m = mk 4 3 (fun i j -> float_of_int ((i * 3) + j)) in
@@ -305,6 +337,7 @@ let () =
           Alcotest.test_case "get/set" `Quick test_matrix_get_set;
           Alcotest.test_case "row views" `Quick test_matrix_row_views;
           Alcotest.test_case "view dot" `Quick test_matrix_view_dot;
+          Alcotest.test_case "dot_range2x2" `Quick test_matrix_dot_range2x2;
           Alcotest.test_case "copy_rows/blit" `Quick test_matrix_copy_rows_blit;
           Alcotest.test_case "transpose" `Quick test_matrix_transpose;
           Alcotest.test_case "transpose par" `Quick

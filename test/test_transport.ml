@@ -458,6 +458,26 @@ let test_code_carries_no_source () =
     true
     (d.Stats.code_bytes > 0 && d.Stats.code_bytes * 100 < d.Stats.bytes_sent)
 
+(* mri-q's and tpacf's task code carries no array that already ships as
+   payload: the voxel arrays and the random sets reach the nodes as
+   block payloads, not again inside the [Code] frames. *)
+let test_kernel_code_carries_no_payload () =
+  let module D = Triolet_kernels.Dataset in
+  let ctx = Triolet.Exec.make ~nodes:2 ~cores_per_node:1 ~backend:Cluster.Process () in
+  let code_bytes f = (snd (Stats.measure f)).Stats.code_bytes in
+  let d = D.mriq ~seed:12 ~samples:32 ~voxels:4096 in
+  let voxel_bytes = 8 * Float.Array.length d.D.x in
+  let c = code_bytes (fun () -> ignore (Triolet_kernels.Mriq.run_triolet ~ctx d)) in
+  check_bool
+    (Printf.sprintf "mri-q: %d code bytes, under one voxel array's %d" c voxel_bytes)
+    true (c > 0 && c < voxel_bytes);
+  let d = D.tpacf ~seed:32 ~points:512 ~random_sets:4 in
+  let sets_bytes = Array.fold_left (fun n r -> n + (24 * D.catalog_size r)) 0 d.D.randoms in
+  let c = code_bytes (fun () -> ignore (Triolet_kernels.Tpacf.run_triolet ~ctx ~bins:12 d)) in
+  check_bool
+    (Printf.sprintf "tpacf: %d code bytes, under the random sets' %d" c sets_bytes)
+    true (c > 0 && c < sets_bytes)
+
 (* Task code that cannot cross is refused in the parent, before any
    frame: a closure over a mutex, and one over more than a frame holds
    (a gigabyte never written, so never resident). *)
@@ -841,6 +861,8 @@ let () =
           Alcotest.test_case "captured state from the caller" `Quick test_warm_captured_ref;
           Alcotest.test_case "retired only when the shell raised" `Quick test_warm_retired_on_raise;
           Alcotest.test_case "code carries no source data" `Quick test_code_carries_no_source;
+          Alcotest.test_case "kernel code carries no payload" `Quick
+            test_kernel_code_carries_no_payload;
           Alcotest.test_case "unshippable task refused" `Quick test_unshippable_task;
         ] );
       ( "process-faults",
