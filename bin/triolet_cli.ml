@@ -580,12 +580,7 @@ let analyze_cmd =
     print_endline "== findings ==";
     if findings = [] then print_endline "(none)"
     else List.iter (fun f -> print_endline (Passes.to_string f)) findings;
-    print_endline "== protocol models ==";
     let reports =
-      [
-        Triolet_sim.Protocol_models.Wsdeque_model.check ();
-      ]
-      @
       if protocol then
         [
           Triolet_sim.Dispatch_model.check_supervision ();
@@ -595,6 +590,7 @@ let analyze_cmd =
         ]
       else []
     in
+    if protocol then print_endline "== protocol models ==";
     List.iter
       (fun r -> print_endline (Triolet_sim.Modelcheck.report_to_string r))
       reports;

@@ -63,7 +63,7 @@ let whitelist =
        have happened under it. *)
     ("lib/runtime/dispatch.ml", 2);
     ("lib/runtime/fault.ml", 1);
-    ("lib/runtime/pool.ml", 7);
+    ("lib/runtime/pool.ml", 6);
     ("lib/runtime/service.ml", 1);
     (* stats.ml's 25th atomic is the standalone payload-encode counter:
        a monotone count bumped only inside scatter serialization spans,
@@ -75,7 +75,6 @@ let whitelist =
        endpoints every forked child closes: updated by compare-and-set,
        read without a lock in the child. *)
     ("lib/runtime/transport.ml", 2);
-    ("lib/runtime/wsdeque.ml", 2);
   ]
 
 let scan_roots = [ "lib/runtime"; "lib/core" ]

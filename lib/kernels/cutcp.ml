@@ -93,6 +93,14 @@ let[@fuse] grid_pts (c : D.cutcp) (x, y, z, q) =
                        | Some v -> Some (grid_index c ix iy iz, v)
                        | None -> None)))
 
+(* [c] without its atoms: what task code may capture.  Whatever a
+   closure captures reaches the nodes as code bytes, outside the
+   accounted payload, so capturing the atom arrays would re-ship the
+   atoms beside their slices. *)
+let geometry (c : D.cutcp) =
+  let none = Float.Array.create 0 in
+  { c with ax = none; ay = none; az = none; aq = none }
+
 (* The fused (index, weight) pipeline scatter_add consumes, exposed as
    a plan-reification hook for [triolet analyze]. *)
 let[@fuse] pipeline ?(hint = Iter.par) (c : D.cutcp) =
@@ -105,7 +113,7 @@ let[@fuse] pipeline ?(hint = Iter.par) (c : D.cutcp) =
          (Iter.of_floatarray c.D.az))
       (Iter.of_floatarray c.D.aq)
   in
-  Iter.concat_map (grid_pts c) (hint atoms)
+  Iter.concat_map (grid_pts (geometry c)) (hint atoms)
 
 (* Size taxonomy shared with the auto-mapper: one candidate grid-point
    visit is the work unit. *)
@@ -214,10 +222,8 @@ module Resident = struct
         (iz < z0 || iz >= z0 + n) && z >= zlo && z <= zhi)
 
   (* Child-side compute: resident = own atoms (4 planes) then halo
-     atoms (4 planes); the reply is the slab's grid.  [geom] has no
-     atoms: whatever the closure captures reaches the children outside
-     the accounted payload, as closure bytes, so capturing the atom
-     arrays would let results bypass the shipped segments. *)
+     atoms (4 planes); the reply is the slab's grid.  [geom] is a
+     {!geometry}, so results cannot bypass the shipped segments. *)
   let work (geom : D.cutcp) ~block ~resident ~arg:_ =
     let grid = Float.Array.make (snd block * geom.D.ny * geom.D.nx) 0.0 in
     let fa = function
@@ -240,8 +246,7 @@ module Resident = struct
       ~compute:(fun i -> halo_payload t.c blocks.(i))
 
   let create ?ctx (c : D.cutcp) =
-    let none = Float.Array.create 0 in
-    let geom = { c with ax = none; ay = none; az = none; aq = none } in
+    let geom = geometry c in
     let c =
       {
         c with

@@ -21,14 +21,6 @@ let blocks ~parts n =
   in
   Array.of_list (build 0 0 [])
 
-(** Owner of index [i] under [blocks ~parts n]. *)
-let owner ~parts n i =
-  if i < 0 || i >= n then invalid_arg "Partition.owner";
-  let parts = min parts (max n 1) in
-  let base = n / parts and extra = n mod parts in
-  let boundary = (base + 1) * extra in
-  if i < boundary then i / (base + 1) else extra + ((i - boundary) / base)
-
 (** 2-D block grid over an [rows] x [cols] space: the cross product of a
     row partition and a column partition, as used by sgemm's 2-D block
     decomposition.  Returns (row0, nrows, col0, ncols) blocks in
@@ -70,13 +62,13 @@ let square_factors parts =
 
 (** Grain size for the adaptive lazy-splitting scheduler: the number of
     iterations a worker peels off the bottom of its range between
-    deque-empty checks, and the length below which a range is no longer
+    steal-cell checks, and the length below which a range is no longer
     split for thieves.
 
     The auto policy targets ~32 grains per worker — enough slack for
     thieves to rebalance heavily skewed iteration costs — but caps the
     grain at [max_grain] so very long uniform loops still amortize the
-    per-grain bookkeeping (one atomic decrement and one deque probe)
+    per-grain bookkeeping (one atomic decrement and one cell read)
     without ever becoming unstealable, and floors it at 1 so short loops
     keep full splitting freedom. *)
 let grain ?(max_grain = 8192) ~workers n =

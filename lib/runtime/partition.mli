@@ -8,10 +8,6 @@ val blocks : parts:int -> int -> (int * int) array
     (offset, length) blocks whose sizes differ by at most one.  Empty
     blocks are omitted. *)
 
-val owner : parts:int -> int -> int -> int
-(** [owner ~parts n i] is the index of the block of [blocks ~parts n]
-    containing [i]. *)
-
 val grid :
   row_parts:int -> col_parts:int -> rows:int -> cols:int ->
   (int * int * int * int) array

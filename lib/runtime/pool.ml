@@ -6,19 +6,22 @@
     (section 3.4).
 
     Every loop uses *adaptive lazy binary splitting*
-    ({!parallel_fold}, and {!parallel_range} on it): each worker owns
-    one contiguous range task [(lo, hi)] on its Chase–Lev deque and
-    executes a small grain off the bottom at a time.  While its deque holds stealable work the worker
-    just runs grains; the moment the deque is empty (either freshly
-    seeded or because a thief took the pending half) and the remaining
-    range is longer than a grain, the worker splits it and pushes the
-    larger half back for thieves.  Splitting therefore happens exactly
+    ({!parallel_fold}, and {!parallel_range} on it): each worker runs
+    one contiguous range task [(lo, hi)] a small grain at a time off
+    the bottom, and owns one steal cell that holds at most one pending
+    range.  While its cell holds stealable work the worker just runs
+    grains; the moment the cell is empty (either freshly seeded or
+    because a thief took the pending half) and the remaining range is
+    longer than a grain, the worker splits it and publishes the larger
+    half in the cell for thieves.  Splitting therefore happens exactly
     as often as demand requires: a uniform loop splits O(workers) times,
     while a loop whose cost concentrates in one region keeps
     sub-splitting that region until every worker is fed.  This is the
     lazy-splitting strategy of indexed-stream runtimes: a static preload
     of equal chunks leaves workers idle when per-element cost is
-    skewed. *)
+    skewed.  Every shared step on a cell is one atomic operation (set
+    by the owner, exchange by the owner, compare-and-set by a thief),
+    so each range is taken exactly once. *)
 
 let log_src = Logs.Src.create "triolet.pool" ~doc:"Work-stealing pool"
 
@@ -218,11 +221,12 @@ let parallel_fold t ?grain ~lo ~hi ~create ~f ~merge () =
     Log.debug (fun m ->
         m "parallel_fold: [%d,%d) grain %d on %d workers" lo hi grain t.n);
     Stats.ensure_workers t.n;
-    let deques = Array.init t.n (fun _ -> Wsdeque.create ()) in
+    (* The owner sets its cell only when empty; takers clear it by exchange or CAS. *)
+    let cells = Array.init t.n (fun _ -> Atomic.make None) in
     (* Seed one contiguous range per worker; everything further is
        demand-driven splitting. *)
     Array.iteri
-      (fun i (off, len) -> Wsdeque.push deques.(i) (lo + off, lo + off + len))
+      (fun i (off, len) -> Atomic.set cells.(i) (Some (lo + off, lo + off + len)))
       (Partition.blocks ~parts:t.n total);
     let remaining = Atomic.make total in
     let results = Array.make t.n None in
@@ -230,7 +234,7 @@ let parallel_fold t ?grain ~lo ~hi ~create ~f ~merge () =
        running user code so every worker's hunt loop terminates. *)
     let failure = Atomic.make None in
     let job id =
-      let dq = deques.(id) in
+      let cell = cells.(id) in
       let acc = ref None in
       (* Busy time counts only grain execution, not steal hunting, so
          per-worker busy times expose load imbalance: under a perfectly
@@ -244,14 +248,14 @@ let parallel_fold t ?grain ~lo ~hi ~create ~f ~merge () =
         ignore (Atomic.fetch_and_add remaining (-len))
       in
       (* Run a range: peel one grain at a time off the bottom; when the
-         deque has gone empty and more than a grain remains, split and
-         push the larger half for thieves. *)
+         cell has gone empty and more than a grain remains, split and
+         publish the larger half for thieves. *)
       let rec work rlo rhi =
         if rlo < rhi then begin
           let len = rhi - rlo in
-          if len > grain && Wsdeque.is_empty dq then begin
+          if len > grain && Option.is_none (Atomic.get cell) then begin
             let mid = rlo + (len / 2) in
-            Wsdeque.push dq (mid, rhi);
+            Atomic.set cell (Some (mid, rhi));
             Stats.record_split ~worker:id ();
             Obs.instant ~name:"pool.split" ~attrs:(worker_attr id) ();
             work rlo mid
@@ -264,23 +268,27 @@ let parallel_fold t ?grain ~lo ~hi ~create ~f ~merge () =
         end
       in
       let rec drain () =
-        match Wsdeque.pop dq with
+        match Atomic.exchange cell None with
         | Some (rlo, rhi) ->
             work rlo rhi;
             drain ()
         | None -> hunt 0
+      (* A thief reads before it takes, so a sweep over empty cells
+         never writes to a peer's cache line. *)
       and hunt failures =
         if Atomic.get remaining > 0 then begin
           let stolen = ref false in
           for k = 1 to t.n - 1 do
             if not !stolen then
-              match Wsdeque.steal deques.((id + k) mod t.n) with
-              | Wsdeque.Stolen (rlo, rhi) ->
+              let victim = cells.((id + k) mod t.n) in
+              match Atomic.get victim with
+              | Some (rlo, rhi) as seen
+                when Atomic.compare_and_set victim seen None ->
                   Stats.record_steal ~worker:id ();
                   Obs.instant ~name:"pool.steal" ~attrs:(worker_attr id) ();
                   stolen := true;
                   work rlo rhi
-              | Wsdeque.Empty | Wsdeque.Retry -> ()
+              | _ -> ()
           done;
           if !stolen then drain ()
           else begin

@@ -4,10 +4,10 @@
     A pool owns [n - 1] helper domains plus the calling domain.
     Every loop ({!parallel_fold} and, defined on it, {!parallel_range},
     {!parallel_for}, {!parallel_reduce}) uses adaptive
-    lazy binary splitting: each worker owns one contiguous range task on
-    its Chase–Lev deque, executes a small grain off the bottom at a
-    time, and splits the remainder — pushing the larger half for
-    thieves — only when its deque runs empty.  Skewed per-element costs
+    lazy binary splitting: each worker executes its range task a small
+    grain off the bottom at a time, and splits the remainder —
+    publishing the larger half in its one-range steal cell for
+    thieves — only when that cell is empty.  Skewed per-element costs
     rebalance at grain granularity instead of stranding a static chunk
     on one worker.  Each worker threads one accumulator through all its
     grains, so per-grain state is never re-allocated.

@@ -1,9 +1,8 @@
-(* Tests for the static plan analyzer and the bounded protocol model
-   checker: the coverage oracle (including a mutation check against an
-   off-by-one grid), the qcheck tiling properties for Partition, plan
-   reification over the real kernels, each verification pass, the
-   unsafe-access ratchet, and the model checker on clean and
-   deliberately broken protocol models. *)
+(* Tests for the static plan analyzer: the coverage oracle (including a
+   mutation check against an off-by-one grid), the qcheck tiling
+   properties for Partition, plan reification over the real kernels,
+   each verification pass, and the unsafe-access ratchet.  The model
+   checks of the dispatch engine are in test_protocol. *)
 
 open Triolet_analysis
 module Partition = Triolet_runtime.Partition
@@ -120,19 +119,6 @@ let prop_grid_covers =
     (fun (rows, cols, rp, cp) ->
       Coverage.grid_covers_exactly_once ~rows ~cols
         (Partition.grid ~row_parts:rp ~col_parts:cp ~rows ~cols))
-
-let prop_owner_agrees =
-  qtest "owner agrees with blocks"
-    QCheck2.Gen.(pair adversarial_n (int_range 1 17))
-    (fun (n, parts) ->
-      let blocks = Partition.blocks ~parts n in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let b = Partition.owner ~parts n i in
-        let off, len = blocks.(b) in
-        if not (off <= i && i < off + len) then ok := false
-      done;
-      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Partition degenerate inputs                                         *)
@@ -467,29 +453,6 @@ let test_unsafe_scan_empty_tree_clean () =
   Unix.rmdir root
 
 (* ------------------------------------------------------------------ *)
-(* Protocol model checker                                              *)
-
-module W = Triolet_sim.Protocol_models.Wsdeque_model
-
-let test_wsdeque_clean () =
-  let r = W.check () in
-  check_bool "no violation" true (r.Triolet_sim.Modelcheck.violation = None);
-  check_int "scenarios" 127 r.Triolet_sim.Modelcheck.scenarios;
-  check_bool "explored" true (r.Triolet_sim.Modelcheck.interleavings > 1000)
-
-let test_wsdeque_bugs_caught () =
-  let dup = W.check ~bug:W.Steal_no_remove () in
-  (match dup.Triolet_sim.Modelcheck.violation with
-  | Some v ->
-      check_bool "duplication named" true
-        (String.length v.Triolet_sim.Modelcheck.message > 0)
-  | None -> Alcotest.fail "Steal_no_remove not caught");
-  let lost = W.check ~bug:W.Lose_pop_race () in
-  match lost.Triolet_sim.Modelcheck.violation with
-  | Some _ -> ()
-  | None -> Alcotest.fail "Lose_pop_race not caught"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "analysis"
@@ -506,7 +469,6 @@ let () =
             test_mutated_grid_caught;
           prop_blocks_cover;
           prop_grid_covers;
-          prop_owner_agrees;
         ] );
       ( "partition",
         [
@@ -545,11 +507,5 @@ let () =
             test_unsafe_scan_flags_new_site;
           Alcotest.test_case "clean tree" `Quick
             test_unsafe_scan_empty_tree_clean;
-        ] );
-      ( "model checker",
-        [
-          Alcotest.test_case "wsdeque clean" `Quick test_wsdeque_clean;
-          Alcotest.test_case "wsdeque bugs caught" `Quick
-            test_wsdeque_bugs_caught;
         ] );
     ]

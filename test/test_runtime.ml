@@ -1,5 +1,5 @@
-(* Tests for the runtime substrate: partitioning, the Chase–Lev deque,
-   the work-stealing pool, and the two-level cluster runtime. *)
+(* Tests for the runtime substrate: partitioning, the work-stealing
+   pool, and the two-level cluster runtime. *)
 
 open Triolet_runtime
 
@@ -35,19 +35,6 @@ let test_blocks_invalid () =
   Alcotest.check_raises "zero parts"
     (Invalid_argument "Partition.blocks: parts must be positive") (fun () ->
       ignore (Partition.blocks ~parts:0 5))
-
-let test_owner_consistent () =
-  for n = 1 to 30 do
-    for parts = 1 to 6 do
-      let blocks = Partition.blocks ~parts n in
-      Array.iteri
-        (fun b (off, len) ->
-          for i = off to off + len - 1 do
-            check_int "owner" b (Partition.owner ~parts n i)
-          done)
-        blocks
-    done
-  done
 
 let test_grid () =
   let g = Partition.grid ~row_parts:2 ~col_parts:2 ~rows:4 ~cols:6 in
@@ -94,89 +81,6 @@ let prop_blocks_balanced =
       let mn = Array.fold_left min max_int sizes in
       let mx = Array.fold_left max 0 sizes in
       mx - mn <= 1)
-
-(* ------------------------------------------------------------------ *)
-(* Wsdeque                                                             *)
-
-let test_deque_lifo_owner () =
-  let q = Wsdeque.create () in
-  Wsdeque.push q 1;
-  Wsdeque.push q 2;
-  Wsdeque.push q 3;
-  Alcotest.(check (option int)) "pop newest" (Some 3) (Wsdeque.pop q);
-  Alcotest.(check (option int)) "pop next" (Some 2) (Wsdeque.pop q);
-  Alcotest.(check (option int)) "pop last" (Some 1) (Wsdeque.pop q);
-  Alcotest.(check (option int)) "empty" None (Wsdeque.pop q)
-
-let test_deque_steal_fifo () =
-  let q = Wsdeque.create () in
-  Wsdeque.push q 1;
-  Wsdeque.push q 2;
-  (match Wsdeque.steal q with
-  | Wsdeque.Stolen v -> check_int "steal oldest" 1 v
-  | _ -> Alcotest.fail "expected steal");
-  Alcotest.(check (option int)) "owner gets newest" (Some 2) (Wsdeque.pop q);
-  match Wsdeque.steal q with
-  | Wsdeque.Empty -> ()
-  | _ -> Alcotest.fail "expected empty"
-
-let test_deque_growth () =
-  let q = Wsdeque.create ~capacity:2 () in
-  for i = 0 to 99 do
-    Wsdeque.push q i
-  done;
-  check_int "size" 100 (Wsdeque.size q);
-  for i = 99 downto 0 do
-    Alcotest.(check (option int)) "pop" (Some i) (Wsdeque.pop q)
-  done
-
-let test_deque_interleaved () =
-  let q = Wsdeque.create () in
-  Wsdeque.push q 1;
-  ignore (Wsdeque.pop q);
-  Wsdeque.push q 2;
-  Wsdeque.push q 3;
-  (match Wsdeque.steal q with
-  | Wsdeque.Stolen v -> check_int "steals 2" 2 v
-  | _ -> Alcotest.fail "steal");
-  Alcotest.(check (option int)) "pops 3" (Some 3) (Wsdeque.pop q);
-  Alcotest.(check (option int)) "drained" None (Wsdeque.pop q)
-
-let test_deque_concurrent_consistency () =
-  (* One owner popping, one thief stealing: every element is delivered
-     exactly once. *)
-  let n = 10_000 in
-  let q = Wsdeque.create () in
-  for i = 0 to n - 1 do
-    Wsdeque.push q i
-  done;
-  let stolen = ref [] in
-  let thief =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match Wsdeque.steal q with
-          | Wsdeque.Stolen v ->
-              stolen := v :: !stolen;
-              loop ()
-          | Wsdeque.Retry -> loop ()
-          | Wsdeque.Empty -> if Wsdeque.size q > 0 then loop ()
-        in
-        loop ())
-  in
-  let popped = ref [] in
-  let rec drain () =
-    match Wsdeque.pop q with
-    | Some v ->
-        popped := v :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join thief;
-  let all = List.sort compare (!stolen @ !popped) in
-  check_int "all delivered exactly once" n (List.length all);
-  Alcotest.(check bool) "no duplicates/losses" true
-    (all = List.init n Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -403,6 +307,74 @@ let test_pool_per_worker_stats () =
       Alcotest.(check bool) "all iterations ran" true
         (delta.Stats.chunks_run >= 1))
 
+(* Exactly-once delivery on the real scheduler: each published range
+   is taken by its owner or by one thief, never both and never neither.
+   A grain of 1 and a skewed, allocating body keep every cell busy, and
+   the steal delta proves the thieves' path ran.  Visits count into
+   per-worker arrays, so a duplicate cannot hide in a racy increment. *)
+let test_pool_fold_exactly_once_under_stealing () =
+  let n = 2000 and runs = 2000 in
+  List.iter
+    (fun w ->
+      with_pool w (fun p ->
+          let bad = ref 0 in
+          let (), delta =
+            Stats.measure (fun () ->
+                for _ = 1 to runs do
+                  let seen =
+                    Pool.parallel_fold p ~grain:1 ~lo:0 ~hi:n
+                      ~create:(fun () -> Array.make n 0)
+                      ~f:(fun a off len ->
+                        for i = off to off + len - 1 do
+                          let work = if i < n / 8 then 64 else 1 in
+                          ignore (Sys.opaque_identity (List.init work Fun.id));
+                          a.(i) <- a.(i) + 1
+                        done;
+                        a)
+                      ~merge:(fun a b ->
+                        Array.iteri (fun i v -> a.(i) <- a.(i) + v) b;
+                        a)
+                      ()
+                  in
+                  Array.iter (fun v -> if v <> 1 then incr bad) seen
+                done)
+          in
+          check_int (Printf.sprintf "width %d: indices not visited once" w) 0 !bad;
+          Alcotest.(check bool)
+            (Printf.sprintf "width %d: thieves stole" w)
+            true (delta.Stats.steals > 0)))
+    [ 2; 4 ]
+
+(* The owner-split / thief-steal range stress on the real scheduler: the
+   grains handed to [f] are disjoint and tile [lo, hi) with no gap, on
+   every run, while a skewed head keeps thieves stealing ranges. *)
+let test_pool_range_task_stress () =
+  let n = 1 lsl 16 and runs = 20 in
+  with_pool 4 (fun p ->
+      let (), delta =
+        Stats.measure (fun () ->
+            for run = 1 to runs do
+              let spans =
+                Pool.parallel_range p ~grain:4 ~lo:0 ~hi:n
+                  ~f:(fun off len ->
+                    if off < n / 16 then
+                      ignore (Sys.opaque_identity (List.init 64 Fun.id));
+                    [ (off, off + len) ])
+                  ~merge:(fun a b -> List.rev_append b a)
+                  ~init:[] ()
+                |> List.sort compare
+              in
+              let rec contiguous pos = function
+                | [] -> pos = n
+                | (lo, hi) :: rest -> lo = pos && hi > lo && contiguous hi rest
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "run %d: disjoint and gap-free" run)
+                true (contiguous 0 spans)
+            done)
+      in
+      Alcotest.(check bool) "thieves stole" true (delta.Stats.steals > 0))
+
 let test_pool_grain_policy () =
   check_int "floors at 1" 1 (Partition.grain ~workers:8 10);
   check_int "scales with n" 10 (Partition.grain ~workers:4 1280);
@@ -411,63 +383,6 @@ let test_pool_grain_policy () =
   check_int "empty range" 1 (Partition.grain ~workers:4 0);
   Alcotest.check_raises "bad workers" (Invalid_argument "Partition.grain")
     (fun () -> ignore (Partition.grain ~workers:0 10))
-
-let test_deque_range_task_stress () =
-  (* Concurrent owner + thieves moving range tasks: no range is lost or
-     duplicated, and the delivered ranges tile [0, n) exactly.  The
-     owner splits ranges like the scheduler does; thieves steal whole
-     ranges. *)
-  let n = 1 lsl 16 in
-  let q = Wsdeque.create () in
-  Wsdeque.push q (0, n);
-  let nthieves = 3 in
-  let stolen = Array.make nthieves [] in
-  let stop = Atomic.make false in
-  let thieves =
-    Array.init nthieves (fun k ->
-        Domain.spawn (fun () ->
-            let rec loop () =
-              match Wsdeque.steal q with
-              | Wsdeque.Stolen r ->
-                  stolen.(k) <- r :: stolen.(k);
-                  loop ()
-              | Wsdeque.Retry -> loop ()
-              | Wsdeque.Empty -> if not (Atomic.get stop) then loop ()
-            in
-            loop ()))
-  in
-  let kept = ref [] in
-  let rec drain () =
-    match Wsdeque.pop q with
-    | Some (lo, hi) ->
-        let len = hi - lo in
-        if len > 4 then begin
-          (* split like the scheduler: keep the smaller half, publish
-             the larger half for thieves *)
-          let mid = lo + (len / 2) in
-          Wsdeque.push q (mid, hi);
-          kept := (lo, mid) :: !kept
-        end
-        else kept := (lo, hi) :: !kept;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Array.iter Domain.join thieves;
-  let all =
-    Array.fold_left (fun acc l -> l @ acc) !kept stolen
-    |> List.sort compare
-  in
-  (* Thieves keep whole stolen ranges (no re-splitting), so delivered
-     ranges must be disjoint and tile [0, n). *)
-  let covered = List.fold_left (fun a (lo, hi) -> a + (hi - lo)) 0 all in
-  check_int "total length tiles [0,n)" n covered;
-  let rec contiguous pos = function
-    | [] -> pos = n
-    | (lo, hi) :: rest -> lo = pos && hi > lo && contiguous hi rest
-  in
-  Alcotest.(check bool) "disjoint and gap-free" true (contiguous 0 all)
 
 let test_pool_reuse_across_jobs () =
   with_pool 3 (fun p ->
@@ -609,22 +524,10 @@ let () =
             test_blocks_more_parts_than_items;
           Alcotest.test_case "empty range" `Quick test_blocks_empty_range;
           Alcotest.test_case "invalid" `Quick test_blocks_invalid;
-          Alcotest.test_case "owner consistent" `Quick test_owner_consistent;
           Alcotest.test_case "2d grid" `Quick test_grid;
           Alcotest.test_case "square factors" `Quick test_square_factors;
           prop_blocks_cover_exactly;
           prop_blocks_balanced;
-        ] );
-      ( "wsdeque",
-        [
-          Alcotest.test_case "owner LIFO" `Quick test_deque_lifo_owner;
-          Alcotest.test_case "thief FIFO" `Quick test_deque_steal_fifo;
-          Alcotest.test_case "growth" `Quick test_deque_growth;
-          Alcotest.test_case "interleaved" `Quick test_deque_interleaved;
-          Alcotest.test_case "concurrent exactly-once" `Quick
-            test_deque_concurrent_consistency;
-          Alcotest.test_case "range-task stress" `Quick
-            test_deque_range_task_stress;
         ] );
       ( "pool",
         [
@@ -649,6 +552,10 @@ let () =
           Alcotest.test_case "per-worker stats" `Quick
             test_pool_per_worker_stats;
           Alcotest.test_case "grain policy" `Quick test_pool_grain_policy;
+          Alcotest.test_case "fold exactly-once under stealing" `Quick
+            test_pool_fold_exactly_once_under_stealing;
+          Alcotest.test_case "range-task stress" `Quick
+            test_pool_range_task_stress;
         ] );
       ( "cluster",
         [

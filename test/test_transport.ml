@@ -458,9 +458,10 @@ let test_code_carries_no_source () =
     true
     (d.Stats.code_bytes > 0 && d.Stats.code_bytes * 100 < d.Stats.bytes_sent)
 
-(* mri-q's and tpacf's task code carries no array that already ships as
-   payload: the voxel arrays and the random sets reach the nodes as
-   block payloads, not again inside the [Code] frames. *)
+(* mri-q's, tpacf's and cutcp's task code carries no array that
+   already ships as payload: the voxel arrays, the random sets and the
+   atoms reach the nodes as block payloads, not again inside the [Code]
+   frames. *)
 let test_kernel_code_carries_no_payload () =
   let module D = Triolet_kernels.Dataset in
   let ctx = Triolet.Exec.make ~nodes:2 ~cores_per_node:1 ~backend:Cluster.Process () in
@@ -476,7 +477,13 @@ let test_kernel_code_carries_no_payload () =
   let c = code_bytes (fun () -> ignore (Triolet_kernels.Tpacf.run_triolet ~ctx ~bins:12 d)) in
   check_bool
     (Printf.sprintf "tpacf: %d code bytes, under the random sets' %d" c sets_bytes)
-    true (c > 0 && c < sets_bytes)
+    true (c > 0 && c < sets_bytes);
+  let d = D.cutcp ~seed:52 ~atoms:2000 ~nx:16 ~ny:16 ~nz:16 ~spacing:0.5 ~cutoff:1.5 in
+  let grid, m = Stats.measure (fun () -> Triolet_kernels.Cutcp.run_triolet ~ctx d) in
+  let c = m.Stats.code_bytes in
+  check_bool (Printf.sprintf "cutcp: %d code bytes, under 8 KB" c) true (c > 0 && c < 8192);
+  check_bool "cutcp agrees with run_c" true
+    (Triolet_kernels.Cutcp.agrees (Triolet_kernels.Cutcp.run_c d) grid)
 
 (* Task code that cannot cross is refused in the parent, before any
    frame: a closure over a mutex, and one over more than a frame holds
